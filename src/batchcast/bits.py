@@ -77,7 +77,12 @@ class Bits:
 
 
 class BitWriter:
-    """Append-only bit stream builder over a packed buffer."""
+    """Append-only bit stream builder over a packed buffer.
+
+    Invariant: the buffer holds exactly ceil(len / 8) bytes and every bit at
+    or past `len` is zero.  Bits are only ever appended, so a write touches
+    the partial last byte with one OR and appends the rest as one chunk.
+    """
 
     def __init__(self):
         self._buf = bytearray()
@@ -91,16 +96,14 @@ class BitWriter:
         if n < 0 or width < n.bit_length():
             raise ValueError(f"{n} does not fit in {width} bits")
         pos = self._bitlen
-        self._bitlen += width
-        need = (self._bitlen + 7) // 8 - len(self._buf)
-        if need > 0:
-            self._buf.extend(bytes(need))
-        n <<= pos & 7
-        idx = pos >> 3
-        while n:
-            self._buf[idx] |= n & 0xFF
+        self._bitlen = end = pos + width
+        buf = self._buf
+        shift = pos & 7
+        if shift:
+            n <<= shift
+            buf[-1] |= n & 0xFF
             n >>= 8
-            idx += 1
+        buf += n.to_bytes((end + 7) // 8 - len(buf), "little")
 
     def write_bit(self, b: int):
         self.write_uint(1, b & 1)

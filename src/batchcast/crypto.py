@@ -38,11 +38,10 @@ def digest(data: bytes) -> bytes:
 
 
 def _xor(parts) -> bytes:
-    out = bytearray(MULTISIG_BYTES)
+    acc = 0
     for p in parts:
-        for i, b in enumerate(p):
-            out[i] ^= b
-    return bytes(out)
+        acc ^= int.from_bytes(p, "little")
+    return acc.to_bytes(MULTISIG_BYTES, "little")
 
 
 @dataclass(frozen=True)
@@ -112,14 +111,10 @@ class Oracle:
                          msig: bytes) -> bool:
         """True iff msig aggregates one multi-signature per keycard, no others."""
         self.calls[(caller, "verify_aggregate")] += 1
-        expected = bytearray(MULTISIG_BYTES)
-        for card in keycards:
-            owner = self.owner(card)
-            if owner is None:
-                return False
-            for i, b in enumerate(self.multisign(owner, statement)):
-                expected[i] ^= b
-        return msig == bytes(expected)
+        owners = [self.owner(card) for card in keycards]
+        if None in owners:
+            return False
+        return msig == _xor(self.multisign(o, statement) for o in owners)
 
     # -- server certificates --------------------------------------------------
 
@@ -137,11 +132,8 @@ class Oracle:
             return False
         if any(o < 0 or o >= n_servers for o in cert.signers):
             return False
-        expected = bytearray(MULTISIG_BYTES)
-        for o in sorted(cert.signers):
-            for i, b in enumerate(self.multisign(server(o), statement)):
-                expected[i] ^= b
-        return cert.msig == bytes(expected)
+        return cert.msig == _xor(self.multisign(server(o), statement)
+                                 for o in cert.signers)
 
     def verify_plurality(self, caller, cert, statement, f, n_servers) -> bool:
         return self.verify_certificate(caller, cert, statement, f + 1,

@@ -59,19 +59,22 @@ def write_varint(w: BitWriter, n: int):
     if n < 1:
         raise ValueError("varint domain is n >= 1")
     data_len = _width(n)
-    for i in range(data_len):
-        w.write_bit(1 if i < data_len - 1 else 0)
-        w.write_bit((n >> i) & 1)
+    # read as base 4, the binary digits of n land on the even bit positions;
+    # shifted up one they become the odd (data) positions of the varint
+    data = int(format(n, "b"), 4) << 1
+    # continuation flags: 1 on the even positions of every pair but the last
+    more = ((1 << 2 * (data_len - 1)) - 1) // 3
+    w.write_uint(2 * data_len, data | more)
 
 
 def read_varint(r: BitReader) -> int:
     n = 0
     i = 0
     while True:
-        cont = r.read_bit()
-        n |= r.read_bit() << i
+        pair = r.read_uint(2)  # bit 0 continuation, bit 1 data
+        n |= (pair >> 1) << i
         i += 1
-        if cont == 0:
+        if not pair & 1:
             return n
 
 

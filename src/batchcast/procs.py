@@ -37,12 +37,6 @@ def client(n: int) -> ProcessId:
     return ProcessId(ProcessKind.CLIENT, n)
 
 
-def parse_label(label: str) -> ProcessId:
-    kind = {"S": ProcessKind.SERVER, "B": ProcessKind.BROKER,
-            "C": ProcessKind.CLIENT}[label[0]]
-    return ProcessId(kind, int(label[1:]))
-
-
 # A client id is (domain, index): the ordinal of the server whose log ranked
 # the client, and the client's position in that log.  The total order is
 # lexicographic, which fixes the canonical batch leaf order.

@@ -199,6 +199,7 @@ class BrokerMachine(Machine):
         self.view = DirectoryView()
         self.pending: dict[Id, deque] = {}
         self.pool: dict[Id, _Pending] = {}
+        self._ready: set = set()  # ids with a pending submission, not pooled
         self.collecting = False
         self.batches: dict[bytes, _Batch] = {}
 
@@ -245,15 +246,13 @@ class BrokerMachine(Machine):
             return
         self.pending.setdefault(ident, deque()).append(
             _Pending(msg.context, msg.message, msg.signature))
+        if ident not in self.pool:
+            self._ready.add(ident)
 
     def _pump(self, ctx: Context):
-        moved = True
-        while moved:
-            moved = False
-            for ident in sorted(self.pending):
-                if self.pending[ident] and ident not in self.pool:
-                    self.pool[ident] = self.pending[ident].popleft()
-                    moved = True
+        for ident in sorted(self._ready):
+            self.pool[ident] = self.pending[ident].popleft()
+        self._ready.clear()
         if self.pool and not self.collecting:
             self.collecting = True
             ctx.set_timer(("flush",), self.batching_window)
@@ -267,6 +266,7 @@ class BrokerMachine(Machine):
         submissions = self.pool
         self.pool = {}
         ids = sorted(submissions)
+        self._ready.update(i for i in ids if self.pending[i])
         leaves = [leaf_bytes(i, submissions[i].context, submissions[i].message)
                   for i in ids]
         tree = MerkleTree(leaves)

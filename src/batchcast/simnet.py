@@ -131,9 +131,6 @@ class Context:
         self.sim._schedule_send(self.pid, dst, wire.serialize(self.sim.wire_ctx, msg),
                                 wire.tag_name(msg))
 
-    def send_raw(self, dst: ProcessId, data: bytes, tag: str = "raw"):
-        self.sim._schedule_send(self.pid, dst, data, tag)
-
     def set_timer(self, tag: tuple, timeout: int):
         self.sim._schedule_timer(self.pid, tag, timeout)
 

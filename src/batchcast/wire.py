@@ -296,13 +296,14 @@ def _r_id_set(r: BitReader) -> frozenset:
 
 def _w_certificate(ctx: WireContext, w: BitWriter, cert: Certificate):
     _w_fixed(w, cert.msig, crypto.MULTISIG_BYTES)
-    for o in range(ctx.n_servers):
-        w.write_bit(1 if o in cert.signers else 0)
+    w.write_uint(ctx.n_servers, sum(1 << o for o in range(ctx.n_servers)
+                                    if o in cert.signers))
 
 
 def _r_certificate(ctx: WireContext, r: BitReader) -> Certificate:
     msig = _r_fixed(r, crypto.MULTISIG_BYTES)
-    signers = frozenset(o for o in range(ctx.n_servers) if r.read_bit())
+    bitmap = r.read_uint(ctx.n_servers)
+    signers = frozenset(o for o in range(ctx.n_servers) if bitmap >> o & 1)
     return Certificate(signers, msig)
 
 

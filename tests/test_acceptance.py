@@ -123,8 +123,8 @@ def test_safety_suite():
                 if not v.ok:
                     failures.append((name, seed, prop, v.detail))
     report("safety suite", not failures,
-           f"({runs} runs x 12 properties, {len(failures)} violations, "
-           f"{time.time() - t0:.0f}s)")
+           f"({runs} runs x {len(verdicts)} properties, "
+           f"{len(failures)} violations, {time.time() - t0:.0f}s)")
 
 
 def test_exception_soundness():

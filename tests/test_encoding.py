@@ -6,8 +6,8 @@ from batchcast.bits import BitReader, BitWriter, Bits, DecodeError
 from batchcast.encoding import (compress_ids, expand_ids, int_decode,
                                 int_encode, int_repr, partition_decode,
                                 partition_encode, partition_encoded_len,
-                                partition_size, varint_decode, varint_encode,
-                                var_repr)
+                                partition_size, read_varint, varint_decode,
+                                varint_encode, var_repr, write_varint)
 import pytest
 
 
@@ -166,3 +166,132 @@ def test_writer_reader_agree_with_bits_api():
     assert r.remaining == 0
     with pytest.raises(DecodeError):
         r.read_bit()
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a bit-by-bit reference codec
+#
+# BitWriter/BitReader and the varint codec move whole fields at a time; the
+# reference below moves one bit at a time, straight from the definitions in
+# the encoding module docstring, and the packed bytes must agree exactly.
+
+class RefWriter:
+    """One list entry per bit; packs LSB-first within each byte."""
+
+    def __init__(self):
+        self.bits = []
+
+    def write_uint(self, width, n):
+        if n < 0 or n.bit_length() > width:
+            raise ValueError(f"{n} does not fit in {width} bits")
+        self.bits.extend((n >> i) & 1 for i in range(width))
+
+    def write_varint(self, n):
+        data_len = n.bit_length()
+        for i in range(data_len):
+            self.bits.append(1 if i < data_len - 1 else 0)
+            self.bits.append((n >> i) & 1)
+
+    def to_bytes(self):
+        out = bytearray((len(self.bits) + 7) // 8)
+        for i, b in enumerate(self.bits):
+            out[i >> 3] |= b << (i & 7)
+        return bytes(out)
+
+
+class RefReader:
+    def __init__(self, data, bit_len):
+        self.bits = [(data[i >> 3] >> (i & 7)) & 1 for i in range(bit_len)]
+        self.pos = 0
+
+    def read_bit(self):
+        if self.pos >= len(self.bits):
+            raise DecodeError("bit stream exhausted")
+        self.pos += 1
+        return self.bits[self.pos - 1]
+
+    def read_uint(self, width):
+        return sum(self.read_bit() << i for i in range(width))
+
+    def read_varint(self):
+        n = 0
+        i = 0
+        while True:
+            cont = self.read_bit()
+            n |= self.read_bit() << i
+            i += 1
+            if cont == 0:
+                return n
+
+
+def _both_writers(prefix_bits):
+    w, ref = BitWriter(), RefWriter()
+    for b in prefix_bits:
+        w.write_bit(b)
+        ref.write_uint(1, b)
+    return w, ref
+
+
+def test_write_uint_matches_reference_at_every_offset():
+    rng = random.Random(0x0FF5E7)
+    for offset in range(8):
+        for width in range(131):
+            for n in {0, (1 << width) - 1, rng.getrandbits(width)}:
+                prefix = [rng.getrandbits(1) for _ in range(offset)]
+                w, ref = _both_writers(prefix)
+                w.write_uint(width, n)
+                ref.write_uint(width, n)
+                w.write_bit(1)  # the next write lands after the field
+                ref.write_uint(1, 1)
+                assert (w.to_bytes(), len(w)) == (ref.to_bytes(),
+                                                  len(ref.bits))
+                r = BitReader(w.to_bytes(), len(w))
+                rr = RefReader(ref.to_bytes(), len(ref.bits))
+                assert r.read_uint(offset) == rr.read_uint(offset)
+                assert r.read_uint(width) == rr.read_uint(width) == n
+                assert r.read_bit() == 1
+
+
+def test_varint_matches_reference():
+    rng = random.Random(0x7A41)
+    values = {1}
+    for k in range(1, 201):
+        values.update((2 ** k - 1, 2 ** k, 2 ** k + 1))
+    cases = sorted(values)
+    cases += [rng.getrandbits(rng.randint(1, 80)) + 1 for _ in range(10_000)]
+    for n in cases:
+        prefix = [rng.getrandbits(1) for _ in range(rng.randrange(8))]
+        w, ref = _both_writers(prefix)
+        write_varint(w, n)
+        ref.write_varint(n)
+        assert (w.to_bytes(), len(w)) == (ref.to_bytes(), len(ref.bits))
+        r = BitReader(w.to_bytes(), len(w))
+        rr = RefReader(ref.to_bytes(), len(ref.bits))
+        r.read_uint(len(prefix))
+        rr.read_uint(len(prefix))
+        assert read_varint(r) == rr.read_varint() == n
+        assert r.remaining == 0
+
+
+def test_truncated_fields_raise_decode_error_at_every_point():
+    rng = random.Random(0x7E11)
+    for n in [1, 2, 3, 255, 256, 2 ** 64 + 1, rng.getrandbits(150) + 1]:
+        w = BitWriter()
+        write_varint(w, n)
+        data = w.to_bytes()
+        for cut in range(len(w)):
+            with pytest.raises(DecodeError):
+                read_varint(BitReader(data, cut))
+            with pytest.raises(DecodeError):
+                RefReader(data, cut).read_varint()
+    for offset in range(8):
+        for width in (1, 7, 8, 9, 64, 130):
+            w = BitWriter()
+            w.write_uint(offset, 0)
+            w.write_uint(width, rng.getrandbits(width))
+            data = w.to_bytes()
+            for cut in range(offset + width):
+                r = BitReader(data, cut)
+                with pytest.raises(DecodeError):
+                    r.read_uint(offset)
+                    r.read_uint(width)

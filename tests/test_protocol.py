@@ -1,17 +1,20 @@
 """Client/broker/server state machine behavior, unit and end-to-end."""
 
-from batchcast.crypto import MerkleTree
+from batchcast.behaviors import CensoringBroker
+from batchcast.crypto import MerkleTree, Oracle
 from batchcast.procs import broker, client, server
 from batchcast.protocol import (BrokerMachine, ClientMachine, Phase,
                                 ServerMachine, canonical_compressed)
-from batchcast.scenarios import (CORPUS, build_assignment, good_case,
-                                 run_scenario, silent_broker)
+from batchcast.scenarios import (CORPUS, build_assignment, dense_id,
+                                 good_case, run_scenario, silent_broker)
 from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
 from batchcast.wire import (BatchAcquired, Commit, CommitShard, Completion,
                             CompletionShard, Inclusion, Reduction, Signatures,
                             Submission, Witness, WitnessShard, leaf_bytes,
                             stmt_commit, stmt_completion, stmt_message,
                             stmt_reduction, stmt_witness)
+
+from conftest import FakeCtx
 
 
 def preloaded_scenario(n_clients=8):
@@ -153,6 +156,73 @@ def test_broker_second_submission_same_id_waits(oracle, fake_ctx_factory):
     assert batch.payloads[(0, 0)] == (b"c1", b"m1")
     machine._pump(ctx)  # the pending submission refills the pool
     assert machine.pool and machine.collecting
+
+
+def test_broker_submission_for_pooled_id_waits_for_flush(oracle,
+                                                         fake_ctx_factory):
+    sc = preloaded_scenario()
+    ctx = fake_ctx_factory(broker(0))
+    machine = BrokerMachine(4, 1)
+    machine._on_submission(ctx, client(0),
+                           make_submission(oracle, sc, 0, b"c1", b"m1"))
+    machine._pump(ctx)
+    machine._on_submission(ctx, client(0),
+                           make_submission(oracle, sc, 0, b"c2", b"m2"))
+    machine._pump(ctx)
+    assert machine.pool[(0, 0)].context == b"c1"
+    assert len(machine.pending[(0, 0)]) == 1
+    machine._flush(ctx)
+    (batch,) = machine.batches.values()
+    assert batch.payloads == {(0, 0): (b"c1", b"m1")}
+    assert not machine.pool
+    machine._pump(ctx)
+    assert machine.pool[(0, 0)].context == b"c2"
+    assert not machine.pending[(0, 0)]
+
+
+def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
+    sc = preloaded_scenario()
+    ctx = fake_ctx_factory(broker(0))
+    machine = BrokerMachine(4, 1)
+    order = [5, 2, 7, 0, 2, 3, 5, 1, 6, 4]  # ordinals 2 and 5 submit twice
+    for k, j in enumerate(order):
+        machine._on_submission(ctx, client(j), make_submission(
+            oracle, sc, j, b"c%d" % k, b"m"))
+        if k % 3 == 2:
+            machine._pump(ctx)
+    machine._pump(ctx)
+    first = {}
+    for k, j in enumerate(order):
+        first.setdefault(dense_id(j, 4), b"c%d" % k)
+    assert {i: p.context for i, p in machine.pool.items()} == first
+    assert {i for i, q in machine.pending.items() if q} == {
+        dense_id(2, 4), dense_id(5, 4)}
+
+
+def test_censoring_broker_pools_uncensored_ids(oracle, fake_ctx_factory):
+    sc = preloaded_scenario()
+    ctx = fake_ctx_factory(broker(0))
+    machine = CensoringBroker(4, 1, censored=[1])
+    for j in range(4):
+        machine.on_message(ctx, client(j),
+                           make_submission(oracle, sc, j, b"c", b"m"))
+    assert sorted(machine.pool) == sorted(dense_id(j, 4) for j in (0, 2, 3))
+    assert machine.collecting
+
+
+def test_broker_pools_512_ids_in_one_pump():
+    n = 512
+    sc = preloaded_scenario(n_clients=n)
+    oracle = Oracle(sc.processes())
+    ctx = FakeCtx(oracle, broker(0))
+    machine = BrokerMachine(4, 1)
+    for j in reversed(range(n)):
+        machine._on_submission(ctx, client(j),
+                               make_submission(oracle, sc, j, b"c", b"m"))
+    machine._pump(ctx)
+    assert sorted(machine.pool) == sorted(dense_id(j, 4) for j in range(n))
+    assert not any(machine.pending.values())
+    assert ctx.timers == [(("flush",), 0)]
 
 
 def test_broker_drops_invalid_client_signature(oracle, fake_ctx_factory):

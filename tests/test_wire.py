@@ -5,6 +5,9 @@ import random
 from batchcast import crypto, wire
 from batchcast.bits import DecodeError
 from batchcast.crypto import Certificate, MerkleProof
+import pytest
+
+from test_encoding import RefWriter
 
 
 CTX = wire.WireContext(4)
@@ -154,11 +157,62 @@ def test_truncations_never_crash():
     rng = random.Random(0xCAFE)
     for _ in range(500):
         data = wire.serialize(CTX, rand_message(rng))
-        cut = rng.randint(0, len(data))
-        try:
-            wire.deserialize(CTX, data[:cut])
-        except DecodeError:
-            pass
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError):
+                wire.deserialize(CTX, data[:cut])
+
+
+def _ref_bytes(ref, data):
+    ref.write_uint(8 * len(data), int.from_bytes(data, "little"))
+
+
+def _ref_certificate(ref, cert, n_servers):
+    _ref_bytes(ref, cert.msig)
+    for o in range(n_servers):
+        ref.write_uint(1, 1 if o in cert.signers else 0)
+
+
+def _ref_blob(ref, data):
+    ref.write_varint(len(data) + 1)
+    _ref_bytes(ref, data)
+
+
+def test_certificate_bitmap_matches_reference():
+    rng = random.Random(0xB17)
+    for n in (4, 7):
+        ctx = wire.WireContext(n)
+        for mask in range(1 << n):
+            signers = frozenset(o for o in range(n) if mask >> o & 1)
+            cert = Certificate(signers, rng.randbytes(crypto.MULTISIG_BYTES))
+            root = rng.randbytes(crypto.DIGEST_BYTES)
+            witness = RefWriter()
+            witness.write_uint(8, 7)
+            _ref_bytes(witness, root)
+            _ref_certificate(witness, cert, n)
+            # the id's varints leave the assignment's bitmap unaligned
+            ident = (rng.randrange(n), rng.randrange(300))
+            keycard = rng.randbytes(crypto.PUBKEY_BYTES)
+            signature = rng.randbytes(crypto.SIGNATURE_BYTES)
+            submission = RefWriter()
+            submission.write_uint(8, 0)
+            submission.write_varint(ident[0] + 1)
+            submission.write_varint(ident[1] + 1)
+            _ref_bytes(submission, keycard)
+            _ref_certificate(submission, cert, n)
+            _ref_blob(submission, b"ctx")
+            _ref_blob(submission, b"message")
+            _ref_bytes(submission, signature)
+            for msg, ref in (
+                    (wire.Witness(root, cert), witness),
+                    (wire.Submission(wire.Assignment(ident, keycard, cert),
+                                     b"ctx", b"message", signature),
+                     submission)):
+                data = wire.serialize(ctx, msg)
+                assert data == ref.to_bytes()
+                assert wire.deserialize(ctx, data) == msg
+                for cut in range(len(data)):
+                    with pytest.raises(DecodeError):
+                        wire.deserialize(ctx, data[:cut])
 
 
 def test_empty_exception_commit_shard_constant_size():
