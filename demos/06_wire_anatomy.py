@@ -8,7 +8,8 @@ per-payload cost converges to the id bits plus the payload bits.
 """
 
 from batchcast import wire
-from batchcast.encoding import partition_encode
+from batchcast.bits import BitWriter
+from batchcast.encoding import write_partition
 from batchcast.protocol import canonical_compressed
 
 M = 1024
@@ -18,7 +19,9 @@ payloads = tuple((j.to_bytes(4, "big"), (j ^ 0xFFFF).to_bytes(4, "big"))
                  for j in range(M))
 
 mu = {d: set(i for dd, i in ids if dd == d) for d in range(4)}
-id_bits = len(partition_encode(mu, [0, 1, 2, 3]))
+id_writer = BitWriter()
+write_partition(id_writer, mu, [0, 1, 2, 3])
+id_bits = len(id_writer)
 batch = wire.BatchMsg(canonical_compressed(ids), payloads)
 total_bits = 8 * len(wire.serialize(ctx, batch))
 payload_bits = 64 * M

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from .crypto import Certificate, MerkleProof
 from .procs import ProcessId, ProcessKind, broker, server
-from .protocol import BrokerMachine, ServerMachine
+from .protocol import BrokerMachine, Phase, ServerMachine
 from .simnet import Context, Machine
-from .wire import (CommitShard, EquivocationProof, Inclusion, Reduction,
-                   Submission, stmt_commit, stmt_message, stmt_reduction,
-                   stmt_witness)
+from .wire import (Commit, CommitShard, EquivocationProof, Inclusion,
+                   Reduction, Submission, stmt_commit, stmt_message,
+                   stmt_reduction, stmt_witness)
 
 
 class SilentBroker(Machine):
@@ -110,18 +110,11 @@ class LoneCommitBroker(BrokerMachine):
         batch = self.batches.get(root)
         if batch is None:
             return
-        from .protocol import Phase
-        from .wire import Commit
         if (batch.phase is Phase.COMMITTING and batch.committable
                 and len(batch.commits) >= 2 * self.f + 1):
-            groups = {}
-            for ordinal in sorted(batch.commits):
-                exceptions, shard = batch.commits[ordinal]
-                groups.setdefault(tuple(sorted(exceptions)), {})[ordinal] = shard
-            patches = tuple((ids, ctx.certify(shards))
-                            for ids, shards in sorted(groups.items()))
             target = min(batch.commit_to)
-            ctx.send(server(target), Commit(root, patches))
+            ctx.send(server(target),
+                     Commit(root, self._commit_patches(ctx, batch)))
             del self.batches[root]  # never completes: clients must resubmit
             return
         super()._advance(ctx, root)

@@ -135,14 +135,6 @@ class Oracle:
         return cert.msig == _xor(self.multisign(server(o), statement)
                                  for o in cert.signers)
 
-    def verify_plurality(self, caller, cert, statement, f, n_servers) -> bool:
-        return self.verify_certificate(caller, cert, statement, f + 1,
-                                       n_servers)
-
-    def verify_quorum(self, caller, cert, statement, f, n_servers) -> bool:
-        return self.verify_certificate(caller, cert, statement, 2 * f + 1,
-                                       n_servers)
-
 
 # ---------------------------------------------------------------------------
 # Merkle trees (ideal-accumulator stand-in)

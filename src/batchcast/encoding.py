@@ -1,8 +1,9 @@
-"""Bit-exact integer, varint and partition codecs, plus id compression.
+"""Bit-exact varint and partition codecs, plus id compression.
 
 All codecs are little-endian in bit order and round-trip exactly:
 
-* intrepr(b, n): n in exactly b bits (bit i = floor(n / 2^i) mod 2).
+* intrepr(b, n): n in exactly b bits (bit i = floor(n / 2^i) mod 2), as
+  written by BitWriter.write_uint.
 * varrepr(n), n >= 1: 2*ceil(log2(n+1)) bits; even positions carry a
   continuation flag (1 = more, 0 = last pair), odd positions carry the data
   bits of intrepr(ceil(log2(n+1)), n).
@@ -19,37 +20,12 @@ All codecs are little-endian in bit order and round-trip exactly:
 
 from __future__ import annotations
 
-from .bits import BitReader, BitWriter, Bits, DecodeError
+from .bits import BitReader, BitWriter, DecodeError
 
 
 def _width(n: int) -> int:
     """ceil(log2(n + 1)): bits needed to represent 0..n."""
     return n.bit_length()
-
-
-# ---------------------------------------------------------------------------
-# integer encoding
-
-def int_repr(width: int, n: int) -> Bits:
-    w = BitWriter()
-    w.write_uint(width, n)
-    return w.to_bits()
-
-
-def int_read(width: int, s: Bits) -> int:
-    if len(s) < width:
-        raise DecodeError("string shorter than integer width")
-    return BitReader.from_bits(s).read_uint(width)
-
-
-def int_encode(width: int, s: Bits, n: int) -> Bits:
-    return int_repr(width, n) + s
-
-
-def int_decode(width: int, t: Bits) -> tuple[Bits, int]:
-    if len(t) < width:
-        raise DecodeError("string shorter than integer width")
-    return t[width:], int_read(width, t)
 
 
 # ---------------------------------------------------------------------------
@@ -76,22 +52,6 @@ def read_varint(r: BitReader) -> int:
         i += 1
         if not pair & 1:
             return n
-
-
-def var_repr(n: int) -> Bits:
-    w = BitWriter()
-    write_varint(w, n)
-    return w.to_bits()
-
-
-def varint_encode(s: Bits, n: int) -> Bits:
-    return var_repr(n) + s
-
-
-def varint_decode(t: Bits) -> tuple[Bits, int]:
-    r = BitReader.from_bits(t)
-    n = read_varint(r)
-    return r.read_rest(), n
 
 
 def write_vnat(w: BitWriter, n: int):
@@ -162,16 +122,6 @@ def read_partition(r: BitReader, domains: list) -> dict:
     if partition_size(mu) != total:
         raise DecodeError("inconsistent partition counts")
     return mu
-
-
-def partition_encode(mu: dict, domains: list) -> Bits:
-    w = BitWriter()
-    write_partition(w, mu, domains)
-    return w.to_bits()
-
-
-def partition_decode(t: Bits, domains: list) -> dict:
-    return read_partition(BitReader.from_bits(t), domains)
 
 
 def partition_encoded_len(size: int, max_index: int, n_domains: int) -> int:

@@ -397,12 +397,7 @@ class BrokerMachine(Machine):
             batch.commits = {}
         if (batch.phase is Phase.COMMITTING and batch.committable
                 and len(batch.commits) >= 2 * self.f + 1):
-            groups: dict[tuple, dict] = {}
-            for ordinal in sorted(batch.commits):
-                exceptions, shard = batch.commits[ordinal]
-                groups.setdefault(tuple(sorted(exceptions)), {})[ordinal] = shard
-            patches = tuple((ids, ctx.certify(shards))
-                            for ids, shards in sorted(groups.items()))
+            patches = self._commit_patches(ctx, batch)
             commit = Commit(root, patches)
             for ordinal in sorted(batch.commit_to):
                 ctx.send(server(ordinal), commit)
@@ -417,6 +412,16 @@ class BrokerMachine(Machine):
             for ident in batch.payloads:
                 ctx.send(ctx.owner(self.view.lookup_id(ident)), completion)
             del self.batches[root]
+
+    @staticmethod
+    def _commit_patches(ctx: Context, batch: _Batch) -> tuple:
+        """One certified patch per distinct exception set, in sorted order."""
+        groups: dict[tuple, dict] = {}
+        for ordinal in sorted(batch.commits):
+            exceptions, shard = batch.commits[ordinal]
+            groups.setdefault(tuple(sorted(exceptions)), {})[ordinal] = shard
+        return tuple((ids, ctx.certify(shards))
+                     for ids, shards in sorted(groups.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,6 @@ class Context:
     def now(self) -> int:
         return self.sim.now
 
-    @property
-    def wire_ctx(self) -> wire.WireContext:
-        return self.sim.wire_ctx
-
     def send(self, dst: ProcessId, msg):
         self.sim._schedule_send(self.pid, dst, wire.serialize(self.sim.wire_ctx, msg),
                                 wire.tag_name(msg))

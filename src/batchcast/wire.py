@@ -1,9 +1,11 @@
 """Protocol messages and their bit-exact wire format.
 
 Every message serializes to a self-delimiting bit stream, padded with zeros
-to a whole number of bytes at the very end; the per-field layout is documented
-in docs/wire_format.md.  Deserializing arbitrary bytes never raises anything
-but DecodeError, which state machines treat as an ignorable invalid message.
+to a whole number of bytes at the very end.  One table, `_SPECS`, gives each
+message type its tag and its fields' codecs and drives both directions; the
+per-field layout is documented in docs/wire_format.md.  Deserializing
+arbitrary bytes never raises anything but DecodeError, which state machines
+treat as an ignorable invalid message.
 
 Field widths for cryptographic material are the configured constants from
 the crypto module, independent of the in-memory representation.
@@ -11,7 +13,7 @@ the crypto module, independent of the in-memory representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import crypto
 from .bits import BitReader, BitWriter, DecodeError
@@ -217,22 +219,15 @@ class FifoReady:
     payload: bytes
 
 
-_MESSAGE_TYPES = [
-    Submission, Inclusion, Reduction, BatchMsg, BatchAcquired, Signatures,
-    WitnessShard, Witness, CommitShard, Commit, CompletionShard, Completion,
-    OfferTotality, AcceptTotality, Totality,
-    Signup, Ranked, Assigner, AssignShard,
-    FifoSend, FifoEcho, FifoReady,
-]
-_TAG_OF = {cls: tag for tag, cls in enumerate(_MESSAGE_TYPES)}
-
-
 def tag_name(msg) -> str:
     return type(msg).__name__
 
 
 # ---------------------------------------------------------------------------
 # field codecs
+#
+# A codec is a (write(ctx, w, value), read(ctx, r)) pair.  Every count and
+# length read off the wire is capped before anything is allocated for it.
 
 class WireContext:
     """Serialization context: the shared server enumeration."""
@@ -242,126 +237,136 @@ class WireContext:
         self.domains = list(range(n_servers))
 
 
-def _w_blob(w: BitWriter, data: bytes):
+def _read_count(r: BitReader, limit: int = MAX_BLOB_BYTES) -> int:
+    count = read_vnat(r)
+    if count > limit:
+        raise DecodeError("count too large")
+    return count
+
+
+def fixed(nbytes: int):
+    def write(ctx, w, data):
+        if len(data) != nbytes:
+            raise ValueError("fixed-width field has wrong length")
+        w.write_bytes(data)
+    return write, lambda ctx, r: r.read_bytes(nbytes)
+
+
+def _write_blob(ctx, w, data):
     write_vnat(w, len(data))
     w.write_bytes(data)
 
 
-def _r_blob(r: BitReader) -> bytes:
-    n = read_vnat(r)
-    if n > MAX_BLOB_BYTES:
-        raise DecodeError("blob too long")
-    return r.read_bytes(n)
+def _read_blob(ctx, r) -> bytes:
+    return r.read_bytes(_read_count(r))
 
 
-def _w_fixed(w: BitWriter, data: bytes, nbytes: int):
-    if len(data) != nbytes:
-        raise ValueError("fixed-width field has wrong length")
-    w.write_bytes(data)
+def seq(item, build):
+    """vnat(count), then the items; decodes to build(items)."""
+    put, get = item
+
+    def write(ctx, w, items):
+        write_vnat(w, len(items))
+        for x in items:
+            put(ctx, w, x)
+    return write, lambda ctx, r: build(get(ctx, r)
+                                       for _ in range(_read_count(r)))
 
 
-def _r_fixed(r: BitReader, nbytes: int) -> bytes:
-    return r.read_bytes(nbytes)
+def pair(a, b):
+    (put_a, get_a), (put_b, get_b) = a, b
+
+    def write(ctx, w, value):
+        first, second = value
+        put_a(ctx, w, first)
+        put_b(ctx, w, second)
+    return write, lambda ctx, r: (get_a(ctx, r), get_b(ctx, r))
 
 
-def _w_root(w, root):
-    _w_fixed(w, root, crypto.DIGEST_BYTES)
+def record(cls, *codecs):
+    """The dataclass's fields in declaration order, one codec each."""
+    names = [f.name for f in fields(cls)]
+    if len(names) != len(codecs):
+        raise TypeError(f"{cls.__name__} has {len(names)} fields, "
+                        f"spec gives {len(codecs)}")
+    puts = [(name, put) for name, (put, _) in zip(names, codecs)]
+    gets = [get for _, get in codecs]
+
+    def write(ctx, w, obj):
+        for name, put in puts:
+            put(ctx, w, getattr(obj, name))
+    return write, lambda ctx, r: cls(*[get(ctx, r) for get in gets])
 
 
-def _r_root(r):
-    return _r_fixed(r, crypto.DIGEST_BYTES)
+DIGEST = fixed(crypto.DIGEST_BYTES)
+SIGNATURE = fixed(crypto.SIGNATURE_BYTES)
+MULTISIG = fixed(crypto.MULTISIG_BYTES)
+KEYCARD = fixed(crypto.PUBKEY_BYTES)
+VNAT = (lambda ctx, w, n: write_vnat(w, n), lambda ctx, r: read_vnat(r))
+BLOB = (_write_blob, _read_blob)
+ID = pair(VNAT, VNAT)
 
 
-def _w_id(w: BitWriter, ident: Id):
-    write_vnat(w, ident[0])
-    write_vnat(w, ident[1])
+def _id_set(build):
+    """Ids in ascending order; decodes through a frozenset into build."""
+    put, get = seq(ID, frozenset)
+    return (lambda ctx, w, ids: put(ctx, w, sorted(ids)),
+            lambda ctx, r: build(get(ctx, r)))
 
 
-def _r_id(r: BitReader) -> Id:
-    return (read_vnat(r), read_vnat(r))
+ID_SET = _id_set(frozenset)
+ID_TUPLE = _id_set(lambda ids: tuple(sorted(ids)))
 
 
-def _w_id_set(w: BitWriter, ids):
-    write_vnat(w, len(ids))
-    for ident in sorted(ids):
-        _w_id(w, ident)
-
-
-def _r_id_set(r: BitReader) -> frozenset:
-    count = read_vnat(r)
-    if count > MAX_BLOB_BYTES:
-        raise DecodeError("id set too long")
-    return frozenset(_r_id(r) for _ in range(count))
-
-
-def _w_certificate(ctx: WireContext, w: BitWriter, cert: Certificate):
-    _w_fixed(w, cert.msig, crypto.MULTISIG_BYTES)
+def _write_certificate(ctx, w, cert: Certificate):
+    MULTISIG[0](ctx, w, cert.msig)
     w.write_uint(ctx.n_servers, sum(1 << o for o in range(ctx.n_servers)
                                     if o in cert.signers))
 
 
-def _r_certificate(ctx: WireContext, r: BitReader) -> Certificate:
-    msig = _r_fixed(r, crypto.MULTISIG_BYTES)
+def _read_certificate(ctx, r) -> Certificate:
+    msig = r.read_bytes(crypto.MULTISIG_BYTES)
     bitmap = r.read_uint(ctx.n_servers)
     signers = frozenset(o for o in range(ctx.n_servers) if bitmap >> o & 1)
     return Certificate(signers, msig)
 
 
-def _w_proof(w: BitWriter, proof: MerkleProof):
+CERTIFICATE = (_write_certificate, _read_certificate)
+
+
+def _write_proof(ctx, w, proof: MerkleProof):
     write_vnat(w, proof.index)
     write_vnat(w, len(proof.path))
     for side, sib in proof.path:
         w.write_bit(side)
-        _w_fixed(w, sib, crypto.DIGEST_BYTES)
+        DIGEST[0](ctx, w, sib)
 
 
-def _r_proof(r: BitReader) -> MerkleProof:
+def _read_proof(ctx, r) -> MerkleProof:
     index = read_vnat(r)
-    count = read_vnat(r)
-    if count > 64:
-        raise DecodeError("proof too long")
-    path = tuple((r.read_bit(), _r_fixed(r, crypto.DIGEST_BYTES))
-                 for _ in range(count))
+    path = tuple((r.read_bit(), r.read_bytes(crypto.DIGEST_BYTES))
+                 for _ in range(_read_count(r, 64)))
     return MerkleProof(index, path)
 
 
-def _w_assignment(ctx, w, a: Assignment):
-    _w_id(w, a.ident)
-    _w_fixed(w, a.keycard, crypto.PUBKEY_BYTES)
-    _w_certificate(ctx, w, a.certificate)
+PROOF = (_write_proof, _read_proof)
 
 
-def _r_assignment(ctx, r) -> Assignment:
-    ident = _r_id(r)
-    keycard = _r_fixed(r, crypto.PUBKEY_BYTES)
-    return Assignment(ident, keycard, _r_certificate(ctx, r))
-
-
-def _w_assignments(ctx, w, assignments):
-    write_vnat(w, len(assignments))
-    for a in assignments:
-        _w_assignment(ctx, w, a)
-
-
-def _r_assignments(ctx, r) -> tuple:
-    count = read_vnat(r)
-    if count > MAX_BLOB_BYTES:
-        raise DecodeError("assignment list too long")
-    return tuple(_r_assignment(ctx, r) for _ in range(count))
-
-
-def _w_compressed_ids(ctx, w, compressed: tuple):
+def _write_partition(ctx, w, compressed: tuple):
     mu = {domain: set(indices) for domain, indices in compressed}
     write_partition(w, mu, ctx.domains)
 
 
-def _r_compressed_ids(ctx, r) -> tuple:
+def _read_partition(ctx, r) -> tuple:
     mu = read_partition(r, ctx.domains)
     return tuple((d, tuple(sorted(mu[d]))) for d in sorted(mu))
 
 
-def _w_payloads(w: BitWriter, payloads: tuple):
-    """Payload list; the count is implied by the id partition.
+PARTITION = (_write_partition, _read_partition)
+
+
+def _write_payloads(ctx, w, payloads: tuple):
+    """Payload list.
 
     Uniform-length payloads declare the two lengths once, so the framing
     overhead is constant per batch rather than per payload.
@@ -379,137 +384,68 @@ def _w_payloads(w: BitWriter, payloads: tuple):
             w.write_bytes(message)
     else:
         for context, message in payloads:
-            _w_blob(w, context)
-            _w_blob(w, message)
+            _write_blob(ctx, w, context)
+            _write_blob(ctx, w, message)
 
 
-def _r_payloads(r: BitReader) -> tuple:
-    count = read_vnat(r)
-    if count > MAX_BLOB_BYTES:
-        raise DecodeError("payload list too long")
-    uniform = r.read_bit()
-    if uniform:
-        clen = read_vnat(r)
-        mlen = read_vnat(r)
-        if clen > MAX_BLOB_BYTES or mlen > MAX_BLOB_BYTES:
-            raise DecodeError("payload too long")
+def _read_payloads(ctx, r) -> tuple:
+    count = _read_count(r)
+    if r.read_bit():
+        clen = _read_count(r)
+        mlen = _read_count(r)
         return tuple((r.read_bytes(clen), r.read_bytes(mlen))
                      for _ in range(count))
-    return tuple((_r_blob(r), _r_blob(r)) for _ in range(count))
-
-
-def _w_patches(ctx, w, patches: tuple):
-    write_vnat(w, len(patches))
-    for exceptions, cert in patches:
-        _w_id_set(w, exceptions)
-        _w_certificate(ctx, w, cert)
-
-
-def _r_patches(ctx, r) -> tuple:
-    count = read_vnat(r)
-    if count > MAX_BLOB_BYTES:
-        raise DecodeError("patch list too long")
-    return tuple((tuple(sorted(_r_id_set(r))), _r_certificate(ctx, r))
+    return tuple((_read_blob(ctx, r), _read_blob(ctx, r))
                  for _ in range(count))
 
 
-def _w_conflicts(ctx, w, conflicts: tuple):
-    write_vnat(w, len(conflicts))
-    for ident, ep in conflicts:
-        _w_id(w, ident)
-        _w_root(w, ep.conflict_root)
-        _w_certificate(ctx, w, ep.conflict_witness)
-        _w_proof(w, ep.proof)
-        _w_blob(w, ep.conflict_message)
+PAYLOADS = (_write_payloads, _read_payloads)
 
-
-def _r_conflicts(ctx, r) -> tuple:
-    count = read_vnat(r)
-    if count > MAX_BLOB_BYTES:
-        raise DecodeError("conflict list too long")
-    out = []
-    for _ in range(count):
-        ident = _r_id(r)
-        out.append((ident, EquivocationProof(
-            _r_root(r), _r_certificate(ctx, r), _r_proof(r), _r_blob(r))))
-    return tuple(out)
+ASSIGNMENT = record(Assignment, ID, KEYCARD, CERTIFICATE)
+ASSIGNMENTS = seq(ASSIGNMENT, tuple)
+PATCHES = seq(pair(ID_TUPLE, CERTIFICATE), tuple)
 
 
 # ---------------------------------------------------------------------------
-# top-level serialize / deserialize
+# the message table: a message's tag is its index here
+
+_SPECS = [
+    (Submission, (ASSIGNMENT, BLOB, BLOB, SIGNATURE)),
+    (Inclusion, (BLOB, DIGEST, PROOF)),
+    (Reduction, (DIGEST, MULTISIG)),
+    (BatchMsg, (PARTITION, PAYLOADS)),
+    (BatchAcquired, (DIGEST, ID_TUPLE)),
+    (Signatures, (DIGEST, ASSIGNMENTS, MULTISIG,
+                  seq(pair(ID, SIGNATURE), tuple))),
+    (WitnessShard, (DIGEST, MULTISIG)),
+    (Witness, (DIGEST, CERTIFICATE)),
+    (CommitShard, (DIGEST,
+                   seq(pair(ID, record(EquivocationProof, DIGEST, CERTIFICATE,
+                                       PROOF, BLOB)), tuple),
+                   MULTISIG)),
+    (Commit, (DIGEST, PATCHES)),
+    (CompletionShard, (DIGEST, MULTISIG)),
+    (Completion, (DIGEST, CERTIFICATE, ID_SET)),
+    (OfferTotality, (DIGEST, ID_SET)),
+    (AcceptTotality, (DIGEST, ID_SET)),
+    (Totality, (DIGEST, ASSIGNMENTS, PARTITION, PAYLOADS, PATCHES)),
+    (Signup, ()),
+    (Ranked, (VNAT,)),
+    (Assigner, (VNAT,)),
+    (AssignShard, (VNAT, MULTISIG)),
+    (FifoSend, (VNAT, BLOB)),
+    (FifoEcho, (VNAT, VNAT, BLOB)),
+    (FifoReady, (VNAT, VNAT, BLOB)),
+]
+_CODECS = [record(cls, *codecs) for cls, codecs in _SPECS]
+_TAGS = {cls: tag for tag, (cls, _) in enumerate(_SPECS)}
+
 
 def serialize(ctx: WireContext, msg) -> bytes:
+    tag = _TAGS[type(msg)]
     w = BitWriter()
-    w.write_uint(8, _TAG_OF[type(msg)])
-    t = type(msg)
-    if t is Submission:
-        _w_assignment(ctx, w, msg.assignment)
-        _w_blob(w, msg.context)
-        _w_blob(w, msg.message)
-        _w_fixed(w, msg.signature, crypto.SIGNATURE_BYTES)
-    elif t is Inclusion:
-        _w_blob(w, msg.context)
-        _w_root(w, msg.root)
-        _w_proof(w, msg.proof)
-    elif t is Reduction:
-        _w_root(w, msg.root)
-        _w_fixed(w, msg.msig, crypto.MULTISIG_BYTES)
-    elif t is BatchMsg:
-        _w_compressed_ids(ctx, w, msg.compressed_ids)
-        _w_payloads(w, msg.payloads)
-    elif t is BatchAcquired:
-        _w_root(w, msg.root)
-        _w_id_set(w, msg.unknowns)
-    elif t is Signatures:
-        _w_root(w, msg.root)
-        _w_assignments(ctx, w, msg.assignments)
-        _w_fixed(w, msg.msig, crypto.MULTISIG_BYTES)
-        write_vnat(w, len(msg.stragglers))
-        for ident, sig in msg.stragglers:
-            _w_id(w, ident)
-            _w_fixed(w, sig, crypto.SIGNATURE_BYTES)
-    elif t in (WitnessShard, CompletionShard):
-        _w_root(w, msg.root)
-        _w_fixed(w, msg.shard, crypto.MULTISIG_BYTES)
-    elif t is Witness:
-        _w_root(w, msg.root)
-        _w_certificate(ctx, w, msg.certificate)
-    elif t is CommitShard:
-        _w_root(w, msg.root)
-        _w_conflicts(ctx, w, msg.conflicts)
-        _w_fixed(w, msg.shard, crypto.MULTISIG_BYTES)
-    elif t is Commit:
-        _w_root(w, msg.root)
-        _w_patches(ctx, w, msg.patches)
-    elif t is Completion:
-        _w_root(w, msg.root)
-        _w_certificate(ctx, w, msg.certificate)
-        _w_id_set(w, msg.exclusions)
-    elif t in (OfferTotality, AcceptTotality):
-        _w_root(w, msg.root)
-        _w_id_set(w, msg.exclusions)
-    elif t is Totality:
-        _w_root(w, msg.root)
-        _w_assignments(ctx, w, msg.assignments)
-        _w_compressed_ids(ctx, w, msg.compressed_ids)
-        _w_payloads(w, msg.payloads)
-        _w_patches(ctx, w, msg.patches)
-    elif t is Signup:
-        pass
-    elif t in (Ranked, Assigner):
-        write_vnat(w, msg.domain)
-    elif t is AssignShard:
-        write_vnat(w, msg.index)
-        _w_fixed(w, msg.shard, crypto.MULTISIG_BYTES)
-    elif t is FifoSend:
-        write_vnat(w, msg.seq)
-        _w_blob(w, msg.payload)
-    elif t in (FifoEcho, FifoReady):
-        write_vnat(w, msg.origin)
-        write_vnat(w, msg.seq)
-        _w_blob(w, msg.payload)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown message type {t}")
+    w.write_uint(8, tag)
+    _CODECS[tag][0](ctx, w, msg)
     return w.to_bytes()
 
 
@@ -517,69 +453,9 @@ def deserialize(ctx: WireContext, data: bytes):
     r = BitReader(data)
     try:
         tag = r.read_uint(8)
-        if tag >= len(_MESSAGE_TYPES):
+        if tag >= len(_CODECS):
             raise DecodeError("unknown tag")
-        t = _MESSAGE_TYPES[tag]
-        if t is Submission:
-            return Submission(_r_assignment(ctx, r), _r_blob(r), _r_blob(r),
-                              _r_fixed(r, crypto.SIGNATURE_BYTES))
-        if t is Inclusion:
-            return Inclusion(_r_blob(r), _r_root(r), _r_proof(r))
-        if t is Reduction:
-            return Reduction(_r_root(r), _r_fixed(r, crypto.MULTISIG_BYTES))
-        if t is BatchMsg:
-            return BatchMsg(_r_compressed_ids(ctx, r), _r_payloads(r))
-        if t is BatchAcquired:
-            return BatchAcquired(_r_root(r), tuple(sorted(_r_id_set(r))))
-        if t is Signatures:
-            root = _r_root(r)
-            assignments = _r_assignments(ctx, r)
-            msig = _r_fixed(r, crypto.MULTISIG_BYTES)
-            count = read_vnat(r)
-            if count > MAX_BLOB_BYTES:
-                raise DecodeError("straggler list too long")
-            stragglers = tuple(
-                (_r_id(r), _r_fixed(r, crypto.SIGNATURE_BYTES))
-                for _ in range(count))
-            return Signatures(root, assignments, msig, stragglers)
-        if t is WitnessShard:
-            return WitnessShard(_r_root(r), _r_fixed(r, crypto.MULTISIG_BYTES))
-        if t is Witness:
-            return Witness(_r_root(r), _r_certificate(ctx, r))
-        if t is CommitShard:
-            return CommitShard(_r_root(r), _r_conflicts(ctx, r),
-                               _r_fixed(r, crypto.MULTISIG_BYTES))
-        if t is Commit:
-            return Commit(_r_root(r), _r_patches(ctx, r))
-        if t is CompletionShard:
-            return CompletionShard(_r_root(r),
-                                   _r_fixed(r, crypto.MULTISIG_BYTES))
-        if t is Completion:
-            return Completion(_r_root(r), _r_certificate(ctx, r),
-                              _r_id_set(r))
-        if t is OfferTotality:
-            return OfferTotality(_r_root(r), _r_id_set(r))
-        if t is AcceptTotality:
-            return AcceptTotality(_r_root(r), _r_id_set(r))
-        if t is Totality:
-            return Totality(_r_root(r), _r_assignments(ctx, r),
-                            _r_compressed_ids(ctx, r), _r_payloads(r),
-                            _r_patches(ctx, r))
-        if t is Signup:
-            return Signup()
-        if t is Ranked:
-            return Ranked(read_vnat(r))
-        if t is Assigner:
-            return Assigner(read_vnat(r))
-        if t is AssignShard:
-            return AssignShard(read_vnat(r), _r_fixed(r, crypto.MULTISIG_BYTES))
-        if t is FifoSend:
-            return FifoSend(read_vnat(r), _r_blob(r))
-        if t is FifoEcho:
-            return FifoEcho(read_vnat(r), read_vnat(r), _r_blob(r))
-        return FifoReady(read_vnat(r), read_vnat(r), _r_blob(r))
-    except DecodeError:
-        raise
+        return _CODECS[tag][1](ctx, r)
     except (ValueError, IndexError, OverflowError) as exc:
         raise DecodeError(str(exc)) from exc
 

@@ -70,17 +70,19 @@ def test_aggregate_of_nothing_is_identity(oracle):
 def test_certificate_thresholds(oracle):
     stmt = b"witness|r"
     f, n = 1, 4
+    plurality, quorum = f + 1, 2 * f + 1
+    verify = oracle.verify_certificate
     shards = {o: oracle.multisign(server(o), stmt) for o in range(3)}
     cert = oracle.certify(shards)
-    assert oracle.verify_plurality(broker(0), cert, stmt, f, n)
-    assert oracle.verify_quorum(broker(0), cert, stmt, f, n)
+    assert verify(broker(0), cert, stmt, plurality, n)
+    assert verify(broker(0), cert, stmt, quorum, n)
     two = oracle.certify({o: shards[o] for o in (0, 1)})
-    assert oracle.verify_plurality(broker(0), two, stmt, f, n)
-    assert not oracle.verify_quorum(broker(0), two, stmt, f, n)
+    assert verify(broker(0), two, stmt, plurality, n)
+    assert not verify(broker(0), two, stmt, quorum, n)
     # flipping the claimed signer set breaks verification
     tampered = crypto.Certificate(frozenset({0, 1, 3}), cert.msig)
-    assert not oracle.verify_quorum(broker(0), tampered, stmt, f, n)
-    assert not oracle.verify_plurality(broker(0), two, b"witness|r2", f, n)
+    assert not verify(broker(0), tampered, stmt, quorum, n)
+    assert not verify(broker(0), two, b"witness|r2", plurality, n)
 
 
 def test_merkle_single_leaf():

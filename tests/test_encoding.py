@@ -2,51 +2,108 @@
 
 import random
 
-from batchcast.bits import BitReader, BitWriter, Bits, DecodeError
-from batchcast.encoding import (compress_ids, expand_ids, int_decode,
-                                int_encode, int_repr, partition_decode,
-                                partition_encode, partition_encoded_len,
-                                partition_size, read_varint, varint_decode,
-                                varint_encode, var_repr, write_varint)
+from batchcast.bits import BitReader, BitWriter, DecodeError
+from batchcast.encoding import (compress_ids, expand_ids,
+                                partition_encoded_len, partition_size,
+                                read_partition, read_varint, write_partition,
+                                write_varint)
 import pytest
+
+
+def bits_of(w):
+    """The bits a writer holds, in stream order."""
+    n = int.from_bytes(w.to_bytes(), "little")
+    return tuple(n >> i & 1 for i in range(len(w)))
+
+
+def reader_of(bits):
+    """A reader over the given bits, packed by the bit-by-bit reference."""
+    ref = RefWriter()
+    ref.bits = list(bits)
+    return BitReader(ref.to_bytes(), len(ref.bits))
+
+
+def uint_bits(width, n):
+    w = BitWriter()
+    w.write_uint(width, n)
+    return bits_of(w)
+
+
+def varint_bits(n):
+    w = BitWriter()
+    write_varint(w, n)
+    return bits_of(w)
+
+
+def roundtrip_with_tail(write, read, tail):
+    """Write a field then the tail bits; the field must read back first and
+    leave exactly the tail."""
+    w = BitWriter()
+    write(w)
+    for b in tail:
+        w.write_bit(b)
+    r = BitReader(w.to_bytes(), len(w))
+    value = read(r)
+    assert [r.read_bit() for _ in tail] == tail
+    assert r.remaining == 0
+    return value
+
+
+def partition_roundtrip(mu, domains):
+    """(decoded, encoded length in bits); decoding consumes every bit."""
+    w = BitWriter()
+    write_partition(w, mu, domains)
+    r = BitReader(w.to_bytes(), len(w))
+    decoded = read_partition(r, domains)
+    assert r.remaining == 0
+    return decoded, len(w)
 
 
 def test_int_repr_examples():
     # floor(5 / 2^i) mod 2 for i = 0, 1, 2
-    assert int_repr(3, 5) == (1, 0, 1)
-    assert int_repr(1, 0) == (0,)
-    assert int_repr(4, 5) == (1, 0, 1, 0)
+    assert uint_bits(3, 5) == (1, 0, 1)
+    assert uint_bits(1, 0) == (0,)
+    assert uint_bits(4, 5) == (1, 0, 1, 0)
 
 
-def test_int_encode_prepends_representation():
-    assert int_encode(3, Bits((0,)), 5) == (1, 0, 1, 0)
-    assert int_decode(3, Bits((1, 0, 1, 0))) == (Bits((0,)), 5)
-    assert int_encode(1, Bits(), 0) == (0,)
+def test_uint_then_tail_reads_back():
+    w = BitWriter()
+    w.write_uint(3, 5)
+    w.write_bit(0)
+    assert bits_of(w) == (1, 0, 1, 0)
+    r = reader_of((1, 0, 1, 0))
+    assert r.read_uint(3) == 5
+    assert r.read_bit() == 0 and r.remaining == 0
+    w = BitWriter()
+    w.write_uint(1, 0)
+    assert bits_of(w) == (0,)
 
 
-def test_int_encode_rejects_out_of_range():
+def test_uint_rejects_out_of_range():
     with pytest.raises(ValueError):
-        int_encode(3, Bits(), 8)
+        BitWriter().write_uint(3, 8)
     with pytest.raises(DecodeError):
-        int_decode(5, Bits((1, 0)))
+        reader_of((1, 0)).read_uint(5)
 
 
 def test_varint_examples():
-    assert var_repr(1) == (0, 1)
-    assert var_repr(2) == (1, 0, 0, 1)
-    assert varint_decode(Bits((0, 1, 1, 1))) == (Bits((1, 1)), 1)
+    assert varint_bits(1) == (0, 1)
+    assert varint_bits(2) == (1, 0, 0, 1)
+    r = reader_of((0, 1, 1, 1))
+    assert read_varint(r) == 1
+    assert (r.read_bit(), r.read_bit()) == (1, 1) and r.remaining == 0
 
 
 def test_varint_length_formula():
     for n in (1, 2, 3, 7, 8, 1023, 1024, 10**9):
-        assert len(var_repr(n)) == 2 * (n).bit_length()
+        assert len(varint_bits(n)) == 2 * (n).bit_length()
 
 
 def test_varint_rejects_unparseable():
     with pytest.raises(ValueError):
-        varint_encode(Bits(), 0)
+        write_varint(BitWriter(), 0)
     with pytest.raises(DecodeError):
-        varint_decode(Bits((1, 1, 1, 0)))  # every even position continues
+        read_varint(reader_of((1, 1, 1, 0)))  # every even position continues
 
 
 def test_roundtrips_randomized():
@@ -54,10 +111,12 @@ def test_roundtrips_randomized():
     for _ in range(2000):
         width = rng.randint(1, 40)
         n = rng.randrange(2 ** width)
-        tail = Bits(rng.randrange(2) for _ in range(rng.randint(0, 12)))
-        assert int_decode(width, int_encode(width, tail, n)) == (tail, n)
+        tail = [rng.randrange(2) for _ in range(rng.randint(0, 12))]
+        assert roundtrip_with_tail(lambda w: w.write_uint(width, n),
+                                   lambda r: r.read_uint(width), tail) == n
         m = rng.randint(1, 2 ** 40)
-        assert varint_decode(varint_encode(tail, m)) == (tail, m)
+        assert roundtrip_with_tail(lambda w: write_varint(w, m), read_varint,
+                                   tail) == m
 
 
 def random_partition(rng, domains, max_index, nonempty=True):
@@ -78,15 +137,14 @@ def test_partition_roundtrip_randomized():
     for _ in range(500):
         domains = list(range(rng.randint(1, 6)))
         mu = random_partition(rng, domains, rng.randint(0, 4000))
-        assert partition_decode(partition_encode(mu, domains), domains) == mu
+        assert partition_roundtrip(mu, domains)[0] == mu
 
 
 def test_partition_exact_length_example():
     # |X| = 4, |mu| = 8, max mu = 1023: 80 + 16 + 8 + 6 = 110 bits
     domains = [0, 1, 2, 3]
     mu = {0: {5, 1023}, 1: {0, 7}, 2: {3, 9}, 3: {2, 500}}
-    encoded = partition_encode(mu, domains)
-    assert len(encoded) == 110
+    assert partition_roundtrip(mu, domains) == (mu, 110)
     assert partition_encoded_len(8, 1023, 4) == 110
 
 
@@ -99,14 +157,14 @@ def test_partition_length_matches_closed_formula():
             continue  # width clamp case, below
         expected = partition_encoded_len(
             partition_size(mu), max(max(v) for v in mu.values()), len(domains))
-        assert len(partition_encode(mu, domains)) == expected
+        assert partition_roundtrip(mu, domains) == (mu, expected)
 
 
 def test_partition_minimal_case_roundtrips():
     # a single index 0 forces the width clamp (max mu = 0)
     domains = [0]
     mu = {0: {0}}
-    assert partition_decode(partition_encode(mu, domains), domains) == mu
+    assert partition_roundtrip(mu, domains)[0] == mu
 
 
 def test_partition_amortized_bits_per_element():
@@ -115,19 +173,19 @@ def test_partition_amortized_bits_per_element():
     domains = [0, 1, 2, 3]
     per_domain = 1024
     mu = {d: set(range(per_domain)) for d in domains}
-    encoded = partition_encode(mu, domains)
-    assert len(encoded) / partition_size(mu) <= 10 + 0.1
-    assert partition_decode(encoded, domains) == mu
+    decoded, nbits = partition_roundtrip(mu, domains)
+    assert nbits / partition_size(mu) <= 10 + 0.1
+    assert decoded == mu
 
 
 def test_partition_rejects_empty():
     with pytest.raises(ValueError):
-        partition_encode({}, [0, 1])
+        write_partition(BitWriter(), {}, [0, 1])
 
 
 def test_partition_decode_rejects_malformed():
     with pytest.raises(DecodeError):
-        partition_decode(Bits((1, 1)), [0])
+        read_partition(reader_of((1, 1)), [0])
 
 
 def test_compress_expand_examples():
@@ -142,8 +200,7 @@ def test_compress_roundtrip_through_partition():
     domains = [0, 1, 2, 3]
     ids = [(0, 4), (2, 1), (2, 9)]
     mu = compress_ids(ids)
-    decoded = partition_decode(partition_encode(mu, domains), domains)
-    assert expand_ids(decoded) == ids
+    assert expand_ids(partition_roundtrip(mu, domains)[0]) == ids
 
 
 def test_compress_expand_randomized():

@@ -1,6 +1,8 @@
 """Wire-format round-trips, parse safety, and size characteristics."""
 
 import random
+import re
+from pathlib import Path
 
 from batchcast import crypto, wire
 from batchcast.bits import DecodeError
@@ -134,10 +136,28 @@ def rand_message(rng):
 
 def test_roundtrip_fuzz():
     rng = random.Random(0xF00D)
+    seen = set()
     for _ in range(10_000):
         msg = rand_message(rng)
+        seen.add(type(msg))
         data = wire.serialize(CTX, msg)
         assert wire.deserialize(CTX, data) == msg
+    assert seen == {cls for cls, _ in wire._SPECS}  # a new type needs fuzzing
+
+
+def test_spec_table_matches_the_doc():
+    doc = (Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
+    table = doc.split("## Messages", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| `(\w+)` \|", table, re.MULTILINE)
+    assert [(int(tag), name) for tag, name in rows] == [
+        (tag, cls.__name__) for tag, (cls, _) in enumerate(wire._SPECS)]
+
+
+def test_record_rejects_a_field_count_mismatch():
+    with pytest.raises(TypeError):
+        wire.record(wire.Reduction, wire.DIGEST)
+    with pytest.raises(TypeError):
+        wire.record(wire.Reduction, wire.DIGEST, wire.MULTISIG, wire.VNAT)
 
 
 def test_random_bytes_never_crash():
