@@ -48,7 +48,7 @@ def _run(args) -> int:
 def _check(args) -> int:
     try:
         records = properties.load_trace_file(args.check_only)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: malformed trace: {exc}", file=sys.stderr)
         return 2
     verdicts = properties.check_trace(records)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 
 from . import crypto
@@ -39,14 +38,6 @@ SIZE_CONSTANTS = {
 }
 
 
-def _records(trace):
-    for ev in trace:
-        if isinstance(ev, dict):
-            yield ev
-        else:
-            yield json.loads(ev.to_json())
-
-
 def oracle_bound(n_clients: int, payload_bits: int) -> int:
     return math.ceil(math.log2(n_clients)) + payload_bits
 
@@ -64,26 +55,21 @@ class CostLedger:
     @classmethod
     def from_trace(cls, trace) -> "CostLedger":
         ledger = cls()
-        for rec in _records(trace):
-            kind = rec["kind"]
+        for ev in trace:
+            kind = ev.kind
             if kind in ("send", "deliver"):
-                if rec["src"] == rec["dst"]:
+                if ev.src == ev.dst:
                     continue  # self-sends are local events
-                bits = 8 * rec["bytes_len"]
                 book = ledger.egress if kind == "send" else ledger.ingress
-                who = rec["src"] if kind == "send" else rec["dst"]
-                key = (who, rec["tag"])
-                book[key] = book.get(key, 0) + bits
+                key = (ev.src if kind == "send" else ev.dst, ev.tag)
+                book[key] = book.get(key, 0) + 8 * ev.bytes_len
             elif kind == "verify":
-                if rec["tag"] in ("verify", "verify_aggregate"):
-                    ledger.verifications[rec["src"]] = \
-                        ledger.verifications.get(rec["src"], 0) + 1
-                else:
-                    ledger.cert_checks[rec["src"]] = \
-                        ledger.cert_checks.get(rec["src"], 0) + 1
+                book = (ledger.verifications
+                        if ev.tag in ("verify", "verify_aggregate")
+                        else ledger.cert_checks)
+                book[ev.src] = book.get(ev.src, 0) + 1
             elif kind == "app_deliver":
-                ledger.delivered[rec["src"]] = \
-                    ledger.delivered.get(rec["src"], 0) + 1
+                ledger.delivered[ev.src] = ledger.delivered.get(ev.src, 0) + 1
         return ledger
 
     def bits_for(self, label: str, tags: frozenset) -> int:

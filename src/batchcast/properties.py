@@ -3,8 +3,9 @@
 The checker is protocol-agnostic: it consumes only application-level events
 (broadcast, app_deliver, signup, dir_import, ...) plus the corruption markers
 and scenario header, so a buggy protocol cannot share its bug with the
-checker.  Every failed property references the index of the offending trace
-event.
+checker.  It reads the simulator's `TraceEvent` records as they are; dict
+records (forged traces) are turned into them first.  Every failed property
+references the index of the offending trace event.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+
+from .simnet import TraceEvent
 
 CSB_PROPERTIES = ("no_duplication", "consistency", "integrity", "validity",
                   "totality")
@@ -52,6 +55,7 @@ class TraceIndex:
         self.signups: dict = {}        # label -> first index
         self.completes: dict = {}      # label -> first index
         self.imports: list = []        # (index, label, id, keycard, cert)
+        self.first_import: dict = {}   # (label, keycard) -> first index
         self.rejects: list = []        # (index, label, id, keycard, cert)
         self.assigner_records: list = []  # (index, server, keycard, assigner)
         self.fb_delivers: list = []       # (index, server, origin, seq, payload)
@@ -59,43 +63,45 @@ class TraceIndex:
 
     def _scan(self):
         keycard_owner: dict[str, str] = {}
-        for rec in self.records:
-            if rec["kind"] == "scenario":
-                self.header = rec
-                for prefix, count in (("S", rec["servers"]),
-                                      ("B", rec["brokers"]),
-                                      ("C", rec["clients"])):
+        for ev in self.records:
+            if ev.kind == "scenario":
+                self.header = h = ev.extra
+                for prefix, count in (("S", h["servers"]),
+                                      ("B", h["brokers"]),
+                                      ("C", h["clients"])):
                     for i in range(count):
                         keycard_owner[_keycard(prefix, i)] = f"{prefix}{i}"
                 break
-        for idx, rec in enumerate(self.records):
-            kind = rec["kind"]
+        for idx, ev in enumerate(self.records):
+            kind = ev.kind
+            x = ev.extra
             if kind == "byzantine":
-                self.corrupted.add(rec["src"])
+                self.corrupted.add(ev.src)
             elif kind == "broadcast":
-                self.broadcasts.append((idx, rec["src"], rec["context"],
-                                        rec["message"]))
+                self.broadcasts.append((idx, ev.src, x["context"],
+                                        x["message"]))
             elif kind == "app_deliver":
-                self.deliveries.append((idx, rec["src"],
-                                        keycard_owner.get(rec["client"]),
-                                        rec["client"], rec["context"],
-                                        rec["message"]))
+                self.deliveries.append((idx, ev.src,
+                                        keycard_owner.get(x["client"]),
+                                        x["client"], x["context"],
+                                        x["message"]))
             elif kind == "signup":
-                self.signups.setdefault(rec["src"], idx)
+                self.signups.setdefault(ev.src, idx)
             elif kind == "signup_complete":
-                self.completes.setdefault(rec["src"], idx)
+                self.completes.setdefault(ev.src, idx)
             elif kind == "dir_import":
-                self.imports.append((idx, rec["src"], tuple(rec["id"]),
-                                     rec["keycard"], rec.get("cert")))
+                self.imports.append((idx, ev.src, tuple(x["id"]),
+                                     x["keycard"], x.get("cert")))
+                self.first_import.setdefault((ev.src, x["keycard"]), idx)
             elif kind == "dir_import_rejected":
-                self.rejects.append((idx, rec["src"], tuple(rec["id"]),
-                                     rec["keycard"], rec.get("cert")))
+                self.rejects.append((idx, ev.src, tuple(x["id"]),
+                                     x["keycard"], x.get("cert")))
             elif kind == "assigner_record":
-                self.assigner_records.append((idx, rec["src"], rec["keycard"],
-                                              rec["assigner"]))
+                self.assigner_records.append((idx, ev.src, x["keycard"],
+                                              x["assigner"]))
             elif kind == "fb_deliver":
-                self.fb_delivers.append((idx, rec["src"], rec["origin"],
-                                         rec["seq"], rec["payload"]))
+                self.fb_delivers.append((idx, ev.src, x["origin"],
+                                         x["seq"], x["payload"]))
 
     def correct(self, label: str) -> bool:
         return label not in self.corrupted
@@ -216,10 +222,8 @@ def check_self_knowledge(t: TraceIndex) -> Verdict:
     for label, idx in sorted(t.completes.items()):
         if not t.correct(label):
             continue
-        own = _keycard(label[0], int(label[1:]))
-        known = any(l == label and card == own and i <= idx
-                    for i, l, _, card, _ in t.imports)
-        if not known:
+        first = t.first_import.get((label, _keycard(label[0], int(label[1:]))))
+        if first is None or first > idx:
             return Verdict(False, idx, "completed signup without own id")
     return Verdict(True)
 
@@ -337,18 +341,21 @@ _CHECKS = {
 
 
 def check_trace(trace) -> dict[str, Verdict]:
-    records = []
-    for ev in trace:
-        records.append(ev if isinstance(ev, dict) else json.loads(ev.to_json()))
-    index = TraceIndex(records)
+    index = TraceIndex(ev if isinstance(ev, TraceEvent)
+                       else TraceEvent.from_record(ev) for ev in trace)
     return {name: fn(index) for name, fn in _CHECKS.items()}
 
 
-def load_trace_file(path: str) -> list[dict]:
+def load_trace_file(path: str) -> list[TraceEvent]:
+    """Read a JSONL trace; raises ValueError naming the first bad line."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                records.append(TraceEvent.from_record(json.loads(line)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
     return records

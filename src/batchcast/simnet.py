@@ -90,8 +90,18 @@ class Scenario:
                 + [client(i) for i in range(self.n_clients)])
 
 
-@dataclass
+_BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+@dataclass(slots=True)
 class TraceEvent:
+    """One trace record: six base fields, event-specific keys in `extra`.
+
+    This is the only record form the checker and the cost ledger read; JSON
+    is written by `to_json` and read back by `from_record`.
+    """
+
     time: int
     kind: str
     src: str | None = None
@@ -104,7 +114,30 @@ class TraceEvent:
         rec = {"time": self.time, "kind": self.kind, "src": self.src,
                "dst": self.dst, "bytes_len": self.bytes_len, "tag": self.tag}
         rec.update(self.extra)
-        return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(rec)
+
+    @classmethod
+    def from_record(cls, rec) -> "TraceEvent":
+        """The inverse of `to_json` on a decoded record.
+
+        Raises ValueError for a record that is not an object, lacks an
+        integer `time` or a string `kind`, or is a `scenario` header without
+        integer `servers`, `brokers` and `clients`.
+        """
+        if not isinstance(rec, dict):
+            raise ValueError("trace record is not an object")
+        if type(rec.get("time")) is not int:
+            raise ValueError("trace record without an integer time")
+        if not isinstance(rec.get("kind"), str):
+            raise ValueError("trace record without a string kind")
+        extra = {k: v for k, v in rec.items() if k not in _BASE_KEYS}
+        if rec["kind"] == "scenario" and any(
+                type(extra.get(k)) is not int
+                for k in ("servers", "brokers", "clients")):
+            raise ValueError("scenario header without integer servers, "
+                             "brokers and clients")
+        return cls(rec["time"], rec["kind"], rec.get("src"), rec.get("dst"),
+                   rec.get("bytes_len", 0), rec.get("tag", ""), extra)
 
 
 class Context:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from batchcast.cli import main
 from batchcast.properties import _keycard
 from batchcast.scenarios import good_case, scenario_to_json
@@ -51,6 +53,21 @@ def test_check_only_flags_forged_trace(tmp_path, capsys):
     path.write_text("\n".join(json.dumps(r) for r in forged) + "\n")
     assert main(["--check-only", str(path)]) == 1
     assert "FAIL consistency" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [
+    "[1,2]",
+    '{"time":0}',
+    '{"time":0,"kind":"scenario","servers":4,"clients":1}',
+    '{"time":0,"kind":',
+], ids=["not_an_object", "no_kind", "header_without_brokers", "bad_json"])
+def test_check_only_malformed_trace_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "malformed.jsonl"
+    path.write_text(line + "\n")
+    assert main(["--check-only", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed trace: line 1:")
+    assert captured.out == ""
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

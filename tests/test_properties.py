@@ -106,6 +106,44 @@ def test_signup_order_violation_detected():
     assert not verdicts["signup_integrity"].ok
 
 
+def dir_import(t, label, ident, card):
+    return {"time": t, "kind": "dir_import", "src": label, "dst": None,
+            "bytes_len": 0, "tag": "", "id": ident, "keycard": card}
+
+
+def signup_with_import(import_event, import_first):
+    """C0 signs up and completes; the import lands before or after that."""
+    completion = {"time": 2, "kind": "signup_complete", "src": "C0",
+                  "dst": None, "bytes_len": 0, "tag": "", "id": [0, 4]}
+    trace = [header(), {"time": 1, "kind": "signup", "src": "C0",
+                        "dst": None, "bytes_len": 0, "tag": ""}]
+    if import_first:
+        return trace + [import_event, completion]
+    return trace + [completion, import_event]
+
+
+def test_own_import_after_completion_fails_self_knowledge():
+    trace = signup_with_import(dir_import(2, "C0", [0, 4], _keycard("C", 0)),
+                               import_first=False)
+    verdict = check_trace(trace)["self_knowledge"]
+    assert not verdict.ok
+    assert verdict.counterexample == 2  # the completion
+
+
+def test_import_by_another_label_fails_self_knowledge():
+    for label, card in (("C1", _keycard("C", 0)), ("C0", _keycard("C", 1))):
+        trace = signup_with_import(dir_import(2, label, [0, 4], card),
+                                   import_first=True)
+        assert not check_trace(trace)["self_knowledge"].ok, label
+
+
+def test_import_before_completion_passes_self_knowledge():
+    trace = signup_with_import(dir_import(2, "C0", [0, 4], _keycard("C", 0)),
+                               import_first=True)
+    trace.append(dir_import(3, "C0", [0, 4], _keycard("C", 0)))  # repeat
+    assert check_trace(trace)["self_knowledge"].ok
+
+
 def fb(t, srv, origin, seq, payload):
     return {"time": t, "kind": "fb_deliver", "src": srv, "dst": None,
             "bytes_len": 0, "tag": "", "origin": origin, "seq": seq,
