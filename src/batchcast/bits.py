@@ -84,6 +84,19 @@ class BitReader:
         window = int.from_bytes(self._data[first:last + 1], "little")
         return (window >> (pos & 7)) & ((1 << width) - 1)
 
+    def peek(self, width: int) -> tuple[int, int]:
+        """The next width bits, or all that remain if fewer, left unconsumed:
+        (the bits as read_uint returns them, how many there are)."""
+        width = min(width, self._len - self._pos)
+        n = self.read_uint(width)
+        self._pos -= width
+        return n, width
+
+    def skip(self, width: int):
+        if self._pos + width > self._len:
+            raise DecodeError("bit stream exhausted")
+        self._pos += width
+
     def read_bit(self) -> int:
         return self.read_uint(1)
 

@@ -43,15 +43,33 @@ def write_varint(w: BitWriter, n: int):
     w.write_uint(2 * data_len, data | more)
 
 
+_WINDOW = 64  # bits read_varint examines at once: 32 (flag, data) pairs
+_FLAGS = 0x5555555555555555  # the continuation flags of a window
+
+
+def _data_bits(pairs: int) -> int:
+    """Bit i of the result is data bit 2i + 1 of up to 32 pairs."""
+    x = (pairs >> 1) & _FLAGS
+    x = (x | x >> 1) & 0x3333333333333333
+    x = (x | x >> 2) & 0x0F0F0F0F0F0F0F0F
+    x = (x | x >> 4) & 0x00FF00FF00FF00FF
+    x = (x | x >> 8) & 0x0000FFFF0000FFFF
+    return (x | x >> 16) & 0xFFFFFFFF
+
+
 def read_varint(r: BitReader) -> int:
-    n = 0
-    i = 0
+    """One window of pairs per step, up to the first clear flag."""
+    n = shift = 0
     while True:
-        pair = r.read_uint(2)  # bit 0 continuation, bit 1 data
-        n |= (pair >> 1) << i
-        i += 1
-        if not pair & 1:
-            return n
+        window, avail = r.peek(_WINDOW)
+        stops = ~window & _FLAGS & ((1 << avail) - 1)
+        if stops:
+            end = (stops & -stops).bit_length() + 1  # through the data bit
+            r.skip(end)  # DecodeError if the data bit is cut off
+            return n | _data_bits(window & ((1 << end) - 1)) << shift
+        r.skip(_WINDOW)  # DecodeError if the stream ends mid-varint
+        n |= _data_bits(window) << shift
+        shift += _WINDOW // 2
 
 
 def write_vnat(w: BitWriter, n: int):

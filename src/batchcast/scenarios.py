@@ -45,7 +45,16 @@ def scenario_to_json(s: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
+    """Parse a scenario file.
+
+    Raises ValueError for a document that is not an object or that has fewer
+    than one client: the report's bound, ceil(log2 C) + b bits, needs C >= 1.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("scenario document is not an object")
+    if type(doc.get("clients")) is not int or doc["clients"] < 1:
+        raise ValueError("clients must be an integer of at least 1")
     dp = doc.get("delay_policy", {})
     return Scenario(
         name=doc["name"],

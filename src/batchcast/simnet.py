@@ -43,8 +43,9 @@ class DelayPolicy:
     max_delay: int = 1
     overrides: dict = field(default_factory=dict)
 
-    def delay(self, rng: random.Random, src: ProcessId, dst: ProcessId) -> int:
-        key = f"{src!r}->{dst!r}"
+    def delay(self, rng: random.Random, src: str, dst: str) -> int:
+        """The delay of one envelope from label `src` to label `dst`."""
+        key = f"{src}->{dst}"
         if key in self.overrides:
             return self.overrides[key]
         if self.kind == "constant":
@@ -91,6 +92,15 @@ class Scenario:
 
 
 _BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
+# per record kind, the event-specific keys the trace checker reads
+_EXTRA_KEYS = {
+    "broadcast": ("context", "message"),
+    "app_deliver": ("client", "context", "message"),
+    "dir_import": ("id", "keycard"),
+    "dir_import_rejected": ("id", "keycard"),
+    "assigner_record": ("keycard", "assigner"),
+    "fb_deliver": ("origin", "seq", "payload"),
+}
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -121,8 +131,9 @@ class TraceEvent:
         """The inverse of `to_json` on a decoded record.
 
         Raises ValueError for a record that is not an object, lacks an
-        integer `time` or a string `kind`, or is a `scenario` header without
-        integer `servers`, `brokers` and `clients`.
+        integer `time` or a string `kind`, lacks a key `_EXTRA_KEYS` gives
+        its kind, or is a `scenario` header without integer `servers`,
+        `brokers` and `clients`.
         """
         if not isinstance(rec, dict):
             raise ValueError("trace record is not an object")
@@ -131,6 +142,9 @@ class TraceEvent:
         if not isinstance(rec.get("kind"), str):
             raise ValueError("trace record without a string kind")
         extra = {k: v for k, v in rec.items() if k not in _BASE_KEYS}
+        for key in _EXTRA_KEYS.get(rec["kind"], ()):
+            if key not in extra:
+                raise ValueError(f"{rec['kind']} record without {key!r}")
         if rec["kind"] == "scenario" and any(
                 type(extra.get(k)) is not int
                 for k in ("servers", "brokers", "clients")):
@@ -151,21 +165,24 @@ class Context:
     def __init__(self, sim: "Simulation", pid: ProcessId):
         self.sim = sim
         self.pid = pid
+        self.label = pid.label
+        self.order = (pid.kind, pid.ordinal)  # its place in an event's key
 
     @property
     def now(self) -> int:
         return self.sim.now
 
     def send(self, dst: ProcessId, msg):
-        self.sim._schedule_send(self.pid, dst, wire.serialize(self.sim.wire_ctx, msg),
+        self.sim._schedule_send(self, dst,
+                                wire.serialize(self.sim.wire_ctx, msg),
                                 wire.tag_name(msg))
 
     def set_timer(self, tag: tuple, timeout: int):
-        self.sim._schedule_timer(self.pid, tag, timeout)
+        self.sim._schedule_timer(self, tag, timeout)
 
     def emit(self, kind: str, **extra):
-        self.sim.trace.append(TraceEvent(self.sim.now, kind,
-                                         src=self.pid.label, extra=extra))
+        self.sim.trace.append(TraceEvent(self.sim.now, kind, src=self.label,
+                                         extra=extra))
 
     # -- crypto facade -------------------------------------------------------
 
@@ -189,7 +206,7 @@ class Context:
 
     def _count(self, verb: str):
         self.sim.trace.append(TraceEvent(self.sim.now, "verify",
-                                         src=self.pid.label, tag=verb))
+                                         src=self.label, tag=verb))
 
     def verify(self, keycard: bytes, statement: bytes, sig: bytes) -> bool:
         self._count("verify")
@@ -229,9 +246,22 @@ class Machine:
 
 _PHASE_DELIVER = 0
 _PHASE_RING = 1
+_UNDECODED = object()     # in-flight cell: no copy delivered yet
+_UNDECODABLE = object()   # in-flight cell: the bytes raised DecodeError
 
 
 class Simulation:
+    """The event loop over one scenario's machines.
+
+    Every copy of a byte string in flight shares one decode: `_in_flight`
+    maps the bytes to a cell [decoded message, deliveries still queued], the
+    first delivery decodes and later ones reuse the result.  Sharing is sound
+    because `wire.deserialize` is a pure function of the per-simulation
+    `WireContext` and the bytes, and a decoded message is deeply immutable.
+    A cell is dropped with its last delivery, so the map is empty at
+    quiescence.
+    """
+
     def __init__(self, scenario: Scenario, machines: dict[ProcessId, Machine],
                  oracle: crypto.Oracle | None = None):
         scenario.validate()
@@ -244,8 +274,9 @@ class Simulation:
         self.trace: list[TraceEvent] = []
         self._queue: list = []
         self._seq = 0
-        self._link_last: dict[tuple, int] = {}
+        self._link_last: dict[tuple, int] = {}  # label pair -> last delivery
         self._contexts = {pid: Context(self, pid) for pid in machines}
+        self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
 
     # -- scheduling ----------------------------------------------------------
@@ -254,25 +285,31 @@ class Simulation:
         self._seq += 1
         return self._seq
 
-    def _schedule_send(self, src: ProcessId, dst: ProcessId, data: bytes,
+    def _schedule_send(self, src: Context, dst: ProcessId, data: bytes,
                        tag: str):
-        if dst not in self.machines:
+        to = self._contexts.get(dst)
+        if to is None:
             raise ValueError(f"unknown destination {dst!r}")
         if self.scenario.synchrony == GOOD_CASE:
             delay = 1
         else:
-            delay = max(1, self.scenario.delay_policy.delay(self.rng, src, dst))
-        deliver = max(self.now + delay,
-                      self._link_last.get((src, dst), 0))
-        self._link_last[(src, dst)] = deliver
+            delay = max(1, self.scenario.delay_policy.delay(
+                self.rng, src.label, to.label))
+        link = (src.label, to.label)
+        deliver = max(self.now + delay, self._link_last.get(link, 0))
+        self._link_last[link] = deliver
         seq = self._next_seq()
-        self.trace.append(TraceEvent(self.now, "send", src.label, dst.label,
+        self.trace.append(TraceEvent(self.now, "send", src.label, to.label,
                                      len(data), tag))
-        key = (deliver, _PHASE_DELIVER, (dst.kind, dst.ordinal),
-               (src.kind, src.ordinal), b"", seq)
-        heapq.heappush(self._queue, (key, ("deliver", src, dst, data, tag)))
+        cell = self._in_flight.get(data)
+        if cell is None:
+            self._in_flight[data] = [_UNDECODED, 1]
+        else:
+            cell[1] += 1
+        key = (deliver, _PHASE_DELIVER, to.order, src.order, b"", seq)
+        heapq.heappush(self._queue, (key, ("deliver", src, to, data, tag)))
 
-    def _schedule_timer(self, owner: ProcessId, tag: tuple, timeout: int):
+    def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
         if (self.scenario.synchrony == GOOD_CASE
                 or self.scenario.timer_policy == "timeout"):
             ring = self.now + timeout
@@ -283,8 +320,7 @@ class Simulation:
         self.trace.append(TraceEvent(self.now, "timer_set", owner.label,
                                      owner.label, 0, _tag_label(tag),
                                      extra={"ring": ring}))
-        key = (ring, _PHASE_RING, (owner.kind, owner.ordinal),
-               (owner.kind, owner.ordinal), tag_bytes, seq)
+        key = (ring, _PHASE_RING, owner.order, owner.order, tag_bytes, seq)
         heapq.heappush(self._queue, (key, ("ring", owner, tag)))
 
     # -- run loop ------------------------------------------------------------
@@ -313,16 +349,24 @@ class Simulation:
             _, src, dst, data, tag = event
             self.trace.append(TraceEvent(self.now, "deliver", src.label,
                                          dst.label, len(data), tag))
-            try:
-                msg = wire.deserialize(self.wire_ctx, data)
-            except DecodeError:
-                return
-            self.machines[dst].on_message(self._contexts[dst], src, msg)
+            cell = self._in_flight[data]
+            msg = cell[0]
+            if msg is _UNDECODED:
+                try:
+                    msg = wire.deserialize(self.wire_ctx, data)
+                except DecodeError:
+                    msg = _UNDECODABLE
+                cell[0] = msg
+            cell[1] -= 1
+            if not cell[1]:
+                del self._in_flight[data]
+            if msg is not _UNDECODABLE:
+                self.machines[dst.pid].on_message(dst, src.pid, msg)
         else:
             _, owner, tag = event
             self.trace.append(TraceEvent(self.now, "timer_ring", owner.label,
                                          owner.label, 0, _tag_label(tag)))
-            self.machines[owner].on_timer(self._contexts[owner], tag)
+            self.machines[owner.pid].on_timer(owner, tag)
 
     def run_to_quiescence(self):
         if not self.trace:

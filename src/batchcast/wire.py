@@ -14,6 +14,7 @@ the crypto module, independent of the in-memory representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain
 
 from . import crypto
 from .bits import BitReader, BitWriter, DecodeError
@@ -334,19 +335,33 @@ def _read_certificate(ctx, r) -> Certificate:
 CERTIFICATE = (_write_certificate, _read_certificate)
 
 
+_PATH_ENTRY = 1 + 8 * crypto.DIGEST_BYTES  # side bit, then the sibling
+_DIGEST_MASK = (1 << 8 * crypto.DIGEST_BYTES) - 1
+
+
 def _write_proof(ctx, w, proof: MerkleProof):
+    """The path is one field: entry i at bits [257 i, 257 i + 257)."""
     write_vnat(w, proof.index)
     write_vnat(w, len(proof.path))
-    for side, sib in proof.path:
-        w.write_bit(side)
-        DIGEST[0](ctx, w, sib)
+    entries = 0
+    for side, sib in reversed(proof.path):
+        if len(sib) != crypto.DIGEST_BYTES:
+            raise ValueError("fixed-width field has wrong length")
+        entries = (entries << _PATH_ENTRY
+                   | int.from_bytes(sib, "little") << 1 | side & 1)
+    w.write_uint(_PATH_ENTRY * len(proof.path), entries)
 
 
 def _read_proof(ctx, r) -> MerkleProof:
     index = read_vnat(r)
-    path = tuple((r.read_bit(), r.read_bytes(crypto.DIGEST_BYTES))
-                 for _ in range(_read_count(r, 64)))
-    return MerkleProof(index, path)
+    count = _read_count(r, 64)
+    entries = r.read_uint(_PATH_ENTRY * count)
+    path = []
+    for _ in range(count):
+        path.append((entries & 1, (entries >> 1 & _DIGEST_MASK).to_bytes(
+            crypto.DIGEST_BYTES, "little")))
+        entries >>= _PATH_ENTRY
+    return MerkleProof(index, tuple(path))
 
 
 PROOF = (_write_proof, _read_proof)
@@ -379,9 +394,7 @@ def _write_payloads(ctx, w, payloads: tuple):
     if uniform:
         write_vnat(w, len(payloads[0][0]))
         write_vnat(w, len(payloads[0][1]))
-        for context, message in payloads:
-            w.write_bytes(context)
-            w.write_bytes(message)
+        w.write_bytes(b"".join(chain.from_iterable(payloads)))
     else:
         for context, message in payloads:
             _write_blob(ctx, w, context)
@@ -393,8 +406,12 @@ def _read_payloads(ctx, r) -> tuple:
     if r.read_bit():
         clen = _read_count(r)
         mlen = _read_count(r)
-        return tuple((r.read_bytes(clen), r.read_bytes(mlen))
-                     for _ in range(count))
+        step = clen + mlen
+        if not step:
+            return ((b"", b""),) * count
+        block = r.read_bytes(count * step)
+        return tuple((block[i:i + clen], block[i + clen:i + step])
+                     for i in range(0, count * step, step))
     return tuple((_read_blob(ctx, r), _read_blob(ctx, r))
                  for _ in range(count))
 

@@ -70,6 +70,18 @@ def test_check_only_malformed_trace_exits_2(tmp_path, capsys, line):
     assert captured.out == ""
 
 
+def test_check_only_record_without_an_event_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "no_client.jsonl"
+    path.write_text(
+        '{"time":0,"kind":"scenario","servers":4,"brokers":1,"clients":1}\n'
+        '{"time":0,"kind":"app_deliver","src":"S0"}\n')
+    assert main(["--check-only", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: malformed trace: line 2: app_deliver "
+                            "record without 'client'\n")
+    assert captured.out == ""
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({"m_values": [4, 16], "clients": 64,
@@ -88,6 +100,24 @@ def test_invalid_scenario_exit_code(tmp_path):
     assert main(["--scenario", str(bad)]) == 2
     assert main(["--scenario", str(tmp_path / "missing.json")]) == 2
     assert main([]) == 2
+
+
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid scenario: scenario document is not an object")
+
+
+def test_scenario_without_clients_exits_2(tmp_path, capsys):
+    doc = json.loads(scenario_to_json(good_case()))
+    doc["clients"] = 0
+    path = tmp_path / "good_case.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid scenario: clients must be an integer of at least 1")
 
 
 def test_write_corpus(tmp_path):

@@ -2,8 +2,10 @@
 
 import random
 
+from batchcast import crypto, wire
 from batchcast.bits import BitReader, BitWriter, DecodeError
-from batchcast.encoding import (compress_ids, expand_ids,
+from batchcast.crypto import MerkleProof
+from batchcast.encoding import (_WINDOW, compress_ids, expand_ids,
                                 partition_encoded_len, partition_size,
                                 read_partition, read_varint, write_partition,
                                 write_varint)
@@ -249,6 +251,10 @@ class RefWriter:
             self.bits.append(1 if i < data_len - 1 else 0)
             self.bits.append((n >> i) & 1)
 
+    def write_bytes(self, data):
+        for byte in data:
+            self.write_uint(8, byte)
+
     def to_bytes(self):
         out = bytearray((len(self.bits) + 7) // 8)
         for i, b in enumerate(self.bits):
@@ -352,3 +358,123 @@ def test_truncated_fields_raise_decode_error_at_every_point():
                 with pytest.raises(DecodeError):
                     r.read_uint(offset)
                     r.read_uint(width)
+
+
+def test_varints_across_the_read_window_at_every_offset():
+    """Varints of one window of pairs and beyond; the stream ends exactly at
+    the varint's last pair, and every shorter stream is truncated."""
+    pairs = _WINDOW // 2
+    rng = random.Random(0x3141)
+    for k in (pairs - 1, pairs, pairs + 1, 2 * pairs, 2 * pairs + 1, 97):
+        for n in (1 << (k - 1), (1 << k) - 1, rng.getrandbits(k) | 1 << k - 1):
+            for offset in range(8):
+                w, ref = _both_writers([1] * offset)
+                write_varint(w, n)
+                ref.write_varint(n)
+                data = w.to_bytes()
+                assert (data, len(w)) == (ref.to_bytes(), len(ref.bits))
+                r = BitReader(data, len(w))
+                r.read_uint(offset)
+                assert read_varint(r) == n and r.remaining == 0
+                # cut after the last flag, then anywhere before it; the bits
+                # past the cut are still in the buffer and must not be read
+                for cut in (len(w) - 1, len(w) - 2,
+                            *range(offset, len(w) - 2, 7)):
+                    r = BitReader(data, cut)
+                    r.read_uint(offset)
+                    with pytest.raises(DecodeError):
+                        read_varint(r)
+
+
+CTX = wire.WireContext(4)
+
+
+def _field_both_ways(codec, value, offset, write_ref):
+    """The field at a bit offset: the writer's bytes equal the reference's,
+    the reference's bytes read back as value, and a cut raises (every cut in
+    the first and last 64 bits, every 61st in between)."""
+    w, ref = _both_writers([1] * offset)
+    codec[0](CTX, w, value)
+    write_ref(ref)
+    w.write_bit(1)
+    ref.write_uint(1, 1)
+    data = ref.to_bytes()
+    assert (w.to_bytes(), len(w)) == (data, len(ref.bits))
+    r = BitReader(data, len(ref.bits))
+    r.read_uint(offset)
+    assert codec[1](CTX, r) == value
+    assert r.read_bit() == 1 and r.remaining == 0
+    end = len(ref.bits) - 1
+    for cut in range(offset, end):
+        if 64 <= cut - offset and end - cut > 64 and cut % 61:
+            continue
+        r = BitReader(data, cut)
+        r.read_uint(offset)
+        with pytest.raises(DecodeError):
+            codec[1](CTX, r)
+
+
+def test_merkle_path_matches_reference_at_every_offset():
+    rng = random.Random(0x9A7)
+    for length in (0, 1, 11, 64):
+        for offset in range(8):
+            proof = MerkleProof(rng.randrange(1 << 12), tuple(
+                (rng.randrange(2), rng.randbytes(crypto.DIGEST_BYTES))
+                for _ in range(length)))
+
+            def write_ref(ref):
+                ref.write_varint(proof.index + 1)
+                ref.write_varint(length + 1)
+                for side, sibling in proof.path:
+                    ref.write_uint(1, side)
+                    ref.write_bytes(sibling)
+            _field_both_ways(wire.PROOF, proof, offset, write_ref)
+
+
+def test_merkle_path_limits():
+    rng = random.Random(0x9A8)
+    sibling = rng.randbytes(crypto.DIGEST_BYTES)
+    with pytest.raises(ValueError):
+        wire.PROOF[0](CTX, BitWriter(), MerkleProof(0, ((0, sibling[1:]),)))
+    w = BitWriter()
+    wire.PROOF[0](CTX, w, MerkleProof(0, ((1, sibling),) * 65))
+    with pytest.raises(DecodeError, match="count too large"):
+        wire.PROOF[1](CTX, BitReader(w.to_bytes(), len(w)))
+
+
+def test_uniform_payloads_match_reference_at_every_offset():
+    rng = random.Random(0x9A9)
+    cases = [
+        (),
+        ((b"", b""),) * 5,
+        tuple((b"", rng.randbytes(3)) for _ in range(4)),
+        tuple((rng.randbytes(4), b"") for _ in range(4)),
+        ((rng.randbytes(4), rng.randbytes(4)),),
+        tuple((rng.randbytes(4), rng.randbytes(4)) for _ in range(9)),
+        tuple((rng.randbytes(1), rng.randbytes(7)) for _ in range(33)),
+    ]
+    for payloads in cases:
+        for offset in range(8):
+            def write_ref(ref):
+                ref.write_varint(len(payloads) + 1)
+                ref.write_uint(1, 1 if payloads else 0)
+                if payloads:
+                    ref.write_varint(len(payloads[0][0]) + 1)
+                    ref.write_varint(len(payloads[0][1]) + 1)
+                    for context, message in payloads:
+                        ref.write_bytes(context)
+                        ref.write_bytes(message)
+            _field_both_ways(wire.PAYLOADS, payloads, offset, write_ref)
+
+
+def test_uniform_payloads_read_an_empty_declared_list():
+    # the writer marks an empty list non-uniform; a uniform one still reads
+    for clen, mlen in ((0, 0), (4, 4)):
+        ref = RefWriter()
+        ref.write_varint(1)
+        ref.write_uint(1, 1)
+        ref.write_varint(clen + 1)
+        ref.write_varint(mlen + 1)
+        r = BitReader(ref.to_bytes(), len(ref.bits))
+        assert wire.PAYLOADS[1](CTX, r) == ()
+        assert r.remaining == 0

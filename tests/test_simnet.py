@@ -1,5 +1,6 @@
 """Event loop semantics: delays, FIFO links, timers, determinism."""
 
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
 from batchcast.procs import broker, client, server
@@ -257,3 +258,76 @@ def test_good_case_run_quiesces_with_client_notified():
     done = [e for e in sim.trace if e.kind == "submission_complete"
             and e.src == "C0"]
     assert len(done) == 1
+
+
+def test_each_in_flight_byte_string_is_decoded_once(monkeypatch):
+    from batchcast import wire
+    from batchcast.scenarios import concurrent_signup, run_scenario
+
+    sent, decoded = [], []
+    serialize, deserialize = wire.serialize, wire.deserialize
+
+    def recording_serialize(ctx, msg):
+        sent.append(serialize(ctx, msg))
+        return sent[-1]
+
+    def counting_deserialize(ctx, data):
+        decoded.append(data)
+        return deserialize(ctx, data)
+
+    monkeypatch.setattr(wire, "serialize", recording_serialize)
+    monkeypatch.setattr(wire, "deserialize", counting_deserialize)
+    sim = run_scenario(concurrent_signup())
+    assert sim._in_flight == {}
+
+    # Links are FIFO, so a deliver record carries the bytes of the oldest
+    # undelivered send on its link.  A byte string needs a fresh decode
+    # whenever it is sent while none of its copies is in flight: a broker
+    # re-sends BatchAcquired and Signatures bytes after the first copies
+    # were delivered.
+    unsent = iter(sent)
+    links = defaultdict(deque)
+    copies = Counter()
+    episodes = deliveries = 0
+    for ev in sim.trace:
+        if ev.kind == "send":
+            data = next(unsent)
+            links[(ev.src, ev.dst)].append(data)
+            episodes += copies[data] == 0
+            copies[data] += 1
+        elif ev.kind == "deliver":
+            copies[links[(ev.src, ev.dst)].popleft()] -= 1
+            deliveries += 1
+    assert next(unsent, None) is None and not +copies
+    assert len(decoded) == episodes
+    assert len(set(sent)) <= len(decoded) < deliveries
+    assert len(set(decoded)) == len(set(sent))
+
+
+def test_undecodable_bytes_are_dropped_after_one_decode(monkeypatch):
+    from batchcast import wire
+
+    class Junk(Script):
+        def on_start(self, ctx):
+            for dst in (server(1), server(2)):
+                ctx.sim._schedule_send(ctx, dst, b"\xff", "Junk")
+
+    attempts = []
+    deserialize = wire.deserialize
+
+    def counting_deserialize(ctx, data):
+        attempts.append(data)
+        return deserialize(ctx, data)
+
+    monkeypatch.setattr(wire, "deserialize", counting_deserialize)
+    sc = tiny_scenario()
+    machines = idle_machines(sc)
+    machines[server(0)] = Junk()
+    sim = Simulation(sc, machines)
+    sim.run_to_quiescence()
+    delivers = [(e.src, e.dst, e.tag) for e in sim.trace
+                if e.kind == "deliver"]
+    assert delivers == [("S0", "S1", "Junk"), ("S0", "S2", "Junk")]
+    assert all(not m.log for m in machines.values())
+    assert attempts == [b"\xff"]
+    assert sim._in_flight == {}

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from batchcast import metrics
+from batchcast import metrics, simnet
 from batchcast.properties import check_trace, load_trace_file
 from batchcast.scenarios import CORPUS, good_case, run_scenario
 from batchcast.simnet import TraceEvent
@@ -86,3 +86,30 @@ def test_load_trace_file_names_the_bad_line(tmp_path):
     path.write_text('{"time": 0, "kind": "signup"}\n\n{"time": 1}\n')
     with pytest.raises(ValueError, match="line 3"):
         load_trace_file(str(path))
+
+
+# The event-specific keys the checker reads, one complete record per kind.
+CHECKED_RECORDS = {
+    "broadcast": {"context": "aa", "message": "01"},
+    "app_deliver": {"client": "cc", "context": "aa", "message": "01"},
+    "dir_import": {"id": [0, 0], "keycard": "cc"},
+    "dir_import_rejected": {"id": [0, 0], "keycard": "cc"},
+    "assigner_record": {"keycard": "cc", "assigner": 0},
+    "fb_deliver": {"origin": 0, "seq": 0, "payload": "01"},
+}
+HEADER = {"time": 0, "kind": "scenario", "servers": 4, "brokers": 1,
+          "clients": 1}
+
+
+def test_every_checked_kind_has_a_record_case():
+    assert set(CHECKED_RECORDS) == set(simnet._EXTRA_KEYS)
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKED_RECORDS))
+def test_from_record_requires_the_keys_the_checker_reads(kind):
+    full = {"time": 1, "kind": kind, "src": "S0", **CHECKED_RECORDS[kind]}
+    check_trace([HEADER, full])  # complete: the checker reads it
+    for key in CHECKED_RECORDS[kind]:
+        rec = {k: v for k, v in full.items() if k != key}
+        with pytest.raises(ValueError, match=f"{kind} record without '{key}'"):
+            TraceEvent.from_record(rec)

@@ -1,5 +1,6 @@
 """Wire-format round-trips, parse safety, and size characteristics."""
 
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -145,6 +146,37 @@ def test_roundtrip_fuzz():
     assert seen == {cls for cls, _ in wire._SPECS}  # a new type needs fuzzing
 
 
+def _assert_deeply_immutable(value, where):
+    """Only frozen dataclasses, tuples, frozensets, bytes, ints, bools and
+    None are reachable from value."""
+    if dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, where
+        for f in dataclasses.fields(value):
+            _assert_deeply_immutable(getattr(value, f.name),
+                                     f"{where}.{f.name}")
+    elif type(value) in (tuple, frozenset):
+        for item in value:
+            _assert_deeply_immutable(item, f"{where}[]")
+    else:
+        assert type(value) in (bytes, int, bool, type(None)), \
+            f"{where}: {type(value).__name__}"
+
+
+def test_decoded_messages_can_be_shared():
+    """The simulator hands one decoded message to every delivery of its
+    bytes; that is sound only while decoding is deterministic and nothing a
+    decoded message reaches can be changed."""
+    rng = random.Random(0x5EA7)
+    seen = set()
+    for _ in range(3_000):
+        data = wire.serialize(CTX, rand_message(rng))
+        msg = wire.deserialize(CTX, data)
+        seen.add(type(msg))
+        _assert_deeply_immutable(msg, type(msg).__name__)
+        assert wire.deserialize(CTX, data) == msg
+    assert seen == {cls for cls, _ in wire._SPECS}
+
+
 def test_spec_table_matches_the_doc():
     doc = (Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
     table = doc.split("## Messages", 1)[1].split("\n## ", 1)[0]
@@ -182,19 +214,15 @@ def test_truncations_never_crash():
                 wire.deserialize(CTX, data[:cut])
 
 
-def _ref_bytes(ref, data):
-    ref.write_uint(8 * len(data), int.from_bytes(data, "little"))
-
-
 def _ref_certificate(ref, cert, n_servers):
-    _ref_bytes(ref, cert.msig)
+    ref.write_bytes(cert.msig)
     for o in range(n_servers):
         ref.write_uint(1, 1 if o in cert.signers else 0)
 
 
 def _ref_blob(ref, data):
     ref.write_varint(len(data) + 1)
-    _ref_bytes(ref, data)
+    ref.write_bytes(data)
 
 
 def test_certificate_bitmap_matches_reference():
@@ -207,7 +235,7 @@ def test_certificate_bitmap_matches_reference():
             root = rng.randbytes(crypto.DIGEST_BYTES)
             witness = RefWriter()
             witness.write_uint(8, 7)
-            _ref_bytes(witness, root)
+            witness.write_bytes(root)
             _ref_certificate(witness, cert, n)
             # the id's varints leave the assignment's bitmap unaligned
             ident = (rng.randrange(n), rng.randrange(300))
@@ -217,11 +245,11 @@ def test_certificate_bitmap_matches_reference():
             submission.write_uint(8, 0)
             submission.write_varint(ident[0] + 1)
             submission.write_varint(ident[1] + 1)
-            _ref_bytes(submission, keycard)
+            submission.write_bytes(keycard)
             _ref_certificate(submission, cert, n)
             _ref_blob(submission, b"ctx")
             _ref_blob(submission, b"message")
-            _ref_bytes(submission, signature)
+            submission.write_bytes(signature)
             for msg, ref in (
                     (wire.Witness(root, cert), witness),
                     (wire.Submission(wire.Assignment(ident, keycard, cert),
