@@ -69,11 +69,11 @@ class DirectoryView:
         fingerprint = cert_fingerprint(a.certificate)
         if not ctx.verify_quorum(a.certificate,
                                  stmt_assignment(a.ident, a.keycard)):
-            ctx.emit("dir_import_rejected", id=list(a.ident),
+            ctx.emit("dir_import_rejected", id=tuple(a.ident),
                      keycard=a.keycard.hex(), cert=fingerprint)
             return False
         self._store(a)
-        ctx.emit("dir_import", id=list(a.ident), keycard=a.keycard.hex(),
+        ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex(),
                  cert=fingerprint)
         return True
 
@@ -131,7 +131,7 @@ class ClientSignup:
                 cert = ctx.certify(self.shards[index])
                 a = Assignment(ident, ctx.keycard(), cert)
                 self.view.import_assignment(ctx, a)
-                ctx.emit("signup_complete", id=list(ident))
+                ctx.emit("signup_complete", id=tuple(ident))
                 if self.on_complete is not None:
                     self.on_complete(ctx)
                 break

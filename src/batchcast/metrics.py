@@ -18,6 +18,7 @@ import io
 import math
 
 from . import crypto
+from .simnet import DELIVER, SEND, VERIFY, Trace
 
 PAYLOAD_TAGS = frozenset({
     "Submission", "Inclusion", "Reduction", "BatchMsg", "BatchAcquired",
@@ -54,22 +55,40 @@ class CostLedger:
 
     @classmethod
     def from_trace(cls, trace) -> "CostLedger":
-        ledger = cls()
-        for ev in trace:
-            kind = ev.kind
-            if kind in ("send", "deliver"):
-                if ev.src == ev.dst:
+        """The ledger of a `Trace` (or of records, see `Trace.of`), read from
+        its base columns."""
+        trace = Trace.of(trace)
+        delivers = trace.find("app_deliver")
+        egress, ingress, verifies, delivered = {}, {}, {}, {}  # by codes
+        for kind, src, dst, tag, n in zip(trace.kind, trace.src, trace.dst,
+                                          trace.tag, trace.bytes_len):
+            if kind == SEND or kind == DELIVER:
+                if src == dst:
                     continue  # self-sends are local events
-                book = ledger.egress if kind == "send" else ledger.ingress
-                key = (ev.src if kind == "send" else ev.dst, ev.tag)
-                book[key] = book.get(key, 0) + 8 * ev.bytes_len
-            elif kind == "verify":
-                book = (ledger.verifications
-                        if ev.tag in ("verify", "verify_aggregate")
-                        else ledger.cert_checks)
-                book[ev.src] = book.get(ev.src, 0) + 1
-            elif kind == "app_deliver":
-                ledger.delivered[ev.src] = ledger.delivered.get(ev.src, 0) + 1
+                if kind == SEND:
+                    key = (src, tag)
+                    egress[key] = egress.get(key, 0) + n
+                else:
+                    key = (dst, tag)
+                    ingress[key] = ingress.get(key, 0) + n
+            elif kind == VERIFY:
+                key = (src, tag)
+                verifies[key] = verifies.get(key, 0) + 1
+            elif kind == delivers:
+                delivered[src] = delivered.get(src, 0) + 1
+        ledger = cls()
+        names = trace.names
+        for codes, book in ((egress, ledger.egress),
+                            (ingress, ledger.ingress)):
+            for (who, tag), n in codes.items():
+                book[names[who], names[tag]] = 8 * n
+        for (who, verb), count in verifies.items():
+            book = (ledger.verifications
+                    if names[verb] in ("verify", "verify_aggregate")
+                    else ledger.cert_checks)
+            book[names[who]] = book.get(names[who], 0) + count
+        ledger.delivered = {names[who]: count
+                            for who, count in delivered.items()}
         return ledger
 
     def bits_for(self, label: str, tags: frozenset) -> int:
@@ -126,12 +145,6 @@ def amortized_report(trace, scenario) -> dict:
         "degenerate": degenerate,
         "sizes": dict(SIZE_CONSTANTS),
     }
-
-
-def ledger_balanced(trace) -> bool:
-    """Every bit sent between distinct processes is eventually received."""
-    ledger = CostLedger.from_trace(trace)
-    return ledger.total_egress() == ledger.total_ingress()
 
 
 def convergence_sweep(m_values, n_clients: int = 1024,

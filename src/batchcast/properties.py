@@ -3,9 +3,9 @@
 The checker is protocol-agnostic: it consumes only application-level events
 (broadcast, app_deliver, signup, dir_import, ...) plus the corruption markers
 and scenario header, so a buggy protocol cannot share its bug with the
-checker.  It reads the simulator's `TraceEvent` records as they are; dict
-records (forged traces) are turned into them first.  Every failed property
-references the index of the offending trace event.
+checker.  It reads the columns of the simulator's `Trace`; any other
+records (forged traces, trace files) are appended into one first.  Every
+failed property references the index of the offending trace event.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .simnet import TraceEvent
+from .simnet import Trace, TraceEvent
 
 CSB_PROPERTIES = ("no_duplication", "consistency", "integrity", "validity",
                   "totality")
@@ -43,65 +43,48 @@ def _keycard(kind_char: str, ordinal: int) -> str:
 
 
 class TraceIndex:
-    """One pass over the trace, collecting application-level facts."""
+    """Application-level facts, read from a `Trace`'s side tables.
 
-    def __init__(self, records):
-        self.records = list(records)
-        self.header = {}
-        self.corrupted: set[str] = set()
-        self.broadcasts: list = []     # (index, client, context, message)
-        self.deliveries: list = []     # (index, server, client_label|None,
-                                       #  keycard, context, message)
-        self.signups: dict = {}        # label -> first index
-        self.completes: dict = {}      # label -> first index
-        self.imports: list = []        # (index, label, id, keycard, cert)
-        self.first_import: dict = {}   # (label, keycard) -> first index
-        self.rejects: list = []        # (index, label, id, keycard, cert)
-        self.assigner_records: list = []  # (index, server, keycard, assigner)
-        self.fb_delivers: list = []       # (index, server, origin, seq, payload)
-        self._scan()
+    Each list holds tuples (index, src label, fields...) in trace order.
+    """
 
-    def _scan(self):
+    def __init__(self, trace: Trace):
+        t = trace
+        self.header: dict = {}
         keycard_owner: dict[str, str] = {}
-        for ev in self.records:
-            if ev.kind == "scenario":
-                self.header = h = ev.extra
-                for prefix, count in (("S", h["servers"]),
-                                      ("B", h["brokers"]),
-                                      ("C", h["clients"])):
-                    for i in range(count):
-                        keycard_owner[_keycard(prefix, i)] = f"{prefix}{i}"
-                break
-        for idx, ev in enumerate(self.records):
-            kind = ev.kind
-            x = ev.extra
-            if kind == "byzantine":
-                self.corrupted.add(ev.src)
-            elif kind == "broadcast":
-                self.broadcasts.append((idx, ev.src, x["context"],
-                                        x["message"]))
-            elif kind == "app_deliver":
-                self.deliveries.append((idx, ev.src,
-                                        keycard_owner.get(x["client"]),
-                                        x["client"], x["context"],
-                                        x["message"]))
-            elif kind == "signup":
-                self.signups.setdefault(ev.src, idx)
-            elif kind == "signup_complete":
-                self.completes.setdefault(ev.src, idx)
-            elif kind == "dir_import":
-                self.imports.append((idx, ev.src, tuple(x["id"]),
-                                     x["keycard"], x.get("cert")))
-                self.first_import.setdefault((ev.src, x["keycard"]), idx)
-            elif kind == "dir_import_rejected":
-                self.rejects.append((idx, ev.src, tuple(x["id"]),
-                                     x["keycard"], x.get("cert")))
-            elif kind == "assigner_record":
-                self.assigner_records.append((idx, ev.src, x["keycard"],
-                                              x["assigner"]))
-            elif kind == "fb_deliver":
-                self.fb_delivers.append((idx, ev.src, x["origin"],
-                                         x["seq"], x["payload"]))
+        for idx, _ in t.select("scenario")[:1]:
+            self.header = h = t[idx].extra
+            for prefix, count in (("S", h["servers"]),
+                                  ("B", h["brokers"]),
+                                  ("C", h["clients"])):
+                for i in range(count):
+                    keycard_owner[_keycard(prefix, i)] = f"{prefix}{i}"
+        self.corrupted = {label for _, label in t.select("byzantine")}
+        # (index, client, context, message)
+        self.broadcasts = t.select("broadcast", ("context", "message"))
+        # (index, server, client label or None, keycard, context, message)
+        self.deliveries = [
+            (idx, srv, keycard_owner.get(keycard), keycard, context, message)
+            for idx, srv, keycard, context, message
+            in t.select("app_deliver", ("client", "context", "message"))]
+        self.signups: dict = {}        # label -> first index
+        for idx, label in t.select("signup"):
+            self.signups.setdefault(label, idx)
+        self.completes: dict = {}      # label -> first index
+        for idx, label in t.select("signup_complete"):
+            self.completes.setdefault(label, idx)
+        # (index, label, id, keycard, cert)
+        self.imports = t.select("dir_import", ("id", "keycard", "cert"))
+        self.first_import: dict = {}   # (label, keycard) -> first index
+        for idx, label, _, keycard, _ in self.imports:
+            self.first_import.setdefault((label, keycard), idx)
+        self.rejects = t.select("dir_import_rejected",
+                                ("id", "keycard", "cert"))
+        # (index, server, keycard, assigner)
+        self.assigner_records = t.select("assigner_record",
+                                         ("keycard", "assigner"))
+        # (index, server, origin, seq, payload)
+        self.fb_delivers = t.select("fb_deliver", ("origin", "seq", "payload"))
 
     def correct(self, label: str) -> bool:
         return label not in self.corrupted
@@ -341,21 +324,22 @@ _CHECKS = {
 
 
 def check_trace(trace) -> dict[str, Verdict]:
-    index = TraceIndex(ev if isinstance(ev, TraceEvent)
-                       else TraceEvent.from_record(ev) for ev in trace)
+    """Every property's verdict on a `Trace`, or on any iterable of records
+    or `TraceEvent`s (see `Trace.of`)."""
+    index = TraceIndex(Trace.of(trace))
     return {name: fn(index) for name, fn in _CHECKS.items()}
 
 
-def load_trace_file(path: str) -> list[TraceEvent]:
+def load_trace_file(path: str) -> Trace:
     """Read a JSONL trace; raises ValueError naming the first bad line."""
-    records = []
+    trace = Trace()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(TraceEvent.from_record(json.loads(line)))
+                trace.append(TraceEvent.from_record(json.loads(line)))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-    return records
+    return trace

@@ -78,7 +78,7 @@ class ClientMachine(Machine):
     def on_start(self, ctx: Context):
         if self.preloaded is not None:
             self.view.preload(self.preloaded)
-            ctx.emit("dir_import", id=list(self.preloaded.ident),
+            ctx.emit("dir_import", id=tuple(self.preloaded.ident),
                      keycard=self.preloaded.keycard.hex())
             self.signup.status = "signed_up"
             self._schedule_plan(ctx)
@@ -353,7 +353,7 @@ class BrokerMachine(Machine):
             if not self._valid_exception(ctx, batch, ident, ep):
                 return  # one unproven exception rejects the whole shard
         for ident, _ in msg.conflicts:
-            ctx.emit("exception_accepted", id=list(ident),
+            ctx.emit("exception_accepted", id=tuple(ident),
                      server=src.ordinal)
         batch.commits[src.ordinal] = (exceptions, msg.shard)
 
@@ -456,7 +456,7 @@ class ServerMachine(Machine):
     def on_start(self, ctx: Context):
         for a in self.preloaded:
             self.view.preload(a)
-            ctx.emit("dir_import", id=list(a.ident), keycard=a.keycard.hex())
+            ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex())
 
     # -- events -----------------------------------------------------------------
 
@@ -580,7 +580,7 @@ class ServerMachine(Machine):
                 conflicts.append((ident, EquivocationProof(
                     original_root, self.witnesses[original_root],
                     original_batch.tree.prove(pos), original_message)))
-                ctx.emit("exception", id=list(ident), root=root.hex())
+                ctx.emit("exception", id=tuple(ident), root=root.hex())
         exceptions = frozenset(i for i, _ in conflicts)
         shard = ctx.multisign(stmt_commit(root, exceptions))
         return CommitShard(root, tuple(conflicts), shard)

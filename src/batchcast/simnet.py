@@ -18,7 +18,13 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain, count, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import crypto, wire
 from .bits import DecodeError
@@ -92,14 +98,46 @@ class Scenario:
 
 
 _BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
-# per record kind, the event-specific keys the trace checker reads
+_INT64 = 1 << 63
+_ABSENT = object()  # a key the record does not hold
+
+
+def _is_int(value) -> bool:
+    return type(value) is int and -_INT64 <= value < _INT64
+
+
+# the JSON types record fields are checked against, by name
+_JSON_TYPES = {
+    "an integer": _is_int,
+    "a count": lambda v: _is_int(v) and v >= 0,
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a string, null or absent": lambda v: (v is None or v is _ABSENT
+                                           or isinstance(v, str)),
+    "a pair of integers": lambda v: (type(v) is list and len(v) == 2
+                                     and all(map(_is_int, v))),
+}
+# the base fields with their defaults and types
+_BASE_TYPES = (("src", None, "a string or null"),
+               ("dst", None, "a string or null"),
+               ("bytes_len", 0, "a count"),
+               ("tag", "", "a string"))
+# per record kind, the event-specific keys the trace checker reads and their
+# JSON types
 _EXTRA_KEYS = {
-    "broadcast": ("context", "message"),
-    "app_deliver": ("client", "context", "message"),
-    "dir_import": ("id", "keycard"),
-    "dir_import_rejected": ("id", "keycard"),
-    "assigner_record": ("keycard", "assigner"),
-    "fb_deliver": ("origin", "seq", "payload"),
+    "scenario": (("servers", "an integer"), ("brokers", "an integer"),
+                 ("clients", "an integer")),
+    "broadcast": (("context", "a string"), ("message", "a string")),
+    "app_deliver": (("client", "a string"), ("context", "a string"),
+                    ("message", "a string")),
+    "dir_import": (("id", "a pair of integers"), ("keycard", "a string"),
+                   ("cert", "a string, null or absent")),
+    "dir_import_rejected": (("id", "a pair of integers"),
+                            ("keycard", "a string"),
+                            ("cert", "a string, null or absent")),
+    "assigner_record": (("keycard", "a string"), ("assigner", "an integer")),
+    "fb_deliver": (("origin", "an integer"), ("seq", "an integer"),
+                   ("payload", "a string")),
 }
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -108,8 +146,9 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 class TraceEvent:
     """One trace record: six base fields, event-specific keys in `extra`.
 
-    This is the only record form the checker and the cost ledger read; JSON
-    is written by `to_json` and read back by `from_record`.
+    This is the row form of a `Trace` and the input form of records read
+    from files or forged; JSON is written by `to_json` and read back by
+    `from_record`.
     """
 
     time: int
@@ -120,38 +159,291 @@ class TraceEvent:
     tag: str = ""
     extra: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
+    def record(self) -> dict:
         rec = {"time": self.time, "kind": self.kind, "src": self.src,
                "dst": self.dst, "bytes_len": self.bytes_len, "tag": self.tag}
         rec.update(self.extra)
-        return _ENCODER.encode(rec)
+        return rec
+
+    def to_json(self) -> str:
+        return _ENCODER.encode(self.record())
 
     @classmethod
     def from_record(cls, rec) -> "TraceEvent":
         """The inverse of `to_json` on a decoded record.
 
         Raises ValueError for a record that is not an object, lacks an
-        integer `time` or a string `kind`, lacks a key `_EXTRA_KEYS` gives
-        its kind, or is a `scenario` header without integer `servers`,
-        `brokers` and `clients`.
+        integer `time` or a string `kind`, has a base field of another type
+        than `_BASE_TYPES` gives, or lacks a key `_EXTRA_KEYS` gives its kind
+        or holds it with another type.
         """
         if not isinstance(rec, dict):
             raise ValueError("trace record is not an object")
-        if type(rec.get("time")) is not int:
+        if not _is_int(rec.get("time")):
             raise ValueError("trace record without an integer time")
-        if not isinstance(rec.get("kind"), str):
+        kind = rec.get("kind")
+        if not isinstance(kind, str):
             raise ValueError("trace record without a string kind")
+        base = {}
+        for key, default, type_name in _BASE_TYPES:
+            base[key] = rec.get(key, default)
+            if not _JSON_TYPES[type_name](base[key]):
+                raise ValueError(f"trace record whose {key!r} is not "
+                                 f"{type_name}")
         extra = {k: v for k, v in rec.items() if k not in _BASE_KEYS}
-        for key in _EXTRA_KEYS.get(rec["kind"], ()):
-            if key not in extra:
-                raise ValueError(f"{rec['kind']} record without {key!r}")
-        if rec["kind"] == "scenario" and any(
-                type(extra.get(k)) is not int
-                for k in ("servers", "brokers", "clients")):
-            raise ValueError("scenario header without integer servers, "
-                             "brokers and clients")
-        return cls(rec["time"], rec["kind"], rec.get("src"), rec.get("dst"),
-                   rec.get("bytes_len", 0), rec.get("tag", ""), extra)
+        for key, type_name in _EXTRA_KEYS.get(kind, ()):
+            value = extra.get(key, _ABSENT)
+            if not _JSON_TYPES[type_name](value):
+                raise ValueError(
+                    f"{kind} record without {key!r}" if value is _ABSENT
+                    else f"{kind} record whose {key!r} is not {type_name}")
+        return cls(rec["time"], kind, extra=extra, **base)
+
+
+# codes every store gives the same names: null, the five hot kinds, no tag
+_FIXED_NAMES = (None, "send", "deliver", "verify", "timer_set", "timer_ring",
+                "")
+NULL, SEND, DELIVER, VERIFY, TIMER_SET, TIMER_RING, NO_TAG = range(
+    len(_FIXED_NAMES))
+_FIXED_CODES = {name: code for code, name in enumerate(_FIXED_NAMES)}
+_JSONL_CHUNK = 4096  # rows formatted and joined at a time
+
+
+class _Side:
+    """The event-specific fields of one (kind, key set): the rows it covers,
+    ascending, and one column of values per key, keys sorted."""
+
+    __slots__ = ("kind", "keys", "rows", "cols")
+
+    def __init__(self, kind: int, keys: tuple):
+        self.kind = kind
+        self.keys = keys
+        self.rows = array("q")
+        self.cols = tuple([] for _ in keys)
+
+    def extra(self, pos: int) -> dict:
+        """The `extra` of its `pos`-th row, with JSON's lists for tuples."""
+        return {key: list(v) if isinstance(v, tuple) else v
+                for key, v in zip(self.keys, (c[pos] for c in self.cols))}
+
+
+class Trace:
+    """The trace as append-only columns: one row per record, no object per row.
+
+    `time` and `bytes_len` are int64 arrays; `kind`, `src`, `dst` and `tag`
+    are int32 codes into `names`, one interning table whose first codes are
+    fixed (`_FIXED_NAMES`).  Event-specific fields live in side tables, one
+    per (kind, key set).  The event loop writes send, deliver, verify and
+    timer ring rows with `row`, base columns only; every other row is
+    written by `add` and has a side entry, even with no keys, so `select`
+    finds every row of the kinds that `add` writes.  A run's side values are
+    strings, integers, None and tuples of integers, which the GC stops
+    tracking at its first collection; a list read from a record is held as
+    a tuple and read back as a list.
+
+    Rows read back as `TraceEvent`s (iteration, indexing); the checker and
+    the cost ledger read `select` and the base columns, and `jsonl` writes
+    the JSON lines from the columns.
+    """
+
+    def __init__(self):
+        self.time = array("q")
+        self.kind = array("i")
+        self.src = array("i")
+        self.dst = array("i")
+        self.bytes_len = array("q")
+        self.tag = array("i")
+        self.names: list = list(_FIXED_NAMES)
+        self._codes = _FIXED_CODES.copy()
+        self._sides: list[_Side] = []
+        self._side_of: dict[tuple, _Side] = {}  # (kind, *keys as given)
+
+    @classmethod
+    def of(cls, records) -> "Trace":
+        """`records` as a Trace: a Trace as it is; any other iterable of
+        records or `TraceEvent`s appended through `TraceEvent.from_record`."""
+        if isinstance(records, Trace):
+            return records
+        trace = cls()
+        for rec in records:
+            if isinstance(rec, TraceEvent):
+                rec = rec.record()
+            trace.append(TraceEvent.from_record(rec))
+        return trace
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def code(self, name: str | None) -> int:
+        """The code of `name`, interned on first use."""
+        code = self._codes.get(name)
+        if code is None:
+            code = self._codes[name] = len(self.names)
+            self.names.append(name)
+        return code
+
+    def find(self, name: str | None) -> int:
+        """The code of `name`, or -1 if no row names it."""
+        return self._codes.get(name, -1)
+
+    def row(self, time: int, kind: int, src: int, dst: int, bytes_len: int,
+            tag: int):
+        """Append a row of base fields, names given as codes."""
+        self.time.append(time)
+        self.kind.append(kind)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.bytes_len.append(bytes_len)
+        self.tag.append(tag)
+
+    def add(self, time: int, kind: int, src: int, dst: int, bytes_len: int,
+            tag: int, extra: dict):
+        """Append a row and its side entry, which holds `extra`."""
+        side = self._side_of.get((kind, *extra))
+        if side is None:
+            side = self._new_side(kind, tuple(extra))
+        side.rows.append(len(self.time))
+        for key, col in zip(side.keys, side.cols):
+            col.append(extra[key])
+        self.row(time, kind, src, dst, bytes_len, tag)
+
+    def _new_side(self, kind: int, given: tuple) -> _Side:
+        keys = tuple(sorted(given))
+        for side in self._sides:
+            if side.kind == kind and side.keys == keys:
+                break
+        else:
+            side = _Side(kind, keys)
+            self._sides.append(side)
+        self._side_of[(kind, *given)] = side
+        return side
+
+    def append(self, ev: TraceEvent):
+        """Append a row that `TraceEvent.from_record` accepts."""
+        code = self.code
+        self.add(ev.time, code(ev.kind), code(ev.src), code(ev.dst),
+                 ev.bytes_len, code(ev.tag),
+                 {k: tuple(v) if type(v) is list else v
+                  for k, v in ev.extra.items()})
+
+    def _event(self, i: int, extra: dict) -> TraceEvent:
+        names = self.names
+        return TraceEvent(self.time[i], names[self.kind[i]],
+                          names[self.src[i]], names[self.dst[i]],
+                          self.bytes_len[i], names[self.tag[i]], extra)
+
+    def __iter__(self):
+        entries = heapq.merge(*(zip(side.rows, repeat(side), count())
+                                for side in self._sides))
+        entry = next(entries, None)
+        for i in range(len(self.time)):
+            if entry is not None and entry[0] == i:
+                extra = entry[1].extra(entry[2])
+                entry = next(entries, None)
+            else:
+                extra = {}
+            yield self._event(i, extra)
+
+    def __getitem__(self, i: int) -> TraceEvent:
+        i = range(len(self.time))[i]
+        for side in self._sides:
+            pos = bisect_left(side.rows, i)
+            if pos < len(side.rows) and side.rows[pos] == i:
+                return self._event(i, side.extra(pos))
+        return self._event(i, {})
+
+    def select(self, kind: str, keys: tuple = ()) -> list[tuple]:
+        """(row, src, the value of each key) of every row of `kind` that has
+        a side entry, in row order; a key the row lacks reads None."""
+        code = self.find(kind)
+        src, names = self.src, self.names
+        out: list = []
+        sides = [side for side in self._sides if side.kind == code]
+        for side in sides:
+            cols = [side.cols[side.keys.index(k)] if k in side.keys
+                    else repeat(None) for k in keys]
+            out.extend(zip(side.rows,
+                           map(names.__getitem__, map(src.__getitem__,
+                                                      side.rows)),
+                           *cols))
+        if len(sides) > 1:
+            out.sort(key=itemgetter(0))
+        return out
+
+    def jsonl(self) -> str:
+        """`TraceEvent.to_json` of every row, each line ending in a newline.
+
+        Each line is formatted from the columns with one %-template per key
+        set; names, keys and string values go through
+        `encode_basestring_ascii`, other values through `_json_column`.  The
+        rows are joined in chunks of `_JSONL_CHUNK`, so no line outlives its
+        chunk.
+        """
+        text = ["null" if name is None else encode_basestring_ascii(name)
+                for name in self.names].__getitem__
+        ints = {"time": self.time, "bytes_len": self.bytes_len}
+        codes = {"kind": self.kind, "src": self.src, "dst": self.dst,
+                 "tag": self.tag}
+        base_keys = sorted(_BASE_KEYS)
+        base = _template(base_keys)
+        plans = []
+        for side in self._sides:
+            keys = sorted(_BASE_KEYS + side.keys)
+            plans.append((side, _template(keys),
+                          [(k, side.keys.index(k) if k in side.keys else None)
+                           for k in keys]))
+        n = len(self.time)
+        chunks = []
+        for a in range(0, n, _JSONL_CHUNK):
+            b = min(a + _JSONL_CHUNK, n)
+            lines = list(map(base.__mod__, zip(*(
+                ints[k][a:b] if k in ints else map(text, codes[k][a:b])
+                for k in base_keys))))
+            for side, template, fields in plans:
+                lo = bisect_left(side.rows, a)
+                hi = bisect_left(side.rows, b, lo)
+                if lo == hi:
+                    continue
+                rows = side.rows[lo:hi]
+                args = []
+                for key, j in fields:
+                    if j is not None:
+                        args.append(_json_column(side.cols[j][lo:hi]))
+                    elif key in ints:
+                        args.append(map(ints[key].__getitem__, rows))
+                    else:
+                        args.append(map(text, map(codes[key].__getitem__,
+                                                  rows)))
+                for row, line in zip(rows, map(template.__mod__, zip(*args))):
+                    lines[row - a] = line
+            chunks.append("\n".join(lines))
+        chunks.append("")
+        return "\n".join(chunks) if n else "\n"
+
+
+def _template(keys) -> str:
+    """A %-template of one JSON object with `keys` in order, %s per value."""
+    return "{" + ",".join(encode_basestring_ascii(key).replace("%", "%%")
+                          + ":%s" for key in keys) + "}"
+
+
+def _json_column(values: list):
+    """Each of `values` as `_ENCODER` writes it inside a record.
+
+    A column of strings, of integers or of tuples of integers is written by
+    C functions alone (what the encoder calls for a string or an integer);
+    any other goes through `_ENCODER` value by value.
+    """
+    types = set(map(type, values))
+    if types == {str}:
+        return map(encode_basestring_ascii, values)
+    if types == {int}:
+        return map(int.__repr__, values)
+    if types == {tuple} and set(map(type, chain.from_iterable(values))) == {
+            int}:
+        return map("[%s]".__mod__,
+                   map(",".join, map(partial(map, int.__repr__), values)))
+    return map(_ENCODER.encode, values)
 
 
 class Context:
@@ -166,6 +458,7 @@ class Context:
         self.sim = sim
         self.pid = pid
         self.label = pid.label
+        self.code = sim.trace.code(self.label)
         self.order = (pid.kind, pid.ordinal)  # its place in an event's key
 
     @property
@@ -181,8 +474,9 @@ class Context:
         self.sim._schedule_timer(self, tag, timeout)
 
     def emit(self, kind: str, **extra):
-        self.sim.trace.append(TraceEvent(self.sim.now, kind, src=self.label,
-                                         extra=extra))
+        trace = self.sim.trace
+        trace.add(self.sim.now, trace.code(kind), self.code, NULL, 0, NO_TAG,
+                  extra)
 
     # -- crypto facade -------------------------------------------------------
 
@@ -205,8 +499,8 @@ class Context:
         return self.sim.oracle.certify(shards)
 
     def _count(self, verb: str):
-        self.sim.trace.append(TraceEvent(self.sim.now, "verify",
-                                         src=self.label, tag=verb))
+        trace = self.sim.trace
+        trace.row(self.sim.now, VERIFY, self.code, NULL, 0, trace.code(verb))
 
     def verify(self, keycard: bytes, statement: bytes, sig: bytes) -> bool:
         self._count("verify")
@@ -271,7 +565,7 @@ class Simulation:
         self.wire_ctx = wire.WireContext(scenario.n_servers)
         self.rng = random.Random(scenario.seed)
         self.now = 0
-        self.trace: list[TraceEvent] = []
+        self.trace = Trace()
         self._queue: list = []
         self._seq = 0
         self._link_last: dict[tuple, int] = {}  # label pair -> last delivery
@@ -299,15 +593,16 @@ class Simulation:
         deliver = max(self.now + delay, self._link_last.get(link, 0))
         self._link_last[link] = deliver
         seq = self._next_seq()
-        self.trace.append(TraceEvent(self.now, "send", src.label, to.label,
-                                     len(data), tag))
+        tag_code = self.trace.code(tag)
+        self.trace.row(self.now, SEND, src.code, to.code, len(data), tag_code)
         cell = self._in_flight.get(data)
         if cell is None:
             self._in_flight[data] = [_UNDECODED, 1]
         else:
             cell[1] += 1
         key = (deliver, _PHASE_DELIVER, to.order, src.order, b"", seq)
-        heapq.heappush(self._queue, (key, ("deliver", src, to, data, tag)))
+        heapq.heappush(self._queue,
+                       (key, ("deliver", src, to, data, tag_code)))
 
     def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
         if (self.scenario.synchrony == GOOD_CASE
@@ -317,16 +612,17 @@ class Simulation:
             ring = self.now + self.rng.randint(1, self.scenario.timer_skew_max)
         seq = self._next_seq()
         tag_bytes = repr(tag).encode()
-        self.trace.append(TraceEvent(self.now, "timer_set", owner.label,
-                                     owner.label, 0, _tag_label(tag),
-                                     extra={"ring": ring}))
+        tag_code = self.trace.code(_tag_label(tag))
+        self.trace.add(self.now, TIMER_SET, owner.code, owner.code, 0,
+                       tag_code, {"ring": ring})
         key = (ring, _PHASE_RING, owner.order, owner.order, tag_bytes, seq)
-        heapq.heappush(self._queue, (key, ("ring", owner, tag)))
+        heapq.heappush(self._queue, (key, ("ring", owner, tag, tag_code)))
 
     # -- run loop ------------------------------------------------------------
 
     def start(self):
-        self.trace.append(TraceEvent(0, "scenario", extra={
+        trace = self.trace
+        trace.add(0, trace.code("scenario"), NULL, NULL, 0, NO_TAG, {
             "name": self.scenario.name,
             "servers": self.scenario.n_servers,
             "brokers": self.scenario.n_brokers,
@@ -335,9 +631,10 @@ class Simulation:
             "seed": self.scenario.seed,
             "payload_bits": self.scenario.payload_bits,
             "synchrony": self.scenario.synchrony,
-        }))
+        })
         for label in sorted(self.scenario.fault_script):
-            self.trace.append(TraceEvent(0, "byzantine", src=label))
+            trace.add(0, trace.code("byzantine"), trace.code(label), NULL, 0,
+                      NO_TAG, {})
         for pid in sorted(self.machines):
             self.machines[pid].on_start(self._contexts[pid])
 
@@ -346,9 +643,9 @@ class Simulation:
         self.now = key[0]
         self._dispatched += 1
         if event[0] == "deliver":
-            _, src, dst, data, tag = event
-            self.trace.append(TraceEvent(self.now, "deliver", src.label,
-                                         dst.label, len(data), tag))
+            _, src, dst, data, tag_code = event
+            self.trace.row(self.now, DELIVER, src.code, dst.code, len(data),
+                           tag_code)
             cell = self._in_flight[data]
             msg = cell[0]
             if msg is _UNDECODED:
@@ -363,9 +660,9 @@ class Simulation:
             if msg is not _UNDECODABLE:
                 self.machines[dst.pid].on_message(dst, src.pid, msg)
         else:
-            _, owner, tag = event
-            self.trace.append(TraceEvent(self.now, "timer_ring", owner.label,
-                                         owner.label, 0, _tag_label(tag)))
+            _, owner, tag, tag_code = event
+            self.trace.row(self.now, TIMER_RING, owner.code, owner.code, 0,
+                           tag_code)
             self.machines[owner.pid].on_timer(owner, tag)
 
     def run_to_quiescence(self):
@@ -378,7 +675,7 @@ class Simulation:
         return self.trace
 
     def trace_jsonl(self) -> str:
-        return "\n".join(ev.to_json() for ev in self.trace) + "\n"
+        return self.trace.jsonl()
 
 
 def _tag_label(tag: tuple) -> str:

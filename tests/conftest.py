@@ -1,9 +1,25 @@
-"""Shared fixtures: a standalone oracle population and a fake machine context."""
+"""Shared fixtures: a standalone oracle population, a fake machine context
+and the f = 2 live-signup scenario."""
 
 import pytest
 
 from batchcast.crypto import Oracle
 from batchcast.procs import broker, client, server
+from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
+
+
+def live_signup_f2() -> Scenario:
+    """f = 2 (N = 7), 8 clients signing up live under 1-3 tick delays."""
+    broadcasts = [{"client": j, "context": j.to_bytes(4, "big").hex(),
+                   "message": (j ^ 0x5A5A5A5A).to_bytes(4, "big").hex(),
+                   "at": 0}
+                  for j in range(8)]
+    return Scenario(name="live_signup_f2", n_servers=7, fault_bound=2,
+                    n_brokers=1, n_clients=8, synchrony=ADVERSARIAL,
+                    delay_policy=DelayPolicy(kind="uniform", min_delay=1,
+                                             max_delay=3),
+                    timer_policy="timeout", preload_directory=False,
+                    broadcasts=broadcasts, seed=3)
 
 
 def population(n_servers=4, n_brokers=2, n_clients=8):

@@ -1,12 +1,15 @@
 """Runner flags, exit codes, and emitted artifacts."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from batchcast.cli import main
 from batchcast.properties import _keycard
 from batchcast.scenarios import good_case, scenario_to_json
+
+SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def write_scenario(tmp_path, scenario):
@@ -82,6 +85,27 @@ def test_check_only_record_without_an_event_key_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+HEADER_LINE = ('{"time":0,"kind":"scenario","servers":4,"brokers":1,'
+               '"clients":1}')
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"time":0,"kind":"dir_import","src":"S0","id":5,"keycard":"aa"}',
+     "dir_import record whose 'id' is not a pair of integers"),
+    ('{"time":0,"kind":"broadcast","src":["C0"],"context":"aa",'
+     '"message":"bb"}',
+     "trace record whose 'src' is not a string or null"),
+], ids=["dir_import_int_id", "broadcast_list_src"])
+def test_check_only_wrong_typed_field_exits_2(tmp_path, capsys, line,
+                                              message):
+    path = tmp_path / "wrong_type.jsonl"
+    path.write_text(HEADER_LINE + "\n" + line + "\n")
+    assert main(["--check-only", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: malformed trace: line 2: {message}\n"
+    assert captured.out == ""
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     spec = tmp_path / "sweep.json"
     spec.write_text(json.dumps({"m_values": [4, 16], "clients": 64,
@@ -124,3 +148,10 @@ def test_write_corpus(tmp_path):
     assert main(["--write-corpus", str(tmp_path / "corpus")]) == 0
     names = {p.name for p in (tmp_path / "corpus").glob("*.json")}
     assert "good_case.json" in names and len(names) == 8
+
+
+def test_bundled_scenarios_are_the_written_corpus(tmp_path):
+    assert main(["--write-corpus", str(tmp_path)]) == 0
+    written = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+    bundled = {p.name: p.read_bytes() for p in SCENARIOS_DIR.glob("*.json")}
+    assert bundled == written

@@ -7,8 +7,9 @@ changes any send, delivery, verification or application event shows up here.
 
 import hashlib
 
+from conftest import live_signup_f2
+
 from batchcast.scenarios import CORPUS, batching_limit, run_scenario
-from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
 
 GOLDEN_SHA256 = (
     "c2d4bb35614e3a3314a981d7025e50f0ce9b6c9fa64583939c9cdfeea14fcb33")
@@ -33,16 +34,6 @@ def test_live_signup_f2():
     No corpus scenario has seven servers, so this is the one pinned run in
     which the directory's FIFO broadcast echoes every message to six peers.
     """
-    broadcasts = [{"client": j, "context": j.to_bytes(4, "big").hex(),
-                   "message": (j ^ 0x5A5A5A5A).to_bytes(4, "big").hex(),
-                   "at": 0}
-                  for j in range(8)]
-    scenario = Scenario(name="live_signup_f2", n_servers=7, fault_bound=2,
-                        n_brokers=1, n_clients=8, synchrony=ADVERSARIAL,
-                        delay_policy=DelayPolicy(kind="uniform", min_delay=1,
-                                                 max_delay=3),
-                        timer_policy="timeout", preload_directory=False,
-                        broadcasts=broadcasts, seed=3)
-    sim = run_scenario(scenario)
+    sim = run_scenario(live_signup_f2())
     assert hashlib.sha256(sim.trace_jsonl().encode()).hexdigest() == (
         LIVE_SIGNUP_F2_SHA256)

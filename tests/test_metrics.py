@@ -1,8 +1,7 @@
 """Cost accounting: ledger completeness, verification counters, reports."""
 
 from batchcast.metrics import (CostLedger, amortized_report,
-                               convergence_sweep, ledger_balanced,
-                               oracle_bound, sweep_csv)
+                               convergence_sweep, oracle_bound, sweep_csv)
 from batchcast.procs import server
 from batchcast.scenarios import CORPUS, batching_limit, good_case, run_scenario
 
@@ -11,6 +10,12 @@ def test_oracle_bound_formula():
     assert oracle_bound(1024, 64) == 10 + 64
     assert oracle_bound(1000, 64) == 10 + 64
     assert oracle_bound(2, 8) == 9
+
+
+def ledger_balanced(trace) -> bool:
+    """Every bit sent between distinct processes is eventually received."""
+    ledger = CostLedger.from_trace(trace)
+    return ledger.total_egress() == ledger.total_ingress()
 
 
 def test_ledger_balanced_on_corpus():

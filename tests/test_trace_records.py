@@ -1,8 +1,10 @@
-"""One record form: the checker and the ledger read `TraceEvent`s as they are.
+"""Record forms: `TraceEvent` rows, their JSON, and the checks on input.
 
-JSON is written only by `to_json` and read back only by `from_record`; these
-tests pin that the two are inverse, that a trace checks the same in memory
-and from disk, and that in-memory post-processing never goes through JSON.
+JSON is written only by `to_json` (and the store's columnar writer) and read
+back only by `from_record`; these tests pin that the two are inverse, that a
+trace checks the same in memory and from disk, that in-memory
+post-processing never goes through JSON, and that `from_record` rejects
+every field of the wrong JSON type before the checker reads it.
 """
 
 import json
@@ -90,6 +92,7 @@ def test_load_trace_file_names_the_bad_line(tmp_path):
 
 # The event-specific keys the checker reads, one complete record per kind.
 CHECKED_RECORDS = {
+    "scenario": {"servers": 4, "brokers": 1, "clients": 1},
     "broadcast": {"context": "aa", "message": "01"},
     "app_deliver": {"client": "cc", "context": "aa", "message": "01"},
     "dir_import": {"id": [0, 0], "keycard": "cc"},
@@ -113,3 +116,79 @@ def test_from_record_requires_the_keys_the_checker_reads(kind):
         rec = {k: v for k, v in full.items() if k != key}
         with pytest.raises(ValueError, match=f"{kind} record without '{key}'"):
             TraceEvent.from_record(rec)
+
+
+# One value of the wrong JSON type per checked key; `cert` may be absent but
+# must be a string or null when present.
+WRONG_TYPES = {
+    "scenario": {"servers": "4", "brokers": 1.0, "clients": None},
+    "broadcast": {"context": ["aa"], "message": 1},
+    "app_deliver": {"client": ["cc"], "context": {"a": 1}, "message": None},
+    "dir_import": {"id": 5, "keycard": 7, "cert": ["ff"]},
+    "dir_import_rejected": {"id": [0, "0"], "keycard": None, "cert": 3},
+    "assigner_record": {"keycard": 1, "assigner": True},
+    "fb_deliver": {"origin": "0", "seq": 0.5, "payload": 1},
+}
+
+
+def test_every_checked_key_has_a_wrong_type_case():
+    assert {kind: set(keys) for kind, keys in WRONG_TYPES.items()} == {
+        kind: {key for key, _ in keys}
+        for kind, keys in simnet._EXTRA_KEYS.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_TYPES))
+def test_from_record_checks_the_json_types_the_checker_reads(kind):
+    full = {"time": 1, "kind": kind, "src": "S0", **CHECKED_RECORDS[kind]}
+    types = dict(simnet._EXTRA_KEYS[kind])
+    for key, value in WRONG_TYPES[kind].items():
+        with pytest.raises(ValueError, match=(
+                f"{kind} record whose '{key}' is not {types[key]}")):
+            TraceEvent.from_record({**full, key: value})
+
+
+@pytest.mark.parametrize("id_value", [[0], [0, 1, 2], [0, True],
+                                      [0, 2 ** 63], (0, 1)])
+def test_an_id_must_be_a_pair_of_integers(id_value):
+    rec = {"time": 1, "kind": "dir_import", "src": "S0", "id": id_value,
+           "keycard": "cc"}
+    with pytest.raises(ValueError, match="'id' is not a pair of integers"):
+        TraceEvent.from_record(rec)
+
+
+def test_a_directory_import_may_carry_a_null_cert_or_none():
+    rec = {"time": 1, "kind": "dir_import", "src": "S0", "id": [0, 0],
+           "keycard": "cc"}
+    assert "cert" not in TraceEvent.from_record(rec).extra
+    assert TraceEvent.from_record({**rec, "cert": None}).extra["cert"] is None
+    assert TraceEvent.from_record({**rec, "cert": "ff"}).extra["cert"] == "ff"
+
+
+BASE_WRONG_TYPES = [
+    ("src", ["C0"]), ("src", 0), ("dst", {"x": 1}), ("dst", False),
+    ("tag", None), ("tag", 3), ("bytes_len", -1), ("bytes_len", True),
+    ("bytes_len", "8"), ("bytes_len", 2 ** 63), ("bytes_len", 1.0),
+]
+
+
+def test_every_base_field_has_a_wrong_type_case():
+    assert {key for key, _, _ in simnet._BASE_TYPES} == {
+        key for key, _ in BASE_WRONG_TYPES}
+
+
+@pytest.mark.parametrize("key,value", BASE_WRONG_TYPES)
+def test_from_record_checks_the_base_field_types(key, value):
+    rec = {"time": 1, "kind": "signup", "src": "C0", key: value}
+    with pytest.raises(ValueError, match=f"trace record whose '{key}' is not"):
+        TraceEvent.from_record(rec)
+
+
+@pytest.mark.parametrize("time", [2 ** 63, -2 ** 63 - 1, 1.0])
+def test_a_time_must_fit_the_time_column(time):
+    with pytest.raises(ValueError, match="integer time"):
+        TraceEvent.from_record({"time": time, "kind": "signup"})
+
+
+def test_base_fields_take_their_defaults():
+    ev = TraceEvent.from_record({"time": 2 ** 63 - 1, "kind": "signup"})
+    assert (ev.src, ev.dst, ev.bytes_len, ev.tag) == (None, None, 0, "")
