@@ -2,10 +2,13 @@
 
 A behavior may emit arbitrary well-formed wire messages, but it reaches the
 crypto oracle through the same per-process facade as a correct machine, so it
-can only sign with its own key.
+can only sign with its own key.  Each is built with the arguments of the
+correct machine of its process kind, plus its spec keys as keywords.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .crypto import Certificate, MerkleProof
 from .procs import ProcessId, ProcessKind, broker, server
@@ -19,12 +22,15 @@ from .wire import (Commit, CommitShard, EquivocationProof, Inclusion,
 class SilentBroker(Machine):
     """Accepts nothing, sends nothing: clients must resubmit elsewhere."""
 
+    def __init__(self, *_broker_args):
+        pass
+
 
 class CensoringBroker(BrokerMachine):
     """Runs the correct broker but drops submissions from target clients."""
 
-    def __init__(self, *args, censored=(), **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args, censored):
+        super().__init__(*args)
         self.censored = {ProcessId(ProcessKind.CLIENT, o) for o in censored}
 
     def on_message(self, ctx, src, msg):
@@ -42,11 +48,11 @@ class EquivocatingClient(Machine):
     exception against this client.
     """
 
-    def __init__(self, context: bytes, messages: tuple[bytes, bytes],
-                 preloaded):
+    def __init__(self, *client_args, context: bytes,
+                 messages: tuple[bytes, bytes]):
         self.context = context
         self.messages = messages
-        self.preloaded = preloaded
+        self.preloaded = client_args[-1]  # a ClientMachine's last argument
 
     def on_start(self, ctx: Context):
         for i, message in enumerate(self.messages):
@@ -64,9 +70,9 @@ class EquivocatingClient(Machine):
 class FalseExceptionServer(ServerMachine):
     """Claims, without a valid proof, that a target client equivocated."""
 
-    def __init__(self, *args, target_id=(0, 0), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.target_id = tuple(target_id)
+    def __init__(self, *args, target_id):
+        super().__init__(*args)
+        self.target_id = target_id
 
     def handle_witness(self, ctx, root, certificate):
         shard = super().handle_witness(ctx, root, certificate)
@@ -120,27 +126,43 @@ class LoneCommitBroker(BrokerMachine):
         super()._advance(ctx, root)
 
 
-def build(spec: dict, **kwargs) -> Machine:
-    kind = spec["behavior"]
-    if kind == "silent_broker":
-        return SilentBroker()
-    if kind == "censoring_broker":
-        return CensoringBroker(kwargs["n_servers"], kwargs["f"],
-                               kwargs["batching_window"],
-                               censored=spec.get("censored", ()))
-    if kind == "equivocating_client":
-        return EquivocatingClient(bytes.fromhex(spec["context"]),
-                                  (bytes.fromhex(spec["messages"][0]),
-                                   bytes.fromhex(spec["messages"][1])),
-                                  kwargs["preloaded"])
-    if kind == "false_exception_server":
-        return FalseExceptionServer(kwargs["n_servers"], kwargs["f"],
-                                    kwargs["preloaded_all"],
-                                    target_id=tuple(spec["target_id"]))
-    if kind == "stalling_server":
-        return StallingServer(kwargs["n_servers"], kwargs["f"],
-                              kwargs["preloaded_all"])
-    if kind == "lone_commit_broker":
-        return LoneCommitBroker(kwargs["n_servers"], kwargs["f"],
-                                kwargs["batching_window"])
-    raise ValueError(f"unknown behavior {kind!r}")
+def _list(decode, count=None):
+    """A decoder of a JSON list of `count` (any number if None) items."""
+    def decode_list(value) -> tuple:
+        if type(value) is not list or count not in (None, len(value)):
+            raise ValueError(f"must be a list of {count or 'any number of'} "
+                             "items")
+        return tuple(map(decode, value))
+    return decode_list
+
+
+# behavior name -> (process kind, class, spec key -> decoder)
+_BEHAVIORS = {
+    "silent_broker": (ProcessKind.BROKER, SilentBroker, {}),
+    "censoring_broker": (ProcessKind.BROKER, CensoringBroker,
+                         {"censored": _list(index)}),
+    "lone_commit_broker": (ProcessKind.BROKER, LoneCommitBroker, {}),
+    "equivocating_client": (ProcessKind.CLIENT, EquivocatingClient,
+                            {"context": bytes.fromhex,
+                             "messages": _list(bytes.fromhex, 2)}),
+    "false_exception_server": (ProcessKind.SERVER, FalseExceptionServer,
+                               {"target_id": _list(index, 2)}),
+    "stalling_server": (ProcessKind.SERVER, StallingServer, {}),
+}
+
+
+def build(pid: ProcessId, spec: dict, args: tuple) -> Machine:
+    """The machine fault-script entry `spec` makes of `pid`, built on the
+    `args` of its correct machine; raises ValueError naming the label."""
+    where, name = f"fault_script.{pid.label}", spec.get("behavior")
+    kind, cls, decoders = _BEHAVIORS.get(str(name), (None, None, {}))
+    if kind is not pid.kind or spec.keys() - {"behavior"} != decoders.keys():
+        raise ValueError(f"{where}: no {pid.kind.name.lower()} behavior "
+                         f"{name!r} takes the keys {sorted(spec)}")
+    kwargs = {}
+    for key, decode in decoders.items():
+        try:
+            kwargs[key] = decode(spec[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}.{key}: {exc}") from None
+    return cls(*args, **kwargs)

@@ -1,6 +1,7 @@
 """Scenario runner, trace checker and convergence sweep.
 
-Exit codes: 0 all properties pass, 1 property failure, 2 configuration error.
+Exit codes: 0 all properties pass, 1 property failure, 2 configuration error,
+3 a scenario run that does not quiesce within `simnet.MAX_EVENTS` events.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import metrics, properties, scenarios
+from . import metrics, properties, scenarios, simnet
+
+SWEEP_KEYS = scenarios.KeyTable(dict, {"m_values": ("m_values", [int], 1),
+                                       "clients": ("n_clients", int, 1)})
 
 
 def _run(args) -> int:
@@ -21,9 +25,12 @@ def _run(args) -> int:
         if args.seed is not None:
             scenario.seed = args.seed
         sim = scenarios.run_scenario(scenario)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2
+    except simnet.EventBudgetExhausted as exc:
+        print(f"error: liveness failure: {exc}", file=sys.stderr)
+        return 3
 
     verdicts = properties.check_trace(sim.trace)
     report = {
@@ -58,12 +65,12 @@ def _check(args) -> int:
 
 def _sweep(args) -> int:
     try:
-        spec = json.loads(Path(args.sweep).read_text())
-        rows = metrics.convergence_sweep(
-            spec.get("m_values", [16, 64, 256, 1024]),
-            n_clients=spec.get("clients", 1024),
-            payload_bits=spec.get("payload_bits", 64))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        spec = scenarios.read_keys(json.loads(Path(args.sweep).read_text()),
+                                   SWEEP_KEYS, "sweep spec")
+        if max(spec["m_values"], default=1) > spec["n_clients"]:
+            raise ValueError("m_values must not exceed clients")
+        rows = metrics.convergence_sweep(**spec)
+    except (OSError, ValueError) as exc:
         print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
         return 2
     csv_text = metrics.sweep_csv(rows)

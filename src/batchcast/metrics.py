@@ -147,15 +147,13 @@ def amortized_report(trace, scenario) -> dict:
     }
 
 
-def convergence_sweep(m_values, n_clients: int = 1024,
-                      payload_bits: int = 64) -> list[dict]:
+def convergence_sweep(m_values, n_clients: int = 1024) -> list[dict]:
     """Run the good-case batching scenario across batch sizes."""
     from .scenarios import batching_limit, run_scenario
 
     rows = []
     for m in m_values:
         scenario = batching_limit(m=m, n_clients=n_clients)
-        scenario.payload_bits = payload_bits
         sim = run_scenario(scenario)
         report = amortized_report(sim.trace, scenario)
         worst = max(row["bits_per_payload"]

@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .simnet import Trace, TraceEvent
+from .simnet import PROCESS_LABEL, Trace, TraceEvent
 
 CSB_PROPERTIES = ("no_duplication", "consistency", "integrity", "validity",
                   "totality")
@@ -67,12 +68,8 @@ class TraceIndex:
             (idx, srv, keycard_owner.get(keycard), keycard, context, message)
             for idx, srv, keycard, context, message
             in t.select("app_deliver", ("client", "context", "message"))]
-        self.signups: dict = {}        # label -> first index
-        for idx, label in t.select("signup"):
-            self.signups.setdefault(label, idx)
-        self.completes: dict = {}      # label -> first index
-        for idx, label in t.select("signup_complete"):
-            self.completes.setdefault(label, idx)
+        self.signups = _first_by_label(t.select("signup"))
+        self.completes = _first_by_label(t.select("signup_complete"))
         # (index, label, id, keycard, cert)
         self.imports = t.select("dir_import", ("id", "keycard", "cert"))
         self.first_import: dict = {}   # (label, keycard) -> first index
@@ -94,31 +91,66 @@ class TraceIndex:
                 if self.correct(f"S{i}")]
 
 
+def _first_by_label(rows) -> dict:
+    """label -> first index, in label order (a null label sorts as "None")."""
+    first = {label: idx for idx, label in reversed(rows)}
+    return dict(sorted(first.items(), key=lambda item: str(item[0])))
+
+
+# ---------------------------------------------------------------------------
+# rules shared by several properties; rows are (index, src label, ...) and
+# only rows from correct processes count
+
+def _first_repeat(t: TraceIndex, rows, key, detail: str) -> Verdict:
+    """Fails at the first row whose `key` an earlier row had."""
+    seen = set()
+    for row in rows:
+        if t.correct(row[1]):
+            if (k := key(row)) in seen:
+                return Verdict(False, row[0], detail)
+            seen.add(k)
+    return Verdict(True)
+
+
+def _first_conflict(t: TraceIndex, rows, *rules) -> Verdict:
+    """Fails at the first row whose value under a (key, value, detail) rule
+    differs from that of the first row with its key; rules go in order."""
+    rules = [({}.setdefault, *rule) for rule in rules]
+    for row in rows:
+        if t.correct(row[1]):
+            for choose, key, value, detail in rules:
+                if choose(key(row), v := value(row)) != v:
+                    return Verdict(False, row[0], detail)
+    return Verdict(True)
+
+
+def _every_server_delivers(t: TraceIndex, rows, key, detail: str) -> Verdict:
+    """Fails at the last row of the least key some correct server lacks."""
+    servers = t.correct_servers()
+    per_server = {srv: set() for srv in servers}
+    last = {}
+    for row in rows:
+        if row[1] in per_server:
+            per_server[row[1]].add(k := key(row))
+            last[k] = row[0]
+    for k in sorted(set().union(*per_server.values())):
+        for srv in servers:
+            if k not in per_server[srv]:
+                return Verdict(False, last[k], detail.format(srv=srv, key=k))
+    return Verdict(True)
+
+
 # ---------------------------------------------------------------------------
 # broadcast properties
 
 def check_no_duplication(t: TraceIndex) -> Verdict:
-    seen = set()
-    for idx, srv, _, keycard, context, _ in t.deliveries:
-        if not t.correct(srv):
-            continue
-        key = (srv, keycard, context)
-        if key in seen:
-            return Verdict(False, idx, "second delivery for one context")
-        seen.add(key)
-    return Verdict(True)
+    return _first_repeat(t, t.deliveries, itemgetter(1, 3, 4),
+                         "second delivery for one context")
 
 
 def check_consistency(t: TraceIndex) -> Verdict:
-    chosen = {}
-    for idx, srv, _, keycard, context, message in t.deliveries:
-        if not t.correct(srv):
-            continue
-        key = (keycard, context)
-        if key in chosen and chosen[key] != message:
-            return Verdict(False, idx, "conflicting messages delivered")
-        chosen.setdefault(key, message)
-    return Verdict(True)
+    return _first_conflict(t, t.deliveries, (itemgetter(3, 4), itemgetter(5),
+                                             "conflicting messages delivered"))
 
 
 def check_integrity(t: TraceIndex) -> Verdict:
@@ -149,42 +181,22 @@ def check_validity(t: TraceIndex) -> Verdict:
 
 
 def check_totality(t: TraceIndex) -> Verdict:
-    servers = t.correct_servers()
-    per_server = {srv: set() for srv in servers}
-    last = {}
-    for idx, srv, _, keycard, context, _ in t.deliveries:
-        if srv in per_server:
-            per_server[srv].add((keycard, context))
-            last[(keycard, context)] = idx
-    union = set().union(*per_server.values()) if per_server else set()
-    for key in sorted(union):
-        for srv in servers:
-            if key not in per_server[srv]:
-                return Verdict(False, last[key],
-                               f"{srv} missed a delivered payload")
-    return Verdict(True)
+    return _every_server_delivers(t, t.deliveries, itemgetter(3, 4),
+                                  "{srv} missed a delivered payload")
 
 
 # ---------------------------------------------------------------------------
 # directory properties
 
 def check_dir_bijectivity(t: TraceIndex) -> Verdict:
-    id_to_card = {}
-    card_to_id = {}
-    for idx, label, ident, keycard, _ in t.imports:
-        if not t.correct(label):
-            continue
-        if id_to_card.get(ident, keycard) != keycard:
-            return Verdict(False, idx, "one id bound to two keycards")
-        if card_to_id.get(keycard, ident) != ident:
-            return Verdict(False, idx, "one keycard bound to two ids")
-        id_to_card[ident] = keycard
-        card_to_id[keycard] = ident
-    return Verdict(True)
+    ident, card = itemgetter(2), itemgetter(3)  # (index, label, id, keycard..)
+    return _first_conflict(t, t.imports,
+                           (ident, card, "one id bound to two keycards"),
+                           (card, ident, "one keycard bound to two ids"))
 
 
 def check_signup_integrity(t: TraceIndex) -> Verdict:
-    for label, idx in sorted(t.completes.items()):
+    for label, idx in t.completes.items():
         if not t.correct(label):
             continue
         if label not in t.signups or t.signups[label] > idx:
@@ -193,7 +205,7 @@ def check_signup_integrity(t: TraceIndex) -> Verdict:
 
 
 def check_signup_validity(t: TraceIndex) -> Verdict:
-    for label, idx in sorted(t.signups.items()):
+    for label, idx in t.signups.items():
         if not t.correct(label):
             continue
         if label not in t.completes:
@@ -202,10 +214,11 @@ def check_signup_validity(t: TraceIndex) -> Verdict:
 
 
 def check_self_knowledge(t: TraceIndex) -> Verdict:
-    for label, idx in sorted(t.completes.items()):
+    for label, idx in t.completes.items():
         if not t.correct(label):
             continue
-        first = t.first_import.get((label, _keycard(label[0], int(label[1:]))))
+        m = PROCESS_LABEL.fullmatch(str(label))  # None: not a process label
+        first = t.first_import.get((label, m and _keycard(m[1], int(m[2]))))
         if first is None or first > idx:
             return Verdict(False, idx, "completed signup without own id")
     return Verdict(True)
@@ -236,47 +249,21 @@ def check_density(t: TraceIndex) -> Verdict:
 
 
 def check_write_once_assigner(t: TraceIndex) -> Verdict:
-    seen = {}
-    for idx, srv, keycard, assigner in t.assigner_records:
-        if not t.correct(srv):
-            continue
-        key = (srv, keycard)
-        if key in seen and seen[key] != assigner:
-            return Verdict(False, idx, "assigner entry overwritten")
-        seen.setdefault(key, assigner)
-    return Verdict(True)
+    return _first_conflict(t, t.assigner_records, (
+        itemgetter(1, 2), itemgetter(3), "assigner entry overwritten"))
 
 
 # ---------------------------------------------------------------------------
 # FIFO broadcast properties (server-to-server substrate)
 
 def check_fifo_consistency(t: TraceIndex) -> Verdict:
-    chosen = {}
-    for idx, srv, origin, seq, payload in t.fb_delivers:
-        if not t.correct(srv):
-            continue
-        key = (origin, seq)
-        if key in chosen and chosen[key] != payload:
-            return Verdict(False, idx, "slot delivered two payloads")
-        chosen.setdefault(key, payload)
-    return Verdict(True)
+    return _first_conflict(t, t.fb_delivers, (itemgetter(2, 3), itemgetter(4),
+                                              "slot delivered two payloads"))
 
 
 def check_fifo_totality(t: TraceIndex) -> Verdict:
-    servers = t.correct_servers()
-    per_server = {srv: set() for srv in servers}
-    last = {}
-    for idx, srv, origin, seq, _ in t.fb_delivers:
-        if srv in per_server:
-            per_server[srv].add((origin, seq))
-            last[(origin, seq)] = idx
-    union = set().union(*per_server.values()) if per_server else set()
-    for key in sorted(union):
-        for srv in servers:
-            if key not in per_server[srv]:
-                return Verdict(False, last[key],
-                               f"{srv} missed slot {key}")
-    return Verdict(True)
+    return _every_server_delivers(t, t.fb_delivers, itemgetter(2, 3),
+                                  "{srv} missed slot {key}")
 
 
 def check_fifo_order(t: TraceIndex) -> Verdict:
@@ -292,35 +279,11 @@ def check_fifo_order(t: TraceIndex) -> Verdict:
 
 
 def check_fifo_no_duplication(t: TraceIndex) -> Verdict:
-    seen = set()
-    for idx, srv, origin, seq, _ in t.fb_delivers:
-        if not t.correct(srv):
-            continue
-        key = (srv, origin, seq)
-        if key in seen:
-            return Verdict(False, idx, "slot delivered twice")
-        seen.add(key)
-    return Verdict(True)
+    return _first_repeat(t, t.fb_delivers, itemgetter(1, 2, 3),
+                         "slot delivered twice")
 
 
-_CHECKS = {
-    "no_duplication": check_no_duplication,
-    "consistency": check_consistency,
-    "integrity": check_integrity,
-    "validity": check_validity,
-    "totality": check_totality,
-    "dir_bijectivity": check_dir_bijectivity,
-    "signup_integrity": check_signup_integrity,
-    "signup_validity": check_signup_validity,
-    "self_knowledge": check_self_knowledge,
-    "transferability": check_transferability,
-    "density": check_density,
-    "write_once_assigner": check_write_once_assigner,
-    "fifo_consistency": check_fifo_consistency,
-    "fifo_totality": check_fifo_totality,
-    "fifo_order": check_fifo_order,
-    "fifo_no_duplication": check_fifo_no_duplication,
-}
+_CHECKS = {name: globals()[f"check_{name}"] for name in ALL_PROPERTIES}
 
 
 def check_trace(trace) -> dict[str, Verdict]:

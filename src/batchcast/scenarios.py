@@ -3,83 +3,143 @@
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
-from .procs import Id, broker, client, server
+from .procs import Id, ProcessKind, client, server
 from .protocol import BrokerMachine, ClientMachine, ServerMachine
-from .simnet import ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario, Simulation
+from .simnet import (ADVERSARIAL, DELAY_KINDS, GOOD_CASE, SYNCHRONY,
+                     TIMER_POLICIES, DelayPolicy, Scenario, Simulation)
 from .wire import Assignment, stmt_assignment
 
 
 # ---------------------------------------------------------------------------
-# JSON round-trip (the external scenario-file format)
+# key tables (the external scenario-file format)
+
+class KeyTable(NamedTuple):
+    """The keys of one JSON object, read into `target(**attributes)`.
+
+    `rows` maps each key to (attribute, kind, least).  A kind is `int`,
+    `str`, `bool`, `dict` (any object), a tuple of allowed strings, a
+    one-item list (a list of that kind), a one-item dict {key type: kind},
+    or a KeyTable; `least` bounds every integer in the value.  Required are
+    all keys of a `dict` target, and of a dataclass those without default.
+    """
+
+    target: type
+    rows: dict
+
+
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
+               dict: "an object", list: "a list"}
+
+SCENARIO_KEYS = KeyTable(Scenario, {
+    "name": ("name", str, None),
+    "servers": ("n_servers", int, 1),
+    "fault_bound": ("fault_bound", int, 0),
+    "brokers": ("n_brokers", int, 1),
+    "clients": ("n_clients", int, 1),
+    "synchrony": ("synchrony", SYNCHRONY, None),
+    "delay_policy": ("delay_policy", KeyTable(DelayPolicy, {
+        "kind": ("kind", DELAY_KINDS, None),
+        "value": ("value", int, 1),
+        "min_delay": ("min_delay", int, 1),
+        "max_delay": ("max_delay", int, 1),
+        "overrides": ("overrides", {str: int}, 1),  # "B0->S3": delay
+    }), None),
+    "timer_policy": ("timer_policy", TIMER_POLICIES, None),
+    "timer_skew_max": ("timer_skew_max", int, 1),
+    "fault_script": ("fault_script", {str: dict}, None),
+    "seed": ("seed", int, None),
+    "batching_window": ("batching_window", int, 0),
+    "preload_directory": ("preload_directory", bool, None),
+    "broadcasts": ("broadcasts", [KeyTable(dict, {
+        "client": ("client", int, 0),
+        "context": ("context", str, None),  # hex, decoded when built
+        "message": ("message", str, None),  # hex, decoded when built
+        "at": ("at", int, 0),
+    })], None),
+    "broker_order": ("broker_order", {int: [int]}, 0),
+    "payload_bits": ("payload_bits", int, 1),
+})
+
+
+def read_keys(doc, table: KeyTable, what: str):
+    """`doc`, decoded JSON, read through `table`.  Raises ValueError naming
+    the first key that is unknown, missing, mistyped or below its least."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not an object")
+    return _read("", doc, table, None)
+
+
+def _read(where: str, value, kind, least):
+    if type(kind) is tuple:
+        if value not in kind:
+            raise ValueError(f"{where} must be one of {', '.join(kind)}")
+        return value
+    json_type = (kind if isinstance(kind, type)
+                 else dict if isinstance(kind, KeyTable) else type(kind))
+    if type(value) is not json_type or (json_type is int and least is not None
+                                        and value < least):
+        bound = "" if least is None or json_type is not int else (
+            f" of at least {least}")
+        raise ValueError(f"{where} must be {_TYPE_NAMES[json_type]}{bound}")
+    if type(kind) is list:
+        return [_read(f"{where}[{i}]", v, kind[0], least)
+                for i, v in enumerate(value)]
+    if type(kind) is dict:
+        (key_type, sub), = kind.items()
+        if key_type is int and not all(map(str.isdecimal, value)):
+            raise ValueError(f"{where} keys must be integers")
+        return {key_type(k): _read(f"{where}.{k}", v, sub, least)
+                for k, v in value.items()}
+    if not isinstance(kind, KeyTable):
+        return value
+    prefix = f"{where}." if where else ""
+    unknown = sorted(value.keys() - kind.rows)
+    if unknown:
+        raise ValueError(f"unknown key {prefix + unknown[0]!r}")
+    required = ({attr for attr, _, _ in kind.rows.values()}
+                if kind.target is dict else
+                {f.name for f in fields(kind.target)
+                 if f.default is MISSING and f.default_factory is MISSING})
+    attrs = {}
+    for key, (attr, sub, low) in kind.rows.items():
+        if key in value:
+            attrs[attr] = _read(prefix + key, value[key], sub, low)
+        elif attr in required:
+            raise ValueError(f"missing key {prefix + key!r}")
+    return kind.target(**attrs)
+
+
+def _write(value, kind):
+    """The JSON form of a value that `_read` gives for `kind`."""
+    if isinstance(kind, KeyTable):
+        get = value.get if kind.target is dict else partial(getattr, value)
+        return {key: _write(get(attr), sub)
+                for key, (attr, sub, _) in kind.rows.items()}
+    if type(kind) is list:
+        return [_write(v, kind[0]) for v in value]
+    if type(kind) is dict:
+        return {str(k): _write(v, *kind.values()) for k, v in value.items()}
+    return value
+
 
 def scenario_to_json(s: Scenario) -> str:
-    doc = {
-        "name": s.name,
-        "servers": s.n_servers,
-        "fault_bound": s.fault_bound,
-        "brokers": s.n_brokers,
-        "clients": s.n_clients,
-        "synchrony": s.synchrony,
-        "delay_policy": {
-            "kind": s.delay_policy.kind,
-            "value": s.delay_policy.value,
-            "min_delay": s.delay_policy.min_delay,
-            "max_delay": s.delay_policy.max_delay,
-            "overrides": s.delay_policy.overrides,
-        },
-        "timer_policy": s.timer_policy,
-        "timer_skew_max": s.timer_skew_max,
-        "fault_script": s.fault_script,
-        "seed": s.seed,
-        "batching_window": s.batching_window,
-        "preload_directory": s.preload_directory,
-        "broadcasts": s.broadcasts,
-        "broker_order": {str(k): v for k, v in s.broker_order.items()},
-        "payload_bits": s.payload_bits,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(_write(s, SCENARIO_KEYS), indent=2, sort_keys=True)
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Parse a scenario file.
+    """Parse a scenario file through `SCENARIO_KEYS` (see `read_keys`).
 
-    Raises ValueError for a document that is not an object or that has fewer
-    than one client: the report's bound, ceil(log2 C) + b bits, needs C >= 1.
+    The checks that span keys are `Scenario.validate`'s, which runs once,
+    when the simulation is built.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("scenario document is not an object")
-    if type(doc.get("clients")) is not int or doc["clients"] < 1:
-        raise ValueError("clients must be an integer of at least 1")
-    dp = doc.get("delay_policy", {})
-    return Scenario(
-        name=doc["name"],
-        n_servers=doc["servers"],
-        fault_bound=doc["fault_bound"],
-        n_brokers=doc["brokers"],
-        n_clients=doc["clients"],
-        synchrony=doc.get("synchrony", GOOD_CASE),
-        delay_policy=DelayPolicy(
-            kind=dp.get("kind", "constant"),
-            value=dp.get("value", 1),
-            min_delay=dp.get("min_delay", 1),
-            max_delay=dp.get("max_delay", 1),
-            overrides=dp.get("overrides", {})),
-        timer_policy=doc.get("timer_policy", "timeout"),
-        timer_skew_max=doc.get("timer_skew_max", 8),
-        fault_script=doc.get("fault_script", {}),
-        seed=doc.get("seed", 0),
-        batching_window=doc.get("batching_window", 0),
-        preload_directory=doc.get("preload_directory", True),
-        broadcasts=doc.get("broadcasts", []),
-        broker_order={int(k): v
-                      for k, v in doc.get("broker_order", {}).items()},
-        payload_bits=doc.get("payload_bits", 64),
-    )
+    return read_keys(json.loads(text), SCENARIO_KEYS, "scenario document")
 
 
 # ---------------------------------------------------------------------------
@@ -101,58 +161,42 @@ def build_assignment(oracle: Oracle, scenario: Scenario,
 
 
 def build_simulation(scenario: Scenario) -> Simulation:
-    scenario.validate()
-    oracle = Oracle(scenario.processes())
-    preload_all: tuple = ()
-    assignment_of: dict[int, Assignment] = {}
-    if scenario.preload_directory:
-        assignment_of = {j: build_assignment(oracle, scenario, j)
-                         for j in range(scenario.n_clients)}
-        preload_all = tuple(assignment_of[j]
-                            for j in range(scenario.n_clients))
+    """Validate `scenario` and build its machines: the correct machine of
+    each process's kind, or the behavior its fault-script entry names."""
+    s = scenario
+    s.validate()
+    oracle = Oracle(s.processes())
+    assignment_of = ({j: build_assignment(oracle, s, j)
+                      for j in range(s.n_clients)}
+                     if s.preload_directory else {})
+    preload_all = tuple(assignment_of.values())
 
     plans: dict[int, list] = {}
-    for entry in scenario.broadcasts:
-        plans.setdefault(entry["client"], []).append(
-            (entry.get("at", 0), bytes.fromhex(entry["context"]),
-             bytes.fromhex(entry["message"])))
+    for i, entry in enumerate(s.broadcasts):
+        try:
+            plan = (entry["at"], bytes.fromhex(entry["context"]),
+                    bytes.fromhex(entry["message"]))
+        except ValueError:
+            raise ValueError(f"broadcasts[{i}]: context and message must be "
+                             "hex") from None
+        plans.setdefault(entry["client"], []).append(plan)
 
+    n, f, window = s.n_servers, s.fault_bound, s.batching_window
     machines = {}
-    behavior_kwargs = {
-        "n_servers": scenario.n_servers,
-        "f": scenario.fault_bound,
-        "batching_window": scenario.batching_window,
-        "preloaded_all": preload_all,
-    }
-    for i in range(scenario.n_servers):
-        pid = server(i)
-        spec = scenario.fault_script.get(pid.label)
-        if spec is None:
-            machines[pid] = ServerMachine(scenario.n_servers,
-                                          scenario.fault_bound, preload_all)
+    for pid in s.processes():
+        if pid.kind is ProcessKind.SERVER:
+            correct, args = ServerMachine, (n, f, preload_all)
+        elif pid.kind is ProcessKind.BROKER:
+            correct, args = BrokerMachine, (n, f, window)
         else:
-            machines[pid] = behaviors.build(spec, **behavior_kwargs)
-    for i in range(scenario.n_brokers):
-        pid = broker(i)
-        spec = scenario.fault_script.get(pid.label)
-        if spec is None:
-            machines[pid] = BrokerMachine(scenario.n_servers,
-                                          scenario.fault_bound,
-                                          scenario.batching_window)
-        else:
-            machines[pid] = behaviors.build(spec, **behavior_kwargs)
-    for j in range(scenario.n_clients):
-        pid = client(j)
-        spec = scenario.fault_script.get(pid.label)
-        if spec is None:
-            machines[pid] = ClientMachine(
-                scenario.n_servers, scenario.n_brokers, scenario.fault_bound,
-                scenario.batching_window, plans.get(j, []),
-                scenario.broker_order.get(j), assignment_of.get(j))
-        else:
-            machines[pid] = behaviors.build(
-                spec, preloaded=assignment_of.get(j), **behavior_kwargs)
-    return Simulation(scenario, machines, oracle)
+            j = pid.ordinal
+            correct, args = ClientMachine, (
+                n, s.n_brokers, f, window, plans.get(j, []),
+                s.broker_order.get(j), assignment_of.get(j))
+        spec = s.fault_script.get(pid.label)
+        machines[pid] = (correct(*args) if spec is None
+                         else behaviors.build(pid, spec, args))
+    return Simulation(s, machines, oracle)
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None):
@@ -166,151 +210,101 @@ def run_scenario(scenario: Scenario, seed: int | None = None):
 # ---------------------------------------------------------------------------
 # corpus
 
-def _payload(j: int, tweak: int = 0) -> tuple[str, str]:
-    """4-byte context + 4-byte message (64-bit payloads)."""
-    context = j.to_bytes(4, "big").hex()
-    message = (j ^ 0x5A5A5A5A ^ tweak).to_bytes(4, "big").hex()
-    return context, message
-
-
-def _all_broadcast(n_clients: int, at: int = 0) -> list:
-    out = []
-    for j in range(n_clients):
-        context, message = _payload(j)
-        out.append({"client": j, "context": context, "message": message,
-                    "at": at})
-    return out
+def _broadcasts(clients) -> list:
+    """One 64-bit payload per client, 4-byte context + 4-byte message."""
+    return [{"client": j, "context": j.to_bytes(4, "big").hex(),
+             "message": (j ^ 0x5A5A5A5A).to_bytes(4, "big").hex(), "at": 0}
+            for j in clients]
 
 
 def good_case(n_clients: int = 8, name: str = "good_case") -> Scenario:
     return Scenario(name=name, n_servers=4, fault_bound=1, n_brokers=1,
                     n_clients=n_clients, synchrony=GOOD_CASE,
-                    broadcasts=_all_broadcast(n_clients))
+                    broadcasts=_broadcasts(range(n_clients)))
 
 
 def batching_limit(m: int = 1024, n_clients: int = 1024) -> Scenario:
     """m broadcasters out of n_clients known clients, one batch."""
     stride = max(1, n_clients // m)
-    broadcasters = [j * stride for j in range(m)]
-    out = []
-    for j in broadcasters:
-        context, message = _payload(j)
-        out.append({"client": j, "context": context, "message": message,
-                    "at": 0})
     return Scenario(name=f"batching_limit_m{m}", n_servers=4, fault_bound=1,
                     n_brokers=1, n_clients=n_clients, synchrony=GOOD_CASE,
-                    broadcasts=out)
+                    broadcasts=_broadcasts(range(0, m * stride, stride)))
+
+
+def _adversarial(name: str, n_clients: int, **kwargs) -> Scenario:
+    """f = 1 (N = 4), one broker, adversarial scheduling with 1-3 tick
+    delays and every client broadcasting, where `kwargs` say no other."""
+    kwargs.setdefault("delay_policy", DelayPolicy(kind="uniform", min_delay=1,
+                                                  max_delay=3))
+    kwargs.setdefault("broadcasts", _broadcasts(range(n_clients)))
+    kwargs.setdefault("n_brokers", 1)
+    return Scenario(name=name, n_servers=4, fault_bound=1, n_clients=n_clients,
+                    synchrony=ADVERSARIAL, **kwargs)
+
+
+def _equivocation(n_clients: int) -> dict:
+    """Client n-1 signs two messages for one context, one per broker; the
+    correct clients are split across the two brokers."""
+    j = n_clients - 1
+    return {"n_brokers": 2, "broadcasts": _broadcasts(range(j)),
+            "broker_order": {k: [k % 2, 1 - k % 2] for k in range(j)},
+            "fault_script": {f"C{j}": {
+                "behavior": "equivocating_client",
+                "context": (0xEE000000 + j).to_bytes(4, "big").hex(),
+                "messages": ["aaaaaaaa", "bbbbbbbb"]}}}
 
 
 def async_slow_server(n_clients: int = 4) -> Scenario:
     # the broker cannot reach S3 in time; S3 must deliver via totality
-    overrides = {"B0->S3": 25, "S3->B0": 25}
-    return Scenario(name="async_slow_server", n_servers=4, fault_bound=1,
-                    n_brokers=1, n_clients=n_clients, synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="constant", value=1,
-                                             overrides=overrides),
-                    timer_policy="timeout",
-                    broadcasts=_all_broadcast(n_clients))
+    return _adversarial("async_slow_server", n_clients, delay_policy=(
+        DelayPolicy(overrides={"B0->S3": 25, "S3->B0": 25})))
 
 
 def silent_broker(n_clients: int = 4) -> Scenario:
-    return Scenario(name="silent_broker", n_servers=4, fault_bound=1,
-                    n_brokers=2, n_clients=n_clients, synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="uniform", min_delay=1,
-                                             max_delay=3),
-                    timer_policy="timeout",
-                    fault_script={"B0": {"behavior": "silent_broker"}},
-                    broadcasts=_all_broadcast(n_clients))
+    return _adversarial("silent_broker", n_clients, n_brokers=2,
+                        fault_script={"B0": {"behavior": "silent_broker"}})
 
 
 def censoring_broker(n_clients: int = 4) -> Scenario:
-    return Scenario(name="censoring_broker", n_servers=4, fault_bound=1,
-                    n_brokers=2, n_clients=n_clients, synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="uniform", min_delay=1,
-                                             max_delay=3),
-                    timer_policy="timeout",
-                    fault_script={"B0": {"behavior": "censoring_broker",
-                                         "censored": [0]}},
-                    broadcasts=_all_broadcast(n_clients))
+    return _adversarial("censoring_broker", n_clients, n_brokers=2,
+                        fault_script={"B0": {"behavior": "censoring_broker",
+                                             "censored": [0]}})
 
 
 def equivocating_client(n_clients: int = 4) -> Scenario:
-    # client n-1 signs two messages for one context, one per broker;
-    # correct clients are split across the two brokers
-    equivocator = n_clients - 1
-    context = (0xEE000000 + equivocator).to_bytes(4, "big").hex()
-    broadcasts = _all_broadcast(n_clients - 1)
-    order = {j: [j % 2, 1 - j % 2] for j in range(n_clients - 1)}
-    return Scenario(name="equivocating_client", n_servers=4, fault_bound=1,
-                    n_brokers=2, n_clients=n_clients, synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="constant", value=1),
-                    timer_policy="timeout",
-                    fault_script={f"C{equivocator}": {
-                        "behavior": "equivocating_client",
-                        "context": context,
-                        "messages": ["aaaaaaaa", "bbbbbbbb"]}},
-                    broadcasts=broadcasts, broker_order=order)
+    return _adversarial("equivocating_client", n_clients,
+                        delay_policy=DelayPolicy(),
+                        **_equivocation(n_clients))
 
 
 def byzantine_server_false_exception(n_clients: int = 4) -> Scenario:
-    return Scenario(name="byzantine_server_false_exception", n_servers=4,
-                    fault_bound=1, n_brokers=1, n_clients=n_clients,
-                    synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="constant", value=1),
-                    timer_policy="timeout",
-                    fault_script={"S3": {"behavior": "false_exception_server",
-                                         "target_id": [0, 0]}},
-                    broadcasts=_all_broadcast(n_clients))
+    return _adversarial("byzantine_server_false_exception", n_clients,
+                        delay_policy=DelayPolicy(),
+                        fault_script={"S3": {
+                            "behavior": "false_exception_server",
+                            "target_id": [0, 0]}})
 
 
 def mixed(n_clients: int = 6) -> Scenario:
     """f Byzantine servers plus f Byzantine clients, colluding flavors."""
-    equivocator = n_clients - 1
-    context = (0xEE000000 + equivocator).to_bytes(4, "big").hex()
-    order = {j: [j % 2, 1 - j % 2] for j in range(n_clients - 1)}
-    return Scenario(name="mixed", n_servers=4, fault_bound=1, n_brokers=2,
-                    n_clients=n_clients, synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="uniform", min_delay=1,
-                                             max_delay=3),
-                    timer_policy="timeout",
-                    fault_script={
-                        "S3": {"behavior": "false_exception_server",
-                               "target_id": [0, 0]},
-                        f"C{equivocator}": {
-                            "behavior": "equivocating_client",
-                            "context": context,
-                            "messages": ["aaaaaaaa", "bbbbbbbb"]},
-                    },
-                    broadcasts=_all_broadcast(n_clients - 1),
-                    broker_order=order)
+    kwargs = _equivocation(n_clients)
+    kwargs["fault_script"]["S3"] = {"behavior": "false_exception_server",
+                                    "target_id": [0, 0]}
+    return _adversarial("mixed", n_clients, **kwargs)
 
 
 def concurrent_signup(n_clients: int = 6) -> Scenario:
-    broadcasts = []
-    for j in range(n_clients):
-        context, message = _payload(j)
-        broadcasts.append({"client": j, "context": context,
-                           "message": message, "at": j % 3})
-    return Scenario(name="concurrent_signup", n_servers=4,
-                    fault_bound=1, n_brokers=1, n_clients=n_clients,
-                    synchrony=ADVERSARIAL,
-                    delay_policy=DelayPolicy(kind="uniform", min_delay=1,
-                                             max_delay=3),
-                    timer_policy="timeout",
-                    preload_directory=False,
-                    broadcasts=broadcasts)
+    scenario = _adversarial("concurrent_signup", n_clients,
+                            preload_directory=False)
+    for entry in scenario.broadcasts:
+        entry["at"] = entry["client"] % 3
+    return scenario
 
 
-CORPUS = {
-    "good_case": good_case,
-    "async_slow_server": async_slow_server,
-    "silent_broker": silent_broker,
-    "censoring_broker": censoring_broker,
-    "equivocating_client": equivocating_client,
-    "byzantine_server_false_exception": byzantine_server_false_exception,
-    "mixed": mixed,
-    "concurrent_signup": concurrent_signup,
-}
+CORPUS = {factory.__name__: factory for factory in (
+    good_case, async_slow_server, silent_broker, censoring_broker,
+    equivocating_client, byzantine_server_false_exception, mixed,
+    concurrent_signup)}
 
 
 def write_corpus(directory: str):

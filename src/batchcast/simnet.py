@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
+import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -32,6 +33,17 @@ from .procs import ProcessId, broker, client, server
 
 GOOD_CASE = "good_case"
 ADVERSARIAL = "adversarial"
+SYNCHRONY = (GOOD_CASE, ADVERSARIAL)
+TIMER_POLICIES = ("timeout", "scheduler")
+DELAY_KINDS = ("constant", "uniform")
+MAX_EVENTS = 5_000_000  # dispatches a run may make before it must quiesce
+PROCESS_LABEL = re.compile(r"([SBC])(0|[1-9][0-9]*)")  # a process label
+
+
+def _known_labels(labels, counts: tuple) -> bool:
+    """Whether each of `labels` names one of (servers, brokers, clients)."""
+    return all(m is not None and int(m[2]) < counts["SBC".index(m[1])]
+               for m in map(PROCESS_LABEL.fullmatch, labels))
 
 
 @dataclass
@@ -77,19 +89,38 @@ class Scenario:
     broadcasts: list = field(default_factory=list)  # per-client plans
     broker_order: dict = field(default_factory=dict)  # client ordinal -> order
     payload_bits: int = 64
-    max_events: int = 5_000_000
 
     def validate(self):
-        if self.n_servers != 3 * self.fault_bound + 1:
-            raise ValueError("server count must be 3f + 1")
-        if self.n_brokers < 1 or self.n_clients < 0:
-            raise ValueError("bad process counts")
-        faulty_brokers = sum(1 for label in self.fault_script
-                             if label.startswith("B"))
-        if faulty_brokers >= self.n_brokers:
-            raise ValueError("at least one broker must be correct")
-        if self.synchrony not in (GOOD_CASE, ADVERSARIAL):
-            raise ValueError("unknown synchrony mode")
+        """Raises ValueError naming the key of the first failed check that
+        spans keys.  Labels are parsed, so no label set is built."""
+        dp = self.delay_policy
+        counts = (self.n_servers, self.n_brokers, self.n_clients)
+        links = [link.split("->") for link in dp.overrides]
+        for ok, problem in (
+                (self.n_servers == 3 * self.fault_bound + 1,
+                 "server count must be 3f + 1"),
+                (self.synchrony in SYNCHRONY, "unknown synchrony"),
+                (self.timer_policy in TIMER_POLICIES, "unknown timer_policy"),
+                (dp.kind in DELAY_KINDS, "unknown delay_policy.kind"),
+                (1 <= dp.min_delay <= dp.max_delay,
+                 "delay_policy needs 1 <= min_delay <= max_delay"),
+                (_known_labels(self.fault_script, counts),
+                 f"a fault_script label of {sorted(self.fault_script)} "
+                 "names no process"),
+                (all(len(e) == 2 and _known_labels(e, counts) for e in links),
+                 f"a delay_policy.overrides link of {sorted(dp.overrides)} "
+                 "does not join two processes"),
+                (sum(label.startswith("B") for label in self.fault_script)
+                 < self.n_brokers, "at least one broker must be correct"),
+                (all(0 <= e["client"] < self.n_clients
+                     for e in self.broadcasts),
+                 f"a broadcasts client is not below {self.n_clients}"),
+                (all(0 <= j < self.n_clients for j in self.broker_order)
+                 and all(0 <= b < self.n_brokers for b in chain.from_iterable(
+                     self.broker_order.values())),
+                 "broker_order names a client or broker that does not exist")):
+            if not ok:
+                raise ValueError(problem)
 
     def processes(self) -> list[ProcessId]:
         return ([server(i) for i in range(self.n_servers)]
@@ -525,6 +556,10 @@ class Context:
                                        2 * self.sim.scenario.fault_bound + 1)
 
 
+class EventBudgetExhausted(RuntimeError):
+    """A run dispatched `MAX_EVENTS` events and still had events queued."""
+
+
 class Machine:
     """Pure event handler: override the on_* hooks."""
 
@@ -558,7 +593,6 @@ class Simulation:
 
     def __init__(self, scenario: Scenario, machines: dict[ProcessId, Machine],
                  oracle: crypto.Oracle | None = None):
-        scenario.validate()
         self.scenario = scenario
         self.machines = machines
         self.oracle = oracle or crypto.Oracle(scenario.processes())
@@ -669,8 +703,9 @@ class Simulation:
         if not self.trace:
             self.start()
         while self._queue:
-            if self._dispatched >= self.scenario.max_events:
-                raise RuntimeError("event budget exhausted before quiescence")
+            if self._dispatched >= MAX_EVENTS:
+                raise EventBudgetExhausted(
+                    f"no quiescence after {MAX_EVENTS} events")
             self.step()
         return self.trace
 

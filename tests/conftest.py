@@ -5,7 +5,8 @@ import pytest
 
 from batchcast.crypto import Oracle
 from batchcast.procs import broker, client, server
-from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
+from batchcast.simnet import (ADVERSARIAL, Context, DelayPolicy, Scenario,
+                              Simulation)
 
 
 def live_signup_f2() -> Scenario:
@@ -33,15 +34,15 @@ def oracle():
     return Oracle(population())
 
 
-class FakeCtx:
-    """Drives a single machine without a simulation: records sends/timers."""
+class FakeCtx(Context):
+    """Drives a single machine without running a simulation: records sends,
+    timers and emitted events; the crypto facade is `Context`'s own, on a
+    simulation of no machines over `oracle`."""
 
     def __init__(self, oracle, pid, f=1, n_servers=4):
-        self._oracle = oracle
-        self.pid = pid
-        self.f = f
-        self.n_servers = n_servers
-        self.now = 0
+        scenario = Scenario(name="fake", n_servers=n_servers, fault_bound=f,
+                            n_brokers=1, n_clients=0)
+        super().__init__(Simulation(scenario, {}, oracle), pid)
         self.sent = []      # (dst, msg)
         self.timers = []    # (tag, timeout)
         self.events = []    # (kind, extra)
@@ -54,41 +55,6 @@ class FakeCtx:
 
     def emit(self, kind, **extra):
         self.events.append((kind, extra))
-
-    def keycard(self, pid=None):
-        return self._oracle.keycard(pid if pid is not None else self.pid)
-
-    def owner(self, keycard):
-        return self._oracle.owner(keycard)
-
-    def sign(self, statement):
-        return self._oracle.sign(self.pid, statement)
-
-    def multisign(self, statement):
-        return self._oracle.multisign(self.pid, statement)
-
-    def aggregate(self, msigs):
-        return self._oracle.aggregate(msigs)
-
-    def certify(self, shards):
-        return self._oracle.certify(shards)
-
-    def verify(self, keycard, statement, sig):
-        return self._oracle.verify(self.pid, keycard, statement, sig)
-
-    def verify_aggregate(self, keycards, statement, msig):
-        return self._oracle.verify_aggregate(self.pid, keycards, statement,
-                                             msig)
-
-    def verify_certificate(self, cert, statement, threshold):
-        return self._oracle.verify_certificate(self.pid, cert, statement,
-                                               threshold, self.n_servers)
-
-    def verify_plurality(self, cert, statement):
-        return self.verify_certificate(cert, statement, self.f + 1)
-
-    def verify_quorum(self, cert, statement):
-        return self.verify_certificate(cert, statement, 2 * self.f + 1)
 
 
 @pytest.fixture

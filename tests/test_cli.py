@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from batchcast import simnet
 from batchcast.cli import main
 from batchcast.properties import _keycard
 from batchcast.scenarios import good_case, scenario_to_json
@@ -106,15 +107,119 @@ def test_check_only_wrong_typed_field_exits_2(tmp_path, capsys, line,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("line", [
+    '{"time":0,"kind":"signup_complete","src":"X"}',
+    '{"time":0,"kind":"signup_complete","src":"Z1"}',
+    '{"time":0,"kind":"signup"}\n{"time":1,"kind":"signup","src":"C0"}',
+    '{"time":0,"kind":"signup_complete"}',
+], ids=["label_X", "label_Z1", "null_and_C0_signup", "null_completion"])
+def test_check_only_non_process_label_gets_a_verdict(tmp_path, capsys, line):
+    path = tmp_path / "labels.jsonl"
+    path.write_text(HEADER_LINE + "\n" + line + "\n")
+    assert main(["--check-only", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL signup_" in captured.out
+    assert captured.err == ""
+
+
 def test_sweep_writes_csv(tmp_path, capsys):
     spec = tmp_path / "sweep.json"
-    spec.write_text(json.dumps({"m_values": [4, 16], "clients": 64,
-                                "payload_bits": 64}))
+    spec.write_text(json.dumps({"m_values": [4, 16], "clients": 64}))
     out = tmp_path / "out"
     assert main(["--sweep", str(spec), "--out", str(out)]) == 0
     text = (out / "sweep.csv").read_text()
     assert text.startswith("m,bits_per_payload,oracle_bound")
     assert len(text.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("spec,key", [
+    ({"m_values": [0], "clients": 8}, "m_values[0]"),
+    ({"m_values": "ab", "clients": 8}, "m_values"),
+    ([1], "sweep spec is not an object"),
+    ({"m_values": [4], "client": 8}, "'client'"),
+    ({"m_values": [16], "clients": 8}, "m_values must not exceed clients"),
+    ({"m_values": [4], "clients": 8, "payload_bits": 128}, "'payload_bits'"),
+], ids=["m_zero", "m_string", "not_an_object", "misspelled_clients",
+        "m_above_clients", "payload_bits"])
+def test_invalid_sweep_spec_exits_2(tmp_path, capsys, spec, key):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--sweep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid sweep spec: ")
+    assert key in captured.err
+
+
+def _client_99(doc):
+    doc["broadcasts"].append(dict(doc["broadcasts"][0], client=99))
+
+
+# one-key edits of the bundled good_case.json, with the key or label each
+# error must name
+SCENARIO_PROBES = {
+    "fault_scrpit": (lambda d: d.update(fault_scrpit={}), "'fault_scrpit'"),
+    "broadcast_client_99": (_client_99, "broadcasts"),
+    "max_events": (lambda d: d.update(max_events=10), "'max_events'"),
+    "timer_policy": (lambda d: d.update(timer_policy="bogus"),
+                     "timer_policy"),
+    "delay_kind": (lambda d: d["delay_policy"].update(kind="bogus"),
+                   "delay_policy.kind"),
+    "fault_label_X9": (lambda d: d.update(
+        fault_script={"X9": {"behavior": "silent_broker"}}), "'X9'"),
+    "seed_string": (lambda d: d.update(seed="x"), "seed"),
+    "payload_bits": (lambda d: d.update(payload_bits=-1), "payload_bits"),
+    "batching_window": (lambda d: d.update(batching_window=-5),
+                        "batching_window"),
+    "synchrony": (lambda d: d.update(synchrony="bogus"), "synchrony"),
+    "servers_string": (lambda d: d.update(servers="4"), "servers"),
+    "min_above_max": (lambda d: d["delay_policy"].update(
+        kind="uniform", min_delay=5, max_delay=1), "min_delay"),
+    "broker_order": (lambda d: d.update(broker_order={"0": [7]}),
+                     "broker_order"),
+    "equivocator_without_keys": (lambda d: d.update(
+        fault_script={"C7": {"behavior": "equivocating_client"}}),
+        "fault_script.C7"),
+    "context_not_hex": (lambda d: d["broadcasts"][0].update(context="zz"),
+                        "broadcasts[0]"),
+    "override_string": (lambda d: d["delay_policy"].update(
+        overrides={"B0->S3": "x"}), "B0->S3"),
+    "behavior_of_other_kind": (lambda d: d.update(
+        fault_script={"S0": {"behavior": "silent_broker"}}),
+        "fault_script.S0"),
+    "unknown_behavior": (lambda d: d.update(
+        fault_script={"S0": {"behavior": "bogus"}}), "fault_script.S0"),
+    "target_id_of_one": (lambda d: d.update(fault_script={"S3": {
+        "behavior": "false_exception_server", "target_id": [0]}}),
+        "fault_script.S3.target_id"),
+}
+
+
+@pytest.mark.parametrize("edit,key", SCENARIO_PROBES.values(),
+                         ids=SCENARIO_PROBES.keys())
+def test_edited_good_case_exits_2_naming_the_key(tmp_path, capsys, edit,
+                                                  key):
+    doc = json.loads((SCENARIOS_DIR / "good_case.json").read_text())
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid scenario: ")
+    assert key in captured.err
+    assert captured.out == ""
+
+
+def test_bundled_good_case_exits_0(capsys):
+    assert main(["--scenario", str(SCENARIOS_DIR / "good_case.json")]) == 0
+
+
+def test_run_out_of_event_budget_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(simnet, "MAX_EVENTS", 10)
+    assert main(["--scenario", str(SCENARIOS_DIR / "good_case.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: liveness failure: no quiescence after "
+                            "10 events\n")
+    assert captured.out == ""
 
 
 def test_invalid_scenario_exit_code(tmp_path):

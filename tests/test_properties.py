@@ -1,5 +1,7 @@
 """Checker self-tests: forged traces must fail, genuine traces must pass."""
 
+import pytest
+
 from batchcast.properties import ALL_PROPERTIES, check_trace, _keycard
 from batchcast.scenarios import CORPUS, good_case, run_scenario
 
@@ -176,3 +178,80 @@ def test_fifo_replay_fails_no_duplication():
 def test_all_properties_reported():
     verdicts = check_trace([header()])
     assert set(verdicts) == set(ALL_PROPERTIES)
+
+
+def event(t, kind, src, **extra):
+    return {"time": t, "kind": kind, "src": src, "dst": None,
+            "bytes_len": 0, "tag": "", **extra}
+
+
+def assigner(t, srv, card, who):
+    return event(t, "assigner_record", srv, keycard=card, assigner=who)
+
+
+def rejected(t, label, ident, card, cert):
+    return event(t, "dir_import_rejected", label, id=ident, keycard=card,
+                 cert=cert)
+
+
+CARD0, CARD1 = _keycard("C", 0), _keycard("C", 1)
+SIGNUP, COMPLETE = event(1, "signup", "C0"), event(2, "signup_complete", "C0")
+OWN_IMPORT = dir_import(2, "C0", [0, 4], CARD0)
+
+# (property, records after the header that violate it, index of the event it
+# fails at, records after the header with the violation removed)
+VIOLATIONS = [
+    ("no_duplication",
+     [deliver(10, "S0", 0, "aa", "01"), deliver(11, "S0", 0, "aa", "01")], 2,
+     [deliver(10, "S0", 0, "aa", "01")]),
+    ("consistency",
+     [deliver(10, "S0", 0, "aa", "01"), deliver(10, "S1", 0, "aa", "02")], 2,
+     [deliver(10, "S0", 0, "aa", "01"), deliver(10, "S1", 0, "aa", "01")]),
+    ("integrity", [deliver(10, "S0", 0, "aa", "01")], 1,
+     [broadcast(0, "C0", "aa", "01"), deliver(10, "S0", 0, "aa", "01")]),
+    ("validity", [broadcast(0, "C0", "aa", "01")], 1,
+     [broadcast(0, "C0", "aa", "01"), deliver(10, "S0", 0, "aa", "01")]),
+    ("totality", full_delivery("aa", "01")[:-1], 4,
+     full_delivery("aa", "01")),
+    ("dir_bijectivity",
+     [dir_import(0, "S0", [0, 1], CARD0), dir_import(0, "S0", [0, 1], CARD1)],
+     2,
+     [dir_import(0, "S0", [0, 1], CARD0), dir_import(0, "S0", [0, 2], CARD1)]),
+    ("dir_bijectivity",
+     [dir_import(0, "S0", [0, 1], CARD0), dir_import(0, "S0", [0, 2], CARD0)],
+     2, [dir_import(0, "S0", [0, 1], CARD0)]),
+    ("signup_integrity", [COMPLETE, SIGNUP], 1, [SIGNUP, COMPLETE]),
+    ("signup_validity", [SIGNUP], 1, [SIGNUP, COMPLETE]),
+    ("self_knowledge", [SIGNUP, COMPLETE], 2, [SIGNUP, OWN_IMPORT, COMPLETE]),
+    ("transferability",
+     [event(1, "dir_import", "S0", id=[0, 4], keycard=CARD0, cert="cc"),
+      rejected(2, "S1", [0, 4], CARD0, "cc")], 2,
+     [event(1, "dir_import", "S0", id=[0, 4], keycard=CARD0, cert="cc"),
+      rejected(2, "S1", [0, 4], CARD0, "dd")]),
+    ("density", [dir_import(0, "S0", [0, 9], CARD0)], 1,
+     [dir_import(0, "S0", [0, 8], CARD0)]),
+    ("write_once_assigner",
+     [assigner(1, "S0", CARD0, 1), assigner(2, "S0", CARD0, 2)], 2,
+     [assigner(1, "S0", CARD0, 1), assigner(2, "S0", CARD0, 1)]),
+    ("fifo_consistency", [fb(1, "S0", 2, 0, "aa"), fb(1, "S1", 2, 0, "bb")], 2,
+     [fb(1, "S0", 2, 0, "aa"), fb(1, "S1", 2, 0, "aa")]),
+    ("fifo_totality", [fb(1, f"S{i}", 2, 0, "aa") for i in range(3)], 3,
+     [fb(1, f"S{i}", 2, 0, "aa") for i in range(4)]),
+    ("fifo_order", [fb(1, "S0", 2, 0, "aa"), fb(2, "S0", 2, 2, "bb")], 2,
+     [fb(1, "S0", 2, 0, "aa"), fb(2, "S0", 2, 1, "bb")]),
+    ("fifo_no_duplication", [fb(1, "S0", 2, 0, "aa"), fb(2, "S0", 2, 0, "aa")],
+     2, [fb(1, "S0", 2, 0, "aa")]),
+]
+
+
+def test_violation_table_covers_every_property():
+    assert {name for name, *_ in VIOLATIONS} == set(ALL_PROPERTIES)
+
+
+@pytest.mark.parametrize("name,bad,index,good", VIOLATIONS,
+                         ids=[f"{v[0]}-{i}" for i, v in enumerate(VIOLATIONS)])
+def test_each_property_fails_at_its_violation_and_passes_without(
+        name, bad, index, good):
+    verdict = check_trace([header()] + bad)[name]
+    assert (verdict.ok, verdict.counterexample) == (False, index)
+    assert check_trace([header()] + good)[name].ok
