@@ -50,6 +50,10 @@ class EquivocatingClient(Machine):
 
     def __init__(self, *client_args, context: bytes,
                  messages: tuple[bytes, bytes]):
+        if len(messages) > client_args[1]:  # a ClientMachine's n_brokers
+            raise ValueError(f"sends its {len(messages)} messages to one "
+                             "broker each, so brokers must be at least "
+                             f"{len(messages)}")
         self.context = context
         self.messages = messages
         self.preloaded = client_args[-1]  # a ClientMachine's last argument
@@ -165,4 +169,7 @@ def build(pid: ProcessId, spec: dict, args: tuple) -> Machine:
             kwargs[key] = decode(spec[key])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}.{key}: {exc}") from None
-    return cls(*args, **kwargs)
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

@@ -18,7 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .fifocast import FifoBroadcast
-from .procs import Id, ProcessKind, server
+from .procs import Id, ProcessKind, servers
 from .wire import (Assigner, Assignment, AssignShard, Ranked, Signup,
                    stmt_assignment)
 
@@ -94,8 +94,9 @@ class ClientSignup:
     def signup(self, ctx):
         self.status = "signing_up"
         ctx.emit("signup")
-        for i in range(self.n_servers):
-            ctx.send(server(i), Signup())
+        msg = Signup()
+        for dst in servers(self.n_servers):
+            ctx.send(dst, msg)
 
     def handle(self, ctx, src, msg) -> bool:
         if src.kind != ProcessKind.SERVER:
@@ -119,8 +120,9 @@ class ClientSignup:
             for domain in sorted(self.rankings):
                 if len(self.rankings[domain]) >= self.f + 1:
                     self.assigner = domain
-                    for i in range(self.n_servers):
-                        ctx.send(server(i), Assigner(domain))
+                    msg = Assigner(domain)
+                    for dst in servers(self.n_servers):
+                        ctx.send(dst, msg)
                     break
         if self.status != "signing_up":
             return

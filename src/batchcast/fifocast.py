@@ -8,7 +8,7 @@ out-of-order sequence numbers per origin.
 
 from __future__ import annotations
 
-from .procs import ProcessKind, server
+from .procs import ProcessKind, servers
 from .wire import FifoEcho, FifoReady, FifoSend
 
 
@@ -20,7 +20,7 @@ class FifoBroadcast:
     """
 
     def __init__(self, n_servers: int, f: int, deliver):
-        self.n_servers = n_servers
+        self.servers = servers(n_servers)
         self.f = f
         self.deliver = deliver
         self.next_seq = 0  # own broadcasts
@@ -32,14 +32,14 @@ class FifoBroadcast:
         self.fifo_next: dict = {}       # origin -> next seq to deliver
         self.fifo_buffer: dict = {}     # origin -> {seq: payload}
 
-    def _all_servers(self):
-        return [server(i) for i in range(self.n_servers)]
+    def _send_all(self, ctx, msg):
+        for dst in self.servers:
+            ctx.send(dst, msg)
 
     def broadcast(self, ctx, payload: bytes):
         seq = self.next_seq
         self.next_seq += 1
-        for dst in self._all_servers():
-            ctx.send(dst, FifoSend(seq, payload))
+        self._send_all(ctx, FifoSend(seq, payload))
 
     def handle(self, ctx, src, msg) -> bool:
         """Consume a fifo message; returns False if msg is not one."""
@@ -49,8 +49,8 @@ class FifoBroadcast:
             key = (src.ordinal, msg.seq)
             if key not in self.echoed:
                 self.echoed.add(key)
-                for dst in self._all_servers():
-                    ctx.send(dst, FifoEcho(src.ordinal, msg.seq, msg.payload))
+                self._send_all(ctx, FifoEcho(src.ordinal, msg.seq,
+                                             msg.payload))
             return True
         if isinstance(msg, FifoEcho):
             slot = (msg.origin, msg.seq, msg.payload)
@@ -74,8 +74,7 @@ class FifoBroadcast:
         if (origin, seq) in self.ready_sent:
             return
         self.ready_sent.add((origin, seq))
-        for dst in self._all_servers():
-            ctx.send(dst, FifoReady(origin, seq, payload))
+        self._send_all(ctx, FifoReady(origin, seq, payload))
 
     def _fifo_deliver(self, ctx, origin, seq, payload):
         self.fifo_buffer.setdefault(origin, {})[seq] = payload

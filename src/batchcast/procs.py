@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 
 
 class ProcessKind(enum.IntEnum):
@@ -27,6 +28,13 @@ class ProcessId:
 
 def server(n: int) -> ProcessId:
     return ProcessId(ProcessKind.SERVER, n)
+
+
+@cache
+def servers(n: int) -> tuple[ProcessId, ...]:
+    """The ids of servers 0 to n - 1: one shared tuple per n, the
+    destinations of every fan-out to all servers."""
+    return tuple(server(i) for i in range(n))
 
 
 def broker(n: int) -> ProcessId:

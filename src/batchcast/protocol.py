@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .crypto import MerkleTree, merkle_verify
 from .directory import ClientSignup, DirectoryView, ServerDirectory
 from .encoding import compress_ids, expand_ids
-from .procs import Id, ProcessId, ProcessKind, server
+from .procs import Id, ProcessId, ProcessKind, servers
 from .simnet import Context, Machine
 from .wire import (AcceptTotality, Assignment, BatchAcquired, BatchMsg,
                    Commit, CommitShard, Completion, CompletionShard,
@@ -193,7 +193,7 @@ class _Pending:
 
 class BrokerMachine(Machine):
     def __init__(self, n_servers: int, f: int, batching_window: int = 0):
-        self.n_servers = n_servers
+        self.servers = servers(n_servers)
         self.f = f
         self.batching_window = batching_window
         self.view = DirectoryView()
@@ -202,9 +202,6 @@ class BrokerMachine(Machine):
         self._ready: set = set()  # ids with a pending submission, not pooled
         self.collecting = False
         self.batches: dict[bytes, _Batch] = {}
-
-    def _servers(self):
-        return [server(i) for i in range(self.n_servers)]
 
     # -- events ---------------------------------------------------------------
 
@@ -305,7 +302,7 @@ class BrokerMachine(Machine):
         ids = list(batch.payloads)
         payloads = tuple(batch.payloads[i] for i in ids)
         msg = BatchMsg(canonical_compressed(ids), payloads)
-        for dst in self._servers():
+        for dst in self.servers:
             ctx.send(dst, msg)
         batch.phase = Phase.WITNESSING
         batch.witnesses = {}
@@ -390,9 +387,9 @@ class BrokerMachine(Machine):
             return
         if (batch.phase is Phase.WITNESSING
                 and len(batch.witnesses) >= self.f + 1):
-            certificate = ctx.certify(batch.witnesses)
-            for dst in self._servers():
-                ctx.send(dst, Witness(root, certificate))
+            witness = Witness(root, ctx.certify(batch.witnesses))
+            for dst in self.servers:
+                ctx.send(dst, witness)
             batch.phase = Phase.COMMITTING
             batch.commits = {}
         if (batch.phase is Phase.COMMITTING and batch.committable
@@ -400,7 +397,7 @@ class BrokerMachine(Machine):
             patches = self._commit_patches(ctx, batch)
             commit = Commit(root, patches)
             for ordinal in sorted(batch.commit_to):
-                ctx.send(server(ordinal), commit)
+                ctx.send(self.servers[ordinal], commit)
             batch.exclusions = frozenset().union(
                 *(set(ids) for ids, _ in patches))
             batch.phase = Phase.COMPLETING
@@ -438,7 +435,7 @@ class _StoredBatch:
 class ServerMachine(Machine):
     def __init__(self, n_servers: int, f: int,
                  preloaded: tuple[Assignment, ...] = ()):
-        self.n_servers = n_servers
+        self.servers = servers(n_servers)
         self.f = f
         self.preloaded = preloaded
         self.view = DirectoryView()
@@ -449,9 +446,6 @@ class ServerMachine(Machine):
         self.messages: dict[tuple, tuple] = {}   # (id, context) -> (msg, root)
         self.delivered: set = set()              # (keycard, context)
         self.replies: dict[tuple, object] = {}   # (kind, src, root) -> message
-
-    def _servers(self):
-        return [server(i) for i in range(self.n_servers)]
 
     def on_start(self, ctx: Context):
         for a in self.preloaded:
@@ -501,7 +495,7 @@ class ServerMachine(Machine):
         if tag[0] == "offer_totality":
             _, root, exclusions = tag
             offer = OfferTotality(root, frozenset(exclusions))
-            for dst in self._servers():
+            for dst in self.servers:
                 ctx.send(dst, offer)
 
     # -- batch acquisition --------------------------------------------------------

@@ -179,6 +179,9 @@ def build_simulation(scenario: Scenario) -> Simulation:
         except ValueError:
             raise ValueError(f"broadcasts[{i}]: context and message must be "
                              "hex") from None
+        if 8 * (len(plan[1]) + len(plan[2])) != s.payload_bits:
+            raise ValueError(f"broadcasts[{i}]: context and message must be "
+                             f"payload_bits = {s.payload_bits} bits together")
         plans.setdefault(entry["client"], []).append(plan)
 
     n, f, window = s.n_servers, s.fault_bound, s.batching_window

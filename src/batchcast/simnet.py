@@ -63,9 +63,10 @@ class DelayPolicy:
 
     def delay(self, rng: random.Random, src: str, dst: str) -> int:
         """The delay of one envelope from label `src` to label `dst`."""
-        key = f"{src}->{dst}"
-        if key in self.overrides:
-            return self.overrides[key]
+        if self.overrides:
+            key = f"{src}->{dst}"
+            if key in self.overrides:
+                return self.overrides[key]
         if self.kind == "constant":
             return self.value
         return rng.randint(self.min_delay, self.max_delay)

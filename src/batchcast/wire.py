@@ -231,11 +231,13 @@ def tag_name(msg) -> str:
 # length read off the wire is capped before anything is allocated for it.
 
 class WireContext:
-    """Serialization context: the shared server enumeration."""
+    """Serialization context: the shared server enumeration, and the last
+    message `serialize` encoded with its bytes (see `serialize`)."""
 
     def __init__(self, n_servers: int):
         self.n_servers = n_servers
         self.domains = list(range(n_servers))
+        self.last = (object(), b"")  # (message, its bytes); matches none
 
 
 def _read_count(r: BitReader, limit: int = MAX_BLOB_BYTES) -> int:
@@ -459,11 +461,27 @@ _TAGS = {cls: tag for tag, (cls, _) in enumerate(_SPECS)}
 
 
 def serialize(ctx: WireContext, msg) -> bytes:
+    """The wire bytes of `msg`.
+
+    Each `WireContext` remembers the last message object it encoded, by
+    identity, with its bytes; serializing that same object again returns the
+    same bytes object without encoding.  So a fan-out that builds its
+    message once and sends it to N destinations encodes it once.  This is
+    sound because every message is deeply immutable (frozen dataclasses over
+    tuples, frozensets, bytes, ints, bools and None), so its encoding cannot
+    change, and the memo's reference keeps the object's id from being
+    reused.  An encode that raises leaves the memo as it was.
+    """
+    last, data = ctx.last
+    if msg is last:
+        return data
     tag = _TAGS[type(msg)]
     w = BitWriter()
     w.write_uint(8, tag)
     _CODECS[tag][0](ctx, w, msg)
-    return w.to_bytes()
+    data = w.to_bytes()
+    ctx.last = (msg, data)
+    return data
 
 
 def deserialize(ctx: WireContext, data: bytes):

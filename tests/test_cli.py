@@ -198,15 +198,43 @@ SCENARIO_PROBES = {
                          ids=SCENARIO_PROBES.keys())
 def test_edited_good_case_exits_2_naming_the_key(tmp_path, capsys, edit,
                                                   key):
-    doc = json.loads((SCENARIOS_DIR / "good_case.json").read_text())
+    assert key in _invalid_edit(tmp_path, capsys, "good_case", edit)
+
+
+def _invalid_edit(tmp_path, capsys, name, edit) -> str:
+    """The error of `--scenario` on the bundled `name`.json after `edit`,
+    which must exit 2 before printing anything else."""
+    doc = json.loads((SCENARIOS_DIR / f"{name}.json").read_text())
     edit(doc)
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(doc))
     assert main(["--scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: invalid scenario: ")
-    assert key in captured.err
     assert captured.out == ""
+    return captured.err
+
+
+def _one_broker(doc):
+    doc["brokers"] = 1
+    del doc["broker_order"]
+
+
+# edits of other bundled files: (file, edit, the names the error must hold)
+CROSS_KEY_PROBES = {
+    "payload_bits_128": ("good_case", lambda d: d.update(payload_bits=128),
+                         ("broadcasts[0]", "payload_bits")),
+    "equivocator_with_one_broker": ("equivocating_client", _one_broker,
+                                    ("fault_script.C3", "brokers")),
+}
+
+
+@pytest.mark.parametrize("name,edit,keys", CROSS_KEY_PROBES.values(),
+                         ids=CROSS_KEY_PROBES.keys())
+def test_edited_scenario_exits_2_before_it_runs(tmp_path, capsys, name, edit,
+                                                keys):
+    err = _invalid_edit(tmp_path, capsys, name, edit)
+    assert all(key in err for key in keys), err
 
 
 def test_bundled_good_case_exits_0(capsys):

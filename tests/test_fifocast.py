@@ -1,7 +1,13 @@
 """FIFO reliable broadcast: validity, FIFO order, consistency, totality."""
 
+from collections import Counter
+
+from conftest import live_signup_f2
+
+from batchcast import wire
 from batchcast.fifocast import FifoBroadcast
 from batchcast.procs import server
+from batchcast.scenarios import run_scenario
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Machine,
                               Scenario, Simulation)
 from batchcast.wire import FifoSend
@@ -85,3 +91,32 @@ def test_totality_under_adversarial_delays():
     logs = [machines[server(i)].delivered for i in range(4)]
     assert any(logs)
     assert all(log == [(1, b"x")] for log in logs)
+
+
+# every send of these tags is one copy of a fan-out to all servers
+FAN_OUT_TAGS = ("FifoSend", "FifoEcho", "FifoReady", "Signup", "Assigner",
+                "BatchMsg", "Witness", "OfferTotality")
+
+
+def test_each_fan_out_is_encoded_once(monkeypatch):
+    """A fan-out builds its message once, so only its first copy misses the
+    serialize memo; a loop that builds one message per destination would
+    encode each copy afresh."""
+    real = wire.serialize
+    misses: Counter = Counter()
+
+    def counting(ctx, msg):
+        if ctx.last[0] is not msg:
+            misses[wire.tag_name(msg)] += 1
+        return real(ctx, msg)
+
+    monkeypatch.setattr(wire, "serialize", counting)
+    scenario = live_signup_f2()
+    trace = run_scenario(scenario).trace
+    send = trace.find("send")
+    sends = Counter(trace.names[tag]
+                    for kind, tag in zip(trace.kind, trace.tag)
+                    if kind == send)
+    for tag in FAN_OUT_TAGS:
+        assert sends[tag] > 0, tag
+        assert misses[tag] * scenario.n_servers == sends[tag], tag

@@ -8,8 +8,10 @@ from pathlib import Path
 from batchcast import crypto, wire
 from batchcast.bits import DecodeError
 from batchcast.crypto import Certificate, MerkleProof
+from batchcast.scenarios import CORPUS, batching_limit, run_scenario
 import pytest
 
+from conftest import live_signup_f2
 from test_encoding import RefWriter
 
 
@@ -175,6 +177,65 @@ def test_decoded_messages_can_be_shared():
         _assert_deeply_immutable(msg, type(msg).__name__)
         assert wire.deserialize(CTX, data) == msg
     assert seen == {cls for cls, _ in wire._SPECS}
+
+
+def test_serializing_one_object_again_returns_its_bytes():
+    ctx = wire.WireContext(4)
+    msg = wire.FifoEcho(1, 2, b"payload")
+    data = wire.serialize(ctx, msg)
+    assert wire.serialize(ctx, msg) is data
+
+
+def test_an_equal_but_distinct_message_is_encoded_again():
+    ctx = wire.WireContext(4)
+    first = wire.serialize(ctx, wire.FifoEcho(1, 2, b"payload"))
+    twin = wire.FifoEcho(1, 2, b"payload")
+    again = wire.serialize(ctx, twin)
+    assert again == first and again is not first
+    assert ctx.last[0] is twin
+
+
+def test_an_encode_that_raises_leaves_the_memo_as_it_was():
+    ctx = wire.WireContext(4)
+    msg = wire.FifoEcho(1, 2, b"payload")
+    data = wire.serialize(ctx, msg)
+    with pytest.raises(ValueError):
+        wire.serialize(ctx, wire.Reduction(b"short", b"x"))
+    assert wire.serialize(ctx, msg) is data
+
+
+def _memo_runs():
+    """(scenario, seed) of every run the memo soundness test wraps."""
+    for name in sorted(CORPUS):
+        for seed in range(4):
+            yield CORPUS[name](), seed
+    yield live_signup_f2(), None
+    yield batching_limit(64, 64), None
+
+
+def test_every_reused_encoding_equals_a_fresh_one(monkeypatch):
+    """The serialize memo returns stored bytes for a message object it has
+    seen; that is sound only if every message sent is deeply immutable, so
+    the stored bytes are still what a fresh encode gives.  Each send record's
+    length must also be that of a fresh encode."""
+    real = wire.serialize
+    fresh_lengths: list = []
+
+    def checked(ctx, msg):
+        data = real(ctx, msg)
+        _assert_deeply_immutable(msg, type(msg).__name__)
+        fresh = real(wire.WireContext(ctx.n_servers), msg)
+        assert data == fresh
+        fresh_lengths.append(len(fresh))
+        return data
+
+    monkeypatch.setattr(wire, "serialize", checked)
+    for scenario, seed in _memo_runs():
+        fresh_lengths.clear()
+        trace = run_scenario(scenario, seed).trace
+        send = trace.find("send")
+        assert fresh_lengths and fresh_lengths == [
+            n for kind, n in zip(trace.kind, trace.bytes_len) if kind == send]
 
 
 def test_spec_table_matches_the_doc():
