@@ -3,17 +3,19 @@
 A behavior may emit arbitrary well-formed wire messages, but it reaches the
 crypto oracle through the same per-process facade as a correct machine, so it
 can only sign with its own key.  Each is built with the arguments of the
-correct machine of its process kind, plus its spec keys as keywords.
+correct machine of its process kind, plus its spec keys as keywords, each
+decoded from its JSON value and checked against the scenario's counts.
 """
 
 from __future__ import annotations
 
+from itertools import cycle
 from operator import index
 
 from .crypto import Certificate, MerkleProof
 from .procs import ProcessId, ProcessKind, broker, server
 from .protocol import BrokerMachine, Phase, ServerMachine
-from .simnet import Context, Machine
+from .simnet import Context, Machine, Scenario
 from .wire import (Commit, CommitShard, EquivocationProof, Inclusion,
                    Reduction, Submission, stmt_commit, stmt_message,
                    stmt_reduction, stmt_witness)
@@ -132,7 +134,7 @@ class LoneCommitBroker(BrokerMachine):
 
 def _list(decode, count=None):
     """A decoder of a JSON list of `count` (any number if None) items."""
-    def decode_list(value) -> tuple:
+    def decode_list(value, _scenario) -> tuple:
         if type(value) is not list or count not in (None, len(value)):
             raise ValueError(f"must be a list of {count or 'any number of'} "
                              "items")
@@ -140,24 +142,44 @@ def _list(decode, count=None):
     return decode_list
 
 
-# behavior name -> (process kind, class, spec key -> decoder)
+def _ordinals(*bounds):
+    """A decoder of a JSON list of integers, each below the scenario count
+    its bound names: with one bound any number of items, with more one item
+    per bound, in order."""
+    items = _list(index, None if len(bounds) == 1 else len(bounds))
+
+    def decode_ordinals(value, scenario) -> tuple:
+        decoded = items(value, scenario)
+        for item, bound in zip(decoded, cycle(bounds)):
+            count = getattr(scenario, bound)
+            if not 0 <= item < count:
+                raise ValueError(f"{item} is not in [0, {bound[2:]} = "
+                                 f"{count})")
+        return decoded
+    return decode_ordinals
+
+
+# behavior name -> (process kind, class, spec key -> decoder(value, scenario))
 _BEHAVIORS = {
     "silent_broker": (ProcessKind.BROKER, SilentBroker, {}),
     "censoring_broker": (ProcessKind.BROKER, CensoringBroker,
-                         {"censored": _list(index)}),
+                         {"censored": _ordinals("n_clients")}),
     "lone_commit_broker": (ProcessKind.BROKER, LoneCommitBroker, {}),
     "equivocating_client": (ProcessKind.CLIENT, EquivocatingClient,
-                            {"context": bytes.fromhex,
+                            {"context": lambda v, _: bytes.fromhex(v),
                              "messages": _list(bytes.fromhex, 2)}),
     "false_exception_server": (ProcessKind.SERVER, FalseExceptionServer,
-                               {"target_id": _list(index, 2)}),
+                               {"target_id": _ordinals("n_servers",
+                                                       "n_clients")}),
     "stalling_server": (ProcessKind.SERVER, StallingServer, {}),
 }
 
 
-def build(pid: ProcessId, spec: dict, args: tuple) -> Machine:
-    """The machine fault-script entry `spec` makes of `pid`, built on the
-    `args` of its correct machine; raises ValueError naming the label."""
+def build(pid: ProcessId, spec: dict, args: tuple,
+          scenario: Scenario) -> Machine:
+    """The machine fault-script entry `spec` of `scenario` makes of `pid`,
+    built on the `args` of its correct machine; raises ValueError naming the
+    label, and the key if a value is malformed or names no process or id."""
     where, name = f"fault_script.{pid.label}", spec.get("behavior")
     kind, cls, decoders = _BEHAVIORS.get(str(name), (None, None, {}))
     if kind is not pid.kind or spec.keys() - {"behavior"} != decoders.keys():
@@ -166,7 +188,7 @@ def build(pid: ProcessId, spec: dict, args: tuple) -> Machine:
     kwargs = {}
     for key, decode in decoders.items():
         try:
-            kwargs[key] = decode(spec[key])
+            kwargs[key] = decode(spec[key], scenario)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}.{key}: {exc}") from None
     try:

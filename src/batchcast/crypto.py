@@ -17,7 +17,6 @@ signatures 512, multi-signatures 384, public keys (keycards) 384.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 
 from .procs import ProcessId, server
@@ -61,7 +60,12 @@ class Certificate:
 
 
 class Oracle:
-    """Per-simulation signing oracle and key registry."""
+    """Per-simulation signing oracle and key registry.
+
+    Each verify method takes the verifying process as `caller`.  The oracle
+    does not read it; it lets a wrapper attribute each call.  The trace's
+    `verify` rows are the ledger of verifications.
+    """
 
     def __init__(self, processes):
         self._keycards: dict[ProcessId, bytes] = {}
@@ -71,7 +75,6 @@ class Oracle:
                 b"keycard|%d|%d" % (pid.kind, pid.ordinal)).digest()
             self._keycards[pid] = card
             self._owners[card] = pid
-        self.calls = Counter()  # (caller, verb) -> count
 
     # -- identity -----------------------------------------------------------
 
@@ -92,7 +95,6 @@ class Oracle:
 
     def verify(self, caller: ProcessId, keycard: bytes, statement: bytes,
                signature: bytes) -> bool:
-        self.calls[(caller, "verify")] += 1
         owner = self.owner(keycard)
         if owner is None:
             return False
@@ -110,7 +112,6 @@ class Oracle:
     def verify_aggregate(self, caller: ProcessId, keycards, statement: bytes,
                          msig: bytes) -> bool:
         """True iff msig aggregates one multi-signature per keycard, no others."""
-        self.calls[(caller, "verify_aggregate")] += 1
         owners = [self.owner(card) for card in keycards]
         if None in owners:
             return False
@@ -127,7 +128,6 @@ class Oracle:
     def verify_certificate(self, caller: ProcessId, cert: Certificate,
                            statement: bytes, threshold: int,
                            n_servers: int) -> bool:
-        self.calls[(caller, "verify_certificate")] += 1
         if not isinstance(cert, Certificate) or cert.signer_count() < threshold:
             return False
         if any(o < 0 or o >= n_servers for o in cert.signers):

@@ -140,7 +140,12 @@ class ClientSignup:
 
 
 class ServerDirectory:
-    """Server-side ranking and assignment signing."""
+    """Server-side ranking and assignment signing.
+
+    A pump can sign only after a ranking grew or an assigner was recorded;
+    `_changed` says whether either happened since the last pump, which
+    returns at once otherwise.
+    """
 
     def __init__(self, n_servers: int, f: int):
         self.n_servers = n_servers
@@ -149,6 +154,7 @@ class ServerDirectory:
         self.rankings: dict[int, list] = {}    # origin ordinal -> [keycard]
         self.assigners: dict[bytes, int] = {}  # keycard -> domain (write-once)
         self.certified: set = set()
+        self._changed = False
 
     def handle(self, ctx, src, msg) -> bool:
         if isinstance(msg, Signup):
@@ -158,6 +164,7 @@ class ServerDirectory:
             keycard = ctx.keycard(src)
             if keycard not in self.assigners:
                 self.assigners[keycard] = msg.domain
+                self._changed = True
                 ctx.emit("assigner_record", keycard=keycard.hex(),
                          assigner=msg.domain)
             self._pump(ctx)
@@ -171,11 +178,15 @@ class ServerDirectory:
         ranking = self.rankings.setdefault(origin, [])
         if keycard not in ranking:
             ranking.append(keycard)
+            self._changed = True
             owner = ctx.owner(keycard)
             if owner is not None:
                 ctx.send(owner, Ranked(origin))
 
     def _pump(self, ctx):
+        if not self._changed:
+            return
+        self._changed = False
         for keycard in sorted(self.assigners):
             if keycard in self.certified:
                 continue

@@ -198,7 +198,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
                 s.broker_order.get(j), assignment_of.get(j))
         spec = s.fault_script.get(pid.label)
         machines[pid] = (correct(*args) if spec is None
-                         else behaviors.build(pid, spec, args))
+                         else behaviors.build(pid, spec, args, s))
     return Simulation(s, machines, oracle)
 
 

@@ -1,16 +1,28 @@
 """Deterministic discrete-event network with FIFO links and dual-mode timers.
 
 Time is an integer tick count.  The event queue is a heap ordered by
-(time, phase, dst, src/tag, sequence); message deliveries at a tick dispatch
-before timer rings at the same tick, because a timer with timeout d set at t
-rings *after* time t + d.  Links never drop messages; per ordered pair,
-delivery order equals send order.
+(time, phase, dst, src, timer tag, sequence); message deliveries at a tick
+dispatch before timer rings at the same tick, because a timer with timeout d
+set at t rings *after* time t + d.  Links never drop messages; per ordered
+pair, delivery order equals send order.
+
+Each heap entry is flat: (key, timer tag bytes, sequence, event fields), with
+
+    key = ((time * 2 + phase) * P + dst rank) * P + src rank
+
+where P is the number of processes and a process's rank is its place in
+(kind, ordinal) order: servers, then brokers, then clients.  Phase is 0 or 1
+and ranks lie in [0, P), so comparing keys compares (time, phase, dst, src)
+lexicographically, and one integer compare stands for four.  Ties on the key
+fall to the timer tag's bytes (empty for a delivery) and then to the unique
+sequence number.  `time` is the key floor-divided by 2 * P * P.
 
 Good-case mode: every link delay is exactly 1 tick and timers honor their
 timeouts.  Adversarial mode: the seeded scheduler picks per-envelope delays
 (bounded by a horizon so runs terminate) and may disregard timer timeouts;
 FIFO order is preserved by clamping each delivery at or after the previous
-one on the same link.
+one on the same link.  With delays all 1, the clamp cannot bind, so the good
+case skips it.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import crypto, wire
 from .bits import DecodeError
@@ -69,7 +81,7 @@ class DelayPolicy:
                 return self.overrides[key]
         if self.kind == "constant":
             return self.value
-        return rng.randint(self.min_delay, self.max_delay)
+        return rng.randrange(self.min_delay, self.max_delay + 1)
 
 
 @dataclass
@@ -483,24 +495,32 @@ class Context:
 
     The crypto facade is bound to the owning process: sign/multisign always
     use the owner's key, so a Byzantine behavior cannot mint signatures for
-    keys it does not hold.
+    keys it does not hold.  `machine` is the process's machine (None for a
+    context that only reaches the crypto facade), and `rank` its place in an
+    event's key (see the module docstring).
     """
 
-    def __init__(self, sim: "Simulation", pid: ProcessId):
+    def __init__(self, sim: "Simulation", pid: ProcessId,
+                 machine: "Machine | None" = None):
         self.sim = sim
         self.pid = pid
+        self.machine = machine
         self.label = pid.label
         self.code = sim.trace.code(self.label)
-        self.order = (pid.kind, pid.ordinal)  # its place in an event's key
+        self.rank = sim._rank_offsets[pid.kind] + pid.ordinal
 
     @property
     def now(self) -> int:
         return self.sim.now
 
     def send(self, dst: ProcessId, msg):
-        self.sim._schedule_send(self, dst,
-                                wire.serialize(self.sim.wire_ctx, msg),
-                                wire.tag_name(msg))
+        sim = self.sim
+        data = wire.serialize(sim.wire_ctx, msg)
+        tag = sim._tag_codes.get(type(msg))
+        if tag is None:
+            tag = sim._tag_codes[type(msg)] = sim.trace.code(
+                wire.tag_name(msg))
+        sim._schedule_send(self, dst, data, tag)
 
     def set_timer(self, tag: tuple, timeout: int):
         self.sim._schedule_timer(self, tag, timeout)
@@ -574,8 +594,7 @@ class Machine:
         pass
 
 
-_PHASE_DELIVER = 0
-_PHASE_RING = 1
+_PHASE_RING = 1  # a delivery's phase is 0
 _UNDECODED = object()     # in-flight cell: no copy delivered yet
 _UNDECODABLE = object()   # in-flight cell: the bytes raised DecodeError
 
@@ -590,68 +609,84 @@ class Simulation:
     `WireContext` and the bytes, and a decoded message is deeply immutable.
     A cell is dropped with its last delivery, so the map is empty at
     quiescence.
+
+    A queued event is (key, timer tag bytes, sequence, src context, dst
+    context, bytes or timer tag, trace tag code); a timer's src and dst are
+    its owner.  Each context carries its machine, so a dispatch looks the
+    hook up on the machine itself.
     """
 
     def __init__(self, scenario: Scenario, machines: dict[ProcessId, Machine],
                  oracle: crypto.Oracle | None = None):
+        s = scenario
         self.scenario = scenario
         self.machines = machines
-        self.oracle = oracle or crypto.Oracle(scenario.processes())
-        self.wire_ctx = wire.WireContext(scenario.n_servers)
-        self.rng = random.Random(scenario.seed)
+        self.oracle = oracle or crypto.Oracle(s.processes())
+        self.wire_ctx = wire.WireContext(s.n_servers)
+        self.rng = random.Random(s.seed)
         self.now = 0
         self.trace = Trace()
         self._queue: list = []
         self._seq = 0
-        self._link_last: dict[tuple, int] = {}  # label pair -> last delivery
-        self._contexts = {pid: Context(self, pid) for pid in machines}
+        counts = (s.n_servers, s.n_brokers, s.n_clients)
+        self._rank_offsets = (0, counts[0], counts[0] + counts[1])
+        self._n = n = sum(counts)
+        self._per_phase = n * n  # key units per phase of a tick
+        for pid in machines:
+            if not 0 <= pid.ordinal < counts[pid.kind]:
+                raise ValueError(f"the scenario counts no process {pid!r}")
+        self._good_case = s.synchrony == GOOD_CASE
+        self._timeouts_honored = self._good_case or s.timer_policy == "timeout"
+        self._delay = s.delay_policy.delay
+        self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
+        self._tag_codes: dict[type, int] = {}  # message class -> tag code
+        self._contexts = {pid: Context(self, pid, machine)
+                          for pid, machine in machines.items()}
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
 
     # -- scheduling ----------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _schedule_send(self, src: Context, dst: ProcessId, data: bytes,
-                       tag: str):
+                       tag: int):
+        """Queue the delivery of `data`, whose trace tag code is `tag`."""
         to = self._contexts.get(dst)
         if to is None:
             raise ValueError(f"unknown destination {dst!r}")
-        if self.scenario.synchrony == GOOD_CASE:
-            delay = 1
+        now, n = self.now, self._n
+        if self._good_case:
+            deliver = now + 1
         else:
-            delay = max(1, self.scenario.delay_policy.delay(
-                self.rng, src.label, to.label))
-        link = (src.label, to.label)
-        deliver = max(self.now + delay, self._link_last.get(link, 0))
-        self._link_last[link] = deliver
-        seq = self._next_seq()
-        tag_code = self.trace.code(tag)
-        self.trace.row(self.now, SEND, src.code, to.code, len(data), tag_code)
+            delay = self._delay(self.rng, src.label, to.label)
+            deliver = now + delay if delay > 1 else now + 1
+            link = src.rank * n + to.rank
+            last = self._link_last.get(link, 0)
+            if deliver < last:
+                deliver = last
+            self._link_last[link] = deliver
+        self._seq = seq = self._seq + 1
+        self.trace.row(now, SEND, src.code, to.code, len(data), tag)
         cell = self._in_flight.get(data)
         if cell is None:
             self._in_flight[data] = [_UNDECODED, 1]
         else:
             cell[1] += 1
-        key = (deliver, _PHASE_DELIVER, to.order, src.order, b"", seq)
-        heapq.heappush(self._queue,
-                       (key, ("deliver", src, to, data, tag_code)))
+        heapq.heappush(self._queue, ((2 * deliver * n + to.rank) * n
+                                     + src.rank, b"", seq, src, to, data, tag))
 
     def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
-        if (self.scenario.synchrony == GOOD_CASE
-                or self.scenario.timer_policy == "timeout"):
-            ring = self.now + timeout
+        now, n = self.now, self._n
+        if self._timeouts_honored:
+            ring = now + timeout
         else:
-            ring = self.now + self.rng.randint(1, self.scenario.timer_skew_max)
-        seq = self._next_seq()
-        tag_bytes = repr(tag).encode()
+            ring = now + self.rng.randint(1, self.scenario.timer_skew_max)
+        self._seq = seq = self._seq + 1
         tag_code = self.trace.code(_tag_label(tag))
-        self.trace.add(self.now, TIMER_SET, owner.code, owner.code, 0,
-                       tag_code, {"ring": ring})
-        key = (ring, _PHASE_RING, owner.order, owner.order, tag_bytes, seq)
-        heapq.heappush(self._queue, (key, ("ring", owner, tag, tag_code)))
+        self.trace.add(now, TIMER_SET, owner.code, owner.code, 0, tag_code,
+                       {"ring": ring})
+        heapq.heappush(self._queue, (
+            ((2 * ring + _PHASE_RING) * n + owner.rank) * n + owner.rank,
+            repr(tag).encode(), seq, owner, owner, tag, tag_code))
 
     # -- run loop ------------------------------------------------------------
 
@@ -670,35 +705,32 @@ class Simulation:
         for label in sorted(self.scenario.fault_script):
             trace.add(0, trace.code("byzantine"), trace.code(label), NULL, 0,
                       NO_TAG, {})
-        for pid in sorted(self.machines):
-            self.machines[pid].on_start(self._contexts[pid])
+        for ctx in sorted(self._contexts.values(), key=attrgetter("rank")):
+            ctx.machine.on_start(ctx)
 
     def step(self):
-        key, event = heapq.heappop(self._queue)
-        self.now = key[0]
+        key, _, _, src, dst, item, tag = heapq.heappop(self._queue)
+        tick = key // self._per_phase  # 2 * time + phase
+        self.now = now = tick >> 1
         self._dispatched += 1
-        if event[0] == "deliver":
-            _, src, dst, data, tag_code = event
-            self.trace.row(self.now, DELIVER, src.code, dst.code, len(data),
-                           tag_code)
-            cell = self._in_flight[data]
-            msg = cell[0]
-            if msg is _UNDECODED:
-                try:
-                    msg = wire.deserialize(self.wire_ctx, data)
-                except DecodeError:
-                    msg = _UNDECODABLE
-                cell[0] = msg
-            cell[1] -= 1
-            if not cell[1]:
-                del self._in_flight[data]
-            if msg is not _UNDECODABLE:
-                self.machines[dst.pid].on_message(dst, src.pid, msg)
-        else:
-            _, owner, tag, tag_code = event
-            self.trace.row(self.now, TIMER_RING, owner.code, owner.code, 0,
-                           tag_code)
-            self.machines[owner.pid].on_timer(owner, tag)
+        if tick & 1:
+            self.trace.row(now, TIMER_RING, dst.code, dst.code, 0, tag)
+            dst.machine.on_timer(dst, item)
+            return
+        self.trace.row(now, DELIVER, src.code, dst.code, len(item), tag)
+        cell = self._in_flight[item]
+        msg = cell[0]
+        if msg is _UNDECODED:
+            try:
+                msg = wire.deserialize(self.wire_ctx, item)
+            except DecodeError:
+                msg = _UNDECODABLE
+            cell[0] = msg
+        cell[1] -= 1
+        if not cell[1]:
+            del self._in_flight[item]
+        if msg is not _UNDECODABLE:
+            dst.machine.on_message(dst, src.pid, msg)
 
     def run_to_quiescence(self):
         if not self.trace:

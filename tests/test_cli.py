@@ -226,6 +226,11 @@ CROSS_KEY_PROBES = {
                          ("broadcasts[0]", "payload_bits")),
     "equivocator_with_one_broker": ("equivocating_client", _one_broker,
                                     ("fault_script.C3", "brokers")),
+    "censored_client_99": ("censoring_broker", lambda d: d["fault_script"][
+        "B0"].update(censored=[99]), ("fault_script.B0.censored", "clients")),
+    "target_id_9_9": ("byzantine_server_false_exception", lambda d: d[
+        "fault_script"]["S3"].update(target_id=[9, 9]),
+        ("fault_script.S3.target_id", "servers")),
 }
 
 

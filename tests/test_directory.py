@@ -6,7 +6,7 @@ from batchcast.procs import client, server
 from batchcast.scenarios import (build_assignment, concurrent_signup,
                                  run_scenario)
 from batchcast.simnet import GOOD_CASE, Scenario
-from batchcast.wire import Assignment, stmt_assignment
+from batchcast.wire import Assigner, Assignment, stmt_assignment
 
 
 def signup_scenario(n_clients=1, **kwargs):
@@ -56,9 +56,10 @@ def test_server_never_signs_twice_for_one_process(oracle):
     ctx = FakeCtx(oracle, server(0))
     d = ServerDirectory(4, 1)
     card = oracle.keycard(client(0))
-    d.rankings[2] = [card]
-    d.assigners[card] = 2
-    d._pump(ctx)
+    d._on_rank(ctx, 2, card)
+    assert d.handle(ctx, client(0), Assigner(2))
+    assert d.handle(ctx, client(0), Assigner(2))
+    d._on_rank(ctx, 2, oracle.keycard(client(1)))  # a change: pumps in full
     d._pump(ctx)
     shards = [m for _, m in ctx.sent if type(m).__name__ == "AssignShard"]
     assert len(shards) == 1

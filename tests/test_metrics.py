@@ -1,5 +1,8 @@
 """Cost accounting: ledger completeness, verification counters, reports."""
 
+from collections import Counter
+
+from batchcast.crypto import Oracle
 from batchcast.metrics import (CostLedger, amortized_report,
                                convergence_sweep, oracle_bound, sweep_csv)
 from batchcast.procs import server
@@ -24,15 +27,27 @@ def test_ledger_balanced_on_corpus():
         assert ledger_balanced(sim.trace), name
 
 
-def test_verification_counter_matches_oracle_calls():
+def test_verification_counter_matches_oracle_calls(monkeypatch):
+    calls = Counter()  # (caller, verb) -> oracle calls
+
+    def counting(verb):
+        method = getattr(Oracle, verb)
+
+        def wrapper(oracle, caller, *args):
+            calls[(caller, verb)] += 1
+            return method(oracle, caller, *args)
+        return wrapper
+
+    for verb in ("verify", "verify_aggregate", "verify_certificate"):
+        monkeypatch.setattr(Oracle, verb, counting(verb))
     sim = run_scenario(good_case(n_clients=4))
     ledger = CostLedger.from_trace(sim.trace)
+    assert calls
     for i in range(4):
         pid = server(i)
-        expected = (sim.oracle.calls[(pid, "verify")]
-                    + sim.oracle.calls[(pid, "verify_aggregate")])
+        expected = calls[(pid, "verify")] + calls[(pid, "verify_aggregate")]
         assert ledger.verifications.get(f"S{i}", 0) == expected
-        certs = sim.oracle.calls[(pid, "verify_certificate")]
+        certs = calls[(pid, "verify_certificate")]
         assert ledger.cert_checks.get(f"S{i}", 0) == certs
 
 

@@ -309,8 +309,9 @@ def test_undecodable_bytes_are_dropped_after_one_decode(monkeypatch):
 
     class Junk(Script):
         def on_start(self, ctx):
+            tag = ctx.sim.trace.code("Junk")
             for dst in (server(1), server(2)):
-                ctx.sim._schedule_send(ctx, dst, b"\xff", "Junk")
+                ctx.sim._schedule_send(ctx, dst, b"\xff", tag)
 
     attempts = []
     deserialize = wire.deserialize
@@ -331,3 +332,89 @@ def test_undecodable_bytes_are_dropped_after_one_decode(monkeypatch):
     assert all(not m.log for m in machines.values())
     assert attempts == [b"\xff"]
     assert sim._in_flight == {}
+
+
+def test_dispatch_order_matches_the_tuple_key_reference():
+    """A heap on one integer key dispatches exactly like one on the tuple
+    (time, phase, (dst kind, ordinal), (src kind, ordinal), timer tag
+    bytes, sequence), the key the event loop used to build per event.
+
+    Every process, of all three kinds, answers each event with random sends
+    and timers (timeout 0 among them, so rings share ticks with deliveries),
+    at ticks above 2**32.  The reference replays the run's schedule into a
+    heap keyed by that tuple and must pop each dispatch in turn.
+    """
+    import heapq
+    import random
+
+    base = 2 ** 32 + 5
+    chooser = random.Random(5)
+    log = []          # ("set", id, old key but time) | ("run", id, now)
+    budget = [300]    # events the machines may still schedule
+    ids = iter(range(1, 10 ** 6))
+
+    class Chatter(Machine):
+        def on_start(self, ctx):
+            self._schedule(ctx, first=True)
+
+        def on_message(self, ctx, src, msg):
+            log.append(("run", ("msg", msg.domain), ctx.now))
+            self._schedule(ctx)
+
+        def on_timer(self, ctx, tag):
+            log.append(("run", ("ring", tag[1]), ctx.now))
+            self._schedule(ctx)
+
+        def _schedule(self, ctx, first=False):
+            for _ in range(1 + chooser.randrange(2)):
+                if budget[0] <= 0:
+                    return
+                budget[0] -= 1
+                i = next(ids)
+                me = (ctx.pid.kind, ctx.pid.ordinal)
+                if first or chooser.random() < 0.4:
+                    tag = (chooser.choice("zyx"), i)  # bytes order != seq
+                    timeout = (base + chooser.randrange(3) if first
+                               else chooser.choice((0, 0, 1, 2)))
+                    log.append(("set", ("ring", i),
+                                (1, me, me, repr(tag).encode())))
+                    ctx.set_timer(tag, timeout)
+                else:
+                    dst = chooser.choice(processes)
+                    log.append(("set", ("msg", i),
+                                (0, (dst.kind, dst.ordinal), me, b"")))
+                    ctx.send(dst, Ranked(i))
+
+    sc = Scenario(name="order", n_servers=4, fault_bound=1, n_brokers=2,
+                  n_clients=3, synchrony=ADVERSARIAL,
+                  delay_policy=DelayPolicy(kind="uniform", min_delay=1,
+                                           max_delay=3), seed=8)
+    processes = sc.processes()
+    sim = Simulation(sc, {pid: Chatter() for pid in processes})
+    sim.run_to_quiescence()
+    assert budget[0] <= 0 and sim._queue == []
+
+    ran_at = {event: now for kind, event, now in log if kind == "run"}
+    assert len(ran_at) == sum(kind == "set" for kind, _, _ in log)
+    assert min(ran_at.values()) >= base
+    pending, seq = [], 0
+    for kind, event, rest in log:
+        if kind == "set":
+            seq += 1
+            heapq.heappush(pending, ((ran_at[event], *rest, seq), event))
+        else:
+            assert heapq.heappop(pending)[1] == event
+    rings = [(now, event) for event, now in ran_at.items()
+             if event[0] == "ring"]
+    delivered = {now for event, now in ran_at.items() if event[0] == "msg"}
+    assert any(now in delivered for now, _ in rings)  # rings share ticks
+
+
+def test_fake_context_simulation_builds(oracle):
+    from conftest import FakeCtx
+
+    ctx = FakeCtx(oracle, client(3))
+    assert ctx.sim.machines == {} and ctx.machine is None
+    assert ctx.verify(oracle.keycard(client(3)), b"s", b"x") is False
+    assert [(e.kind, e.src, e.tag) for e in ctx.sim.trace] == [
+        ("verify", "C3", "verify")]
