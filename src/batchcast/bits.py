@@ -1,9 +1,17 @@
-"""Bit-level stream I/O.
+"""Bit-level building blocks of the wire codec.
 
-All protocol encodings are defined at bit granularity.  BitWriter/BitReader
-provide streaming access for the wire codecs (integers are little-endian in
-bit order: bit i of n is floor(n / 2^i) mod 2).  Buffers are packed LSB-first
-within each byte.
+Every encoding is defined at bit granularity: a stream's bit i is bit
+i % 8 of byte i // 8, and an integer is little-endian in bit order (bit i
+of n is floor(n / 2^i) mod 2).
+
+* varrepr(n), n >= 1: 2*ceil(log2(n+1)) bits; even positions carry a
+  continuation flag (1 = more, 0 = last pair), odd positions carry the data
+  bits of n.
+* vnat(n), n >= 0: varrepr(n + 1).  Protocol-level counts may be zero and
+  varints start at 1, so counts are shifted by one on the wire.
+
+The compiled codecs in `wire` encode and decode short varints inline
+through the two tables below; the functions here take the rest.
 """
 
 from __future__ import annotations
@@ -13,100 +21,76 @@ class DecodeError(Exception):
     """Malformed bit stream: the decoder cannot make progress."""
 
 
-class BitWriter:
-    """Append-only bit stream builder over a packed buffer.
+EXHAUSTED = "bit stream exhausted"
 
-    Invariant: the buffer holds exactly ceil(len / 8) bytes and every bit at
-    or past `len` is zero.  Writes only ever append, so each one touches
-    the partial last byte with one OR and appends the rest as one chunk.
-    """
-
-    def __init__(self):
-        self._buf = bytearray()
-        self._bitlen = 0
-
-    def __len__(self):
-        return self._bitlen
-
-    def write_uint(self, width: int, n: int):
-        """Write n as a width-bit little-endian integer."""
-        if n < 0 or width < n.bit_length():
-            raise ValueError(f"{n} does not fit in {width} bits")
-        pos = self._bitlen
-        self._bitlen = end = pos + width
-        buf = self._buf
-        shift = pos & 7
-        if shift:
-            n <<= shift
-            buf[-1] |= n & 0xFF
-            n >>= 8
-        buf += n.to_bytes((end + 7) // 8 - len(buf), "little")
-
-    def write_bit(self, b: int):
-        self.write_uint(1, b & 1)
-
-    def write_bytes(self, data: bytes):
-        if self._bitlen & 7 == 0:
-            self._buf.extend(data)
-            self._bitlen += 8 * len(data)
-        elif data:
-            self.write_uint(8 * len(data), int.from_bytes(data, "little"))
-
-    def to_bytes(self) -> bytes:
-        return bytes(self._buf)
+FLAGS = 0x5555555555555555  # the continuation flags of 32 (flag, data) pairs
+MASK64 = (1 << 64) - 1
 
 
-class BitReader:
-    """Sequential reader over a packed byte buffer.
+def varint_bits(n: int) -> tuple[int, int]:
+    """(varrepr(n) as an int, its length in bits)."""
+    if n < 1:
+        raise ValueError("varint domain is n >= 1")
+    data_len = n.bit_length()
+    # read as base 4, the binary digits of n land on the even bit positions;
+    # shifted up one they become the odd (data) positions of the varint
+    data = int(format(n, "b"), 4) << 1
+    # continuation flags: 1 on the even positions of every pair but the last
+    more = ((1 << 2 * (data_len - 1)) - 1) // 3
+    return data | more, 2 * data_len
 
-    Trailing padding bits are simply never consumed; running past the end
-    raises DecodeError.
-    """
 
-    def __init__(self, data: bytes, bit_len: int | None = None):
-        self._data = data
-        self._len = 8 * len(data) if bit_len is None else bit_len
-        self._pos = 0
+def _data_bits(pairs: int) -> int:
+    """Bit i of the result is data bit 2i + 1 of up to 32 pairs."""
+    x = (pairs >> 1) & FLAGS
+    x = (x | x >> 1) & 0x3333333333333333
+    x = (x | x >> 2) & 0x0F0F0F0F0F0F0F0F
+    x = (x | x >> 4) & 0x00FF00FF00FF00FF
+    x = (x | x >> 8) & 0x0000FFFF0000FFFF
+    return (x | x >> 16) & 0xFFFFFFFF
 
-    @property
-    def remaining(self) -> int:
-        return self._len - self._pos
 
-    def read_uint(self, width: int) -> int:
-        pos = self._pos
-        if pos + width > self._len:
-            raise DecodeError("bit stream exhausted")
-        self._pos += width
-        if width == 0:
-            return 0
+def read_varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """(the varint at stream bit pos, its length in bits), reading 32
+    pairs at a time; DecodeError unless its last pair ends by bit `end`.
+    Unlike varrepr, this returns 0 for the pair (0, 0)."""
+    n = shift = 0
+    start = pos
+    while True:
         first = pos >> 3
-        last = (pos + width - 1) >> 3
-        window = int.from_bytes(self._data[first:last + 1], "little")
-        return (window >> (pos & 7)) & ((1 << width) - 1)
+        window = int.from_bytes(data[first:first + 9], "little") >> (pos & 7)
+        stops = ~window & FLAGS
+        if stops:
+            stop = (stops & -stops).bit_length() + 1  # through the data bit
+            if pos + stop > end:
+                raise DecodeError(EXHAUSTED)
+            n |= _data_bits(window & ((1 << stop) - 1)) << shift
+            return n, pos + stop - start
+        pos += 64
+        if pos > end:
+            raise DecodeError(EXHAUSTED)
+        n |= _data_bits(window & MASK64) << shift
+        shift += 32
 
-    def peek(self, width: int) -> tuple[int, int]:
-        """The next width bits, or all that remain if fewer, left unconsumed:
-        (the bits as read_uint returns them, how many there are)."""
-        width = min(width, self._len - self._pos)
-        n = self.read_uint(width)
-        self._pos -= width
-        return n, width
 
-    def skip(self, width: int):
-        if self._pos + width > self._len:
-            raise DecodeError("bit stream exhausted")
-        self._pos += width
+TABLE_PAIRS = 10  # varints of up to this many pairs go through the tables
 
-    def read_bit(self) -> int:
-        return self.read_uint(1)
+# ENCODED[n] = varint_bits(n) for 1 <= n < 2^TABLE_PAIRS
+ENCODED = [None] + [varint_bits(n) for n in range(1, 1 << TABLE_PAIRS)]
 
-    def read_bytes(self, count: int) -> bytes:
-        if count == 0:
-            return b""
-        if self._pos & 7 == 0:
-            pos = self._pos
-            if pos + 8 * count > self._len:
-                raise DecodeError("bit stream exhausted")
-            self._pos += 8 * count
-            return bytes(self._data[pos >> 3:(pos >> 3) + count])
-        return self.read_uint(8 * count).to_bytes(count, "little")
+
+def _vnat_patterns() -> dict:
+    """Every stream of up to TABLE_PAIRS pairs that ends at its first clear
+    flag, non-canonical ones (leading zero data bits) included, as the int
+    of its bits -> the vnat it encodes.  The all-zero data patterns encode
+    no vnat and are left out.  The flags fix each pattern's length, so no
+    two lengths share a key."""
+    patterns = {}
+    for pairs in range(1, TABLE_PAIRS + 1):
+        more = ((1 << 2 * (pairs - 1)) - 1) // 3
+        for n in range(1, 1 << pairs):
+            patterns[int(format(n, "b"), 4) << 1 | more] = n - 1
+    return patterns
+
+
+VNATS = _vnat_patterns()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .procs import ProcessId, server
+from .procs import ProcessId, ProcessKind, server
 
 DIGEST_BITS = 256
 SIGNATURE_BITS = 512
@@ -75,6 +75,9 @@ class Oracle:
                 b"keycard|%d|%d" % (pid.kind, pid.ordinal)).digest()
             self._keycards[pid] = card
             self._owners[card] = pid
+        # each process's signing secret, filled on first use; one dict per
+        # kind, keyed by ordinal, so a lookup hashes no ProcessId
+        self._secrets = tuple({} for _ in ProcessKind)
 
     # -- identity -----------------------------------------------------------
 
@@ -85,7 +88,12 @@ class Oracle:
         return self._owners.get(keycard)
 
     def _secret(self, pid: ProcessId) -> bytes:
-        return hashlib.sha256(b"secret|%d|%d" % (pid.kind, pid.ordinal)).digest()
+        of_kind = self._secrets[pid.kind]
+        secret = of_kind.get(pid.ordinal)
+        if secret is None:
+            secret = of_kind[pid.ordinal] = hashlib.sha256(
+                b"secret|%d|%d" % (pid.kind, pid.ordinal)).digest()
+        return secret
 
     # -- individual signatures ----------------------------------------------
 

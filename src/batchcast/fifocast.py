@@ -26,8 +26,9 @@ class FifoBroadcast:
         self.next_seq = 0  # own broadcasts
         self.echoed: set = set()        # (origin, seq)
         self.ready_sent: set = set()    # (origin, seq)
-        self.echoes: dict = {}          # (origin, seq, payload) -> {ordinal}
-        self.readys: dict = {}          # (origin, seq, payload) -> {ordinal}
+        # (origin, seq) -> {payload: {ordinal}}, until (origin, seq) is done
+        self.echoes: dict = {}
+        self.readys: dict = {}
         self.done: set = set()          # (origin, seq) brb-delivered
         self.fifo_next: dict = {}       # origin -> next seq to deliver
         self.fifo_buffer: dict = {}     # origin -> {seq: payload}
@@ -52,20 +53,31 @@ class FifoBroadcast:
                 self._send_all(ctx, FifoEcho(src.ordinal, msg.seq,
                                              msg.payload))
             return True
+        # A done slot has sent its Ready (delivery needs 2f+1 Readys, which
+        # first reach the f+1 rule), so a late Echo or Ready changes nothing.
         if isinstance(msg, FifoEcho):
-            slot = (msg.origin, msg.seq, msg.payload)
-            self.echoes.setdefault(slot, set()).add(src.ordinal)
-            if len(self.echoes[slot]) >= 2 * self.f + 1:
+            key = (msg.origin, msg.seq)
+            if key in self.done:
+                return True
+            echoes = self.echoes.setdefault(key, {}).setdefault(msg.payload,
+                                                                set())
+            echoes.add(src.ordinal)
+            if len(echoes) >= 2 * self.f + 1:
                 self._send_ready(ctx, msg.origin, msg.seq, msg.payload)
             return True
         if isinstance(msg, FifoReady):
-            slot = (msg.origin, msg.seq, msg.payload)
-            self.readys.setdefault(slot, set()).add(src.ordinal)
-            if len(self.readys[slot]) >= self.f + 1:
+            key = (msg.origin, msg.seq)
+            if key in self.done:
+                return True
+            readys = self.readys.setdefault(key, {}).setdefault(msg.payload,
+                                                                set())
+            readys.add(src.ordinal)
+            if len(readys) >= self.f + 1:
                 self._send_ready(ctx, msg.origin, msg.seq, msg.payload)
-            if (len(self.readys[slot]) >= 2 * self.f + 1
-                    and (msg.origin, msg.seq) not in self.done):
-                self.done.add((msg.origin, msg.seq))
+            if len(readys) >= 2 * self.f + 1:
+                self.done.add(key)
+                self.echoes.pop(key, None)
+                del self.readys[key]
                 self._fifo_deliver(ctx, msg.origin, msg.seq, msg.payload)
             return True
         return False

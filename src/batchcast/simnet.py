@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import crypto, wire
 from .bits import DecodeError
@@ -640,8 +640,12 @@ class Simulation:
         self._delay = s.delay_policy.delay
         self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
         self._tag_codes: dict[type, int] = {}  # message class -> tag code
-        self._contexts = {pid: Context(self, pid, machine)
-                          for pid, machine in machines.items()}
+        self._counts = counts
+        # each process's context by rank; None where it has no machine
+        self._by_rank: list = [None] * n
+        for pid, machine in machines.items():
+            ctx = Context(self, pid, machine)
+            self._by_rank[ctx.rank] = ctx
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
 
@@ -650,7 +654,12 @@ class Simulation:
     def _schedule_send(self, src: Context, dst: ProcessId, data: bytes,
                        tag: int):
         """Queue the delivery of `data`, whose trace tag code is `tag`."""
-        to = self._contexts.get(dst)
+        counts = self._counts
+        if (type(dst) is ProcessId and 0 <= dst.kind < len(counts)
+                and 0 <= dst.ordinal < counts[dst.kind]):
+            to = self._by_rank[self._rank_offsets[dst.kind] + dst.ordinal]
+        else:
+            to = None
         if to is None:
             raise ValueError(f"unknown destination {dst!r}")
         now, n = self.now, self._n
@@ -705,8 +714,9 @@ class Simulation:
         for label in sorted(self.scenario.fault_script):
             trace.add(0, trace.code("byzantine"), trace.code(label), NULL, 0,
                       NO_TAG, {})
-        for ctx in sorted(self._contexts.values(), key=attrgetter("rank")):
-            ctx.machine.on_start(ctx)
+        for ctx in self._by_rank:
+            if ctx is not None:
+                ctx.machine.on_start(ctx)
 
     def step(self):
         key, _, _, src, dst, item, tag = heapq.heappop(self._queue)

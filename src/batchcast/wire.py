@@ -2,10 +2,11 @@
 
 Every message serializes to a self-delimiting bit stream, padded with zeros
 to a whole number of bytes at the very end.  One table, `_SPECS`, gives each
-message type its tag and its fields' codecs and drives both directions; the
-per-field layout is documented in docs/wire_format.md.  Deserializing
-arbitrary bytes never raises anything but DecodeError, which state machines
-treat as an ignorable invalid message.
+message type its tag and its fields' layouts; at import each entry is
+compiled into one straight-line encoder and decoder, which `serialize` and
+`deserialize` dispatch to.  The layouts are documented in
+docs/wire_format.md.  Deserializing arbitrary bytes never raises anything
+but DecodeError, which state machines treat as an ignorable invalid message.
 
 Field widths for cryptographic material are the configured constants from
 the crypto module, independent of the in-memory representation.
@@ -13,13 +14,14 @@ the crypto module, independent of the in-memory representation.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import crypto
-from .bits import BitReader, BitWriter, DecodeError
+from .bits import (ENCODED, EXHAUSTED, FLAGS, MASK64, TABLE_PAIRS, VNATS,
+                   DecodeError, read_varint, varint_bits)
 from .crypto import Certificate, MerkleProof
-from .encoding import read_partition, read_vnat, write_partition, write_vnat
 from .procs import Id
 
 MAX_BLOB_BYTES = 1 << 20  # parse-safety cap for length-prefixed fields
@@ -225,204 +227,652 @@ def tag_name(msg) -> str:
 
 
 # ---------------------------------------------------------------------------
-# field codecs
+# field layouts and the codec compiler
 #
-# A codec is a (write(ctx, w, value), read(ctx, r)) pair.  Every count and
-# length read off the wire is capped before anything is allocated for it.
+# A layout says how one field's value is laid out on the wire; the table
+# `_SPECS` below gives each message type its fields' layouts.  `_compile`
+# turns each entry, once at import, into the source of one encoder and one
+# decoder in which every field is a few inline operations on one int, the
+# way `dataclasses` generates `__init__`, and executes it.
+#
+# The encoder ORs each field into `acc` at bit `pos` and converts `acc` to
+# bytes once, at the end.  Inside a loop it moves the whole bytes of `acc`
+# out to a bytearray, `out`, once `acc` holds more than _SPILL bits, so no
+# operation grows with the message.
+#
+# The decoder reads the fields in order from an int `v` whose bit 0 is
+# stream bit `pos`.  At the top level `v` holds the rest of the message; each
+# item of a list reads from a window of `data` just large enough for it, so
+# again no operation grows with the message.  Every read is checked against
+# `end`, the stream's length in bits, before its value is used, and every
+# count is capped before anything is allocated for it.
+#
+# A width that depends on the server count n is a pair (c, k): c + k * n
+# bits.
+
+_SPILL = 1 << 14  # bits an encoder's acc may hold before a loop spills it
+_PATH_ENTRY = 1 + 8 * crypto.DIGEST_BYTES  # side bit, then the sibling
+_MAX_PATH = 64  # Merkle path entries a decoder accepts
+# the window bits a varint read needs: a longer varint than the table holds
+# goes to read_varint, and the window is read afresh after it
+_VARINT_HEAD = (2 * TABLE_PAIRS, 0)
+_NONE = (0, 0)
+
+
+def _plus(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _bits(width) -> str:
+    """The source of a width."""
+    c, k = width
+    n = "n" if k == 1 else f"{k} * n"
+    return (f"{c} + {n}" if c else n) if k else str(c)
+
 
 class WireContext:
-    """Serialization context: the shared server enumeration, and the last
-    message `serialize` encoded with its bytes (see `serialize`)."""
+    """Serialization context: the shared server enumeration, the last
+    message `serialize` encoded with its bytes (see `serialize`), and each
+    certificate signer set met so far with its bitmap, both ways."""
 
     def __init__(self, n_servers: int):
         self.n_servers = n_servers
         self.domains = list(range(n_servers))
         self.last = (object(), b"")  # (message, its bytes); matches none
+        self.bitmaps: dict[frozenset, int] = {}
+        self.signer_sets: dict[int, frozenset] = {}
 
 
-def _read_count(r: BitReader, limit: int = MAX_BLOB_BYTES) -> int:
-    count = read_vnat(r)
-    if count > limit:
-        raise DecodeError("count too large")
-    return count
+# the names all generated code refers to; each message type's codec adds
+# its classes and masks to its own copy
+_NAMES = {
+    "DecodeError": DecodeError, "EXHAUSTED": EXHAUSTED,
+    "TOO_LARGE": "count too large",
+    "WRONG_LENGTH": "fixed-width field has wrong length",
+    "MAX_BLOB_BYTES": MAX_BLOB_BYTES, "ENCODED": ENCODED,
+    "TABLE": len(ENCODED), "varint_bits": varint_bits, "VNATS": VNATS,
+    "FLAGS": FLAGS, "MASK64": MASK64, "read_varint": read_varint,
+    "chain": chain,
+}
 
 
-def fixed(nbytes: int):
-    def write(ctx, w, data):
-        if len(data) != nbytes:
-            raise ValueError("fixed-width field has wrong length")
-        w.write_bytes(data)
-    return write, lambda ctx, r: r.read_bytes(nbytes)
+class _Source:
+    """The lines of one generated function, and the names they refer to."""
+
+    def __init__(self, names: dict):
+        self.names = names
+        self.lines: list[str] = []
+        self.depth = 1
+        self.count = 0
+        self.uses_n = False
+
+    def __call__(self, line: str):
+        self.lines.append("    " * self.depth + line)
+
+    @contextmanager
+    def block(self, head: str):
+        self(head)
+        self.depth += 1
+        yield
+        self.depth -= 1
+
+    def local(self, stem: str) -> str:
+        self.count += 1
+        return f"{stem}{self.count}"
+
+    def ref(self, cls) -> str:
+        if self.names.setdefault(cls.__name__, cls) is not cls:
+            raise TypeError(f"two classes named {cls.__name__}")
+        return cls.__name__
+
+    def mask(self, bits: int) -> str:
+        name = f"MASK{bits}"
+        self.names[name] = (1 << bits) - 1
+        return name
+
+    def width(self, width) -> str:
+        self.uses_n |= width[1] != 0
+        return _bits(width)
 
 
-def _write_blob(ctx, w, data):
-    write_vnat(w, len(data))
-    w.write_bytes(data)
+class _Encoder(_Source):
+    """Emits `encode(ctx, msg) -> bytes`.  At run time the bits written so
+    far are in `acc`; at compile time the next write goes `off` bits past
+    `pos`, or past bit 0 until `pos` is set."""
+
+    def __init__(self, names: dict, tag: int):
+        super().__init__(names)
+        self.tag = tag
+        self.off = (8, 0)
+        self.has_pos = False
+        self.spills = False
+
+    def at(self) -> str:
+        if not self.has_pos:
+            return self.width(self.off)
+        return f"pos + {self.width(self.off)}" if self.off != _NONE else "pos"
+
+    def put(self, value: str, width):
+        """OR in value, an int below 2^width."""
+        self(f"acc |= {value} << {self.at()}")
+        self.off = _plus(self.off, width)
+
+    def put_var(self, value: str, width: str):
+        """OR in value, then move pos past its run-time width."""
+        self(f"acc |= {value} << {self.at()}")
+        self(f"pos = {self.at()} + {width}")
+        self.off, self.has_pos = _NONE, True
+
+    def settle(self):
+        """Set pos to the next write's bit."""
+        if self.off != _NONE or not self.has_pos:
+            self(f"pos = {self.at()}")
+            self.off, self.has_pos = _NONE, True
+
+    def varint(self, n: str):
+        self(f"t = {n}")
+        self("x, k = ENCODED[t] if 0 < t < TABLE else varint_bits(t)")
+        self.put_var("x", "k")
+
+    def vnat(self, n: str):
+        self.varint(f"{n} + 1")
+
+    def spill(self):
+        """At the end of a loop body, once settled."""
+        self.spills = True
+        with self.block(f"if pos > {_SPILL}:"):
+            self('out += acc.to_bytes((pos + 7) >> 3, "little")')
+            self("pos &= 7")
+            self("acc = out.pop() if pos else 0")
+
+    def source(self, name: str) -> str:
+        if self.spills:
+            self.settle()
+            self('out += acc.to_bytes((pos + 7) >> 3, "little")')
+            self("return bytes(out)")
+        else:
+            self(f'return acc.to_bytes(({self.at()} + 7) >> 3, "little")')
+        head = [f"def {name}(ctx, msg):", f"    acc = {self.tag}"]
+        if self.uses_n:
+            head.append("    n = ctx.n_servers")
+        if self.spills:
+            head.append("    out = bytearray()")
+        return "\n".join(head + self.lines) + "\n"
 
 
-def _read_blob(ctx, r) -> bytes:
-    return r.read_bytes(_read_count(r))
+class _Decoder(_Source):
+    """Emits `decode(ctx, data, end) -> message` for the stream bits
+    [8, end) of data, past the tag.  At compile time the next read is `off`
+    bits past `pos`, bits up to `checked` past `pos` are known to be in the
+    stream, `stale` says `v` must be read afresh from `data` before its
+    next use, and `window` is the source of the current list item's window
+    in bytes, or None at the top level, where v holds the rest of data."""
+
+    def __init__(self, names: dict):
+        super().__init__(names)
+        self.off = (8, 0)
+        self.checked = _NONE
+        self.stale = False
+        self.window = None
+
+    def at(self, extra=_NONE) -> str:
+        off = _plus(self.off, extra)
+        return f"pos + {self.width(off)}" if off != _NONE else "pos"
+
+    def state(self):
+        return self.off, self.checked, self.stale
+
+    def restore(self, state):
+        self.off, self.checked, self.stale = state
+
+    def resync(self):
+        """Read v afresh at pos (off must be 0)."""
+        if self.window is None:
+            self('v = int.from_bytes(data[pos >> 3:], "little") >> (pos & 7)')
+        else:
+            self("i = pos >> 3")
+            self(f'v = int.from_bytes(data[i:i + {self.window}], "little")'
+                 " >> (pos & 7)")
+        self.stale = False
+
+    def need(self, width):
+        """Check that the stream holds `width` bits past off."""
+        upto = _plus(self.off, width)
+        if upto[0] > self.checked[0] or upto[1] > self.checked[1]:
+            self(f"if {self.at(width)} > end: raise DecodeError(EXHAUSTED)")
+            self.checked = upto
+
+    def take(self, width) -> str:
+        """The source of the int in the next `width` bits."""
+        if self.stale:
+            self.resync()
+        self.need(width)
+        if width[1]:
+            assert width == (0, 1), width
+            self.uses_n = True
+            mask = "nmask"
+        else:
+            mask = self.mask(width[0])
+        shift = f"v >> {self.width(self.off)}" if self.off != _NONE else "v"
+        self.off = _plus(self.off, width)
+        return f"({shift} & {mask})"
+
+    def settle(self, shift_v=True):
+        """Move pos to the next read's bit."""
+        if self.off != _NONE:
+            self(f"pos += {self.width(self.off)}")
+            if shift_v and not self.stale:
+                self(f"v >>= {self.width(self.off)}")
+            self.off = self.checked = _NONE
+
+    def jumped(self):
+        """pos has moved by a run-time amount that v did not follow."""
+        self.off = self.checked = _NONE
+        self.stale = True
+
+    def vnat(self, target: str, zero: str = "bad vnat"):
+        """Decode a vnat into target; `zero` is the error for varint 0."""
+        if self.stale:
+            self.resync()
+        off = self.width(self.off) if self.off != _NONE else ""
+        shifted = f"v >> {off}" if off else "v"
+        plus = f"{off} + e" if off else "e"
+        self(f"x = {shifted} & MASK64")
+        self("s = ~x & FLAGS")
+        self("s &= -s")  # the flag of the last pair, if within 32 pairs
+        self(f"{target} = VNATS.get(x & (s << 2) - 1)")
+        with self.block(f"if {target} is None:"):
+            self(f"{target}, e = read_varint(data, {self.at()}, end)")
+            self(f"if not {target}: raise DecodeError({zero!r})")
+            self(f"{target} -= 1")
+            self(f"pos += {plus}")
+            self.resync()
+        with self.block("else:"):
+            self("e = s.bit_length() + 1")
+            self(f"if {self.at()} + e > end: raise DecodeError(EXHAUSTED)")
+            self(f"pos += {plus}")
+            self(f"v >>= {plus}")
+        self.off = self.checked = _NONE
+
+    def source(self, name: str, value: str) -> str:
+        self(f"return {value}")
+        head = [f"def {name}(ctx, data, end):",
+                '    v = int.from_bytes(data, "little")', "    pos = 0"]
+        if self.uses_n:
+            head += ["    n = ctx.n_servers", "    nmask = (1 << n) - 1"]
+        return "\n".join(head + self.lines) + "\n"
 
 
-def seq(item, build):
-    """vnat(count), then the items; decodes to build(items)."""
-    put, get = item
+class _Layout:
+    """How one field's value is laid out on the wire: `encode` emits the
+    source that writes the value of the expression `value`, `decode` the
+    source that reads one and returns an expression for it."""
 
-    def write(ctx, w, items):
-        write_vnat(w, len(items))
-        for x in items:
-            put(ctx, w, x)
-    return write, lambda ctx, r: build(get(ctx, r)
-                                       for _ in range(_read_count(r)))
+    width = None       # (c, k) if every value takes that many bits
+    head = _NONE       # most bits a list item's decode reads from v
+    top_level = False  # reads runs of any length from v: never a list item
 
+    def encode(self, g: _Encoder, value: str):
+        raise NotImplementedError
 
-def pair(a, b):
-    (put_a, get_a), (put_b, get_b) = a, b
-
-    def write(ctx, w, value):
-        first, second = value
-        put_a(ctx, w, first)
-        put_b(ctx, w, second)
-    return write, lambda ctx, r: (get_a(ctx, r), get_b(ctx, r))
+    def decode(self, g: _Decoder) -> str:
+        raise NotImplementedError
 
 
-def record(cls, *codecs):
-    """The dataclass's fields in declaration order, one codec each."""
-    names = [f.name for f in fields(cls)]
-    if len(names) != len(codecs):
-        raise TypeError(f"{cls.__name__} has {len(names)} fields, "
-                        f"spec gives {len(codecs)}")
-    puts = [(name, put) for name, (put, _) in zip(names, codecs)]
-    gets = [get for _, get in codecs]
+class _Bytes(_Layout):
+    """A fixed number of bytes."""
 
-    def write(ctx, w, obj):
-        for name, put in puts:
-            put(ctx, w, getattr(obj, name))
-    return write, lambda ctx, r: cls(*[get(ctx, r) for get in gets])
+    def __init__(self, nbytes: int):
+        self.nbytes = nbytes
+        self.width = self.head = (8 * nbytes, 0)
 
+    def encode(self, g, value):
+        g(f"if len({value}) != {self.nbytes}: raise ValueError(WRONG_LENGTH)")
+        g.put(f'int.from_bytes({value}, "little")', self.width)
 
-DIGEST = fixed(crypto.DIGEST_BYTES)
-SIGNATURE = fixed(crypto.SIGNATURE_BYTES)
-MULTISIG = fixed(crypto.MULTISIG_BYTES)
-KEYCARD = fixed(crypto.PUBKEY_BYTES)
-VNAT = (lambda ctx, w, n: write_vnat(w, n), lambda ctx, r: read_vnat(r))
-BLOB = (_write_blob, _read_blob)
-ID = pair(VNAT, VNAT)
+    def decode(self, g):
+        b = g.local("b")
+        g(f'{b} = {g.take(self.width)}.to_bytes({self.nbytes}, "little")')
+        return b
 
 
-def _id_set(build):
-    """Ids in ascending order; decodes through a frozenset into build."""
-    put, get = seq(ID, frozenset)
-    return (lambda ctx, w, ids: put(ctx, w, sorted(ids)),
-            lambda ctx, r: build(get(ctx, r)))
+class _Vnat(_Layout):
+    head = _VARINT_HEAD
+
+    def encode(self, g, value):
+        g.vnat(value)
+
+    def decode(self, g):
+        n = g.local("n")
+        g.vnat(n)
+        return n
 
 
-ID_SET = _id_set(frozenset)
-ID_TUPLE = _id_set(lambda ids: tuple(sorted(ids)))
+class _Blob(_Layout):
+    """vnat(length in bytes), then the bytes."""
+
+    head = _VARINT_HEAD
+
+    def encode(self, g, value):
+        g.vnat(f"len({value})")
+        g.put_var(f'int.from_bytes({value}, "little")', f"8 * len({value})")
+
+    def decode(self, g):
+        k, b = g.local("k"), g.local("b")
+        g.vnat(k)
+        g(f"if {k} > MAX_BLOB_BYTES: raise DecodeError(TOO_LARGE)")
+        g(f"if pos + 8 * {k} > end: raise DecodeError(EXHAUSTED)")
+        if g.window is None:
+            g(f'{b} = (v & (1 << 8 * {k}) - 1).to_bytes({k}, "little")')
+            g(f"pos += 8 * {k}")
+            g(f"v >>= 8 * {k}")
+            return b
+        # the bytes may run past the item's window: read them from data
+        g("i = pos >> 3")
+        with g.block("if pos & 7:"):
+            g(f'{b} = (int.from_bytes(data[i:i + {k} + 1], "little")'
+              f' >> (pos & 7) & (1 << 8 * {k}) - 1).to_bytes({k}, "little")')
+        with g.block("else:"):
+            g(f"{b} = data[i:i + {k}]")
+        g(f"pos += 8 * {k}")
+        g.jumped()
+        return b
 
 
-def _write_certificate(ctx, w, cert: Certificate):
-    MULTISIG[0](ctx, w, cert.msig)
-    w.write_uint(ctx.n_servers, sum(1 << o for o in range(ctx.n_servers)
-                                    if o in cert.signers))
+class _Certificate(_Layout):
+    """The multi-signature, then an n-bit signer bitmap."""
+
+    width = head = (8 * crypto.MULTISIG_BYTES, 1)
+
+    def encode(self, g, value):
+        g.uses_n = True
+        cert, bitmap = g.local("cert"), g.local("bitmap")
+        g(f"{cert} = {value}")
+        MULTISIG.encode(g, f"{cert}.msig")
+        g(f"{bitmap} = ctx.bitmaps.get({cert}.signers)")
+        with g.block(f"if {bitmap} is None:"):
+            g(f"{bitmap} = ctx.bitmaps[{cert}.signers] = sum("
+              f"1 << o for o in range(n) if o in {cert}.signers)")
+        g.put(bitmap, (0, 1))
+
+    def decode(self, g):
+        msig = MULTISIG.decode(g)
+        bitmap, signers = g.local("bitmap"), g.local("signers")
+        g(f"{bitmap} = {g.take((0, 1))}")
+        g(f"{signers} = ctx.signer_sets.get({bitmap})")
+        with g.block(f"if {signers} is None:"):
+            g(f"{signers} = ctx.signer_sets[{bitmap}] = frozenset("
+              f"o for o in range(n) if {bitmap} >> o & 1)")
+        return f"{g.ref(Certificate)}({signers}, {msig})"
 
 
-def _read_certificate(ctx, r) -> Certificate:
-    msig = r.read_bytes(crypto.MULTISIG_BYTES)
-    bitmap = r.read_uint(ctx.n_servers)
-    signers = frozenset(o for o in range(ctx.n_servers) if bitmap >> o & 1)
-    return Certificate(signers, msig)
+class _Proof(_Layout):
+    """vnat(leaf index), vnat(path length), then each path entry bottom-up:
+    a side bit and the sibling digest."""
+
+    head = (2 * _VARINT_HEAD[0] + _MAX_PATH * _PATH_ENTRY, 0)
+
+    def encode(self, g, value):
+        proof, path = g.local("proof"), g.local("path")
+        g(f"{proof} = {value}")
+        g.vnat(f"{proof}.index")
+        g(f"{path} = {proof}.path")
+        g.vnat(f"len({path})")
+        with g.block(f"for side, sib in {path}:"):
+            g(f"if len(sib) != {crypto.DIGEST_BYTES}:"
+              " raise ValueError(WRONG_LENGTH)")
+            g.put_var('(int.from_bytes(sib, "little") << 1 | side & 1)',
+                      str(_PATH_ENTRY))
+            g.spill()
+
+    def decode(self, g):
+        index, count, bits = g.local("n"), g.local("n"), g.local("path")
+        g.vnat(index)
+        g.vnat(count)
+        g(f"if {count} > {_MAX_PATH}: raise DecodeError(TOO_LARGE)")
+        size = f"{_PATH_ENTRY} * {count}"
+        g(f"if pos + {size} > end: raise DecodeError(EXHAUSTED)")
+        g(f"{bits} = v & (1 << {size}) - 1")
+        g(f"pos += {size}")
+        g(f"v >>= {size}")
+        digest = g.mask(8 * crypto.DIGEST_BYTES)
+        return (f"{g.ref(MerkleProof)}({index}, tuple([({bits} >> j & 1, "
+                f"({bits} >> j + 1 & {digest}).to_bytes("
+                f'{crypto.DIGEST_BYTES}, "little")) for j in range('
+                f"0, {size}, {_PATH_ENTRY})]))")
 
 
-CERTIFICATE = (_write_certificate, _read_certificate)
+class _Partition(_Layout):
+    """Sender ids as an integer partition over the server domains:
+    varint(d) varint(w), each domain's count in d bits, last domain first,
+    then every index in w bits, last first (docs/wire_format.md)."""
+
+    top_level = True
+
+    def encode(self, g, value):
+        g(f"mu = {{d: set(ix) for d, ix in {value}}}")
+        g("total = sum([len(ix) for ix in mu.values()])")
+        g("if total < 1:"
+          ' raise ValueError("partition must contain at least one integer")')
+        g("dw = total.bit_length()")
+        g("iw = max(max([max(ix) for ix in mu.values() if ix]).bit_length(),"
+          " 1)")
+        g.varint("dw")
+        g.varint("iw")
+        g("zs = []")
+        with g.block("for d in ctx.domains:"):
+            g("zs += sorted(mu.get(d, ()))")
+        g('if zs and min(zs) < 0: raise ValueError("negative index")')
+        g("counts = [len(mu.get(d, ())) for d in ctx.domains]")
+        # the first digit of the string is the most significant bit
+        g('s = ("{:0%db}" % iw * len(zs) + "{:0%db}" % dw * len(counts))'
+          ".format(*zs, *counts)")
+        g.put_var("int(s, 2)", "len(s)")
+
+    def decode(self, g):
+        dw, iw = g.local("n"), g.local("n")
+        g.vnat(dw, zero="partition count width 0")
+        g(f"{dw} += 1")
+        g.vnat(iw, zero="partition index width 0")
+        g(f"{iw} += 1")
+        g(f"cb = len(ctx.domains) * {dw}")
+        g("if pos + cb > end: raise DecodeError(EXHAUSTED)")
+        g('s = format(v & (1 << cb) - 1, "0%db" % cb)')
+        g(f"counts = [int(s[i:i + {dw}], 2) for i in range(0, cb, {dw})]")
+        g("total = sum(counts)")
+        g('if total < 1: raise DecodeError("empty partition")')
+        g(f"zb = total * {iw}")
+        with g.block("if pos + cb + zb > end:"):
+            g('raise DecodeError("partition of %d indices of width %d"'
+              f' " overruns the stream" % (total, {iw}))')
+        g('s = format(v >> cb & (1 << zb) - 1, "0%db" % zb)')
+        g(f"zs = [int(s[i:i + {iw}], 2) for i in range(0, zb, {iw})]")
+        g("pos += cb + zb")
+        g("v >>= cb + zb")
+        g("groups = []")
+        g("i = 0")
+        with g.block("for d, y in zip(ctx.domains, counts):"):
+            with g.block("if y:"):
+                g("group = set(zs[i:i + y])")
+                g("if len(group) != y:"
+                  ' raise DecodeError("repeated index in partition group")')
+                g("groups.append((d, tuple(sorted(group))))")
+                g("i += y")
+        return "tuple(groups)"
 
 
-_PATH_ENTRY = 1 + 8 * crypto.DIGEST_BYTES  # side bit, then the sibling
-_DIGEST_MASK = (1 << 8 * crypto.DIGEST_BYTES) - 1
+class _Fields(_Layout):
+    """Several layouts in order: a dataclass's fields in declaration order,
+    or the items of a tuple."""
+
+    def __init__(self, build, *layouts: _Layout):
+        if build is not tuple:
+            self.names = [f.name for f in fields(build)]
+            if len(self.names) != len(layouts):
+                raise TypeError(f"{build.__name__} has {len(self.names)} "
+                                f"fields, spec gives {len(layouts)}")
+        self.build = build
+        self.layouts = layouts
+        self.head = _NONE
+        for layout in layouts:
+            self.head = _plus(self.head, layout.head)
+        self.top_level = any(layout.top_level for layout in layouts)
+
+    def encode(self, g, value):
+        if self.build is tuple:
+            values = [g.local("item") for _ in self.layouts]
+            g(f"{', '.join(values)} = {value}")
+        else:
+            if not value.isidentifier():
+                record = g.local("record")
+                g(f"{record} = {value}")
+                value = record
+            values = [f"{value}.{name}" for name in self.names]
+        for layout, item in zip(self.layouts, values):
+            layout.encode(g, item)
+
+    def decode(self, g):
+        values = []
+        for i, layout in enumerate(self.layouts):
+            if layout.width is not None:  # one check for a run of them
+                run = _NONE
+                for fixed in self.layouts[i:]:
+                    if fixed.width is None:
+                        break
+                    run = _plus(run, fixed.width)
+                g.need(run)
+            values.append(layout.decode(g))
+        if self.build is tuple:
+            return f"({', '.join(values)},)"
+        return f"{g.ref(self.build)}({', '.join(values)})"
 
 
-def _write_proof(ctx, w, proof: MerkleProof):
-    """The path is one field: entry i at bits [257 i, 257 i + 257)."""
-    write_vnat(w, proof.index)
-    write_vnat(w, len(proof.path))
-    entries = 0
-    for side, sib in reversed(proof.path):
-        if len(sib) != crypto.DIGEST_BYTES:
-            raise ValueError("fixed-width field has wrong length")
-        entries = (entries << _PATH_ENTRY
-                   | int.from_bytes(sib, "little") << 1 | side & 1)
-    w.write_uint(_PATH_ENTRY * len(proof.path), entries)
+class _Items(_Layout):
+    """vnat(count), then the items; decodes to `build` (source with one {}
+    for the list of items).  `ascending` writes the items sorted."""
+
+    head = _VARINT_HEAD
+
+    def __init__(self, item: _Layout, build: str = "tuple({})",
+                 ascending: bool = False):
+        if item.top_level:
+            raise TypeError("a list item must have a bounded head")
+        self.item = item
+        self.build = build
+        self.ascending = ascending
+
+    def encode(self, g, value):
+        items, item = g.local("items"), g.local("item")
+        g(f"{items} = {value}")
+        g.vnat(f"len({items})")
+        order = f"sorted({items})" if self.ascending else items
+        with g.block(f"for {item} in {order}:"):
+            self.item.encode(g, item)
+            g.settle()
+            g.spill()
+
+    def decode(self, g):
+        count = g.local("n")
+        g.vnat(count)
+        g(f"if {count} > MAX_BLOB_BYTES: raise DecodeError(TOO_LARGE)")
+        return self.build.format(self.decode_items(g, count))
+
+    def decode_items(self, g, count: str) -> str:
+        """Decode `count` items into a list; returns its name."""
+        g.settle()
+        items = g.local("items")
+        g(f"{items} = []")
+        head = self.item.head
+        if head[1]:
+            window = g.local("window")
+            g(f"{window} = ({g.width(_plus(head, (15, 0)))}) >> 3")
+        else:
+            window = str((head[0] + 15) >> 3)
+        outer = g.window
+        with g.block(f"for _ in range({count}):"):
+            g.window = window
+            g.jumped()
+            value = self.item.decode(g)
+            g.settle(shift_v=False)
+            g(f"{items}.append({value})")
+        g.window = outer
+        g.jumped()
+        return items
 
 
-def _read_proof(ctx, r) -> MerkleProof:
-    index = read_vnat(r)
-    count = _read_count(r, 64)
-    entries = r.read_uint(_PATH_ENTRY * count)
-    path = []
-    for _ in range(count):
-        path.append((entries & 1, (entries >> 1 & _DIGEST_MASK).to_bytes(
-            crypto.DIGEST_BYTES, "little")))
-        entries >>= _PATH_ENTRY
-    return MerkleProof(index, tuple(path))
+class _Payloads(_Layout):
+    """vnat(count), a uniform bit; if uniform, vnat(context length),
+    vnat(message length) and every payload's bytes back to back; else a
+    blob pair per payload.  So a batch of uniform payloads pays its framing
+    once, not per payload."""
+
+    top_level = True
+
+    def encode(self, g, value):
+        g(f"pl = {value}")
+        g.vnat("len(pl)")
+        g("uniform = (len(pl) > 0 and len({len(c) for c, _ in pl}) == 1"
+          " and len({len(m) for _, m in pl}) == 1)")
+        with g.block("if uniform:"):
+            g.put("1", (1, 0))
+            g.vnat("len(pl[0][0])")
+            g.vnat("len(pl[0][1])")
+            g('block = b"".join(chain.from_iterable(pl))')
+            g.put_var('int.from_bytes(block, "little")', "8 * len(block)")
+        with g.block("else:"):
+            g("pos += 1")
+            with g.block("for c, m in pl:"):
+                BLOB.encode(g, "c")
+                BLOB.encode(g, "m")
+                g.spill()
+
+    def decode(self, g):
+        count, clen, mlen = g.local("n"), g.local("n"), g.local("n")
+        g.vnat(count)
+        g(f"if {count} > MAX_BLOB_BYTES: raise DecodeError(TOO_LARGE)")
+        uniform = g.local("uniform")
+        g(f"{uniform} = {g.take((1, 0))}")
+        g.settle()
+        branch = g.state()
+        with g.block(f"if {uniform}:"):
+            for length in (clen, mlen):
+                g.vnat(length)
+                g(f"if {length} > MAX_BLOB_BYTES:"
+                  " raise DecodeError(TOO_LARGE)")
+            g(f"step = {clen} + {mlen}")
+            with g.block("if not step:"):
+                g(f'pl = ((b"", b""),) * {count}')
+            with g.block("else:"):
+                g(f"size = {count} * step")
+                g("if pos + 8 * size > end: raise DecodeError(EXHAUSTED)")
+                g('block = (v & (1 << 8 * size) - 1).to_bytes(size, "little")')
+                g(f"pl = tuple([(block[i:i + {clen}], block[i + {clen}:"
+                  "i + step]) for i in range(0, size, step)])")
+                g("pos += 8 * size")
+        g.restore(branch)
+        with g.block("else:"):
+            g(f"pl = tuple({_BLOB_PAIRS.decode_items(g, count)})")
+        g.jumped()
+        return "pl"
 
 
-PROOF = (_write_proof, _read_proof)
-
-
-def _write_partition(ctx, w, compressed: tuple):
-    mu = {domain: set(indices) for domain, indices in compressed}
-    write_partition(w, mu, ctx.domains)
-
-
-def _read_partition(ctx, r) -> tuple:
-    mu = read_partition(r, ctx.domains)
-    return tuple((d, tuple(sorted(mu[d]))) for d in sorted(mu))
-
-
-PARTITION = (_write_partition, _read_partition)
-
-
-def _write_payloads(ctx, w, payloads: tuple):
-    """Payload list.
-
-    Uniform-length payloads declare the two lengths once, so the framing
-    overhead is constant per batch rather than per payload.
-    """
-    write_vnat(w, len(payloads))
-    uniform = (len(payloads) > 0
-               and len({len(c) for c, _ in payloads}) == 1
-               and len({len(m) for _, m in payloads}) == 1)
-    w.write_bit(1 if uniform else 0)
-    if uniform:
-        write_vnat(w, len(payloads[0][0]))
-        write_vnat(w, len(payloads[0][1]))
-        w.write_bytes(b"".join(chain.from_iterable(payloads)))
-    else:
-        for context, message in payloads:
-            _write_blob(ctx, w, context)
-            _write_blob(ctx, w, message)
-
-
-def _read_payloads(ctx, r) -> tuple:
-    count = _read_count(r)
-    if r.read_bit():
-        clen = _read_count(r)
-        mlen = _read_count(r)
-        step = clen + mlen
-        if not step:
-            return ((b"", b""),) * count
-        block = r.read_bytes(count * step)
-        return tuple((block[i:i + clen], block[i + clen:i + step])
-                     for i in range(0, count * step, step))
-    return tuple((_read_blob(ctx, r), _read_blob(ctx, r))
-                 for _ in range(count))
-
-
-PAYLOADS = (_write_payloads, _read_payloads)
-
-ASSIGNMENT = record(Assignment, ID, KEYCARD, CERTIFICATE)
-ASSIGNMENTS = seq(ASSIGNMENT, tuple)
-PATCHES = seq(pair(ID_TUPLE, CERTIFICATE), tuple)
+DIGEST = _Bytes(crypto.DIGEST_BYTES)
+SIGNATURE = _Bytes(crypto.SIGNATURE_BYTES)
+MULTISIG = _Bytes(crypto.MULTISIG_BYTES)
+KEYCARD = _Bytes(crypto.PUBKEY_BYTES)
+VNAT = _Vnat()
+BLOB = _Blob()
+CERTIFICATE = _Certificate()
+PROOF = _Proof()
+PARTITION = _Partition()
+PAYLOADS = _Payloads()
+ID = _Fields(tuple, VNAT, VNAT)
+ID_SET = _Items(ID, "frozenset({})", ascending=True)
+ID_TUPLE = _Items(ID, "tuple(sorted(frozenset({})))", ascending=True)
+ASSIGNMENT = _Fields(Assignment, ID, KEYCARD, CERTIFICATE)
+ASSIGNMENTS = _Items(ASSIGNMENT)
+PATCHES = _Items(_Fields(tuple, ID_TUPLE, CERTIFICATE))
+_BLOB_PAIRS = _Items(_Fields(tuple, BLOB, BLOB))
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +885,12 @@ _SPECS = [
     (BatchMsg, (PARTITION, PAYLOADS)),
     (BatchAcquired, (DIGEST, ID_TUPLE)),
     (Signatures, (DIGEST, ASSIGNMENTS, MULTISIG,
-                  seq(pair(ID, SIGNATURE), tuple))),
+                  _Items(_Fields(tuple, ID, SIGNATURE)))),
     (WitnessShard, (DIGEST, MULTISIG)),
     (Witness, (DIGEST, CERTIFICATE)),
     (CommitShard, (DIGEST,
-                   seq(pair(ID, record(EquivocationProof, DIGEST, CERTIFICATE,
-                                       PROOF, BLOB)), tuple),
+                   _Items(_Fields(tuple, ID, _Fields(
+                       EquivocationProof, DIGEST, CERTIFICATE, PROOF, BLOB))),
                    MULTISIG)),
     (Commit, (DIGEST, PATCHES)),
     (CompletionShard, (DIGEST, MULTISIG)),
@@ -456,8 +906,32 @@ _SPECS = [
     (FifoEcho, (VNAT, VNAT, BLOB)),
     (FifoReady, (VNAT, VNAT, BLOB)),
 ]
-_CODECS = [record(cls, *codecs) for cls, codecs in _SPECS]
-_TAGS = {cls: tag for tag, (cls, _) in enumerate(_SPECS)}
+
+
+def _sources(tag: int, cls, layouts) -> tuple[str, dict]:
+    """The source of the encoder and the decoder of one message type, and
+    the names it refers to."""
+    names = dict(_NAMES)
+    message = _Fields(cls, *layouts)
+    encoder, decoder = _Encoder(names, tag), _Decoder(names)
+    message.encode(encoder, "msg")
+    value = message.decode(decoder)
+    return (encoder.source(f"encode_{cls.__name__}")
+            + decoder.source(f"decode_{cls.__name__}", value)), names
+
+
+def _compile(tag: int, cls, layouts):
+    """(encode(ctx, msg) -> bytes, decode(ctx, data, end) -> msg) of one
+    message type; `decode` reads the stream bits [8, end) of data."""
+    source, names = _sources(tag, cls, layouts)
+    exec(compile(source, f"<wire codec of {cls.__name__}>", "exec"), names)
+    return names[f"encode_{cls.__name__}"], names[f"decode_{cls.__name__}"]
+
+
+_CODECS = [_compile(tag, cls, layouts)
+           for tag, (cls, layouts) in enumerate(_SPECS)]
+_ENCODERS = {cls: encode for (cls, _), (encode, _) in zip(_SPECS, _CODECS)}
+_DECODERS = [decode for _, decode in _CODECS]
 
 
 def serialize(ctx: WireContext, msg) -> bytes:
@@ -475,22 +949,18 @@ def serialize(ctx: WireContext, msg) -> bytes:
     last, data = ctx.last
     if msg is last:
         return data
-    tag = _TAGS[type(msg)]
-    w = BitWriter()
-    w.write_uint(8, tag)
-    _CODECS[tag][0](ctx, w, msg)
-    data = w.to_bytes()
+    data = _ENCODERS[type(msg)](ctx, msg)
     ctx.last = (msg, data)
     return data
 
 
 def deserialize(ctx: WireContext, data: bytes):
-    r = BitReader(data)
+    if not data:
+        raise DecodeError(EXHAUSTED)
+    if data[0] >= len(_DECODERS):
+        raise DecodeError("unknown tag")
     try:
-        tag = r.read_uint(8)
-        if tag >= len(_CODECS):
-            raise DecodeError("unknown tag")
-        return _CODECS[tag][1](ctx, r)
+        return _DECODERS[data[0]](ctx, data, 8 * len(data))
     except (ValueError, IndexError, OverflowError) as exc:
         raise DecodeError(str(exc)) from exc
 

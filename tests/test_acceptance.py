@@ -7,14 +7,15 @@ per criterion.
 import random
 import time
 
-from batchcast.encoding import (partition_encoded_len, partition_size,
-                                read_varint, write_varint)
+from batchcast import wire
+from batchcast.encoding import partition_encoded_len
 from batchcast.metrics import amortized_report, convergence_sweep
 from batchcast.properties import check_trace
 from batchcast.scenarios import (CORPUS, async_slow_server, batching_limit,
                                  equivocating_client, good_case, run_scenario)
 
-from test_encoding import partition_roundtrip, roundtrip_with_tail
+from test_encoding import (bitmap, partition_roundtrip, partition_size,
+                           roundtrip_with_tail)
 
 
 def report(name, ok, detail=""):
@@ -25,15 +26,16 @@ def report(name, ok, detail=""):
 def test_encoding_exactness():
     rng = random.Random(0xACC)
     t0 = time.time()
+    contexts = [wire.WireContext(width) for width in range(33)]
     for _ in range(10_000):
         width = rng.randint(1, 32)
         n = rng.randrange(2 ** width)
-        tail = [rng.randrange(2) for _ in range(rng.randint(0, 8))]
-        assert roundtrip_with_tail(lambda w: w.write_uint(width, n),
-                                   lambda r: r.read_uint(width), tail) == n
+        tail = rng.randrange(1 << rng.randint(0, 8))
+        cert = bitmap(width, n)  # its signer bitmap is uint(width, n)
+        assert roundtrip_with_tail(wire.CERTIFICATE, cert, tail,
+                                   contexts[width]) == cert
         m = rng.randint(1, 2 ** 32)
-        assert roundtrip_with_tail(lambda w: write_varint(w, m), read_varint,
-                                   tail) == m
+        assert roundtrip_with_tail(wire.VNAT, m - 1, tail) == m - 1
     for _ in range(10_000):
         domains = list(range(rng.randint(1, 5)))
         mu = {}

@@ -1,111 +1,145 @@
-"""Integer, varint and partition codecs: worked examples and round-trips."""
+"""Integer, varint, partition, Merkle path and payload layouts: worked
+examples and round-trips through the compiled codec, checked bit by bit
+against a reference that writes one bit at a time.
+
+Each layout is compiled into a probe message type exactly as `wire`
+compiles its own messages (`wire._compile`), so these tests run the same
+generated code.  A probe's decoder takes the stream's length in bits, so a
+stream can be cut at any bit, not just at a byte boundary.
+"""
 
 import random
+from dataclasses import make_dataclass
 
 from batchcast import crypto, wire
-from batchcast.bits import BitReader, BitWriter, DecodeError
-from batchcast.crypto import MerkleProof
-from batchcast.encoding import (_WINDOW, compress_ids, expand_ids,
-                                partition_encoded_len, partition_size,
-                                read_partition, read_varint, write_partition,
-                                write_varint)
+from batchcast.bits import TABLE_PAIRS, DecodeError
+from batchcast.crypto import Certificate, MerkleProof
+from batchcast.encoding import compress_ids, expand_ids, partition_encoded_len
 import pytest
 
+TAG = 255  # probes are never dispatched by tag
+CTX = wire.WireContext(4)
+MSIG = bytes(range(crypto.MULTISIG_BYTES))
+_PROBES: dict = {}
 
-def bits_of(w):
-    """The bits a writer holds, in stream order."""
-    n = int.from_bytes(w.to_bytes(), "little")
-    return tuple(n >> i & 1 for i in range(len(w)))
+
+def probe(*layouts):
+    """(message class, encode, decode) of a probe message whose fields have
+    these layouts."""
+    if layouts not in _PROBES:
+        cls = make_dataclass(f"Probe{len(_PROBES)}",
+                             [f"f{i}" for i in range(len(layouts))],
+                             frozen=True)
+        _PROBES[layouts] = (cls, *wire._compile(TAG, cls, layouts))
+    return _PROBES[layouts]
 
 
-def reader_of(bits):
-    """A reader over the given bits, packed by the bit-by-bit reference."""
+def stream_bits(data):
+    """The bits of a byte string, in stream order."""
+    n = int.from_bytes(data, "little")
+    return tuple(n >> i & 1 for i in range(8 * len(data)))
+
+
+def field_bits(layout, value, ctx=CTX):
+    """The bits a field takes: the probe's stream after the tag, up to the
+    trailing vnat(0), whose data bit is the stream's last 1."""
+    cls, encode, _ = probe(layout, wire.VNAT)
+    data = encode(ctx, cls(value, 0))
+    return stream_bits(data)[8:int.from_bytes(data, "little").bit_length()
+                             - 2]
+
+
+def read_bits(layout, bits, ctx=CTX):
+    """Decode a one-field probe from a stream of exactly these bits after
+    the tag."""
     ref = RefWriter()
-    ref.bits = list(bits)
-    return BitReader(ref.to_bytes(), len(ref.bits))
+    ref.write_uint(8, TAG)
+    ref.bits.extend(bits)
+    _, _, decode = probe(layout)
+    return decode(ctx, ref.to_bytes(), len(ref.bits)).f0
 
 
-def uint_bits(width, n):
-    w = BitWriter()
-    w.write_uint(width, n)
-    return bits_of(w)
-
-
-def varint_bits(n):
-    w = BitWriter()
-    write_varint(w, n)
-    return bits_of(w)
-
-
-def roundtrip_with_tail(write, read, tail):
-    """Write a field then the tail bits; the field must read back first and
-    leave exactly the tail."""
-    w = BitWriter()
-    write(w)
-    for b in tail:
-        w.write_bit(b)
-    r = BitReader(w.to_bytes(), len(w))
-    value = read(r)
-    assert [r.read_bit() for _ in tail] == tail
-    assert r.remaining == 0
-    return value
+def roundtrip_with_tail(layout, value, tail, ctx=CTX):
+    """Encode the field, then a vnat tail; both must read back."""
+    cls, encode, decode = probe(layout, wire.VNAT)
+    data = encode(ctx, cls(value, tail))
+    decoded = decode(ctx, data, 8 * len(data))
+    assert decoded.f1 == tail
+    return decoded.f0
 
 
 def partition_roundtrip(mu, domains):
-    """(decoded, encoded length in bits); decoding consumes every bit."""
-    w = BitWriter()
-    write_partition(w, mu, domains)
-    r = BitReader(w.to_bytes(), len(w))
-    decoded = read_partition(r, domains)
-    assert r.remaining == 0
-    return decoded, len(w)
+    """(decoded, encoded length in bits) of the partition mu over the
+    domains 0 .. len(domains) - 1."""
+    assert domains == list(range(len(domains)))
+    ctx = wire.WireContext(len(domains))
+    compressed = tuple((d, tuple(sorted(mu[d]))) for d in sorted(mu))
+    decoded = roundtrip_with_tail(wire.PARTITION, compressed, 0, ctx)
+    return ({d: set(ix) for d, ix in decoded},
+            len(field_bits(wire.PARTITION, compressed, ctx)))
+
+
+def bitmap(width, n):
+    """A certificate whose n_servers = width bitmap is uint(width, n)."""
+    return Certificate(frozenset(o for o in range(width) if n >> o & 1),
+                       MSIG)
 
 
 def test_int_repr_examples():
-    # floor(5 / 2^i) mod 2 for i = 0, 1, 2
-    assert uint_bits(3, 5) == (1, 0, 1)
-    assert uint_bits(1, 0) == (0,)
-    assert uint_bits(4, 5) == (1, 0, 1, 0)
+    # floor(5 / 2^i) mod 2 for i = 0, 1, 2: a signer bitmap is uint(N, ...)
+    def bits(width, n):
+        return field_bits(wire.CERTIFICATE, bitmap(width, n),
+                          wire.WireContext(width))[8 * len(MSIG):]
+    assert bits(3, 5) == (1, 0, 1)
+    assert bits(1, 0) == (0,)
+    assert bits(4, 5) == (1, 0, 1, 0)
+    # the tag is uint(8, tag)
+    data = wire.serialize(CTX, wire.Ranked(0))
+    assert stream_bits(data)[:8] == (0, 0, 0, 0, 1, 0, 0, 0)  # 16
 
 
 def test_uint_then_tail_reads_back():
-    w = BitWriter()
-    w.write_uint(3, 5)
-    w.write_bit(0)
-    assert bits_of(w) == (1, 0, 1, 0)
-    r = reader_of((1, 0, 1, 0))
-    assert r.read_uint(3) == 5
-    assert r.read_bit() == 0 and r.remaining == 0
-    w = BitWriter()
-    w.write_uint(1, 0)
-    assert bits_of(w) == (0,)
+    ctx = wire.WireContext(3)
+    cls, encode, decode = probe(wire.CERTIFICATE, wire.VNAT)
+    data = encode(ctx, cls(bitmap(3, 5), 0))
+    bits = stream_bits(data)[8 + 8 * len(MSIG):]
+    assert bits[:5] == (1, 0, 1, 0, 1)  # the bitmap, then vnat(0)
+    end = 8 + 8 * len(MSIG) + 5
+    assert decode(ctx, data, end) == cls(bitmap(3, 5), 0)
+    assert not any(bits[5:])  # padding
 
 
 def test_uint_rejects_out_of_range():
+    cls, encode, decode = probe(wire.DIGEST)
     with pytest.raises(ValueError):
-        BitWriter().write_uint(3, 8)
+        encode(CTX, cls(bytes(crypto.DIGEST_BYTES + 1)))
+    with pytest.raises(ValueError):
+        probe(wire.VNAT)[1](CTX, probe(wire.VNAT)[0](-1))
+    data = encode(CTX, cls(bytes(crypto.DIGEST_BYTES)))
     with pytest.raises(DecodeError):
-        reader_of((1, 0)).read_uint(5)
+        decode(CTX, data, len(data) * 8 - 1)
 
 
 def test_varint_examples():
-    assert varint_bits(1) == (0, 1)
-    assert varint_bits(2) == (1, 0, 0, 1)
-    r = reader_of((0, 1, 1, 1))
-    assert read_varint(r) == 1
-    assert (r.read_bit(), r.read_bit()) == (1, 1) and r.remaining == 0
+    # vnat(n) is varint(n + 1)
+    assert field_bits(wire.VNAT, 0) == (0, 1)
+    assert field_bits(wire.VNAT, 1) == (1, 0, 0, 1)
+    assert read_bits(wire.VNAT, (0, 1, 1, 1)) == 0  # the rest is not read
 
 
 def test_varint_length_formula():
     for n in (1, 2, 3, 7, 8, 1023, 1024, 10**9):
-        assert len(varint_bits(n)) == 2 * (n).bit_length()
+        assert len(field_bits(wire.VNAT, n - 1)) == 2 * n.bit_length()
 
 
 def test_varint_rejects_unparseable():
+    cls, encode, _ = probe(wire.VNAT)
     with pytest.raises(ValueError):
-        write_varint(BitWriter(), 0)
+        encode(CTX, cls(-1))
     with pytest.raises(DecodeError):
-        read_varint(reader_of((1, 1, 1, 0)))  # every even position continues
+        read_bits(wire.VNAT, (1, 1, 1, 0))  # every even position continues
+    with pytest.raises(DecodeError, match="bad vnat"):
+        read_bits(wire.VNAT, (1, 0, 0, 0))  # varint 0
 
 
 def test_roundtrips_randomized():
@@ -113,12 +147,12 @@ def test_roundtrips_randomized():
     for _ in range(2000):
         width = rng.randint(1, 40)
         n = rng.randrange(2 ** width)
-        tail = [rng.randrange(2) for _ in range(rng.randint(0, 12))]
-        assert roundtrip_with_tail(lambda w: w.write_uint(width, n),
-                                   lambda r: r.read_uint(width), tail) == n
+        tail = rng.randrange(1 << rng.randint(0, 12))
+        cert = bitmap(width, n)
+        assert roundtrip_with_tail(wire.CERTIFICATE, cert, tail,
+                                   wire.WireContext(width)) == cert
         m = rng.randint(1, 2 ** 40)
-        assert roundtrip_with_tail(lambda w: write_varint(w, m), read_varint,
-                                   tail) == m
+        assert roundtrip_with_tail(wire.VNAT, m - 1, tail) == m - 1
 
 
 def random_partition(rng, domains, max_index, nonempty=True):
@@ -132,6 +166,10 @@ def random_partition(rng, domains, max_index, nonempty=True):
     if nonempty and not any(mu.values()):
         mu[domains[0]] = {rng.randint(0, max_index)}
     return {d: v for d, v in mu.items() if v}
+
+
+def partition_size(mu):
+    return sum(len(v) for v in mu.values())
 
 
 def test_partition_roundtrip_randomized():
@@ -166,12 +204,11 @@ def test_partition_minimal_case_roundtrips():
     # a single index 0 forces the width clamp (max mu = 0)
     domains = [0]
     mu = {0: {0}}
-    assert partition_roundtrip(mu, domains)[0] == mu
+    assert partition_roundtrip(mu, domains) == (mu, 2 + 2 + 1 + 1)
 
 
 def test_partition_amortized_bits_per_element():
     # 4096 indices below 1024 over 4 domains: about 10 bits per element
-    rng = random.Random(99)
     domains = [0, 1, 2, 3]
     per_domain = 1024
     mu = {d: set(range(per_domain)) for d in domains}
@@ -181,13 +218,72 @@ def test_partition_amortized_bits_per_element():
 
 
 def test_partition_rejects_empty():
+    cls, encode, _ = probe(wire.PARTITION)
     with pytest.raises(ValueError):
-        write_partition(BitWriter(), {}, [0, 1])
+        encode(wire.WireContext(2), cls(()))
+    with pytest.raises(ValueError):
+        encode(wire.WireContext(2), cls(((0, ()), (1, ()))))
 
 
 def test_partition_decode_rejects_malformed():
+    ctx = wire.WireContext(1)
     with pytest.raises(DecodeError):
-        read_partition(reader_of((1, 1)), [0])
+        read_bits(wire.PARTITION, (1, 1), ctx)  # cut inside varint(d)
+    # d = 1, w = 1, count 0: no index at all
+    with pytest.raises(DecodeError, match="empty partition"):
+        read_bits(wire.PARTITION, (0, 1, 0, 1, 0), ctx)
+    # d = 1, w = 1, count 1, index 0 (the minimal case), then one bit short
+    assert read_bits(wire.PARTITION, (0, 1, 0, 1, 1, 0), ctx) == ((0, (0,)),)
+    with pytest.raises(DecodeError):
+        read_bits(wire.PARTITION, (0, 1, 0, 1, 1), ctx)
+    # two copies of one index in a group
+    with pytest.raises(DecodeError, match="repeated index"):
+        read_bits(wire.PARTITION, (1, 0, 0, 1, 0, 1, 0, 1, 1, 1), ctx)
+
+
+def _zero_width_partition(d, counts):
+    """varint(d), the pair (0, 0) where varint(w) belongs, then the counts
+    as d-bit ints, last domain first: the index width is 0."""
+    ref = RefWriter()
+    ref.write_varint(d)
+    ref.write_uint(2, 0)
+    for count in reversed(counts):
+        ref.write_uint(d, count)
+    return ref.bits
+
+
+def test_a_zero_width_partition_is_rejected():
+    # counts (1, 0, 0, 0) with width 0 would read one index, 0, from no
+    # bits: a second encoding of the partition {0: {0}}
+    ctx = wire.WireContext(4)
+    with pytest.raises(DecodeError, match="width 0"):
+        read_bits(wire.PARTITION, _zero_width_partition(1, (1, 0, 0, 0)), ctx)
+    d_zero = RefWriter()
+    d_zero.write_uint(2, 0)
+    d_zero.write_varint(1)
+    with pytest.raises(DecodeError, match="width 0"):
+        read_bits(wire.PARTITION, d_zero.bits, ctx)
+
+
+def test_a_zero_width_batch_fails_before_reading_its_indices():
+    """Tag 3, d = 18, width 0 and four all-ones counts: 4 * (2^18 - 1)
+    indices of width 0 would fit in no bits at all."""
+    ref = RefWriter()
+    ref.write_uint(8, 3)
+    ref.bits.extend(_zero_width_partition(18, [(1 << 18) - 1] * 4))
+    data = ref.to_bytes()
+    assert len(data) == 12
+    with pytest.raises(DecodeError, match="width"):
+        wire.deserialize(wire.WireContext(4), data)
+    # with width 1 the indices are counted against the bits that remain
+    ref = RefWriter()
+    ref.write_uint(8, 3)
+    ref.write_varint(18)
+    ref.write_varint(1)
+    for _ in range(4):
+        ref.write_uint(18, (1 << 18) - 1)
+    with pytest.raises(DecodeError, match="width 1 overruns"):
+        wire.deserialize(wire.WireContext(4), ref.to_bytes())
 
 
 def test_compress_expand_examples():
@@ -214,25 +310,31 @@ def test_compress_expand_randomized():
 
 
 def test_writer_reader_agree_with_bits_api():
-    w = BitWriter()
-    w.write_uint(3, 5)
-    w.write_bytes(b"\xff\x01")
-    w.write_bit(1)
-    r = BitReader(w.to_bytes(), len(w))
-    assert r.read_uint(3) == 5
-    assert r.read_bytes(2) == b"\xff\x01"
-    assert r.read_bit() == 1
-    assert r.remaining == 0
+    """A bitmap, two bytes and a vnat land where the bit-level definitions
+    put them, read back, and a stream one bit short is refused."""
+    ctx = wire.WireContext(3)
+    cls, encode, decode = probe(wire.CERTIFICATE, wire.BLOB, wire.VNAT)
+    msg = cls(bitmap(3, 5), b"\xff\x01", 1)
+    ref = RefWriter()
+    ref.write_uint(8, TAG)
+    ref.write_bytes(MSIG)
+    ref.write_uint(3, 5)
+    ref.write_varint(3)
+    ref.write_bytes(b"\xff\x01")
+    ref.write_varint(2)
+    data = encode(ctx, msg)
+    assert data == ref.to_bytes()
+    assert decode(ctx, data, len(ref.bits)) == msg
     with pytest.raises(DecodeError):
-        r.read_bit()
+        decode(ctx, data, len(ref.bits) - 1)
 
 
 # ---------------------------------------------------------------------------
 # equivalence with a bit-by-bit reference codec
 #
-# BitWriter/BitReader and the varint codec move whole fields at a time; the
-# reference below moves one bit at a time, straight from the definitions in
-# the encoding module docstring, and the packed bytes must agree exactly.
+# The compiled codec moves whole fields at a time; the reference below moves
+# one bit at a time, straight from the definitions in the `bits` module
+# docstring, and the packed bytes must agree exactly.
 
 class RefWriter:
     """One list entry per bit; packs LSB-first within each byte."""
@@ -287,32 +389,66 @@ class RefReader:
                 return n
 
 
-def _both_writers(prefix_bits):
-    w, ref = BitWriter(), RefWriter()
-    for b in prefix_bits:
-        w.write_bit(b)
-        ref.write_uint(1, b)
-    return w, ref
+def write_ref_proof(ref, proof):
+    ref.write_varint(proof.index + 1)
+    ref.write_varint(len(proof.path) + 1)
+    for side, sibling in proof.path:
+        ref.write_uint(1, side)
+        ref.write_bytes(sibling)
+
+
+def offset_prefix(offset):
+    """A Merkle proof that, after the 8-bit tag, ends `offset` bits past a
+    byte boundary: a path entry takes 257 bits, each varint an even
+    number."""
+    for length in (0, 1):
+        for index in range(16):
+            bits = (8 + 2 * (index + 1).bit_length()
+                    + 2 * (length + 1).bit_length() + 257 * length)
+            if bits % 8 == offset:
+                return MerkleProof(index, ((1, bytes(range(32))),) * length)
+    raise AssertionError(offset)
+
+
+def field_both_ways(layout, value, offset, write_ref, ctx=CTX, cuts=True):
+    """The field at a bit offset, then vnat(0): the probe's bytes equal the
+    reference's, the reference's stream reads back, and a cut raises (every
+    cut in the first and last 64 bits, every 61st in between)."""
+    cls, encode, decode = probe(wire.PROOF, layout, wire.VNAT)
+    prefix = offset_prefix(offset)
+    ref = RefWriter()
+    ref.write_uint(8, TAG)
+    write_ref_proof(ref, prefix)
+    start = len(ref.bits)
+    assert start % 8 == offset
+    write_ref(ref)
+    ref.write_varint(1)
+    data = ref.to_bytes()
+    msg = cls(prefix, value, 0)
+    assert encode(ctx, msg) == data
+    assert decode(ctx, data, len(ref.bits)) == msg
+    if not cuts:
+        return
+    end = len(ref.bits)
+    for cut in range(start, end):
+        if 64 <= cut - start and end - cut > 64 and cut % 61:
+            continue
+        with pytest.raises(DecodeError):
+            decode(ctx, data, cut)
 
 
 def test_write_uint_matches_reference_at_every_offset():
+    """A signer bitmap is uint(N, ...) at whatever offset it falls on."""
     rng = random.Random(0x0FF5E7)
-    for offset in range(8):
-        for width in range(131):
+    for width in range(131):
+        ctx = wire.WireContext(width)
+        for offset in range(8):
             for n in {0, (1 << width) - 1, rng.getrandbits(width)}:
-                prefix = [rng.getrandbits(1) for _ in range(offset)]
-                w, ref = _both_writers(prefix)
-                w.write_uint(width, n)
-                ref.write_uint(width, n)
-                w.write_bit(1)  # the next write lands after the field
-                ref.write_uint(1, 1)
-                assert (w.to_bytes(), len(w)) == (ref.to_bytes(),
-                                                  len(ref.bits))
-                r = BitReader(w.to_bytes(), len(w))
-                rr = RefReader(ref.to_bytes(), len(ref.bits))
-                assert r.read_uint(offset) == rr.read_uint(offset)
-                assert r.read_uint(width) == rr.read_uint(width) == n
-                assert r.read_bit() == 1
+                def write_ref(ref):
+                    ref.write_bytes(MSIG)
+                    ref.write_uint(width, n)
+                field_both_ways(wire.CERTIFICATE, bitmap(width, n), offset,
+                                write_ref, ctx, cuts=width % 16 == 0)
 
 
 def test_varint_matches_reference():
@@ -322,96 +458,68 @@ def test_varint_matches_reference():
         values.update((2 ** k - 1, 2 ** k, 2 ** k + 1))
     cases = sorted(values)
     cases += [rng.getrandbits(rng.randint(1, 80)) + 1 for _ in range(10_000)]
+    cls, encode, decode = probe(wire.PROOF, wire.VNAT)
     for n in cases:
-        prefix = [rng.getrandbits(1) for _ in range(rng.randrange(8))]
-        w, ref = _both_writers(prefix)
-        write_varint(w, n)
+        prefix = offset_prefix(rng.randrange(8))
+        ref = RefWriter()
+        ref.write_uint(8, TAG)
+        write_ref_proof(ref, prefix)
+        start = len(ref.bits)
         ref.write_varint(n)
-        assert (w.to_bytes(), len(w)) == (ref.to_bytes(), len(ref.bits))
-        r = BitReader(w.to_bytes(), len(w))
-        rr = RefReader(ref.to_bytes(), len(ref.bits))
-        r.read_uint(len(prefix))
-        rr.read_uint(len(prefix))
-        assert read_varint(r) == rr.read_varint() == n
-        assert r.remaining == 0
+        data = encode(CTX, cls(prefix, n - 1))
+        assert data == ref.to_bytes()
+        assert decode(CTX, data, len(ref.bits)) == cls(prefix, n - 1)
+        rr = RefReader(data, len(ref.bits))
+        rr.read_uint(start)
+        assert rr.read_varint() == n
 
 
 def test_truncated_fields_raise_decode_error_at_every_point():
     rng = random.Random(0x7E11)
+    cls, encode, decode = probe(wire.VNAT)
     for n in [1, 2, 3, 255, 256, 2 ** 64 + 1, rng.getrandbits(150) + 1]:
-        w = BitWriter()
-        write_varint(w, n)
-        data = w.to_bytes()
-        for cut in range(len(w)):
+        data = encode(CTX, cls(n - 1))
+        length = 8 + 2 * n.bit_length()
+        for cut in range(8, length):
             with pytest.raises(DecodeError):
-                read_varint(BitReader(data, cut))
+                decode(CTX, data, cut)
             with pytest.raises(DecodeError):
-                RefReader(data, cut).read_varint()
+                rr = RefReader(data, cut)
+                rr.read_uint(8)
+                rr.read_varint()
+        assert decode(CTX, data, length) == cls(n - 1)
     for offset in range(8):
         for width in (1, 7, 8, 9, 64, 130):
-            w = BitWriter()
-            w.write_uint(offset, 0)
-            w.write_uint(width, rng.getrandbits(width))
-            data = w.to_bytes()
-            for cut in range(offset + width):
-                r = BitReader(data, cut)
-                with pytest.raises(DecodeError):
-                    r.read_uint(offset)
-                    r.read_uint(width)
+            n = rng.getrandbits(width)
+
+            def write_ref(ref):
+                ref.write_bytes(MSIG)
+                ref.write_uint(width, n)
+            # every cut of the bitmap and of the field before it
+            field_both_ways(wire.CERTIFICATE, bitmap(width, n), offset,
+                            write_ref, wire.WireContext(width))
 
 
 def test_varints_across_the_read_window_at_every_offset():
-    """Varints of one window of pairs and beyond; the stream ends exactly at
-    the varint's last pair, and every shorter stream is truncated."""
-    pairs = _WINDOW // 2
+    """Varints of one window of pairs and beyond, at the top level and as
+    list items; the stream ends exactly at the varint's last pair, and
+    every shorter stream is truncated."""
+    pairs = 32
     rng = random.Random(0x3141)
-    for k in (pairs - 1, pairs, pairs + 1, 2 * pairs, 2 * pairs + 1, 97):
+    for k in (TABLE_PAIRS, TABLE_PAIRS + 1, pairs - 1, pairs, pairs + 1,
+              2 * pairs, 2 * pairs + 1, 97):
         for n in (1 << (k - 1), (1 << k) - 1, rng.getrandbits(k) | 1 << k - 1):
             for offset in range(8):
-                w, ref = _both_writers([1] * offset)
-                write_varint(w, n)
-                ref.write_varint(n)
-                data = w.to_bytes()
-                assert (data, len(w)) == (ref.to_bytes(), len(ref.bits))
-                r = BitReader(data, len(w))
-                r.read_uint(offset)
-                assert read_varint(r) == n and r.remaining == 0
-                # cut after the last flag, then anywhere before it; the bits
-                # past the cut are still in the buffer and must not be read
-                for cut in (len(w) - 1, len(w) - 2,
-                            *range(offset, len(w) - 2, 7)):
-                    r = BitReader(data, cut)
-                    r.read_uint(offset)
-                    with pytest.raises(DecodeError):
-                        read_varint(r)
+                def write_ref(ref):
+                    ref.write_varint(n)
+                field_both_ways(wire.VNAT, n - 1, offset, write_ref)
 
-
-CTX = wire.WireContext(4)
-
-
-def _field_both_ways(codec, value, offset, write_ref):
-    """The field at a bit offset: the writer's bytes equal the reference's,
-    the reference's bytes read back as value, and a cut raises (every cut in
-    the first and last 64 bits, every 61st in between)."""
-    w, ref = _both_writers([1] * offset)
-    codec[0](CTX, w, value)
-    write_ref(ref)
-    w.write_bit(1)
-    ref.write_uint(1, 1)
-    data = ref.to_bytes()
-    assert (w.to_bytes(), len(w)) == (data, len(ref.bits))
-    r = BitReader(data, len(ref.bits))
-    r.read_uint(offset)
-    assert codec[1](CTX, r) == value
-    assert r.read_bit() == 1 and r.remaining == 0
-    end = len(ref.bits) - 1
-    for cut in range(offset, end):
-        if 64 <= cut - offset and end - cut > 64 and cut % 61:
-            continue
-        r = BitReader(data, cut)
-        r.read_uint(offset)
-        with pytest.raises(DecodeError):
-            codec[1](CTX, r)
+                def write_list_ref(ref):
+                    ref.write_varint(3)
+                    for value in (n, 1):
+                        ref.write_varint(value)
+                field_both_ways(wire._Items(wire.VNAT), (n - 1, 0), offset,
+                                write_list_ref)
 
 
 def test_merkle_path_matches_reference_at_every_offset():
@@ -421,25 +529,19 @@ def test_merkle_path_matches_reference_at_every_offset():
             proof = MerkleProof(rng.randrange(1 << 12), tuple(
                 (rng.randrange(2), rng.randbytes(crypto.DIGEST_BYTES))
                 for _ in range(length)))
-
-            def write_ref(ref):
-                ref.write_varint(proof.index + 1)
-                ref.write_varint(length + 1)
-                for side, sibling in proof.path:
-                    ref.write_uint(1, side)
-                    ref.write_bytes(sibling)
-            _field_both_ways(wire.PROOF, proof, offset, write_ref)
+            field_both_ways(wire.PROOF, proof, offset,
+                            lambda ref: write_ref_proof(ref, proof))
 
 
 def test_merkle_path_limits():
     rng = random.Random(0x9A8)
     sibling = rng.randbytes(crypto.DIGEST_BYTES)
+    cls, encode, decode = probe(wire.PROOF)
     with pytest.raises(ValueError):
-        wire.PROOF[0](CTX, BitWriter(), MerkleProof(0, ((0, sibling[1:]),)))
-    w = BitWriter()
-    wire.PROOF[0](CTX, w, MerkleProof(0, ((1, sibling),) * 65))
+        encode(CTX, cls(MerkleProof(0, ((0, sibling[1:]),))))
+    data = encode(CTX, cls(MerkleProof(0, ((1, sibling),) * 65)))
     with pytest.raises(DecodeError, match="count too large"):
-        wire.PROOF[1](CTX, BitReader(w.to_bytes(), len(w)))
+        decode(CTX, data, 8 * len(data))
 
 
 def test_uniform_payloads_match_reference_at_every_offset():
@@ -464,7 +566,7 @@ def test_uniform_payloads_match_reference_at_every_offset():
                     for context, message in payloads:
                         ref.write_bytes(context)
                         ref.write_bytes(message)
-            _field_both_ways(wire.PAYLOADS, payloads, offset, write_ref)
+            field_both_ways(wire.PAYLOADS, payloads, offset, write_ref)
 
 
 def test_uniform_payloads_read_an_empty_declared_list():
@@ -475,6 +577,4 @@ def test_uniform_payloads_read_an_empty_declared_list():
         ref.write_uint(1, 1)
         ref.write_varint(clen + 1)
         ref.write_varint(mlen + 1)
-        r = BitReader(ref.to_bytes(), len(ref.bits))
-        assert wire.PAYLOADS[1](CTX, r) == ()
-        assert r.remaining == 0
+        assert read_bits(wire.PAYLOADS, ref.bits) == ()

@@ -6,7 +6,7 @@ from conftest import live_signup_f2
 
 from batchcast import wire
 from batchcast.fifocast import FifoBroadcast
-from batchcast.procs import server
+from batchcast.procs import ProcessKind, server
 from batchcast.scenarios import run_scenario
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Machine,
                               Scenario, Simulation)
@@ -120,3 +120,17 @@ def test_each_fan_out_is_encoded_once(monkeypatch):
     for tag in FAN_OUT_TAGS:
         assert sends[tag] > 0, tag
         assert misses[tag] * scenario.n_servers == sends[tag], tag
+
+
+def test_a_delivered_slot_keeps_no_echo_or_ready_sets():
+    """Echo and Ready sets are dropped at delivery, every payload variant
+    included; late Echoes and Readys for a delivered slot add none back."""
+    sim = run_scenario(live_signup_f2())
+    fifos = [m.dir.fifo for pid, m in sim.machines.items()
+             if pid.kind == ProcessKind.SERVER]
+    assert fifos
+    for fifo in fifos:
+        assert fifo.done
+        for slots in (fifo.echoes, fifo.readys):
+            assert not {key[:2] for key in slots} & fifo.done  # (origin, seq)
+        assert fifo.done <= fifo.ready_sent and fifo.done <= fifo.echoed

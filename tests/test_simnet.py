@@ -3,9 +3,9 @@
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
-from batchcast.procs import broker, client, server
-from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Machine,
-                              Scenario, Simulation)
+from batchcast.procs import ProcessId, broker, client, server
+from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, Context, DelayPolicy,
+                              Machine, Scenario, Simulation)
 from batchcast.wire import Signup, Ranked
 import pytest
 
@@ -418,3 +418,18 @@ def test_fake_context_simulation_builds(oracle):
     assert ctx.verify(oracle.keycard(client(3)), b"s", b"x") is False
     assert [(e.kind, e.src, e.tag) for e in ctx.sim.trace] == [
         ("verify", "C3", "verify")]
+
+
+def test_unknown_destinations_raise_before_anything_is_queued():
+    """A send to an ordinal past its kind's count, a negative ordinal, a
+    process without a machine or a non-process is refused."""
+    sc = tiny_scenario()
+    machines = idle_machines(sc)
+    del machines[broker(0)]
+    sim = Simulation(sc, machines)
+    src = Context(sim, server(0), machines[server(0)])
+    for dst in (server(4), client(1), server(-1), client(-2), broker(0),
+                ProcessId(-1, 0), "S0", (0, 0), None):
+        with pytest.raises(ValueError, match="unknown destination"):
+            sim._schedule_send(src, dst, b"\x00", 0)
+    assert not sim._queue and not sim._in_flight

@@ -246,11 +246,20 @@ def test_spec_table_matches_the_doc():
         (tag, cls.__name__) for tag, (cls, _) in enumerate(wire._SPECS)]
 
 
+def test_the_doc_shows_the_generated_source():
+    doc = (Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
+    source, _ = wire._sources(2, *wire._SPECS[2])
+    assert wire._SPECS[2][0] is wire.Reduction
+    assert "\n```\n" + source + "```\n" in doc
+
+
 def test_record_rejects_a_field_count_mismatch():
+    """A message's layouts must match its dataclass fields one to one."""
     with pytest.raises(TypeError):
-        wire.record(wire.Reduction, wire.DIGEST)
+        wire._compile(2, wire.Reduction, (wire.DIGEST,))
     with pytest.raises(TypeError):
-        wire.record(wire.Reduction, wire.DIGEST, wire.MULTISIG, wire.VNAT)
+        wire._compile(2, wire.Reduction,
+                      (wire.DIGEST, wire.MULTISIG, wire.VNAT))
 
 
 def test_random_bytes_never_crash():
