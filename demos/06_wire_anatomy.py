@@ -8,7 +8,6 @@ per-payload cost converges to the id bits plus the payload bits.
 """
 
 from batchcast import wire
-from batchcast.encoding import partition_encoded_len
 from batchcast.protocol import canonical_compressed
 
 M = 1024
@@ -18,7 +17,7 @@ payloads = tuple((j.to_bytes(4, "big"), (j ^ 0xFFFF).to_bytes(4, "big"))
                  for j in range(M))
 
 # the partition's closed-form length: M indices below M / 4 over 4 domains
-id_bits = partition_encoded_len(M, max(i for _, i in ids), 4)
+id_bits = wire.partition_encoded_len(M, max(i for _, i in ids), 4)
 batch = wire.BatchMsg(canonical_compressed(ids), payloads)
 total_bits = 8 * len(wire.serialize(ctx, batch))
 payload_bits = 64 * M

@@ -1,17 +1,7 @@
-"""Bit-level building blocks of the wire codec.
+"""The error every malformed wire input ends in.
 
-Every encoding is defined at bit granularity: a stream's bit i is bit
-i % 8 of byte i // 8, and an integer is little-endian in bit order (bit i
-of n is floor(n / 2^i) mod 2).
-
-* varrepr(n), n >= 1: 2*ceil(log2(n+1)) bits; even positions carry a
-  continuation flag (1 = more, 0 = last pair), odd positions carry the data
-  bits of n.
-* vnat(n), n >= 0: varrepr(n + 1).  Protocol-level counts may be zero and
-  varints start at 1, so counts are shifted by one on the wire.
-
-The compiled codecs in `wire` encode and decode short varints inline
-through the two tables below; the functions here take the rest.
+The wire format itself, varints included, is defined and compiled in
+`wire`.
 """
 
 from __future__ import annotations
@@ -22,75 +12,3 @@ class DecodeError(Exception):
 
 
 EXHAUSTED = "bit stream exhausted"
-
-FLAGS = 0x5555555555555555  # the continuation flags of 32 (flag, data) pairs
-MASK64 = (1 << 64) - 1
-
-
-def varint_bits(n: int) -> tuple[int, int]:
-    """(varrepr(n) as an int, its length in bits)."""
-    if n < 1:
-        raise ValueError("varint domain is n >= 1")
-    data_len = n.bit_length()
-    # read as base 4, the binary digits of n land on the even bit positions;
-    # shifted up one they become the odd (data) positions of the varint
-    data = int(format(n, "b"), 4) << 1
-    # continuation flags: 1 on the even positions of every pair but the last
-    more = ((1 << 2 * (data_len - 1)) - 1) // 3
-    return data | more, 2 * data_len
-
-
-def _data_bits(pairs: int) -> int:
-    """Bit i of the result is data bit 2i + 1 of up to 32 pairs."""
-    x = (pairs >> 1) & FLAGS
-    x = (x | x >> 1) & 0x3333333333333333
-    x = (x | x >> 2) & 0x0F0F0F0F0F0F0F0F
-    x = (x | x >> 4) & 0x00FF00FF00FF00FF
-    x = (x | x >> 8) & 0x0000FFFF0000FFFF
-    return (x | x >> 16) & 0xFFFFFFFF
-
-
-def read_varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
-    """(the varint at stream bit pos, its length in bits), reading 32
-    pairs at a time; DecodeError unless its last pair ends by bit `end`.
-    Unlike varrepr, this returns 0 for the pair (0, 0)."""
-    n = shift = 0
-    start = pos
-    while True:
-        first = pos >> 3
-        window = int.from_bytes(data[first:first + 9], "little") >> (pos & 7)
-        stops = ~window & FLAGS
-        if stops:
-            stop = (stops & -stops).bit_length() + 1  # through the data bit
-            if pos + stop > end:
-                raise DecodeError(EXHAUSTED)
-            n |= _data_bits(window & ((1 << stop) - 1)) << shift
-            return n, pos + stop - start
-        pos += 64
-        if pos > end:
-            raise DecodeError(EXHAUSTED)
-        n |= _data_bits(window & MASK64) << shift
-        shift += 32
-
-
-TABLE_PAIRS = 10  # varints of up to this many pairs go through the tables
-
-# ENCODED[n] = varint_bits(n) for 1 <= n < 2^TABLE_PAIRS
-ENCODED = [None] + [varint_bits(n) for n in range(1, 1 << TABLE_PAIRS)]
-
-
-def _vnat_patterns() -> dict:
-    """Every stream of up to TABLE_PAIRS pairs that ends at its first clear
-    flag, non-canonical ones (leading zero data bits) included, as the int
-    of its bits -> the vnat it encodes.  The all-zero data patterns encode
-    no vnat and are left out.  The flags fix each pattern's length, so no
-    two lengths share a key."""
-    patterns = {}
-    for pairs in range(1, TABLE_PAIRS + 1):
-        more = ((1 << 2 * (pairs - 1)) - 1) // 3
-        for n in range(1, 1 << pairs):
-            patterns[int(format(n, "b"), 4) << 1 | more] = n - 1
-    return patterns
-
-
-VNATS = _vnat_patterns()

@@ -1,25 +1,7 @@
-"""Id compression and the size of its wire encoding.
-
-A batch's sender ids travel as an integer partition mu over a fixed, shared
-domain enumeration (x_1..x_|X|), the server ordinals:
-varrepr(d) ++ varrepr(w) ++ |mu(x_|X|)| .. |mu(x_1)| as d-bit ints
-++ z_|mu| .. z_1 as w-bit ints, where the z_i enumerate each mu(x) in
-ascending order, concatenated in domain order; d = ceil(log2(|mu|+1)),
-w = ceil(log2(max mu + 1)) (varrepr is defined in `bits`).  When max mu = 0
-the width is clamped to 1 so the varint stays in its domain (w >= 1); for
-max mu >= 1 the encoded length is exactly
-|mu|*w + |X|*d + 2*ceil(log2(w+1)) + 2*ceil(log2(d+1)).  The `PARTITION`
-layout in `wire` encodes and decodes it.
-"""
+"""Id compression: a batch's sender ids as an integer partition over the
+server domains.  Its wire layout, `PARTITION`, is in `wire`."""
 
 from __future__ import annotations
-
-
-def partition_encoded_len(size: int, max_index: int, n_domains: int) -> int:
-    """Closed form of the encoded length, for max_index >= 1."""
-    w = max_index.bit_length()
-    d = size.bit_length()
-    return size * w + n_domains * d + 2 * w.bit_length() + 2 * d.bit_length()
 
 
 def compress_ids(ids) -> dict:

@@ -10,6 +10,16 @@ but DecodeError, which state machines treat as an ignorable invalid message.
 
 Field widths for cryptographic material are the configured constants from
 the crypto module, independent of the in-memory representation.
+
+Every encoding is defined at bit granularity: a stream's bit i is bit
+i % 8 of byte i // 8, and an integer is little-endian in bit order (bit i
+of n is floor(n / 2^i) mod 2).
+
+* varrepr(n), n >= 1: 2*ceil(log2(n+1)) bits; even positions carry a
+  continuation flag (1 = more, 0 = last pair), odd positions carry the data
+  bits of n.
+* vnat(n), n >= 0: varrepr(n + 1).  Protocol-level counts may be zero and
+  varints start at 1, so counts are shifted by one on the wire.
 """
 
 from __future__ import annotations
@@ -19,8 +29,7 @@ from dataclasses import dataclass, fields
 from itertools import chain
 
 from . import crypto
-from .bits import (ENCODED, EXHAUSTED, FLAGS, MASK64, TABLE_PAIRS, VNATS,
-                   DecodeError, read_varint, varint_bits)
+from .bits import EXHAUSTED, DecodeError
 from .crypto import Certificate, MerkleProof
 from .procs import Id
 
@@ -253,10 +262,76 @@ def tag_name(msg) -> str:
 _SPILL = 1 << 14  # bits an encoder's acc may hold before a loop spills it
 _PATH_ENTRY = 1 + 8 * crypto.DIGEST_BYTES  # side bit, then the sibling
 _MAX_PATH = 64  # Merkle path entries a decoder accepts
-# the window bits a varint read needs: a longer varint than the table holds
-# goes to read_varint, and the window is read afresh after it
-_VARINT_HEAD = (2 * TABLE_PAIRS, 0)
 _NONE = (0, 0)
+
+# Varints.  Those of up to TABLE_PAIRS pairs go through two tables, since a
+# lookup costs a fraction of computing the bits in Python: ENCODED gives
+# the encoder a varint's bits, and VNATS gives the decoder the vnat that a
+# 64-bit window holds, cut at its lowest clear flag, which marks the
+# varint's last pair.  Longer ones take varint_bits and read_varint.  Ten
+# pairs cover every count and index below 1,023; the tables hold 0.25 MB.
+FLAGS = 0x5555555555555555  # the continuation flags of 32 (flag, data) pairs
+MASK64 = (1 << 64) - 1
+TABLE_PAIRS = 10
+_VARINT_HEAD = (2 * TABLE_PAIRS, 0)  # the window bits a table lookup reads
+
+
+def varint_bits(n: int) -> tuple[int, int]:
+    """(varrepr(n) as an int, its length in bits)."""
+    if n < 1:
+        raise ValueError("varint domain is n >= 1")
+    data_len = n.bit_length()
+    # read as base 4, the binary digits of n land on the even bit positions;
+    # shifted up one they become the odd (data) positions of the varint
+    data = int(format(n, "b"), 4) << 1
+    # continuation flags: 1 on the even positions of every pair but the last
+    more = ((1 << 2 * (data_len - 1)) - 1) // 3
+    return data | more, 2 * data_len
+
+
+def read_varint(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    """(the varint at stream bit pos, its length in bits), read one 64-bit
+    window at a time; DecodeError unless its last pair ends by bit `end`.
+    Unlike varrepr, this returns 0 for the pair (0, 0)."""
+    n = shift = 0
+    start = pos
+    while True:
+        first = pos >> 3
+        window = (int.from_bytes(data[first:first + 9], "little")
+                  >> (pos & 7) & MASK64)
+        stops = ~window & FLAGS
+        # the bit past this window's last pair of the varint
+        stop = (stops & -stops) << 2 if stops else 1 << 64
+        length = stop.bit_length() - 1
+        if pos + length > end:
+            raise DecodeError(EXHAUSTED)
+        # with that bit set, every other binary digit is a data bit
+        n |= int(bin(window & stop - 1 | stop)[3::2], 2) << shift
+        if stops:
+            return n, pos + length - start
+        pos += 64
+        shift += 32
+
+
+# ENCODED[n] = varint_bits(n) for 1 <= n < 2^TABLE_PAIRS
+ENCODED = [None] + [varint_bits(n) for n in range(1, 1 << TABLE_PAIRS)]
+
+
+def _vnat_patterns() -> dict:
+    """Every stream of up to TABLE_PAIRS pairs that ends at its first clear
+    flag, non-canonical ones (leading zero data bits) included, as the int
+    of its bits -> the vnat it encodes.  The all-zero data patterns encode
+    no vnat and are left out.  The flags fix each pattern's length, so no
+    two lengths share a key."""
+    patterns = {}
+    for pairs in range(1, TABLE_PAIRS + 1):
+        more = ((1 << 2 * (pairs - 1)) - 1) // 3
+        for n in range(1, 1 << pairs):
+            patterns[int(format(n, "b"), 4) << 1 | more] = n - 1
+    return patterns
+
+
+VNATS = _vnat_patterns()
 
 
 def _plus(a, b):
@@ -271,16 +346,13 @@ def _bits(width) -> str:
 
 
 class WireContext:
-    """Serialization context: the shared server enumeration, the last
-    message `serialize` encoded with its bytes (see `serialize`), and each
-    certificate signer set met so far with its bitmap, both ways."""
+    """Serialization context: the shared server enumeration and the last
+    message `serialize` encoded with its bytes (see `serialize`)."""
 
     def __init__(self, n_servers: int):
         self.n_servers = n_servers
         self.domains = list(range(n_servers))
         self.last = (object(), b"")  # (message, its bytes); matches none
-        self.bitmaps: dict[frozenset, int] = {}
-        self.signer_sets: dict[int, frozenset] = {}
 
 
 # the names all generated code refers to; each message type's codec adds
@@ -368,6 +440,12 @@ class _Encoder(_Source):
         if self.off != _NONE or not self.has_pos:
             self(f"pos = {self.at()}")
             self.off, self.has_pos = _NONE, True
+
+    def state(self):
+        return self.off, self.has_pos
+
+    def restore(self, state):
+        self.off, self.has_pos = state
 
     def varint(self, n: str):
         self(f"t = {n}")
@@ -486,7 +564,10 @@ class _Decoder(_Source):
             self(f"if not {target}: raise DecodeError({zero!r})")
             self(f"{target} -= 1")
             self(f"pos += {plus}")
-            self.resync()
+            if self.window is None:  # v holds the rest of the message
+                self(f"v >>= {plus}")
+            else:  # the varint may have run past the item's window
+                self.resync()
         with self.block("else:"):
             self("e = s.bit_length() + 1")
             self(f"if {self.at()} + e > end: raise DecodeError(EXHAUSTED)")
@@ -589,20 +670,14 @@ class _Certificate(_Layout):
         cert, bitmap = g.local("cert"), g.local("bitmap")
         g(f"{cert} = {value}")
         MULTISIG.encode(g, f"{cert}.msig")
-        g(f"{bitmap} = ctx.bitmaps.get({cert}.signers)")
-        with g.block(f"if {bitmap} is None:"):
-            g(f"{bitmap} = ctx.bitmaps[{cert}.signers] = sum("
-              f"1 << o for o in range(n) if o in {cert}.signers)")
+        g(f"{bitmap} = sum([1 << o for o in range(n) if o in {cert}.signers])")
         g.put(bitmap, (0, 1))
 
     def decode(self, g):
         msig = MULTISIG.decode(g)
         bitmap, signers = g.local("bitmap"), g.local("signers")
         g(f"{bitmap} = {g.take((0, 1))}")
-        g(f"{signers} = ctx.signer_sets.get({bitmap})")
-        with g.block(f"if {signers} is None:"):
-            g(f"{signers} = ctx.signer_sets[{bitmap}] = frozenset("
-              f"o for o in range(n) if {bitmap} >> o & 1)")
+        g(f"{signers} = frozenset([o for o in range(n) if {bitmap} >> o & 1])")
         return f"{g.ref(Certificate)}({signers}, {msig})"
 
 
@@ -642,10 +717,23 @@ class _Proof(_Layout):
                 f"0, {size}, {_PATH_ENTRY})]))")
 
 
+def partition_encoded_len(size: int, max_index: int, n_domains: int) -> int:
+    """The bits `PARTITION` takes for `size` ids over `n_domains` domains
+    whose largest index is max_index >= 1."""
+    w = max_index.bit_length()
+    d = size.bit_length()
+    return size * w + n_domains * d + 2 * w.bit_length() + 2 * d.bit_length()
+
+
 class _Partition(_Layout):
-    """Sender ids as an integer partition over the server domains:
-    varint(d) varint(w), each domain's count in d bits, last domain first,
-    then every index in w bits, last first (docs/wire_format.md)."""
+    """A batch's sender ids as an integer partition mu over the shared
+    domain enumeration (x_1..x_|X|), the server ordinals:
+    varrepr(d) ++ varrepr(w) ++ |mu(x_|X|)| .. |mu(x_1)| as d-bit ints
+    ++ z_|mu| .. z_1 as w-bit ints, where the z_i enumerate each mu(x) in
+    ascending order, concatenated in domain order; d = ceil(log2(|mu|+1)),
+    w = ceil(log2(max mu + 1)), clamped to 1 when max mu = 0 so the varint
+    stays in its domain.  A decoder refuses d = 0, w = 0 and indices that
+    need more bits than remain before it reads one."""
 
     top_level = True
 
@@ -689,16 +777,17 @@ class _Partition(_Layout):
         g(f"zs = [int(s[i:i + {iw}], 2) for i in range(0, zb, {iw})]")
         g("pos += cb + zb")
         g("v >>= cb + zb")
-        g("groups = []")
+        groups = g.local("groups")
+        g(f"{groups} = []")
         g("i = 0")
         with g.block("for d, y in zip(ctx.domains, counts):"):
             with g.block("if y:"):
                 g("group = set(zs[i:i + y])")
                 g("if len(group) != y:"
                   ' raise DecodeError("repeated index in partition group")')
-                g("groups.append((d, tuple(sorted(group))))")
+                g(f"{groups}.append((d, tuple(sorted(group))))")
                 g("i += y")
-        return "tuple(groups)"
+        return f"tuple({groups})"
 
 
 class _Fields(_Layout):
@@ -809,28 +898,35 @@ class _Payloads(_Layout):
     top_level = True
 
     def encode(self, g, value):
-        g(f"pl = {value}")
-        g.vnat("len(pl)")
-        g("uniform = (len(pl) > 0 and len({len(c) for c, _ in pl}) == 1"
-          " and len({len(m) for _, m in pl}) == 1)")
+        pl = g.local("pl")
+        g(f"{pl} = {value}")
+        g.vnat(f"len({pl})")
+        g(f"uniform = (len({pl}) > 0 and len({{len(c) for c, _ in {pl}}})"
+          f" == 1 and len({{len(m) for _, m in {pl}}}) == 1)")
+        g.put("uniform", (1, 0))
+        g.settle()
+        branch = g.state()
         with g.block("if uniform:"):
-            g.put("1", (1, 0))
-            g.vnat("len(pl[0][0])")
-            g.vnat("len(pl[0][1])")
-            g('block = b"".join(chain.from_iterable(pl))')
+            g.vnat(f"len({pl}[0][0])")
+            g.vnat(f"len({pl}[0][1])")
+            g(f'block = b"".join(chain.from_iterable({pl}))')
             g.put_var('int.from_bytes(block, "little")', "8 * len(block)")
+            g.settle()
+        joined = g.state()
+        g.restore(branch)
         with g.block("else:"):
-            g("pos += 1")
-            with g.block("for c, m in pl:"):
+            with g.block(f"for c, m in {pl}:"):
                 BLOB.encode(g, "c")
                 BLOB.encode(g, "m")
+                g.settle()
                 g.spill()
+        assert g.state() == joined
 
     def decode(self, g):
         count, clen, mlen = g.local("n"), g.local("n"), g.local("n")
         g.vnat(count)
         g(f"if {count} > MAX_BLOB_BYTES: raise DecodeError(TOO_LARGE)")
-        uniform = g.local("uniform")
+        uniform, pl = g.local("uniform"), g.local("pl")
         g(f"{uniform} = {g.take((1, 0))}")
         g.settle()
         branch = g.state()
@@ -841,19 +937,19 @@ class _Payloads(_Layout):
                   " raise DecodeError(TOO_LARGE)")
             g(f"step = {clen} + {mlen}")
             with g.block("if not step:"):
-                g(f'pl = ((b"", b""),) * {count}')
+                g(f'{pl} = ((b"", b""),) * {count}')
             with g.block("else:"):
                 g(f"size = {count} * step")
                 g("if pos + 8 * size > end: raise DecodeError(EXHAUSTED)")
                 g('block = (v & (1 << 8 * size) - 1).to_bytes(size, "little")')
-                g(f"pl = tuple([(block[i:i + {clen}], block[i + {clen}:"
+                g(f"{pl} = tuple([(block[i:i + {clen}], block[i + {clen}:"
                   "i + step]) for i in range(0, size, step)])")
                 g("pos += 8 * size")
         g.restore(branch)
         with g.block("else:"):
-            g(f"pl = tuple({_BLOB_PAIRS.decode_items(g, count)})")
+            g(f"{pl} = tuple({_BLOB_PAIRS.decode_items(g, count)})")
         g.jumped()
-        return "pl"
+        return pl
 
 
 DIGEST = _Bytes(crypto.DIGEST_BYTES)

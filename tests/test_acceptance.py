@@ -8,7 +8,7 @@ import random
 import time
 
 from batchcast import wire
-from batchcast.encoding import partition_encoded_len
+from batchcast.wire import partition_encoded_len
 from batchcast.metrics import amortized_report, convergence_sweep
 from batchcast.properties import check_trace
 from batchcast.scenarios import (CORPUS, async_slow_server, batching_limit,

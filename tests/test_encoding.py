@@ -12,9 +12,10 @@ import random
 from dataclasses import make_dataclass
 
 from batchcast import crypto, wire
-from batchcast.bits import TABLE_PAIRS, DecodeError
+from batchcast.bits import DecodeError
 from batchcast.crypto import Certificate, MerkleProof
-from batchcast.encoding import compress_ids, expand_ids, partition_encoded_len
+from batchcast.encoding import compress_ids, expand_ids
+from batchcast.wire import TABLE_PAIRS, partition_encoded_len
 import pytest
 
 TAG = 255  # probes are never dispatched by tag
@@ -284,6 +285,17 @@ def test_a_zero_width_batch_fails_before_reading_its_indices():
         ref.write_uint(18, (1 << 18) - 1)
     with pytest.raises(DecodeError, match="width 1 overruns"):
         wire.deserialize(wire.WireContext(4), ref.to_bytes())
+
+
+def test_two_partitions_and_two_payload_lists_in_one_message():
+    """Each decoded partition and payload list keeps its own value when a
+    message has two of them, uniform and not."""
+    cls, encode, decode = probe(wire.PARTITION, wire.PAYLOADS,
+                                wire.PARTITION, wire.PAYLOADS)
+    msg = cls(((0, (1, 2)),), ((b"a", b"bc"), (b"d", b"ef")),
+              ((1, (5,)), (3, (0, 7))), ((b"", b"g"), (b"hi", b"")))
+    data = encode(CTX, msg)
+    assert decode(CTX, data, 8 * len(data)) == msg
 
 
 def test_compress_expand_examples():

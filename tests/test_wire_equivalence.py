@@ -14,8 +14,9 @@ import time
 from itertools import product
 
 from batchcast import crypto, wire
-from batchcast.bits import TABLE_PAIRS, DecodeError
+from batchcast.bits import DecodeError
 from batchcast.crypto import MerkleProof
+from batchcast.wire import TABLE_PAIRS
 import pytest
 
 import wire_reference as reference
