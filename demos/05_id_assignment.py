@@ -18,7 +18,7 @@ sim = run_scenario(concurrent_signup(n_clients=6), seed=42)
 print("assigned ids (domain = assigner server, index = log position):")
 for j in range(6):
     machine = sim.machines[client(j)]
-    ident = machine.view.lookup_keycard(sim.oracle.keycard(client(j)))
+    ident = machine.assignment.ident
     print(f"  C{j} -> domain S{ident[0]}, index {ident[1]}")
 
 verdicts = check_trace(sim.trace)

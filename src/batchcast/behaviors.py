@@ -3,8 +3,9 @@
 A behavior may emit arbitrary well-formed wire messages, but it reaches the
 crypto oracle through the same per-process facade as a correct machine, so it
 can only sign with its own key.  Each is built with the arguments of the
-correct machine of its process kind, plus its spec keys as keywords, each
-decoded from its JSON value and checked against the scenario's counts.
+correct machine of its process kind, by keyword, plus its spec keys as
+keywords, each decoded from its JSON value and checked against the scenario's
+counts.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from .wire import (Commit, CommitShard, EquivocationProof, Inclusion,
 class SilentBroker(Machine):
     """Accepts nothing, sends nothing: clients must resubmit elsewhere."""
 
-    def __init__(self, *_broker_args):
+    def __init__(self, *_broker_args, **_broker_kwargs):
         pass
 
 
 class CensoringBroker(BrokerMachine):
     """Runs the correct broker but drops submissions from target clients."""
 
-    def __init__(self, *args, censored):
-        super().__init__(*args)
+    def __init__(self, *args, censored, **kwargs):
+        super().__init__(*args, **kwargs)
         self.censored = {ProcessId(ProcessKind.CLIENT, o) for o in censored}
 
     def on_message(self, ctx, src, msg):
@@ -50,15 +51,15 @@ class EquivocatingClient(Machine):
     exception against this client.
     """
 
-    def __init__(self, *client_args, context: bytes,
-                 messages: tuple[bytes, bytes]):
-        if len(messages) > client_args[1]:  # a ClientMachine's n_brokers
+    def __init__(self, *, n_brokers: int, preloaded, context: bytes,
+                 messages: tuple[bytes, bytes], **_client_kwargs):
+        if len(messages) > n_brokers:
             raise ValueError(f"sends its {len(messages)} messages to one "
                              "broker each, so brokers must be at least "
                              f"{len(messages)}")
         self.context = context
         self.messages = messages
-        self.preloaded = client_args[-1]  # a ClientMachine's last argument
+        self.preloaded = preloaded
 
     def on_start(self, ctx: Context):
         for i, message in enumerate(self.messages):
@@ -76,8 +77,8 @@ class EquivocatingClient(Machine):
 class FalseExceptionServer(ServerMachine):
     """Claims, without a valid proof, that a target client equivocated."""
 
-    def __init__(self, *args, target_id):
-        super().__init__(*args)
+    def __init__(self, *args, target_id, **kwargs):
+        super().__init__(*args, **kwargs)
         self.target_id = target_id
 
     def handle_witness(self, ctx, root, certificate):
@@ -175,11 +176,12 @@ _BEHAVIORS = {
 }
 
 
-def build(pid: ProcessId, spec: dict, args: tuple,
+def build(pid: ProcessId, spec: dict, machine_kwargs: dict,
           scenario: Scenario) -> Machine:
     """The machine fault-script entry `spec` of `scenario` makes of `pid`,
-    built on the `args` of its correct machine; raises ValueError naming the
-    label, and the key if a value is malformed or names no process or id."""
+    built on the keyword arguments of its correct machine; raises ValueError
+    naming the label, and the key if a value is malformed or names no process
+    or id."""
     where, name = f"fault_script.{pid.label}", spec.get("behavior")
     kind, cls, decoders = _BEHAVIORS.get(str(name), (None, None, {}))
     if kind is not pid.kind or spec.keys() - {"behavior"} != decoders.keys():
@@ -192,6 +194,6 @@ def build(pid: ProcessId, spec: dict, args: tuple,
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}.{key}: {exc}") from None
     try:
-        return cls(*args, **kwargs)
+        return cls(**machine_kwargs, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None

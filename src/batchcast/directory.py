@@ -8,8 +8,8 @@ assigner (write-once) and announces it.  Servers then sign
 position in the assigner's log; 2f+1 matching signatures aggregate into the
 quorum certificate that makes the assignment transferable.
 
-Server directories are plain views: a set of certified (id, keycard) pairs
-with their certificates, imported and exported by value.
+Server and broker directories are plain views: the certified assignments
+they imported, exported as the same objects.  A client keeps only its own.
 """
 
 from __future__ import annotations
@@ -31,58 +31,59 @@ def cert_fingerprint(cert) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def certified(ctx, a: Assignment) -> bool:
+    """Check `a`'s quorum certificate and record the import or rejection."""
+    fingerprint = cert_fingerprint(a.certificate)
+    if not ctx.verify_quorum(a.certificate,
+                             stmt_assignment(a.ident, a.keycard)):
+        ctx.emit("dir_import_rejected", id=tuple(a.ident),
+                 keycard=a.keycard.hex(), cert=fingerprint)
+        return False
+    ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex(),
+             cert=fingerprint)
+    return True
+
+
 class DirectoryView:
-    """Local record of certified id assignments (bijective by construction)."""
+    """Local record of certified id assignments (bijective by construction):
+    each id maps to the `Assignment` that brought it."""
 
     def __init__(self):
-        self.by_id: dict[Id, bytes] = {}
+        self.by_id: dict[Id, Assignment] = {}
         self.by_keycard: dict[bytes, Id] = {}
-        self.certificates: dict[Id, object] = {}
 
     def lookup_id(self, ident: Id) -> bytes | None:
-        return self.by_id.get(ident)
+        a = self.by_id.get(ident)
+        return None if a is None else a.keycard
 
     def lookup_keycard(self, keycard: bytes) -> Id | None:
         return self.by_keycard.get(keycard)
 
     def export(self, ident: Id) -> Assignment | None:
-        cert = self.certificates.get(ident)
-        if cert is None:
-            return None
-        return Assignment(ident, self.by_id[ident], cert)
-
-    def _store(self, a: Assignment):
-        self.by_id[a.ident] = a.keycard
-        self.by_keycard[a.keycard] = a.ident
-        self.certificates[a.ident] = a.certificate
+        return self.by_id.get(ident)
 
     def preload(self, a: Assignment):
         """Trusted bootstrap import (steady-state scenarios)."""
-        self._store(a)
+        self.by_id[a.ident] = a
+        self.by_keycard[a.keycard] = a.ident
 
     def import_assignment(self, ctx, a: Assignment) -> bool:
         """Verify the quorum certificate and record the pair; idempotent."""
         if not isinstance(a, Assignment):
             return False
-        if self.by_id.get(a.ident) == a.keycard:
+        if self.lookup_id(a.ident) == a.keycard:
             return True
-        fingerprint = cert_fingerprint(a.certificate)
-        if not ctx.verify_quorum(a.certificate,
-                                 stmt_assignment(a.ident, a.keycard)):
-            ctx.emit("dir_import_rejected", id=tuple(a.ident),
-                     keycard=a.keycard.hex(), cert=fingerprint)
+        if not certified(ctx, a):
             return False
-        self._store(a)
-        ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex(),
-                 cert=fingerprint)
+        self.preload(a)
         return True
 
 
 @dataclass
 class ClientSignup:
-    """Client-side signup state machine."""
+    """Client-side signup state machine; hands the certified assignment to
+    `on_complete(ctx, assignment)`."""
 
-    view: DirectoryView
     f: int
     n_servers: int
     on_complete: object = None
@@ -130,12 +131,12 @@ class ClientSignup:
             if len(self.shards[index]) >= 2 * self.f + 1:
                 self.status = "signed_up"
                 ident: Id = (self.assigner, index)
-                cert = ctx.certify(self.shards[index])
-                a = Assignment(ident, ctx.keycard(), cert)
-                self.view.import_assignment(ctx, a)
+                a = Assignment(ident, ctx.keycard(),
+                               ctx.certify(self.shards[index]))
+                certified(ctx, a)
                 ctx.emit("signup_complete", id=tuple(ident))
                 if self.on_complete is not None:
-                    self.on_complete(ctx)
+                    self.on_complete(ctx, a)
                 break
 
 

@@ -97,12 +97,6 @@ class CostLedger:
                 + sum(v for (who, tag), v in self.egress.items()
                       if who == label and tag in tags))
 
-    def total_egress(self) -> int:
-        return sum(self.egress.values())
-
-    def total_ingress(self) -> int:
-        return sum(self.ingress.values())
-
 
 def amortized_report(trace, scenario) -> dict:
     """Per-server amortized costs against the oracle bound."""

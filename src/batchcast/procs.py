@@ -19,7 +19,9 @@ class ProcessId:
     ordinal: int
 
     def __repr__(self):
-        return "%s%d" % ("SBC"[self.kind], self.ordinal)
+        if self.kind in (0, 1, 2):
+            return "%s%d" % ("SBC"[self.kind], self.ordinal)
+        return "ProcessId(%r, %r)" % (self.kind, self.ordinal)
 
     @property
     def label(self) -> str:

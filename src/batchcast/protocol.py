@@ -19,6 +19,7 @@ resubmission = 13 + batching window.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -45,6 +46,17 @@ def canonical_compressed(ids) -> tuple:
     return tuple((d, tuple(sorted(mu[d]))) for d in sorted(mu))
 
 
+def _leaves(ids, payloads) -> list:
+    """The Merkle leaves of a batch: each id with its (context, message)."""
+    return [leaf_bytes(i, c, m) for i, (c, m) in zip(ids, payloads)]
+
+
+def exclusion_union(patches) -> frozenset:
+    """The ids that any of a commit's (exceptions, certificate) patches
+    excludes."""
+    return frozenset().union(*(exceptions for exceptions, _ in patches))
+
+
 # ---------------------------------------------------------------------------
 # client
 
@@ -66,31 +78,28 @@ class ClientMachine(Machine):
         self.batching_window = batching_window
         self.plan = list(plan)  # [(delay, context, message)]
         self.broker_order = list(broker_order) if broker_order else None
-        self.preloaded = preloaded
-        self.view = DirectoryView()
-        self.signup = ClientSignup(self.view, f, n_servers,
-                                   on_complete=self._schedule_plan)
+        self.assignment = preloaded  # this client's own, once it has one
+        self.signup = ClientSignup(f, n_servers, on_complete=self._signed_up)
         self.submissions: dict[bytes, _Submission] = {}
-        self.completed: set = set()
 
     # -- lifecycle ------------------------------------------------------------
 
     def on_start(self, ctx: Context):
-        if self.preloaded is not None:
-            self.view.preload(self.preloaded)
-            ctx.emit("dir_import", id=tuple(self.preloaded.ident),
-                     keycard=self.preloaded.keycard.hex())
+        a = self.assignment
+        if a is not None:
+            ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex())
             self.signup.status = "signed_up"
             self._schedule_plan(ctx)
         else:
             self.signup.signup(ctx)
 
+    def _signed_up(self, ctx: Context, assignment: Assignment):
+        self.assignment = assignment
+        self._schedule_plan(ctx)
+
     def _schedule_plan(self, ctx: Context):
         for i, (delay, _, _) in enumerate(self.plan):
             ctx.set_timer(("broadcast", i), delay)
-
-    def own_id(self, ctx: Context) -> Id | None:
-        return self.view.lookup_keycard(ctx.keycard())
 
     # -- broadcast ------------------------------------------------------------
 
@@ -110,10 +119,9 @@ class ClientMachine(Machine):
         target = next((b for b in order if b not in sub.submitted_to), None)
         if target is None:
             return
-        ident = self.own_id(ctx)
-        assignment = self.view.export(ident)
         ctx.send(ProcessId(ProcessKind.BROKER, target),
-                 Submission(assignment, context, sub.message, sub.signature))
+                 Submission(self.assignment, context, sub.message,
+                            sub.signature))
         sub.submitted_to.add(target)
         ctx.set_timer(("submit", context), RESUBMIT_BASE + self.batching_window)
 
@@ -138,8 +146,7 @@ class ClientMachine(Machine):
         sub = self.submissions.get(msg.context)
         if sub is None or msg.root in sub.included_in:
             return
-        ident = self.own_id(ctx)
-        leaf = leaf_bytes(ident, msg.context, sub.message)
+        leaf = leaf_bytes(self.assignment.ident, msg.context, sub.message)
         if not merkle_verify(msg.root, msg.proof, msg.proof.index, leaf):
             return  # a substituted payload fails the proof: stay silent
         sub.included_in.add(msg.root)
@@ -149,11 +156,11 @@ class ClientMachine(Machine):
         if not ctx.verify_plurality(msg.certificate,
                                     stmt_completion(msg.root, msg.exclusions)):
             return
-        if self.own_id(ctx) in msg.exclusions:
-            return  # excluded: keep resubmitting
-        self.completed.add(msg.root)
+        if self.assignment is None or self.assignment.ident in msg.exclusions:
+            return  # not signed up, or excluded: keep resubmitting
+        # the root's Inclusion came first on this broker's FIFO link
         for context in list(self.submissions):
-            if self.submissions[context].included_in & self.completed:
+            if msg.root in self.submissions[context].included_in:
                 del self.submissions[context]
                 ctx.emit("submission_complete", context=context.hex())
 
@@ -173,7 +180,6 @@ class _Batch:
     payloads: dict              # Id -> (context, message), insertion = id order
     signatures: dict            # Id -> signature (stragglers-to-be)
     reductions: dict            # Id -> multisignature
-    tree: MerkleTree
     root: bytes
     phase: Phase = Phase.REDUCING
     commit_to: set = field(default_factory=set)      # server ordinals
@@ -184,21 +190,14 @@ class _Batch:
     completions: dict = field(default_factory=dict)  # ordinal -> msig
 
 
-@dataclass
-class _Pending:
-    context: bytes
-    message: bytes
-    signature: bytes
-
-
 class BrokerMachine(Machine):
     def __init__(self, n_servers: int, f: int, batching_window: int = 0):
         self.servers = servers(n_servers)
         self.f = f
         self.batching_window = batching_window
         self.view = DirectoryView()
-        self.pending: dict[Id, deque] = {}
-        self.pool: dict[Id, _Pending] = {}
+        self.pending: dict[Id, deque] = {}   # Id -> deque of Submission
+        self.pool: dict[Id, Submission] = {}
         self._ready: set = set()  # ids with a pending submission, not pooled
         self.collecting = False
         self.batches: dict[bytes, _Batch] = {}
@@ -237,12 +236,11 @@ class BrokerMachine(Machine):
         if not self.view.import_assignment(ctx, msg.assignment):
             return
         ident = msg.assignment.ident
-        keycard = self.view.lookup_id(ident)
-        if not ctx.verify(keycard, stmt_message(msg.context, msg.message),
+        if not ctx.verify(msg.assignment.keycard,
+                          stmt_message(msg.context, msg.message),
                           msg.signature):
             return
-        self.pending.setdefault(ident, deque()).append(
-            _Pending(msg.context, msg.message, msg.signature))
+        self.pending.setdefault(ident, deque()).append(msg)
         if ident not in self.pool:
             self._ready.add(ident)
 
@@ -264,20 +262,18 @@ class BrokerMachine(Machine):
         self.pool = {}
         ids = sorted(submissions)
         self._ready.update(i for i in ids if self.pending[i])
-        leaves = [leaf_bytes(i, submissions[i].context, submissions[i].message)
-                  for i in ids]
-        tree = MerkleTree(leaves)
+        payloads = {i: (submissions[i].context, submissions[i].message)
+                    for i in ids}
+        tree = MerkleTree(_leaves(ids, payloads.values()))
         root = tree.root()
         for pos, ident in enumerate(ids):
             sub = submissions[ident]
-            owner = ctx.owner(self.view.lookup_id(ident))
-            ctx.send(owner, Inclusion(sub.context, root, tree.prove(pos)))
+            ctx.send(ctx.owner(sub.assignment.keycard),
+                     Inclusion(sub.context, root, tree.prove(pos)))
         self.batches[root] = _Batch(
-            payloads={i: (submissions[i].context, submissions[i].message)
-                      for i in ids},
+            payloads=payloads,
             signatures={i: submissions[i].signature for i in ids},
-            reductions={},
-            tree=tree, root=root)
+            reductions={}, root=root)
         ctx.set_timer(("reduce", root), REDUCE_TIMEOUT)
 
     # -- reduction -------------------------------------------------------------
@@ -299,9 +295,8 @@ class BrokerMachine(Machine):
         batch = self.batches.get(root)
         if batch is None or batch.phase is not Phase.REDUCING:
             return
-        ids = list(batch.payloads)
-        payloads = tuple(batch.payloads[i] for i in ids)
-        msg = BatchMsg(canonical_compressed(ids), payloads)
+        msg = BatchMsg(canonical_compressed(batch.payloads),
+                       tuple(batch.payloads.values()))
         for dst in self.servers:
             ctx.send(dst, msg)
         batch.phase = Phase.WITNESSING
@@ -398,8 +393,7 @@ class BrokerMachine(Machine):
             commit = Commit(root, patches)
             for ordinal in sorted(batch.commit_to):
                 ctx.send(self.servers[ordinal], commit)
-            batch.exclusions = frozenset().union(
-                *(set(ids) for ids, _ in patches))
+            batch.exclusions = exclusion_union(patches)
             batch.phase = Phase.COMPLETING
             batch.completions = {}
         if (batch.phase is Phase.COMPLETING
@@ -426,10 +420,19 @@ class BrokerMachine(Machine):
 
 @dataclass
 class _StoredBatch:
-    ids: list
-    payloads: list
-    tree: MerkleTree
-    positions: dict  # (id, context, message) -> leaf index
+    ids: list       # sorted, one per leaf
+    payloads: list  # (context, message) of each id
+
+    def index(self, ident: Id) -> int | None:
+        """The leaf position of `ident`, or None if the batch lacks it."""
+        k = bisect_left(self.ids, ident)
+        return k if k < len(self.ids) and self.ids[k] == ident else None
+
+    def prove(self, ident: Id):
+        """The Merkle proof of `ident`'s leaf.  Only an equivocation proof
+        needs one, so the tree is rebuilt here and not kept."""
+        tree = MerkleTree(_leaves(self.ids, self.payloads))
+        return tree.prove(self.index(ident))
 
 
 class ServerMachine(Machine):
@@ -510,15 +513,15 @@ class ServerMachine(Machine):
             return None
         unknowns = tuple(sorted(
             i for i in ids if self.view.lookup_id(i) is None))
-        leaves = [leaf_bytes(i, c, m) for i, (c, m) in zip(ids, payloads)]
-        tree = MerkleTree(leaves)
-        root = tree.root()
-        if root not in self.batches:
-            positions = {(i, c, m): k
-                         for k, (i, (c, m)) in enumerate(zip(ids, payloads))}
-            self.batches[root] = _StoredBatch(ids, list(payloads), tree,
-                                              positions)
+        root = MerkleTree(_leaves(ids, payloads)).root()
+        self.batches.setdefault(root, _StoredBatch(ids, list(payloads)))
         return BatchAcquired(root, unknowns)
+
+    def _keycards(self, batch: _StoredBatch) -> list | None:
+        """The keycard of each of the batch's ids, or None if one is
+        unknown."""
+        cards = [self.view.lookup_id(i) for i in batch.ids]
+        return None if None in cards else cards
 
     # -- signature verification ----------------------------------------------------
 
@@ -529,23 +532,21 @@ class ServerMachine(Machine):
         batch = self.batches.get(msg.root)
         if batch is None:
             return None
-        cards = {}
-        for ident in batch.ids:
-            card = self.view.lookup_id(ident)
-            if card is None:
-                return None
-            cards[ident] = card
+        cards = self._keycards(batch)
+        if cards is None:
+            return None
         straggler_ids = set()
-        index_of = {ident: k for k, ident in enumerate(batch.ids)}
         for ident, signature in msg.stragglers:
-            if ident not in index_of or ident in straggler_ids:
+            k = batch.index(ident)
+            if k is None or ident in straggler_ids:
                 return None
-            context, message = batch.payloads[index_of[ident]]
-            if not ctx.verify(cards[ident], stmt_message(context, message),
+            context, message = batch.payloads[k]
+            if not ctx.verify(cards[k], stmt_message(context, message),
                               signature):
                 return None
             straggler_ids.add(ident)
-        timely = [cards[i] for i in batch.ids if i not in straggler_ids]
+        timely = [card for i, card in zip(batch.ids, cards)
+                  if i not in straggler_ids]
         if not ctx.verify_aggregate(timely, stmt_reduction(msg.root),
                                     msg.msig):
             return None
@@ -568,12 +569,10 @@ class ServerMachine(Machine):
                 self.messages[(ident, context)] = (message, root)
             elif prev[0] != message:
                 original_message, original_root = prev
-                original_batch = self.batches[original_root]
-                pos = original_batch.positions[(ident, context,
-                                                original_message)]
                 conflicts.append((ident, EquivocationProof(
                     original_root, self.witnesses[original_root],
-                    original_batch.tree.prove(pos), original_message)))
+                    self.batches[original_root].prove(ident),
+                    original_message)))
                 ctx.emit("exception", id=tuple(ident), root=root.hex())
         exceptions = frozenset(i for i, _ in conflicts)
         shard = ctx.multisign(stmt_commit(root, exceptions))
@@ -586,12 +585,9 @@ class ServerMachine(Machine):
         batch = self.batches.get(root)
         if batch is None:
             return None
-        cards = {}
-        for ident in batch.ids:
-            card = self.view.lookup_id(ident)
-            if card is None:
-                return None
-            cards[ident] = card
+        cards = self._keycards(batch)
+        if cards is None:
+            return None
         signers: set = set()
         for exceptions, certificate in patches:
             if not ctx.verify_certificate(
@@ -600,13 +596,12 @@ class ServerMachine(Machine):
             signers |= certificate.signers
         if len(signers) < 2 * self.f + 1:
             return None
-        exclusions = frozenset().union(
-            *(set(e) for e, _ in patches)) if patches else frozenset()
+        exclusions = exclusion_union(patches)
         self.commits[(root, exclusions)] = tuple(patches)
-        for ident, (context, message) in zip(batch.ids, batch.payloads):
+        for ident, keycard, (context, message) in zip(batch.ids, cards,
+                                                      batch.payloads):
             if ident in exclusions:
                 continue
-            keycard = cards[ident]
             if (keycard, context) in self.delivered:
                 continue
             self.delivered.add((keycard, context))

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
-from .procs import Id, ProcessKind, client, server
+from .procs import Id, ProcessKind, client, servers
 from .protocol import BrokerMachine, ClientMachine, ServerMachine
 from .simnet import (ADVERSARIAL, DELAY_KINDS, GOOD_CASE, SYNCHRONY,
                      TIMER_POLICIES, DelayPolicy, Scenario, Simulation)
@@ -155,8 +155,8 @@ def build_assignment(oracle: Oracle, scenario: Scenario,
     ident = dense_id(ordinal, scenario.n_servers)
     keycard = oracle.keycard(client(ordinal))
     stmt = stmt_assignment(ident, keycard)
-    shards = {o: oracle.multisign(server(o), stmt)
-              for o in range(2 * scenario.fault_bound + 1)}
+    signers = servers(scenario.n_servers)[:2 * scenario.fault_bound + 1]
+    shards = {pid.ordinal: oracle.multisign(pid, stmt) for pid in signers}
     return Assignment(ident, keycard, oracle.certify(shards))
 
 
@@ -165,11 +165,12 @@ def build_simulation(scenario: Scenario) -> Simulation:
     each process's kind, or the behavior its fault-script entry names."""
     s = scenario
     s.validate()
-    oracle = Oracle(s.processes())
+    processes = s.processes()
+    oracle = Oracle(processes)
     assignment_of = ({j: build_assignment(oracle, s, j)
                       for j in range(s.n_clients)}
                      if s.preload_directory else {})
-    preload_all = tuple(assignment_of.values())
+    preloads = tuple(assignment_of.values())
 
     plans: dict[int, list] = {}
     for i, entry in enumerate(s.broadcasts):
@@ -184,21 +185,24 @@ def build_simulation(scenario: Scenario) -> Simulation:
                              f"payload_bits = {s.payload_bits} bits together")
         plans.setdefault(entry["client"], []).append(plan)
 
-    n, f, window = s.n_servers, s.fault_bound, s.batching_window
+    common = {"n_servers": s.n_servers, "f": s.fault_bound}
     machines = {}
-    for pid in s.processes():
+    for pid in processes:
         if pid.kind is ProcessKind.SERVER:
-            correct, args = ServerMachine, (n, f, preload_all)
+            correct, kwargs = ServerMachine, dict(common, preloaded=preloads)
         elif pid.kind is ProcessKind.BROKER:
-            correct, args = BrokerMachine, (n, f, window)
+            correct, kwargs = BrokerMachine, dict(
+                common, batching_window=s.batching_window)
         else:
             j = pid.ordinal
-            correct, args = ClientMachine, (
-                n, s.n_brokers, f, window, plans.get(j, []),
-                s.broker_order.get(j), assignment_of.get(j))
+            correct, kwargs = ClientMachine, dict(
+                common, n_brokers=s.n_brokers,
+                batching_window=s.batching_window, plan=plans.get(j, []),
+                broker_order=s.broker_order.get(j),
+                preloaded=assignment_of.get(j))
         spec = s.fault_script.get(pid.label)
-        machines[pid] = (correct(*args) if spec is None
-                         else behaviors.build(pid, spec, args, s))
+        machines[pid] = (correct(**kwargs) if spec is None
+                         else behaviors.build(pid, spec, kwargs, s))
     return Simulation(s, machines, oracle)
 
 

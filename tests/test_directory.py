@@ -23,7 +23,7 @@ def test_good_case_signup_completes_and_knows_itself():
     assert "signup" in kinds and "signup_complete" in kinds
     assert kinds.index("signup") < kinds.index("signup_complete")
     machine = sim.machines[client(0)]
-    ident = machine.view.lookup_keycard(sim.oracle.keycard(client(0)))
+    ident = machine.assignment.ident
     assert ident is not None
 
 
@@ -31,7 +31,7 @@ def test_assigned_index_matches_ranking_position():
     sim = run_scenario(signup_scenario(n_clients=3))
     for j in range(3):
         machine = sim.machines[client(j)]
-        ident = machine.view.lookup_keycard(sim.oracle.keycard(client(j)))
+        ident = machine.assignment.ident
         domain, index = ident
         ranking = sim.machines[server(0)].dir.rankings[domain]
         assert ranking[index] == sim.oracle.keycard(client(j))
@@ -42,7 +42,7 @@ def test_concurrent_signups_distinct_dense_ids():
     idents = []
     for j in range(6):
         machine = sim.machines[client(j)]
-        ident = machine.view.lookup_keycard(sim.oracle.keycard(client(j)))
+        ident = machine.assignment.ident
         assert ident is not None
         assert ident[1] < 4 + 1 + 6  # density: index below process count
         idents.append(ident)

@@ -2,9 +2,11 @@
 
 from collections import Counter
 
+from batchcast import wire
 from batchcast.crypto import Oracle
-from batchcast.metrics import (CostLedger, amortized_report,
-                               convergence_sweep, oracle_bound, sweep_csv)
+from batchcast.metrics import (DIRECTORY_TAGS, PAYLOAD_TAGS, CostLedger,
+                               amortized_report, convergence_sweep,
+                               oracle_bound, sweep_csv)
 from batchcast.procs import server
 from batchcast.scenarios import CORPUS, batching_limit, good_case, run_scenario
 
@@ -18,7 +20,14 @@ def test_oracle_bound_formula():
 def ledger_balanced(trace) -> bool:
     """Every bit sent between distinct processes is eventually received."""
     ledger = CostLedger.from_trace(trace)
-    return ledger.total_egress() == ledger.total_ingress()
+    return sum(ledger.egress.values()) == sum(ledger.ingress.values())
+
+
+def test_every_message_type_is_counted_in_one_column():
+    """A new message type must join the protocol or the directory column."""
+    assert not PAYLOAD_TAGS & DIRECTORY_TAGS
+    assert PAYLOAD_TAGS | DIRECTORY_TAGS == {
+        cls.__name__ for cls, _ in wire._SPECS}
 
 
 def test_ledger_balanced_on_corpus():

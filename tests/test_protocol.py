@@ -1,12 +1,16 @@
 """Client/broker/server state machine behavior, unit and end-to-end."""
 
+import gc
+
 from batchcast.behaviors import CensoringBroker
 from batchcast.crypto import MerkleTree, Oracle
+from batchcast.directory import DirectoryView
 from batchcast.procs import broker, client, server
 from batchcast.protocol import (BrokerMachine, ClientMachine, Phase,
                                 ServerMachine, canonical_compressed)
-from batchcast.scenarios import (CORPUS, build_assignment, dense_id,
-                                 good_case, run_scenario, silent_broker)
+from batchcast.scenarios import (CORPUS, batching_limit, build_assignment,
+                                 dense_id, good_case, run_scenario,
+                                 silent_broker)
 from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
 from batchcast.wire import (BatchAcquired, Commit, CommitShard, Completion,
                             CompletionShard, Inclusion, Reduction, Signatures,
@@ -539,3 +543,22 @@ def test_corpus_scenarios_quiesce_with_consistent_state():
     for name, factory in CORPUS.items():
         sim = run_scenario(factory(), seed=13)
         assert sim._queue == []
+
+
+def test_only_servers_and_brokers_keep_a_directory_view():
+    """A client holds its own assignment, not a view of one entry, and
+    keeps no set of completed roots."""
+    def views():
+        gc.collect()
+        return sum(isinstance(o, DirectoryView) for o in gc.get_objects())
+
+    before = views()
+    sim = run_scenario(batching_limit(m=256, n_clients=256))
+    assert views() - before == 4 + 1
+    clients = [m for m in sim.machines.values()
+               if isinstance(m, ClientMachine)]
+    assert len(clients) == 256
+    for machine in clients:
+        assert not hasattr(machine, "view")
+        assert not hasattr(machine, "completed")
+        assert machine.assignment is not None

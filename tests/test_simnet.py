@@ -421,15 +421,18 @@ def test_fake_context_simulation_builds(oracle):
 
 
 def test_unknown_destinations_raise_before_anything_is_queued():
-    """A send to an ordinal past its kind's count, a negative ordinal, a
-    process without a machine or a non-process is refused."""
+    """A send to an ordinal past its kind's count, a negative ordinal or
+    kind, a kind past the last, a process without a machine or a
+    non-process is refused, with a message that names no other process."""
     sc = tiny_scenario()
     machines = idle_machines(sc)
     del machines[broker(0)]
     sim = Simulation(sc, machines)
     src = Context(sim, server(0), machines[server(0)])
     for dst in (server(4), client(1), server(-1), client(-2), broker(0),
-                ProcessId(-1, 0), "S0", (0, 0), None):
-        with pytest.raises(ValueError, match="unknown destination"):
+                ProcessId(-1, 0), ProcessId(3, 0), "S0", (0, 0), None):
+        with pytest.raises(ValueError, match="unknown destination") as exc:
             sim._schedule_send(src, dst, b"\x00", 0)
+        if dst == ProcessId(-1, 0):
+            assert "C0" not in str(exc.value)
     assert not sim._queue and not sim._in_flight
