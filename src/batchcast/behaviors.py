@@ -14,7 +14,7 @@ from itertools import cycle
 from operator import index
 
 from .crypto import Certificate, MerkleProof
-from .procs import ProcessId, ProcessKind, broker, server
+from .procs import ProcessId, ProcessKind, brokers, server
 from .protocol import BrokerMachine, Phase, ServerMachine
 from .simnet import Context, Machine, Scenario
 from .wire import (Commit, CommitShard, EquivocationProof, Inclusion,
@@ -62,10 +62,10 @@ class EquivocatingClient(Machine):
         self.preloaded = preloaded
 
     def on_start(self, ctx: Context):
-        for i, message in enumerate(self.messages):
+        for dst, message in zip(brokers(len(self.messages)), self.messages):
             signature = ctx.sign(stmt_message(self.context, message))
-            ctx.send(broker(i), Submission(self.preloaded, self.context,
-                                           message, signature))
+            ctx.send(dst, Submission(self.preloaded, self.context, message,
+                                     signature))
 
     def on_message(self, ctx: Context, src, msg):
         if isinstance(msg, Inclusion):

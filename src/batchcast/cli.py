@@ -41,13 +41,12 @@ def _run(args) -> int:
         "metrics": metrics.amortized_report(sim.trace, scenario),
     }
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        trace_path = out / f"{scenario.name}.trace.jsonl"
-        trace_path.write_text(sim.trace_jsonl())
-        report["trace_path"] = str(trace_path)
-        (out / f"{scenario.name}.report.json").write_text(
-            json.dumps(report, indent=2))
+        trace_name = f"{scenario.name}.trace.jsonl"
+        report["trace_path"] = str(Path(args.out) / trace_name)
+        if not _write_files(args.out, {
+                trace_name: sim.trace_jsonl(),
+                f"{scenario.name}.report.json": json.dumps(report, indent=2)}):
+            return 2
     failed = _print_verdicts(verdicts)
     return 1 if failed else 0
 
@@ -74,12 +73,23 @@ def _sweep(args) -> int:
         print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
         return 2
     csv_text = metrics.sweep_csv(rows)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "sweep.csv").write_text(csv_text)
+    if args.out and not _write_files(args.out, {"sweep.csv": csv_text}):
+        return 2
     print(csv_text, end="")
     return 0
+
+
+def _write_files(directory: str, files: dict) -> bool:
+    """Write {file name: text} into `directory`; False, printed, on OSError."""
+    try:
+        out = Path(directory)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _print_verdicts(verdicts) -> bool:
@@ -111,8 +121,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.write_corpus:
-        scenarios.write_corpus(args.write_corpus)
-        return 0
+        corpus = {f"{name}.json": scenarios.scenario_to_json(factory())
+                  for name, factory in scenarios.CORPUS.items()}
+        return 0 if _write_files(args.write_corpus, corpus) else 2
     if args.check_only:
         return _check(args)
     if args.sweep:

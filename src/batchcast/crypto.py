@@ -65,6 +65,10 @@ class Oracle:
     Each verify method takes the verifying process as `caller`.  The oracle
     does not read it; it lets a wrapper attribute each call.  The trace's
     `verify` rows are the ledger of verifications.
+
+    Each check method keeps its last expected handle with the statement and
+    keycards or signers it is a pure function of; every call compares these
+    and the claimed handle, so a repeated check is exact and computed once.
     """
 
     def __init__(self, processes):
@@ -78,6 +82,7 @@ class Oracle:
         # each process's signing secret, filled on first use; one dict per
         # kind, keyed by ordinal, so a lookup hashes no ProcessId
         self._secrets = tuple({} for _ in ProcessKind)
+        self._last_aggregate = self._last_certificate = (None, None)
 
     # -- identity -----------------------------------------------------------
 
@@ -120,10 +125,14 @@ class Oracle:
     def verify_aggregate(self, caller: ProcessId, keycards, statement: bytes,
                          msig: bytes) -> bool:
         """True iff msig aggregates one multi-signature per keycard, no others."""
-        owners = [self.owner(card) for card in keycards]
-        if None in owners:
-            return False
-        return msig == _xor(self.multisign(o, statement) for o in owners)
+        key = (statement, tuple(keycards))
+        if key != self._last_aggregate[0]:
+            owners = [self.owner(card) for card in key[1]]
+            if any(o is None for o in owners):
+                return False
+            self._last_aggregate = (key, _xor(
+                self.multisign(o, statement) for o in owners))
+        return msig == self._last_aggregate[1]
 
     # -- server certificates --------------------------------------------------
 
@@ -140,8 +149,11 @@ class Oracle:
             return False
         if any(o < 0 or o >= n_servers for o in cert.signers):
             return False
-        return cert.msig == _xor(self.multisign(server(o), statement)
-                                 for o in cert.signers)
+        key = (statement, tuple(cert.signers))
+        if key != self._last_certificate[0]:
+            self._last_certificate = (key, _xor(
+                self.multisign(server(o), statement) for o in key[1]))
+        return cert.msig == self._last_certificate[1]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,12 @@ def broker(n: int) -> ProcessId:
     return ProcessId(ProcessKind.BROKER, n)
 
 
+@cache
+def brokers(n: int) -> tuple[ProcessId, ...]:
+    """The ids of brokers 0 to n - 1, one shared tuple per n, as `servers`."""
+    return tuple(broker(i) for i in range(n))
+
+
 def client(n: int) -> ProcessId:
     return ProcessId(ProcessKind.CLIENT, n)
 

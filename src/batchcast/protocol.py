@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from .crypto import MerkleTree, merkle_verify
 from .directory import ClientSignup, DirectoryView, ServerDirectory
 from .encoding import compress_ids, expand_ids
-from .procs import Id, ProcessId, ProcessKind, servers
+from .procs import Id, ProcessId, ProcessKind, brokers, servers
 from .simnet import Context, Machine
 from .wire import (AcceptTotality, Assignment, BatchAcquired, BatchMsg,
                    Commit, CommitShard, Completion, CompletionShard,
@@ -72,9 +72,7 @@ class ClientMachine(Machine):
     def __init__(self, n_servers: int, n_brokers: int, f: int,
                  batching_window: int = 0, plan=(), broker_order=None,
                  preloaded: Assignment | None = None):
-        self.n_servers = n_servers
-        self.n_brokers = n_brokers
-        self.f = f
+        self.brokers = brokers(n_brokers)
         self.batching_window = batching_window
         self.plan = list(plan)  # [(delay, context, message)]
         self.broker_order = list(broker_order) if broker_order else None
@@ -115,11 +113,11 @@ class ClientMachine(Machine):
         sub = self.submissions.get(context)
         if sub is None:
             return
-        order = self.broker_order or range(self.n_brokers)
+        order = self.broker_order or range(len(self.brokers))
         target = next((b for b in order if b not in sub.submitted_to), None)
         if target is None:
             return
-        ctx.send(ProcessId(ProcessKind.BROKER, target),
+        ctx.send(self.brokers[target],
                  Submission(self.assignment, context, sub.message,
                             sub.signature))
         sub.submitted_to.add(target)
@@ -247,6 +245,8 @@ class BrokerMachine(Machine):
     def _pump(self, ctx: Context):
         for ident in sorted(self._ready):
             self.pool[ident] = self.pending[ident].popleft()
+            if not self.pending[ident]:
+                del self.pending[ident]
         self._ready.clear()
         if self.pool and not self.collecting:
             self.collecting = True
@@ -261,7 +261,7 @@ class BrokerMachine(Machine):
         submissions = self.pool
         self.pool = {}
         ids = sorted(submissions)
-        self._ready.update(i for i in ids if self.pending[i])
+        self._ready.update(i for i in ids if self.pending.get(i))
         payloads = {i: (submissions[i].context, submissions[i].message)
                     for i in ids}
         tree = MerkleTree(_leaves(ids, payloads.values()))
@@ -418,10 +418,35 @@ class BrokerMachine(Machine):
 # ---------------------------------------------------------------------------
 # server
 
+class BatchCheck:
+    """A batch's sorted ids and Merkle root, or None unless its ids expand
+    to one distinct id per payload.  One instance, shared by a simulation's
+    servers, returns its last result again for the very same argument
+    tuples: the result is a pure function of them, it holds them so their
+    ids are not reused, and a decoded message is deeply immutable.  Other
+    arguments, such as lists, are always recomputed."""
+
+    last = (None, None, None)  # (ids, payloads, result); None is invalid
+
+    def __call__(self, compressed_ids, payloads) -> tuple | None:
+        if compressed_ids is self.last[0] and payloads is self.last[1]:
+            return self.last[2]
+        try:
+            ids = tuple(expand_ids({d: set(ix) for d, ix in compressed_ids}))
+        except (TypeError, ValueError):
+            ids = ()
+        result = None
+        if ids and len(ids) == len(set(ids)) == len(payloads):
+            result = ids, MerkleTree(_leaves(ids, payloads)).root()
+        if type(compressed_ids) is tuple and type(payloads) is tuple:
+            self.last = (compressed_ids, payloads, result)
+        return result
+
+
 @dataclass
 class _StoredBatch:
-    ids: list       # sorted, one per leaf
-    payloads: list  # (context, message) of each id
+    ids: tuple       # sorted, one per leaf
+    payloads: tuple  # (context, message) of each id
 
     def index(self, ident: Id) -> int | None:
         """The leaf position of `ident`, or None if the batch lacks it."""
@@ -437,10 +462,12 @@ class _StoredBatch:
 
 class ServerMachine(Machine):
     def __init__(self, n_servers: int, f: int,
-                 preloaded: tuple[Assignment, ...] = ()):
+                 preloaded: tuple[Assignment, ...] = (),
+                 check_batch: BatchCheck | None = None):
         self.servers = servers(n_servers)
         self.f = f
         self.preloaded = preloaded
+        self.check_batch = check_batch or BatchCheck()
         self.view = DirectoryView()
         self.dir = ServerDirectory(n_servers, f)
         self.batches: dict[bytes, _StoredBatch] = {}
@@ -505,16 +532,12 @@ class ServerMachine(Machine):
 
     def handle_batch(self, ctx: Context, compressed_ids,
                      payloads) -> BatchAcquired | None:
-        try:
-            ids = expand_ids({d: set(ix) for d, ix in compressed_ids})
-        except (TypeError, ValueError):
+        checked = self.check_batch(compressed_ids, payloads)
+        if checked is None:
             return None
-        if not ids or len(ids) != len(set(ids)) or len(ids) != len(payloads):
-            return None
-        unknowns = tuple(sorted(
-            i for i in ids if self.view.lookup_id(i) is None))
-        root = MerkleTree(_leaves(ids, payloads)).root()
-        self.batches.setdefault(root, _StoredBatch(ids, list(payloads)))
+        ids, root = checked
+        unknowns = tuple(i for i in ids if self.view.lookup_id(i) is None)
+        self.batches.setdefault(root, _StoredBatch(ids, tuple(payloads)))
         return BatchAcquired(root, unknowns)
 
     def _keycards(self, batch: _StoredBatch) -> list | None:

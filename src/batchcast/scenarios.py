@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import MISSING, fields
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
 from .procs import Id, ProcessKind, client, servers
-from .protocol import BrokerMachine, ClientMachine, ServerMachine
+from .protocol import (BatchCheck, BrokerMachine, ClientMachine,
+                       ServerMachine)
 from .simnet import (ADVERSARIAL, DELAY_KINDS, GOOD_CASE, SYNCHRONY,
                      TIMER_POLICIES, DelayPolicy, Scenario, Simulation)
 from .wire import Assignment, stmt_assignment
@@ -186,10 +186,12 @@ def build_simulation(scenario: Scenario) -> Simulation:
         plans.setdefault(entry["client"], []).append(plan)
 
     common = {"n_servers": s.n_servers, "f": s.fault_bound}
+    # one BatchCheck for all servers: they are sent the same batches
+    server_kwargs = dict(common, preloaded=preloads, check_batch=BatchCheck())
     machines = {}
     for pid in processes:
         if pid.kind is ProcessKind.SERVER:
-            correct, kwargs = ServerMachine, dict(common, preloaded=preloads)
+            correct, kwargs = ServerMachine, server_kwargs
         elif pid.kind is ProcessKind.BROKER:
             correct, kwargs = BrokerMachine, dict(
                 common, batching_window=s.batching_window)
@@ -312,10 +314,3 @@ CORPUS = {factory.__name__: factory for factory in (
     good_case, async_slow_server, silent_broker, censoring_broker,
     equivocating_client, byzantine_server_false_exception, mixed,
     concurrent_signup)}
-
-
-def write_corpus(directory: str):
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    for name, factory in CORPUS.items():
-        (path / f"{name}.json").write_text(scenario_to_json(factory()))

@@ -41,7 +41,7 @@ from operator import itemgetter
 
 from . import crypto, wire
 from .bits import DecodeError
-from .procs import ProcessId, broker, client, server
+from .procs import ProcessId, brokers, client, servers
 
 GOOD_CASE = "good_case"
 ADVERSARIAL = "adversarial"
@@ -136,9 +136,8 @@ class Scenario:
                 raise ValueError(problem)
 
     def processes(self) -> list[ProcessId]:
-        return ([server(i) for i in range(self.n_servers)]
-                + [broker(i) for i in range(self.n_brokers)]
-                + [client(i) for i in range(self.n_clients)])
+        return [*servers(self.n_servers), *brokers(self.n_brokers),
+                *map(client, range(self.n_clients))]
 
 
 _BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")

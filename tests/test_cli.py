@@ -132,6 +132,31 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert len(text.strip().splitlines()) == 3
 
 
+def test_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    scenario = SCENARIOS_DIR / "good_case.json"
+    assert main(["--scenario", str(scenario), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_sweep_output_path_that_is_a_file_exits_2(tmp_path, capsys):
+    spec = tmp_path / "sweep.json"
+    spec.write_text(json.dumps({"m_values": [4], "clients": 4}))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--sweep", str(spec), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+def test_write_corpus_to_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--write-corpus", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    assert taken.read_text() == ""
+
+
 @pytest.mark.parametrize("spec,key", [
     ({"m_values": [0], "clients": 8}, "m_values[0]"),
     ({"m_values": "ab", "clients": 8}, "m_values"),

@@ -85,6 +85,36 @@ def test_certificate_thresholds(oracle):
     assert not verify(broker(0), two, b"witness|r2", plurality, n)
 
 
+def test_repeated_certificate_check_still_compares_the_claimed_msig(oracle):
+    stmt = b"completion|r"
+    shards = {o: oracle.multisign(server(o), stmt) for o in range(2)}
+    cert = oracle.certify(shards)
+    for caller in (client(0), client(1)):  # the second check hits the memo
+        assert oracle.verify_certificate(caller, cert, stmt, 2, 4)
+    forged = crypto.Certificate(cert.signers, shards[0])
+    assert not oracle.verify_certificate(client(2), forged, stmt, 2, 4)
+    assert oracle.verify_certificate(client(3), cert, stmt, 2, 4)
+    # the threshold and signer-range checks run before the memo
+    assert not oracle.verify_certificate(client(3), cert, stmt, 3, 4)
+    assert not oracle.verify_certificate(client(3), cert, stmt, 2, 1)
+
+
+def test_aggregate_check_follows_a_mutated_keycard_list(oracle):
+    stmt = b"reduction|r"
+    cards = [oracle.keycard(client(0)), oracle.keycard(client(1))]
+    msigs = [oracle.multisign(client(j), stmt) for j in range(3)]
+    both = oracle.aggregate(msigs[:2])
+    assert oracle.verify_aggregate(server(0), cards, stmt, both)
+    assert oracle.verify_aggregate(server(1), cards, stmt, both)
+    cards.append(oracle.keycard(client(2)))
+    assert not oracle.verify_aggregate(server(0), cards, stmt, both)
+    assert oracle.verify_aggregate(server(0), cards, stmt,
+                                   oracle.aggregate(msigs))
+    cards[2] = bytes(crypto.PUBKEY_BYTES)  # no process owns it
+    assert not oracle.verify_aggregate(server(0), cards, stmt,
+                                       oracle.aggregate(msigs))
+
+
 def test_merkle_single_leaf():
     tree = MerkleTree([b"only"])
     proof = tree.prove(0)

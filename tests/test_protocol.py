@@ -6,17 +6,17 @@ from batchcast.behaviors import CensoringBroker
 from batchcast.crypto import MerkleTree, Oracle
 from batchcast.directory import DirectoryView
 from batchcast.procs import broker, client, server
-from batchcast.protocol import (BrokerMachine, ClientMachine, Phase,
-                                ServerMachine, canonical_compressed)
+from batchcast.protocol import (BatchCheck, BrokerMachine, ClientMachine,
+                                Phase, ServerMachine, canonical_compressed)
 from batchcast.scenarios import (CORPUS, batching_limit, build_assignment,
                                  dense_id, good_case, run_scenario,
                                  silent_broker)
 from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
-from batchcast.wire import (BatchAcquired, Commit, CommitShard, Completion,
-                            CompletionShard, Inclusion, Reduction, Signatures,
-                            Submission, Witness, WitnessShard, leaf_bytes,
-                            stmt_commit, stmt_completion, stmt_message,
-                            stmt_reduction, stmt_witness)
+from batchcast.wire import (BatchAcquired, BatchMsg, Commit, CommitShard,
+                            Completion, CompletionShard, Inclusion, Reduction,
+                            Signatures, Submission, Witness, WitnessShard,
+                            leaf_bytes, stmt_commit, stmt_completion,
+                            stmt_message, stmt_reduction, stmt_witness)
 
 from conftest import FakeCtx
 
@@ -186,7 +186,7 @@ def test_broker_submission_for_pooled_id_waits_for_flush(oracle,
     assert not machine.pool
     machine._pump(ctx)
     assert machine.pool[(0, 0)].context == b"c2"
-    assert not machine.pending[(0, 0)]
+    assert (0, 0) not in machine.pending  # a drained queue is dropped
 
 
 def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
@@ -204,8 +204,8 @@ def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
     for k, j in enumerate(order):
         first.setdefault(dense_id(j, 4), b"c%d" % k)
     assert {i: p.context for i, p in machine.pool.items()} == first
-    assert {i for i, q in machine.pending.items() if q} == {
-        dense_id(2, 4), dense_id(5, 4)}
+    assert set(machine.pending) == {dense_id(2, 4), dense_id(5, 4)}
+    assert all(machine.pending.values())
 
 
 def test_censoring_broker_pools_uncensored_ids(oracle, fake_ctx_factory):
@@ -230,7 +230,7 @@ def test_broker_pools_512_ids_in_one_pump():
                                make_submission(oracle, sc, j, b"c", b"m"))
     machine._pump(ctx)
     assert sorted(machine.pool) == sorted(dense_id(j, 4) for j in range(n))
-    assert not any(machine.pending.values())
+    assert not machine.pending
     assert ctx.timers == [(("flush",), 0)]
 
 
@@ -425,6 +425,36 @@ def test_server_rejects_length_mismatch(oracle, fake_ctx_factory):
     assert resp is None
 
 
+def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
+        oracle, fake_ctx_factory):
+    sc = preloaded_scenario()
+    preload = tuple(build_assignment(oracle, sc, j) for j in range(8))
+    check = BatchCheck()  # shared, as in a simulation
+    machines = [ServerMachine(4, 1, preload, check) for _ in range(4)]
+    ctxs = [fake_ctx_factory(server(k)) for k in range(4)]
+    valid = BatchMsg(canonical_compressed([(1, 0), (2, 0)]),
+                     ((b"c1", b"m1"), (b"c2", b"m2")))
+    duplicate = BatchMsg(((1, (0, 0)),), ((b"c1", b"m1"), (b"c1", b"m2")))
+    for msg in (valid, duplicate, duplicate):
+        for machine, ctx in zip(machines, ctxs):
+            machine.on_message(ctx, broker(0), msg)
+    for machine, ctx in zip(machines, ctxs):
+        assert [type(m) for _, m in ctx.sent] == [BatchAcquired]
+        assert len(machine.batches) == 1
+
+
+def test_batch_check_recomputes_lists():
+    check_batch = BatchCheck()
+    compressed, payloads = [(1, (0,))], [(b"c", b"m")]
+    first = check_batch(compressed, payloads)
+    payloads[0] = (b"c", b"other")
+    second = check_batch(compressed, payloads)
+    assert first[0] == second[0] == ((1, 0),)
+    assert first[1] != second[1]
+    compressed.append((2, (0,)))
+    assert check_batch(compressed, payloads) is None  # two ids, one payload
+
+
 def test_server_batch_redelivery_idempotent(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     ctx = fake_ctx_factory(server(0))
@@ -543,6 +573,33 @@ def test_corpus_scenarios_quiesce_with_consistent_state():
     for name, factory in CORPUS.items():
         sim = run_scenario(factory(), seed=13)
         assert sim._queue == []
+
+
+def test_servers_share_one_merkle_build_per_batch(monkeypatch):
+    """The broker builds one tree per batch and the four servers, handed
+    one decoded `BatchMsg`, share one more."""
+    builds = []
+    init = MerkleTree.__init__
+
+    def counting_init(tree, leaves):
+        builds.append(tree)
+        init(tree, leaves)
+    monkeypatch.setattr(MerkleTree, "__init__", counting_init)
+    sim = run_scenario(batching_limit(m=256, n_clients=256))
+    stored = [m.batches for m in sim.machines.values()
+              if isinstance(m, ServerMachine)]
+    roots = {root for batches in stored for root in batches}
+    assert len(stored) == 4 and all(set(b) == roots for b in stored)
+    assert len(roots) >= 1 and len(builds) == 2 * len(roots)
+    for root in roots:  # one shared ids tuple, not one per server
+        assert len({id(batches[root].ids) for batches in stored}) == 1
+
+
+def test_broker_keeps_no_drained_queue():
+    sim = run_scenario(batching_limit(m=256, n_clients=256))
+    (broker_machine,) = [m for m in sim.machines.values()
+                         if isinstance(m, BrokerMachine)]
+    assert broker_machine.pending == {}
 
 
 def test_only_servers_and_brokers_keep_a_directory_view():
