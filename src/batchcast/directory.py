@@ -95,9 +95,7 @@ class ClientSignup:
     def signup(self, ctx):
         self.status = "signing_up"
         ctx.emit("signup")
-        msg = Signup()
-        for dst in servers(self.n_servers):
-            ctx.send(dst, msg)
+        ctx.send_all(servers(self.n_servers), Signup())
 
     def handle(self, ctx, src, msg) -> bool:
         if src.kind != ProcessKind.SERVER:
@@ -121,9 +119,7 @@ class ClientSignup:
             for domain in sorted(self.rankings):
                 if len(self.rankings[domain]) >= self.f + 1:
                     self.assigner = domain
-                    msg = Assigner(domain)
-                    for dst in servers(self.n_servers):
-                        ctx.send(dst, msg)
+                    ctx.send_all(servers(self.n_servers), Assigner(domain))
                     break
         if self.status != "signing_up":
             return

@@ -33,14 +33,10 @@ class FifoBroadcast:
         self.fifo_next: dict = {}       # origin -> next seq to deliver
         self.fifo_buffer: dict = {}     # origin -> {seq: payload}
 
-    def _send_all(self, ctx, msg):
-        for dst in self.servers:
-            ctx.send(dst, msg)
-
     def broadcast(self, ctx, payload: bytes):
         seq = self.next_seq
         self.next_seq += 1
-        self._send_all(ctx, FifoSend(seq, payload))
+        ctx.send_all(self.servers, FifoSend(seq, payload))
 
     def handle(self, ctx, src, msg) -> bool:
         """Consume a fifo message; returns False if msg is not one."""
@@ -50,8 +46,8 @@ class FifoBroadcast:
             key = (src.ordinal, msg.seq)
             if key not in self.echoed:
                 self.echoed.add(key)
-                self._send_all(ctx, FifoEcho(src.ordinal, msg.seq,
-                                             msg.payload))
+                ctx.send_all(self.servers,
+                             FifoEcho(src.ordinal, msg.seq, msg.payload))
             return True
         # A done slot has sent its Ready (delivery needs 2f+1 Readys, which
         # first reach the f+1 rule), so a late Echo or Ready changes nothing.
@@ -86,7 +82,7 @@ class FifoBroadcast:
         if (origin, seq) in self.ready_sent:
             return
         self.ready_sent.add((origin, seq))
-        self._send_all(ctx, FifoReady(origin, seq, payload))
+        ctx.send_all(self.servers, FifoReady(origin, seq, payload))
 
     def _fifo_deliver(self, ctx, origin, seq, payload):
         self.fifo_buffer.setdefault(origin, {})[seq] = payload

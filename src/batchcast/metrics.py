@@ -58,6 +58,7 @@ class CostLedger:
         """The ledger of a `Trace` (or of records, see `Trace.of`), read from
         its base columns."""
         trace = Trace.of(trace)
+        trace.flush()
         delivers = trace.find("app_deliver")
         egress, ingress, verifies, delivered = {}, {}, {}, {}  # by codes
         for kind, src, dst, tag, n in zip(trace.kind, trace.src, trace.dst,

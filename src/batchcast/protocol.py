@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from .crypto import MerkleTree, merkle_verify
 from .directory import ClientSignup, DirectoryView, ServerDirectory
-from .encoding import compress_ids, expand_ids
 from .procs import Id, ProcessId, ProcessKind, brokers, servers
 from .simnet import Context, Machine
 from .wire import (AcceptTotality, Assignment, BatchAcquired, BatchMsg,
@@ -39,6 +38,20 @@ REDUCE_TIMEOUT = 2
 COMMITTABLE_TIMEOUT = 4
 OFFER_TOTALITY_TIMEOUT = 7
 RESUBMIT_BASE = 13
+
+
+def compress_ids(ids) -> dict:
+    """Sorted duplicate-free (domain, index) sequence -> {domain: {index}}.
+    Its wire layout, `PARTITION`, is in `wire`."""
+    out: dict = {}
+    for domain, index in ids:
+        out.setdefault(domain, set()).add(index)
+    return out
+
+
+def expand_ids(compressed: dict) -> list:
+    return sorted((domain, index) for domain, indices in compressed.items()
+                  for index in indices)
 
 
 def canonical_compressed(ids) -> tuple:
@@ -295,10 +308,9 @@ class BrokerMachine(Machine):
         batch = self.batches.get(root)
         if batch is None or batch.phase is not Phase.REDUCING:
             return
-        msg = BatchMsg(canonical_compressed(batch.payloads),
-                       tuple(batch.payloads.values()))
-        for dst in self.servers:
-            ctx.send(dst, msg)
+        ctx.send_all(self.servers,
+                     BatchMsg(canonical_compressed(batch.payloads),
+                              tuple(batch.payloads.values())))
         batch.phase = Phase.WITNESSING
         batch.witnesses = {}
         ctx.set_timer(("committable", root), COMMITTABLE_TIMEOUT)
@@ -382,26 +394,24 @@ class BrokerMachine(Machine):
             return
         if (batch.phase is Phase.WITNESSING
                 and len(batch.witnesses) >= self.f + 1):
-            witness = Witness(root, ctx.certify(batch.witnesses))
-            for dst in self.servers:
-                ctx.send(dst, witness)
+            ctx.send_all(self.servers,
+                         Witness(root, ctx.certify(batch.witnesses)))
             batch.phase = Phase.COMMITTING
             batch.commits = {}
         if (batch.phase is Phase.COMMITTING and batch.committable
                 and len(batch.commits) >= 2 * self.f + 1):
             patches = self._commit_patches(ctx, batch)
-            commit = Commit(root, patches)
-            for ordinal in sorted(batch.commit_to):
-                ctx.send(self.servers[ordinal], commit)
+            ctx.send_all([self.servers[o] for o in sorted(batch.commit_to)],
+                         Commit(root, patches))
             batch.exclusions = exclusion_union(patches)
             batch.phase = Phase.COMPLETING
             batch.completions = {}
         if (batch.phase is Phase.COMPLETING
                 and len(batch.completions) >= self.f + 1):
             certificate = ctx.certify(batch.completions)
-            completion = Completion(root, certificate, batch.exclusions)
-            for ident in batch.payloads:
-                ctx.send(ctx.owner(self.view.lookup_id(ident)), completion)
+            ctx.send_all([ctx.owner(self.view.lookup_id(i))
+                          for i in batch.payloads],
+                         Completion(root, certificate, batch.exclusions))
             del self.batches[root]
 
     @staticmethod
@@ -436,7 +446,7 @@ class BatchCheck:
         except (TypeError, ValueError):
             ids = ()
         result = None
-        if ids and len(ids) == len(set(ids)) == len(payloads):
+        if ids and len(ids) == len(payloads):
             result = ids, MerkleTree(_leaves(ids, payloads)).root()
         if type(compressed_ids) is tuple and type(payloads) is tuple:
             self.last = (compressed_ids, payloads, result)
@@ -447,6 +457,9 @@ class BatchCheck:
 class _StoredBatch:
     ids: tuple       # sorted, one per leaf
     payloads: tuple  # (context, message) of each id
+    # each id's keycard once all are known: correct servers sign each id
+    # once, so a certified directory entry is never rewritten
+    cards: list | None = None
 
     def index(self, ident: Id) -> int | None:
         """The leaf position of `ident`, or None if the batch lacks it."""
@@ -524,9 +537,8 @@ class ServerMachine(Machine):
     def on_timer(self, ctx: Context, tag: tuple):
         if tag[0] == "offer_totality":
             _, root, exclusions = tag
-            offer = OfferTotality(root, frozenset(exclusions))
-            for dst in self.servers:
-                ctx.send(dst, offer)
+            ctx.send_all(self.servers,
+                         OfferTotality(root, frozenset(exclusions)))
 
     # -- batch acquisition --------------------------------------------------------
 
@@ -536,15 +548,21 @@ class ServerMachine(Machine):
         if checked is None:
             return None
         ids, root = checked
-        unknowns = tuple(i for i in ids if self.view.lookup_id(i) is None)
-        self.batches.setdefault(root, _StoredBatch(ids, tuple(payloads)))
+        batch = self.batches.setdefault(root,
+                                        _StoredBatch(ids, tuple(payloads)))
+        unknowns = () if self._keycards(batch) is not None else tuple(
+            i for i in ids if self.view.lookup_id(i) is None)
         return BatchAcquired(root, unknowns)
 
     def _keycards(self, batch: _StoredBatch) -> list | None:
         """The keycard of each of the batch's ids, or None if one is
         unknown."""
-        cards = [self.view.lookup_id(i) for i in batch.ids]
-        return None if None in cards else cards
+        if batch.cards is None:
+            cards = [self.view.lookup_id(i) for i in batch.ids]
+            if None in cards:
+                return None
+            batch.cards = cards
+        return batch.cards
 
     # -- signature verification ----------------------------------------------------
 

@@ -24,9 +24,10 @@ class KeyTable(NamedTuple):
     """The keys of one JSON object, read into `target(**attributes)`.
 
     `rows` maps each key to (attribute, kind, least).  A kind is `int`,
-    `str`, `bool`, `dict` (any object), a tuple of allowed strings, a
-    one-item list (a list of that kind), a one-item dict {key type: kind},
-    or a KeyTable; `least` bounds every integer in the value.  Required are
+    `str`, `bool`, `dict` (any object), a tuple of allowed strings, a range
+    of allowed integers, a one-item list (a list of that kind), a one-item
+    dict {key type: kind}, or a KeyTable; `least` bounds every integer in
+    the value.  Required are
     all keys of a `dict` target, and of a dataclass those without default.
     """
 
@@ -36,6 +37,10 @@ class KeyTable(NamedTuple):
 
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
                dict: "an object", list: "a list"}
+# the largest tick count a scenario file may give: MAX_EVENTS < 2^23 events,
+# each at most this far past its cause, keep every tick below 2^63
+TICK_BOUND = 1 << 32
+_TICKS, _DELAYS = range(TICK_BOUND + 1), range(1, TICK_BOUND + 1)
 
 SCENARIO_KEYS = KeyTable(Scenario, {
     "name": ("name", str, None),
@@ -46,22 +51,22 @@ SCENARIO_KEYS = KeyTable(Scenario, {
     "synchrony": ("synchrony", SYNCHRONY, None),
     "delay_policy": ("delay_policy", KeyTable(DelayPolicy, {
         "kind": ("kind", DELAY_KINDS, None),
-        "value": ("value", int, 1),
-        "min_delay": ("min_delay", int, 1),
-        "max_delay": ("max_delay", int, 1),
-        "overrides": ("overrides", {str: int}, 1),  # "B0->S3": delay
+        "value": ("value", _DELAYS, None),
+        "min_delay": ("min_delay", _DELAYS, None),
+        "max_delay": ("max_delay", _DELAYS, None),
+        "overrides": ("overrides", {str: _DELAYS}, None),  # "B0->S3": delay
     }), None),
     "timer_policy": ("timer_policy", TIMER_POLICIES, None),
-    "timer_skew_max": ("timer_skew_max", int, 1),
+    "timer_skew_max": ("timer_skew_max", _DELAYS, None),
     "fault_script": ("fault_script", {str: dict}, None),
     "seed": ("seed", int, None),
-    "batching_window": ("batching_window", int, 0),
+    "batching_window": ("batching_window", _TICKS, None),
     "preload_directory": ("preload_directory", bool, None),
     "broadcasts": ("broadcasts", [KeyTable(dict, {
         "client": ("client", int, 0),
         "context": ("context", str, None),  # hex, decoded when built
         "message": ("message", str, None),  # hex, decoded when built
-        "at": ("at", int, 0),
+        "at": ("at", _TICKS, None),
     })], None),
     "broker_order": ("broker_order", {int: [int]}, 0),
     "payload_bits": ("payload_bits", int, 1),
@@ -80,6 +85,11 @@ def _read(where: str, value, kind, least):
     if type(kind) is tuple:
         if value not in kind:
             raise ValueError(f"{where} must be one of {', '.join(kind)}")
+        return value
+    if type(kind) is range:
+        if type(value) is not int or value not in kind:
+            raise ValueError(f"{where} must be an integer from {kind[0]} to "
+                             f"{kind[-1]}")
         return value
     json_type = (kind if isinstance(kind, type)
                  else dict if isinstance(kind, KeyTable) else type(kind))

@@ -22,7 +22,8 @@ timeouts.  Adversarial mode: the seeded scheduler picks per-envelope delays
 (bounded by a horizon so runs terminate) and may disregard timer timeouts;
 FIFO order is preserved by clamping each delivery at or after the previous
 one on the same link.  With delays all 1, the clamp cannot bind, so the good
-case skips it.
+case skips it.  Delays are drawn by one function per simulation, with
+`random.Random.randrange`'s own loop; a fan-out is one scheduling call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import heapq
 import json
 import random
 import re
+import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -73,15 +75,23 @@ class DelayPolicy:
     max_delay: int = 1
     overrides: dict = field(default_factory=dict)
 
-    def delay(self, rng: random.Random, src: str, dst: str) -> int:
-        """The delay of one envelope from label `src` to label `dst`."""
-        if self.overrides:
-            key = f"{src}->{dst}"
-            if key in self.overrides:
-                return self.overrides[key]
-        if self.kind == "constant":
-            return self.value
-        return rng.randrange(self.min_delay, self.max_delay + 1)
+
+def _uniform(rng: random.Random, lo: int, hi: int):
+    """A function of an ignored argument drawing from [lo, hi] with the
+    `getrandbits(k)` loop of `rng.randrange(lo, hi + 1)`: the same values,
+    and `rng` left in the same state."""
+    n = hi - lo + 1
+    if n <= 0:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw(_=None):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+    return draw
 
 
 @dataclass
@@ -250,6 +260,14 @@ NULL, SEND, DELIVER, VERIFY, TIMER_SET, TIMER_RING, NO_TAG = range(
     len(_FIXED_NAMES))
 _FIXED_CODES = {name: code for code, name in enumerate(_FIXED_NAMES)}
 _JSONL_CHUNK = 4096  # rows formatted and joined at a time
+# a pending row, 32 bytes as in the columns, and per column (attribute, type
+# code, offset and stride in items of that type)
+_ROW = struct.Struct("=qqiiii")
+_pack_row = _ROW.pack
+_ROW_COLUMNS = (("time", "q", 0, 4), ("bytes_len", "q", 1, 4),
+                ("kind", "i", 4, 8), ("src", "i", 5, 8), ("dst", "i", 6, 8),
+                ("tag", "i", 7, 8))
+_PENDING_BYTES = 1024 * _ROW.size
 
 
 class _Side:
@@ -277,12 +295,14 @@ class Trace:
     are int32 codes into `names`, one interning table whose first codes are
     fixed (`_FIXED_NAMES`).  Event-specific fields live in side tables, one
     per (kind, key set).  The event loop writes send, deliver, verify and
-    timer ring rows with `row`, base columns only; every other row is
-    written by `add` and has a side entry, even with no keys, so `select`
-    finds every row of the kinds that `add` writes.  A run's side values are
-    strings, integers, None and tuples of integers, which the GC stops
-    tracking at its first collection; a list read from a record is held as
-    a tuple and read back as a list.
+    timer ring rows, base columns only, as one `_ROW` pack each into
+    `pending`, which `flush` moves into the columns once it reaches
+    `_PENDING_BYTES` and before every read.  Every other row is written,
+    packed the same way, by `add` and has a side entry, even with no keys,
+    so `select` finds every row of the kinds that `add` writes.  A run's
+    side values are strings, integers, None and tuples of integers, which
+    the GC stops tracking at its first collection; a list read from a
+    record is held as a tuple and read back as a list.
 
     Rows read back as `TraceEvent`s (iteration, indexing); the checker and
     the cost ledger read `select` and the base columns, and `jsonl` writes
@@ -296,6 +316,7 @@ class Trace:
         self.dst = array("i")
         self.bytes_len = array("q")
         self.tag = array("i")
+        self.pending = bytearray()  # packed rows not yet in the columns
         self.names: list = list(_FIXED_NAMES)
         self._codes = _FIXED_CODES.copy()
         self._sides: list[_Side] = []
@@ -315,7 +336,17 @@ class Trace:
         return trace
 
     def __len__(self) -> int:
-        return len(self.time)
+        return len(self.time) + len(self.pending) // _ROW.size
+
+    def flush(self):
+        """Move the pending rows into the columns, in C."""
+        if not self.pending:
+            return
+        with memoryview(self.pending) as raw:
+            for name, typecode, at, step in _ROW_COLUMNS:
+                getattr(self, name).frombytes(
+                    raw.cast(typecode)[at::step].tobytes())
+        self.pending.clear()
 
     def code(self, name: str | None) -> int:
         """The code of `name`, interned on first use."""
@@ -329,26 +360,18 @@ class Trace:
         """The code of `name`, or -1 if no row names it."""
         return self._codes.get(name, -1)
 
-    def row(self, time: int, kind: int, src: int, dst: int, bytes_len: int,
-            tag: int):
-        """Append a row of base fields, names given as codes."""
-        self.time.append(time)
-        self.kind.append(kind)
-        self.src.append(src)
-        self.dst.append(dst)
-        self.bytes_len.append(bytes_len)
-        self.tag.append(tag)
-
     def add(self, time: int, kind: int, src: int, dst: int, bytes_len: int,
             tag: int, extra: dict):
         """Append a row and its side entry, which holds `extra`."""
         side = self._side_of.get((kind, *extra))
         if side is None:
             side = self._new_side(kind, tuple(extra))
-        side.rows.append(len(self.time))
+        side.rows.append(len(self))
         for key, col in zip(side.keys, side.cols):
             col.append(extra[key])
-        self.row(time, kind, src, dst, bytes_len, tag)
+        self.pending += _pack_row(time, bytes_len, kind, src, dst, tag)
+        if len(self.pending) >= _PENDING_BYTES:
+            self.flush()
 
     def _new_side(self, kind: int, given: tuple) -> _Side:
         keys = tuple(sorted(given))
@@ -376,6 +399,7 @@ class Trace:
                           self.bytes_len[i], names[self.tag[i]], extra)
 
     def __iter__(self):
+        self.flush()
         entries = heapq.merge(*(zip(side.rows, repeat(side), count())
                                 for side in self._sides))
         entry = next(entries, None)
@@ -388,6 +412,7 @@ class Trace:
             yield self._event(i, extra)
 
     def __getitem__(self, i: int) -> TraceEvent:
+        self.flush()
         i = range(len(self.time))[i]
         for side in self._sides:
             pos = bisect_left(side.rows, i)
@@ -398,6 +423,7 @@ class Trace:
     def select(self, kind: str, keys: tuple = ()) -> list[tuple]:
         """(row, src, the value of each key) of every row of `kind` that has
         a side entry, in row order; a key the row lacks reads None."""
+        self.flush()
         code = self.find(kind)
         src, names = self.src, self.names
         out: list = []
@@ -422,6 +448,7 @@ class Trace:
         rows are joined in chunks of `_JSONL_CHUNK`, so no line outlives its
         chunk.
         """
+        self.flush()
         text = ["null" if name is None else encode_basestring_ascii(name)
                 for name in self.names].__getitem__
         ints = {"time": self.time, "bytes_len": self.bytes_len}
@@ -515,11 +542,21 @@ class Context:
     def send(self, dst: ProcessId, msg):
         sim = self.sim
         data = wire.serialize(sim.wire_ctx, msg)
-        tag = sim._tag_codes.get(type(msg))
-        if tag is None:
-            tag = sim._tag_codes[type(msg)] = sim.trace.code(
-                wire.tag_name(msg))
-        sim._schedule_send(self, dst, data, tag)
+        tag = sim._tag_codes.get(type(msg)) or sim._tag_code(msg)
+        sim._schedule_send(self, (dst,), data, tag)
+
+    def send_all(self, dsts, msg):
+        """`send` to each of the sequence `dsts` in one scheduling call.  As
+        by `send`, each copy is serialized: all but the first are hits in
+        `wire.serialize`'s memo, and its wrappers see one call per copy."""
+        sim = self.sim
+        serialize, wire_ctx = wire.serialize, sim.wire_ctx
+        data = None
+        for _ in dsts:
+            data = serialize(wire_ctx, msg)
+        if data is not None:
+            tag = sim._tag_codes.get(type(msg)) or sim._tag_code(msg)
+            sim._schedule_send(self, dsts, data, tag)
 
     def set_timer(self, tag: tuple, timeout: int):
         self.sim._schedule_timer(self, tag, timeout)
@@ -551,7 +588,8 @@ class Context:
 
     def _count(self, verb: str):
         trace = self.sim.trace
-        trace.row(self.sim.now, VERIFY, self.code, NULL, 0, trace.code(verb))
+        trace.pending += _pack_row(self.sim.now, 0, VERIFY, self.code, NULL,
+                                   trace.code(verb))
 
     def verify(self, keycard: bytes, statement: bytes, sig: bytes) -> bool:
         self._count("verify")
@@ -636,58 +674,94 @@ class Simulation:
                 raise ValueError(f"the scenario counts no process {pid!r}")
         self._good_case = s.synchrony == GOOD_CASE
         self._timeouts_honored = self._good_case or s.timer_policy == "timeout"
-        self._delay = s.delay_policy.delay
+        self._counts = counts
         self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
         self._tag_codes: dict[type, int] = {}  # message class -> tag code
-        self._counts = counts
         # each process's context by rank; None where it has no machine
         self._by_rank: list = [None] * n
         for pid, machine in machines.items():
             ctx = Context(self, pid, machine)
             self._by_rank[ctx.rank] = ctx
+        # `servers(n)`, the fan-out to every server, checked once if it can be
+        self._server_contexts = self._by_rank[:s.n_servers]
+        self._servers = (None if None in self._server_contexts
+                         else servers(s.n_servers))
+        self._draw_delay = None if self._good_case else self._resolve(
+            s.delay_policy)
+        self._draw_skew = None if self._timeouts_honored else _uniform(
+            self.rng, 1, s.timer_skew_max)
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
 
+    def _resolve(self, policy: DelayPolicy):
+        """`policy` as a function from a link, src rank * P + dst rank, to
+        its next envelope's delay; overrides naming no machine never apply."""
+        base = (_uniform(self.rng, policy.min_delay, policy.max_delay)
+                if policy.kind != "constant" else lambda _=None: policy.value)
+        rank = {ctx.label: ctx.rank for ctx in self._by_rank
+                if ctx is not None} if policy.overrides else {}
+        fixed = {}
+        for link, delay in policy.overrides.items():
+            src, _, dst = link.partition("->")
+            if src in rank and dst in rank:
+                fixed[rank[src] * self._n + rank[dst]] = delay
+        if not fixed:
+            return base
+        return lambda link: fixed[link] if link in fixed else base()
+
+    def _tag_code(self, msg) -> int:
+        """The trace tag code of `msg`'s class, interned on first use."""
+        code = self._tag_codes[type(msg)] = self.trace.code(wire.tag_name(msg))
+        return code
+
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule_send(self, src: Context, dst: ProcessId, data: bytes,
-                       tag: int):
-        """Queue the delivery of `data`, whose trace tag code is `tag`."""
-        counts = self._counts
-        if (type(dst) is ProcessId and 0 <= dst.kind < len(counts)
-                and 0 <= dst.ordinal < counts[dst.kind]):
-            to = self._by_rank[self._rank_offsets[dst.kind] + dst.ordinal]
+    def _schedule_send(self, src: Context, dsts, data: bytes, tag: int):
+        """Queue `data`, of trace tag code `tag`, to each of `dsts` in turn;
+        ValueError, and none queued, if one is not a process with a machine."""
+        if dsts is self._servers:
+            tos = self._server_contexts
         else:
-            to = None
-        if to is None:
-            raise ValueError(f"unknown destination {dst!r}")
-        now, n = self.now, self._n
-        if self._good_case:
-            deliver = now + 1
-        else:
-            delay = self._delay(self.rng, src.label, to.label)
-            deliver = now + delay if delay > 1 else now + 1
-            link = src.rank * n + to.rank
-            last = self._link_last.get(link, 0)
-            if deliver < last:
-                deliver = last
-            self._link_last[link] = deliver
-        self._seq = seq = self._seq + 1
-        self.trace.row(now, SEND, src.code, to.code, len(data), tag)
+            counts, offsets = self._counts, self._rank_offsets
+            tos = []
+            for dst in dsts:
+                to = (self._by_rank[offsets[dst.kind] + dst.ordinal]
+                      if type(dst) is ProcessId and 0 <= dst.kind < 3
+                      and 0 <= dst.ordinal < counts[dst.kind] else None)
+                if to is None:
+                    raise ValueError(f"unknown destination {dst!r}")
+                tos.append(to)
+        now, n, draw = self.now, self._n, self._draw_delay
+        code, rank, size = src.code, src.rank, len(data)
+        rows, queue, seq = self.trace.pending, self._queue, self._seq
+        for to in tos:
+            if draw is None:
+                deliver = now + 1
+            else:
+                link = rank * n + to.rank
+                delay = draw(link)
+                deliver = now + delay if delay > 1 else now + 1
+                last = self._link_last.get(link, 0)
+                if deliver < last:
+                    deliver = last
+                self._link_last[link] = deliver
+            seq += 1
+            rows += _pack_row(now, size, SEND, code, to.code, tag)
+            heapq.heappush(queue, ((2 * deliver * n + to.rank) * n + rank,
+                                   b"", seq, src, to, data, tag))
+        self._seq = seq
         cell = self._in_flight.get(data)
         if cell is None:
-            self._in_flight[data] = [_UNDECODED, 1]
+            self._in_flight[data] = [_UNDECODED, len(tos)]
         else:
-            cell[1] += 1
-        heapq.heappush(self._queue, ((2 * deliver * n + to.rank) * n
-                                     + src.rank, b"", seq, src, to, data, tag))
+            cell[1] += len(tos)
 
     def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
         now, n = self.now, self._n
         if self._timeouts_honored:
             ring = now + timeout
         else:
-            ring = now + self.rng.randint(1, self.scenario.timer_skew_max)
+            ring = now + self._draw_skew()
         self._seq = seq = self._seq + 1
         tag_code = self.trace.code(_tag_label(tag))
         self.trace.add(now, TIMER_SET, owner.code, owner.code, 0, tag_code,
@@ -722,11 +796,14 @@ class Simulation:
         tick = key // self._per_phase  # 2 * time + phase
         self.now = now = tick >> 1
         self._dispatched += 1
+        rows = self.trace.pending
+        if len(rows) >= _PENDING_BYTES:
+            self.trace.flush()
         if tick & 1:
-            self.trace.row(now, TIMER_RING, dst.code, dst.code, 0, tag)
+            rows += _pack_row(now, 0, TIMER_RING, dst.code, dst.code, tag)
             dst.machine.on_timer(dst, item)
             return
-        self.trace.row(now, DELIVER, src.code, dst.code, len(item), tag)
+        rows += _pack_row(now, len(item), DELIVER, src.code, dst.code, tag)
         cell = self._in_flight[item]
         msg = cell[0]
         if msg is _UNDECODED:
@@ -749,6 +826,7 @@ class Simulation:
                 raise EventBudgetExhausted(
                     f"no quiescence after {MAX_EVENTS} events")
             self.step()
+        self.trace.flush()
         return self.trace
 
     def trace_jsonl(self) -> str:

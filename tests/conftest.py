@@ -50,6 +50,9 @@ class FakeCtx(Context):
     def send(self, dst, msg):
         self.sent.append((dst, msg))
 
+    def send_all(self, dsts, msg):
+        self.sent.extend((dst, msg) for dst in dsts)
+
     def set_timer(self, tag, timeout):
         self.timers.append((tag, timeout))
 

@@ -8,7 +8,7 @@ import pytest
 from batchcast import simnet
 from batchcast.cli import main
 from batchcast.properties import _keycard
-from batchcast.scenarios import good_case, scenario_to_json
+from batchcast.scenarios import TICK_BOUND, good_case, scenario_to_json
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -216,6 +216,23 @@ SCENARIO_PROBES = {
     "target_id_of_one": (lambda d: d.update(fault_script={"S3": {
         "behavior": "false_exception_server", "target_id": [0]}}),
         "fault_script.S3.target_id"),
+    # tick counts past TICK_BOUND, which would overflow the trace's columns
+    "min_delay_2_62": (lambda d: d["delay_policy"].update(
+        kind="uniform", min_delay=2 ** 62, max_delay=2 ** 63),
+        "delay_policy.min_delay"),
+    "max_delay_2_63": (lambda d: d["delay_policy"].update(
+        kind="uniform", min_delay=1, max_delay=2 ** 63),
+        "delay_policy.max_delay"),
+    "constant_value_10_30": (lambda d: d["delay_policy"].update(
+        kind="constant", value=10 ** 30), "delay_policy.value"),
+    "timer_skew_max_2_70": (lambda d: d.update(
+        timer_policy="scheduler", timer_skew_max=2 ** 70), "timer_skew_max"),
+    "batching_window_2_63": (lambda d: d.update(batching_window=2 ** 63),
+                             "batching_window"),
+    "at_2_63": (lambda d: d["broadcasts"][0].update(at=2 ** 63),
+                "broadcasts[0].at"),
+    "override_2_32_plus_1": (lambda d: d["delay_policy"].update(
+        overrides={"B0->S3": 2 ** 32 + 1}), "delay_policy.overrides.B0->S3"),
 }
 
 
@@ -269,6 +286,24 @@ def test_edited_scenario_exits_2_before_it_runs(tmp_path, capsys, name, edit,
 
 def test_bundled_good_case_exits_0(capsys):
     assert main(["--scenario", str(SCENARIOS_DIR / "good_case.json")]) == 0
+
+
+def test_ticks_at_the_bound_run_adversarially(tmp_path, capsys):
+    """Every tick key at `TICK_BOUND`, delays drawn next to it: the run ends
+    with every property passing, at ticks past 2^32."""
+    doc = json.loads((SCENARIOS_DIR / "good_case.json").read_text())
+    doc.update(synchrony="adversarial", timer_policy="scheduler",
+               timer_skew_max=TICK_BOUND, batching_window=TICK_BOUND)
+    doc["delay_policy"].update(kind="uniform", min_delay=TICK_BOUND - 3,
+                               max_delay=TICK_BOUND,
+                               overrides={"B0->S1": TICK_BOUND})
+    for entry in doc["broadcasts"]:
+        entry["at"] = TICK_BOUND
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    trace = (tmp_path / f"{doc['name']}.trace.jsonl").read_text()
+    assert json.loads(trace.splitlines()[-1])["time"] > 2 * TICK_BOUND
 
 
 def test_run_out_of_event_budget_exits_3(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from dataclasses import make_dataclass
 from batchcast import crypto, wire
 from batchcast.bits import DecodeError
 from batchcast.crypto import Certificate, MerkleProof
-from batchcast.encoding import compress_ids, expand_ids
+from batchcast.protocol import compress_ids, expand_ids
 from batchcast.wire import TABLE_PAIRS, partition_encoded_len
 import pytest
 

@@ -1,9 +1,11 @@
 """Event loop semantics: delays, FIFO links, timers, determinism."""
 
+import random
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
-from batchcast.procs import ProcessId, broker, client, server
+from batchcast import simnet
+from batchcast.procs import ProcessId, broker, client, server, servers
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, Context, DelayPolicy,
                               Machine, Scenario, Simulation)
 from batchcast.wire import Signup, Ranked
@@ -57,20 +59,14 @@ def test_good_case_delay_is_exactly_one():
 
 
 def test_fifo_order_under_adversarial_delays():
-    class TwoDelays(DelayPolicy):
-        # first envelope slow, second fast: FIFO clamps the second
-        def __init__(self):
-            super().__init__()
-            self.queue = [10, 1]
-
-        def delay(self, rng, src, dst):
-            return self.queue.pop(0) if self.queue else 1
-
-    sc = tiny_scenario(synchrony=ADVERSARIAL, delay_policy=TwoDelays())
+    sc = tiny_scenario(synchrony=ADVERSARIAL)
     a = Script(sends=[(1, server(1), Ranked(0)), (2, server(1), Ranked(1))])
     machines = idle_machines(sc)
     machines[server(0)] = a
     sim = Simulation(sc, machines)
+    # first envelope slow, second fast: FIFO clamps the second
+    delays = [10, 1]
+    sim._draw_delay = lambda link: delays.pop(0) if delays else 1
     sim.run_to_quiescence()
     recv = [(t, msg) for kind, t, src, msg in machines[server(1)].log]
     assert [m.domain for _, m in recv] == [0, 1]  # send order preserved
@@ -310,8 +306,7 @@ def test_undecodable_bytes_are_dropped_after_one_decode(monkeypatch):
     class Junk(Script):
         def on_start(self, ctx):
             tag = ctx.sim.trace.code("Junk")
-            for dst in (server(1), server(2)):
-                ctx.sim._schedule_send(ctx, dst, b"\xff", tag)
+            ctx.sim._schedule_send(ctx, (server(1), server(2)), b"\xff", tag)
 
     attempts = []
     deserialize = wire.deserialize
@@ -423,7 +418,9 @@ def test_fake_context_simulation_builds(oracle):
 def test_unknown_destinations_raise_before_anything_is_queued():
     """A send to an ordinal past its kind's count, a negative ordinal or
     kind, a kind past the last, a process without a machine or a
-    non-process is refused, with a message that names no other process."""
+    non-process is refused, with a message that names no other process,
+    and a fan-out that holds one queues no copy, not even to the
+    destinations before it."""
     sc = tiny_scenario()
     machines = idle_machines(sc)
     del machines[broker(0)]
@@ -432,7 +429,127 @@ def test_unknown_destinations_raise_before_anything_is_queued():
     for dst in (server(4), client(1), server(-1), client(-2), broker(0),
                 ProcessId(-1, 0), ProcessId(3, 0), "S0", (0, 0), None):
         with pytest.raises(ValueError, match="unknown destination") as exc:
-            sim._schedule_send(src, dst, b"\x00", 0)
+            sim._schedule_send(src, (server(1), dst), b"\x00", 0)
         if dst == ProcessId(-1, 0):
             assert "C0" not in str(exc.value)
-    assert not sim._queue and not sim._in_flight
+    assert not sim._queue and not sim._in_flight and not len(sim.trace)
+
+
+def _fan_out_run(fan_out: bool):
+    """A chatty adversarial run in which each process answers each event
+    with random sends to random destination sequences, as one `send_all`
+    or as one `send` per destination; the same choices either way."""
+    chooser = random.Random(21)
+    log = []  # (dispatching process, event, now)
+
+    class Chatter(Machine):
+        budget = [400]
+
+        def on_start(self, ctx):
+            self._chat(ctx)
+
+        def on_message(self, ctx, src, msg):
+            log.append((ctx.pid, ("msg", src, msg.domain), ctx.now))
+            self._chat(ctx)
+
+        def on_timer(self, ctx, tag):
+            log.append((ctx.pid, ("ring", tag), ctx.now))
+            self._chat(ctx)
+
+        def _chat(self, ctx):
+            for _ in range(1 + chooser.randrange(2)):
+                if self.budget[0] <= 0:
+                    return
+                self.budget[0] -= 1
+                if chooser.random() < 0.2:
+                    ctx.set_timer(("t", chooser.randrange(99)),
+                                  chooser.randrange(4))
+                    continue
+                dsts = (shared if chooser.random() < 0.3 else tuple(
+                    chooser.choice(processes)
+                    for _ in range(chooser.randrange(1, 6))))
+                msg = Ranked(chooser.randrange(1000))
+                if fan_out:
+                    ctx.send_all(dsts, msg)
+                else:
+                    for dst in dsts:
+                        ctx.send(dst, msg)
+
+    sc = Scenario(name="fan_out", n_servers=4, fault_bound=1, n_brokers=2,
+                  n_clients=3, synchrony=ADVERSARIAL, timer_policy="scheduler",
+                  delay_policy=DelayPolicy(kind="uniform", min_delay=1,
+                                           max_delay=4, overrides={
+                                               "S0->S1": 9, "B1->S2": 1,
+                                               "C2->S0": 7}), seed=4)
+    processes = sc.processes()
+    shared = servers(sc.n_servers)
+    sim = Simulation(sc, {pid: Chatter() for pid in processes})
+    draws = []  # the delay drawn for each send, in send order
+    draw = sim._draw_delay
+    sim._draw_delay = lambda link: draws.append(draw(link)) or draws[-1]
+    sim.run_to_quiescence()
+    return sim, log, draws
+
+
+def test_send_all_matches_one_send_per_destination():
+    """Under uniform delays, link overrides and FIFO clamps, a fan-out sent
+    with `send_all` dispatches the same events in the same order, leaves
+    the scheduler's generator in the same state and writes the same trace
+    as one `send` per destination."""
+    sim, log, draws = _fan_out_run(fan_out=True)
+    ref_sim, ref_log, ref_draws = _fan_out_run(fan_out=False)
+    assert len(log) > 600 and log == ref_log and draws == ref_draws
+    assert sim.rng.getstate() == ref_sim.rng.getstate()
+    assert list(sim.trace) == list(ref_sim.trace)
+    assert sim.trace_jsonl() == ref_sim.trace_jsonl()
+
+    # the overrides were drawn and the FIFO clamp delayed some deliveries
+    unsent = iter(draws)
+    sent = defaultdict(deque)
+    clamped = 0
+    for ev in sim.trace:
+        if ev.kind == "send":
+            sent[(ev.src, ev.dst)].append(ev.time + next(unsent))
+        elif ev.kind == "deliver":
+            due = sent[(ev.src, ev.dst)].popleft()
+            assert ev.time >= due
+            clamped += ev.time > due
+    assert next(unsent, None) is None
+    assert {9, 7} <= set(draws) and clamped
+
+
+@pytest.mark.parametrize("lo", [1, 2 ** 32 - 8])
+def test_uniform_draw_matches_randrange(lo):
+    """The resolved draw returns what `randrange(lo, hi + 1)` returns and
+    leaves the generator in the same state, for spans 1 to 9."""
+    for span in range(1, 10):
+        rng, ref = random.Random(span), random.Random(span)
+        draw = simnet._uniform(rng, lo, lo + span - 1)
+        assert ([draw() for _ in range(10_000)]
+                == [ref.randrange(lo, lo + span) for _ in range(10_000)])
+        assert rng.getstate() == ref.getstate()
+    with pytest.raises(ValueError, match="empty range"):
+        simnet._uniform(random.Random(0), 3, 2)
+
+
+def test_serialize_calls_match_the_send_rows(monkeypatch):
+    """One `wire.serialize` call per send row, fan-outs included, and the
+    8 x len of what those calls return adds up to the trace's send bits:
+    a wrapper of `wire.serialize` may count the wire bits."""
+    from batchcast import wire
+    from batchcast.scenarios import run_scenario
+    from conftest import live_signup_f2
+
+    real = wire.serialize
+    calls = []
+
+    def counting(ctx, msg):
+        data = real(ctx, msg)
+        calls.append(8 * len(data))
+        return data
+
+    monkeypatch.setattr(wire, "serialize", counting)
+    trace = run_scenario(live_signup_f2()).trace
+    sends = [8 * ev.bytes_len for ev in trace if ev.kind == "send"]
+    assert len(calls) == len(sends) > 1000
+    assert sum(calls) == sum(sends)

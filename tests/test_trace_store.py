@@ -13,8 +13,10 @@ import pytest
 from conftest import live_signup_f2
 
 from batchcast import simnet
+from batchcast.metrics import CostLedger
 from batchcast.properties import check_trace
-from batchcast.scenarios import CORPUS, batching_limit, run_scenario
+from batchcast.scenarios import (CORPUS, batching_limit, build_simulation,
+                                 run_scenario)
 from batchcast.simnet import Trace, TraceEvent
 
 
@@ -163,3 +165,48 @@ def test_the_trace_holds_no_object_per_record():
     gc.collect()
     assert len(trace) > 3 * len(small)
     assert tracked_objects(trace) == tracked_objects(small)
+    # rows still pending are bytes in one untracked buffer
+    for _ in range(1000):
+        trace.pending += simnet._pack_row(9, 0, simnet.VERIFY, 0, 0, 0)
+    assert trace.pending and not gc.is_tracked(trace.pending)
+    assert count_trace_events() == before
+    assert tracked_objects(trace) == tracked_objects(small)
+
+
+def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
+    """Rows read while a run still appends (the cost ledger, `select`, rows,
+    JSON lines, columns) are a prefix of the finished trace, which still equals its
+    records and an unread run's; pending rows stay within one flush size
+    plus the rows of one dispatch."""
+    expected = run_scenario(live_signup_f2()).trace_jsonl()
+    monkeypatch.setattr(simnet, "_PENDING_BYTES", 7 * simnet._ROW.size)
+    sim = build_simulation(live_signup_f2())
+    trace = sim.trace
+    sim.start()
+    snapshots = []
+    steps = seen_pending = 0
+    while sim._queue:
+        before = len(trace)
+        sim.step()
+        steps += 1
+        written = (len(trace) - before) * simnet._ROW.size
+        assert len(trace.pending) < simnet._PENDING_BYTES + written
+        if steps % 1009 == 0:
+            pending = len(trace.pending)
+            ledger = CostLedger.from_trace(trace)
+            rows = list(trace)
+            assert vars(ledger) == vars(CostLedger.from_trace(rows))
+            seen_pending += pending > 0
+            assert len(rows) == len(trace) and not trace.pending
+            assert trace.select("fb_deliver", ("seq",)) == [
+                (i, ev.src, ev.extra["seq"]) for i, ev in enumerate(rows)
+                if ev.kind == "fb_deliver"]
+            snapshots.append((trace.jsonl(), trace.time.tolist()))
+            assert snapshots[-1][0] == reference_jsonl(rows)
+    trace.flush()
+    assert len(snapshots) > 5 and seen_pending
+    final = trace.jsonl()
+    assert final == expected == reference_jsonl(trace)
+    for text, times in snapshots:
+        assert final.startswith(text)
+        assert trace.time[:len(times)].tolist() == times
