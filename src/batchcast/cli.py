@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import metrics, properties, scenarios, simnet
 
-SWEEP_KEYS = scenarios.KeyTable(dict, {"m_values": ("m_values", [int], 1),
-                                       "clients": ("n_clients", int, 1)})
+SWEEP_KEYS = scenarios.KeyTable(dict, {"m_values": ("m_values", [int]),
+                                       "clients": ("n_clients", int)})
 
 
 def _run(args) -> int:
@@ -66,6 +66,9 @@ def _sweep(args) -> int:
     try:
         spec = scenarios.read_keys(json.loads(Path(args.sweep).read_text()),
                                    SWEEP_KEYS, "sweep spec")
+        for i, m in enumerate(spec["m_values"]):  # batching_limit divides by m
+            if m < 1:
+                raise ValueError(f"m_values[{i}] must be at least 1")
         if max(spec["m_values"], default=1) > spec["n_clients"]:
             raise ValueError("m_values must not exceed clients")
         rows = metrics.convergence_sweep(**spec)

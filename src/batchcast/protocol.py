@@ -12,8 +12,8 @@ plurality of completion shards that let clients stop resubmitting.  Servers
 deliver every non-excluded payload on commit, and offer the batch to each
 other afterwards so no server is left behind.
 
-Timer constants: Reduce = 2 ticks, Committable = 4, OfferTotality = 7; client
-resubmission = 13 + batching window.
+Timer constants: Reduce = 2 ticks, Committable = 4, OfferTotality = 7, client
+resubmission = 13; a broker flushes its pool at the tick it starts one.
 """
 
 from __future__ import annotations
@@ -82,11 +82,9 @@ class _Submission:
 
 
 class ClientMachine(Machine):
-    def __init__(self, n_servers: int, n_brokers: int, f: int,
-                 batching_window: int = 0, plan=(), broker_order=None,
-                 preloaded: Assignment | None = None):
+    def __init__(self, n_servers: int, n_brokers: int, f: int, plan=(),
+                 broker_order=None, preloaded: Assignment | None = None):
         self.brokers = brokers(n_brokers)
-        self.batching_window = batching_window
         self.plan = list(plan)  # [(delay, context, message)]
         self.broker_order = list(broker_order) if broker_order else None
         self.assignment = preloaded  # this client's own, once it has one
@@ -134,7 +132,7 @@ class ClientMachine(Machine):
                  Submission(self.assignment, context, sub.message,
                             sub.signature))
         sub.submitted_to.add(target)
-        ctx.set_timer(("submit", context), RESUBMIT_BASE + self.batching_window)
+        ctx.set_timer(("submit", context), RESUBMIT_BASE)
 
     # -- events ---------------------------------------------------------------
 
@@ -202,10 +200,9 @@ class _Batch:
 
 
 class BrokerMachine(Machine):
-    def __init__(self, n_servers: int, f: int, batching_window: int = 0):
+    def __init__(self, n_servers: int, f: int):
         self.servers = servers(n_servers)
         self.f = f
-        self.batching_window = batching_window
         self.view = DirectoryView()
         self.pending: dict[Id, deque] = {}   # Id -> deque of Submission
         self.pool: dict[Id, Submission] = {}
@@ -263,7 +260,7 @@ class BrokerMachine(Machine):
         self._ready.clear()
         if self.pool and not self.collecting:
             self.collecting = True
-            ctx.set_timer(("flush",), self.batching_window)
+            ctx.set_timer(("flush",), 0)
         for root in sorted(self.batches):
             self._advance(ctx, root)
 

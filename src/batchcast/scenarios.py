@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from binascii import a2b_hex
 from dataclasses import MISSING, fields
 from functools import partial
 from typing import NamedTuple
@@ -12,8 +13,8 @@ from .crypto import Oracle
 from .procs import Id, ProcessKind, client, servers
 from .protocol import (BatchCheck, BrokerMachine, ClientMachine,
                        ServerMachine)
-from .simnet import (ADVERSARIAL, DELAY_KINDS, GOOD_CASE, SYNCHRONY,
-                     TIMER_POLICIES, DelayPolicy, Scenario, Simulation)
+from .simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario,
+                     Simulation)
 from .wire import Assignment, stmt_assignment
 
 
@@ -23,12 +24,10 @@ from .wire import Assignment, stmt_assignment
 class KeyTable(NamedTuple):
     """The keys of one JSON object, read into `target(**attributes)`.
 
-    `rows` maps each key to (attribute, kind, least).  A kind is `int`,
-    `str`, `bool`, `dict` (any object), a tuple of allowed strings, a range
-    of allowed integers, a one-item list (a list of that kind), a one-item
-    dict {key type: kind}, or a KeyTable; `least` bounds every integer in
-    the value.  Required are
-    all keys of a `dict` target, and of a dataclass those without default.
+    `rows` maps each key to (attribute, kind), a kind being `int`, `str`,
+    `bool`, `dict` (any object), a one-item list (a list of that kind), a
+    one-item dict {key type: kind}, or a KeyTable.  Required are all keys of
+    a `dict` target, and of a dataclass those without default.
     """
 
     target: type
@@ -37,75 +36,55 @@ class KeyTable(NamedTuple):
 
 _TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean",
                dict: "an object", list: "a list"}
-# the largest tick count a scenario file may give: MAX_EVENTS < 2^23 events,
-# each at most this far past its cause, keep every tick below 2^63
-TICK_BOUND = 1 << 32
-_TICKS, _DELAYS = range(TICK_BOUND + 1), range(1, TICK_BOUND + 1)
 
 SCENARIO_KEYS = KeyTable(Scenario, {
-    "name": ("name", str, None),
-    "servers": ("n_servers", int, 1),
-    "fault_bound": ("fault_bound", int, 0),
-    "brokers": ("n_brokers", int, 1),
-    "clients": ("n_clients", int, 1),
-    "synchrony": ("synchrony", SYNCHRONY, None),
+    "name": ("name", str),
+    "servers": ("n_servers", int),
+    "fault_bound": ("fault_bound", int),
+    "brokers": ("n_brokers", int),
+    "clients": ("n_clients", int),
+    "synchrony": ("synchrony", str),
     "delay_policy": ("delay_policy", KeyTable(DelayPolicy, {
-        "kind": ("kind", DELAY_KINDS, None),
-        "value": ("value", _DELAYS, None),
-        "min_delay": ("min_delay", _DELAYS, None),
-        "max_delay": ("max_delay", _DELAYS, None),
-        "overrides": ("overrides", {str: _DELAYS}, None),  # "B0->S3": delay
-    }), None),
-    "timer_policy": ("timer_policy", TIMER_POLICIES, None),
-    "timer_skew_max": ("timer_skew_max", _DELAYS, None),
-    "fault_script": ("fault_script", {str: dict}, None),
-    "seed": ("seed", int, None),
-    "batching_window": ("batching_window", _TICKS, None),
-    "preload_directory": ("preload_directory", bool, None),
+        "kind": ("kind", str),
+        "min_delay": ("min_delay", int),
+        "max_delay": ("max_delay", int),
+        "overrides": ("overrides", {str: int}),  # "B0->S3": delay
+    })),
+    "timer_policy": ("timer_policy", str),
+    "fault_script": ("fault_script", {str: dict}),
+    "seed": ("seed", int),
+    "preload_directory": ("preload_directory", bool),
     "broadcasts": ("broadcasts", [KeyTable(dict, {
-        "client": ("client", int, 0),
-        "context": ("context", str, None),  # hex, decoded when built
-        "message": ("message", str, None),  # hex, decoded when built
-        "at": ("at", _TICKS, None),
-    })], None),
-    "broker_order": ("broker_order", {int: [int]}, 0),
-    "payload_bits": ("payload_bits", int, 1),
+        "client": ("client", int),
+        "context": ("context", str),  # hex, decoded when built
+        "message": ("message", str),  # hex, decoded when built
+        "at": ("at", int),
+    })]),
+    "broker_order": ("broker_order", {int: [int]}),
 })
 
 
 def read_keys(doc, table: KeyTable, what: str):
     """`doc`, decoded JSON, read through `table`.  Raises ValueError naming
-    the first key that is unknown, missing, mistyped or below its least."""
+    the first key that is unknown, missing or mistyped."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} is not an object")
-    return _read("", doc, table, None)
+    return _read("", doc, table)
 
 
-def _read(where: str, value, kind, least):
-    if type(kind) is tuple:
-        if value not in kind:
-            raise ValueError(f"{where} must be one of {', '.join(kind)}")
-        return value
-    if type(kind) is range:
-        if type(value) is not int or value not in kind:
-            raise ValueError(f"{where} must be an integer from {kind[0]} to "
-                             f"{kind[-1]}")
-        return value
+def _read(where: str, value, kind):
     json_type = (kind if isinstance(kind, type)
                  else dict if isinstance(kind, KeyTable) else type(kind))
-    if type(value) is not json_type or (json_type is int and least is not None
-                                        and value < least):
-        bound = "" if least is None or json_type is not int else (
-            f" of at least {least}")
-        raise ValueError(f"{where} must be {_TYPE_NAMES[json_type]}{bound}")
+    if type(value) is not json_type:
+        raise ValueError(f"{where} must be {_TYPE_NAMES[json_type]}")
     if type(kind) is list:
-        return [_read(f"{where}[{i}]", v, kind[0], least)
+        return [_read(f"{where}[{i}]", v, kind[0])
                 for i, v in enumerate(value)]
     if type(kind) is dict:
         (key_type, sub), = kind.items()
         if key_type is int and not all(map(str.isdecimal, value)):
             raise ValueError(f"{where} keys must be integers")
-        return {key_type(k): _read(f"{where}.{k}", v, sub, least)
+        return {key_type(k): _read(f"{where}.{k}", v, sub)
                 for k, v in value.items()}
     if not isinstance(kind, KeyTable):
         return value
@@ -113,14 +92,14 @@ def _read(where: str, value, kind, least):
     unknown = sorted(value.keys() - kind.rows)
     if unknown:
         raise ValueError(f"unknown key {prefix + unknown[0]!r}")
-    required = ({attr for attr, _, _ in kind.rows.values()}
+    required = ({attr for attr, _ in kind.rows.values()}
                 if kind.target is dict else
                 {f.name for f in fields(kind.target)
                  if f.default is MISSING and f.default_factory is MISSING})
     attrs = {}
-    for key, (attr, sub, low) in kind.rows.items():
+    for key, (attr, sub) in kind.rows.items():
         if key in value:
-            attrs[attr] = _read(prefix + key, value[key], sub, low)
+            attrs[attr] = _read(prefix + key, value[key], sub)
         elif attr in required:
             raise ValueError(f"missing key {prefix + key!r}")
     return kind.target(**attrs)
@@ -131,7 +110,7 @@ def _write(value, kind):
     if isinstance(kind, KeyTable):
         get = value.get if kind.target is dict else partial(getattr, value)
         return {key: _write(get(attr), sub)
-                for key, (attr, sub, _) in kind.rows.items()}
+                for key, (attr, sub) in kind.rows.items()}
     if type(kind) is list:
         return [_write(v, kind[0]) for v in value]
     if type(kind) is dict:
@@ -144,11 +123,8 @@ def scenario_to_json(s: Scenario) -> str:
 
 
 def scenario_from_json(text: str) -> Scenario:
-    """Parse a scenario file through `SCENARIO_KEYS` (see `read_keys`).
-
-    The checks that span keys are `Scenario.validate`'s, which runs once,
-    when the simulation is built.
-    """
+    """Parse a scenario file through `SCENARIO_KEYS` (see `read_keys`); its
+    values are bounded by `Scenario.validate`, when the simulation is built."""
     return read_keys(json.loads(text), SCENARIO_KEYS, "scenario document")
 
 
@@ -183,16 +159,17 @@ def build_simulation(scenario: Scenario) -> Simulation:
     preloads = tuple(assignment_of.values())
 
     plans: dict[int, list] = {}
+    bits = s.payload_bits
     for i, entry in enumerate(s.broadcasts):
         try:
-            plan = (entry["at"], bytes.fromhex(entry["context"]),
-                    bytes.fromhex(entry["message"]))
+            plan = (entry["at"], a2b_hex(entry["context"]),
+                    a2b_hex(entry["message"]))
         except ValueError:
             raise ValueError(f"broadcasts[{i}]: context and message must be "
                              "hex") from None
-        if 8 * (len(plan[1]) + len(plan[2])) != s.payload_bits:
+        if 8 * (len(plan[1]) + len(plan[2])) != bits:
             raise ValueError(f"broadcasts[{i}]: context and message must be "
-                             f"payload_bits = {s.payload_bits} bits together")
+                             f"{bits} bits together, as in broadcasts[0]")
         plans.setdefault(entry["client"], []).append(plan)
 
     common = {"n_servers": s.n_servers, "f": s.fault_bound}
@@ -203,13 +180,11 @@ def build_simulation(scenario: Scenario) -> Simulation:
         if pid.kind is ProcessKind.SERVER:
             correct, kwargs = ServerMachine, server_kwargs
         elif pid.kind is ProcessKind.BROKER:
-            correct, kwargs = BrokerMachine, dict(
-                common, batching_window=s.batching_window)
+            correct, kwargs = BrokerMachine, common
         else:
             j = pid.ordinal
             correct, kwargs = ClientMachine, dict(
-                common, n_brokers=s.n_brokers,
-                batching_window=s.batching_window, plan=plans.get(j, []),
+                common, n_brokers=s.n_brokers, plan=plans.get(j, []),
                 broker_order=s.broker_order.get(j),
                 preloaded=assignment_of.get(j))
         spec = s.fault_script.get(pid.label)
@@ -236,8 +211,8 @@ def _broadcasts(clients) -> list:
             for j in clients]
 
 
-def good_case(n_clients: int = 8, name: str = "good_case") -> Scenario:
-    return Scenario(name=name, n_servers=4, fault_bound=1, n_brokers=1,
+def good_case(n_clients: int = 8) -> Scenario:
+    return Scenario(name="good_case", n_servers=4, fault_bound=1, n_brokers=1,
                     n_clients=n_clients, synchrony=GOOD_CASE,
                     broadcasts=_broadcasts(range(n_clients)))
 

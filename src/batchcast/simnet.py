@@ -17,13 +17,13 @@ lexicographically, and one integer compare stands for four.  Ties on the key
 fall to the timer tag's bytes (empty for a delivery) and then to the unique
 sequence number.  `time` is the key floor-divided by 2 * P * P.
 
-Good-case mode: every link delay is exactly 1 tick and timers honor their
-timeouts.  Adversarial mode: the seeded scheduler picks per-envelope delays
-(bounded by a horizon so runs terminate) and may disregard timer timeouts;
-FIFO order is preserved by clamping each delivery at or after the previous
-one on the same link.  With delays all 1, the clamp cannot bind, so the good
-case skips it.  Delays are drawn by one function per simulation, with
-`random.Random.randrange`'s own loop; a fan-out is one scheduling call.
+A constant delay policy delays each envelope 1 tick, but on overridden
+links; a uniform one has the seeded scheduler draw each delay, with
+`random.Random.randrange`'s own loop.  FIFO order is kept by clamping each
+delivery at or after the previous one on its link; with all delays 1 the
+clamp cannot bind and is skipped.  A timer rings its timeout after it is
+set, or, under the scheduler timer policy, 1 to `TIMER_SKEW_MAX` ticks
+after.  A fan-out is one scheduling call.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from .procs import ProcessId, brokers, client, servers
 
 GOOD_CASE = "good_case"
 ADVERSARIAL = "adversarial"
-SYNCHRONY = (GOOD_CASE, ADVERSARIAL)
-TIMER_POLICIES = ("timeout", "scheduler")
-DELAY_KINDS = ("constant", "uniform")
 MAX_EVENTS = 5_000_000  # dispatches a run may make before it must quiesce
+TIMER_SKEW_MAX = 8  # a scheduler timer rings at most this long after it is set
+# ticks a scenario may give: < 2^23 events (MAX_EVENTS) this far apart fit 2^63
+TICK_BOUND = 1 << 32
+PROCESS_BOUND = 1 << 14  # servers, brokers or clients a scenario may have
 PROCESS_LABEL = re.compile(r"([SBC])(0|[1-9][0-9]*)")  # a process label
 
 
@@ -64,13 +65,12 @@ def _known_labels(labels, counts: tuple) -> bool:
 class DelayPolicy:
     """Per-link delay selection.
 
-    kind "constant": every delay is `value` ticks.  kind "uniform": delays
-    drawn from [min_delay, max_delay] by the seeded scheduler.  Overrides fix
-    the delay of specific ordered links (labels like "B0->S3").
+    kind "constant": every delay is 1 tick.  kind "uniform": delays drawn
+    from [min_delay, max_delay] by the seeded scheduler.  Overrides fix the
+    delay of specific ordered links (labels like "B0->S3").
     """
 
     kind: str = "constant"
-    value: int = 1
     min_delay: int = 1
     max_delay: int = 1
     overrides: dict = field(default_factory=dict)
@@ -104,46 +104,71 @@ class Scenario:
     synchrony: str = GOOD_CASE
     delay_policy: DelayPolicy = field(default_factory=DelayPolicy)
     timer_policy: str = "timeout"  # "timeout" | "scheduler" (adversarial only)
-    timer_skew_max: int = 8
     fault_script: dict = field(default_factory=dict)  # label -> behavior spec
     seed: int = 0
-    batching_window: int = 0
     preload_directory: bool = True
     broadcasts: list = field(default_factory=list)  # per-client plans
     broker_order: dict = field(default_factory=dict)  # client ordinal -> order
-    payload_bits: int = 64
+
+    @property
+    def payload_bits(self) -> int:
+        """8 bits per byte of a broadcast's context and message; 64 if none."""
+        return next((4 * (len(e["context"]) + len(e["message"]))
+                     for e in self.broadcasts), 64)
 
     def validate(self):
-        """Raises ValueError naming the key of the first failed check that
-        spans keys.  Labels are parsed, so no label set is built."""
-        dp = self.delay_policy
+        """Raises ValueError naming the key of the first out-of-model value."""
+        if self.fault_bound < 0 or self.n_servers != 3 * self.fault_bound + 1:
+            raise ValueError("fault_bound must be at least 0, servers 3f + 1")
         counts = (self.n_servers, self.n_brokers, self.n_clients)
-        links = [link.split("->") for link in dp.overrides]
-        for ok, problem in (
-                (self.n_servers == 3 * self.fault_bound + 1,
-                 "server count must be 3f + 1"),
-                (self.synchrony in SYNCHRONY, "unknown synchrony"),
-                (self.timer_policy in TIMER_POLICIES, "unknown timer_policy"),
-                (dp.kind in DELAY_KINDS, "unknown delay_policy.kind"),
-                (1 <= dp.min_delay <= dp.max_delay,
-                 "delay_policy needs 1 <= min_delay <= max_delay"),
-                (_known_labels(self.fault_script, counts),
-                 f"a fault_script label of {sorted(self.fault_script)} "
-                 "names no process"),
-                (all(len(e) == 2 and _known_labels(e, counts) for e in links),
-                 f"a delay_policy.overrides link of {sorted(dp.overrides)} "
-                 "does not join two processes"),
-                (sum(label.startswith("B") for label in self.fault_script)
-                 < self.n_brokers, "at least one broker must be correct"),
-                (all(0 <= e["client"] < self.n_clients
-                     for e in self.broadcasts),
-                 f"a broadcasts client is not below {self.n_clients}"),
-                (all(0 <= j < self.n_clients for j in self.broker_order)
-                 and all(0 <= b < self.n_brokers for b in chain.from_iterable(
-                     self.broker_order.values())),
-                 "broker_order names a client or broker that does not exist")):
-            if not ok:
-                raise ValueError(problem)
+        for key, n in zip(("servers", "brokers", "clients"), counts):
+            if not 1 <= n <= PROCESS_BOUND:
+                raise ValueError(f"{key} must be an integer of at least 1 and "
+                                 f"at most {PROCESS_BOUND}")
+        dp, bs = self.delay_policy, self.broadcasts
+        for key, value, allowed in (
+                ("synchrony", self.synchrony, (GOOD_CASE, ADVERSARIAL)),
+                ("timer_policy", self.timer_policy, ("timeout", "scheduler")),
+                ("delay_policy.kind", dp.kind, ("constant", "uniform"))):
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {', '.join(allowed)}")
+        delays = {"min_delay": dp.min_delay, "max_delay": dp.max_delay}
+        delays.update((f"overrides.{k}", d) for k, d in dp.overrides.items())
+        for key, delay in delays.items():
+            if not 1 <= delay <= TICK_BOUND:
+                raise ValueError(f"delay_policy.{key} not in 1..{TICK_BOUND}")
+        for i, e in enumerate(bs):
+            if not 0 <= e["at"] <= TICK_BOUND:
+                raise ValueError(f"broadcasts[{i}].at not in 0..{TICK_BOUND}")
+        if dp.min_delay > dp.max_delay or (dp.kind == "constant"
+                                           and dp.max_delay != 1):
+            raise ValueError("delay_policy needs min_delay <= max_delay, 1 if "
+                             "constant")
+        if self.synchrony == GOOD_CASE and (dp != DelayPolicy()
+                                            or self.timer_policy != "timeout"):
+            raise ValueError("good_case takes the default delay_policy and "
+                             "timer_policy")
+        labels = sorted(self.fault_script)  # parsed, so no label set is built
+        if not _known_labels(labels, counts):
+            raise ValueError(f"a fault_script label of {labels} is no process")
+        if not all(len(e) == 2 and _known_labels(e, counts)
+                   for e in (link.split("->") for link in dp.overrides)):
+            raise ValueError("a delay_policy.overrides link of "
+                             f"{sorted(dp.overrides)} joins no two processes")
+        if sum(label[0] == "S" for label in labels) > self.fault_bound:
+            raise ValueError(f"fault_script: over f = {self.fault_bound} "
+                             "faulty servers")
+        if sum(label[0] == "B" for label in labels) >= self.n_brokers:
+            raise ValueError("brokers must be more than the faulty brokers")
+        clients = [e["client"] for e in bs]
+        if clients and not 0 <= min(clients) <= max(clients) < self.n_clients:
+            raise ValueError(f"a broadcasts client is not < {self.n_clients}")
+        if len({(e["client"], e["context"].lower()) for e in bs}) < len(bs):
+            raise ValueError("broadcasts repeat a client and context")
+        if not (all(0 <= j < self.n_clients for j in self.broker_order)
+                and all(0 <= b < self.n_brokers for b in chain.from_iterable(
+                    self.broker_order.values()))):
+            raise ValueError("broker_order names a missing client or broker")
 
     def processes(self) -> list[ProcessId]:
         return [*servers(self.n_servers), *brokers(self.n_brokers),
@@ -153,6 +178,7 @@ class Scenario:
 _BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
 _INT64 = 1 << 63
 _ABSENT = object()  # a key the record does not hold
+_PROCESS_COUNT = f"a count of at most {PROCESS_BOUND}"
 
 
 def _is_int(value) -> bool:
@@ -163,6 +189,7 @@ def _is_int(value) -> bool:
 _JSON_TYPES = {
     "an integer": _is_int,
     "a count": lambda v: _is_int(v) and v >= 0,
+    _PROCESS_COUNT: lambda v: _is_int(v) and 0 <= v <= PROCESS_BOUND,
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a string, null or absent": lambda v: (v is None or v is _ABSENT
@@ -178,8 +205,8 @@ _BASE_TYPES = (("src", None, "a string or null"),
 # per record kind, the event-specific keys the trace checker reads and their
 # JSON types
 _EXTRA_KEYS = {
-    "scenario": (("servers", "an integer"), ("brokers", "an integer"),
-                 ("clients", "an integer")),
+    "scenario": (("servers", _PROCESS_COUNT), ("brokers", _PROCESS_COUNT),
+                 ("clients", _PROCESS_COUNT)),
     "broadcast": (("context", "a string"), ("message", "a string")),
     "app_deliver": (("client", "a string"), ("context", "a string"),
                     ("message", "a string")),
@@ -639,6 +666,9 @@ _UNDECODABLE = object()   # in-flight cell: the bytes raised DecodeError
 class Simulation:
     """The event loop over one scenario's machines.
 
+    The scenario must pass `Scenario.validate`: delays and timers follow
+    its policies, whatever its synchrony (`build_simulation` validates).
+
     Every copy of a byte string in flight shares one decode: `_in_flight`
     maps the bytes to a cell [decoded message, deliveries still queued], the
     first delivery decodes and later ones reuse the result.  Sharing is sound
@@ -672,8 +702,6 @@ class Simulation:
         for pid in machines:
             if not 0 <= pid.ordinal < counts[pid.kind]:
                 raise ValueError(f"the scenario counts no process {pid!r}")
-        self._good_case = s.synchrony == GOOD_CASE
-        self._timeouts_honored = self._good_case or s.timer_policy == "timeout"
         self._counts = counts
         self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
         self._tag_codes: dict[type, int] = {}  # message class -> tag code
@@ -686,18 +714,15 @@ class Simulation:
         self._server_contexts = self._by_rank[:s.n_servers]
         self._servers = (None if None in self._server_contexts
                          else servers(s.n_servers))
-        self._draw_delay = None if self._good_case else self._resolve(
-            s.delay_policy)
-        self._draw_skew = None if self._timeouts_honored else _uniform(
-            self.rng, 1, s.timer_skew_max)
+        self._draw_delay = self._resolve(s.delay_policy)
+        self._draw_skew = (None if s.timer_policy == "timeout"
+                           else _uniform(self.rng, 1, TIMER_SKEW_MAX))
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
 
     def _resolve(self, policy: DelayPolicy):
         """`policy` as a function from a link, src rank * P + dst rank, to
-        its next envelope's delay; overrides naming no machine never apply."""
-        base = (_uniform(self.rng, policy.min_delay, policy.max_delay)
-                if policy.kind != "constant" else lambda _=None: policy.value)
+        its next delay, or None if all are 1; unmatched overrides drop."""
         rank = {ctx.label: ctx.rank for ctx in self._by_rank
                 if ctx is not None} if policy.overrides else {}
         fixed = {}
@@ -705,9 +730,11 @@ class Simulation:
             src, _, dst = link.partition("->")
             if src in rank and dst in rank:
                 fixed[rank[src] * self._n + rank[dst]] = delay
-        if not fixed:
-            return base
-        return lambda link: fixed[link] if link in fixed else base()
+        draw = (_uniform(self.rng, policy.min_delay, policy.max_delay)
+                if policy.kind == "uniform" else None)
+        if fixed:  # every override is at least 1
+            return lambda link: fixed.get(link) or (draw() if draw else 1)
+        return draw
 
     def _tag_code(self, msg) -> int:
         """The trace tag code of `msg`'s class, interned on first use."""
@@ -758,10 +785,8 @@ class Simulation:
 
     def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
         now, n = self.now, self._n
-        if self._timeouts_honored:
-            ring = now + timeout
-        else:
-            ring = now + self._draw_skew()
+        ring = now + (timeout if self._draw_skew is None
+                      else self._draw_skew())
         self._seq = seq = self._seq + 1
         tag_code = self.trace.code(_tag_label(tag))
         self.trace.add(now, TIMER_SET, owner.code, owner.code, 0, tag_code,

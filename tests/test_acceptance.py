@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.
 """
 
+import operator
 import random
 import time
 
@@ -121,6 +122,9 @@ def test_safety_suite():
             sim = run_scenario(factory(), seed=seed)
             verdicts = check_trace(sim.trace)
             runs += 1
+            times = sim.trace.time
+            if any(map(operator.gt, times, times[1:])):
+                failures.append((name, seed, "time", "time decreases"))
             for prop, v in verdicts.items():
                 if not v.ok:
                     failures.append((name, seed, prop, v.detail))

@@ -1,6 +1,7 @@
 """Runner flags, exit codes, and emitted artifacts."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from batchcast import simnet
 from batchcast.cli import main
 from batchcast.properties import _keycard
-from batchcast.scenarios import TICK_BOUND, good_case, scenario_to_json
+from batchcast.scenarios import good_case, scenario_to_json
+from batchcast.simnet import PROCESS_BOUND, TICK_BOUND
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -59,12 +61,26 @@ def test_check_only_flags_forged_trace(tmp_path, capsys):
     assert "FAIL consistency" in capsys.readouterr().out
 
 
+def test_check_only_header_at_the_process_bound_checks_quickly(tmp_path):
+    """The checker hashes a keycard per process the header counts; a header
+    over `PROCESS_BOUND` is malformed (see below)."""
+    path = tmp_path / "header.jsonl"
+    path.write_text(json.dumps({"time": 0, "kind": "scenario",
+                                "servers": PROCESS_BOUND, "brokers":
+                                PROCESS_BOUND, "clients": PROCESS_BOUND}))
+    t0 = time.perf_counter()
+    assert main(["--check-only", str(path)]) == 0
+    assert time.perf_counter() - t0 < 1
+
+
 @pytest.mark.parametrize("line", [
     "[1,2]",
     '{"time":0}',
     '{"time":0,"kind":"scenario","servers":4,"clients":1}',
     '{"time":0,"kind":',
-], ids=["not_an_object", "no_kind", "header_without_brokers", "bad_json"])
+    '{"time":0,"kind":"scenario","servers":100000000,"brokers":1,"clients":1}',
+], ids=["not_an_object", "no_kind", "header_without_brokers", "bad_json",
+        "header_over_process_bound"])
 def test_check_only_malformed_trace_exits_2(tmp_path, capsys, line):
     path = tmp_path / "malformed.jsonl"
     path.write_text(line + "\n")
@@ -192,9 +208,11 @@ SCENARIO_PROBES = {
     "fault_label_X9": (lambda d: d.update(
         fault_script={"X9": {"behavior": "silent_broker"}}), "'X9'"),
     "seed_string": (lambda d: d.update(seed="x"), "seed"),
-    "payload_bits": (lambda d: d.update(payload_bits=-1), "payload_bits"),
+    # keys of settings no longer taken
+    "payload_bits": (lambda d: d.update(payload_bits=-1),
+                     "unknown key 'payload_bits'"),
     "batching_window": (lambda d: d.update(batching_window=-5),
-                        "batching_window"),
+                        "unknown key 'batching_window'"),
     "synchrony": (lambda d: d.update(synchrony="bogus"), "synchrony"),
     "servers_string": (lambda d: d.update(servers="4"), "servers"),
     "min_above_max": (lambda d: d["delay_policy"].update(
@@ -224,13 +242,34 @@ SCENARIO_PROBES = {
         kind="uniform", min_delay=1, max_delay=2 ** 63),
         "delay_policy.max_delay"),
     "constant_value_10_30": (lambda d: d["delay_policy"].update(
-        kind="constant", value=10 ** 30), "delay_policy.value"),
+        kind="constant", value=10 ** 30),
+        "unknown key 'delay_policy.value'"),
     "timer_skew_max_2_70": (lambda d: d.update(
-        timer_policy="scheduler", timer_skew_max=2 ** 70), "timer_skew_max"),
+        timer_policy="scheduler", timer_skew_max=2 ** 70),
+        "unknown key 'timer_skew_max'"),
     "batching_window_2_63": (lambda d: d.update(batching_window=2 ** 63),
-                             "batching_window"),
+                             "unknown key 'batching_window'"),
     "at_2_63": (lambda d: d["broadcasts"][0].update(at=2 ** 63),
                 "broadcasts[0].at"),
+    "at_minus_7": (lambda d: d["broadcasts"][1].update(at=-7),
+                   "broadcasts[1].at"),
+    # counts and faults outside the model
+    "negative_counts": (lambda d: d.update(fault_bound=-1, servers=-2),
+                        "fault_bound must be at least 0"),
+    "no_brokers": (lambda d: d.update(brokers=0), "brokers"),
+    "two_faulty_servers": (lambda d: d.update(fault_script={
+        "S1": {"behavior": "stalling_server"},
+        "S2": {"behavior": "stalling_server"}}), "fault_script"),
+    "repeated_client_context": (lambda d: d["broadcasts"].append(dict(
+        d["broadcasts"][0], message="01020304", at=100)), "broadcasts"),
+    # settings a good-case run would ignore
+    "good_case_uniform_delays": (lambda d: d["delay_policy"].update(
+        kind="uniform", min_delay=5, max_delay=9), "delay_policy"),
+    "good_case_scheduler_timers": (lambda d: d.update(
+        timer_policy="scheduler"), "timer_policy"),
+    "constant_of_3": (lambda d: d.update(synchrony="adversarial") or d[
+        "delay_policy"].update(min_delay=3, max_delay=3),
+        "delay_policy needs min_delay <= max_delay, 1 if constant"),
     "override_2_32_plus_1": (lambda d: d["delay_policy"].update(
         overrides={"B0->S3": 2 ** 32 + 1}), "delay_policy.overrides.B0->S3"),
 }
@@ -264,8 +303,9 @@ def _one_broker(doc):
 
 # edits of other bundled files: (file, edit, the names the error must hold)
 CROSS_KEY_PROBES = {
-    "payload_bits_128": ("good_case", lambda d: d.update(payload_bits=128),
-                         ("broadcasts[0]", "payload_bits")),
+    "payload_bits_128": ("good_case", lambda d: d["broadcasts"][1].update(
+        message=d["broadcasts"][1]["message"] * 4),
+        ("broadcasts[1]", "64 bits", "broadcasts[0]")),
     "equivocator_with_one_broker": ("equivocating_client", _one_broker,
                                     ("fault_script.C3", "brokers")),
     "censored_client_99": ("censoring_broker", lambda d: d["fault_script"][
@@ -292,8 +332,7 @@ def test_ticks_at_the_bound_run_adversarially(tmp_path, capsys):
     """Every tick key at `TICK_BOUND`, delays drawn next to it: the run ends
     with every property passing, at ticks past 2^32."""
     doc = json.loads((SCENARIOS_DIR / "good_case.json").read_text())
-    doc.update(synchrony="adversarial", timer_policy="scheduler",
-               timer_skew_max=TICK_BOUND, batching_window=TICK_BOUND)
+    doc.update(synchrony="adversarial", timer_policy="scheduler")
     doc["delay_policy"].update(kind="uniform", min_delay=TICK_BOUND - 3,
                                max_delay=TICK_BOUND,
                                overrides={"B0->S1": TICK_BOUND})

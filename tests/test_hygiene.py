@@ -1,9 +1,15 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every scenario setting has one file key and one README row."""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from batchcast.scenarios import SCENARIO_KEYS, KeyTable
+from batchcast.simnet import DelayPolicy, Scenario
 
 SOURCES = sorted(p for p in (Path(__file__).resolve().parent.parent
                              / "src" / "batchcast").glob("*.py")
@@ -56,3 +62,28 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'Path') -> None:\n    return loads('os')\n")
     assert {n for n in _imported(tree) if n not in _referenced(tree)} == {
         "os", "dumps"}
+
+
+def _key_rows(table, prefix=""):
+    """(target class, attribute, dotted key) of each row of a key table; a
+    nested table of a dataclass (not one of list entries) has no key of its
+    own, its rows follow in its place."""
+    for key, (attr, kind) in table.rows.items():
+        if isinstance(kind, KeyTable) and kind.target is not dict:
+            yield table.target, attr, None
+            yield from _key_rows(kind, f"{prefix}{key}.")
+        else:
+            yield table.target, attr, prefix + key
+
+
+def test_every_setting_has_one_file_key_and_one_readme_row():
+    rows = list(_key_rows(SCENARIO_KEYS))
+    for cls in (Scenario, DelayPolicy):
+        for f in fields(cls):
+            assert [attr for target, attr, _ in rows
+                    if (target, attr) == (cls, f.name)] == [f.name], f.name
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| key | type | range | default |\n")[1]
+    table = table.split("\n\n")[0].splitlines()[1:]
+    documented = [re.match(r"\| `([^`]+)` \|", line)[1] for line in table]
+    assert sorted(documented) == sorted(key for _, _, key in rows if key)

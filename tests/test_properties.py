@@ -4,6 +4,7 @@ import pytest
 
 from batchcast.properties import ALL_PROPERTIES, check_trace, _keycard
 from batchcast.scenarios import CORPUS, good_case, run_scenario
+from batchcast.simnet import ADVERSARIAL, DelayPolicy
 
 
 def header(servers=4, brokers=1, clients=4):
@@ -36,6 +37,21 @@ def test_genuine_traces_pass_everything():
         verdicts = check_trace(run_scenario(factory(), seed=4).trace)
         bad = {k: v.detail for k, v in verdicts.items() if not v.ok}
         assert not bad, (name, bad)
+
+
+def test_one_stalling_server_passes_everything():
+    """f = 1 and S3 never commits nor completes: the other three servers
+    still deliver every payload."""
+    for seed in range(5):
+        scenario = good_case(n_clients=4)
+        scenario.synchrony = ADVERSARIAL
+        scenario.delay_policy = DelayPolicy(kind="uniform", max_delay=3)
+        scenario.fault_script = {"S3": {"behavior": "stalling_server"}}
+        trace = run_scenario(scenario, seed=seed).trace
+        verdicts = check_trace(trace)
+        assert all(v.ok for v in verdicts.values()), (seed, verdicts)
+        delivered = {e.src for e in trace if e.kind == "app_deliver"}
+        assert {"S0", "S1", "S2"} <= delivered
 
 
 def test_conflicting_deliveries_fail_consistency():
@@ -241,6 +257,10 @@ VIOLATIONS = [
      [fb(1, "S0", 2, 0, "aa"), fb(2, "S0", 2, 1, "bb")]),
     ("fifo_no_duplication", [fb(1, "S0", 2, 0, "aa"), fb(2, "S0", 2, 0, "aa")],
      2, [fb(1, "S0", 2, 0, "aa")]),
+    # C3 writes no row; the header's client count alone makes its keycard
+    # a correct client's
+    ("integrity", [deliver(10, "S0", 3, "aa", "01")], 1,
+     [broadcast(0, "C3", "aa", "01"), deliver(10, "S0", 3, "aa", "01")]),
 ]
 
 

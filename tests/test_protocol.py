@@ -549,7 +549,7 @@ def test_good_case_offers_all_ignored():
 def test_lone_commit_broker_totality_rescues_everyone():
     sc = Scenario(name="lone_commit", n_servers=4, fault_bound=1,
                   n_brokers=2, n_clients=3, synchrony=ADVERSARIAL,
-                  delay_policy=DelayPolicy(kind="constant", value=1),
+                  delay_policy=DelayPolicy(kind="constant"),
                   timer_policy="timeout",
                   fault_script={"B0": {"behavior": "lone_commit_broker"}},
                   broadcasts=[{"client": j, "context": "%08x" % j,

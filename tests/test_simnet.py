@@ -1,13 +1,14 @@
 """Event loop semantics: delays, FIFO links, timers, determinism."""
 
 import random
+import re
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
 from batchcast import simnet
 from batchcast.procs import ProcessId, broker, client, server, servers
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, Context, DelayPolicy,
-                              Machine, Scenario, Simulation)
+                              PROCESS_BOUND, Machine, Scenario, Simulation)
 from batchcast.wire import Signup, Ranked
 import pytest
 
@@ -216,6 +217,66 @@ def test_scenario_invariants():
     with pytest.raises(ValueError):
         tiny_scenario(fault_script={"B0": {"behavior": "silent_broker"}}
                       ).validate()
+
+
+def _set_at(at):
+    def edit(sc):
+        sc.broadcasts[0]["at"] = at
+    return edit
+
+
+def _uniform(**kwargs):
+    def edit(sc):
+        sc.synchrony = ADVERSARIAL
+        sc.delay_policy = DelayPolicy(kind="uniform", **kwargs)
+    return edit
+
+
+# edits of a Python-built two-client good case, with the key each
+# `validate` error must name
+VALIDATE_PROBES = {
+    "at_minus_7": (_set_at(-7), "broadcasts[0].at"),
+    "at_2_63": (_set_at(2 ** 63), "broadcasts[0].at"),
+    "negative_counts": (lambda sc: setattr(sc, "fault_bound", -1) or setattr(
+        sc, "n_servers", -2), "fault_bound"),
+    "no_brokers": (lambda sc: setattr(sc, "n_brokers", 0), "brokers"),
+    "no_clients": (lambda sc: setattr(sc, "n_clients", 0), "clients"),
+    "clients_over_the_bound": (lambda sc: setattr(
+        sc, "n_clients", PROCESS_BOUND + 1), "clients"),
+    "min_delay_0": (_uniform(min_delay=0, max_delay=3),
+                    "delay_policy.min_delay"),
+    "max_delay_2_40": (_uniform(max_delay=2 ** 40), "delay_policy.max_delay"),
+    "override_2_33": (_uniform(overrides={"B0->S3": 2 ** 33}),
+                      "delay_policy.overrides.B0->S3"),
+    "synchrony": (lambda sc: setattr(sc, "synchrony", "bogus"), "synchrony"),
+    "client_2": (lambda sc: sc.broadcasts[1].update(client=2),
+                 "broadcasts client"),
+    "repeated_context": (lambda sc: sc.broadcasts[1].update(
+        client=0, context=sc.broadcasts[0]["context"].upper()),
+        "broadcasts repeat"),
+    "two_faulty_servers": (lambda sc: sc.fault_script.update(
+        S1={"behavior": "stalling_server"},
+        S2={"behavior": "stalling_server"}), "fault_script"),
+    "good_case_uniform": (lambda sc: setattr(sc, "delay_policy", DelayPolicy(
+        kind="uniform", min_delay=5, max_delay=9)), "delay_policy"),
+    "good_case_scheduler": (lambda sc: setattr(sc, "timer_policy",
+                                               "scheduler"), "timer_policy"),
+    "constant_of_2": (lambda sc: setattr(sc, "synchrony", ADVERSARIAL)
+                      or setattr(sc, "delay_policy",
+                                 DelayPolicy(min_delay=2, max_delay=2)),
+                      "1 if constant"),
+}
+
+
+@pytest.mark.parametrize("edit,key", VALIDATE_PROBES.values(),
+                         ids=VALIDATE_PROBES.keys())
+def test_validate_bounds_python_built_scenarios(edit, key):
+    from batchcast.scenarios import good_case, run_scenario
+
+    sc = good_case(n_clients=2)
+    edit(sc)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        run_scenario(sc)
 
 
 def test_empty_queue_quiesces_immediately():
