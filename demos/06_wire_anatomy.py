@@ -8,17 +8,17 @@ per-payload cost converges to the id bits plus the payload bits.
 """
 
 from batchcast import wire
-from batchcast.protocol import canonical_compressed
+from batchcast.protocol import compress_ids
 
 M = 1024
 ctx = wire.WireContext(4)
-ids = [(j % 4, j // 4) for j in range(M)]
+ids = sorted((j % 4, j // 4) for j in range(M))
 payloads = tuple((j.to_bytes(4, "big"), (j ^ 0xFFFF).to_bytes(4, "big"))
                  for j in range(M))
 
 # the partition's closed-form length: M indices below M / 4 over 4 domains
 id_bits = wire.partition_encoded_len(M, max(i for _, i in ids), 4)
-batch = wire.BatchMsg(canonical_compressed(ids), payloads)
+batch = wire.BatchMsg(compress_ids(ids), payloads)
 total_bits = 8 * len(wire.serialize(ctx, batch))
 payload_bits = 64 * M
 

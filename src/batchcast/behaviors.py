@@ -38,7 +38,6 @@ class CensoringBroker(BrokerMachine):
 
     def on_message(self, ctx, src, msg):
         if isinstance(msg, Submission) and src in self.censored:
-            self._pump(ctx)
             return
         super().on_message(ctx, src, msg)
 

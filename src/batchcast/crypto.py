@@ -55,9 +55,6 @@ class Certificate:
     signers: frozenset  # server ordinals
     msig: bytes
 
-    def signer_count(self) -> int:
-        return len(self.signers)
-
 
 class Oracle:
     """Per-simulation signing oracle and key registry.
@@ -145,7 +142,7 @@ class Oracle:
     def verify_certificate(self, caller: ProcessId, cert: Certificate,
                            statement: bytes, threshold: int,
                            n_servers: int) -> bool:
-        if not isinstance(cert, Certificate) or cert.signer_count() < threshold:
+        if not isinstance(cert, Certificate) or len(cert.signers) < threshold:
             return False
         if any(o < 0 or o >= n_servers for o in cert.signers):
             return False

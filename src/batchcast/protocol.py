@@ -1,19 +1,20 @@
 """Client, broker and server state machines for the batched broadcast.
 
 A round, in the good case: clients hand signed (context, message) payloads to
-a broker; the broker pools them (one per id), builds a Merkle tree over the
-sorted (id, context, message) leaves, and shows each client its inclusion
-proof; clients answer with a multi-signature over the root, which replaces
-their individual signature.  The broker disseminates the batch with compressed
-ids, supplies signatures and missing id assignments on demand, gathers a
-plurality witness over the root, then a quorum of commit shards whose
-exception sets must each be justified by an equivocation proof, and finally a
-plurality of completion shards that let clients stop resubmitting.  Servers
-deliver every non-excluded payload on commit, and offer the batch to each
-other afterwards so no server is left behind.
+a broker; the broker queues them per id, batches the oldest of each id,
+builds a Merkle tree over the sorted (id, context, message) leaves, and shows
+each client its inclusion proof; clients answer with a multi-signature over
+the root, which replaces their individual signature.  The broker disseminates
+the batch with compressed ids, supplies signatures and missing id assignments
+on demand, gathers a plurality witness over the root, then a quorum of commit
+shards whose exception sets must each be justified by an equivocation proof,
+and finally a plurality of completion shards that let clients stop
+resubmitting.  Servers deliver every non-excluded payload on commit, and offer
+the batch to each other afterwards so no server is left behind.
 
 Timer constants: Reduce = 2 ticks, Committable = 4, OfferTotality = 7, client
-resubmission = 13; a broker flushes its pool at the tick it starts one.
+resubmission = 13; a broker batches at the tick a submission reaches its empty
+queue, and again at once while submissions stay queued.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter, lt
 
 from .crypto import MerkleTree, merkle_verify
 from .directory import ClientSignup, DirectoryView, ServerDirectory
@@ -40,23 +43,18 @@ OFFER_TOTALITY_TIMEOUT = 7
 RESUBMIT_BASE = 13
 
 
-def compress_ids(ids) -> dict:
-    """Sorted duplicate-free (domain, index) sequence -> {domain: {index}}.
-    Its wire layout, `PARTITION`, is in `wire`."""
-    out: dict = {}
-    for domain, index in ids:
-        out.setdefault(domain, set()).add(index)
-    return out
+def compress_ids(ids) -> tuple:
+    """Sorted duplicate-free (domain, index) ids -> ((domain, (index, ...)),
+    ...), the form a batch message carries.  Its wire layout, `PARTITION`,
+    is in `wire`."""
+    return tuple((domain, tuple(index for _, index in group))
+                 for domain, group in groupby(ids, itemgetter(0)))
 
 
-def expand_ids(compressed: dict) -> list:
-    return sorted((domain, index) for domain, indices in compressed.items()
-                  for index in indices)
-
-
-def canonical_compressed(ids) -> tuple:
-    mu = compress_ids(ids)
-    return tuple((d, tuple(sorted(mu[d]))) for d in sorted(mu))
+def expand_ids(compressed) -> list:
+    """The ids of a compressed form, in its order."""
+    return [(domain, index) for domain, indices in compressed
+            for index in indices]
 
 
 def _leaves(ids, payloads) -> list:
@@ -188,8 +186,7 @@ class Phase(enum.Enum):
 class _Batch:
     payloads: dict              # Id -> (context, message), insertion = id order
     signatures: dict            # Id -> signature (stragglers-to-be)
-    reductions: dict            # Id -> multisignature
-    root: bytes
+    reductions: dict = field(default_factory=dict)  # Id -> multisignature
     phase: Phase = Phase.REDUCING
     commit_to: set = field(default_factory=set)      # server ordinals
     committable: bool = False
@@ -204,10 +201,9 @@ class BrokerMachine(Machine):
         self.servers = servers(n_servers)
         self.f = f
         self.view = DirectoryView()
-        self.pending: dict[Id, deque] = {}   # Id -> deque of Submission
-        self.pool: dict[Id, Submission] = {}
-        self._ready: set = set()  # ids with a pending submission, not pooled
-        self.collecting = False
+        # Id -> deque of Submission, oldest first; a flush timer is
+        # outstanding exactly when some id has one
+        self.pending: dict[Id, deque] = {}
         self.batches: dict[bytes, _Batch] = {}
 
     # -- events ---------------------------------------------------------------
@@ -225,7 +221,6 @@ class BrokerMachine(Machine):
             self._on_commit_shard(ctx, src, msg)
         elif isinstance(msg, CompletionShard):
             self._on_completion_shard(ctx, src, msg)
-        self._pump(ctx)
 
     def on_timer(self, ctx: Context, tag: tuple):
         if tag[0] == "flush":
@@ -236,9 +231,9 @@ class BrokerMachine(Machine):
             batch = self.batches.get(tag[1])
             if batch is not None:
                 batch.committable = True
-        self._pump(ctx)
+                self._advance(ctx, tag[1])
 
-    # -- pooling --------------------------------------------------------------
+    # -- batching -------------------------------------------------------------
 
     def _on_submission(self, ctx: Context, src: ProcessId, msg: Submission):
         if not self.view.import_assignment(ctx, msg.assignment):
@@ -248,43 +243,29 @@ class BrokerMachine(Machine):
                           stmt_message(msg.context, msg.message),
                           msg.signature):
             return
-        self.pending.setdefault(ident, deque()).append(msg)
-        if ident not in self.pool:
-            self._ready.add(ident)
-
-    def _pump(self, ctx: Context):
-        for ident in sorted(self._ready):
-            self.pool[ident] = self.pending[ident].popleft()
-            if not self.pending[ident]:
-                del self.pending[ident]
-        self._ready.clear()
-        if self.pool and not self.collecting:
-            self.collecting = True
+        if not self.pending:
             ctx.set_timer(("flush",), 0)
-        for root in sorted(self.batches):
-            self._advance(ctx, root)
+        self.pending.setdefault(ident, deque()).append(msg)
 
     def _flush(self, ctx: Context):
-        self.collecting = False
-        if not self.pool:
-            return
-        submissions = self.pool
-        self.pool = {}
-        ids = sorted(submissions)
-        self._ready.update(i for i in ids if self.pending.get(i))
-        payloads = {i: (submissions[i].context, submissions[i].message)
-                    for i in ids}
+        """Batch the oldest pending submission of each id."""
+        if not self.pending:
+            return  # a ring with nothing pending
+        ids = sorted(self.pending)
+        submissions = [self.pending[i].popleft() for i in ids]
+        self.pending = {i: q for i, q in self.pending.items() if q}
+        payloads = {i: (s.context, s.message)
+                    for i, s in zip(ids, submissions)}
         tree = MerkleTree(_leaves(ids, payloads.values()))
         root = tree.root()
-        for pos, ident in enumerate(ids):
-            sub = submissions[ident]
+        for pos, sub in enumerate(submissions):
             ctx.send(ctx.owner(sub.assignment.keycard),
                      Inclusion(sub.context, root, tree.prove(pos)))
         self.batches[root] = _Batch(
-            payloads=payloads,
-            signatures={i: submissions[i].signature for i in ids},
-            reductions={}, root=root)
+            payloads, {i: s.signature for i, s in zip(ids, submissions)})
         ctx.set_timer(("reduce", root), REDUCE_TIMEOUT)
+        if self.pending:
+            ctx.set_timer(("flush",), 0)
 
     # -- reduction -------------------------------------------------------------
 
@@ -306,10 +287,9 @@ class BrokerMachine(Machine):
         if batch is None or batch.phase is not Phase.REDUCING:
             return
         ctx.send_all(self.servers,
-                     BatchMsg(canonical_compressed(batch.payloads),
+                     BatchMsg(compress_ids(batch.payloads),
                               tuple(batch.payloads.values())))
         batch.phase = Phase.WITNESSING
-        batch.witnesses = {}
         ctx.set_timer(("committable", root), COMMITTABLE_TIMEOUT)
 
     # -- witnessing ------------------------------------------------------------
@@ -335,6 +315,7 @@ class BrokerMachine(Machine):
         if ctx.verify_aggregate([ctx.keycard(src)], stmt_witness(msg.root),
                                 msg.shard):
             batch.witnesses[src.ordinal] = msg.shard
+            self._advance(ctx, msg.root)
 
     # -- committing --------------------------------------------------------------
 
@@ -357,6 +338,7 @@ class BrokerMachine(Machine):
             ctx.emit("exception_accepted", id=tuple(ident),
                      server=src.ordinal)
         batch.commits[src.ordinal] = (exceptions, msg.shard)
+        self._advance(ctx, msg.root)
 
     def _valid_exception(self, ctx, batch: _Batch, ident: Id,
                          ep: EquivocationProof) -> bool:
@@ -382,19 +364,19 @@ class BrokerMachine(Machine):
                                 stmt_completion(msg.root, batch.exclusions),
                                 msg.shard):
             batch.completions[src.ordinal] = msg.shard
+            self._advance(ctx, msg.root)
 
     # -- phase advancement ----------------------------------------------------------
 
     def _advance(self, ctx: Context, root: bytes):
-        batch = self.batches.get(root)
-        if batch is None:
-            return
+        """Move the live batch `root` through every phase its state allows:
+        only an accepted shard or the committable timer changes that."""
+        batch = self.batches[root]
         if (batch.phase is Phase.WITNESSING
                 and len(batch.witnesses) >= self.f + 1):
             ctx.send_all(self.servers,
                          Witness(root, ctx.certify(batch.witnesses)))
             batch.phase = Phase.COMMITTING
-            batch.commits = {}
         if (batch.phase is Phase.COMMITTING and batch.committable
                 and len(batch.commits) >= 2 * self.f + 1):
             patches = self._commit_patches(ctx, batch)
@@ -402,7 +384,6 @@ class BrokerMachine(Machine):
                          Commit(root, patches))
             batch.exclusions = exclusion_union(patches)
             batch.phase = Phase.COMPLETING
-            batch.completions = {}
         if (batch.phase is Phase.COMPLETING
                 and len(batch.completions) >= self.f + 1):
             certificate = ctx.certify(batch.completions)
@@ -427,11 +408,11 @@ class BrokerMachine(Machine):
 
 class BatchCheck:
     """A batch's sorted ids and Merkle root, or None unless its ids expand
-    to one distinct id per payload.  One instance, shared by a simulation's
-    servers, returns its last result again for the very same argument
-    tuples: the result is a pure function of them, it holds them so their
-    ids are not reused, and a decoded message is deeply immutable.  Other
-    arguments, such as lists, are always recomputed."""
+    to one id per payload in strictly ascending order.  One instance, shared
+    by a simulation's servers, returns its last result again for the very
+    same argument tuples: the result is a pure function of them, it holds
+    them so their ids are not reused, and a decoded message is deeply
+    immutable.  Other arguments, such as lists, are always recomputed."""
 
     last = (None, None, None)  # (ids, payloads, result); None is invalid
 
@@ -439,11 +420,12 @@ class BatchCheck:
         if compressed_ids is self.last[0] and payloads is self.last[1]:
             return self.last[2]
         try:
-            ids = tuple(expand_ids({d: set(ix) for d, ix in compressed_ids}))
+            ids = tuple(expand_ids(compressed_ids))
+            ascending = all(map(lt, ids, ids[1:]))
         except (TypeError, ValueError):
-            ids = ()
+            ids, ascending = (), False
         result = None
-        if ids and len(ids) == len(payloads):
+        if ids and ascending and len(ids) == len(payloads):
             result = ids, MerkleTree(_leaves(ids, payloads)).root()
         if type(compressed_ids) is tuple and type(payloads) is tuple:
             self.last = (compressed_ids, payloads, result)
@@ -659,5 +641,5 @@ class ServerMachine(Machine):
             return
         assignments = tuple(self.view.export(i) for i in batch.ids)
         ctx.send(src, Totality(msg.root, assignments,
-                               canonical_compressed(batch.ids),
+                               compress_ids(batch.ids),
                                tuple(batch.payloads), self.commits[key]))

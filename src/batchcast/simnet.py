@@ -117,12 +117,14 @@ class Scenario:
                      for e in self.broadcasts), 64)
 
     def validate(self):
-        """Raises ValueError naming the key of the first out-of-model value."""
-        if self.fault_bound < 0 or self.n_servers != 3 * self.fault_bound + 1:
+        """Raises ValueError naming the key of the first out-of-model value:
+        where a scenario file takes an integer, only an int is in the model."""
+        f = self.fault_bound
+        if type(f) is not int or f < 0 or self.n_servers != 3 * f + 1:
             raise ValueError("fault_bound must be at least 0, servers 3f + 1")
         counts = (self.n_servers, self.n_brokers, self.n_clients)
         for key, n in zip(("servers", "brokers", "clients"), counts):
-            if not 1 <= n <= PROCESS_BOUND:
+            if type(n) is not int or not 1 <= n <= PROCESS_BOUND:
                 raise ValueError(f"{key} must be an integer of at least 1 and "
                                  f"at most {PROCESS_BOUND}")
         dp, bs = self.delay_policy, self.broadcasts
@@ -135,11 +137,13 @@ class Scenario:
         delays = {"min_delay": dp.min_delay, "max_delay": dp.max_delay}
         delays.update((f"overrides.{k}", d) for k, d in dp.overrides.items())
         for key, delay in delays.items():
-            if not 1 <= delay <= TICK_BOUND:
+            if type(delay) is not int or not 1 <= delay <= TICK_BOUND:
                 raise ValueError(f"delay_policy.{key} not in 1..{TICK_BOUND}")
         for i, e in enumerate(bs):
-            if not 0 <= e["at"] <= TICK_BOUND:
+            if type(e["at"]) is not int or not 0 <= e["at"] <= TICK_BOUND:
                 raise ValueError(f"broadcasts[{i}].at not in 0..{TICK_BOUND}")
+        if type(self.seed) is not int:
+            raise ValueError("seed must be an int")
         if dp.min_delay > dp.max_delay or (dp.kind == "constant"
                                            and dp.max_delay != 1):
             raise ValueError("delay_policy needs min_delay <= max_delay, 1 if "
@@ -161,13 +165,15 @@ class Scenario:
         if sum(label[0] == "B" for label in labels) >= self.n_brokers:
             raise ValueError("brokers must be more than the faulty brokers")
         clients = [e["client"] for e in bs]
-        if clients and not 0 <= min(clients) <= max(clients) < self.n_clients:
+        if not {*map(type, clients)} <= {int} or clients and not (
+                0 <= min(clients) <= max(clients) < self.n_clients):
             raise ValueError(f"a broadcasts client is not < {self.n_clients}")
         if len({(e["client"], e["context"].lower()) for e in bs}) < len(bs):
             raise ValueError("broadcasts repeat a client and context")
-        if not (all(0 <= j < self.n_clients for j in self.broker_order)
-                and all(0 <= b < self.n_brokers for b in chain.from_iterable(
-                    self.broker_order.values()))):
+        order = self.broker_order
+        if not (all(type(j) is int and 0 <= j < self.n_clients for j in order)
+                and all(type(b) is int and 0 <= b < self.n_brokers
+                        for b in chain.from_iterable(order.values()))):
             raise ValueError("broker_order names a missing client or broker")
 
     def processes(self) -> list[ProcessId]:
@@ -738,7 +744,8 @@ class Simulation:
 
     def _tag_code(self, msg) -> int:
         """The trace tag code of `msg`'s class, interned on first use."""
-        code = self._tag_codes[type(msg)] = self.trace.code(wire.tag_name(msg))
+        cls = type(msg)
+        code = self._tag_codes[cls] = self.trace.code(cls.__name__)
         return code
 
     # -- scheduling ----------------------------------------------------------

@@ -231,10 +231,6 @@ class FifoReady:
     payload: bytes
 
 
-def tag_name(msg) -> str:
-    return type(msg).__name__
-
-
 # ---------------------------------------------------------------------------
 # field layouts and the codec compiler
 #
@@ -732,26 +728,26 @@ class _Partition(_Layout):
     ++ z_|mu| .. z_1 as w-bit ints, where the z_i enumerate each mu(x) in
     ascending order, concatenated in domain order; d = ceil(log2(|mu|+1)),
     w = ceil(log2(max mu + 1)), clamped to 1 when max mu = 0 so the varint
-    stays in its domain.  A decoder refuses d = 0, w = 0 and indices that
-    need more bits than remain before it reads one."""
+    stays in its domain.  The encoder reads mu as given, in the form
+    `protocol.compress_ids` returns and a decoder yields: domains of the
+    enumeration in its order, each with its indices ascending.  A decoder
+    refuses d = 0, w = 0 and indices that need more bits than remain before
+    it reads one."""
 
     top_level = True
 
     def encode(self, g, value):
-        g(f"mu = {{d: set(ix) for d, ix in {value}}}")
-        g("total = sum([len(ix) for ix in mu.values()])")
-        g("if total < 1:"
+        g(f"mu = {value}")
+        g("zs = [z for _, ix in mu for z in ix]")
+        g("if not zs:"
           ' raise ValueError("partition must contain at least one integer")')
-        g("dw = total.bit_length()")
-        g("iw = max(max([max(ix) for ix in mu.values() if ix]).bit_length(),"
-          " 1)")
+        g('if min(zs) < 0: raise ValueError("negative index")')
+        g("dw = len(zs).bit_length()")
+        g("iw = max(max(zs).bit_length(), 1)")
         g.varint("dw")
         g.varint("iw")
-        g("zs = []")
-        with g.block("for d in ctx.domains:"):
-            g("zs += sorted(mu.get(d, ()))")
-        g('if zs and min(zs) < 0: raise ValueError("negative index")')
-        g("counts = [len(mu.get(d, ())) for d in ctx.domains]")
+        g("sizes = {d: len(ix) for d, ix in mu}")
+        g("counts = [sizes.get(d, 0) for d in ctx.domains]")
         # the first digit of the string is the most significant bit
         g('s = ("{:0%db}" % iw * len(zs) + "{:0%db}" % dw * len(counts))'
           ".format(*zs, *counts)")

@@ -300,25 +300,33 @@ def test_two_partitions_and_two_payload_lists_in_one_message():
 
 def test_compress_expand_examples():
     ids = [(0, 0), (0, 2), (1, 1)]
-    assert compress_ids(ids) == {0: {0, 2}, 1: {1}}
-    assert expand_ids({1: {1}, 0: {0, 2}}) == ids
-    assert expand_ids(compress_ids(ids)) == ids
+    assert compress_ids(ids) == ((0, (0, 2)), (1, (1,)))
+    assert expand_ids(((0, (0, 2)), (1, (1,)))) == ids
+    assert expand_ids(((1, (1,)), (0, (2, 0)))) == [(1, 1), (0, 2), (0, 0)]
+    assert compress_ids([]) == () and expand_ids(()) == []
 
 
 def test_compress_roundtrip_through_partition():
     # absent domains occupy zero-length slots in the shared enumeration
-    domains = [0, 1, 2, 3]
+    ctx = wire.WireContext(4)
     ids = [(0, 4), (2, 1), (2, 9)]
-    mu = compress_ids(ids)
-    assert expand_ids(partition_roundtrip(mu, domains)[0]) == ids
+    compressed = compress_ids(ids)
+    assert roundtrip_with_tail(wire.PARTITION, compressed, 0, ctx) == \
+        compressed
+    assert expand_ids(compressed) == ids
 
 
 def test_compress_expand_randomized():
+    """Over sorted ids, compress_ids gives the form a decoded partition
+    takes, and expand_ids inverts it."""
     rng = random.Random(5)
     for _ in range(200):
         ids = sorted({(rng.randint(0, 3), rng.randint(0, 999))
                       for _ in range(rng.randint(1, 50))})
-        assert expand_ids(compress_ids(ids)) == ids
+        compressed = compress_ids(ids)
+        assert roundtrip_with_tail(wire.PARTITION, compressed, 0) == \
+            compressed
+        assert expand_ids(compressed) == ids
 
 
 def test_writer_reader_agree_with_bits_api():

@@ -20,6 +20,8 @@ SCHEDULER_TIMERS_SHA256 = (
     "cdbc4fa89122f129413c59a44c1ce9575417721db299d5216c5b15c893a30d11")
 MULTI_ROUND_SHA256 = (
     "6602a75244d11f109a2058e260f5e6f48c3f9a06557542c3af14997669713039")
+QUEUED_SUBMISSIONS_SHA256 = (
+    "55af84bf13f9946f2ebe071ce0c5eb3a3d60d94265238112c73031b4f35c5195")
 
 
 def test_golden_trace_hash():
@@ -60,16 +62,16 @@ def test_scheduler_timer_policy():
     assert h.hexdigest() == SCHEDULER_TIMERS_SHA256
 
 
-def multi_round(adversarial: bool, n_clients: int = 8,
-                rounds: int = 3) -> Scenario:
-    """Every preloaded client broadcasts once per round, rounds 20 ticks
+def multi_round(adversarial: bool, n_clients: int = 8, rounds: int = 3,
+                gap: int = 20) -> Scenario:
+    """Every preloaded client broadcasts once per round, rounds `gap` ticks
     apart.  Adversarial: two brokers, the clients split between them, and
     1-3 tick delays."""
     broadcasts = [{"client": j,
                    "context": (r * n_clients + j).to_bytes(4, "big").hex(),
                    "message": ((r * n_clients + j) ^ 0x5A5A5A5A).to_bytes(
                        4, "big").hex(),
-                   "at": 20 * r}
+                   "at": gap * r}
                   for r in range(rounds) for j in range(n_clients)]
     if not adversarial:
         return Scenario(name="multi_round", n_servers=4, fault_bound=1,
@@ -97,3 +99,18 @@ def test_multi_round():
             assert trace.count('"submission_complete"') == 24
             h.update(trace.encode())
     assert h.hexdigest() == MULTI_ROUND_SHA256
+
+
+def test_queued_submissions():
+    """Six clients broadcast three contexts each at tick 0, so a broker
+    holds submissions queued behind the ones a flush batches and re-arms
+    its flush timer until every queue drains, which no other pin does."""
+    h = hashlib.sha256()
+    for adversarial in (False, True):
+        for seed in (0, 7):
+            sim = run_scenario(multi_round(adversarial, n_clients=6, gap=0),
+                               seed=seed)
+            trace = sim.trace_jsonl()
+            assert trace.count('"submission_complete"') == 18
+            h.update(trace.encode())
+    assert h.hexdigest() == QUEUED_SUBMISSIONS_SHA256

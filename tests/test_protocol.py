@@ -1,13 +1,15 @@
 """Client/broker/server state machine behavior, unit and end-to-end."""
 
 import gc
+import random
+from collections import deque
 
 from batchcast.behaviors import CensoringBroker
 from batchcast.crypto import MerkleTree, Oracle
 from batchcast.directory import DirectoryView
 from batchcast.procs import broker, client, server
 from batchcast.protocol import (BatchCheck, BrokerMachine, ClientMachine,
-                                Phase, ServerMachine, canonical_compressed)
+                                Phase, ServerMachine, compress_ids)
 from batchcast.scenarios import (CORPUS, batching_limit, build_assignment,
                                  dense_id, good_case, run_scenario,
                                  silent_broker)
@@ -37,15 +39,24 @@ def verify_rows(ctx, verb):
 
 
 def drive_broker_to_batch(oracle, ctx, submissions):
-    """Feed submissions, fire flush, return the stored batch."""
+    """Feed submissions to a fresh broker, ring the one flush timer they
+    set, and return the broker with the root and batch the flush stored."""
     machine = BrokerMachine(4, 1)
     for sub in submissions:
         machine._on_submission(ctx, client(0), sub)
-    machine._pump(ctx)
-    assert ctx.timers and ctx.timers[-1][0] == ("flush",)
-    machine._flush(ctx)
+    assert ctx.timers == [(("flush",), 0)]
+    machine.on_timer(ctx, ("flush",))
     (root, batch), = machine.batches.items()
+    assert ctx.timers[1] == (("reduce", root), 2)
     return machine, root, batch
+
+
+def ring_flush(machine, ctx):
+    """Ring a flush timer; return the batch it stores, or None."""
+    timers = len(ctx.timers)
+    machine.on_timer(ctx, ("flush",))
+    stored = [tag[1] for tag, _ in ctx.timers[timers:] if tag[0] == "reduce"]
+    return machine.batches[stored[0]] if stored else None
 
 
 # -- client --------------------------------------------------------------------
@@ -161,10 +172,11 @@ def test_broker_second_submission_same_id_waits(oracle, fake_ctx_factory):
     s1 = make_submission(oracle, sc, 0, b"c1", b"m1")
     s2 = make_submission(oracle, sc, 0, b"c2", b"m2")
     machine, root, batch = drive_broker_to_batch(oracle, ctx, [s1, s2])
-    assert list(batch.payloads) == [(0, 0)]
-    assert batch.payloads[(0, 0)] == (b"c1", b"m1")
-    machine._pump(ctx)  # the pending submission refills the pool
-    assert machine.pool and machine.collecting
+    assert batch.payloads == {(0, 0): (b"c1", b"m1")}
+    # the queued submission re-arms the flush timer after the reduce timer
+    assert ctx.timers[1:] == [(("reduce", root), 2), (("flush",), 0)]
+    assert ring_flush(machine, ctx).payloads == {(0, 0): (b"c2", b"m2")}
+    assert not machine.pending and ctx.timers[-1][0][0] == "reduce"
 
 
 def test_broker_submission_for_pooled_id_waits_for_flush(oracle,
@@ -174,19 +186,16 @@ def test_broker_submission_for_pooled_id_waits_for_flush(oracle,
     machine = BrokerMachine(4, 1)
     machine._on_submission(ctx, client(0),
                            make_submission(oracle, sc, 0, b"c1", b"m1"))
-    machine._pump(ctx)
+    assert ctx.timers == [(("flush",), 0)]
     machine._on_submission(ctx, client(0),
                            make_submission(oracle, sc, 0, b"c2", b"m2"))
-    machine._pump(ctx)
-    assert machine.pool[(0, 0)].context == b"c1"
-    assert len(machine.pending[(0, 0)]) == 1
-    machine._flush(ctx)
-    (batch,) = machine.batches.values()
-    assert batch.payloads == {(0, 0): (b"c1", b"m1")}
-    assert not machine.pool
-    machine._pump(ctx)
-    assert machine.pool[(0, 0)].context == b"c2"
+    assert ctx.timers == [(("flush",), 0)]  # one timer covers both
+    assert [s.context for s in machine.pending[(0, 0)]] == [b"c1", b"c2"]
+    assert ring_flush(machine, ctx).payloads == {(0, 0): (b"c1", b"m1")}
+    assert ctx.timers[-1] == (("flush",), 0)
+    assert ring_flush(machine, ctx).payloads == {(0, 0): (b"c2", b"m2")}
     assert (0, 0) not in machine.pending  # a drained queue is dropped
+    assert ring_flush(machine, ctx) is None  # nothing left to batch
 
 
 def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
@@ -197,15 +206,16 @@ def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
     for k, j in enumerate(order):
         machine._on_submission(ctx, client(j), make_submission(
             oracle, sc, j, b"c%d" % k, b"m"))
-        if k % 3 == 2:
-            machine._pump(ctx)
-    machine._pump(ctx)
     first = {}
     for k, j in enumerate(order):
         first.setdefault(dense_id(j, 4), b"c%d" % k)
-    assert {i: p.context for i, p in machine.pool.items()} == first
+    batch = ring_flush(machine, ctx)
+    assert list(batch.payloads) == sorted(first)
+    assert {i: c for i, (c, _) in batch.payloads.items()} == first
     assert set(machine.pending) == {dense_id(2, 4), dense_id(5, 4)}
-    assert all(machine.pending.values())
+    second = ring_flush(machine, ctx)
+    assert {i: c for i, (c, _) in second.payloads.items()} == {
+        dense_id(2, 4): b"c4", dense_id(5, 4): b"c6"}
 
 
 def test_censoring_broker_pools_uncensored_ids(oracle, fake_ctx_factory):
@@ -215,8 +225,9 @@ def test_censoring_broker_pools_uncensored_ids(oracle, fake_ctx_factory):
     for j in range(4):
         machine.on_message(ctx, client(j),
                            make_submission(oracle, sc, j, b"c", b"m"))
-    assert sorted(machine.pool) == sorted(dense_id(j, 4) for j in (0, 2, 3))
-    assert machine.collecting
+    assert ctx.timers == [(("flush",), 0)]
+    assert list(ring_flush(machine, ctx).payloads) == sorted(
+        dense_id(j, 4) for j in (0, 2, 3))
 
 
 def test_broker_pools_512_ids_in_one_pump():
@@ -228,10 +239,49 @@ def test_broker_pools_512_ids_in_one_pump():
     for j in reversed(range(n)):
         machine._on_submission(ctx, client(j),
                                make_submission(oracle, sc, j, b"c", b"m"))
-    machine._pump(ctx)
-    assert sorted(machine.pool) == sorted(dense_id(j, 4) for j in range(n))
-    assert not machine.pending
     assert ctx.timers == [(("flush",), 0)]
+    batch = ring_flush(machine, ctx)
+    assert list(batch.payloads) == sorted(dense_id(j, 4) for j in range(n))
+    assert not machine.pending
+    assert [tag[0] for tag, _ in ctx.timers] == ["flush", "reduce"]
+
+
+def test_broker_flush_timer_tracks_pending_submissions(oracle,
+                                                       fake_ctx_factory):
+    """Submissions with repeated ids, flush rings and rings with nothing
+    pending, interleaved at random: a flush timer is outstanding exactly
+    when a submission is pending, and each flush batches the oldest
+    pending submission of each id."""
+    sc = preloaded_scenario()
+    ctx = fake_ctx_factory(broker(0))
+    rng = random.Random(16)
+    machine = BrokerMachine(4, 1)
+    queued: dict = {}  # id -> contexts submitted and not yet batched
+    outstanding = 0
+    for k in range(300):
+        timers = len(ctx.timers)
+        step = rng.random()
+        if step < 0.6:
+            j = rng.randrange(6)
+            context = b"c%d" % k
+            machine._on_submission(ctx, client(j), make_submission(
+                oracle, sc, j, context, b"m"))
+            queued.setdefault(dense_id(j, 4), deque()).append(context)
+        elif outstanding or step < 0.8:  # with none outstanding, spurious
+            outstanding = max(outstanding - 1, 0)
+            batch = ring_flush(machine, ctx)
+            expected = {i: q.popleft() for i, q in sorted(queued.items())}
+            queued = {i: q for i, q in queued.items() if q}
+            if expected:
+                assert {i: c for i, (c, _) in batch.payloads.items()} == \
+                    expected
+            else:
+                assert batch is None
+        outstanding += ctx.timers[timers:].count((("flush",), 0))
+        assert outstanding == (1 if machine.pending else 0)
+        assert {i: [s.context for s in q]
+                for i, q in machine.pending.items()} == {
+            i: list(q) for i, q in queued.items()}
 
 
 def test_broker_drops_invalid_client_signature(oracle, fake_ctx_factory):
@@ -334,14 +384,14 @@ def test_broker_mixed_exceptions_group_into_patches(oracle, fake_ctx_factory):
                                  CommitShard(root, ((target, proof),), shard))
     empty = oracle.multisign(server(2), stmt_commit(root, frozenset()))
     machine._on_commit_shard(ctx, server(2), CommitShard(root, (), empty))
-    machine._advance(ctx, root)
+    # the third accepted shard is a quorum: the batch commits at once
 
     commits = [m for _, m in ctx.sent if isinstance(m, Commit)]
     assert len(commits) == 4
     patches = dict(commits[0].patches)
     assert set(patches) == {(), (target,)}
     assert batch.exclusions == frozenset({target})
-    signer_total = sum(c.signer_count() for c in patches.values())
+    signer_total = sum(len(c.signers) for c in patches.values())
     assert signer_total >= 3
 
 
@@ -377,7 +427,7 @@ def test_broker_partial_reduction_splits_signatures(oracle, fake_ctx_factory):
     smachine.on_start(sctx)
     ids = sorted(batch.payloads)
     resp = smachine.handle_batch(
-        sctx, canonical_compressed(ids),
+        sctx, compress_ids(ids),
         tuple(batch.payloads[i] for i in ids))
     before_agg = verify_rows(sctx, "verify_aggregate")
     before_ind = verify_rows(sctx, "verify")
@@ -396,7 +446,7 @@ def server_with_batch(oracle, ctx, scenario, ordinals=(1, 2)):
     machine.on_start(ctx)
     ids = [(j % 4, j // 4) for j in sorted(ordinals)]
     payloads = tuple((b"c%d" % j, b"m%d" % j) for j in sorted(ordinals))
-    resp = machine.handle_batch(ctx, canonical_compressed(ids), payloads)
+    resp = machine.handle_batch(ctx, compress_ids(ids), payloads)
     return machine, resp
 
 
@@ -412,7 +462,7 @@ def test_server_reports_unknown_ids(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(0))
     machine = ServerMachine(4, 1, ())  # empty directory
     ids = [(1, 0)]
-    resp = machine.handle_batch(ctx, canonical_compressed(ids),
+    resp = machine.handle_batch(ctx, compress_ids(ids),
                                 ((b"c", b"m"),))
     assert resp.unknowns == ((1, 0),)
 
@@ -420,7 +470,7 @@ def test_server_reports_unknown_ids(oracle, fake_ctx_factory):
 def test_server_rejects_length_mismatch(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(0))
     machine = ServerMachine(4, 1, ())
-    resp = machine.handle_batch(ctx, canonical_compressed([(1, 0)]),
+    resp = machine.handle_batch(ctx, compress_ids([(1, 0)]),
                                 ((b"c", b"m"), (b"c2", b"m2")))
     assert resp is None
 
@@ -432,10 +482,11 @@ def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
     check = BatchCheck()  # shared, as in a simulation
     machines = [ServerMachine(4, 1, preload, check) for _ in range(4)]
     ctxs = [fake_ctx_factory(server(k)) for k in range(4)]
-    valid = BatchMsg(canonical_compressed([(1, 0), (2, 0)]),
+    valid = BatchMsg(compress_ids([(1, 0), (2, 0)]),
                      ((b"c1", b"m1"), (b"c2", b"m2")))
     duplicate = BatchMsg(((1, (0, 0)),), ((b"c1", b"m1"), (b"c1", b"m2")))
-    for msg in (valid, duplicate, duplicate):
+    unsorted = BatchMsg(((1, (2, 0)),), ((b"c1", b"m1"), (b"c2", b"m2")))
+    for msg in (valid, duplicate, unsorted, duplicate):
         for machine, ctx in zip(machines, ctxs):
             machine.on_message(ctx, broker(0), msg)
     for machine, ctx in zip(machines, ctxs):
@@ -460,7 +511,7 @@ def test_server_batch_redelivery_idempotent(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(0))
     machine, first = server_with_batch(oracle, ctx, sc)
     again = machine.handle_batch(
-        ctx, canonical_compressed(list(machine.batches[first.root].ids)),
+        ctx, compress_ids(list(machine.batches[first.root].ids)),
         tuple(machine.batches[first.root].payloads))
     assert again.root == first.root
     assert len(machine.batches) == 1
@@ -497,7 +548,7 @@ def test_server_rejects_forged_straggler(oracle, fake_ctx_factory):
 def test_server_requires_all_assignments(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(0))
     machine = ServerMachine(4, 1, ())
-    resp = machine.handle_batch(ctx, canonical_compressed([(1, 0)]),
+    resp = machine.handle_batch(ctx, compress_ids([(1, 0)]),
                                 ((b"c", b"m"),))
     msig = oracle.aggregate([oracle.multisign(client(1),
                                               stmt_reduction(resp.root))])

@@ -265,6 +265,17 @@ VALIDATE_PROBES = {
                       or setattr(sc, "delay_policy",
                                  DelayPolicy(min_delay=2, max_delay=2)),
                       "1 if constant"),
+    # values of another type than the int a scenario file must hold
+    "at_1_5": (_set_at(1.5), "broadcasts[0].at"),
+    "at_true": (_set_at(True), "broadcasts[0].at"),
+    "clients_2_0": (lambda sc: setattr(sc, "n_clients", 2.0), "clients"),
+    "min_delay_1_5": (_uniform(min_delay=1.5, max_delay=3),
+                      "delay_policy.min_delay"),
+    "override_2_5": (_uniform(max_delay=3, overrides={"B0->S3": 2.5}),
+                     "delay_policy.overrides.B0->S3"),
+    "broker_order_0_0": (lambda sc: setattr(sc, "broker_order", {0: [0.0]}),
+                         "broker_order"),
+    "seed_x": (lambda sc: setattr(sc, "seed", "x"), "seed"),
 }
 
 
