@@ -50,12 +50,15 @@ class EquivocatingClient(Machine):
     exception against this client.
     """
 
-    def __init__(self, *, n_brokers: int, preloaded, context: bytes,
+    def __init__(self, *, n_brokers: int, preloaded, plan, context: bytes,
                  messages: tuple[bytes, bytes], **_client_kwargs):
         if len(messages) > n_brokers:
             raise ValueError(f"sends its {len(messages)} messages to one "
                              "broker each, so brokers must be at least "
                              f"{len(messages)}")
+        if preloaded is None or plan:
+            raise ValueError("submits its own messages under a preloaded id, "
+                             "so needs preload_directory, no broadcasts entry")
         self.context = context
         self.messages = messages
         self.preloaded = preloaded
@@ -142,6 +145,16 @@ def _list(decode, count=None):
     return decode_list
 
 
+def _target_id(value, scenario) -> tuple:
+    """An id in range that, with a preloaded directory, a client holds."""
+    domain, index = _ordinals("n_servers", "n_clients")(value, scenario)
+    if scenario.preload_directory and (
+            domain + scenario.n_servers * index >= scenario.n_clients):
+        raise ValueError(f"no client has the preloaded id {[domain, index]}: "
+                         "domain + servers * index must be < clients")
+    return domain, index
+
+
 def _ordinals(*bounds):
     """A decoder of a JSON list of integers, each below the scenario count
     its bound names: with one bound any number of items, with more one item
@@ -169,8 +182,7 @@ _BEHAVIORS = {
                             {"context": lambda v, _: bytes.fromhex(v),
                              "messages": _list(bytes.fromhex, 2)}),
     "false_exception_server": (ProcessKind.SERVER, FalseExceptionServer,
-                               {"target_id": _ordinals("n_servers",
-                                                       "n_clients")}),
+                               {"target_id": _target_id}),
     "stalling_server": (ProcessKind.SERVER, StallingServer, {}),
 }
 

@@ -1,15 +1,16 @@
 """Consensus-less dense id assignment.
 
-A joining client asks every server for an id.  Each server orders the
-client's keycard in its own FIFO-broadcast log; once f+1 servers confirm some
-server's log ranked the keycard, the client elects that server as its
-assigner (write-once) and announces it.  Servers then sign
-[Assignment, (assigner, index), keycard] where index is the keycard's
-position in the assigner's log; 2f+1 matching signatures aggregate into the
+A joining client asks every server for an id.  Each server ranks the
+client's keycard in its own FIFO-broadcast log; at f+1 servers confirming
+one log's ranking, the client elects that log's server as its assigner
+(write-once) and announces it.  A server signs [Assignment, (assigner,
+index), keycard], index being the keycard's place in the assigner's log,
+once it holds both; 2f+1 valid shards for one index aggregate into the
 quorum certificate that makes the assignment transferable.
 
 Server and broker directories are plain views: the certified assignments
-they imported, exported as the same objects.  A client keeps only its own.
+they imported, exported as the same objects.  A client keeps only its own,
+and only a client that signs up live keeps signup state.
 """
 
 from __future__ import annotations
@@ -81,19 +82,20 @@ class DirectoryView:
 
 @dataclass
 class ClientSignup:
-    """Client-side signup state machine; hands the certified assignment to
+    """A joining client's signup: elects its assigner at the first f+1
+    servers ranking it in one log, and completes at the first index that
+    2f+1 servers sign, handing the certified assignment to
     `on_complete(ctx, assignment)`."""
 
     f: int
     n_servers: int
-    on_complete: object = None
-    status: str = "outsider"  # outsider | signing_up | signed_up
+    on_complete: object
+    done: bool = False
     rankings: dict = field(default_factory=dict)   # domain -> {ordinal}
     assigner: int | None = None
     shards: dict = field(default_factory=dict)     # index -> {ordinal: msig}
 
     def signup(self, ctx):
-        self.status = "signing_up"
         ctx.emit("signup")
         ctx.send_all(servers(self.n_servers), Signup())
 
@@ -101,57 +103,41 @@ class ClientSignup:
         if src.kind != ProcessKind.SERVER:
             return isinstance(msg, (Ranked, AssignShard))
         if isinstance(msg, Ranked):
-            self.rankings.setdefault(msg.domain, set()).add(src.ordinal)
-            self._pump(ctx)
+            rankers = self.rankings.setdefault(msg.domain, set())
+            rankers.add(src.ordinal)
+            # no other domain has f+1 rankers, or it would be the assigner
+            if self.assigner is None and len(rankers) >= self.f + 1:
+                self.assigner = msg.domain
+                ctx.send_all(servers(self.n_servers), Assigner(msg.domain))
             return True
         if isinstance(msg, AssignShard):
             if self.assigner is None:
                 return True
-            stmt = stmt_assignment((self.assigner, msg.index), ctx.keycard())
-            if ctx.verify_aggregate([ctx.keycard(src)], stmt, msg.shard):
-                self.shards.setdefault(msg.index, {})[src.ordinal] = msg.shard
-                self._pump(ctx)
+            ident: Id = (self.assigner, msg.index)
+            stmt = stmt_assignment(ident, ctx.keycard())
+            if not ctx.verify_aggregate([ctx.keycard(src)], stmt, msg.shard):
+                return True
+            shards = self.shards.setdefault(msg.index, {})
+            shards[src.ordinal] = msg.shard
+            if not self.done and len(shards) >= 2 * self.f + 1:
+                self.done = True
+                a = Assignment(ident, ctx.keycard(), ctx.certify(shards))
+                certified(ctx, a)
+                ctx.emit("signup_complete", id=tuple(ident))
+                self.on_complete(ctx, a)
             return True
         return False
 
-    def _pump(self, ctx):
-        if self.assigner is None:
-            for domain in sorted(self.rankings):
-                if len(self.rankings[domain]) >= self.f + 1:
-                    self.assigner = domain
-                    ctx.send_all(servers(self.n_servers), Assigner(domain))
-                    break
-        if self.status != "signing_up":
-            return
-        for index in sorted(self.shards):
-            if len(self.shards[index]) >= 2 * self.f + 1:
-                self.status = "signed_up"
-                ident: Id = (self.assigner, index)
-                a = Assignment(ident, ctx.keycard(),
-                               ctx.certify(self.shards[index]))
-                certified(ctx, a)
-                ctx.emit("signup_complete", id=tuple(ident))
-                if self.on_complete is not None:
-                    self.on_complete(ctx, a)
-                break
-
 
 class ServerDirectory:
-    """Server-side ranking and assignment signing.
-
-    A pump can sign only after a ranking grew or an assigner was recorded;
-    `_changed` says whether either happened since the last pump, which
-    returns at once otherwise.
-    """
+    """Server-side ranking and assignment signing: a keycard is signed once,
+    at the later of its assigner's record and its place in that assigner's
+    FIFO log."""
 
     def __init__(self, n_servers: int, f: int):
-        self.n_servers = n_servers
-        self.f = f
         self.fifo = FifoBroadcast(n_servers, f, self._on_rank)
         self.rankings: dict[int, list] = {}    # origin ordinal -> [keycard]
         self.assigners: dict[bytes, int] = {}  # keycard -> domain (write-once)
-        self.certified: set = set()
-        self._changed = False
 
     def handle(self, ctx, src, msg) -> bool:
         if isinstance(msg, Signup):
@@ -161,39 +147,26 @@ class ServerDirectory:
             keycard = ctx.keycard(src)
             if keycard not in self.assigners:
                 self.assigners[keycard] = msg.domain
-                self._changed = True
                 ctx.emit("assigner_record", keycard=keycard.hex(),
                          assigner=msg.domain)
-            self._pump(ctx)
+                ranking = self.rankings.get(msg.domain, [])
+                if keycard in ranking:
+                    self._sign(ctx, keycard, msg.domain, ranking.index(keycard))
             return True
-        if self.fifo.handle(ctx, src, msg):
-            self._pump(ctx)
-            return True
-        return False
+        return self.fifo.handle(ctx, src, msg)
 
     def _on_rank(self, ctx, origin: int, keycard: bytes):
         ranking = self.rankings.setdefault(origin, [])
         if keycard not in ranking:
             ranking.append(keycard)
-            self._changed = True
             owner = ctx.owner(keycard)
             if owner is not None:
                 ctx.send(owner, Ranked(origin))
+            if self.assigners.get(keycard) == origin:
+                self._sign(ctx, keycard, origin, len(ranking) - 1)
 
-    def _pump(self, ctx):
-        if not self._changed:
-            return
-        self._changed = False
-        for keycard in sorted(self.assigners):
-            if keycard in self.certified:
-                continue
-            domain = self.assigners[keycard]
-            ranking = self.rankings.get(domain, [])
-            if keycard not in ranking:
-                continue
-            self.certified.add(keycard)
-            index = ranking.index(keycard)
-            shard = ctx.multisign(stmt_assignment((domain, index), keycard))
-            owner = ctx.owner(keycard)
-            if owner is not None:
-                ctx.send(owner, AssignShard(index, shard))
+    def _sign(self, ctx, keycard: bytes, domain: int, index: int):
+        shard = ctx.multisign(stmt_assignment((domain, index), keycard))
+        owner = ctx.owner(keycard)
+        if owner is not None:
+            ctx.send(owner, AssignShard(index, shard))

@@ -86,7 +86,8 @@ class ClientMachine(Machine):
         self.plan = list(plan)  # [(delay, context, message)]
         self.broker_order = list(broker_order) if broker_order else None
         self.assignment = preloaded  # this client's own, once it has one
-        self.signup = ClientSignup(f, n_servers, on_complete=self._signed_up)
+        self.signup = (None if preloaded is not None
+                       else ClientSignup(f, n_servers, self._signed_up))
         self.submissions: dict[bytes, _Submission] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -95,7 +96,6 @@ class ClientMachine(Machine):
         a = self.assignment
         if a is not None:
             ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex())
-            self.signup.status = "signed_up"
             self._schedule_plan(ctx)
         else:
             self.signup.signup(ctx)
@@ -142,7 +142,7 @@ class ClientMachine(Machine):
             self._submit(ctx, tag[1])
 
     def on_message(self, ctx: Context, src: ProcessId, msg):
-        if self.signup.handle(ctx, src, msg):
+        if self.signup is not None and self.signup.handle(ctx, src, msg):
             return
         if isinstance(msg, Inclusion):
             self._on_inclusion(ctx, src, msg)

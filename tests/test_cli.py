@@ -313,6 +313,20 @@ CROSS_KEY_PROBES = {
     "target_id_9_9": ("byzantine_server_false_exception", lambda d: d[
         "fault_script"]["S3"].update(target_id=[9, 9]),
         ("fault_script.S3.target_id", "servers")),
+    # in range, but no preloaded client holds the id: the run would go on
+    # with S3 signing honest commits
+    "target_id_0_3": ("byzantine_server_false_exception", lambda d: d[
+        "fault_script"]["S3"].update(target_id=[0, 3]),
+        ("fault_script.S3.target_id", "clients")),
+    "target_id_1_1": ("byzantine_server_false_exception", lambda d: d[
+        "fault_script"]["S3"].update(target_id=[1, 1]),
+        ("fault_script.S3.target_id", "clients")),
+    "equivocator_signing_up": ("equivocating_client", lambda d: d.update(
+        preload_directory=False), ("fault_script.C3", "preload_directory")),
+    "equivocator_with_a_broadcast": ("equivocating_client", lambda d: d[
+        "broadcasts"].append(dict(client=3, context="00000003",
+                                  message="5a5a5a59", at=0)),
+        ("fault_script.C3", "broadcasts")),
 }
 
 

@@ -9,7 +9,8 @@ import hashlib
 
 from conftest import live_signup_f2
 
-from batchcast.scenarios import CORPUS, batching_limit, run_scenario
+from batchcast.scenarios import (CORPUS, batching_limit, concurrent_signup,
+                                 run_scenario)
 from batchcast.simnet import ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario
 
 GOLDEN_SHA256 = (
@@ -22,6 +23,8 @@ MULTI_ROUND_SHA256 = (
     "6602a75244d11f109a2058e260f5e6f48c3f9a06557542c3af14997669713039")
 QUEUED_SUBMISSIONS_SHA256 = (
     "55af84bf13f9946f2ebe071ce0c5eb3a3d60d94265238112c73031b4f35c5195")
+SLOW_SERVER_SIGNUP_SHA256 = (
+    "eb791f9a3fbb199135a4395a856b35e69e02e0321673d27068bd614858e4a71e")
 
 
 def test_golden_trace_hash():
@@ -114,3 +117,20 @@ def test_queued_submissions():
             assert trace.count('"submission_complete"') == 18
             h.update(trace.encode())
     assert h.hexdigest() == QUEUED_SUBMISSIONS_SHA256
+
+
+def test_slow_server_signup():
+    """Six clients sign up while S3 hears the other servers 9 ticks late, so
+    S3 records a keycard's assigner before its FIFO log ranks the keycard
+    and signs when the ranking arrives, which no other pin does."""
+    h = hashlib.sha256()
+    for seed in (0, 7):
+        scenario = concurrent_signup()
+        scenario.delay_policy = DelayPolicy(
+            kind="uniform", min_delay=1, max_delay=3,
+            overrides={"S0->S3": 9, "S1->S3": 9, "S2->S3": 9})
+        sim = run_scenario(scenario, seed=seed)
+        trace = sim.trace_jsonl()
+        assert trace.count('"signup_complete"') == 6
+        h.update(trace.encode())
+    assert h.hexdigest() == SLOW_SERVER_SIGNUP_SHA256

@@ -653,6 +653,22 @@ def test_broker_keeps_no_drained_queue():
     assert broker_machine.pending == {}
 
 
+def test_preloaded_clients_keep_at_most_ten_objects_each():
+    """Objects the collector tracks per client after a one-batch run: the
+    growth from M = 256 to M = 1024, each simulation kept alive."""
+    def tracked():
+        gc.collect()
+        return len(gc.get_objects())
+
+    sims, counts = [], [tracked()]
+    for m in (256, 1024):
+        sims.append(run_scenario(batching_limit(m=m, n_clients=m)))
+        counts.append(tracked())
+    before, small, large = counts
+    per_client = ((large - small) - (small - before)) / (1024 - 256)
+    assert per_client <= 10.0, per_client
+
+
 def test_only_servers_and_brokers_keep_a_directory_view():
     """A client holds its own assignment, not a view of one entry, and
     keeps no set of completed roots."""
