@@ -146,10 +146,13 @@ def _list(decode, count=None):
 
 
 def _target_id(value, scenario) -> tuple:
-    """An id in range that, with a preloaded directory, a client holds."""
+    """An id in range that a client holds in the preloaded directory, which
+    the scenario must have: live ids are assigned only during the run."""
+    if not scenario.preload_directory:
+        raise ValueError("needs preload_directory, as live ids are assigned "
+                         "during the run")
     domain, index = _ordinals("n_servers", "n_clients")(value, scenario)
-    if scenario.preload_directory and (
-            domain + scenario.n_servers * index >= scenario.n_clients):
+    if domain + scenario.n_servers * index >= scenario.n_clients:
         raise ValueError(f"no client has the preloaded id {[domain, index]}: "
                          "domain + servers * index must be < clients")
     return domain, index

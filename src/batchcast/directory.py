@@ -136,7 +136,7 @@ class ServerDirectory:
 
     def __init__(self, n_servers: int, f: int):
         self.fifo = FifoBroadcast(n_servers, f, self._on_rank)
-        self.rankings: dict[int, list] = {}    # origin ordinal -> [keycard]
+        self.rankings: dict[int, dict] = {}    # origin -> {keycard: index}
         self.assigners: dict[bytes, int] = {}  # keycard -> domain (write-once)
 
     def handle(self, ctx, src, msg) -> bool:
@@ -149,21 +149,21 @@ class ServerDirectory:
                 self.assigners[keycard] = msg.domain
                 ctx.emit("assigner_record", keycard=keycard.hex(),
                          assigner=msg.domain)
-                ranking = self.rankings.get(msg.domain, [])
-                if keycard in ranking:
-                    self._sign(ctx, keycard, msg.domain, ranking.index(keycard))
+                index = self.rankings.get(msg.domain, {}).get(keycard)
+                if index is not None:
+                    self._sign(ctx, keycard, msg.domain, index)
             return True
         return self.fifo.handle(ctx, src, msg)
 
     def _on_rank(self, ctx, origin: int, keycard: bytes):
-        ranking = self.rankings.setdefault(origin, [])
+        ranking = self.rankings.setdefault(origin, {})
         if keycard not in ranking:
-            ranking.append(keycard)
+            index = ranking[keycard] = len(ranking)
             owner = ctx.owner(keycard)
             if owner is not None:
                 ctx.send(owner, Ranked(origin))
             if self.assigners.get(keycard) == origin:
-                self._sign(ctx, keycard, origin, len(ranking) - 1)
+                self._sign(ctx, keycard, origin, index)
 
     def _sign(self, ctx, keycard: bytes, domain: int, index: int):
         shard = ctx.multisign(stmt_assignment((domain, index), keycard))

@@ -1,9 +1,10 @@
 """Byzantine fault-tolerant FIFO reliable broadcast among servers.
 
-Bracha's unauthenticated double echo, keyed by (origin, seq): echo on the
-first Send, promote to Ready at 2f+1 matching Echoes or f+1 matching Readys,
-deliver at 2f+1 matching Readys.  FIFO order is obtained by holding back
-out-of-order sequence numbers per origin.
+Bracha's unauthenticated double echo, keyed by (origin, seq): echo each
+origin's Sends in seq order, promote to Ready at 2f+1 matching Echoes or f+1
+matching Readys, deliver at 2f+1 matching Readys.  FIFO order is obtained by
+holding back a delivered slot until its origin's earlier ones are out.  Only
+state a later message can change is kept: nothing of a delivered slot.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ class FifoBroadcast:
         self.f = f
         self.deliver = deliver
         self.next_seq = 0  # own broadcasts
-        self.echoed: set = set()        # (origin, seq)
-        self.ready_sent: set = set()    # (origin, seq)
-        # (origin, seq) -> {payload: {ordinal}}, until (origin, seq) is done
+        self.next_echo: dict = {}   # origin -> seq of the next Send to echo
+        self.fifo_next: dict = {}   # origin -> next seq to deliver
+        # (origin, seq) -> {payload: {ordinal}}, until (origin, seq) is delivered
         self.echoes: dict = {}
         self.readys: dict = {}
-        self.done: set = set()          # (origin, seq) brb-delivered
-        self.fifo_next: dict = {}       # origin -> next seq to deliver
-        self.fifo_buffer: dict = {}     # origin -> {seq: payload}
+        self.ready_sent: set = set()  # (origin, seq) whose Ready went out
+        self.held: dict = {}  # (origin, seq) -> payload, done out of order
 
     def broadcast(self, ctx, payload: bytes):
         seq = self.next_seq
@@ -43,53 +43,48 @@ class FifoBroadcast:
         if src.kind != ProcessKind.SERVER:
             return isinstance(msg, (FifoSend, FifoEcho, FifoReady))
         if isinstance(msg, FifoSend):
-            key = (src.ordinal, msg.seq)
-            if key not in self.echoed:
-                self.echoed.add(key)
+            # links are FIFO, so a correct origin's Sends arrive in order
+            if msg.seq == self.next_echo.get(src.ordinal, 0):
+                self.next_echo[src.ordinal] = msg.seq + 1
                 ctx.send_all(self.servers,
                              FifoEcho(src.ordinal, msg.seq, msg.payload))
             return True
-        # A done slot has sent its Ready (delivery needs 2f+1 Readys, which
-        # first reach the f+1 rule), so a late Echo or Ready changes nothing.
+        if not isinstance(msg, (FifoEcho, FifoReady)):
+            return False
+        # A delivered slot has sent its Ready (delivery needs 2f+1 Readys,
+        # which first reach the f+1 rule), so a late message changes nothing.
+        key = (msg.origin, msg.seq)
+        if msg.seq < self.fifo_next.get(msg.origin, 0) or key in self.held:
+            return True
         if isinstance(msg, FifoEcho):
-            key = (msg.origin, msg.seq)
-            if key in self.done:
-                return True
             echoes = self.echoes.setdefault(key, {}).setdefault(msg.payload,
                                                                 set())
             echoes.add(src.ordinal)
             if len(echoes) >= 2 * self.f + 1:
-                self._send_ready(ctx, msg.origin, msg.seq, msg.payload)
+                self._send_ready(ctx, key, msg.payload)
             return True
-        if isinstance(msg, FifoReady):
-            key = (msg.origin, msg.seq)
-            if key in self.done:
-                return True
-            readys = self.readys.setdefault(key, {}).setdefault(msg.payload,
-                                                                set())
-            readys.add(src.ordinal)
-            if len(readys) >= self.f + 1:
-                self._send_ready(ctx, msg.origin, msg.seq, msg.payload)
-            if len(readys) >= 2 * self.f + 1:
-                self.done.add(key)
-                self.echoes.pop(key, None)
-                del self.readys[key]
-                self._fifo_deliver(ctx, msg.origin, msg.seq, msg.payload)
-            return True
-        return False
+        readys = self.readys.setdefault(key, {}).setdefault(msg.payload, set())
+        readys.add(src.ordinal)
+        if len(readys) >= self.f + 1:
+            self._send_ready(ctx, key, msg.payload)
+        if len(readys) >= 2 * self.f + 1:
+            self.echoes.pop(key, None)
+            del self.readys[key]
+            self.ready_sent.discard(key)
+            self._fifo_deliver(ctx, msg.origin, msg.seq, msg.payload)
+        return True
 
-    def _send_ready(self, ctx, origin, seq, payload):
-        if (origin, seq) in self.ready_sent:
-            return
-        self.ready_sent.add((origin, seq))
-        ctx.send_all(self.servers, FifoReady(origin, seq, payload))
+    def _send_ready(self, ctx, key, payload):
+        if key not in self.ready_sent:
+            self.ready_sent.add(key)
+            ctx.send_all(self.servers, FifoReady(*key, payload))
 
     def _fifo_deliver(self, ctx, origin, seq, payload):
-        self.fifo_buffer.setdefault(origin, {})[seq] = payload
+        held = self.held
+        held[origin, seq] = payload
         nxt = self.fifo_next.get(origin, 0)
-        buf = self.fifo_buffer[origin]
-        while nxt in buf:
-            item = buf.pop(nxt)
+        while (origin, nxt) in held:
+            item = held.pop((origin, nxt))
             ctx.emit("fb_deliver", origin=origin, seq=nxt,
                      payload=item.hex())
             self.deliver(ctx, origin, item)

@@ -53,11 +53,10 @@ class TraceIndex:
         t = trace
         self.header: dict = {}
         keycard_owner: dict[str, str] = {}
-        for idx, _ in t.select("scenario")[:1]:
-            self.header = h = t[idx].extra
-            for prefix, count in (("S", h["servers"]),
-                                  ("B", h["brokers"]),
-                                  ("C", h["clients"])):
+        counts = ("servers", "brokers", "clients")
+        for _, _, *header in t.select("scenario", counts)[:1]:
+            self.header = dict(zip(counts, header))
+            for prefix, count in zip("SBC", header):
                 for i in range(count):
                     keycard_owner[_keycard(prefix, i)] = f"{prefix}{i}"
         self.corrupted = {label for _, label in t.select("byzantine")}

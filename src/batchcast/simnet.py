@@ -51,7 +51,8 @@ MAX_EVENTS = 5_000_000  # dispatches a run may make before it must quiesce
 TIMER_SKEW_MAX = 8  # a scheduler timer rings at most this long after it is set
 # ticks a scenario may give: < 2^23 events (MAX_EVENTS) this far apart fit 2^63
 TICK_BOUND = 1 << 32
-PROCESS_BOUND = 1 << 14  # servers, brokers or clients a scenario may have
+# the most servers, brokers and clients a scenario may have
+PROCESS_BOUNDS = {"servers": 1 << 8, "brokers": 1 << 8, "clients": 1 << 16}
 PROCESS_LABEL = re.compile(r"([SBC])(0|[1-9][0-9]*)")  # a process label
 
 
@@ -123,10 +124,10 @@ class Scenario:
         if type(f) is not int or f < 0 or self.n_servers != 3 * f + 1:
             raise ValueError("fault_bound must be at least 0, servers 3f + 1")
         counts = (self.n_servers, self.n_brokers, self.n_clients)
-        for key, n in zip(("servers", "brokers", "clients"), counts):
-            if type(n) is not int or not 1 <= n <= PROCESS_BOUND:
+        for (key, bound), n in zip(PROCESS_BOUNDS.items(), counts):
+            if type(n) is not int or not 1 <= n <= bound:
                 raise ValueError(f"{key} must be an integer of at least 1 and "
-                                 f"at most {PROCESS_BOUND}")
+                                 f"at most {bound}")
         dp, bs = self.delay_policy, self.broadcasts
         for key, value, allowed in (
                 ("synchrony", self.synchrony, (GOOD_CASE, ADVERSARIAL)),
@@ -184,7 +185,6 @@ class Scenario:
 _BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
 _INT64 = 1 << 63
 _ABSENT = object()  # a key the record does not hold
-_PROCESS_COUNT = f"a count of at most {PROCESS_BOUND}"
 
 
 def _is_int(value) -> bool:
@@ -195,7 +195,6 @@ def _is_int(value) -> bool:
 _JSON_TYPES = {
     "an integer": _is_int,
     "a count": lambda v: _is_int(v) and v >= 0,
-    _PROCESS_COUNT: lambda v: _is_int(v) and 0 <= v <= PROCESS_BOUND,
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a string, null or absent": lambda v: (v is None or v is _ABSENT
@@ -203,6 +202,9 @@ _JSON_TYPES = {
     "a pair of integers": lambda v: (type(v) is list and len(v) == 2
                                      and all(map(_is_int, v))),
 }
+_JSON_TYPES.update((f"a count of at most {bound}",
+                    lambda v, bound=bound: _is_int(v) and 0 <= v <= bound)
+                   for bound in PROCESS_BOUNDS.values())
 # the base fields with their defaults and types
 _BASE_TYPES = (("src", None, "a string or null"),
                ("dst", None, "a string or null"),
@@ -211,8 +213,8 @@ _BASE_TYPES = (("src", None, "a string or null"),
 # per record kind, the event-specific keys the trace checker reads and their
 # JSON types
 _EXTRA_KEYS = {
-    "scenario": (("servers", _PROCESS_COUNT), ("brokers", _PROCESS_COUNT),
-                 ("clients", _PROCESS_COUNT)),
+    "scenario": tuple((key, f"a count of at most {bound}")
+                      for key, bound in PROCESS_BOUNDS.items()),
     "broadcast": (("context", "a string"), ("message", "a string")),
     "app_deliver": (("client", "a string"), ("context", "a string"),
                     ("message", "a string")),
@@ -337,7 +339,7 @@ class Trace:
     the GC stops tracking at its first collection; a list read from a
     record is held as a tuple and read back as a list.
 
-    Rows read back as `TraceEvent`s (iteration, indexing); the checker and
+    Rows read back as `TraceEvent`s by iteration; the checker and
     the cost ledger read `select` and the base columns, and `jsonl` writes
     the JSON lines from the columns.
     """
@@ -425,14 +427,9 @@ class Trace:
                  {k: tuple(v) if type(v) is list else v
                   for k, v in ev.extra.items()})
 
-    def _event(self, i: int, extra: dict) -> TraceEvent:
-        names = self.names
-        return TraceEvent(self.time[i], names[self.kind[i]],
-                          names[self.src[i]], names[self.dst[i]],
-                          self.bytes_len[i], names[self.tag[i]], extra)
-
     def __iter__(self):
         self.flush()
+        names = self.names
         entries = heapq.merge(*(zip(side.rows, repeat(side), count())
                                 for side in self._sides))
         entry = next(entries, None)
@@ -442,16 +439,9 @@ class Trace:
                 entry = next(entries, None)
             else:
                 extra = {}
-            yield self._event(i, extra)
-
-    def __getitem__(self, i: int) -> TraceEvent:
-        self.flush()
-        i = range(len(self.time))[i]
-        for side in self._sides:
-            pos = bisect_left(side.rows, i)
-            if pos < len(side.rows) and side.rows[pos] == i:
-                return self._event(i, side.extra(pos))
-        return self._event(i, {})
+            yield TraceEvent(self.time[i], names[self.kind[i]],
+                             names[self.src[i]], names[self.dst[i]],
+                             self.bytes_len[i], names[self.tag[i]], extra)
 
     def select(self, kind: str, keys: tuple = ()) -> list[tuple]:
         """(row, src, the value of each key) of every row of `kind` that has

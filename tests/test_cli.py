@@ -10,7 +10,7 @@ from batchcast import simnet
 from batchcast.cli import main
 from batchcast.properties import _keycard
 from batchcast.scenarios import good_case, scenario_to_json
-from batchcast.simnet import PROCESS_BOUND, TICK_BOUND
+from batchcast.simnet import PROCESS_BOUNDS, TICK_BOUND
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,11 +63,10 @@ def test_check_only_flags_forged_trace(tmp_path, capsys):
 
 def test_check_only_header_at_the_process_bound_checks_quickly(tmp_path):
     """The checker hashes a keycard per process the header counts; a header
-    over `PROCESS_BOUND` is malformed (see below)."""
+    over a count's bound in `PROCESS_BOUNDS` is malformed (see below)."""
     path = tmp_path / "header.jsonl"
     path.write_text(json.dumps({"time": 0, "kind": "scenario",
-                                "servers": PROCESS_BOUND, "brokers":
-                                PROCESS_BOUND, "clients": PROCESS_BOUND}))
+                                **PROCESS_BOUNDS}))
     t0 = time.perf_counter()
     assert main(["--check-only", str(path)]) == 0
     assert time.perf_counter() - t0 < 1
@@ -321,6 +320,11 @@ CROSS_KEY_PROBES = {
     "target_id_1_1": ("byzantine_server_false_exception", lambda d: d[
         "fault_script"]["S3"].update(target_id=[1, 1]),
         ("fault_script.S3.target_id", "clients")),
+    # ids are assigned during the run, so none can be checked before it
+    "target_id_signing_up": ("byzantine_server_false_exception", lambda d: d[
+        "fault_script"]["S3"].update(target_id=[1, 3]) or d.update(
+        preload_directory=False),
+        ("fault_script.S3.target_id", "preload_directory")),
     "equivocator_signing_up": ("equivocating_client", lambda d: d.update(
         preload_directory=False), ("fault_script.C3", "preload_directory")),
     "equivocator_with_a_broadcast": ("equivocating_client", lambda d: d[

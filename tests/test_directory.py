@@ -40,7 +40,7 @@ def test_assigned_index_matches_ranking_position():
         ident = machine.assignment.ident
         domain, index = ident
         ranking = sim.machines[server(0)].dir.rankings[domain]
-        assert ranking[index] == sim.oracle.keycard(client(j))
+        assert ranking[sim.oracle.keycard(client(j))] == index
 
 
 def test_concurrent_signups_distinct_dense_ids():

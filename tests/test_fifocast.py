@@ -1,16 +1,18 @@
 """FIFO reliable broadcast: validity, FIFO order, consistency, totality."""
 
+import random
 from collections import Counter
 
-from conftest import live_signup_f2
+from conftest import FakeCtx, live_signup_f2
+import fifo_reference as reference
 
 from batchcast import wire
 from batchcast.fifocast import FifoBroadcast
-from batchcast.procs import ProcessKind, server
+from batchcast.procs import ProcessKind, broker, client, server
 from batchcast.scenarios import run_scenario
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Machine,
                               Scenario, Simulation)
-from batchcast.wire import FifoSend
+from batchcast.wire import FifoEcho, FifoReady, FifoSend, Signup
 
 
 class FifoNode(Machine):
@@ -123,14 +125,83 @@ def test_each_fan_out_is_encoded_once(monkeypatch):
 
 
 def test_a_delivered_slot_keeps_no_echo_or_ready_sets():
-    """Echo and Ready sets are dropped at delivery, every payload variant
-    included; late Echoes and Readys for a delivered slot add none back."""
+    """After a run every slot is delivered and no map holds one, late
+    Echoes and Readys included: per origin an endpoint keeps only the next
+    seq to echo and the next to deliver."""
     sim = run_scenario(live_signup_f2())
     fifos = [m.dir.fifo for pid, m in sim.machines.items()
              if pid.kind == ProcessKind.SERVER]
-    assert fifos
+    slots = {origin: fifo.next_seq for origin, fifo in enumerate(fifos)}
+    assert all(slots.values())
     for fifo in fifos:
-        assert fifo.done
-        for slots in (fifo.echoes, fifo.readys):
-            assert not {key[:2] for key in slots} & fifo.done  # (origin, seq)
-        assert fifo.done <= fifo.ready_sent and fifo.done <= fifo.echoed
+        assert not (fifo.echoes or fifo.readys or fifo.ready_sent
+                    or fifo.held)
+        assert fifo.next_echo == slots == fifo.fifo_next
+
+
+def test_a_send_out_of_seq_order_is_not_echoed(oracle):
+    """Links are FIFO, so only a faulty origin skips a seq: its Send waits
+    for a repeat after the skipped one is echoed."""
+    ctx = FakeCtx(oracle, server(0))
+    fifo = FifoBroadcast(4, 1, None)
+    for seq, payload in ((1, b"one"), (0, b"zero"), (1, b"one")):
+        assert fifo.handle(ctx, server(3), FifoSend(seq, payload))
+    assert ctx.sent == [(server(o), FifoEcho(3, seq, payload))
+                        for seq, payload in ((0, b"zero"), (1, b"one"))
+                        for o in range(4)]
+
+
+def fifo_script(rng) -> list:
+    """Random (src, msg) input of one endpoint at n = 4: in-order Sends per
+    sender with repeats, Echoes and Readys of few slots in two payload
+    variants, from servers, a broker and a client, and a non-FIFO message."""
+    senders = [server(0), server(1), server(2), server(3), broker(0),
+               client(0)]
+    next_send = {}  # by ProcessId, as B0 and S0 share ordinal 0
+    script = []
+    for _ in range(rng.randrange(20, 160)):
+        src, roll = rng.choice(senders), rng.random()
+        if roll < 0.2:
+            seq = next_send.get(src, 0)
+            if seq and rng.random() < 0.3:
+                seq = rng.randrange(seq)  # a repeat
+            else:
+                next_send[src] = seq + 1
+            msg = FifoSend(seq, b"s%d" % seq)
+        elif roll < 0.98:
+            kind = FifoEcho if roll < 0.4 else FifoReady
+            msg = kind(rng.randrange(2), rng.randrange(3),
+                       rng.choice((b"a", b"a", b"a", b"b")))
+        else:
+            msg = Signup()
+        script.append((src, msg))
+    return script
+
+
+def drive(cls, oracle, script):
+    """Steps (consumed, sends, events, deliveries so far), sends, events
+    and deliveries of a `cls` endpoint fed `script`, and whether it held a
+    delivered slot back (the reference keeps no `held`)."""
+    ctx = FakeCtx(oracle, server(0))
+    delivered = []
+    fifo = cls(4, 1, lambda _ctx, origin, p: delivered.append((origin, p)))
+    steps, held_back = [], False
+    for src, msg in script:
+        consumed = fifo.handle(ctx, src, msg)
+        steps.append((consumed, len(ctx.sent), len(ctx.events),
+                      len(delivered)))
+        held_back = held_back or bool(getattr(fifo, "held", None))
+    return (steps, ctx.sent, ctx.events, delivered), held_back
+
+
+def test_endpoint_matches_the_reference_on_random_scripts(oracle):
+    """The endpoint that keeps only live slots consumes, sends, emits and
+    delivers as the one that kept every slot, slots held back included."""
+    held_back = 0
+    for trial in range(1000):
+        script = fifo_script(random.Random(trial))
+        got, held = drive(FifoBroadcast, oracle, script)
+        want, _ = drive(reference.FifoBroadcast, oracle, script)
+        assert got == want, trial
+        held_back += held
+    assert held_back > 600

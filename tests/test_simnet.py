@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from batchcast import simnet
 from batchcast.procs import ProcessId, broker, client, server, servers
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, Context, DelayPolicy,
-                              PROCESS_BOUND, Machine, Scenario, Simulation)
+                              PROCESS_BOUNDS, Machine, Scenario, Simulation)
 from batchcast.wire import Signup, Ranked
 import pytest
 
@@ -242,7 +242,11 @@ VALIDATE_PROBES = {
     "no_brokers": (lambda sc: setattr(sc, "n_brokers", 0), "brokers"),
     "no_clients": (lambda sc: setattr(sc, "n_clients", 0), "clients"),
     "clients_over_the_bound": (lambda sc: setattr(
-        sc, "n_clients", PROCESS_BOUND + 1), "clients"),
+        sc, "n_clients", PROCESS_BOUNDS["clients"] + 1), "clients"),
+    "servers_over_the_bound": (lambda sc: setattr(sc, "fault_bound", 86)
+                               or setattr(sc, "n_servers", 259), "servers"),
+    "brokers_over_the_bound": (lambda sc: setattr(
+        sc, "n_brokers", PROCESS_BOUNDS["brokers"] + 1), "brokers"),
     "min_delay_0": (_uniform(min_delay=0, max_delay=3),
                     "delay_policy.min_delay"),
     "max_delay_2_40": (_uniform(max_delay=2 ** 40), "delay_policy.max_delay"),

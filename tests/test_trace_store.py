@@ -82,10 +82,6 @@ def test_forged_records_round_trip_through_the_store():
     trace = Trace.of(records)
     rows = [TraceEvent.from_record(rec) for rec in records]
     assert list(trace) == rows
-    assert [trace[i] for i in range(len(trace))] == rows
-    assert trace[-1] == rows[-1]
-    with pytest.raises(IndexError):
-        trace[len(rows)]
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
