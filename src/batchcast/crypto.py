@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .procs import ProcessId, ProcessKind, server
+from .procs import ProcessId, ProcessKind, servers
 
 DIGEST_BITS = 256
 SIGNATURE_BITS = 512
@@ -148,8 +148,9 @@ class Oracle:
             return False
         key = (statement, tuple(cert.signers))
         if key != self._last_certificate[0]:
+            ids = servers(n_servers)
             self._last_certificate = (key, _xor(
-                self.multisign(server(o), statement) for o in key[1]))
+                self.multisign(ids[o], statement) for o in key[1]))
         return cert.msig == self._last_certificate[1]
 
 

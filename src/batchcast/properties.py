@@ -66,7 +66,7 @@ class TraceIndex:
         self.deliveries = [
             (idx, srv, keycard_owner.get(keycard), keycard, context, message)
             for idx, srv, keycard, context, message
-            in t.select("app_deliver", ("client", "context", "message"))]
+            in t.scan("app_deliver", ("client", "context", "message"))]
         self.signups = _first_by_label(t.select("signup"))
         self.completes = _first_by_label(t.select("signup_complete"))
         # (index, label, id, keycard, cert)

@@ -291,7 +291,7 @@ class TraceEvent:
 # codes every store gives the same names: null, the five hot kinds, no tag
 _FIXED_NAMES = (None, "send", "deliver", "verify", "timer_set", "timer_ring",
                 "")
-NULL, SEND, DELIVER, VERIFY, TIMER_SET, TIMER_RING, NO_TAG = range(
+NULL, SEND, DELIVER, VERIFY, _, TIMER_RING, NO_TAG = range(
     len(_FIXED_NAMES))
 _FIXED_CODES = {name: code for code, name in enumerate(_FIXED_NAMES)}
 _JSONL_CHUNK = 4096  # rows formatted and joined at a time
@@ -335,13 +335,14 @@ class Trace:
     `_PENDING_BYTES` and before every read.  Every other row is written,
     packed the same way, by `add` and has a side entry, even with no keys,
     so `select` finds every row of the kinds that `add` writes.  A run's
-    side values are strings, integers, None and tuples of integers, which
-    the GC stops tracking at its first collection; a list read from a
-    record is held as a tuple and read back as a list.
+    side values are integers, None, tuples of integers, which the GC stops
+    tracking at its first collection, and strings, each distinct one held
+    once: `add` interns it in `_strings`, a dict the GC never tracks.  A
+    list read from a record is held as a tuple and read back as a list.
 
-    Rows read back as `TraceEvent`s by iteration; the checker and
-    the cost ledger read `select` and the base columns, and `jsonl` writes
-    the JSON lines from the columns.
+    Rows read back as `TraceEvent`s by iteration; the checker and the cost
+    ledger read `select` (or `scan`, lazily) and the base columns, and
+    `jsonl` writes the JSON lines from the columns.
     """
 
     def __init__(self):
@@ -356,6 +357,7 @@ class Trace:
         self._codes = _FIXED_CODES.copy()
         self._sides: list[_Side] = []
         self._side_of: dict[tuple, _Side] = {}  # (kind, *keys as given)
+        self._strings: dict[str, str] = {}  # each string side value, once
 
     @classmethod
     def of(cls, records) -> "Trace":
@@ -395,26 +397,29 @@ class Trace:
         """The code of `name`, or -1 if no row names it."""
         return self._codes.get(name, -1)
 
-    def add(self, time: int, kind: int, src: int, dst: int, bytes_len: int,
+    def add(self, time: int, kind: str, src: int, dst: int, bytes_len: int,
             tag: int, extra: dict):
-        """Append a row and its side entry, which holds `extra`."""
-        side = self._side_of.get((kind, *extra))
-        if side is None:
-            side = self._new_side(kind, tuple(extra))
-        side.rows.append(len(self))
+        """Append a row of kind name `kind` and its side entry, which holds
+        `extra`."""
+        side = self._side_of.get((kind, *extra)) or self._new_side(kind, extra)
+        side.rows.append(len(self.time) + len(self.pending) // _ROW.size)
+        strings = self._strings
         for key, col in zip(side.keys, side.cols):
-            col.append(extra[key])
-        self.pending += _pack_row(time, bytes_len, kind, src, dst, tag)
+            value = extra[key]
+            col.append(strings.setdefault(value, value) if type(value) is str
+                       else value)
+        self.pending += _pack_row(time, bytes_len, side.kind, src, dst, tag)
         if len(self.pending) >= _PENDING_BYTES:
             self.flush()
 
-    def _new_side(self, kind: int, given: tuple) -> _Side:
+    def _new_side(self, kind: str, given) -> _Side:
+        code = self.code(kind)
         keys = tuple(sorted(given))
         for side in self._sides:
-            if side.kind == kind and side.keys == keys:
+            if side.kind == code and side.keys == keys:
                 break
         else:
-            side = _Side(kind, keys)
+            side = _Side(code, keys)
             self._sides.append(side)
         self._side_of[(kind, *given)] = side
         return side
@@ -422,7 +427,7 @@ class Trace:
     def append(self, ev: TraceEvent):
         """Append a row that `TraceEvent.from_record` accepts."""
         code = self.code
-        self.add(ev.time, code(ev.kind), code(ev.src), code(ev.dst),
+        self.add(ev.time, ev.kind, code(ev.src), code(ev.dst),
                  ev.bytes_len, code(ev.tag),
                  {k: tuple(v) if type(v) is list else v
                   for k, v in ev.extra.items()})
@@ -446,21 +451,26 @@ class Trace:
     def select(self, kind: str, keys: tuple = ()) -> list[tuple]:
         """(row, src, the value of each key) of every row of `kind` that has
         a side entry, in row order; a key the row lacks reads None."""
-        self.flush()
-        code = self.find(kind)
-        src, names = self.src, self.names
-        out: list = []
-        sides = [side for side in self._sides if side.kind == code]
-        for side in sides:
-            cols = [side.cols[side.keys.index(k)] if k in side.keys
-                    else repeat(None) for k in keys]
-            out.extend(zip(side.rows,
-                           map(names.__getitem__, map(src.__getitem__,
-                                                      side.rows)),
-                           *cols))
+        sides = self._side_rows(kind, keys)
+        out = list(chain.from_iterable(sides))
         if len(sides) > 1:
             out.sort(key=itemgetter(0))
         return out
+
+    def scan(self, kind: str, keys: tuple = ()):
+        """`select` lazily, so no list of the rows is built."""
+        return heapq.merge(*self._side_rows(kind, keys), key=itemgetter(0))
+
+    def _side_rows(self, kind: str, keys: tuple) -> list:
+        """`select`'s rows of each side of `kind`, one iterator a side."""
+        self.flush()
+        code = self.find(kind)
+        src, names = self.src, self.names
+        return [zip(side.rows, map(names.__getitem__, map(src.__getitem__,
+                                                          side.rows)),
+                    *(side.cols[side.keys.index(k)] if k in side.keys
+                      else repeat(None) for k in keys))
+                for side in self._sides if side.kind == code]
 
     def jsonl(self) -> str:
         """`TraceEvent.to_json` of every row, each line ending in a newline.
@@ -585,9 +595,8 @@ class Context:
         self.sim._schedule_timer(self, tag, timeout)
 
     def emit(self, kind: str, **extra):
-        trace = self.sim.trace
-        trace.add(self.sim.now, trace.code(kind), self.code, NULL, 0, NO_TAG,
-                  extra)
+        self.sim.trace.add(self.sim.now, kind, self.code, NULL, 0, NO_TAG,
+                           extra)
 
     # -- crypto facade -------------------------------------------------------
 
@@ -786,7 +795,7 @@ class Simulation:
                       else self._draw_skew())
         self._seq = seq = self._seq + 1
         tag_code = self.trace.code(_tag_label(tag))
-        self.trace.add(now, TIMER_SET, owner.code, owner.code, 0, tag_code,
+        self.trace.add(now, "timer_set", owner.code, owner.code, 0, tag_code,
                        {"ring": ring})
         heapq.heappush(self._queue, (
             ((2 * ring + _PHASE_RING) * n + owner.rank) * n + owner.rank,
@@ -796,7 +805,7 @@ class Simulation:
 
     def start(self):
         trace = self.trace
-        trace.add(0, trace.code("scenario"), NULL, NULL, 0, NO_TAG, {
+        trace.add(0, "scenario", NULL, NULL, 0, NO_TAG, {
             "name": self.scenario.name,
             "servers": self.scenario.n_servers,
             "brokers": self.scenario.n_brokers,
@@ -807,8 +816,7 @@ class Simulation:
             "synchrony": self.scenario.synchrony,
         })
         for label in sorted(self.scenario.fault_script):
-            trace.add(0, trace.code("byzantine"), trace.code(label), NULL, 0,
-                      NO_TAG, {})
+            trace.add(0, "byzantine", trace.code(label), NULL, 0, NO_TAG, {})
         for ctx in self._by_rank:
             if ctx is not None:
                 ctx.machine.on_start(ctx)

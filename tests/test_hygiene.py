@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-every scenario setting has one file key and one README row."""
+"""Source hygiene: every name a module imports is used in that module, every
+scenario setting has one file key and one README row, and every record key
+the checker reads is one whose type a trace file is checked against."""
 
 import ast
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from batchcast.scenarios import SCENARIO_KEYS, KeyTable
-from batchcast.simnet import DelayPolicy, Scenario
+from batchcast.simnet import _EXTRA_KEYS, DelayPolicy, Scenario
 
 SOURCES = sorted(p for p in (Path(__file__).resolve().parent.parent
                              / "src" / "batchcast").glob("*.py")
@@ -87,3 +88,39 @@ def test_every_setting_has_one_file_key_and_one_readme_row():
     table = table.split("\n\n")[0].splitlines()[1:]
     documented = [re.match(r"\| `([^`]+)` \|", line)[1] for line in table]
     assert sorted(documented) == sorted(key for _, _, key in rows if key)
+
+
+def _selected(tree: ast.Module) -> list:
+    """(kind, keys) of each `select` or `scan` call, a keys name read from
+    its assignment."""
+    named = {target.id: node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name)}
+    calls = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("select", "scan")):
+            kind, keys = (*node.args, ast.Tuple([]))[:2]
+            if isinstance(keys, ast.Name):
+                keys = named[keys.id]
+            calls.append((ast.literal_eval(kind), ast.literal_eval(keys)))
+    return calls
+
+
+def _untyped(calls) -> list:
+    return [(kind, key) for kind, keys in calls for key in keys
+            if key not in dict(_EXTRA_KEYS.get(kind, ()))]
+
+
+def test_every_key_the_checker_reads_has_a_type():
+    """A key `TraceEvent.from_record` does not type-check reaches the
+    checker unchecked, where a missing or wrong-typed one is a traceback."""
+    path = next(p for p in SOURCES if p.name == "properties.py")
+    calls = _selected(ast.parse(path.read_text(), filename=str(path)))
+    assert ("scenario", ("servers", "brokers", "clients")) in calls
+    assert _untyped(calls) == []
+    sloppy = _selected(ast.parse('keys = ("client", "note")\n'
+                                 't.scan("app_deliver", keys)\n'
+                                 't.select("odd", ("x",))\n'
+                                 't.select("signup")\n'))
+    assert _untyped(sloppy) == [("app_deliver", "note"), ("odd", "x")]

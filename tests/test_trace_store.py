@@ -117,8 +117,10 @@ def test_select_merges_key_sets_in_row_order():
     assert rows == [(4, "S0", (0, 1), None, "aa"),
                     (5, "S1", (0, 2), "ff", "bb"),
                     (6, "S2", (0, 3), None, "cc")]
+    assert list(trace.scan("dir_import", ("id", "cert", "keycard"))) == rows
     assert trace.select("signup") == [(2, None)]
     assert trace.select("no such kind", ("x",)) == []
+    assert list(trace.scan("no such kind", ("x",))) == []
 
 
 def tracked_objects(root) -> int:
@@ -157,6 +159,8 @@ def test_the_trace_holds_no_object_per_record():
         assert gc.get_referents(side.rows) == [type(side.rows)]
         for column in side.cols:
             assert not any(map(gc.is_tracked, column))
+    # the shared side strings sit in a dict of strings only
+    assert trace._strings and not gc.is_tracked(trace._strings)
     small = run_scenario(batching_limit(m=64, n_clients=64)).trace
     gc.collect()
     assert len(trace) > 3 * len(small)
@@ -167,6 +171,17 @@ def test_the_trace_holds_no_object_per_record():
     assert trace.pending and not gc.is_tracked(trace.pending)
     assert count_trace_events() == before
     assert tracked_objects(trace) == tracked_objects(small)
+
+
+@pytest.mark.parametrize("m", [64, 256])
+def test_each_string_side_value_is_held_once(m):
+    """Per client: its keycard, its payload's context and message, and the
+    fingerprint of its certificate; and the scenario's name and synchrony."""
+    trace = run_scenario(batching_limit(m=m, n_clients=m)).trace
+    values = [v for side in trace._sides for column in side.cols
+              for v in column if type(v) is str]
+    assert len(values) > 20 * m
+    assert len({*map(id, values)}) == len({*values}) == 4 * m + 2
 
 
 def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
