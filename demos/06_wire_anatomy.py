@@ -16,8 +16,11 @@ ids = sorted((j % 4, j // 4) for j in range(M))
 payloads = tuple((j.to_bytes(4, "big"), (j ^ 0xFFFF).to_bytes(4, "big"))
                  for j in range(M))
 
-# the partition's closed-form length: M indices below M / 4 over 4 domains
-id_bits = wire.partition_encoded_len(M, max(i for _, i in ids), 4)
+# the partition's closed-form length, M indices below M / 4 over 4 domains:
+# w bits per index, d bits per domain count, and both widths as varints
+w = max(i for _, i in ids).bit_length()
+d = M.bit_length()
+id_bits = M * w + 4 * d + 2 * w.bit_length() + 2 * d.bit_length()
 batch = wire.BatchMsg(compress_ids(ids), payloads)
 total_bits = 8 * len(wire.serialize(ctx, batch))
 payload_bits = 64 * M

@@ -44,7 +44,7 @@ def _run(args) -> int:
         trace_name = f"{scenario.name}.trace.jsonl"
         report["trace_path"] = str(Path(args.out) / trace_name)
         if not _write_files(args.out, {
-                trace_name: sim.trace_jsonl(),
+                trace_name: sim.trace.jsonl(),
                 f"{scenario.name}.report.json": json.dumps(report, indent=2)}):
             return 2
     failed = _print_verdicts(verdicts)
@@ -83,12 +83,14 @@ def _sweep(args) -> int:
 
 
 def _write_files(directory: str, files: dict) -> bool:
-    """Write {file name: text} into `directory`; False, printed, on OSError."""
+    """Write {file name: text, or an iterable of its chunks, each written as
+    it is made} into `directory`; False, printed, on OSError."""
     try:
         out = Path(directory)
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (out / name).write_text(text)
+            with (out / name).open("w") as file:
+                file.writelines((text,) if isinstance(text, str) else text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return False

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .procs import ProcessId, ProcessKind, servers
+from .procs import ProcessId, ProcessKind, server, servers
 
 DIGEST_BITS = 256
 SIGNATURE_BITS = 512
@@ -69,22 +69,26 @@ class Oracle:
     """
 
     def __init__(self, processes):
-        self._keycards: dict[ProcessId, bytes] = {}
+        # keycards and signing secrets (filled on first use): one dict per
+        # kind, keyed by ordinal, so a lookup hashes no ProcessId
+        self._keycards = tuple({} for _ in ProcessKind)
+        self._secrets = tuple({} for _ in ProcessKind)
         self._owners: dict[bytes, ProcessId] = {}
         for pid in processes:
             card = hashlib.sha384(
                 b"keycard|%d|%d" % (pid.kind, pid.ordinal)).digest()
-            self._keycards[pid] = card
+            self._keycards[pid.kind][pid.ordinal] = card
             self._owners[card] = pid
-        # each process's signing secret, filled on first use; one dict per
-        # kind, keyed by ordinal, so a lookup hashes no ProcessId
-        self._secrets = tuple({} for _ in ProcessKind)
         self._last_aggregate = self._last_certificate = (None, None)
 
     # -- identity -----------------------------------------------------------
 
     def keycard(self, pid: ProcessId) -> bytes:
-        return self._keycards[pid]
+        return self._keycards[pid.kind][pid.ordinal]
+
+    def keycards(self, kind: ProcessKind) -> dict[int, bytes]:
+        """The keycard of each process of `kind`, by ordinal."""
+        return self._keycards[kind]
 
     def owner(self, keycard: bytes) -> ProcessId | None:
         return self._owners.get(keycard)
@@ -138,6 +142,17 @@ class Oracle:
         ordinals = sorted(shards)
         return Certificate(frozenset(ordinals),
                            _xor(shards[o] for o in ordinals))
+
+    def certify_each(self, statements, signers) -> list[Certificate]:
+        """`certify` of the `multisign` shards of the servers of ordinals
+        `signers` on each of `statements`; the certificates share one signer
+        set, and each signer's hash prefix is built once."""
+        signers, sha384 = frozenset(signers), hashlib.sha384
+        prefixes = [b"msig|" + self._secret(server(o)) + b"|"
+                    for o in sorted(signers)]
+        return [Certificate(signers, _xor(sha384(p + stmt).digest()
+                                          for p in prefixes))
+                for stmt in statements]
 
     def verify_certificate(self, caller: ProcessId, cert: Certificate,
                            statement: bytes, threshold: int,

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
-from .procs import Id, ProcessKind, client, servers
+from .procs import ProcessKind
 from .protocol import (BatchCheck, BrokerMachine, ClientMachine,
                        ServerMachine)
 from .simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario,
@@ -131,19 +131,17 @@ def scenario_from_json(text: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # assembly
 
-def dense_id(ordinal: int, n_servers: int) -> Id:
-    """Steady-state preload: clients round-robin over server domains."""
-    return (ordinal % n_servers, ordinal // n_servers)
-
-
-def build_assignment(oracle: Oracle, scenario: Scenario,
-                     ordinal: int) -> Assignment:
-    ident = dense_id(ordinal, scenario.n_servers)
-    keycard = oracle.keycard(client(ordinal))
-    stmt = stmt_assignment(ident, keycard)
-    signers = servers(scenario.n_servers)[:2 * scenario.fault_bound + 1]
-    shards = {pid.ordinal: oracle.multisign(pid, stmt) for pid in signers}
-    return Assignment(ident, keycard, oracle.certify(shards))
+def preloaded_directory(oracle: Oracle,
+                        scenario: Scenario) -> tuple[Assignment, ...]:
+    """Each client's assignment by ordinal, all minted in one oracle call:
+    client j round-robin over the server domains, at id (j % N, j // N),
+    certified by servers 0 to 2f."""
+    n, cards = scenario.n_servers, oracle.keycards(ProcessKind.CLIENT)
+    idents = [(j % n, j // n) for j in range(scenario.n_clients)]
+    keycards = [cards[j] for j in range(scenario.n_clients)]
+    certs = oracle.certify_each(map(stmt_assignment, idents, keycards),
+                                range(2 * scenario.fault_bound + 1))
+    return tuple(map(Assignment, idents, keycards, certs))
 
 
 def build_simulation(scenario: Scenario) -> Simulation:
@@ -153,10 +151,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
     s.validate()
     processes = s.processes()
     oracle = Oracle(processes)
-    assignment_of = ({j: build_assignment(oracle, s, j)
-                      for j in range(s.n_clients)}
-                     if s.preload_directory else {})
-    preloads = tuple(assignment_of.values())
+    preloads = preloaded_directory(oracle, s) if s.preload_directory else ()
 
     plans: dict[int, list] = {}
     bits = s.payload_bits
@@ -177,17 +172,23 @@ def build_simulation(scenario: Scenario) -> Simulation:
     server_kwargs = dict(common, preloaded=preloads, check_batch=BatchCheck())
     machines = {}
     for pid in processes:
+        spec = s.fault_script.get(pid.label) if s.fault_script else None
         if pid.kind is ProcessKind.SERVER:
             correct, kwargs = ServerMachine, server_kwargs
         elif pid.kind is ProcessKind.BROKER:
             correct, kwargs = BrokerMachine, common
         else:
             j = pid.ordinal
+            plan, order = plans.get(j, []), s.broker_order.get(j)
+            preloaded = preloads[j] if preloads else None
+            if spec is None:  # a correct client, built with no kwargs dict
+                machines[pid] = ClientMachine(s.n_servers, s.n_brokers,
+                                              s.fault_bound, plan, order,
+                                              preloaded)
+                continue
             correct, kwargs = ClientMachine, dict(
-                common, n_brokers=s.n_brokers, plan=plans.get(j, []),
-                broker_order=s.broker_order.get(j),
-                preloaded=assignment_of.get(j))
-        spec = s.fault_script.get(pid.label)
+                common, n_brokers=s.n_brokers, plan=plan, broker_order=order,
+                preloaded=preloaded)
         machines[pid] = (correct(**kwargs) if spec is None
                          else behaviors.build(pid, spec, kwargs, s))
     return Simulation(s, machines, oracle)

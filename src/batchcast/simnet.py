@@ -472,14 +472,14 @@ class Trace:
                       else repeat(None) for k in keys))
                 for side in self._sides if side.kind == code]
 
-    def jsonl(self) -> str:
-        """`TraceEvent.to_json` of every row, each line ending in a newline.
+    def jsonl(self):
+        """`TraceEvent.to_json` of every row, each line ending in a newline,
+        yielded in chunks of `_JSONL_CHUNK` lines (one newline if no row).
 
         Each line is formatted from the columns with one %-template per key
         set; names, keys and string values go through
-        `encode_basestring_ascii`, other values through `_json_column`.  The
-        rows are joined in chunks of `_JSONL_CHUNK`, so no line outlives its
-        chunk.
+        `encode_basestring_ascii`, other values through `_json_column`.  No
+        line outlives its chunk, so a writer holds one chunk at a time.
         """
         self.flush()
         text = ["null" if name is None else encode_basestring_ascii(name)
@@ -496,7 +496,8 @@ class Trace:
                           [(k, side.keys.index(k) if k in side.keys else None)
                            for k in keys]))
         n = len(self.time)
-        chunks = []
+        if not n:
+            yield "\n"
         for a in range(0, n, _JSONL_CHUNK):
             b = min(a + _JSONL_CHUNK, n)
             lines = list(map(base.__mod__, zip(*(
@@ -519,9 +520,8 @@ class Trace:
                                                   rows)))
                 for row, line in zip(rows, map(template.__mod__, zip(*args))):
                     lines[row - a] = line
-            chunks.append("\n".join(lines))
-        chunks.append("")
-        return "\n".join(chunks) if n else "\n"
+            lines.append("")
+            yield "\n".join(lines)
 
 
 def _template(keys) -> str:
@@ -704,15 +704,14 @@ class Simulation:
         self._rank_offsets = (0, counts[0], counts[0] + counts[1])
         self._n = n = sum(counts)
         self._per_phase = n * n  # key units per phase of a tick
-        for pid in machines:
-            if not 0 <= pid.ordinal < counts[pid.kind]:
-                raise ValueError(f"the scenario counts no process {pid!r}")
         self._counts = counts
         self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
         self._tag_codes: dict[type, int] = {}  # message class -> tag code
         # each process's context by rank; None where it has no machine
         self._by_rank: list = [None] * n
         for pid, machine in machines.items():
+            if not 0 <= pid.ordinal < counts[pid.kind]:
+                raise ValueError(f"the scenario counts no process {pid!r}")
             ctx = Context(self, pid, machine)
             self._by_rank[ctx.rank] = ctx
         # `servers(n)`, the fan-out to every server, checked once if it can be
@@ -860,7 +859,7 @@ class Simulation:
         return self.trace
 
     def trace_jsonl(self) -> str:
-        return self.trace.jsonl()
+        return "".join(self.trace.jsonl())
 
 
 def _tag_label(tag: tuple) -> str:

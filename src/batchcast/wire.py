@@ -713,14 +713,6 @@ class _Proof(_Layout):
                 f"0, {size}, {_PATH_ENTRY})]))")
 
 
-def partition_encoded_len(size: int, max_index: int, n_domains: int) -> int:
-    """The bits `PARTITION` takes for `size` ids over `n_domains` domains
-    whose largest index is max_index >= 1."""
-    w = max_index.bit_length()
-    d = size.bit_length()
-    return size * w + n_domains * d + 2 * w.bit_length() + 2 * d.bit_length()
-
-
 class _Partition(_Layout):
     """A batch's sender ids as an integer partition mu over the shared
     domain enumeration (x_1..x_|X|), the server ordinals:

@@ -9,13 +9,13 @@ import random
 import time
 
 from batchcast import wire
-from batchcast.wire import partition_encoded_len
 from batchcast.metrics import amortized_report, convergence_sweep
 from batchcast.properties import check_trace
 from batchcast.scenarios import (CORPUS, async_slow_server, batching_limit,
                                  equivocating_client, good_case, run_scenario)
 
-from test_encoding import (bitmap, partition_roundtrip, partition_size,
+from test_encoding import (bitmap, partition_encoded_len,
+                           partition_roundtrip, partition_size,
                            roundtrip_with_tail)
 
 

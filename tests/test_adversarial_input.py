@@ -8,7 +8,7 @@ import random
 
 from batchcast.procs import broker, client, server
 from batchcast.protocol import BrokerMachine, ClientMachine, ServerMachine
-from batchcast.scenarios import build_assignment, good_case
+from batchcast.scenarios import good_case, preloaded_directory
 
 from tests.test_wire import CTX, rand_message
 from batchcast import wire
@@ -22,7 +22,7 @@ def everyone():
 def test_machines_survive_message_fuzz(oracle, fake_ctx_factory):
     rng = random.Random(0xFACE)
     scenario = good_case(n_clients=8)
-    preload = tuple(build_assignment(oracle, scenario, j) for j in range(8))
+    preload = preloaded_directory(oracle, scenario)
     machines = [
         (ServerMachine(4, 1, preload), server(0)),
         (BrokerMachine(4, 1), broker(0)),

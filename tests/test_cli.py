@@ -9,7 +9,7 @@ import pytest
 from batchcast import simnet
 from batchcast.cli import main
 from batchcast.properties import _keycard
-from batchcast.scenarios import good_case, scenario_to_json
+from batchcast.scenarios import good_case, run_scenario, scenario_to_json
 from batchcast.simnet import PROCESS_BOUNDS, TICK_BOUND
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -40,6 +40,43 @@ def test_check_only_roundtrip(tmp_path):
     assert main(["--scenario", str(path), "--out", str(out)]) == 0
     trace = out / "good_case.trace.jsonl"
     assert main(["--check-only", str(trace)]) == 0
+
+
+def test_trace_file_is_written_chunk_by_chunk(tmp_path, monkeypatch):
+    """The trace file holds `trace_jsonl()`'s text, written from the chunks
+    of JSON lines as they are formatted, never joined into one string."""
+    monkeypatch.setattr(simnet, "_JSONL_CHUNK", 5)
+    expected = run_scenario(good_case(n_clients=2), seed=5).trace_jsonl()
+    jsonl, made = simnet.Trace.jsonl, []
+
+    def chunks(trace):
+        for chunk in jsonl(trace):
+            made.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(simnet.Trace, "jsonl", chunks)
+    monkeypatch.delattr(simnet.Simulation, "trace_jsonl")
+    path = write_scenario(tmp_path, good_case(n_clients=2))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--seed", "5",
+                 "--out", str(out)]) == 0
+    text = (out / "good_case.trace.jsonl").read_text()
+    assert text == expected == "".join(made)
+    assert len(made) == -(-text.count("\n") // 5) > 1
+
+
+def test_trace_write_that_fails_midway_exits_2(tmp_path, monkeypatch,
+                                               capsys):
+    def failing(_trace):
+        yield "{}\n"
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(simnet.Trace, "jsonl", failing)
+    path = write_scenario(tmp_path, good_case(n_clients=2))
+    assert main(["--scenario", str(path), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: No space left on device\n")
 
 
 def test_check_only_flags_forged_trace(tmp_path, capsys):

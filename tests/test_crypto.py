@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from batchcast import crypto
 from batchcast.crypto import MerkleTree, merkle_verify
 from batchcast.procs import broker, client, server
@@ -11,6 +13,14 @@ def test_hash_deterministic_and_sized():
     assert crypto.digest(b"x") == crypto.digest(b"x")
     assert crypto.digest(b"") != crypto.digest(b"\0")
     assert len(crypto.digest(b"payload")) == crypto.DIGEST_BITS // 8
+
+
+def test_keycard_of_an_unknown_process_raises_key_error(oracle):
+    # the population has servers 0-3, brokers 0-1 and clients 0-7
+    assert oracle.keycard(client(7)) == oracle.keycards(client(7).kind)[7]
+    for pid in (client(8), client(-1), broker(2), server(4)):
+        with pytest.raises(KeyError):
+            oracle.keycard(pid)
 
 
 def test_sign_verify(oracle):

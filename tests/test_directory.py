@@ -1,14 +1,18 @@
 """Id assignment: signup flows, transfer, lookups, density."""
 
+import hashlib
 import random
 
+import pytest
+from assignment_reference import build_assignment
 from conftest import FakeCtx
 
-from batchcast.crypto import Certificate
+from batchcast.crypto import Certificate, Oracle
 from batchcast.directory import ClientSignup, DirectoryView, ServerDirectory
 from batchcast.procs import broker, client, server
 from batchcast.protocol import ClientMachine
-from batchcast.scenarios import (build_assignment, concurrent_signup,
+from batchcast.scenarios import (batching_limit, build_simulation,
+                                 concurrent_signup, preloaded_directory,
                                  run_scenario)
 from batchcast.simnet import GOOD_CASE, Scenario
 from batchcast.wire import (Assigner, Assignment, AssignShard, Ranked,
@@ -183,7 +187,7 @@ def test_signup_consumes_non_server_messages_silently(oracle,
 
 
 def test_preloaded_client_keeps_no_signup(oracle, fake_ctx_factory):
-    a = build_assignment(oracle, signup_scenario(n_clients=8), 0)
+    a = preloaded_directory(oracle, signup_scenario(n_clients=8))[0]
     machine = ClientMachine(4, 1, 1, preloaded=a)
     assert machine.signup is None
     assert ClientMachine(4, 1, 1).signup is not None
@@ -197,7 +201,7 @@ def test_preloaded_client_keeps_no_signup(oracle, fake_ctx_factory):
 
 def test_export_import_transfers_knowledge(oracle, fake_ctx_factory):
     scenario = signup_scenario(n_clients=8, preload_directory=True)
-    a = build_assignment(oracle, scenario, 3)
+    a = preloaded_directory(oracle, scenario)[3]
     exporter = DirectoryView()
     exporter.preload(a)
     exported = exporter.export(a.ident)
@@ -212,7 +216,7 @@ def test_export_import_transfers_knowledge(oracle, fake_ctx_factory):
 
 def test_import_rejects_tampered_certificate(oracle, fake_ctx_factory):
     scenario = signup_scenario(n_clients=8, preload_directory=True)
-    a = build_assignment(oracle, scenario, 3)
+    a = preloaded_directory(oracle, scenario)[3]
     flipped = Certificate(frozenset({0, 1, 3}), a.certificate.msig)
     bad = Assignment(a.ident, a.keycard, flipped)
     view = DirectoryView()
@@ -234,7 +238,7 @@ def test_import_rejects_thin_certificate(oracle, fake_ctx_factory):
 
 def test_import_is_idempotent(oracle, fake_ctx_factory):
     scenario = signup_scenario(n_clients=8, preload_directory=True)
-    a = build_assignment(oracle, scenario, 0)
+    a = preloaded_directory(oracle, scenario)[0]
     view = DirectoryView()
     ctx = fake_ctx_factory(client(5))
     assert view.import_assignment(ctx, a)
@@ -249,3 +253,40 @@ def test_lookup_unknown_is_absent():
     assert view.lookup_id((0, 7)) is None
     assert view.lookup_keycard(b"\x00" * 48) is None
     assert view.export((0, 7)) is None
+
+
+@pytest.mark.parametrize("m", [1, 7, 256])
+@pytest.mark.parametrize("f", [0, 1, 2])
+def test_preloaded_directory_matches_the_per_client_reference(f, m):
+    """The one-pass directory equals the assignments built one client at a
+    time, certificates and their multi-signature bytes included, and its
+    certificates share one signer set."""
+    scenario = signup_scenario(n_clients=m, n_servers=3 * f + 1,
+                               fault_bound=f, preload_directory=True)
+    oracle = Oracle(scenario.processes())
+    directory = preloaded_directory(oracle, scenario)
+    assert len(directory) == m
+    for j, a in enumerate(directory):
+        reference = build_assignment(oracle, scenario, j)
+        assert a == reference, j  # ident, keycard, signers and msig bytes
+        assert a.certificate.signers == frozenset(range(2 * f + 1))
+    assert len({id(a.certificate.signers) for a in directory}) == 1
+
+
+def test_each_build_makes_the_same_sha384_calls(monkeypatch):
+    """Nothing minted for one simulation is kept for the next: building the
+    same scenario twice hashes one keycard per process and one shard per
+    signer and client, both times."""
+    sha384, calls = hashlib.sha384, []
+
+    def counted(*args):
+        calls.append(None)
+        return sha384(*args)
+
+    monkeypatch.setattr(hashlib, "sha384", counted)
+    made = []
+    for _ in range(2):
+        before = len(calls)
+        build_simulation(batching_limit(m=64, n_clients=64))
+        made.append(len(calls) - before)
+    assert made == [4 + 1 + 64 + 3 * 64] * 2
