@@ -64,8 +64,9 @@ def _check(args) -> int:
 
 def _sweep(args) -> int:
     try:
-        spec = scenarios.read_keys(json.loads(Path(args.sweep).read_text()),
-                                   SWEEP_KEYS, "sweep spec")
+        spec = scenarios.read_keys(
+            simnet.parse_json(Path(args.sweep).read_text()), SWEEP_KEYS,
+            "sweep spec")
         for i, m in enumerate(spec["m_values"]):  # batching_limit divides by m
             if m < 1:
                 raise ValueError(f"m_values[{i}] must be at least 1")

@@ -4,18 +4,18 @@ The checker is protocol-agnostic: it consumes only application-level events
 (broadcast, app_deliver, signup, dir_import, ...) plus the corruption markers
 and scenario header, so a buggy protocol cannot share its bug with the
 checker.  It reads the columns of the simulator's `Trace`; any other
-records (forged traces, trace files) are appended into one first.  Every
+records (forged traces, trace files) are written into one first, each
+checked against the record schema (`simnet._EXTRA_KEYS`).  Every
 failed property references the index of the offending trace event.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .simnet import PROCESS_LABEL, Trace, TraceEvent
+from .simnet import PROCESS_LABEL, Trace, parse_json
 
 CSB_PROPERTIES = ("no_duplication", "consistency", "integrity", "validity",
                   "totality")
@@ -49,44 +49,39 @@ class TraceIndex:
     Each list holds tuples (index, src label, fields...) in trace order.
     """
 
-    def __init__(self, trace: Trace):
-        t = trace
-        self.header: dict = {}
+    def __init__(self, t: Trace):
+        self.counts = (0, 0, 0)  # the header's servers, brokers and clients
         keycard_owner: dict[str, str] = {}
-        counts = ("servers", "brokers", "clients")
-        for _, _, *header in t.select("scenario", counts)[:1]:
-            self.header = dict(zip(counts, header))
-            for prefix, count in zip("SBC", header):
+        for _, _, *counts in t.select("scenario")[:1]:
+            self.counts = counts
+            for prefix, count in zip("SBC", counts):
                 for i in range(count):
                     keycard_owner[_keycard(prefix, i)] = f"{prefix}{i}"
         self.corrupted = {label for _, label in t.select("byzantine")}
         # (index, client, context, message)
-        self.broadcasts = t.select("broadcast", ("context", "message"))
+        self.broadcasts = t.select("broadcast")
         # (index, server, client label or None, keycard, context, message)
         self.deliveries = [
             (idx, srv, keycard_owner.get(keycard), keycard, context, message)
-            for idx, srv, keycard, context, message
-            in t.scan("app_deliver", ("client", "context", "message"))]
+            for idx, srv, keycard, context, message in t.scan("app_deliver")]
         self.signups = _first_by_label(t.select("signup"))
         self.completes = _first_by_label(t.select("signup_complete"))
         # (index, label, id, keycard, cert)
-        self.imports = t.select("dir_import", ("id", "keycard", "cert"))
+        self.imports = t.select("dir_import")
         self.first_import: dict = {}   # (label, keycard) -> first index
         for idx, label, _, keycard, _ in self.imports:
             self.first_import.setdefault((label, keycard), idx)
-        self.rejects = t.select("dir_import_rejected",
-                                ("id", "keycard", "cert"))
+        self.rejects = t.select("dir_import_rejected")
         # (index, server, keycard, assigner)
-        self.assigner_records = t.select("assigner_record",
-                                         ("keycard", "assigner"))
+        self.assigner_records = t.select("assigner_record")
         # (index, server, origin, seq, payload)
-        self.fb_delivers = t.select("fb_deliver", ("origin", "seq", "payload"))
+        self.fb_delivers = t.select("fb_deliver")
 
     def correct(self, label: str) -> bool:
         return label not in self.corrupted
 
     def correct_servers(self) -> list[str]:
-        return [f"S{i}" for i in range(self.header.get("servers", 0))
+        return [f"S{i}" for i in range(self.counts[0])
                 if self.correct(f"S{i}")]
 
 
@@ -237,8 +232,7 @@ def check_transferability(t: TraceIndex) -> Verdict:
 
 
 def check_density(t: TraceIndex) -> Verdict:
-    total = (t.header.get("servers", 0) + t.header.get("brokers", 0)
-             + t.header.get("clients", 0))
+    total = sum(t.counts)
     for idx, label, ident, _, _ in t.imports:
         if not t.correct(label):
             continue
@@ -293,15 +287,14 @@ def check_trace(trace) -> dict[str, Verdict]:
 
 
 def load_trace_file(path: str) -> Trace:
-    """Read a JSONL trace; raises ValueError naming the first bad line."""
+    """Read a UTF-8 JSONL trace; ValueError names the first bad line."""
     trace = Trace()
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
             try:
-                trace.append(TraceEvent.from_record(json.loads(line)))
+                line = line.decode("utf-8").strip()
+                if line:
+                    trace.add_record(parse_json(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     return trace

@@ -14,7 +14,7 @@ from .procs import ProcessKind
 from .protocol import (BatchCheck, BrokerMachine, ClientMachine,
                        ServerMachine)
 from .simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario,
-                     Simulation)
+                     Simulation, parse_json)
 from .wire import Assignment, stmt_assignment
 
 
@@ -125,7 +125,7 @@ def scenario_to_json(s: Scenario) -> str:
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario file through `SCENARIO_KEYS` (see `read_keys`); its
     values are bounded by `Scenario.validate`, when the simulation is built."""
-    return read_keys(json.loads(text), SCENARIO_KEYS, "scenario document")
+    return read_keys(parse_json(text), SCENARIO_KEYS, "scenario document")
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,9 @@ class Scenario:
     def validate(self):
         """Raises ValueError naming the key of the first out-of-model value:
         where a scenario file takes an integer, only an int is in the model."""
+        name = self.name
+        if not isinstance(name, str) or "/" in name or "\0" in name:
+            raise ValueError("name must be a string without '/' or NUL")
         f = self.fault_bound
         if type(f) is not int or f < 0 or self.n_servers != 3 * f + 1:
             raise ValueError("fault_bound must be at least 0, servers 3f + 1")
@@ -210,19 +213,19 @@ _BASE_TYPES = (("src", None, "a string or null"),
                ("dst", None, "a string or null"),
                ("bytes_len", 0, "a count"),
                ("tag", "", "a string"))
-# per record kind, the event-specific keys the trace checker reads and their
-# JSON types
+_ASSIGNMENT_KEYS = (("id", "a pair of integers"), ("keycard", "a string"),
+                    ("cert", "a string, null or absent"))
+# per checked record kind, the event-specific keys the trace checker reads,
+# in the order `Trace.select` gives them, and their JSON types: the one
+# declaration of a checked kind's schema
 _EXTRA_KEYS = {
     "scenario": tuple((key, f"a count of at most {bound}")
                       for key, bound in PROCESS_BOUNDS.items()),
     "broadcast": (("context", "a string"), ("message", "a string")),
     "app_deliver": (("client", "a string"), ("context", "a string"),
                     ("message", "a string")),
-    "dir_import": (("id", "a pair of integers"), ("keycard", "a string"),
-                   ("cert", "a string, null or absent")),
-    "dir_import_rejected": (("id", "a pair of integers"),
-                            ("keycard", "a string"),
-                            ("cert", "a string, null or absent")),
+    "dir_import": _ASSIGNMENT_KEYS,
+    "dir_import_rejected": _ASSIGNMENT_KEYS,
     "assigner_record": (("keycard", "a string"), ("assigner", "an integer")),
     "fb_deliver": (("origin", "an integer"), ("seq", "an integer"),
                    ("payload", "a string")),
@@ -232,12 +235,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 @dataclass(slots=True)
 class TraceEvent:
-    """One trace record: six base fields, event-specific keys in `extra`.
-
-    This is the row form of a `Trace` and the input form of records read
-    from files or forged; JSON is written by `to_json` and read back by
-    `from_record`.
-    """
+    """One row as iterating a `Trace` yields it: six base fields, then
+    event-specific keys in `extra`; `Trace.add_record` reads `to_json` back."""
 
     time: int
     kind: str
@@ -256,36 +255,13 @@ class TraceEvent:
     def to_json(self) -> str:
         return _ENCODER.encode(self.record())
 
-    @classmethod
-    def from_record(cls, rec) -> "TraceEvent":
-        """The inverse of `to_json` on a decoded record.
 
-        Raises ValueError for a record that is not an object, lacks an
-        integer `time` or a string `kind`, has a base field of another type
-        than `_BASE_TYPES` gives, or lacks a key `_EXTRA_KEYS` gives its kind
-        or holds it with another type.
-        """
-        if not isinstance(rec, dict):
-            raise ValueError("trace record is not an object")
-        if not _is_int(rec.get("time")):
-            raise ValueError("trace record without an integer time")
-        kind = rec.get("kind")
-        if not isinstance(kind, str):
-            raise ValueError("trace record without a string kind")
-        base = {}
-        for key, default, type_name in _BASE_TYPES:
-            base[key] = rec.get(key, default)
-            if not _JSON_TYPES[type_name](base[key]):
-                raise ValueError(f"trace record whose {key!r} is not "
-                                 f"{type_name}")
-        extra = {k: v for k, v in rec.items() if k not in _BASE_KEYS}
-        for key, type_name in _EXTRA_KEYS.get(kind, ()):
-            value = extra.get(key, _ABSENT)
-            if not _JSON_TYPES[type_name](value):
-                raise ValueError(
-                    f"{kind} record without {key!r}" if value is _ABSENT
-                    else f"{kind} record whose {key!r} is not {type_name}")
-        return cls(rec["time"], kind, extra=extra, **base)
+def parse_json(text: str):
+    """`json.loads`, where nesting past the recursion limit is a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 # codes every store gives the same names: null, the five hot kinds, no tag
@@ -362,14 +338,13 @@ class Trace:
     @classmethod
     def of(cls, records) -> "Trace":
         """`records` as a Trace: a Trace as it is; any other iterable of
-        records or `TraceEvent`s appended through `TraceEvent.from_record`."""
+        records or `TraceEvent`s written through `add_record`."""
         if isinstance(records, Trace):
             return records
         trace = cls()
         for rec in records:
-            if isinstance(rec, TraceEvent):
-                rec = rec.record()
-            trace.append(TraceEvent.from_record(rec))
+            trace.add_record(rec.record() if isinstance(rec, TraceEvent)
+                             else rec)
         return trace
 
     def __len__(self) -> int:
@@ -424,13 +399,39 @@ class Trace:
         self._side_of[(kind, *given)] = side
         return side
 
-    def append(self, ev: TraceEvent):
-        """Append a row that `TraceEvent.from_record` accepts."""
+    def add_record(self, rec):
+        """Append the row of a decoded record, the inverse of `to_json`.
+
+        Raises ValueError for a record that is not an object, lacks an
+        integer `time` or a string `kind`, has a base field of another type
+        than `_BASE_TYPES` gives, or lacks a key `_EXTRA_KEYS` gives its kind
+        or holds it with another type.
+        """
+        if not isinstance(rec, dict):
+            raise ValueError("trace record is not an object")
+        time, kind = rec.get("time"), rec.get("kind")
+        if not _is_int(time):
+            raise ValueError("trace record without an integer time")
+        if not isinstance(kind, str):
+            raise ValueError("trace record without a string kind")
+        base = []
+        for key, default, type_name in _BASE_TYPES:
+            value = rec.get(key, default)
+            if not _JSON_TYPES[type_name](value):
+                raise ValueError(f"trace record whose {key!r} is not "
+                                 f"{type_name}")
+            base.append(value)
+        for key, type_name in _EXTRA_KEYS.get(kind, ()):
+            value = rec.get(key, _ABSENT)
+            if not _JSON_TYPES[type_name](value):
+                raise ValueError(
+                    f"{kind} record without {key!r}" if value is _ABSENT
+                    else f"{kind} record whose {key!r} is not {type_name}")
+        src, dst, bytes_len, tag = base
         code = self.code
-        self.add(ev.time, ev.kind, code(ev.src), code(ev.dst),
-                 ev.bytes_len, code(ev.tag),
+        self.add(time, kind, code(src), code(dst), bytes_len, code(tag),
                  {k: tuple(v) if type(v) is list else v
-                  for k, v in ev.extra.items()})
+                  for k, v in rec.items() if k not in _BASE_KEYS})
 
     def __iter__(self):
         self.flush()
@@ -448,23 +449,25 @@ class Trace:
                              names[self.src[i]], names[self.dst[i]],
                              self.bytes_len[i], names[self.tag[i]], extra)
 
-    def select(self, kind: str, keys: tuple = ()) -> list[tuple]:
-        """(row, src, the value of each key) of every row of `kind` that has
-        a side entry, in row order; a key the row lacks reads None."""
-        sides = self._side_rows(kind, keys)
+    def select(self, kind: str) -> list[tuple]:
+        """(row, src, then the value of each key `_EXTRA_KEYS` gives `kind`,
+        in its order) of every row of `kind` that has a side entry, in row
+        order; a key the row lacks reads None."""
+        sides = self._side_rows(kind)
         out = list(chain.from_iterable(sides))
         if len(sides) > 1:
             out.sort(key=itemgetter(0))
         return out
 
-    def scan(self, kind: str, keys: tuple = ()):
+    def scan(self, kind: str):
         """`select` lazily, so no list of the rows is built."""
-        return heapq.merge(*self._side_rows(kind, keys), key=itemgetter(0))
+        return heapq.merge(*self._side_rows(kind), key=itemgetter(0))
 
-    def _side_rows(self, kind: str, keys: tuple) -> list:
+    def _side_rows(self, kind: str) -> list:
         """`select`'s rows of each side of `kind`, one iterator a side."""
         self.flush()
         code = self.find(kind)
+        keys = [key for key, _ in _EXTRA_KEYS.get(kind, ())]
         src, names = self.src, self.names
         return [zip(side.rows, map(names.__getitem__, map(src.__getitem__,
                                                           side.rows)),

@@ -159,6 +159,32 @@ def test_check_only_wrong_typed_field_exits_2(tmp_path, capsys, line,
     assert captured.out == ""
 
 
+def test_check_only_undecodable_byte_names_its_line(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(HEADER_LINE.encode() + b"\n"
+                     + b'{"time":0,"kind":"signup","src":"C\xff"}\n')
+    assert main(["--check-only", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: malformed trace: line 2: 'utf-8' codec can't decode byte "
+        "0xff in position 34: invalid start byte\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag,error", [
+    ("--check-only", "malformed trace: line 1"),
+    ("--scenario", "invalid scenario"),
+    ("--sweep", "invalid sweep spec"),
+])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, flag, error):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    assert main([flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}: JSON nested too deeply\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("line", [
     '{"time":0,"kind":"signup_complete","src":"X"}',
     '{"time":0,"kind":"signup_complete","src":"Z1"}',
@@ -234,6 +260,10 @@ def _client_99(doc):
 # one-key edits of the bundled good_case.json, with the key or label each
 # error must name
 SCENARIO_PROBES = {
+    "name_out_of_out": (lambda d: d.update(name="../escaped"),
+                        "name must be a string without '/' or NUL"),
+    "name_with_nul": (lambda d: d.update(name="good\0case"),
+                      "name must be a string without '/' or NUL"),
     "fault_scrpit": (lambda d: d.update(fault_scrpit={}), "'fault_scrpit'"),
     "broadcast_client_99": (_client_99, "broadcasts"),
     "max_events": (lambda d: d.update(max_events=10), "'max_events'"),

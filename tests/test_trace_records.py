@@ -1,10 +1,10 @@
 """Record forms: `TraceEvent` rows, their JSON, and the checks on input.
 
 JSON is written only by `to_json` (and the store's columnar writer) and read
-back only by `from_record`; these tests pin that the two are inverse, that a
-trace checks the same in memory and from disk, that in-memory
-post-processing never goes through JSON, and that `from_record` rejects
-every field of the wrong JSON type before the checker reads it.
+back only by `Trace.add_record`; these tests pin that the two are inverse,
+that a trace checks the same in memory and from disk, that in-memory
+post-processing never goes through JSON, and that `add_record` rejects every
+field of the wrong JSON type before the checker reads it.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 from batchcast import metrics, simnet
 from batchcast.properties import check_trace, load_trace_file
 from batchcast.scenarios import CORPUS, good_case, run_scenario
-from batchcast.simnet import TraceEvent
+from batchcast.simnet import Trace, TraceEvent
 
 
 @pytest.fixture(scope="module")
@@ -23,11 +23,18 @@ def corpus_traces():
             for name, factory in sorted(CORPUS.items()) for seed in (0, 3)}
 
 
+def read_back(rec) -> TraceEvent:
+    """The one row `add_record` writes for `rec`."""
+    [ev] = Trace.of([rec])
+    return ev
+
+
 def test_from_record_inverts_to_json(corpus_traces):
     for key, trace in corpus_traces.items():
-        for i, ev in enumerate(trace):
-            assert TraceEvent.from_record(json.loads(ev.to_json())) == ev, \
-                (key, i)
+        rows = list(trace)
+        copy = Trace.of(json.loads(ev.to_json()) for ev in rows)
+        for i, (ev, back) in enumerate(zip(rows, copy, strict=True)):
+            assert back == ev, (key, i)
 
 
 def write_jsonl(path, trace):
@@ -79,8 +86,10 @@ def test_post_processing_never_round_trips_json(monkeypatch):
      "clients": 1},
 ])
 def test_from_record_rejects_malformed_records(rec):
+    trace = Trace()
     with pytest.raises(ValueError):
-        TraceEvent.from_record(rec)
+        trace.add_record(rec)
+    assert not len(trace)
 
 
 def test_load_trace_file_names_the_bad_line(tmp_path):
@@ -115,7 +124,7 @@ def test_from_record_requires_the_keys_the_checker_reads(kind):
     for key in CHECKED_RECORDS[kind]:
         rec = {k: v for k, v in full.items() if k != key}
         with pytest.raises(ValueError, match=f"{kind} record without '{key}'"):
-            TraceEvent.from_record(rec)
+            Trace().add_record(rec)
 
 
 # One value of the wrong JSON type per checked key; `cert` may be absent but
@@ -144,7 +153,7 @@ def test_from_record_checks_the_json_types_the_checker_reads(kind):
     for key, value in WRONG_TYPES[kind].items():
         with pytest.raises(ValueError, match=(
                 f"{kind} record whose '{key}' is not {types[key]}")):
-            TraceEvent.from_record({**full, key: value})
+            Trace().add_record({**full, key: value})
 
 
 @pytest.mark.parametrize("id_value", [[0], [0, 1, 2], [0, True],
@@ -153,15 +162,15 @@ def test_an_id_must_be_a_pair_of_integers(id_value):
     rec = {"time": 1, "kind": "dir_import", "src": "S0", "id": id_value,
            "keycard": "cc"}
     with pytest.raises(ValueError, match="'id' is not a pair of integers"):
-        TraceEvent.from_record(rec)
+        Trace().add_record(rec)
 
 
 def test_a_directory_import_may_carry_a_null_cert_or_none():
     rec = {"time": 1, "kind": "dir_import", "src": "S0", "id": [0, 0],
            "keycard": "cc"}
-    assert "cert" not in TraceEvent.from_record(rec).extra
-    assert TraceEvent.from_record({**rec, "cert": None}).extra["cert"] is None
-    assert TraceEvent.from_record({**rec, "cert": "ff"}).extra["cert"] == "ff"
+    assert "cert" not in read_back(rec).extra
+    assert read_back({**rec, "cert": None}).extra["cert"] is None
+    assert read_back({**rec, "cert": "ff"}).extra["cert"] == "ff"
 
 
 BASE_WRONG_TYPES = [
@@ -180,15 +189,15 @@ def test_every_base_field_has_a_wrong_type_case():
 def test_from_record_checks_the_base_field_types(key, value):
     rec = {"time": 1, "kind": "signup", "src": "C0", key: value}
     with pytest.raises(ValueError, match=f"trace record whose '{key}' is not"):
-        TraceEvent.from_record(rec)
+        Trace().add_record(rec)
 
 
 @pytest.mark.parametrize("time", [2 ** 63, -2 ** 63 - 1, 1.0])
 def test_a_time_must_fit_the_time_column(time):
     with pytest.raises(ValueError, match="integer time"):
-        TraceEvent.from_record({"time": time, "kind": "signup"})
+        Trace().add_record({"time": time, "kind": "signup"})
 
 
 def test_base_fields_take_their_defaults():
-    ev = TraceEvent.from_record({"time": 2 ** 63 - 1, "kind": "signup"})
+    ev = read_back({"time": 2 ** 63 - 1, "kind": "signup"})
     assert (ev.src, ev.dst, ev.bytes_len, ev.tag) == (None, None, 0, "")

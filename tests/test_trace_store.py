@@ -24,6 +24,13 @@ def reference_jsonl(rows) -> str:
     return "\n".join(ev.to_json() for ev in rows) + "\n"
 
 
+def row_of(rec) -> TraceEvent:
+    """The row a valid record stands for, built without the store."""
+    base = {k: v for k, v in rec.items() if k in simnet._BASE_KEYS}
+    return TraceEvent(**base, extra={k: v for k, v in rec.items()
+                                     if k not in simnet._BASE_KEYS})
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_corpus_jsonl_matches_the_row_encoder(name):
     for seed in range(4):
@@ -80,7 +87,7 @@ def forged_records() -> list:
 def test_forged_records_round_trip_through_the_store():
     records = forged_records()
     trace = Trace.of(records)
-    rows = [TraceEvent.from_record(rec) for rec in records]
+    rows = [row_of(rec) for rec in records]
     assert list(trace) == rows
 
 
@@ -89,7 +96,7 @@ def test_forged_jsonl_matches_the_row_encoder(monkeypatch, chunk):
     monkeypatch.setattr(simnet, "_JSONL_CHUNK", chunk)
     records = forged_records() * 3
     trace = Trace.of(records)
-    expected = reference_jsonl(TraceEvent.from_record(r) for r in records)
+    expected = reference_jsonl(map(row_of, records))
     assert "".join(trace.jsonl()) == expected
 
 
@@ -113,14 +120,24 @@ def test_a_trace_is_taken_as_it_is_and_events_are_checked():
 
 def test_select_merges_key_sets_in_row_order():
     trace = Trace.of(forged_records())
-    rows = trace.select("dir_import", ("id", "cert", "keycard"))
-    assert rows == [(4, "S0", (0, 1), None, "aa"),
-                    (5, "S1", (0, 2), "ff", "bb"),
-                    (6, "S2", (0, 3), None, "cc")]
-    assert list(trace.scan("dir_import", ("id", "cert", "keycard"))) == rows
+    rows = trace.select("dir_import")
+    assert rows == [(4, "S0", (0, 1), "aa", None),
+                    (5, "S1", (0, 2), "bb", "ff"),
+                    (6, "S2", (0, 3), "cc", None)]
+    assert list(trace.scan("dir_import")) == rows
     assert trace.select("signup") == [(2, None)]
-    assert trace.select("no such kind", ("x",)) == []
-    assert list(trace.scan("no such kind", ("x",))) == []
+    assert trace.select("no such kind") == []
+    assert list(trace.scan("no such kind")) == []
+
+
+def test_select_gives_the_declared_keys_in_declared_order():
+    """Unchecked keys, such as the header's name, are written but never
+    selected; a kind the schema does not declare selects (row, src)."""
+    trace = Trace.of(forged_records())
+    assert trace.select("scenario") == [(0, None, 4, 1, 2)]
+    assert trace.select("broadcast") == [(7, "C0", "".join(ODD), "%s%%")]
+    assert trace.select("odd%s kind\né") == [(9, None), (10, None),
+                                             (11, None)]
 
 
 def tracked_objects(root) -> int:
@@ -209,8 +226,9 @@ def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
             assert vars(ledger) == vars(CostLedger.from_trace(rows))
             seen_pending += pending > 0
             assert len(rows) == len(trace) and not trace.pending
-            assert trace.select("fb_deliver", ("seq",)) == [
-                (i, ev.src, ev.extra["seq"]) for i, ev in enumerate(rows)
+            assert trace.select("fb_deliver") == [
+                (i, ev.src, ev.extra["origin"], ev.extra["seq"],
+                 ev.extra["payload"]) for i, ev in enumerate(rows)
                 if ev.kind == "fb_deliver"]
             snapshots.append(("".join(trace.jsonl()), trace.time.tolist()))
             assert snapshots[-1][0] == reference_jsonl(rows)
