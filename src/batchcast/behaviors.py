@@ -2,16 +2,14 @@
 
 A behavior may emit arbitrary well-formed wire messages, but it reaches the
 crypto oracle through the same per-process facade as a correct machine, so it
-can only sign with its own key.  Each is built with the arguments of the
-correct machine of its process kind, by keyword, plus its spec keys as
-keywords, each decoded from its JSON value and checked against the scenario's
-counts.
+can only sign with its own key.  Each `BEHAVIORS` row types its spec keys as
+scenario key-table kinds and bounds their values; scenario assembly reads
+every fault-script entry through its row before it builds anything.
 """
 
 from __future__ import annotations
 
-from itertools import cycle
-from operator import index
+from binascii import a2b_hex
 
 from .crypto import Certificate, MerkleProof
 from .procs import ProcessId, ProcessKind, brokers, server
@@ -50,15 +48,8 @@ class EquivocatingClient(Machine):
     exception against this client.
     """
 
-    def __init__(self, *, n_brokers: int, preloaded, plan, context: bytes,
+    def __init__(self, *, preloaded, context: bytes,
                  messages: tuple[bytes, bytes], **_client_kwargs):
-        if len(messages) > n_brokers:
-            raise ValueError(f"sends its {len(messages)} messages to one "
-                             "broker each, so brokers must be at least "
-                             f"{len(messages)}")
-        if preloaded is None or plan:
-            raise ValueError("submits its own messages under a preloaded id, "
-                             "so needs preload_directory, no broadcasts entry")
         self.context = context
         self.messages = messages
         self.preloaded = preloaded
@@ -135,79 +126,55 @@ class LoneCommitBroker(BrokerMachine):
         super()._advance(ctx, root)
 
 
-def _list(decode, count=None):
-    """A decoder of a JSON list of `count` (any number if None) items."""
-    def decode_list(value, _scenario) -> tuple:
-        if type(value) is not list or count not in (None, len(value)):
-            raise ValueError(f"must be a list of {count or 'any number of'} "
-                             "items")
-        return tuple(map(decode, value))
-    return decode_list
+def _client_ordinals(censored: list, scenario: Scenario) -> list:
+    if not all(0 <= j < scenario.n_clients for j in censored):
+        raise ValueError(f"each must be < clients = {scenario.n_clients}")
+    return censored
 
 
-def _target_id(value, scenario) -> tuple:
-    """An id in range that a client holds in the preloaded directory, which
-    the scenario must have: live ids are assigned only during the run."""
+def _held_id(target_id: list, scenario: Scenario) -> tuple:
+    """An id a client holds in the preloaded directory, which the scenario
+    must have: live ids are assigned only during the run."""
     if not scenario.preload_directory:
         raise ValueError("needs preload_directory, as live ids are assigned "
                          "during the run")
-    domain, index = _ordinals("n_servers", "n_clients")(value, scenario)
-    if domain + scenario.n_servers * index >= scenario.n_clients:
-        raise ValueError(f"no client has the preloaded id {[domain, index]}: "
-                         "domain + servers * index must be < clients")
-    return domain, index
+    n = scenario.n_servers
+    j = target_id[0] + n * target_id[-1] if target_id else -1  # its client
+    if not 0 <= j < scenario.n_clients or [j % n, j // n] != target_id:
+        raise ValueError(f"no client j < clients holds {target_id} as its "
+                         "preloaded id [j % servers, j // servers]")
+    return tuple(target_id)
 
 
-def _ordinals(*bounds):
-    """A decoder of a JSON list of integers, each below the scenario count
-    its bound names: with one bound any number of items, with more one item
-    per bound, in order."""
-    items = _list(index, None if len(bounds) == 1 else len(bounds))
-
-    def decode_ordinals(value, scenario) -> tuple:
-        decoded = items(value, scenario)
-        for item, bound in zip(decoded, cycle(bounds)):
-            count = getattr(scenario, bound)
-            if not 0 <= item < count:
-                raise ValueError(f"{item} is not in [0, {bound[2:]} = "
-                                 f"{count})")
-        return decoded
-    return decode_ordinals
+def _two_messages(messages: list, _scenario) -> tuple:
+    decoded = tuple(map(a2b_hex, messages))
+    if len(decoded) != 2 or decoded[0] == decoded[1]:
+        raise ValueError("must be two different hex strings, one per broker")
+    return decoded
 
 
-# behavior name -> (process kind, class, spec key -> decoder(value, scenario))
-_BEHAVIORS = {
-    "silent_broker": (ProcessKind.BROKER, SilentBroker, {}),
+def _submits_alone(scenario: Scenario, pid: ProcessId):
+    if scenario.n_brokers < 2:
+        raise ValueError("brokers must be at least 2, one per message")
+    if not scenario.preload_directory or any(
+            e["client"] == pid.ordinal for e in scenario.broadcasts):
+        raise ValueError("submits its own messages under a preloaded id, "
+                         "so needs preload_directory, no broadcasts entry")
+
+
+# name -> (process kind, machine, {spec key: (key-table kind, bound(value,
+# scenario) -> keyword argument)}, check(scenario, pid) or None), where
+# bounds and checks raise ValueError
+BEHAVIORS = {
+    "silent_broker": (ProcessKind.BROKER, SilentBroker, {}, None),
     "censoring_broker": (ProcessKind.BROKER, CensoringBroker,
-                         {"censored": _ordinals("n_clients")}),
-    "lone_commit_broker": (ProcessKind.BROKER, LoneCommitBroker, {}),
+                         {"censored": ([int], _client_ordinals)}, None),
+    "lone_commit_broker": (ProcessKind.BROKER, LoneCommitBroker, {}, None),
     "equivocating_client": (ProcessKind.CLIENT, EquivocatingClient,
-                            {"context": lambda v, _: bytes.fromhex(v),
-                             "messages": _list(bytes.fromhex, 2)}),
+                            {"context": (str, lambda v, _: a2b_hex(v)),
+                             "messages": ([str], _two_messages)},
+                            _submits_alone),
     "false_exception_server": (ProcessKind.SERVER, FalseExceptionServer,
-                               {"target_id": _target_id}),
-    "stalling_server": (ProcessKind.SERVER, StallingServer, {}),
+                               {"target_id": ([int], _held_id)}, None),
+    "stalling_server": (ProcessKind.SERVER, StallingServer, {}, None),
 }
-
-
-def build(pid: ProcessId, spec: dict, machine_kwargs: dict,
-          scenario: Scenario) -> Machine:
-    """The machine fault-script entry `spec` of `scenario` makes of `pid`,
-    built on the keyword arguments of its correct machine; raises ValueError
-    naming the label, and the key if a value is malformed or names no process
-    or id."""
-    where, name = f"fault_script.{pid.label}", spec.get("behavior")
-    kind, cls, decoders = _BEHAVIORS.get(str(name), (None, None, {}))
-    if kind is not pid.kind or spec.keys() - {"behavior"} != decoders.keys():
-        raise ValueError(f"{where}: no {pid.kind.name.lower()} behavior "
-                         f"{name!r} takes the keys {sorted(spec)}")
-    kwargs = {}
-    for key, decode in decoders.items():
-        try:
-            kwargs[key] = decode(spec[key], scenario)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{where}.{key}: {exc}") from None
-    try:
-        return cls(**machine_kwargs, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None

@@ -287,7 +287,8 @@ def check_trace(trace) -> dict[str, Verdict]:
 
 
 def load_trace_file(path: str) -> Trace:
-    """Read a UTF-8 JSONL trace; ValueError names the first bad line."""
+    """Read a UTF-8 JSONL trace; ValueError names the first bad line, or
+    line 1 if the first record is not the scenario header."""
     trace = Trace()
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -297,4 +298,7 @@ def load_trace_file(path: str) -> Trace:
                     trace.add_record(parse_json(line))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
+    header = next(trace.scan("scenario"), None)
+    if header is None or header[0] != 0:
+        raise ValueError("line 1: the first record is not a scenario header")
     return trace

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
-from .procs import ProcessKind
+from .procs import ProcessId, ProcessKind
 from .protocol import (BatchCheck, BrokerMachine, ClientMachine,
                        ServerMachine)
 from .simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario,
@@ -105,6 +105,33 @@ def _read(where: str, value, kind):
     return kind.target(**attrs)
 
 
+def _read_behavior(pid: ProcessId, spec, s: Scenario) -> tuple:
+    """The machine and keyword arguments of `pid`'s fault-script entry, read
+    and bounded by its `behaviors.BEHAVIORS` row; ValueError names the key."""
+    where = f"fault_script.{pid.label}"
+    name = _read(where, spec, dict).get("behavior")
+    kind, cls, keys, check = behaviors.BEHAVIORS.get(str(name), (None,) * 4)
+    if kind is not pid.kind:
+        raise ValueError(f"{where}.behavior: no {pid.kind.name.lower()} "
+                         f"behavior is called {name!r}")
+    table = {key: (key, sub) for key, (sub, _) in keys.items()}
+    spec = _read(where, spec,
+                 KeyTable(dict, {"behavior": ("behavior", str), **table}))
+    kwargs = {key: _at(f"{where}.{key}", bound, spec[key], s)
+              for key, (_, bound) in keys.items()}
+    if check:
+        _at(where, check, s, pid)
+    return cls, kwargs
+
+
+def _at(where: str, check, *args):
+    """`check(*args)`, its ValueError prefixed with `where`."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _write(value, kind):
     """The JSON form of a value that `_read` gives for `kind`."""
     if isinstance(kind, KeyTable):
@@ -124,7 +151,7 @@ def scenario_to_json(s: Scenario) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario file through `SCENARIO_KEYS` (see `read_keys`); its
-    values are bounded by `Scenario.validate`, when the simulation is built."""
+    values are bounded when the simulation is built (`build_simulation`)."""
     return read_keys(parse_json(text), SCENARIO_KEYS, "scenario document")
 
 
@@ -149,10 +176,6 @@ def build_simulation(scenario: Scenario) -> Simulation:
     each process's kind, or the behavior its fault-script entry names."""
     s = scenario
     s.validate()
-    processes = s.processes()
-    oracle = Oracle(processes)
-    preloads = preloaded_directory(oracle, s) if s.preload_directory else ()
-
     plans: dict[int, list] = {}
     bits = s.payload_bits
     for i, entry in enumerate(s.broadcasts):
@@ -166,13 +189,18 @@ def build_simulation(scenario: Scenario) -> Simulation:
             raise ValueError(f"broadcasts[{i}]: context and message must be "
                              f"{bits} bits together, as in broadcasts[0]")
         plans.setdefault(entry["client"], []).append(plan)
-
+    processes = s.processes()
+    script = s.fault_script
+    faulty = {pid: _read_behavior(pid, script[pid.label], s)
+              for pid in (processes if script else ()) if pid.label in script}
+    oracle = Oracle(processes)
+    preloads = preloaded_directory(oracle, s) if s.preload_directory else ()
     common = {"n_servers": s.n_servers, "f": s.fault_bound}
     # one BatchCheck for all servers: they are sent the same batches
     server_kwargs = dict(common, preloaded=preloads, check_batch=BatchCheck())
     machines = {}
     for pid in processes:
-        spec = s.fault_script.get(pid.label) if s.fault_script else None
+        behavior = faulty.get(pid) if faulty else None
         if pid.kind is ProcessKind.SERVER:
             correct, kwargs = ServerMachine, server_kwargs
         elif pid.kind is ProcessKind.BROKER:
@@ -181,7 +209,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
             j = pid.ordinal
             plan, order = plans.get(j, []), s.broker_order.get(j)
             preloaded = preloads[j] if preloads else None
-            if spec is None:  # a correct client, built with no kwargs dict
+            if behavior is None:  # a correct client, built with no kwargs dict
                 machines[pid] = ClientMachine(s.n_servers, s.n_brokers,
                                               s.fault_bound, plan, order,
                                               preloaded)
@@ -189,8 +217,8 @@ def build_simulation(scenario: Scenario) -> Simulation:
             correct, kwargs = ClientMachine, dict(
                 common, n_brokers=s.n_brokers, plan=plan, broker_order=order,
                 preloaded=preloaded)
-        machines[pid] = (correct(**kwargs) if spec is None
-                         else behaviors.build(pid, spec, kwargs, s))
+        cls, spec_kwargs = behavior or (correct, {})
+        machines[pid] = cls(**kwargs, **spec_kwargs)
     return Simulation(s, machines, oracle)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from batchcast import simnet
+from batchcast import crypto, scenarios, simnet
 from batchcast.cli import main
 from batchcast.properties import _keycard
 from batchcast.scenarios import good_case, run_scenario, scenario_to_json
@@ -123,6 +123,24 @@ def test_check_only_malformed_trace_exits_2(tmp_path, capsys, line):
     assert main(["--check-only", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: malformed trace: line 1:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    '{"time":0,"kind":"signup","src":"C0"}\n'
+    '{"time":0,"kind":"scenario","servers":4,"brokers":1,"clients":1}\n',
+], ids=["empty", "header_on_line_2"])
+def test_check_only_trace_without_a_leading_header_exits_2(tmp_path, capsys,
+                                                           text):
+    """With no header the checker would count no servers, and every
+    property would hold vacuously."""
+    path = tmp_path / "headless.jsonl"
+    path.write_text(text)
+    assert main(["--check-only", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: malformed trace: line 1: the first "
+                            "record is not a scenario header\n")
     assert captured.out == ""
 
 
@@ -362,6 +380,11 @@ def _invalid_edit(tmp_path, capsys, name, edit) -> str:
     return captured.err
 
 
+def _spec(label, **keys):
+    """An edit that sets `keys` in the fault-script entry of `label`."""
+    return lambda doc: doc["fault_script"][label].update(keys)
+
+
 def _one_broker(doc):
     doc["brokers"] = 1
     del doc["broker_order"]
@@ -398,6 +421,28 @@ CROSS_KEY_PROBES = {
         "broadcasts"].append(dict(client=3, context="00000003",
                                   message="5a5a5a59", at=0)),
         ("fault_script.C3", "broadcasts")),
+    # one payload twice is no equivocation: no exception would be exercised
+    "equivocator_repeating_a_message": ("equivocating_client", _spec(
+        "C3", messages=["aaaaaaaa", "aaaaaaaa"]),
+        ("fault_script.C3.messages", "different")),
+    "equivocator_repeating_a_message_in_capitals": (
+        "equivocating_client", _spec("C3", messages=["aaaaaaaa", "AAAAAAAA"]),
+        ("fault_script.C3.messages", "different")),
+    # spec values of another JSON type, typed by the scenario key table
+    **{f"{key}_{name}": (file, _spec(label, **{key: [value]}), (
+        f"fault_script.{label}.{key}[0] must be an integer",))
+       for file, label, key in (
+           ("censoring_broker", "B0", "censored"),
+           ("byzantine_server_false_exception", "S3", "target_id"))
+       for name, value in (("true", True), ("1_5", 1.5), ("string", "0"))},
+    "target_id_false_false": ("byzantine_server_false_exception", _spec(
+        "S3", target_id=[False, False]),
+        ("fault_script.S3.target_id[0] must be an integer",)),
+    "context_not_a_string": ("equivocating_client", _spec("C3", context=7),
+                             ("fault_script.C3.context must be a string",)),
+    "messages_not_a_list": ("equivocating_client", _spec(
+        "C3", messages="aaaaaaaabbbbbbbb"),
+        ("fault_script.C3.messages must be a list",)),
 }
 
 
@@ -406,6 +451,23 @@ CROSS_KEY_PROBES = {
 def test_edited_scenario_exits_2_before_it_runs(tmp_path, capsys, name, edit,
                                                 keys):
     err = _invalid_edit(tmp_path, capsys, name, edit)
+    assert all(key in err for key in keys), err
+
+
+def _reached(*_args, **_kwargs):
+    raise AssertionError("set-up began before the fault script was checked")
+
+
+@pytest.mark.parametrize("name", [
+    "censored_true", "target_id_1_1", "equivocator_with_one_broker"])
+def test_malformed_fault_script_exits_2_before_set_up(tmp_path, capsys,
+                                                      monkeypatch, name):
+    """A fault-script entry is checked before the oracle mints a key or the
+    preloaded directory a certificate."""
+    monkeypatch.setattr(scenarios, "preloaded_directory", _reached)
+    monkeypatch.setattr(crypto.Oracle, "__init__", _reached)
+    file, edit, keys = CROSS_KEY_PROBES[name]
+    err = _invalid_edit(tmp_path, capsys, file, edit)
     assert all(key in err for key in keys), err
 
 

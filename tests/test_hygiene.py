@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, every
-scenario setting has one file key and one README row, every writer of a
-checked record kind passes the keys its schema requires, and every dotted
-name the docs quote still names something."""
+scenario setting has one file key and one README row, every behavior and
+each of its spec keys have one README row, every writer of a checked record
+kind passes the keys its schema requires, and every dotted name the docs
+quote still names something."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import batchcast
+from batchcast.behaviors import BEHAVIORS
 from batchcast.scenarios import SCENARIO_KEYS, KeyTable
 from batchcast.simnet import (_ABSENT, _EXTRA_KEYS, _JSON_TYPES, DelayPolicy,
                               Scenario)
@@ -95,6 +97,32 @@ def test_every_setting_has_one_file_key_and_one_readme_row():
     table = table.split("\n\n")[0].splitlines()[1:]
     documented = [re.match(r"\| `([^`]+)` \|", line)[1] for line in table]
     assert sorted(documented) == sorted(key for _, _, key in rows if key)
+
+
+_JSON_TYPE_NAMES = {int: "integer", str: "string"}
+
+
+def _json_type(kind) -> str:
+    """The README's name of a fault-script key's key-table kind."""
+    if type(kind) is list:
+        return f"list of {_JSON_TYPE_NAMES[kind[0]]}s"
+    return _JSON_TYPE_NAMES[kind]
+
+
+def test_every_behavior_and_spec_key_has_one_readme_row():
+    """(behavior, process, key, type) per README row; a behavior without
+    keys has one row with no key."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("| behavior | process | key | type | range |\n")[1]
+    table = table.split("\n\n")[0].splitlines()[1:]
+    documented = [tuple(cell.strip(" `") for cell in line.split("|")[1:5])
+                  for line in table]
+    rows = [(name, process.name.lower(), key, _json_type(kind))
+            for name, (process, _, keys, _) in BEHAVIORS.items()
+            for key, (kind, _) in keys.items()]
+    rows += [(name, process.name.lower(), "", "")
+             for name, (process, _, keys, _) in BEHAVIORS.items() if not keys]
+    assert sorted(documented) == sorted(rows)
 
 
 def _writes(tree: ast.Module) -> list:

@@ -280,6 +280,8 @@ VALIDATE_PROBES = {
     "broker_order_0_0": (lambda sc: setattr(sc, "broker_order", {0: [0.0]}),
                          "broker_order"),
     "seed_x": (lambda sc: setattr(sc, "seed", "x"), "seed"),
+    "fault_script_entry_not_an_object": (lambda sc: sc.fault_script.update(
+        C1="equivocating_client"), "fault_script.C1 must be an object"),
 }
 
 
