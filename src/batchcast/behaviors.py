@@ -2,9 +2,12 @@
 
 A behavior may emit arbitrary well-formed wire messages, but it reaches the
 crypto oracle through the same per-process facade as a correct machine, so it
-can only sign with its own key.  Each `BEHAVIORS` row types its spec keys as
-scenario key-table kinds and bounds their values; scenario assembly reads
-every fault-script entry through its row before it builds anything.
+can only sign with its own key.  A behavior overrides only the step it
+corrupts; the commit step has two such seams, `BrokerMachine._commit`, which
+sends the commit certificate, and `ServerMachine._commit_shard`, which signs
+a commit shard.  Each `BEHAVIORS` row types its spec keys as scenario
+key-table kinds and bounds their values; scenario assembly reads every
+fault-script entry through its row before it builds anything.
 """
 
 from __future__ import annotations
@@ -12,12 +15,11 @@ from __future__ import annotations
 from binascii import a2b_hex
 
 from .crypto import Certificate, MerkleProof
-from .procs import ProcessId, ProcessKind, brokers, server
-from .protocol import BrokerMachine, Phase, ServerMachine
+from .procs import ProcessId, ProcessKind, brokers
+from .protocol import BrokerMachine, ServerMachine
 from .simnet import Context, Machine, Scenario
-from .wire import (Commit, CommitShard, EquivocationProof, Inclusion,
-                   Reduction, Submission, stmt_commit, stmt_message,
-                   stmt_reduction, stmt_witness)
+from .wire import (Commit, EquivocationProof, Inclusion, Reduction,
+                   Submission, stmt_message, stmt_reduction, stmt_witness)
 
 
 class SilentBroker(Machine):
@@ -74,31 +76,21 @@ class FalseExceptionServer(ServerMachine):
         super().__init__(*args, **kwargs)
         self.target_id = target_id
 
-    def handle_witness(self, ctx, root, certificate):
-        shard = super().handle_witness(ctx, root, certificate)
-        if shard is None:
-            return None
-        batch = self.batches[root]
-        if self.target_id not in batch.ids:
-            return shard
-        fake_root = bytes(32)
-        fake = EquivocationProof(
-            fake_root,
-            Certificate(frozenset([ctx.pid.ordinal]),
-                        ctx.multisign(stmt_witness(fake_root))),
-            MerkleProof(0, ()),
-            b"forged-conflict")
-        conflicts = tuple(list(shard.conflicts) + [(self.target_id, fake)])
-        exceptions = frozenset(i for i, _ in conflicts)
-        return CommitShard(root, conflicts,
-                           ctx.multisign(stmt_commit(root, exceptions)))
+    def _commit_shard(self, ctx, root, conflicts):
+        if self.target_id in self.batches[root].ids:
+            fake_root = bytes(32)
+            conflicts = [*conflicts, (self.target_id, EquivocationProof(
+                fake_root,
+                Certificate(frozenset([ctx.pid.ordinal]),
+                            ctx.multisign(stmt_witness(fake_root))),
+                MerkleProof(0, ()), b"forged-conflict"))]
+        return super()._commit_shard(ctx, root, conflicts)
 
 
 class StallingServer(ServerMachine):
     """Correct until witnessed, then never commits or completes."""
 
-    def handle_witness(self, ctx, root, certificate):
-        super().handle_witness(ctx, root, certificate)
+    def _commit_shard(self, ctx, root, conflicts):
         return None
 
     def handle_commit(self, ctx, root, patches):
@@ -112,18 +104,9 @@ class LoneCommitBroker(BrokerMachine):
     the totality exchange.
     """
 
-    def _advance(self, ctx, root):
-        batch = self.batches.get(root)
-        if batch is None:
-            return
-        if (batch.phase is Phase.COMMITTING and batch.committable
-                and len(batch.commits) >= 2 * self.f + 1):
-            target = min(batch.commit_to)
-            ctx.send(server(target),
-                     Commit(root, self._commit_patches(ctx, batch)))
-            del self.batches[root]  # never completes: clients must resubmit
-            return
-        super()._advance(ctx, root)
+    def _commit(self, ctx, root, batch, patches):
+        ctx.send(self.servers[min(batch.commit_to)], Commit(root, patches))
+        del self.batches[root]  # never completes: clients must resubmit
 
 
 def _client_ordinals(censored: list, scenario: Scenario) -> list:

@@ -47,8 +47,7 @@ def _run(args) -> int:
                 trace_name: sim.trace.jsonl(),
                 f"{scenario.name}.report.json": json.dumps(report, indent=2)}):
             return 2
-    failed = _print_verdicts(verdicts)
-    return 1 if failed else 0
+    return _print_verdicts(verdicts)
 
 
 def _check(args) -> int:
@@ -57,9 +56,7 @@ def _check(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: malformed trace: {exc}", file=sys.stderr)
         return 2
-    verdicts = properties.check_trace(records)
-    failed = _print_verdicts(verdicts)
-    return 1 if failed else 0
+    return _print_verdicts(properties.check_trace(records))
 
 
 def _sweep(args) -> int:
@@ -98,16 +95,13 @@ def _write_files(directory: str, files: dict) -> bool:
     return True
 
 
-def _print_verdicts(verdicts) -> bool:
-    failed = False
+def _print_verdicts(verdicts) -> int:
+    """Print each property's verdict; the exit code, 1 if one failed."""
     for name in properties.ALL_PROPERTIES:
         v = verdicts[name]
-        if v.ok:
-            print(f"PASS {name}")
-        else:
-            failed = True
-            print(f"FAIL {name} at event {v.counterexample}: {v.detail}")
-    return failed
+        print(f"PASS {name}" if v.ok else
+              f"FAIL {name} at event {v.counterexample}: {v.detail}")
+    return 0 if all(v.ok for v in verdicts.values()) else 1
 
 
 def main(argv=None) -> int:

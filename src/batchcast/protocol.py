@@ -215,12 +215,10 @@ class BrokerMachine(Machine):
             self._on_reduction(ctx, src, msg)
         elif isinstance(msg, BatchAcquired):
             self._on_batch_acquired(ctx, src, msg)
-        elif isinstance(msg, WitnessShard):
-            self._on_witness_shard(ctx, src, msg)
+        elif isinstance(msg, (WitnessShard, CompletionShard)):
+            self._on_shard(ctx, src, msg)
         elif isinstance(msg, CommitShard):
             self._on_commit_shard(ctx, src, msg)
-        elif isinstance(msg, CompletionShard):
-            self._on_completion_shard(ctx, src, msg)
 
     def on_timer(self, ctx: Context, tag: tuple):
         if tag[0] == "flush":
@@ -292,7 +290,7 @@ class BrokerMachine(Machine):
         batch.phase = Phase.WITNESSING
         ctx.set_timer(("committable", root), COMMITTABLE_TIMEOUT)
 
-    # -- witnessing ------------------------------------------------------------
+    # -- witnessing and completion ---------------------------------------------
 
     def _on_batch_acquired(self, ctx, src: ProcessId, msg: BatchAcquired):
         batch = self.batches.get(msg.root)
@@ -305,16 +303,23 @@ class BrokerMachine(Machine):
         stragglers = tuple(sorted(batch.signatures.items()))
         ctx.send(src, Signatures(msg.root, assignments, msig, stragglers))
 
-    def _on_witness_shard(self, ctx, src: ProcessId, msg: WitnessShard):
+    def _on_shard(self, ctx, src: ProcessId, msg):
+        """A server's aggregate over the statement of the batch's phase:
+        witness or completion.  A witness shard's sender gets the commit."""
         batch = self.batches.get(msg.root)
         if batch is None or src.kind != ProcessKind.SERVER:
             return
-        batch.commit_to.add(src.ordinal)
-        if batch.phase is not Phase.WITNESSING:
+        if isinstance(msg, WitnessShard):
+            batch.commit_to.add(src.ordinal)
+            phase, shards = Phase.WITNESSING, batch.witnesses
+        else:
+            phase, shards = Phase.COMPLETING, batch.completions
+        if batch.phase is not phase:
             return
-        if ctx.verify_aggregate([ctx.keycard(src)], stmt_witness(msg.root),
-                                msg.shard):
-            batch.witnesses[src.ordinal] = msg.shard
+        statement = (stmt_witness(msg.root) if phase is Phase.WITNESSING
+                     else stmt_completion(msg.root, batch.exclusions))
+        if ctx.verify_aggregate([ctx.keycard(src)], statement, msg.shard):
+            shards[src.ordinal] = msg.shard
             self._advance(ctx, msg.root)
 
     # -- committing --------------------------------------------------------------
@@ -353,19 +358,6 @@ class BrokerMachine(Machine):
             return False
         return message != ep.conflict_message
 
-    # -- completion ---------------------------------------------------------------
-
-    def _on_completion_shard(self, ctx, src: ProcessId, msg: CompletionShard):
-        batch = self.batches.get(msg.root)
-        if (batch is None or batch.phase is not Phase.COMPLETING
-                or src.kind != ProcessKind.SERVER):
-            return
-        if ctx.verify_aggregate([ctx.keycard(src)],
-                                stmt_completion(msg.root, batch.exclusions),
-                                msg.shard):
-            batch.completions[src.ordinal] = msg.shard
-            self._advance(ctx, msg.root)
-
     # -- phase advancement ----------------------------------------------------------
 
     def _advance(self, ctx: Context, root: bytes):
@@ -379,11 +371,7 @@ class BrokerMachine(Machine):
             batch.phase = Phase.COMMITTING
         if (batch.phase is Phase.COMMITTING and batch.committable
                 and len(batch.commits) >= 2 * self.f + 1):
-            patches = self._commit_patches(ctx, batch)
-            ctx.send_all([self.servers[o] for o in sorted(batch.commit_to)],
-                         Commit(root, patches))
-            batch.exclusions = exclusion_union(patches)
-            batch.phase = Phase.COMPLETING
+            self._commit(ctx, root, batch, self._commit_patches(ctx, batch))
         if (batch.phase is Phase.COMPLETING
                 and len(batch.completions) >= self.f + 1):
             certificate = ctx.certify(batch.completions)
@@ -391,6 +379,13 @@ class BrokerMachine(Machine):
                           for i in batch.payloads],
                          Completion(root, certificate, batch.exclusions))
             del self.batches[root]
+
+    def _commit(self, ctx: Context, root: bytes, batch: _Batch, patches):
+        """Send `patches` to each witness shard's sender; await completion."""
+        ctx.send_all([self.servers[o] for o in sorted(batch.commit_to)],
+                     Commit(root, patches))
+        batch.exclusions = exclusion_union(patches)
+        batch.phase = Phase.COMPLETING
 
     @staticmethod
     def _commit_patches(ctx: Context, batch: _Batch) -> tuple:
@@ -507,11 +502,7 @@ class ServerMachine(Machine):
             self.handle_commit(ctx, msg.root, msg.patches)
 
     def _send_cached(self, ctx, src, key, response):
-        cached = self.replies.get(key)
-        if cached is None:
-            self.replies[key] = response
-            cached = response
-        ctx.send(src, cached)
+        ctx.send(src, self.replies.setdefault(key, response))
 
     def on_timer(self, ctx: Context, tag: tuple):
         if tag[0] == "offer_totality":
@@ -594,6 +585,11 @@ class ServerMachine(Machine):
                     self.batches[original_root].prove(ident),
                     original_message)))
                 ctx.emit("exception", id=tuple(ident), root=root.hex())
+        return self._commit_shard(ctx, root, conflicts)
+
+    def _commit_shard(self, ctx: Context, root: bytes,
+                      conflicts: list) -> CommitShard:
+        """Sign `root` with the exceptions that `conflicts` prove."""
         exceptions = frozenset(i for i, _ in conflicts)
         shard = ctx.multisign(stmt_commit(root, exceptions))
         return CommitShard(root, tuple(conflicts), shard)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from binascii import a2b_hex
 from dataclasses import MISSING, fields
 from functools import partial
 from typing import NamedTuple
@@ -175,20 +174,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
     """Validate `scenario` and build its machines: the correct machine of
     each process's kind, or the behavior its fault-script entry names."""
     s = scenario
-    s.validate()
-    plans: dict[int, list] = {}
-    bits = s.payload_bits
-    for i, entry in enumerate(s.broadcasts):
-        try:
-            plan = (entry["at"], a2b_hex(entry["context"]),
-                    a2b_hex(entry["message"]))
-        except ValueError:
-            raise ValueError(f"broadcasts[{i}]: context and message must be "
-                             "hex") from None
-        if 8 * (len(plan[1]) + len(plan[2])) != bits:
-            raise ValueError(f"broadcasts[{i}]: context and message must be "
-                             f"{bits} bits together, as in broadcasts[0]")
-        plans.setdefault(entry["client"], []).append(plan)
+    plans = s.validate()
     processes = s.processes()
     script = s.fault_script
     faulty = {pid: _read_behavior(pid, script[pid.label], s)

@@ -34,12 +34,13 @@ import random
 import re
 import struct
 from array import array
+from binascii import a2b_hex
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import crypto, wire
 from .bits import DecodeError
@@ -117,12 +118,22 @@ class Scenario:
         return next((4 * (len(e["context"]) + len(e["message"]))
                      for e in self.broadcasts), 64)
 
-    def validate(self):
-        """Raises ValueError naming the key of the first out-of-model value:
-        where a scenario file takes an integer, only an int is in the model."""
+    def validate(self) -> dict[int, list]:
+        """Each client's broadcasts, {client: [(at, context, message)]}, hex
+        decoded.  Raises ValueError naming the key of the first out-of-model
+        value: where a scenario file takes an integer, only an int is."""
+        for key, kind in (("delay_policy", DelayPolicy),
+                          ("delay_policy.overrides", dict),
+                          ("broadcasts", list), ("broker_order", dict),
+                          ("fault_script", dict), ("preload_directory", bool)):
+            if type(attrgetter(key)(self)) is not kind:
+                raise ValueError(f"{key} must be a {kind.__name__}")
+        dp, bs, order = self.delay_policy, self.broadcasts, self.broker_order
         name = self.name
         if not isinstance(name, str) or "/" in name or "\0" in name:
             raise ValueError("name must be a string without '/' or NUL")
+        if not name:
+            raise ValueError("name must not be empty")
         f = self.fault_bound
         if type(f) is not int or f < 0 or self.n_servers != 3 * f + 1:
             raise ValueError("fault_bound must be at least 0, servers 3f + 1")
@@ -131,7 +142,6 @@ class Scenario:
             if type(n) is not int or not 1 <= n <= bound:
                 raise ValueError(f"{key} must be an integer of at least 1 and "
                                  f"at most {bound}")
-        dp, bs = self.delay_policy, self.broadcasts
         for key, value, allowed in (
                 ("synchrony", self.synchrony, (GOOD_CASE, ADVERSARIAL)),
                 ("timer_policy", self.timer_policy, ("timeout", "scheduler")),
@@ -143,9 +153,6 @@ class Scenario:
         for key, delay in delays.items():
             if type(delay) is not int or not 1 <= delay <= TICK_BOUND:
                 raise ValueError(f"delay_policy.{key} not in 1..{TICK_BOUND}")
-        for i, e in enumerate(bs):
-            if type(e["at"]) is not int or not 0 <= e["at"] <= TICK_BOUND:
-                raise ValueError(f"broadcasts[{i}].at not in 0..{TICK_BOUND}")
         if type(self.seed) is not int:
             raise ValueError("seed must be an int")
         if dp.min_delay > dp.max_delay or (dp.kind == "constant"
@@ -168,17 +175,42 @@ class Scenario:
                              "faulty servers")
         if sum(label[0] == "B" for label in labels) >= self.n_brokers:
             raise ValueError("brokers must be more than the faulty brokers")
-        clients = [e["client"] for e in bs]
-        if not {*map(type, clients)} <= {int} or clients and not (
-                0 <= min(clients) <= max(clients) < self.n_clients):
-            raise ValueError(f"a broadcasts client is not < {self.n_clients}")
-        if len({(e["client"], e["context"].lower()) for e in bs}) < len(bs):
+        for j, order_j in order.items():
+            if type(j) is not int or not 0 <= j < self.n_clients:
+                raise ValueError("broker_order names a missing client")
+            if (type(order_j) is not list or {*map(type, order_j)} - {int}
+                    or sorted(order_j) != [*range(self.n_brokers)]):
+                raise ValueError(f"broker_order.{j} must list each broker "
+                                 f"0..{self.n_brokers - 1} once")
+        plans: dict[int, list] = {}
+        for i, e in enumerate(bs):
+            try:
+                j, at, c, m = e["client"], e["at"], e["context"], e["message"]
+            except (KeyError, TypeError):
+                raise ValueError(f"broadcasts[{i}] must be an object with "
+                                 "client, context, message and at") from None
+            if type(at) is not int or not 0 <= at <= TICK_BOUND:
+                raise ValueError(f"broadcasts[{i}].at not in 0..{TICK_BOUND}")
+            if type(j) is not int or not 0 <= j < self.n_clients:
+                raise ValueError("a broadcasts client is not < "
+                                 f"{self.n_clients}")
+            try:
+                plan = (at, a2b_hex(c), a2b_hex(m))
+                if not type(c) is type(m) is str:
+                    raise TypeError  # bytes, which a2b_hex takes as well
+            except (TypeError, ValueError):
+                raise ValueError(f"broadcasts[{i}]: context and message must "
+                                 "be hex") from None
+            if i == 0:
+                digits = len(c) + len(m)
+            elif len(c) + len(m) != digits:
+                raise ValueError(f"broadcasts[{i}]: context and message must "
+                                 f"be {self.payload_bits} bits together, as "
+                                 "in broadcasts[0]")
+            plans.setdefault(j, []).append(plan)
+        if sum(len({c for _, c, _ in p}) for p in plans.values()) < len(bs):
             raise ValueError("broadcasts repeat a client and context")
-        order = self.broker_order
-        if not (all(type(j) is int and 0 <= j < self.n_clients for j in order)
-                and all(type(b) is int and 0 <= b < self.n_brokers
-                        for b in chain.from_iterable(order.values()))):
-            raise ValueError("broker_order names a missing client or broker")
+        return plans
 
     def processes(self) -> list[ProcessId]:
         return [*servers(self.n_servers), *brokers(self.n_brokers),
@@ -576,14 +608,11 @@ class Context:
         return self.sim.now
 
     def send(self, dst: ProcessId, msg):
-        sim = self.sim
-        data = wire.serialize(sim.wire_ctx, msg)
-        tag = sim._tag_codes.get(type(msg)) or sim._tag_code(msg)
-        sim._schedule_send(self, (dst,), data, tag)
+        self.send_all((dst,), msg)
 
     def send_all(self, dsts, msg):
-        """`send` to each of the sequence `dsts` in one scheduling call.  As
-        by `send`, each copy is serialized: all but the first are hits in
+        """Send `msg` to each of the sequence `dsts` in one scheduling call.
+        Each copy is serialized: all but the first are hits in
         `wire.serialize`'s memo, and its wrappers see one call per copy."""
         sim = self.sim
         serialize, wire_ctx = wire.serialize, sim.wire_ctx

@@ -443,6 +443,15 @@ CROSS_KEY_PROBES = {
     "messages_not_a_list": ("equivocating_client", _spec(
         "C3", messages="aaaaaaaabbbbbbbb"),
         ("fault_script.C3.messages must be a list",)),
+    # a client that would never try one broker: a setup error, not a
+    # property violation
+    **{f"broker_order_{name}": ("censoring_broker", lambda d, o=order: d[
+        "broker_order"].update({"0": o}),
+        ("broker_order.0 must list each broker 0..1 once",))
+       for name, order in (("0_0", [0, 0]), ("0", [0]), ("empty", []))},
+    # would write the hidden files .trace.jsonl and .report.json
+    "empty_name": ("good_case", lambda d: d.update(name=""),
+                   ("name must not be empty",)),
 }
 
 
@@ -452,6 +461,31 @@ def test_edited_scenario_exits_2_before_it_runs(tmp_path, capsys, name, edit,
                                                 keys):
     err = _invalid_edit(tmp_path, capsys, name, edit)
     assert all(key in err for key in keys), err
+
+
+# edits made alike to a bundled file and to the Scenario its factory builds:
+# (file, edit(broadcasts, broker_order, client key type), the key named)
+PARITY_PROBES = {
+    "at_1_5": ("good_case", lambda bs, _, __: bs[0].update(at=1.5),
+               "broadcasts[0].at"),
+    "at_missing": ("good_case", lambda bs, _, __: bs[0].pop("at"),
+                   "broadcasts[0]"),
+    "broker_order_0_0": ("censoring_broker", lambda _, order, key: (
+        order.update({key(0): [0, 0]})), "broker_order"),
+}
+
+
+@pytest.mark.parametrize("name,edit,key", PARITY_PROBES.values(),
+                         ids=PARITY_PROBES.keys())
+def test_a_file_and_its_python_scenario_name_one_key(tmp_path, capsys, name,
+                                                     edit, key):
+    err = _invalid_edit(tmp_path, capsys, name, lambda d: edit(
+        d["broadcasts"], d["broker_order"], str))
+    scenario = scenarios.CORPUS[name]()
+    edit(scenario.broadcasts, scenario.broker_order, int)
+    with pytest.raises(ValueError) as raised:
+        run_scenario(scenario)
+    assert key in err and key in str(raised.value), (err, raised.value)
 
 
 def _reached(*_args, **_kwargs):

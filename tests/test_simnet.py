@@ -282,6 +282,34 @@ VALIDATE_PROBES = {
     "seed_x": (lambda sc: setattr(sc, "seed", "x"), "seed"),
     "fault_script_entry_not_an_object": (lambda sc: sc.fault_script.update(
         C1="equivocating_client"), "fault_script.C1 must be an object"),
+    # malformed entries and containers, which a scenario file's key table
+    # would have typed
+    "entry_without_at": (lambda sc: sc.broadcasts[0].pop("at"),
+                         "broadcasts[0] must be an object"),
+    "context_an_int": (lambda sc: sc.broadcasts[0].update(context=7),
+                       "broadcasts[0]: context and message must be hex"),
+    "message_an_int": (lambda sc: sc.broadcasts[1].update(message=7),
+                       "broadcasts[1]: context and message must be hex"),
+    "message_bytes": (lambda sc: sc.broadcasts[0].update(
+        message=sc.broadcasts[0]["message"].encode()),
+        "broadcasts[0]: context and message must be hex"),
+    "entry_not_an_object": (lambda sc: sc.broadcasts.__setitem__(1, [1, 0]),
+                            "broadcasts[1] must be an object"),
+    "broadcasts_an_object": (lambda sc: setattr(sc, "broadcasts", {
+        i: e for i, e in enumerate(sc.broadcasts)}),
+        "broadcasts must be a list"),
+    "broker_order_value_an_int": (lambda sc: setattr(
+        sc, "broker_order", {0: 0}), "broker_order.0"),
+    "broker_order_a_list": (lambda sc: setattr(sc, "broker_order", [[0]]),
+                            "broker_order must be a dict"),
+    "delay_policy_none": (lambda sc: setattr(sc, "delay_policy", None),
+                          "delay_policy must be a DelayPolicy"),
+    "overrides_a_list": (lambda sc: setattr(sc, "delay_policy", DelayPolicy(
+        overrides=[("B0->S3", 2)])), "delay_policy.overrides must be a dict"),
+    "fault_script_a_list": (lambda sc: setattr(sc, "fault_script", [
+        "S3"]), "fault_script must be a dict"),
+    "preload_directory_no": (lambda sc: setattr(sc, "preload_directory", "no"),
+                             "preload_directory must be a bool"),
 }
 
 
