@@ -136,18 +136,17 @@ def _two_messages(messages: list, _scenario) -> tuple:
     return decoded
 
 
-def _submits_alone(scenario: Scenario, pid: ProcessId):
+def _submits_alone(scenario: Scenario, plans: dict, pid: ProcessId):
     if scenario.n_brokers < 2:
         raise ValueError("brokers must be at least 2, one per message")
-    if not scenario.preload_directory or any(
-            e["client"] == pid.ordinal for e in scenario.broadcasts):
+    if not scenario.preload_directory or pid.ordinal in plans:
         raise ValueError("submits its own messages under a preloaded id, "
                          "so needs preload_directory, no broadcasts entry")
 
 
 # name -> (process kind, machine, {spec key: (key-table kind, bound(value,
-# scenario) -> keyword argument)}, check(scenario, pid) or None), where
-# bounds and checks raise ValueError
+# scenario) -> keyword argument)}, check(scenario, validated plans, pid) or
+# None), where bounds and checks raise ValueError
 BEHAVIORS = {
     "silent_broker": (ProcessKind.BROKER, SilentBroker, {}, None),
     "censoring_broker": (ProcessKind.BROKER, CensoringBroker,

@@ -32,10 +32,6 @@ MULTISIG_BYTES = MULTISIG_BITS // 8
 PUBKEY_BYTES = PUBKEY_BITS // 8
 
 
-def digest(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
-
-
 def _xor(parts) -> bytes:
     acc = 0
     for p in parts:

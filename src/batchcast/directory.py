@@ -20,8 +20,10 @@ from dataclasses import dataclass, field
 
 from .fifocast import FifoBroadcast
 from .procs import Id, ProcessKind, servers
-from .wire import (Assigner, Assignment, AssignShard, Ranked, Signup,
-                   stmt_assignment)
+from .wire import (Assigner, Assignment, AssignShard, FifoEcho, FifoReady,
+                   FifoSend, Ranked, Signup, stmt_assignment)
+
+DIRECTORY_MESSAGES = (Signup, Assigner, FifoSend, FifoEcho, FifoReady)
 
 
 def cert_fingerprint(cert) -> str:
@@ -99,9 +101,9 @@ class ClientSignup:
         ctx.emit("signup")
         ctx.send_all(servers(self.n_servers), Signup())
 
-    def handle(self, ctx, src, msg) -> bool:
+    def handle(self, ctx, src, msg):
         if src.kind != ProcessKind.SERVER:
-            return isinstance(msg, (Ranked, AssignShard))
+            return
         if isinstance(msg, Ranked):
             rankers = self.rankings.setdefault(msg.domain, set())
             rankers.add(src.ordinal)
@@ -109,24 +111,21 @@ class ClientSignup:
             if self.assigner is None and len(rankers) >= self.f + 1:
                 self.assigner = msg.domain
                 ctx.send_all(servers(self.n_servers), Assigner(msg.domain))
-            return True
-        if isinstance(msg, AssignShard):
-            if self.assigner is None:
-                return True
-            ident: Id = (self.assigner, msg.index)
-            stmt = stmt_assignment(ident, ctx.keycard())
-            if not ctx.verify_aggregate([ctx.keycard(src)], stmt, msg.shard):
-                return True
-            shards = self.shards.setdefault(msg.index, {})
-            shards[src.ordinal] = msg.shard
-            if not self.done and len(shards) >= 2 * self.f + 1:
-                self.done = True
-                a = Assignment(ident, ctx.keycard(), ctx.certify(shards))
-                certified(ctx, a)
-                ctx.emit("signup_complete", id=tuple(ident))
-                self.on_complete(ctx, a)
-            return True
-        return False
+            return
+        if self.assigner is None:  # an AssignShard before the election
+            return
+        ident: Id = (self.assigner, msg.index)
+        stmt = stmt_assignment(ident, ctx.keycard())
+        if not ctx.verify_aggregate([ctx.keycard(src)], stmt, msg.shard):
+            return
+        shards = self.shards.setdefault(msg.index, {})
+        shards[src.ordinal] = msg.shard
+        if not self.done and len(shards) >= 2 * self.f + 1:
+            self.done = True
+            a = Assignment(ident, ctx.keycard(), ctx.certify(shards))
+            certified(ctx, a)
+            ctx.emit("signup_complete", id=tuple(ident))
+            self.on_complete(ctx, a)
 
 
 class ServerDirectory:
@@ -139,11 +138,11 @@ class ServerDirectory:
         self.rankings: dict[int, dict] = {}    # origin -> {keycard: index}
         self.assigners: dict[bytes, int] = {}  # keycard -> domain (write-once)
 
-    def handle(self, ctx, src, msg) -> bool:
+    def handle(self, ctx, src, msg):
+        """One of the `DIRECTORY_MESSAGES`, which a server hands it."""
         if isinstance(msg, Signup):
             self.fifo.broadcast(ctx, ctx.keycard(src))
-            return True
-        if isinstance(msg, Assigner):
+        elif isinstance(msg, Assigner):
             keycard = ctx.keycard(src)
             if keycard not in self.assigners:
                 self.assigners[keycard] = msg.domain
@@ -152,8 +151,8 @@ class ServerDirectory:
                 index = self.rankings.get(msg.domain, {}).get(keycard)
                 if index is not None:
                     self._sign(ctx, keycard, msg.domain, index)
-            return True
-        return self.fifo.handle(ctx, src, msg)
+        else:
+            self.fifo.handle(ctx, src, msg)
 
     def _on_rank(self, ctx, origin: int, keycard: bytes):
         ranking = self.rankings.setdefault(origin, {})

@@ -38,31 +38,29 @@ class FifoBroadcast:
         self.next_seq += 1
         ctx.send_all(self.servers, FifoSend(seq, payload))
 
-    def handle(self, ctx, src, msg) -> bool:
-        """Consume a fifo message; returns False if msg is not one."""
+    def handle(self, ctx, src, msg):
+        """A FIFO message; one from a sender that is no server is ignored."""
         if src.kind != ProcessKind.SERVER:
-            return isinstance(msg, (FifoSend, FifoEcho, FifoReady))
+            return
         if isinstance(msg, FifoSend):
             # links are FIFO, so a correct origin's Sends arrive in order
             if msg.seq == self.next_echo.get(src.ordinal, 0):
                 self.next_echo[src.ordinal] = msg.seq + 1
                 ctx.send_all(self.servers,
                              FifoEcho(src.ordinal, msg.seq, msg.payload))
-            return True
-        if not isinstance(msg, (FifoEcho, FifoReady)):
-            return False
+            return
         # A delivered slot has sent its Ready (delivery needs 2f+1 Readys,
         # which first reach the f+1 rule), so a late message changes nothing.
         key = (msg.origin, msg.seq)
         if msg.seq < self.fifo_next.get(msg.origin, 0) or key in self.held:
-            return True
+            return
         if isinstance(msg, FifoEcho):
             echoes = self.echoes.setdefault(key, {}).setdefault(msg.payload,
                                                                 set())
             echoes.add(src.ordinal)
             if len(echoes) >= 2 * self.f + 1:
                 self._send_ready(ctx, key, msg.payload)
-            return True
+            return
         readys = self.readys.setdefault(key, {}).setdefault(msg.payload, set())
         readys.add(src.ordinal)
         if len(readys) >= self.f + 1:
@@ -72,7 +70,6 @@ class FifoBroadcast:
             del self.readys[key]
             self.ready_sent.discard(key)
             self._fifo_deliver(ctx, msg.origin, msg.seq, msg.payload)
-        return True
 
     def _send_ready(self, ctx, key, payload):
         if key not in self.ready_sent:

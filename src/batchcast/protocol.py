@@ -23,19 +23,21 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter, lt
 
 from .crypto import MerkleTree, merkle_verify
-from .directory import ClientSignup, DirectoryView, ServerDirectory
+from .directory import (DIRECTORY_MESSAGES, ClientSignup, DirectoryView,
+                        ServerDirectory)
 from .procs import Id, ProcessId, ProcessKind, brokers, servers
 from .simnet import Context, Machine
-from .wire import (AcceptTotality, Assignment, BatchAcquired, BatchMsg,
-                   Commit, CommitShard, Completion, CompletionShard,
-                   EquivocationProof, Inclusion, OfferTotality, Reduction,
-                   Signatures, Submission, Totality, Witness, WitnessShard,
-                   leaf_bytes, stmt_commit, stmt_completion, stmt_message,
-                   stmt_reduction, stmt_witness)
+from .wire import (AcceptTotality, Assignment, AssignShard, BatchAcquired,
+                   BatchMsg, Commit, CommitShard, Completion, CompletionShard,
+                   EquivocationProof, Inclusion, OfferTotality, Ranked,
+                   Reduction, Signatures, Submission, Totality, Witness,
+                   WitnessShard, leaf_bytes, stmt_commit, stmt_completion,
+                   stmt_message, stmt_reduction, stmt_witness)
 
 REDUCE_TIMEOUT = 2
 COMMITTABLE_TIMEOUT = 4
@@ -142,12 +144,13 @@ class ClientMachine(Machine):
             self._submit(ctx, tag[1])
 
     def on_message(self, ctx: Context, src: ProcessId, msg):
-        if self.signup is not None and self.signup.handle(ctx, src, msg):
-            return
         if isinstance(msg, Inclusion):
             self._on_inclusion(ctx, src, msg)
         elif isinstance(msg, Completion):
             self._on_completion(ctx, src, msg)
+        elif isinstance(msg, (Ranked, AssignShard)):
+            if self.signup is not None:  # a preloaded client ignores them
+                self.signup.handle(ctx, src, msg)
 
     def _on_inclusion(self, ctx: Context, src: ProcessId, msg: Inclusion):
         sub = self.submissions.get(msg.context)
@@ -401,30 +404,18 @@ class BrokerMachine(Machine):
 # ---------------------------------------------------------------------------
 # server
 
-class BatchCheck:
+def checked_batch(compressed_ids, payloads) -> tuple | None:
     """A batch's sorted ids and Merkle root, or None unless its ids expand
-    to one id per payload in strictly ascending order.  One instance, shared
-    by a simulation's servers, returns its last result again for the very
-    same argument tuples: the result is a pure function of them, it holds
-    them so their ids are not reused, and a decoded message is deeply
-    immutable.  Other arguments, such as lists, are always recomputed."""
-
-    last = (None, None, None)  # (ids, payloads, result); None is invalid
-
-    def __call__(self, compressed_ids, payloads) -> tuple | None:
-        if compressed_ids is self.last[0] and payloads is self.last[1]:
-            return self.last[2]
-        try:
-            ids = tuple(expand_ids(compressed_ids))
-            ascending = all(map(lt, ids, ids[1:]))
-        except (TypeError, ValueError):
-            ids, ascending = (), False
-        result = None
-        if ids and ascending and len(ids) == len(payloads):
-            result = ids, MerkleTree(_leaves(ids, payloads)).root()
-        if type(compressed_ids) is tuple and type(payloads) is tuple:
-            self.last = (compressed_ids, payloads, result)
-        return result
+    to one id per payload in strictly ascending order.  A pure function of
+    its hashable arguments, so a simulation's servers share one cache."""
+    try:
+        ids = tuple(expand_ids(compressed_ids))
+        ascending = all(map(lt, ids, ids[1:]))
+    except (TypeError, ValueError):
+        return None
+    if not ids or not ascending or len(ids) != len(payloads):
+        return None
+    return ids, MerkleTree(_leaves(ids, payloads)).root()
 
 
 @dataclass
@@ -434,6 +425,8 @@ class _StoredBatch:
     # each id's keycard once all are known: correct servers sign each id
     # once, so a certified directory entry is never rewritten
     cards: list | None = None
+    witness: object = None  # the verified witness certificate
+    commits: dict = field(default_factory=dict)  # exclusions -> patches
 
     def index(self, ident: Id) -> int | None:
         """The leaf position of `ident`, or None if the batch lacks it."""
@@ -450,16 +443,14 @@ class _StoredBatch:
 class ServerMachine(Machine):
     def __init__(self, n_servers: int, f: int,
                  preloaded: tuple[Assignment, ...] = (),
-                 check_batch: BatchCheck | None = None):
+                 check_batch=None):
         self.servers = servers(n_servers)
         self.f = f
         self.preloaded = preloaded
-        self.check_batch = check_batch or BatchCheck()
+        self.check_batch = check_batch or lru_cache(maxsize=1)(checked_batch)
         self.view = DirectoryView()
         self.dir = ServerDirectory(n_servers, f)
         self.batches: dict[bytes, _StoredBatch] = {}
-        self.witnesses: dict[bytes, object] = {}
-        self.commits: dict[tuple, tuple] = {}    # (root, exclusions) -> patches
         self.messages: dict[tuple, tuple] = {}   # (id, context) -> (msg, root)
         self.delivered: set = set()              # (keycard, context)
         self.replies: dict[tuple, object] = {}   # (kind, src, root) -> message
@@ -472,9 +463,9 @@ class ServerMachine(Machine):
     # -- events -----------------------------------------------------------------
 
     def on_message(self, ctx: Context, src: ProcessId, msg):
-        if self.dir.handle(ctx, src, msg):
-            return
-        if isinstance(msg, BatchMsg):
+        if isinstance(msg, DIRECTORY_MESSAGES):
+            self.dir.handle(ctx, src, msg)
+        elif isinstance(msg, BatchMsg):
             response = self.handle_batch(ctx, msg.compressed_ids, msg.payloads)
             if response is not None:
                 self._send_cached(ctx, src, ("ba", src, response.root), response)
@@ -491,7 +482,8 @@ class ServerMachine(Machine):
             if response is not None:
                 ctx.send(src, response)
         elif isinstance(msg, OfferTotality):
-            if (msg.root, msg.exclusions) not in self.commits:
+            batch = self.batches.get(msg.root)
+            if batch is None or msg.exclusions not in batch.commits:
                 ctx.send(src, AcceptTotality(msg.root, msg.exclusions))
         elif isinstance(msg, AcceptTotality):
             self._on_accept_totality(ctx, src, msg)
@@ -514,12 +506,12 @@ class ServerMachine(Machine):
 
     def handle_batch(self, ctx: Context, compressed_ids,
                      payloads) -> BatchAcquired | None:
-        checked = self.check_batch(compressed_ids, payloads)
+        payloads = tuple(payloads)
+        checked = self.check_batch(tuple(compressed_ids), payloads)
         if checked is None:
             return None
         ids, root = checked
-        batch = self.batches.setdefault(root,
-                                        _StoredBatch(ids, tuple(payloads)))
+        batch = self.batches.setdefault(root, _StoredBatch(ids, payloads))
         unknowns = () if self._keycards(batch) is not None else tuple(
             i for i in ids if self.view.lookup_id(i) is None)
         return BatchAcquired(root, unknowns)
@@ -572,7 +564,7 @@ class ServerMachine(Machine):
             return None
         if not ctx.verify_plurality(certificate, stmt_witness(root)):
             return None
-        self.witnesses[root] = certificate
+        batch.witness = certificate
         conflicts = []
         for ident, (context, message) in zip(batch.ids, batch.payloads):
             prev = self.messages.get((ident, context))
@@ -580,9 +572,9 @@ class ServerMachine(Machine):
                 self.messages[(ident, context)] = (message, root)
             elif prev[0] != message:
                 original_message, original_root = prev
+                original = self.batches[original_root]
                 conflicts.append((ident, EquivocationProof(
-                    original_root, self.witnesses[original_root],
-                    self.batches[original_root].prove(ident),
+                    original_root, original.witness, original.prove(ident),
                     original_message)))
                 ctx.emit("exception", id=tuple(ident), root=root.hex())
         return self._commit_shard(ctx, root, conflicts)
@@ -613,7 +605,7 @@ class ServerMachine(Machine):
         if len(signers) < 2 * self.f + 1:
             return None
         exclusions = exclusion_union(patches)
-        self.commits[(root, exclusions)] = tuple(patches)
+        batch.commits[exclusions] = tuple(patches)
         for ident, keycard, (context, message) in zip(batch.ids, cards,
                                                       batch.payloads):
             if ident in exclusions:
@@ -631,11 +623,10 @@ class ServerMachine(Machine):
     # -- totality fallback -----------------------------------------------------------
 
     def _on_accept_totality(self, ctx, src: ProcessId, msg: AcceptTotality):
-        key = (msg.root, msg.exclusions)
         batch = self.batches.get(msg.root)
-        if batch is None or key not in self.commits:
+        if batch is None or msg.exclusions not in batch.commits:
             return
         assignments = tuple(self.view.export(i) for i in batch.ids)
         ctx.send(src, Totality(msg.root, assignments,
-                               compress_ids(batch.ids),
-                               tuple(batch.payloads), self.commits[key]))
+                               compress_ids(batch.ids), batch.payloads,
+                               batch.commits[msg.exclusions]))

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
 from .procs import ProcessId, ProcessKind
-from .protocol import (BatchCheck, BrokerMachine, ClientMachine,
-                       ServerMachine)
+from .protocol import (BrokerMachine, ClientMachine, ServerMachine,
+                       checked_batch)
 from .simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario,
                      Simulation, parse_json)
 from .wire import Assignment, stmt_assignment
@@ -104,7 +104,7 @@ def _read(where: str, value, kind):
     return kind.target(**attrs)
 
 
-def _read_behavior(pid: ProcessId, spec, s: Scenario) -> tuple:
+def _read_behavior(pid: ProcessId, spec, s: Scenario, plans: dict) -> tuple:
     """The machine and keyword arguments of `pid`'s fault-script entry, read
     and bounded by its `behaviors.BEHAVIORS` row; ValueError names the key."""
     where = f"fault_script.{pid.label}"
@@ -119,7 +119,7 @@ def _read_behavior(pid: ProcessId, spec, s: Scenario) -> tuple:
     kwargs = {key: _at(f"{where}.{key}", bound, spec[key], s)
               for key, (_, bound) in keys.items()}
     if check:
-        _at(where, check, s, pid)
+        _at(where, check, s, plans, pid)
     return cls, kwargs
 
 
@@ -177,13 +177,14 @@ def build_simulation(scenario: Scenario) -> Simulation:
     plans = s.validate()
     processes = s.processes()
     script = s.fault_script
-    faulty = {pid: _read_behavior(pid, script[pid.label], s)
+    faulty = {pid: _read_behavior(pid, script[pid.label], s, plans)
               for pid in (processes if script else ()) if pid.label in script}
     oracle = Oracle(processes)
     preloads = preloaded_directory(oracle, s) if s.preload_directory else ()
     common = {"n_servers": s.n_servers, "f": s.fault_bound}
-    # one BatchCheck for all servers: they are sent the same batches
-    server_kwargs = dict(common, preloaded=preloads, check_batch=BatchCheck())
+    # one cached batch check for all servers: they are sent the same batches
+    server_kwargs = dict(common, preloaded=preloads,
+                         check_batch=lru_cache(maxsize=1)(checked_batch))
     machines = {}
     for pid in processes:
         behavior = faulty.get(pid) if faulty else None

@@ -128,6 +128,9 @@ class Scenario:
                           ("fault_script", dict), ("preload_directory", bool)):
             if type(attrgetter(key)(self)) is not kind:
                 raise ValueError(f"{key} must be a {kind.__name__}")
+        for key in ("fault_script", "delay_policy.overrides"):
+            if {*map(type, attrgetter(key)(self))} - {str}:
+                raise ValueError(f"{key} keys must be strings")
         dp, bs, order = self.delay_policy, self.broadcasts, self.broker_order
         name = self.name
         if not isinstance(name, str) or "/" in name or "\0" in name:

@@ -9,12 +9,6 @@ from batchcast.crypto import MerkleTree, merkle_verify
 from batchcast.procs import broker, client, server
 
 
-def test_hash_deterministic_and_sized():
-    assert crypto.digest(b"x") == crypto.digest(b"x")
-    assert crypto.digest(b"") != crypto.digest(b"\0")
-    assert len(crypto.digest(b"payload")) == crypto.DIGEST_BITS // 8
-
-
 def test_keycard_of_an_unknown_process_raises_key_error(oracle):
     # the population has servers 0-3, brokers 0-1 and clients 0-7
     assert oracle.keycard(client(7)) == oracle.keycards(client(7).kind)[7]

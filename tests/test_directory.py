@@ -7,16 +7,19 @@ import pytest
 from assignment_reference import build_assignment
 from conftest import FakeCtx
 
-from batchcast.crypto import Certificate, Oracle
+from batchcast.crypto import Certificate, MerkleProof, MerkleTree, Oracle
 from batchcast.directory import ClientSignup, DirectoryView, ServerDirectory
 from batchcast.procs import broker, client, server
-from batchcast.protocol import ClientMachine
+from batchcast.protocol import ClientMachine, ServerMachine, compress_ids
 from batchcast.scenarios import (batching_limit, build_simulation,
                                  concurrent_signup, preloaded_directory,
                                  run_scenario)
 from batchcast.simnet import GOOD_CASE, Scenario
-from batchcast.wire import (Assigner, Assignment, AssignShard, Ranked,
-                            stmt_assignment)
+from batchcast.wire import (AcceptTotality, Assigner, Assignment,
+                            AssignShard, BatchMsg, Commit, Completion,
+                            FifoEcho, FifoReady, FifoSend, Inclusion,
+                            OfferTotality, Ranked, Signatures, Signup,
+                            Totality, Witness, leaf_bytes, stmt_assignment)
 
 
 def signup_scenario(n_clients=1, **kwargs):
@@ -71,7 +74,7 @@ def test_server_never_signs_twice_for_one_process(oracle):
     card = oracle.keycard(client(0))
     d._on_rank(ctx, 2, card)
     for domain in (2, 2, 1):  # the first assigner holds
-        assert d.handle(ctx, client(0), Assigner(domain))
+        d.handle(ctx, client(0), Assigner(domain))
     d._on_rank(ctx, 2, card)  # a repeated slot
     d._on_rank(ctx, 1, card)  # the log of a later, ignored choice
     d._on_rank(ctx, 2, oracle.keycard(client(1)))
@@ -100,7 +103,7 @@ def test_server_signs_each_assigned_and_ranked_keycard_once(oracle):
                     ranking.append(card)
             else:
                 j, domain = rng.randrange(8), rng.randrange(4)
-                assert d.handle(ctx, client(j), Assigner(domain))
+                d.handle(ctx, client(j), Assigner(domain))
                 assigners.setdefault(cards[j], domain)
         expected = []
         for card, domain in assigners.items():
@@ -124,9 +127,9 @@ def client_signup(fake_ctx_factory):
 def test_signup_elects_at_f_plus_1_distinct_servers(fake_ctx_factory):
     signup, ctx, _ = client_signup(fake_ctx_factory)
     for _ in range(3):
-        assert signup.handle(ctx, server(1), Ranked(2))
+        signup.handle(ctx, server(1), Ranked(2))
     assert signup.assigner is None and ctx.sent == []
-    assert signup.handle(ctx, server(3), Ranked(2))
+    signup.handle(ctx, server(3), Ranked(2))
     assert signup.assigner == 2
     assert ctx.sent == [(server(o), Assigner(2)) for o in range(4)]
 
@@ -149,7 +152,7 @@ def test_signup_completes_once_and_verifies_every_shard(oracle,
     verify = ctx.verify_aggregate
     ctx.verify_aggregate = lambda *args: verified.append(args) or verify(*args)
     # before the election a shard is dropped unverified
-    assert signup.handle(ctx, server(0), assign_shard(oracle, 0, (1, 5), card))
+    signup.handle(ctx, server(0), assign_shard(oracle, 0, (1, 5), card))
     for o in (0, 1):
         signup.handle(ctx, server(o), Ranked(1))
     forged = assign_shard(oracle, 2, (1, 6), card)
@@ -159,13 +162,12 @@ def test_signup_completes_once_and_verifies_every_shard(oracle,
               (server(2), assign_shard(oracle, 2, (1, 5), card))]
     for src, msg in shards:
         assert not done
-        assert signup.handle(ctx, src, msg)
+        signup.handle(ctx, src, msg)
     assert [a.ident for a in done] == [(1, 5)]
     assert DirectoryView().import_assignment(fake_ctx_factory(server(1)),
                                              done[0])
     for o in (3, 0, 1, 2):  # later shards, and another index at 2f+1
-        assert signup.handle(ctx, server(o),
-                             assign_shard(oracle, o, (1, 6), card))
+        signup.handle(ctx, server(o), assign_shard(oracle, o, (1, 6), card))
     assert len(done) == 1 and len(verified) == 4 + 4
     assert [k for k, _ in ctx.events].count("signup_complete") == 1
 
@@ -179,8 +181,8 @@ def test_signup_consumes_non_server_messages_silently(oracle,
     sent, verified = list(ctx.sent), []
     ctx.verify_aggregate = lambda *args: verified.append(args)
     for src in (broker(0), client(1), broker(1)):
-        assert signup.handle(ctx, src, Ranked(1))
-        assert signup.handle(ctx, src, assign_shard(oracle, 0, (0, 0), card))
+        signup.handle(ctx, src, Ranked(1))
+        signup.handle(ctx, src, assign_shard(oracle, 0, (0, 0), card))
     assert signup.rankings == {0: {0, 1}} and signup.assigner == 0
     assert signup.shards == {} and ctx.sent == sent and verified == []
     assert ctx.events == [] and done == []
@@ -197,6 +199,67 @@ def test_preloaded_client_keeps_no_signup(oracle, fake_ctx_factory):
         machine.on_message(ctx, server(o),
                            assign_shard(oracle, o, (1, 0), a.keycard))
     assert ctx.sent == [] and ctx.events == [] and machine.assignment is a
+
+
+def test_a_live_client_hands_its_signup_only_signup_messages(
+        oracle, fake_ctx_factory):
+    machine = ClientMachine(4, 1, 1)
+    handed = []
+    machine.signup.handle = lambda ctx, src, msg: handed.append(msg)
+    ctx = fake_ctx_factory(client(0))
+    root = bytes(32)
+    signup_messages = [Ranked(1), assign_shard(oracle, 0, (1, 0), bytes(48))]
+    for msg in (*signup_messages, Inclusion(b"c", root, MerkleProof(0, ())),
+                Completion(root, Certificate(frozenset(), bytes(48)), ())):
+        machine.on_message(ctx, server(0), msg)
+    assert handed == signup_messages
+
+
+def test_a_server_hands_its_directory_only_directory_messages(
+        oracle, fake_ctx_factory):
+    preloads = preloaded_directory(oracle, signup_scenario(
+        n_clients=8, preload_directory=True))
+    machine = ServerMachine(4, 1, preloads)
+    handed = []
+    handle = machine.dir.handle
+    machine.dir.handle = lambda *args: handed.append(args[2]) or handle(*args)
+    ctx = fake_ctx_factory(server(0))
+    root = MerkleTree([leaf_bytes((0, 0), b"c", b"m")]).root()
+    directory = [Signup(), Assigner(1), FifoSend(0, b"p"),
+                 FifoEcho(1, 0, b"p"), FifoReady(1, 0, b"p")]
+    protocol = [BatchMsg(compress_ids([(0, 0)]), ((b"c", b"m"),)),
+                Signatures(root, (), bytes(48), ()),
+                Witness(root, Certificate(frozenset(), bytes(48))),
+                Commit(root, ()), OfferTotality(root, frozenset()),
+                AcceptTotality(root, frozenset()),
+                Totality(root, (), (), (), ())]
+    for msg in directory[:2]:
+        machine.on_message(ctx, client(0), msg)
+    for msg in (*directory[2:], *protocol):
+        machine.on_message(ctx, server(1), msg)
+    assert handed == directory
+    # the protocol's messages reached their own handlers: the batch is
+    # stored and, never committed, its offer is accepted
+    assert list(machine.batches) == [root]
+    assert (server(1), AcceptTotality(root, frozenset())) in ctx.sent
+
+
+def test_fifo_messages_from_no_server_change_nothing(fake_ctx_factory):
+    """Echoes and Readys from brokers and clients, past every threshold,
+    reach a server's FIFO endpoint and change nothing; three from servers
+    send a Ready."""
+    machine = ServerMachine(4, 1)
+    ctx = fake_ctx_factory(server(0))
+    for src in (broker(0), broker(1), client(0), client(1), client(2)):
+        for kind in (FifoEcho, FifoReady):
+            machine.on_message(ctx, src, kind(1, 0, b"p"))
+    fifo = machine.dir.fifo
+    assert ctx.sent == [] and ctx.events == []
+    assert not (fifo.echoes or fifo.readys or fifo.ready_sent or fifo.held
+                or fifo.next_echo or fifo.fifo_next)
+    for o in range(3):
+        machine.on_message(ctx, server(o), FifoEcho(1, 0, b"p"))
+    assert ctx.sent == [(server(o), FifoReady(1, 0, b"p")) for o in range(4)]
 
 
 def test_export_import_transfers_knowledge(oracle, fake_ctx_factory):

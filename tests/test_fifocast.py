@@ -12,7 +12,7 @@ from batchcast.procs import ProcessKind, broker, client, server
 from batchcast.scenarios import run_scenario
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Machine,
                               Scenario, Simulation)
-from batchcast.wire import FifoEcho, FifoReady, FifoSend, Signup
+from batchcast.wire import FifoEcho, FifoReady, FifoSend
 
 
 class FifoNode(Machine):
@@ -145,7 +145,7 @@ def test_a_send_out_of_seq_order_is_not_echoed(oracle):
     ctx = FakeCtx(oracle, server(0))
     fifo = FifoBroadcast(4, 1, None)
     for seq, payload in ((1, b"one"), (0, b"zero"), (1, b"one")):
-        assert fifo.handle(ctx, server(3), FifoSend(seq, payload))
+        fifo.handle(ctx, server(3), FifoSend(seq, payload))
     assert ctx.sent == [(server(o), FifoEcho(3, seq, payload))
                         for seq, payload in ((0, b"zero"), (1, b"one"))
                         for o in range(4)]
@@ -154,7 +154,7 @@ def test_a_send_out_of_seq_order_is_not_echoed(oracle):
 def fifo_script(rng) -> list:
     """Random (src, msg) input of one endpoint at n = 4: in-order Sends per
     sender with repeats, Echoes and Readys of few slots in two payload
-    variants, from servers, a broker and a client, and a non-FIFO message."""
+    variants, from servers, a broker and a client."""
     senders = [server(0), server(1), server(2), server(3), broker(0),
                client(0)]
     next_send = {}  # by ProcessId, as B0 and S0 share ordinal 0
@@ -168,35 +168,32 @@ def fifo_script(rng) -> list:
             else:
                 next_send[src] = seq + 1
             msg = FifoSend(seq, b"s%d" % seq)
-        elif roll < 0.98:
+        else:
             kind = FifoEcho if roll < 0.4 else FifoReady
             msg = kind(rng.randrange(2), rng.randrange(3),
                        rng.choice((b"a", b"a", b"a", b"b")))
-        else:
-            msg = Signup()
         script.append((src, msg))
     return script
 
 
 def drive(cls, oracle, script):
-    """Steps (consumed, sends, events, deliveries so far), sends, events
-    and deliveries of a `cls` endpoint fed `script`, and whether it held a
+    """Steps (sends, events, deliveries so far), sends, events and
+    deliveries of a `cls` endpoint fed `script`, and whether it held a
     delivered slot back (the reference keeps no `held`)."""
     ctx = FakeCtx(oracle, server(0))
     delivered = []
     fifo = cls(4, 1, lambda _ctx, origin, p: delivered.append((origin, p)))
     steps, held_back = [], False
     for src, msg in script:
-        consumed = fifo.handle(ctx, src, msg)
-        steps.append((consumed, len(ctx.sent), len(ctx.events),
-                      len(delivered)))
+        fifo.handle(ctx, src, msg)
+        steps.append((len(ctx.sent), len(ctx.events), len(delivered)))
         held_back = held_back or bool(getattr(fifo, "held", None))
     return (steps, ctx.sent, ctx.events, delivered), held_back
 
 
 def test_endpoint_matches_the_reference_on_random_scripts(oracle):
-    """The endpoint that keeps only live slots consumes, sends, emits and
-    delivers as the one that kept every slot, slots held back included."""
+    """The endpoint that keeps only live slots sends, emits and delivers as
+    the one that kept every slot, slots held back included."""
     held_back = 0
     for trial in range(1000):
         script = fifo_script(random.Random(trial))

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, every
-scenario setting has one file key and one README row, every behavior and
-each of its spec keys have one README row, every writer of a checked record
-kind passes the keys its schema requires, and every dotted name the docs
-quote still names something."""
+function and class is named beyond its definition, every scenario setting
+has one file key and one README row, every behavior and each of its spec
+keys have one README row, every writer of a checked record kind passes the
+keys its schema requires, and every dotted name the docs quote still names
+something."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import batchcast
+from batchcast import properties
 from batchcast.behaviors import BEHAVIORS
 from batchcast.scenarios import SCENARIO_KEYS, KeyTable
 from batchcast.simnet import (_ABSENT, _EXTRA_KEYS, _JSON_TYPES, DelayPolicy,
@@ -72,6 +74,58 @@ def test_the_check_sees_an_unused_import():
                      "def f(x: 'Path') -> None:\n    return loads('os')\n")
     assert {n for n in _imported(tree) if n not in _referenced(tree)} == {
         "os", "dumps"}
+
+
+USERS = [*SOURCES, PACKAGE / "__init__.py",
+         *sorted((ROOT / "bench").glob("*.py")),
+         *sorted((ROOT / "demos").glob("*.py"))]
+
+
+def _defined(tree: ast.Module) -> list:
+    """Name of each module-level function and class."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _unnamed(module: str, tree: ast.Module, users, by_name=()) -> set:
+    """The functions and classes `tree` (of `module`) defines that nothing
+    names: not its own code, nor a `from ... module import` or a
+    `module.name` attribute in one of the `users` trees.  `by_name` are
+    those a table finds by name."""
+    named = _referenced(tree) | set(by_name)
+    for user in users:
+        for node in ast.walk(user):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[-1] == module):
+                named.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == module):
+                named.add(node.attr)
+    return set(_defined(tree)) - named
+
+
+def test_every_function_and_class_is_named_beyond_its_definition():
+    """Code nothing in the package, the bench or the demos names is dead:
+    tests alone do not keep it."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in USERS}
+    users = list(trees.values())
+    checks = [fn.__name__ for fn in properties._CHECKS.values()]
+    unnamed = {path.stem: _unnamed(path.stem, trees[path], users,
+                                   checks if path.stem == "properties" else ())
+               for path in SOURCES}
+    assert {stem: names for stem, names in unnamed.items() if names} == {}
+
+
+def test_the_check_sees_an_uncalled_function():
+    tree = ast.parse("def used(): pass\ndef called(): used()\n"
+                     "def imported(): pass\ndef dotted(): pass\n"
+                     "def by_name(): pass\ndef dead(): pass\n"
+                     "class Dead: pass\nclass Named: pass\n"
+                     "def f(x: 'Named'): pass\n")
+    user = ast.parse("from pkg.mod import imported\nmod.dotted()\n"
+                     "other.dead()\nfrom other import Dead\n")
+    assert _unnamed("mod", tree, [user], ["by_name"]) == {"called", "dead",
+                                                           "f", "Dead"}
 
 
 def _key_rows(table, prefix=""):

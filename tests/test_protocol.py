@@ -3,13 +3,14 @@
 import gc
 import random
 from collections import deque
+from functools import lru_cache
 
 from batchcast.behaviors import CensoringBroker
 from batchcast.crypto import MerkleTree, Oracle
 from batchcast.directory import DirectoryView
 from batchcast.procs import broker, client, server
-from batchcast.protocol import (BatchCheck, BrokerMachine, ClientMachine,
-                                Phase, ServerMachine, compress_ids)
+from batchcast.protocol import (BrokerMachine, ClientMachine, Phase,
+                                ServerMachine, checked_batch, compress_ids)
 from batchcast.scenarios import (CORPUS, batching_limit, good_case,
                                  preloaded_directory, run_scenario,
                                  silent_broker)
@@ -481,7 +482,7 @@ def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
         oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     preload = preloaded_directory(oracle, sc)
-    check = BatchCheck()  # shared, as in a simulation
+    check = lru_cache(maxsize=1)(checked_batch)  # shared, as in a simulation
     machines = [ServerMachine(4, 1, preload, check) for _ in range(4)]
     ctxs = [fake_ctx_factory(server(k)) for k in range(4)]
     valid = BatchMsg(compress_ids([(1, 0), (2, 0)]),
@@ -497,15 +498,18 @@ def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
 
 
 def test_batch_check_recomputes_lists():
-    check_batch = BatchCheck()
+    """The cache reads its arguments by value: tuples of a caller's lists,
+    mutated in between, are checked again."""
+    check_batch = lru_cache(maxsize=1)(checked_batch)
     compressed, payloads = [(1, (0,))], [(b"c", b"m")]
-    first = check_batch(compressed, payloads)
+    first = check_batch(tuple(compressed), tuple(payloads))
     payloads[0] = (b"c", b"other")
-    second = check_batch(compressed, payloads)
+    second = check_batch(tuple(compressed), tuple(payloads))
     assert first[0] == second[0] == ((1, 0),)
     assert first[1] != second[1]
     compressed.append((2, (0,)))
-    assert check_batch(compressed, payloads) is None  # two ids, one payload
+    # two ids, one payload
+    assert check_batch(tuple(compressed), tuple(payloads)) is None
 
 
 def test_server_batch_redelivery_idempotent(oracle, fake_ctx_factory):

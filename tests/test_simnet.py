@@ -310,6 +310,16 @@ VALIDATE_PROBES = {
         "S3"]), "fault_script must be a dict"),
     "preload_directory_no": (lambda sc: setattr(sc, "preload_directory", "no"),
                              "preload_directory must be a bool"),
+    # keys of another type than the string a scenario file's keys are
+    "fault_script_int_label": (lambda sc: sc.fault_script.update(
+        {3: {"behavior": "stalling_server"}}),
+        "fault_script keys must be strings"),
+    "fault_script_mixed_labels": (lambda sc: sc.fault_script.update(
+        {"S3": {"behavior": "stalling_server"},
+         3: {"behavior": "stalling_server"}}),
+        "fault_script keys must be strings"),
+    "override_int_link": (_uniform(overrides={3: 2}),
+                          "delay_policy.overrides keys must be strings"),
 }
 
 
