@@ -12,10 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import metrics, properties, scenarios, simnet
+from . import metrics, properties, scenarios, simnet, trace
 
 SWEEP_KEYS = scenarios.KeyTable(dict, {"m_values": ("m_values", [int]),
-                                       "clients": ("n_clients", int)})
+                                       "clients": ("clients", int)})
 
 
 def _run(args) -> int:
@@ -52,7 +52,7 @@ def _run(args) -> int:
 
 def _check(args) -> int:
     try:
-        records = properties.load_trace_file(args.check_only)
+        records = trace.load_trace_file(args.check_only)
     except (OSError, ValueError) as exc:
         print(f"error: malformed trace: {exc}", file=sys.stderr)
         return 2
@@ -61,15 +61,14 @@ def _check(args) -> int:
 
 def _sweep(args) -> int:
     try:
-        spec = scenarios.read_keys(
-            simnet.parse_json(Path(args.sweep).read_text()), SWEEP_KEYS,
-            "sweep spec")
+        spec = scenarios.read_keys(Path(args.sweep).read_text(), SWEEP_KEYS,
+                                   "sweep spec")
         for i, m in enumerate(spec["m_values"]):  # batching_limit divides by m
             if m < 1:
                 raise ValueError(f"m_values[{i}] must be at least 1")
-        if max(spec["m_values"], default=1) > spec["n_clients"]:
+        if max(spec["m_values"], default=1) > spec["clients"]:
             raise ValueError("m_values must not exceed clients")
-        rows = metrics.convergence_sweep(**spec)
+        rows = metrics.convergence_sweep(spec["m_values"], spec["clients"])
     except (OSError, ValueError) as exc:
         print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import io
 import math
 
 from . import crypto
-from .simnet import DELIVER, SEND, VERIFY, Trace
+from .trace import DELIVER, SEND, VERIFY, Trace
 
 PAYLOAD_TAGS = frozenset({
     "Submission", "Inclusion", "Reduction", "BatchMsg", "BatchAcquired",

@@ -1,10 +1,16 @@
-"""Process identities and client ids."""
+"""Process identities, labels and bounds (read by both the scenario rules
+and the trace schema), and client ids."""
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cache
+
+# the most servers, brokers and clients a scenario may have
+PROCESS_BOUNDS = {"servers": 1 << 8, "brokers": 1 << 8, "clients": 1 << 16}
+PROCESS_LABEL = re.compile(r"([SBC])(0|[1-9][0-9]*)")  # a process label
 
 
 class ProcessKind(enum.IntEnum):

@@ -5,7 +5,7 @@ The checker is protocol-agnostic: it consumes only application-level events
 and scenario header, so a buggy protocol cannot share its bug with the
 checker.  It reads the columns of the simulator's `Trace`; any other
 records (forged traces, trace files) are written into one first, each
-checked against the record schema (`simnet._EXTRA_KEYS`).  Every
+checked against the record schema (`trace._EXTRA_KEYS`).  Every
 failed property references the index of the offending trace event.
 """
 
@@ -15,7 +15,8 @@ import hashlib
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .simnet import PROCESS_LABEL, Trace, parse_json
+from .procs import PROCESS_LABEL
+from .trace import Trace
 
 CSB_PROPERTIES = ("no_duplication", "consistency", "integrity", "validity",
                   "totality")
@@ -285,20 +286,3 @@ def check_trace(trace) -> dict[str, Verdict]:
     index = TraceIndex(Trace.of(trace))
     return {name: fn(index) for name, fn in _CHECKS.items()}
 
-
-def load_trace_file(path: str) -> Trace:
-    """Read a UTF-8 JSONL trace; ValueError names the first bad line, or
-    line 1 if the first record is not the scenario header."""
-    trace = Trace()
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                line = line.decode("utf-8").strip()
-                if line:
-                    trace.add_record(parse_json(line))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from exc
-    header = next(trace.scan("scenario"), None)
-    if header is None or header[0] != 0:
-        raise ValueError("line 1: the first record is not a scenario header")
-    return trace

@@ -1,19 +1,28 @@
-"""Scenario corpus, JSON round-trip, and simulation assembly."""
+"""Scenario files, the scenario rules, simulation assembly and the corpus.
+
+`SCENARIO_KEYS` is the one place a scenario is typed: `_read` maps a file's
+JSON onto a `Scenario`, and `_typed` types it through the same table, as
+`validate` types a scenario built in Python before it bounds its values.
+"""
 
 from __future__ import annotations
 
 import json
+from binascii import a2b_hex
+from collections import Counter, defaultdict
 from dataclasses import MISSING, fields
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
-from .procs import ProcessId, ProcessKind
+from .procs import PROCESS_BOUNDS, PROCESS_LABEL, ProcessId, ProcessKind
 from .protocol import (BrokerMachine, ClientMachine, ServerMachine,
                        checked_batch)
-from .simnet import (ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario,
-                     Simulation, parse_json)
+from .simnet import (ADVERSARIAL, GOOD_CASE, TICK_BOUND, DelayPolicy,
+                     Scenario, Simulation)
+from .trace import parse_json
 from .wire import Assignment, stmt_assignment
 
 
@@ -25,8 +34,9 @@ class KeyTable(NamedTuple):
 
     `rows` maps each key to (attribute, kind), a kind being `int`, `str`,
     `bool`, `dict` (any object), a one-item list (a list of that kind), a
-    one-item dict {key type: kind}, or a KeyTable.  Required are all keys of
-    a `dict` target, and of a dataclass those without default.
+    one-item dict {key type: kind}, or a KeyTable.  A `dict` target reads
+    each key as itself, and requires all; a dataclass target requires the
+    keys of the fields without default.
     """
 
     target: type
@@ -63,59 +73,132 @@ SCENARIO_KEYS = KeyTable(Scenario, {
 })
 
 
-def read_keys(doc, table: KeyTable, what: str):
-    """`doc`, decoded JSON, read through `table`.  Raises ValueError naming
-    the first key that is unknown, missing or mistyped."""
-    if not isinstance(doc, dict):
+def read_keys(text: str, table: KeyTable, what: str):
+    """The JSON document `text` read through `table` and typed by it.
+    Raises ValueError naming the first key that is repeated in one object,
+    unknown, missing or mistyped."""
+    doc = parse_json(text, _unrepeated)
+    if type(doc) is not dict:
         raise ValueError(f"{what} is not an object")
-    return _read("", doc, table)
+    doc = _read("", doc, table)
+    _typed("", doc, table)
+    return doc
+
+
+def _unrepeated(pairs: list) -> dict:
+    """The object of a JSON object's (key, value) `pairs`; ValueError names
+    a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
 
 
 def _read(where: str, value, kind):
-    json_type = (kind if isinstance(kind, type)
-                 else dict if isinstance(kind, KeyTable) else type(kind))
-    if type(value) is not json_type:
-        raise ValueError(f"{where} must be {_TYPE_NAMES[json_type]}")
-    if type(kind) is list:
-        return [_read(f"{where}[{i}]", v, kind[0])
-                for i, v in enumerate(value)]
-    if type(kind) is dict:
-        (key_type, sub), = kind.items()
-        if key_type is int and not all(map(str.isdecimal, value)):
-            raise ValueError(f"{where} keys must be integers")
-        return {key_type(k): _read(f"{where}.{k}", v, sub)
-                for k, v in value.items()}
-    if not isinstance(kind, KeyTable):
+    """`value`, decoded JSON, with the object of a dataclass table (and of
+    each such table among its rows) made its target, its unknown and missing
+    keys named, and the keys of an object of integer keys made ints.  All
+    else, a value of another JSON type included, is given back as it is,
+    for `_typed` to check."""
+    if type(kind) is dict and int in kind and type(value) is dict:
+        return {_int_key(where, k): v for k, v in value.items()}
+    if not (isinstance(kind, KeyTable) and kind.target is not dict
+            and type(value) is dict):
         return value
     prefix = f"{where}." if where else ""
-    unknown = sorted(value.keys() - kind.rows)
+    _check_keys(prefix, value.keys(), kind, {
+        f.name for f in fields(kind.target)
+        if f.default is MISSING and f.default_factory is MISSING})
+    return kind.target(**{attr: _read(prefix + key, value[key], sub)
+                          for key, (attr, sub) in kind.rows.items()
+                          if key in value})
+
+
+def _int_key(where: str, key: str) -> int:
+    """`key` as an int; ValueError unless it is that int's `str`."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise ValueError(f"{where}.{key}: keys must be integers in canonical "
+                     "form")
+
+
+def _check_keys(prefix: str, given, table: KeyTable, required):
+    """Raise ValueError naming the first of the keys `given` (sorted) that
+    `table` lacks, or else the first key of a `required` attribute that is
+    not given."""
+    unknown = sorted(map(str, given - table.rows.keys()))
     if unknown:
         raise ValueError(f"unknown key {prefix + unknown[0]!r}")
-    required = ({attr for attr, _ in kind.rows.values()}
-                if kind.target is dict else
-                {f.name for f in fields(kind.target)
-                 if f.default is MISSING and f.default_factory is MISSING})
-    attrs = {}
-    for key, (attr, sub) in kind.rows.items():
-        if key in value:
-            attrs[attr] = _read(prefix + key, value[key], sub)
-        elif attr in required:
+    for key, (attr, _) in table.rows.items():
+        if attr in required and key not in given:
             raise ValueError(f"missing key {prefix + key!r}")
-    return kind.target(**attrs)
+
+
+def _typed(where: str, value, kind):
+    """Raise ValueError naming the first part of `value` whose type is not
+    the one `kind` gives, where a bool is no int and a table's value is its
+    target, a dict holding exactly the table's keys."""
+    target = (kind.target if isinstance(kind, KeyTable)
+              else kind if isinstance(kind, type) else type(kind))
+    if type(value) is not target:
+        raise ValueError(f"{where} must be "
+                         f"{_TYPE_NAMES.get(target, 'an object')}")
+    if isinstance(kind, KeyTable):
+        prefix = f"{where}." if where else ""
+        if target is dict:
+            _check_keys(prefix, value.keys(), kind, kind.rows)
+        get = value.get if target is dict else partial(getattr, value)
+        for key, (attr, sub) in kind.rows.items():
+            if type(v := get(attr)) is not sub:  # else a plain kind's, typed
+                _typed(prefix + key, v, sub)
+    elif type(kind) is list and value and not _all_typed(value, kind[0]):
+        for i, v in enumerate(value):
+            _typed(f"{where}[{i}]", v, kind[0])
+    elif type(kind) is dict and value:
+        (key_type, sub), = kind.items()
+        if {*map(type, value)} - {key_type}:
+            raise ValueError(f"{where} keys must be " + {
+                int: "integers", str: "strings"}[key_type])
+        if not _all_typed(value.values(), sub):
+            for k, v in value.items():
+                _typed(f"{where}.{k}", v, sub)
+
+
+def _all_typed(values, kind) -> bool:
+    """Whether `kind` types each of `values`, checked column by column, in C,
+    where `kind` is a plain type or a table of dicts of plain types; False
+    leaves the values to be walked one by one."""
+    if isinstance(kind, type):
+        return {*map(type, values)} <= {kind}
+    rows = (kind.rows if isinstance(kind, KeyTable) and kind.target is dict
+            else {})
+    if not (rows and {*map(type, values)} <= {dict}
+            and {*map(len, values)} <= {len(rows)}
+            and all(isinstance(sub, type) for _, sub in rows.values())):
+        return False
+    try:
+        return all({*map(type, map(itemgetter(key), values))} <= {sub}
+                   for key, (_, sub) in rows.items())
+    except KeyError:
+        return False
 
 
 def _read_behavior(pid: ProcessId, spec, s: Scenario, plans: dict) -> tuple:
     """The machine and keyword arguments of `pid`'s fault-script entry, read
     and bounded by its `behaviors.BEHAVIORS` row; ValueError names the key."""
     where = f"fault_script.{pid.label}"
-    name = _read(where, spec, dict).get("behavior")
+    name = spec.get("behavior")  # an object: `validate` typed it
     kind, cls, keys, check = behaviors.BEHAVIORS.get(str(name), (None,) * 4)
     if kind is not pid.kind:
         raise ValueError(f"{where}.behavior: no {pid.kind.name.lower()} "
                          f"behavior is called {name!r}")
     table = {key: (key, sub) for key, (sub, _) in keys.items()}
-    spec = _read(where, spec,
-                 KeyTable(dict, {"behavior": ("behavior", str), **table}))
+    _typed(where, spec, KeyTable(dict, {"behavior": ("behavior", str),
+                                        **table}))
     kwargs = {key: _at(f"{where}.{key}", bound, spec[key], s)
               for key, (_, bound) in keys.items()}
     if check:
@@ -133,14 +216,11 @@ def _at(where: str, check, *args):
 
 def _write(value, kind):
     """The JSON form of a value that `_read` gives for `kind`."""
-    if isinstance(kind, KeyTable):
-        get = value.get if kind.target is dict else partial(getattr, value)
-        return {key: _write(get(attr), sub)
+    if isinstance(kind, KeyTable) and kind.target is not dict:
+        return {key: _write(getattr(value, attr), sub)
                 for key, (attr, sub) in kind.rows.items()}
-    if type(kind) is list:
-        return [_write(v, kind[0]) for v in value]
-    if type(kind) is dict:
-        return {str(k): _write(v, *kind.values()) for k, v in value.items()}
+    if type(kind) is dict and int in kind:
+        return {str(k): v for k, v in value.items()}
     return value
 
 
@@ -151,7 +231,94 @@ def scenario_to_json(s: Scenario) -> str:
 def scenario_from_json(text: str) -> Scenario:
     """Parse a scenario file through `SCENARIO_KEYS` (see `read_keys`); its
     values are bounded when the simulation is built (`build_simulation`)."""
-    return read_keys(parse_json(text), SCENARIO_KEYS, "scenario document")
+    return read_keys(text, SCENARIO_KEYS, "scenario document")
+
+
+# ---------------------------------------------------------------------------
+# rules
+
+def validate(s: Scenario) -> dict[int, list]:
+    """Each client's broadcasts, {client: [(at, context, message)]}, hex
+    decoded.  Types `s` through `SCENARIO_KEYS`, then raises ValueError
+    naming the key of the first value out of its bounds or breaking a rule
+    that joins keys."""
+    _typed("", s, SCENARIO_KEYS)
+    dp, bs, order = s.delay_policy, s.broadcasts, s.broker_order
+    if "/" in s.name or "\0" in s.name:
+        raise ValueError("name must be a string without '/' or NUL")
+    if not s.name:
+        raise ValueError("name must not be empty")
+    f = s.fault_bound
+    if f < 0 or s.n_servers != 3 * f + 1:
+        raise ValueError("fault_bound must be at least 0, servers 3f + 1")
+    counts = (s.n_servers, s.n_brokers, s.n_clients)
+    for (key, bound), n in zip(PROCESS_BOUNDS.items(), counts):
+        if not 1 <= n <= bound:
+            raise ValueError(f"{key} must be an integer of at least 1 and "
+                             f"at most {bound}")
+    for key, value, allowed in (
+            ("synchrony", s.synchrony, (GOOD_CASE, ADVERSARIAL)),
+            ("timer_policy", s.timer_policy, ("timeout", "scheduler")),
+            ("delay_policy.kind", dp.kind, ("constant", "uniform"))):
+        if value not in allowed:
+            raise ValueError(f"{key} must be one of {', '.join(allowed)}")
+    delays = {"min_delay": dp.min_delay, "max_delay": dp.max_delay}
+    delays.update((f"overrides.{k}", d) for k, d in dp.overrides.items())
+    for key, delay in delays.items():
+        if not 1 <= delay <= TICK_BOUND:
+            raise ValueError(f"delay_policy.{key} not in 1..{TICK_BOUND}")
+    if dp.min_delay > dp.max_delay or (dp.kind == "constant"
+                                       and dp.max_delay != 1):
+        raise ValueError("delay_policy needs min_delay <= max_delay, 1 if "
+                         "constant")
+    if s.synchrony == GOOD_CASE and (dp != DelayPolicy()
+                                     or s.timer_policy != "timeout"):
+        raise ValueError("good_case takes the default delay_policy and "
+                         "timer_policy")
+    labels = sorted(s.fault_script)
+    if not _known_labels(labels, counts):
+        raise ValueError(f"a fault_script label of {labels} is no process")
+    if not all(len(e) == 2 and _known_labels(e, counts)
+               for e in (link.split("->") for link in dp.overrides)):
+        raise ValueError("a delay_policy.overrides link of "
+                         f"{sorted(dp.overrides)} joins no two processes")
+    if sum(label[0] == "S" for label in labels) > f:
+        raise ValueError(f"fault_script: over f = {f} faulty servers")
+    if sum(label[0] == "B" for label in labels) >= s.n_brokers:
+        raise ValueError("brokers must be more than the faulty brokers")
+    for j, order_j in order.items():
+        if not 0 <= j < s.n_clients:
+            raise ValueError("broker_order names a missing client")
+        if sorted(order_j) != [*range(s.n_brokers)]:
+            raise ValueError(f"broker_order.{j} must list each broker "
+                             f"0..{s.n_brokers - 1} once")
+    by_client = defaultdict(dict)  # client -> {context: plan entry}
+    n, digits = s.n_clients, s.payload_bits // 4
+    for i, (j, at, c, m) in enumerate(map(itemgetter(
+            "client", "at", "context", "message"), bs)):
+        if not 0 <= at <= TICK_BOUND:
+            raise ValueError(f"broadcasts[{i}].at not in 0..{TICK_BOUND}")
+        if not 0 <= j < n:
+            raise ValueError(f"a broadcasts client is not < {n}")
+        try:
+            context = a2b_hex(c)
+            by_client[j][context] = (at, context, a2b_hex(m))
+        except ValueError:
+            raise ValueError(f"broadcasts[{i}]: context and message must "
+                             "be hex") from None
+        if len(c) + len(m) != digits:
+            raise ValueError(f"broadcasts[{i}]: context and message must "
+                             f"be {s.payload_bits} bits together, as in "
+                             "broadcasts[0]")
+    if sum(map(len, by_client.values())) < len(bs):  # one overwrote another
+        raise ValueError("broadcasts repeat a client and context")
+    return {j: [*plan.values()] for j, plan in by_client.items()}
+
+
+def _known_labels(labels, counts: tuple) -> bool:
+    """Whether each of `labels` names one of (servers, brokers, clients)."""
+    return all(m is not None and int(m[2]) < counts["SBC".index(m[1])]
+               for m in map(PROCESS_LABEL.fullmatch, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +341,7 @@ def build_simulation(scenario: Scenario) -> Simulation:
     """Validate `scenario` and build its machines: the correct machine of
     each process's kind, or the behavior its fault-script entry names."""
     s = scenario
-    plans = s.validate()
+    plans = validate(s)
     processes = s.processes()
     script = s.fault_script
     faulty = {pid: _read_behavior(pid, script[pid.label], s, plans)

@@ -1,5 +1,9 @@
 """Deterministic discrete-event network with FIFO links and dual-mode timers.
 
+It holds the event loop (`Simulation`), the handle a process has into it
+(`Context`), the handler interface (`Machine`) and a run's settings as plain
+dataclasses (`Scenario`, `DelayPolicy`), which `scenarios` types and bounds.
+
 Time is an integer tick count.  The event queue is a heap ordered by
 (time, phase, dst, src, timer tag, sequence); message deliveries at a tick
 dispatch before timer rings at the same tick, because a timer with timeout d
@@ -29,22 +33,14 @@ after.  A fan-out is one scheduling call.
 from __future__ import annotations
 
 import heapq
-import json
 import random
-import re
-import struct
-from array import array
-from binascii import a2b_hex
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import chain, count, repeat
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
 
-from . import crypto, wire
+from . import crypto, trace, wire
 from .bits import DecodeError
 from .procs import ProcessId, brokers, client, servers
+from .trace import (DELIVER, NO_TAG, NULL, SEND, TIMER_RING, VERIFY,
+                    _PENDING_BYTES, _pack_row)
 
 GOOD_CASE = "good_case"
 ADVERSARIAL = "adversarial"
@@ -52,15 +48,6 @@ MAX_EVENTS = 5_000_000  # dispatches a run may make before it must quiesce
 TIMER_SKEW_MAX = 8  # a scheduler timer rings at most this long after it is set
 # ticks a scenario may give: < 2^23 events (MAX_EVENTS) this far apart fit 2^63
 TICK_BOUND = 1 << 32
-# the most servers, brokers and clients a scenario may have
-PROCESS_BOUNDS = {"servers": 1 << 8, "brokers": 1 << 8, "clients": 1 << 16}
-PROCESS_LABEL = re.compile(r"([SBC])(0|[1-9][0-9]*)")  # a process label
-
-
-def _known_labels(labels, counts: tuple) -> bool:
-    """Whether each of `labels` names one of (servers, brokers, clients)."""
-    return all(m is not None and int(m[2]) < counts["SBC".index(m[1])]
-               for m in map(PROCESS_LABEL.fullmatch, labels))
 
 
 @dataclass
@@ -98,6 +85,8 @@ def _uniform(rng: random.Random, lo: int, hi: int):
 
 @dataclass
 class Scenario:
+    """A run's settings; `scenarios.validate` types and bounds them."""
+
     name: str
     n_servers: int
     fault_bound: int
@@ -118,473 +107,9 @@ class Scenario:
         return next((4 * (len(e["context"]) + len(e["message"]))
                      for e in self.broadcasts), 64)
 
-    def validate(self) -> dict[int, list]:
-        """Each client's broadcasts, {client: [(at, context, message)]}, hex
-        decoded.  Raises ValueError naming the key of the first out-of-model
-        value: where a scenario file takes an integer, only an int is."""
-        for key, kind in (("delay_policy", DelayPolicy),
-                          ("delay_policy.overrides", dict),
-                          ("broadcasts", list), ("broker_order", dict),
-                          ("fault_script", dict), ("preload_directory", bool)):
-            if type(attrgetter(key)(self)) is not kind:
-                raise ValueError(f"{key} must be a {kind.__name__}")
-        for key in ("fault_script", "delay_policy.overrides"):
-            if {*map(type, attrgetter(key)(self))} - {str}:
-                raise ValueError(f"{key} keys must be strings")
-        dp, bs, order = self.delay_policy, self.broadcasts, self.broker_order
-        name = self.name
-        if not isinstance(name, str) or "/" in name or "\0" in name:
-            raise ValueError("name must be a string without '/' or NUL")
-        if not name:
-            raise ValueError("name must not be empty")
-        f = self.fault_bound
-        if type(f) is not int or f < 0 or self.n_servers != 3 * f + 1:
-            raise ValueError("fault_bound must be at least 0, servers 3f + 1")
-        counts = (self.n_servers, self.n_brokers, self.n_clients)
-        for (key, bound), n in zip(PROCESS_BOUNDS.items(), counts):
-            if type(n) is not int or not 1 <= n <= bound:
-                raise ValueError(f"{key} must be an integer of at least 1 and "
-                                 f"at most {bound}")
-        for key, value, allowed in (
-                ("synchrony", self.synchrony, (GOOD_CASE, ADVERSARIAL)),
-                ("timer_policy", self.timer_policy, ("timeout", "scheduler")),
-                ("delay_policy.kind", dp.kind, ("constant", "uniform"))):
-            if value not in allowed:
-                raise ValueError(f"{key} must be one of {', '.join(allowed)}")
-        delays = {"min_delay": dp.min_delay, "max_delay": dp.max_delay}
-        delays.update((f"overrides.{k}", d) for k, d in dp.overrides.items())
-        for key, delay in delays.items():
-            if type(delay) is not int or not 1 <= delay <= TICK_BOUND:
-                raise ValueError(f"delay_policy.{key} not in 1..{TICK_BOUND}")
-        if type(self.seed) is not int:
-            raise ValueError("seed must be an int")
-        if dp.min_delay > dp.max_delay or (dp.kind == "constant"
-                                           and dp.max_delay != 1):
-            raise ValueError("delay_policy needs min_delay <= max_delay, 1 if "
-                             "constant")
-        if self.synchrony == GOOD_CASE and (dp != DelayPolicy()
-                                            or self.timer_policy != "timeout"):
-            raise ValueError("good_case takes the default delay_policy and "
-                             "timer_policy")
-        labels = sorted(self.fault_script)  # parsed, so no label set is built
-        if not _known_labels(labels, counts):
-            raise ValueError(f"a fault_script label of {labels} is no process")
-        if not all(len(e) == 2 and _known_labels(e, counts)
-                   for e in (link.split("->") for link in dp.overrides)):
-            raise ValueError("a delay_policy.overrides link of "
-                             f"{sorted(dp.overrides)} joins no two processes")
-        if sum(label[0] == "S" for label in labels) > self.fault_bound:
-            raise ValueError(f"fault_script: over f = {self.fault_bound} "
-                             "faulty servers")
-        if sum(label[0] == "B" for label in labels) >= self.n_brokers:
-            raise ValueError("brokers must be more than the faulty brokers")
-        for j, order_j in order.items():
-            if type(j) is not int or not 0 <= j < self.n_clients:
-                raise ValueError("broker_order names a missing client")
-            if (type(order_j) is not list or {*map(type, order_j)} - {int}
-                    or sorted(order_j) != [*range(self.n_brokers)]):
-                raise ValueError(f"broker_order.{j} must list each broker "
-                                 f"0..{self.n_brokers - 1} once")
-        plans: dict[int, list] = {}
-        for i, e in enumerate(bs):
-            try:
-                j, at, c, m = e["client"], e["at"], e["context"], e["message"]
-            except (KeyError, TypeError):
-                raise ValueError(f"broadcasts[{i}] must be an object with "
-                                 "client, context, message and at") from None
-            if type(at) is not int or not 0 <= at <= TICK_BOUND:
-                raise ValueError(f"broadcasts[{i}].at not in 0..{TICK_BOUND}")
-            if type(j) is not int or not 0 <= j < self.n_clients:
-                raise ValueError("a broadcasts client is not < "
-                                 f"{self.n_clients}")
-            try:
-                plan = (at, a2b_hex(c), a2b_hex(m))
-                if not type(c) is type(m) is str:
-                    raise TypeError  # bytes, which a2b_hex takes as well
-            except (TypeError, ValueError):
-                raise ValueError(f"broadcasts[{i}]: context and message must "
-                                 "be hex") from None
-            if i == 0:
-                digits = len(c) + len(m)
-            elif len(c) + len(m) != digits:
-                raise ValueError(f"broadcasts[{i}]: context and message must "
-                                 f"be {self.payload_bits} bits together, as "
-                                 "in broadcasts[0]")
-            plans.setdefault(j, []).append(plan)
-        if sum(len({c for _, c, _ in p}) for p in plans.values()) < len(bs):
-            raise ValueError("broadcasts repeat a client and context")
-        return plans
-
     def processes(self) -> list[ProcessId]:
         return [*servers(self.n_servers), *brokers(self.n_brokers),
                 *map(client, range(self.n_clients))]
-
-
-_BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
-_INT64 = 1 << 63
-_ABSENT = object()  # a key the record does not hold
-
-
-def _is_int(value) -> bool:
-    return type(value) is int and -_INT64 <= value < _INT64
-
-
-# the JSON types record fields are checked against, by name
-_JSON_TYPES = {
-    "an integer": _is_int,
-    "a count": lambda v: _is_int(v) and v >= 0,
-    "a string": lambda v: isinstance(v, str),
-    "a string or null": lambda v: v is None or isinstance(v, str),
-    "a string, null or absent": lambda v: (v is None or v is _ABSENT
-                                           or isinstance(v, str)),
-    "a pair of integers": lambda v: (type(v) is list and len(v) == 2
-                                     and all(map(_is_int, v))),
-}
-_JSON_TYPES.update((f"a count of at most {bound}",
-                    lambda v, bound=bound: _is_int(v) and 0 <= v <= bound)
-                   for bound in PROCESS_BOUNDS.values())
-# the base fields with their defaults and types
-_BASE_TYPES = (("src", None, "a string or null"),
-               ("dst", None, "a string or null"),
-               ("bytes_len", 0, "a count"),
-               ("tag", "", "a string"))
-_ASSIGNMENT_KEYS = (("id", "a pair of integers"), ("keycard", "a string"),
-                    ("cert", "a string, null or absent"))
-# per checked record kind, the event-specific keys the trace checker reads,
-# in the order `Trace.select` gives them, and their JSON types: the one
-# declaration of a checked kind's schema
-_EXTRA_KEYS = {
-    "scenario": tuple((key, f"a count of at most {bound}")
-                      for key, bound in PROCESS_BOUNDS.items()),
-    "broadcast": (("context", "a string"), ("message", "a string")),
-    "app_deliver": (("client", "a string"), ("context", "a string"),
-                    ("message", "a string")),
-    "dir_import": _ASSIGNMENT_KEYS,
-    "dir_import_rejected": _ASSIGNMENT_KEYS,
-    "assigner_record": (("keycard", "a string"), ("assigner", "an integer")),
-    "fb_deliver": (("origin", "an integer"), ("seq", "an integer"),
-                   ("payload", "a string")),
-}
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(slots=True)
-class TraceEvent:
-    """One row as iterating a `Trace` yields it: six base fields, then
-    event-specific keys in `extra`; `Trace.add_record` reads `to_json` back."""
-
-    time: int
-    kind: str
-    src: str | None = None
-    dst: str | None = None
-    bytes_len: int = 0
-    tag: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def record(self) -> dict:
-        rec = {"time": self.time, "kind": self.kind, "src": self.src,
-               "dst": self.dst, "bytes_len": self.bytes_len, "tag": self.tag}
-        rec.update(self.extra)
-        return rec
-
-    def to_json(self) -> str:
-        return _ENCODER.encode(self.record())
-
-
-def parse_json(text: str):
-    """`json.loads`, where nesting past the recursion limit is a ValueError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply") from None
-
-
-# codes every store gives the same names: null, the five hot kinds, no tag
-_FIXED_NAMES = (None, "send", "deliver", "verify", "timer_set", "timer_ring",
-                "")
-NULL, SEND, DELIVER, VERIFY, _, TIMER_RING, NO_TAG = range(
-    len(_FIXED_NAMES))
-_FIXED_CODES = {name: code for code, name in enumerate(_FIXED_NAMES)}
-_JSONL_CHUNK = 4096  # rows formatted and joined at a time
-# a pending row, 32 bytes as in the columns, and per column (attribute, type
-# code, offset and stride in items of that type)
-_ROW = struct.Struct("=qqiiii")
-_pack_row = _ROW.pack
-_ROW_COLUMNS = (("time", "q", 0, 4), ("bytes_len", "q", 1, 4),
-                ("kind", "i", 4, 8), ("src", "i", 5, 8), ("dst", "i", 6, 8),
-                ("tag", "i", 7, 8))
-_PENDING_BYTES = 1024 * _ROW.size
-
-
-class _Side:
-    """The event-specific fields of one (kind, key set): the rows it covers,
-    ascending, and one column of values per key, keys sorted."""
-
-    __slots__ = ("kind", "keys", "rows", "cols")
-
-    def __init__(self, kind: int, keys: tuple):
-        self.kind = kind
-        self.keys = keys
-        self.rows = array("q")
-        self.cols = tuple([] for _ in keys)
-
-    def extra(self, pos: int) -> dict:
-        """The `extra` of its `pos`-th row, with JSON's lists for tuples."""
-        return {key: list(v) if isinstance(v, tuple) else v
-                for key, v in zip(self.keys, (c[pos] for c in self.cols))}
-
-
-class Trace:
-    """The trace as append-only columns: one row per record, no object per row.
-
-    `time` and `bytes_len` are int64 arrays; `kind`, `src`, `dst` and `tag`
-    are int32 codes into `names`, one interning table whose first codes are
-    fixed (`_FIXED_NAMES`).  Event-specific fields live in side tables, one
-    per (kind, key set).  The event loop writes send, deliver, verify and
-    timer ring rows, base columns only, as one `_ROW` pack each into
-    `pending`, which `flush` moves into the columns once it reaches
-    `_PENDING_BYTES` and before every read.  Every other row is written,
-    packed the same way, by `add` and has a side entry, even with no keys,
-    so `select` finds every row of the kinds that `add` writes.  A run's
-    side values are integers, None, tuples of integers, which the GC stops
-    tracking at its first collection, and strings, each distinct one held
-    once: `add` interns it in `_strings`, a dict the GC never tracks.  A
-    list read from a record is held as a tuple and read back as a list.
-
-    Rows read back as `TraceEvent`s by iteration; the checker and the cost
-    ledger read `select` (or `scan`, lazily) and the base columns, and
-    `jsonl` writes the JSON lines from the columns.
-    """
-
-    def __init__(self):
-        self.time = array("q")
-        self.kind = array("i")
-        self.src = array("i")
-        self.dst = array("i")
-        self.bytes_len = array("q")
-        self.tag = array("i")
-        self.pending = bytearray()  # packed rows not yet in the columns
-        self.names: list = list(_FIXED_NAMES)
-        self._codes = _FIXED_CODES.copy()
-        self._sides: list[_Side] = []
-        self._side_of: dict[tuple, _Side] = {}  # (kind, *keys as given)
-        self._strings: dict[str, str] = {}  # each string side value, once
-
-    @classmethod
-    def of(cls, records) -> "Trace":
-        """`records` as a Trace: a Trace as it is; any other iterable of
-        records or `TraceEvent`s written through `add_record`."""
-        if isinstance(records, Trace):
-            return records
-        trace = cls()
-        for rec in records:
-            trace.add_record(rec.record() if isinstance(rec, TraceEvent)
-                             else rec)
-        return trace
-
-    def __len__(self) -> int:
-        return len(self.time) + len(self.pending) // _ROW.size
-
-    def flush(self):
-        """Move the pending rows into the columns, in C."""
-        if not self.pending:
-            return
-        with memoryview(self.pending) as raw:
-            for name, typecode, at, step in _ROW_COLUMNS:
-                getattr(self, name).frombytes(
-                    raw.cast(typecode)[at::step].tobytes())
-        self.pending.clear()
-
-    def code(self, name: str | None) -> int:
-        """The code of `name`, interned on first use."""
-        code = self._codes.get(name)
-        if code is None:
-            code = self._codes[name] = len(self.names)
-            self.names.append(name)
-        return code
-
-    def find(self, name: str | None) -> int:
-        """The code of `name`, or -1 if no row names it."""
-        return self._codes.get(name, -1)
-
-    def add(self, time: int, kind: str, src: int, dst: int, bytes_len: int,
-            tag: int, extra: dict):
-        """Append a row of kind name `kind` and its side entry, which holds
-        `extra`."""
-        side = self._side_of.get((kind, *extra)) or self._new_side(kind, extra)
-        side.rows.append(len(self.time) + len(self.pending) // _ROW.size)
-        strings = self._strings
-        for key, col in zip(side.keys, side.cols):
-            value = extra[key]
-            col.append(strings.setdefault(value, value) if type(value) is str
-                       else value)
-        self.pending += _pack_row(time, bytes_len, side.kind, src, dst, tag)
-        if len(self.pending) >= _PENDING_BYTES:
-            self.flush()
-
-    def _new_side(self, kind: str, given) -> _Side:
-        code = self.code(kind)
-        keys = tuple(sorted(given))
-        for side in self._sides:
-            if side.kind == code and side.keys == keys:
-                break
-        else:
-            side = _Side(code, keys)
-            self._sides.append(side)
-        self._side_of[(kind, *given)] = side
-        return side
-
-    def add_record(self, rec):
-        """Append the row of a decoded record, the inverse of `to_json`.
-
-        Raises ValueError for a record that is not an object, lacks an
-        integer `time` or a string `kind`, has a base field of another type
-        than `_BASE_TYPES` gives, or lacks a key `_EXTRA_KEYS` gives its kind
-        or holds it with another type.
-        """
-        if not isinstance(rec, dict):
-            raise ValueError("trace record is not an object")
-        time, kind = rec.get("time"), rec.get("kind")
-        if not _is_int(time):
-            raise ValueError("trace record without an integer time")
-        if not isinstance(kind, str):
-            raise ValueError("trace record without a string kind")
-        base = []
-        for key, default, type_name in _BASE_TYPES:
-            value = rec.get(key, default)
-            if not _JSON_TYPES[type_name](value):
-                raise ValueError(f"trace record whose {key!r} is not "
-                                 f"{type_name}")
-            base.append(value)
-        for key, type_name in _EXTRA_KEYS.get(kind, ()):
-            value = rec.get(key, _ABSENT)
-            if not _JSON_TYPES[type_name](value):
-                raise ValueError(
-                    f"{kind} record without {key!r}" if value is _ABSENT
-                    else f"{kind} record whose {key!r} is not {type_name}")
-        src, dst, bytes_len, tag = base
-        code = self.code
-        self.add(time, kind, code(src), code(dst), bytes_len, code(tag),
-                 {k: tuple(v) if type(v) is list else v
-                  for k, v in rec.items() if k not in _BASE_KEYS})
-
-    def __iter__(self):
-        self.flush()
-        names = self.names
-        entries = heapq.merge(*(zip(side.rows, repeat(side), count())
-                                for side in self._sides))
-        entry = next(entries, None)
-        for i in range(len(self.time)):
-            if entry is not None and entry[0] == i:
-                extra = entry[1].extra(entry[2])
-                entry = next(entries, None)
-            else:
-                extra = {}
-            yield TraceEvent(self.time[i], names[self.kind[i]],
-                             names[self.src[i]], names[self.dst[i]],
-                             self.bytes_len[i], names[self.tag[i]], extra)
-
-    def select(self, kind: str) -> list[tuple]:
-        """(row, src, then the value of each key `_EXTRA_KEYS` gives `kind`,
-        in its order) of every row of `kind` that has a side entry, in row
-        order; a key the row lacks reads None."""
-        sides = self._side_rows(kind)
-        out = list(chain.from_iterable(sides))
-        if len(sides) > 1:
-            out.sort(key=itemgetter(0))
-        return out
-
-    def scan(self, kind: str):
-        """`select` lazily, so no list of the rows is built."""
-        return heapq.merge(*self._side_rows(kind), key=itemgetter(0))
-
-    def _side_rows(self, kind: str) -> list:
-        """`select`'s rows of each side of `kind`, one iterator a side."""
-        self.flush()
-        code = self.find(kind)
-        keys = [key for key, _ in _EXTRA_KEYS.get(kind, ())]
-        src, names = self.src, self.names
-        return [zip(side.rows, map(names.__getitem__, map(src.__getitem__,
-                                                          side.rows)),
-                    *(side.cols[side.keys.index(k)] if k in side.keys
-                      else repeat(None) for k in keys))
-                for side in self._sides if side.kind == code]
-
-    def jsonl(self):
-        """`TraceEvent.to_json` of every row, each line ending in a newline,
-        yielded in chunks of `_JSONL_CHUNK` lines (one newline if no row).
-
-        Each line is formatted from the columns with one %-template per key
-        set; names, keys and string values go through
-        `encode_basestring_ascii`, other values through `_json_column`.  No
-        line outlives its chunk, so a writer holds one chunk at a time.
-        """
-        self.flush()
-        text = ["null" if name is None else encode_basestring_ascii(name)
-                for name in self.names].__getitem__
-        ints = {"time": self.time, "bytes_len": self.bytes_len}
-        codes = {"kind": self.kind, "src": self.src, "dst": self.dst,
-                 "tag": self.tag}
-        base_keys = sorted(_BASE_KEYS)
-        base = _template(base_keys)
-        plans = []
-        for side in self._sides:
-            keys = sorted(_BASE_KEYS + side.keys)
-            plans.append((side, _template(keys),
-                          [(k, side.keys.index(k) if k in side.keys else None)
-                           for k in keys]))
-        n = len(self.time)
-        if not n:
-            yield "\n"
-        for a in range(0, n, _JSONL_CHUNK):
-            b = min(a + _JSONL_CHUNK, n)
-            lines = list(map(base.__mod__, zip(*(
-                ints[k][a:b] if k in ints else map(text, codes[k][a:b])
-                for k in base_keys))))
-            for side, template, fields in plans:
-                lo = bisect_left(side.rows, a)
-                hi = bisect_left(side.rows, b, lo)
-                if lo == hi:
-                    continue
-                rows = side.rows[lo:hi]
-                args = []
-                for key, j in fields:
-                    if j is not None:
-                        args.append(_json_column(side.cols[j][lo:hi]))
-                    elif key in ints:
-                        args.append(map(ints[key].__getitem__, rows))
-                    else:
-                        args.append(map(text, map(codes[key].__getitem__,
-                                                  rows)))
-                for row, line in zip(rows, map(template.__mod__, zip(*args))):
-                    lines[row - a] = line
-            lines.append("")
-            yield "\n".join(lines)
-
-
-def _template(keys) -> str:
-    """A %-template of one JSON object with `keys` in order, %s per value."""
-    return "{" + ",".join(encode_basestring_ascii(key).replace("%", "%%")
-                          + ":%s" for key in keys) + "}"
-
-
-def _json_column(values: list):
-    """Each of `values` as `_ENCODER` writes it inside a record.
-
-    A column of strings, of integers or of tuples of integers is written by
-    C functions alone (what the encoder calls for a string or an integer);
-    any other goes through `_ENCODER` value by value.
-    """
-    types = set(map(type, values))
-    if types == {str}:
-        return map(encode_basestring_ascii, values)
-    if types == {int}:
-        return map(int.__repr__, values)
-    if types == {tuple} and set(map(type, chain.from_iterable(values))) == {
-            int}:
-        return map("[%s]".__mod__,
-                   map(",".join, map(partial(map, int.__repr__), values)))
-    return map(_ENCODER.encode, values)
 
 
 class Context:
@@ -706,7 +231,7 @@ _UNDECODABLE = object()   # in-flight cell: the bytes raised DecodeError
 class Simulation:
     """The event loop over one scenario's machines.
 
-    The scenario must pass `Scenario.validate`: delays and timers follow
+    The scenario must pass `scenarios.validate`: delays and timers follow
     its policies, whatever its synchrony (`build_simulation` validates).
 
     Every copy of a byte string in flight shares one decode: `_in_flight`
@@ -732,7 +257,7 @@ class Simulation:
         self.wire_ctx = wire.WireContext(s.n_servers)
         self.rng = random.Random(s.seed)
         self.now = 0
-        self.trace = Trace()
+        self.trace = trace.Trace()
         self._queue: list = []
         self._seq = 0
         counts = (s.n_servers, s.n_brokers, s.n_clients)

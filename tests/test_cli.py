@@ -2,15 +2,19 @@
 
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from batchcast import crypto, scenarios, simnet
+from batchcast import trace as trace_module
 from batchcast.cli import main
 from batchcast.properties import _keycard
-from batchcast.scenarios import good_case, run_scenario, scenario_to_json
-from batchcast.simnet import PROCESS_BOUNDS, TICK_BOUND
+from batchcast.scenarios import (SCENARIO_KEYS, KeyTable, good_case,
+                                 run_scenario, scenario_to_json)
+from batchcast.procs import PROCESS_BOUNDS
+from batchcast.simnet import TICK_BOUND
 
 SCENARIOS_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -45,16 +49,16 @@ def test_check_only_roundtrip(tmp_path):
 def test_trace_file_is_written_chunk_by_chunk(tmp_path, monkeypatch):
     """The trace file holds `trace_jsonl()`'s text, written from the chunks
     of JSON lines as they are formatted, never joined into one string."""
-    monkeypatch.setattr(simnet, "_JSONL_CHUNK", 5)
+    monkeypatch.setattr(trace_module, "_JSONL_CHUNK", 5)
     expected = run_scenario(good_case(n_clients=2), seed=5).trace_jsonl()
-    jsonl, made = simnet.Trace.jsonl, []
+    jsonl, made = trace_module.Trace.jsonl, []
 
     def chunks(trace):
         for chunk in jsonl(trace):
             made.append(chunk)
             yield chunk
 
-    monkeypatch.setattr(simnet.Trace, "jsonl", chunks)
+    monkeypatch.setattr(trace_module.Trace, "jsonl", chunks)
     monkeypatch.delattr(simnet.Simulation, "trace_jsonl")
     path = write_scenario(tmp_path, good_case(n_clients=2))
     out = tmp_path / "out"
@@ -71,7 +75,7 @@ def test_trace_write_that_fails_midway_exits_2(tmp_path, monkeypatch,
         yield "{}\n"
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(simnet.Trace, "jsonl", failing)
+    monkeypatch.setattr(trace_module.Trace, "jsonl", failing)
     path = write_scenario(tmp_path, good_case(n_clients=2))
     assert main(["--scenario", str(path), "--out",
                  str(tmp_path / "out")]) == 2
@@ -271,6 +275,31 @@ def test_invalid_sweep_spec_exits_2(tmp_path, capsys, spec, key):
     assert key in captured.err
 
 
+def _good_case_with(old: str, new: str) -> str:
+    text = (SCENARIOS_DIR / "good_case.json").read_text()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("flag,text,err", [
+    ("--scenario", lambda: _good_case_with('"seed": 0,',
+                                           '"seed": 0, "seed": 5,'),
+     "error: invalid scenario: duplicate key 'seed'\n"),
+    ("--scenario", lambda: _good_case_with('"at": 0,', '"at": 0, "at": 7,'),
+     "error: invalid scenario: duplicate key 'at'\n"),
+    ("--sweep", lambda: '{"m_values": [4], "clients": 8, "clients": 16}',
+     "error: invalid sweep spec: duplicate key 'clients'\n"),
+], ids=["seed", "broadcast_at", "sweep_clients"])
+def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, flag, text,
+                                              err):
+    """A repeated key would otherwise keep its last value unnoticed."""
+    path = tmp_path / "doubled.json"
+    path.write_text(text())
+    assert main([flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, "")
+
+
 def _client_99(doc):
     doc["broadcasts"].append(dict(doc["broadcasts"][0], client=99))
 
@@ -449,6 +478,12 @@ CROSS_KEY_PROBES = {
         "broker_order"].update({"0": o}),
         ("broker_order.0 must list each broker 0..1 once",))
        for name, order in (("0_0", [0, 0]), ("0", [0]), ("empty", []))},
+    # two keys naming one client, one of which would be dropped unread
+    **{f"broker_order_key_{name}": ("censoring_broker", lambda d, k=key: d[
+        "broker_order"].update({"1": [0, 1], k: [1, 0]}),
+        (f"broker_order.{key}: keys must be integers in canonical form",))
+       for name, key in (("01", "01"), ("arabic_indic_1", "\u0661"),
+                         ("plus_1", "+1"), ("space_1", " 1"))},
     # would write the hidden files .trace.jsonl and .report.json
     "empty_name": ("good_case", lambda d: d.update(name=""),
                    ("name must not be empty",)),
@@ -463,29 +498,127 @@ def test_edited_scenario_exits_2_before_it_runs(tmp_path, capsys, name, edit,
     assert all(key in err for key in keys), err
 
 
-# edits made alike to a bundled file and to the Scenario its factory builds:
-# (file, edit(broadcasts, broker_order, client key type), the key named)
+def _alike(edit):
+    """`edit(broadcasts, broker_order, client key type)` as an edit of a
+    scenario file's document and one of a `Scenario`."""
+    return (lambda d: edit(d["broadcasts"], d["broker_order"], str),
+            lambda s: edit(s.broadcasts, s.broker_order, int))
+
+
+# a value of another JSON type than each JSON type a key table gives
+_WRONG_TYPE = {int: "7", str: 7, bool: 1, dict: [], list: {}}
+
+
+def _key_paths(kind, path=()):
+    """(path, kind) of each key under `kind`, a path's steps being JSON keys,
+    0 for a list's first entry and None for an object's least key."""
+    if path:
+        yield path, kind
+    if isinstance(kind, KeyTable):
+        for key, (_, sub) in kind.rows.items():
+            yield from _key_paths(sub, (*path, key))
+    elif type(kind) is list:
+        yield from _key_paths(kind[0], (*path, 0))
+    elif type(kind) is dict:
+        yield from _key_paths(*kind.values(), (*path, None))
+
+
+def _steps(doc, path) -> list | None:
+    """Each step of `path` in `doc`, a None made its object's least key, as
+    (JSON key, `Scenario` attribute, item key), one of the last two None;
+    None if `doc` lacks the path."""
+    kind, node, steps = SCENARIO_KEYS, doc, []
+    for step in path:
+        if step is None and node:
+            step = min(node)
+        if step not in (range(len(node)) if type(node) is list else node):
+            return None
+        if isinstance(kind, KeyTable):
+            attr, sub = kind.rows[step]
+            steps.append((step, None, attr) if kind.target is dict
+                         else (step, attr, None))
+        elif type(kind) is list:
+            sub = kind[0]
+            steps.append((step, None, step))
+        else:
+            (key_type, sub), = kind.items()
+            steps.append((step, None, key_type(step)))
+        kind, node = sub, node[step]
+    return steps
+
+
+def _set_in_file(steps, value, doc):
+    for key, _, _ in steps[:-1]:
+        doc = doc[key]
+    doc[steps[-1][0]] = value
+
+
+def _set_in_scenario(steps, value, scenario):
+    node = scenario
+    for _, attr, item in steps[:-1]:
+        node = getattr(node, attr) if attr else node[item]
+    _, attr, item = steps[-1]
+    if attr:
+        setattr(node, attr, value)
+    else:
+        node[item] = value
+
+
+def _mistyped_keys() -> dict:
+    """Per key under `SCENARIO_KEYS`, a value of another JSON type set alike
+    in the first bundled file holding the key and in its factory's
+    `Scenario`, with the error's start."""
+    docs = {name: json.loads((SCENARIOS_DIR / f"{name}.json").read_text())
+            for name in ["good_case", *sorted(scenarios.CORPUS)]}
+    probes = {}
+    for path, kind in _key_paths(SCENARIO_KEYS):
+        name, steps = next((name, steps) for name, doc in docs.items()
+                           if (steps := _steps(doc, path)) is not None)
+        wrong = _WRONG_TYPE[kind if isinstance(kind, type) else dict
+                            if isinstance(kind, KeyTable) else type(kind)]
+        where = "".join(f"[{key}]" if type(key) is int else f".{key}"
+                        for key, _, _ in steps)[1:]
+        probes[f"{where}_mistyped"] = (
+            name, partial(_set_in_file, steps, wrong),
+            partial(_set_in_scenario, steps, wrong), f"{where} must be ")
+    return probes
+
+
+# edits made alike to a bundled file and to the Scenario its factory builds,
+# or to the Scenario alone where no file can hold the value: (file,
+# edit(document) or None, edit(scenario), the key named)
 PARITY_PROBES = {
-    "at_1_5": ("good_case", lambda bs, _, __: bs[0].update(at=1.5),
+    "at_1_5": ("good_case", *_alike(lambda bs, _, __: bs[0].update(at=1.5)),
                "broadcasts[0].at"),
-    "at_missing": ("good_case", lambda bs, _, __: bs[0].pop("at"),
+    "at_missing": ("good_case", *_alike(lambda bs, _, __: bs[0].pop("at")),
                    "broadcasts[0]"),
-    "broker_order_0_0": ("censoring_broker", lambda _, order, key: (
-        order.update({key(0): [0, 0]})), "broker_order"),
+    "broker_order_0_0": ("censoring_broker", *_alike(lambda _, order, key: (
+        order.update({key(0): [0, 0]}))), "broker_order"),
+    **_mistyped_keys(),
+    "fault_script_int_label": ("good_case", None, lambda s: (
+        s.fault_script.update({3: {"behavior": "stalling_server"}})),
+        "fault_script keys must be strings"),
+    "override_int_link": ("good_case", None, lambda s: (
+        s.delay_policy.overrides.update({3: 2})),
+        "delay_policy.overrides keys must be strings"),
 }
 
 
-@pytest.mark.parametrize("name,edit,key", PARITY_PROBES.values(),
-                         ids=PARITY_PROBES.keys())
-def test_a_file_and_its_python_scenario_name_one_key(tmp_path, capsys, name,
-                                                     edit, key):
-    err = _invalid_edit(tmp_path, capsys, name, lambda d: edit(
-        d["broadcasts"], d["broker_order"], str))
+@pytest.mark.parametrize("name,edit_file,edit_scenario,key",
+                         PARITY_PROBES.values(), ids=PARITY_PROBES.keys())
+def test_a_file_and_its_python_scenario_name_one_key(
+        tmp_path, capsys, name, edit_file, edit_scenario, key):
+    """`run_scenario` raises one message naming the key, and the CLI prints
+    the same message."""
     scenario = scenarios.CORPUS[name]()
-    edit(scenario.broadcasts, scenario.broker_order, int)
+    edit_scenario(scenario)
     with pytest.raises(ValueError) as raised:
         run_scenario(scenario)
-    assert key in err and key in str(raised.value), (err, raised.value)
+    msg = str(raised.value)
+    assert key in msg, msg
+    if edit_file is not None:
+        err = _invalid_edit(tmp_path, capsys, name, edit_file)
+        assert err == f"error: invalid scenario: {msg}\n"
 
 
 def _reached(*_args, **_kwargs):

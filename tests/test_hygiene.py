@@ -2,8 +2,8 @@
 function and class is named beyond its definition, every scenario setting
 has one file key and one README row, every behavior and each of its spec
 keys have one README row, every writer of a checked record kind passes the
-keys its schema requires, and every dotted name the docs quote still names
-something."""
+keys its schema requires, every dotted name the docs quote still names
+something, and `scenarios.validate` types nothing by hand."""
 
 import ast
 import importlib
@@ -20,8 +20,8 @@ import batchcast
 from batchcast import properties
 from batchcast.behaviors import BEHAVIORS
 from batchcast.scenarios import SCENARIO_KEYS, KeyTable
-from batchcast.simnet import (_ABSENT, _EXTRA_KEYS, _JSON_TYPES, DelayPolicy,
-                              Scenario)
+from batchcast.simnet import DelayPolicy, Scenario
+from batchcast.trace import _ABSENT, _EXTRA_KEYS, _JSON_TYPES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "batchcast"
@@ -268,10 +268,38 @@ def test_every_dotted_name_in_the_docs_resolves(path):
 
 def test_the_check_sees_a_stale_dotted_name():
     assert DOTTED_NAME.findall("`a.b` `c` `d.e(f)` `g.h`") == ["a.b", "g.h"]
-    for name in ("simnet.Trace.select", "Scenario.validate", "wire.py",
+    for name in ("trace.Trace.select", "scenarios.validate", "wire.py",
                  "random.Random.randrange", "fifocast.s", "BENCHMARK.json",
                  "delay_policy.kind"):
         assert _resolves(name), name
     for name in ("TraceEvent.from_record", "Trace.append", "simnet.nothing",
-                 "nothing.py", "fifocast.t", "delay_policy.value"):
+                 "nothing.py", "fifocast.t", "delay_policy.value",
+                 "simnet.Trace.select", "Scenario.validate"):
         assert not _resolves(name), name
+
+
+def _type_calls(tree: ast.Module, function: str) -> list:
+    """The line of each `type(...)` or `isinstance(...)` call in the
+    module-level function `function` of `tree`."""
+    [fn] = [node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("type", "isinstance")]
+
+
+def test_validate_leaves_every_type_to_the_key_table():
+    """`scenarios.validate` types a scenario only through `SCENARIO_KEYS`,
+    as a file is typed, so the two cannot drift apart."""
+    tree = ast.parse((PACKAGE / "scenarios.py").read_text())
+    assert _type_calls(tree, "validate") == []
+
+
+def test_the_check_sees_a_hand_typed_value():
+    tree = ast.parse("def validate(s):\n"
+                     "    if type(s.seed) is not int:\n"
+                     "        raise ValueError\n"
+                     "    return [isinstance(x, str) for x in s.labels]\n"
+                     "def other(s):\n"
+                     "    return type(s)\n")
+    assert _type_calls(tree, "validate") == [2, 4]

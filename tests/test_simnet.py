@@ -5,10 +5,11 @@ import re
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
-from batchcast import simnet
-from batchcast.procs import ProcessId, broker, client, server, servers
+from batchcast import scenarios, simnet
+from batchcast.procs import (PROCESS_BOUNDS, ProcessId, broker, client, server,
+                             servers)
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, Context, DelayPolicy,
-                              PROCESS_BOUNDS, Machine, Scenario, Simulation)
+                              Machine, Scenario, Simulation)
 from batchcast.wire import Signup, Ranked
 import pytest
 
@@ -213,10 +214,10 @@ def test_unknown_destination_rejected():
 
 def test_scenario_invariants():
     with pytest.raises(ValueError):
-        tiny_scenario(n_servers=5).validate()
+        scenarios.validate(tiny_scenario(n_servers=5))
     with pytest.raises(ValueError):
-        tiny_scenario(fault_script={"B0": {"behavior": "silent_broker"}}
-                      ).validate()
+        scenarios.validate(tiny_scenario(
+            fault_script={"B0": {"behavior": "silent_broker"}}))
 
 
 def _set_at(at):
@@ -285,29 +286,32 @@ VALIDATE_PROBES = {
     # malformed entries and containers, which a scenario file's key table
     # would have typed
     "entry_without_at": (lambda sc: sc.broadcasts[0].pop("at"),
-                         "broadcasts[0] must be an object"),
+                         "missing key 'broadcasts[0].at'"),
     "context_an_int": (lambda sc: sc.broadcasts[0].update(context=7),
-                       "broadcasts[0]: context and message must be hex"),
+                       "broadcasts[0].context must be a string"),
     "message_an_int": (lambda sc: sc.broadcasts[1].update(message=7),
-                       "broadcasts[1]: context and message must be hex"),
+                       "broadcasts[1].message must be a string"),
     "message_bytes": (lambda sc: sc.broadcasts[0].update(
         message=sc.broadcasts[0]["message"].encode()),
-        "broadcasts[0]: context and message must be hex"),
+        "broadcasts[0].message must be a string"),
     "entry_not_an_object": (lambda sc: sc.broadcasts.__setitem__(1, [1, 0]),
                             "broadcasts[1] must be an object"),
+    "entry_with_an_int_key": (lambda sc: sc.broadcasts[1].update({7: 0}),
+                              "unknown key 'broadcasts[1].7'"),
     "broadcasts_an_object": (lambda sc: setattr(sc, "broadcasts", {
         i: e for i, e in enumerate(sc.broadcasts)}),
         "broadcasts must be a list"),
     "broker_order_value_an_int": (lambda sc: setattr(
         sc, "broker_order", {0: 0}), "broker_order.0"),
     "broker_order_a_list": (lambda sc: setattr(sc, "broker_order", [[0]]),
-                            "broker_order must be a dict"),
+                            "broker_order must be an object"),
     "delay_policy_none": (lambda sc: setattr(sc, "delay_policy", None),
-                          "delay_policy must be a DelayPolicy"),
+                          "delay_policy must be an object"),
     "overrides_a_list": (lambda sc: setattr(sc, "delay_policy", DelayPolicy(
-        overrides=[("B0->S3", 2)])), "delay_policy.overrides must be a dict"),
+        overrides=[("B0->S3", 2)])),
+        "delay_policy.overrides must be an object"),
     "fault_script_a_list": (lambda sc: setattr(sc, "fault_script", [
-        "S3"]), "fault_script must be a dict"),
+        "S3"]), "fault_script must be an object"),
     "preload_directory_no": (lambda sc: setattr(sc, "preload_directory", "no"),
                              "preload_directory must be a bool"),
     # keys of another type than the string a scenario file's keys are

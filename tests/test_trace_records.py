@@ -11,10 +11,11 @@ import json
 
 import pytest
 
-from batchcast import metrics, simnet
-from batchcast.properties import check_trace, load_trace_file
+from batchcast import metrics
+from batchcast import trace as trace_module
+from batchcast.properties import check_trace
 from batchcast.scenarios import CORPUS, good_case, run_scenario
-from batchcast.simnet import Trace, TraceEvent
+from batchcast.trace import Trace, TraceEvent, load_trace_file
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +115,7 @@ HEADER = {"time": 0, "kind": "scenario", "servers": 4, "brokers": 1,
 
 
 def test_every_checked_kind_has_a_record_case():
-    assert set(CHECKED_RECORDS) == set(simnet._EXTRA_KEYS)
+    assert set(CHECKED_RECORDS) == set(trace_module._EXTRA_KEYS)
 
 
 @pytest.mark.parametrize("kind", sorted(CHECKED_RECORDS))
@@ -143,13 +144,13 @@ WRONG_TYPES = {
 def test_every_checked_key_has_a_wrong_type_case():
     assert {kind: set(keys) for kind, keys in WRONG_TYPES.items()} == {
         kind: {key for key, _ in keys}
-        for kind, keys in simnet._EXTRA_KEYS.items()}
+        for kind, keys in trace_module._EXTRA_KEYS.items()}
 
 
 @pytest.mark.parametrize("kind", sorted(WRONG_TYPES))
 def test_from_record_checks_the_json_types_the_checker_reads(kind):
     full = {"time": 1, "kind": kind, "src": "S0", **CHECKED_RECORDS[kind]}
-    types = dict(simnet._EXTRA_KEYS[kind])
+    types = dict(trace_module._EXTRA_KEYS[kind])
     for key, value in WRONG_TYPES[kind].items():
         with pytest.raises(ValueError, match=(
                 f"{kind} record whose '{key}' is not {types[key]}")):
@@ -181,7 +182,7 @@ BASE_WRONG_TYPES = [
 
 
 def test_every_base_field_has_a_wrong_type_case():
-    assert {key for key, _, _ in simnet._BASE_TYPES} == {
+    assert {key for key, _, _ in trace_module._BASE_TYPES} == {
         key for key, _ in BASE_WRONG_TYPES}
 
 

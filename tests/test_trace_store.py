@@ -13,11 +13,12 @@ import pytest
 from conftest import live_signup_f2
 
 from batchcast import simnet
+from batchcast import trace as trace_module
 from batchcast.metrics import CostLedger
 from batchcast.properties import check_trace
 from batchcast.scenarios import (CORPUS, batching_limit, build_simulation,
                                  run_scenario)
-from batchcast.simnet import Trace, TraceEvent
+from batchcast.trace import Trace, TraceEvent
 
 
 def reference_jsonl(rows) -> str:
@@ -26,9 +27,9 @@ def reference_jsonl(rows) -> str:
 
 def row_of(rec) -> TraceEvent:
     """The row a valid record stands for, built without the store."""
-    base = {k: v for k, v in rec.items() if k in simnet._BASE_KEYS}
+    base = {k: v for k, v in rec.items() if k in trace_module._BASE_KEYS}
     return TraceEvent(**base, extra={k: v for k, v in rec.items()
-                                     if k not in simnet._BASE_KEYS})
+                                     if k not in trace_module._BASE_KEYS})
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -42,7 +43,7 @@ def test_live_signup_and_a_multi_chunk_batch_match_the_row_encoder():
     sim = run_scenario(live_signup_f2())
     assert sim.trace_jsonl() == reference_jsonl(sim.trace)
     sim = run_scenario(batching_limit(m=256, n_clients=256))
-    assert len(sim.trace) > simnet._JSONL_CHUNK
+    assert len(sim.trace) > trace_module._JSONL_CHUNK
     assert sim.trace_jsonl() == reference_jsonl(sim.trace)
 
 
@@ -93,7 +94,7 @@ def test_forged_records_round_trip_through_the_store():
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
 def test_forged_jsonl_matches_the_row_encoder(monkeypatch, chunk):
-    monkeypatch.setattr(simnet, "_JSONL_CHUNK", chunk)
+    monkeypatch.setattr(trace_module, "_JSONL_CHUNK", chunk)
     records = forged_records() * 3
     trace = Trace.of(records)
     expected = reference_jsonl(map(row_of, records))
@@ -184,7 +185,8 @@ def test_the_trace_holds_no_object_per_record():
     assert tracked_objects(trace) == tracked_objects(small)
     # rows still pending are bytes in one untracked buffer
     for _ in range(1000):
-        trace.pending += simnet._pack_row(9, 0, simnet.VERIFY, 0, 0, 0)
+        trace.pending += trace_module._pack_row(9, 0, trace_module.VERIFY,
+                                                0, 0, 0)
     assert trace.pending and not gc.is_tracked(trace.pending)
     assert count_trace_events() == before
     assert tracked_objects(trace) == tracked_objects(small)
@@ -207,7 +209,9 @@ def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
     records and an unread run's; pending rows stay within one flush size
     plus the rows of one dispatch."""
     expected = run_scenario(live_signup_f2()).trace_jsonl()
-    monkeypatch.setattr(simnet, "_PENDING_BYTES", 7 * simnet._ROW.size)
+    for module in (simnet, trace_module):  # the event loop reads it by name
+        monkeypatch.setattr(module, "_PENDING_BYTES",
+                            7 * trace_module._ROW.size)
     sim = build_simulation(live_signup_f2())
     trace = sim.trace
     sim.start()
@@ -217,8 +221,8 @@ def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
         before = len(trace)
         sim.step()
         steps += 1
-        written = (len(trace) - before) * simnet._ROW.size
-        assert len(trace.pending) < simnet._PENDING_BYTES + written
+        written = (len(trace) - before) * trace_module._ROW.size
+        assert len(trace.pending) < trace_module._PENDING_BYTES + written
         if steps % 1009 == 0:
             pending = len(trace.pending)
             ledger = CostLedger.from_trace(trace)
