@@ -48,19 +48,16 @@ def certified(ctx, a: Assignment) -> bool:
 
 
 class DirectoryView:
-    """Local record of certified id assignments (bijective by construction):
-    each id maps to the `Assignment` that brought it."""
+    """Local record of certified id assignments: each id maps to the
+    `Assignment` that brought it.  A quorum certificate binds one keycard to
+    one id, so the view is bijective with no keycard -> id map."""
 
     def __init__(self):
         self.by_id: dict[Id, Assignment] = {}
-        self.by_keycard: dict[bytes, Id] = {}
 
     def lookup_id(self, ident: Id) -> bytes | None:
         a = self.by_id.get(ident)
         return None if a is None else a.keycard
-
-    def lookup_keycard(self, keycard: bytes) -> Id | None:
-        return self.by_keycard.get(keycard)
 
     def export(self, ident: Id) -> Assignment | None:
         return self.by_id.get(ident)
@@ -68,7 +65,6 @@ class DirectoryView:
     def preload(self, a: Assignment):
         """Trusted bootstrap import (steady-state scenarios)."""
         self.by_id[a.ident] = a
-        self.by_keycard[a.keycard] = a.ident
 
     def import_assignment(self, ctx, a: Assignment) -> bool:
         """Verify the quorum certificate and record the pair; idempotent."""

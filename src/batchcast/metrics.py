@@ -17,19 +17,12 @@ import csv
 import io
 import math
 
-from . import crypto
+from . import crypto, wire
 from .trace import DELIVER, SEND, VERIFY, Trace
 
-PAYLOAD_TAGS = frozenset({
-    "Submission", "Inclusion", "Reduction", "BatchMsg", "BatchAcquired",
-    "Signatures", "WitnessShard", "Witness", "CommitShard", "Commit",
-    "CompletionShard", "Completion", "OfferTotality", "AcceptTotality",
-    "Totality",
-})
-DIRECTORY_TAGS = frozenset({
-    "Signup", "Ranked", "Assigner", "AssignShard",
-    "FifoSend", "FifoEcho", "FifoReady",
-})
+DIRECTORY_TAGS = frozenset(cls.__name__ for cls in wire.DIRECTORY_TYPES)
+PAYLOAD_TAGS = frozenset(
+    cls.__name__ for cls in wire.MESSAGE_TYPES) - DIRECTORY_TAGS
 
 SIZE_CONSTANTS = {
     "digest_bits": crypto.DIGEST_BITS,
@@ -54,10 +47,9 @@ class CostLedger:
         self.delivered: dict = {}           # server label -> payload count
 
     @classmethod
-    def from_trace(cls, trace) -> "CostLedger":
-        """The ledger of a `Trace` (or of records, see `Trace.of`), read from
-        its base columns."""
-        trace = Trace.of(trace)
+    def from_trace(cls, trace: Trace) -> "CostLedger":
+        """The ledger of a `Trace`, read from its base columns; a trace file
+        comes in through `load_trace_file`."""
         trace.flush()
         delivers = trace.find("app_deliver")
         egress, ingress, verifies, delivered = {}, {}, {}, {}  # by codes

@@ -3,10 +3,10 @@
 The checker is protocol-agnostic: it consumes only application-level events
 (broadcast, app_deliver, signup, dir_import, ...) plus the corruption markers
 and scenario header, so a buggy protocol cannot share its bug with the
-checker.  It reads the columns of the simulator's `Trace`; any other
-records (forged traces, trace files) are written into one first, each
-checked against the record schema (`trace._EXTRA_KEYS`).  Every
-failed property references the index of the offending trace event.
+checker.  It reads the columns of a `Trace`: the simulator's own, or one
+that `load_trace_file` (or `Trace.add_record`, record by record) built,
+each record checked against the record schema (`trace._EXTRA_KEYS`).
+Every failed property references the index of the offending trace event.
 """
 
 from __future__ import annotations
@@ -280,9 +280,8 @@ def check_fifo_no_duplication(t: TraceIndex) -> Verdict:
 _CHECKS = {name: globals()[f"check_{name}"] for name in ALL_PROPERTIES}
 
 
-def check_trace(trace) -> dict[str, Verdict]:
-    """Every property's verdict on a `Trace`, or on any iterable of records
-    or `TraceEvent`s (see `Trace.of`)."""
-    index = TraceIndex(Trace.of(trace))
+def check_trace(trace: Trace) -> dict[str, Verdict]:
+    """Every property's verdict on a `Trace`."""
+    index = TraceIndex(trace)
     return {name: fn(index) for name, fn in _CHECKS.items()}
 

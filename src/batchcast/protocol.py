@@ -189,6 +189,7 @@ class Phase(enum.Enum):
 class _Batch:
     payloads: dict              # Id -> (context, message), insertion = id order
     signatures: dict            # Id -> signature (stragglers-to-be)
+    senders: dict               # client -> Id, insertion = id order
     reductions: dict = field(default_factory=dict)  # Id -> multisignature
     phase: Phase = Phase.REDUCING
     commit_to: set = field(default_factory=set)      # server ordinals
@@ -259,11 +260,14 @@ class BrokerMachine(Machine):
                     for i, s in zip(ids, submissions)}
         tree = MerkleTree(_leaves(ids, payloads.values()))
         root = tree.root()
-        for pos, sub in enumerate(submissions):
-            ctx.send(ctx.owner(sub.assignment.keycard),
-                     Inclusion(sub.context, root, tree.prove(pos)))
+        senders = {}
+        for pos, (ident, sub) in enumerate(zip(ids, submissions)):
+            sender = ctx.owner(sub.assignment.keycard)
+            senders[sender] = ident
+            ctx.send(sender, Inclusion(sub.context, root, tree.prove(pos)))
         self.batches[root] = _Batch(
-            payloads, {i: s.signature for i, s in zip(ids, submissions)})
+            payloads, {i: s.signature for i, s in zip(ids, submissions)},
+            senders)
         ctx.set_timer(("reduce", root), REDUCE_TIMEOUT)
         if self.pending:
             ctx.set_timer(("flush",), 0)
@@ -274,7 +278,7 @@ class BrokerMachine(Machine):
         batch = self.batches.get(msg.root)
         if batch is None or batch.phase is not Phase.REDUCING:
             return
-        ident = self.view.lookup_keycard(ctx.keycard(src))
+        ident = batch.senders.get(src)
         if ident is None or ident not in batch.signatures:
             return
         if not ctx.verify_aggregate([ctx.keycard(src)],
@@ -378,8 +382,7 @@ class BrokerMachine(Machine):
         if (batch.phase is Phase.COMPLETING
                 and len(batch.completions) >= self.f + 1):
             certificate = ctx.certify(batch.completions)
-            ctx.send_all([ctx.owner(self.view.lookup_id(i))
-                          for i in batch.payloads],
+            ctx.send_all(list(batch.senders),
                          Completion(root, certificate, batch.exclusions))
             del self.batches[root]
 

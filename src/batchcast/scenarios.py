@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from binascii import a2b_hex
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import MISSING, fields
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -77,22 +77,12 @@ def read_keys(text: str, table: KeyTable, what: str):
     """The JSON document `text` read through `table` and typed by it.
     Raises ValueError naming the first key that is repeated in one object,
     unknown, missing or mistyped."""
-    doc = parse_json(text, _unrepeated)
+    doc = parse_json(text)
     if type(doc) is not dict:
         raise ValueError(f"{what} is not an object")
     doc = _read("", doc, table)
     _typed("", doc, table)
     return doc
-
-
-def _unrepeated(pairs: list) -> dict:
-    """The object of a JSON object's (key, value) `pairs`; ValueError names
-    a key given twice."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
-        raise ValueError(f"duplicate key {key!r}")
-    return obj
 
 
 def _read(where: str, value, kind):

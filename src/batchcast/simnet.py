@@ -127,8 +127,7 @@ class Context:
         self.sim = sim
         self.pid = pid
         self.machine = machine
-        self.label = pid.label
-        self.code = sim.trace.code(self.label)
+        self.code = sim.trace.code(pid.label)
         self.rank = sim._rank_offsets[pid.kind] + pid.ordinal
 
     @property
@@ -148,8 +147,8 @@ class Context:
         for _ in dsts:
             data = serialize(wire_ctx, msg)
         if data is not None:
-            tag = sim._tag_codes.get(type(msg)) or sim._tag_code(msg)
-            sim._schedule_send(self, dsts, data, tag)
+            sim._schedule_send(self, dsts, data,
+                               sim.trace.code(type(msg).__name__))
 
     def set_timer(self, tag: tuple, timeout: int):
         self.sim._schedule_timer(self, tag, timeout)
@@ -266,7 +265,6 @@ class Simulation:
         self._per_phase = n * n  # key units per phase of a tick
         self._counts = counts
         self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
-        self._tag_codes: dict[type, int] = {}  # message class -> tag code
         # each process's context by rank; None where it has no machine
         self._by_rank: list = [None] * n
         for pid, machine in machines.items():
@@ -287,7 +285,7 @@ class Simulation:
     def _resolve(self, policy: DelayPolicy):
         """`policy` as a function from a link, src rank * P + dst rank, to
         its next delay, or None if all are 1; unmatched overrides drop."""
-        rank = {ctx.label: ctx.rank for ctx in self._by_rank
+        rank = {ctx.pid.label: ctx.rank for ctx in self._by_rank
                 if ctx is not None} if policy.overrides else {}
         fixed = {}
         for link, delay in policy.overrides.items():
@@ -299,12 +297,6 @@ class Simulation:
         if fixed:  # every override is at least 1
             return lambda link: fixed.get(link) or (draw() if draw else 1)
         return draw
-
-    def _tag_code(self, msg) -> int:
-        """The trace tag code of `msg`'s class, interned on first use."""
-        cls = type(msg)
-        code = self._tag_codes[cls] = self.trace.code(cls.__name__)
-        return code
 
     # -- scheduling ----------------------------------------------------------
 

@@ -10,6 +10,7 @@ import json
 import struct
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, count, repeat
@@ -79,20 +80,31 @@ class TraceEvent:
     tag: str = ""
     extra: dict = field(default_factory=dict)
 
-    def record(self) -> dict:
-        rec = {"time": self.time, "kind": self.kind, "src": self.src,
-               "dst": self.dst, "bytes_len": self.bytes_len, "tag": self.tag}
-        rec.update(self.extra)
-        return rec
-
     def to_json(self) -> str:
-        return _ENCODER.encode(self.record())
+        return _ENCODER.encode({
+            "time": self.time, "kind": self.kind, "src": self.src,
+            "dst": self.dst, "bytes_len": self.bytes_len, "tag": self.tag,
+            **self.extra})
 
 
-def parse_json(text: str, object_pairs_hook=None):
-    """`json.loads`, where nesting past the recursion limit is a ValueError."""
+def _unrepeated(pairs: list) -> dict:
+    """The object of a JSON object's (key, value) `pairs`; ValueError names
+    a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unrepeated)
+
+
+def parse_json(text: str):
+    """The JSON document `text`; a key repeated in one object and nesting
+    past the recursion limit are ValueErrors."""
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        return _DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
 
@@ -167,18 +179,6 @@ class Trace:
         self._sides: list[_Side] = []
         self._side_of: dict[tuple, _Side] = {}  # (kind, *keys as given)
         self._strings: dict[str, str] = {}  # each string side value, once
-
-    @classmethod
-    def of(cls, records) -> "Trace":
-        """`records` as a Trace: a Trace as it is; any other iterable of
-        records or `TraceEvent`s written through `add_record`."""
-        if isinstance(records, Trace):
-            return records
-        trace = cls()
-        for rec in records:
-            trace.add_record(rec.record() if isinstance(rec, TraceEvent)
-                             else rec)
-        return trace
 
     def __len__(self) -> int:
         return len(self.time) + len(self.pending) // _ROW.size

@@ -231,6 +231,11 @@ class FifoReady:
     payload: bytes
 
 
+# id assignment and its FIFO broadcast, which cost accounting counts apart
+DIRECTORY_TYPES = (Signup, Ranked, Assigner, AssignShard, FifoSend, FifoEcho,
+                   FifoReady)
+
+
 # ---------------------------------------------------------------------------
 # field layouts and the codec compiler
 #
@@ -990,6 +995,7 @@ _SPECS = [
     (FifoEcho, (VNAT, VNAT, BLOB)),
     (FifoReady, (VNAT, VNAT, BLOB)),
 ]
+MESSAGE_TYPES = tuple(cls for cls, _ in _SPECS)
 
 
 def _sources(tag: int, cls, layouts) -> tuple[str, dict]:

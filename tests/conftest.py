@@ -1,5 +1,7 @@
-"""Shared fixtures: a standalone oracle population, a fake machine context
-and the f = 2 live-signup scenario."""
+"""Shared fixtures: a standalone oracle population, a fake machine context,
+the f = 2 live-signup scenario and forged traces."""
+
+import json
 
 import pytest
 
@@ -7,6 +9,18 @@ from batchcast.crypto import Oracle
 from batchcast.procs import broker, client, server
 from batchcast.simnet import (ADVERSARIAL, Context, DelayPolicy, Scenario,
                               Simulation)
+from batchcast.trace import Trace, TraceEvent
+
+
+def trace_of(records) -> Trace:
+    """A `Trace` of forged `records`, each a record dict or a `TraceEvent`
+    row (read back through its JSON), written by `Trace.add_record` one by
+    one, as `load_trace_file` writes a file's lines."""
+    trace = Trace()
+    for rec in records:
+        trace.add_record(json.loads(rec.to_json())
+                         if isinstance(rec, TraceEvent) else rec)
+    return trace
 
 
 def live_signup_f2() -> Scenario:

@@ -1,13 +1,12 @@
 """Runner flags, exit codes, and emitted artifacts."""
 
 import json
-import time
 from functools import partial
 from pathlib import Path
 
 import pytest
 
-from batchcast import crypto, scenarios, simnet
+from batchcast import crypto, properties, scenarios, simnet
 from batchcast import trace as trace_module
 from batchcast.cli import main
 from batchcast.properties import _keycard
@@ -102,15 +101,22 @@ def test_check_only_flags_forged_trace(tmp_path, capsys):
     assert "FAIL consistency" in capsys.readouterr().out
 
 
-def test_check_only_header_at_the_process_bound_checks_quickly(tmp_path):
-    """The checker hashes a keycard per process the header counts; a header
-    over a count's bound in `PROCESS_BOUNDS` is malformed (see below)."""
+def test_check_only_header_at_the_process_bound_hashes_each_keycard_once(
+        tmp_path, monkeypatch):
+    """The checker hashes one keycard per process the header counts, so its
+    work is bounded; a header over a count's bound in `PROCESS_BOUNDS` is
+    malformed (see below)."""
     path = tmp_path / "header.jsonl"
     path.write_text(json.dumps({"time": 0, "kind": "scenario",
                                 **PROCESS_BOUNDS}))
-    t0 = time.perf_counter()
+    calls = []
+    monkeypatch.setattr(properties, "_keycard",
+                        lambda *args: calls.append(args) or _keycard(*args))
     assert main(["--check-only", str(path)]) == 0
-    assert time.perf_counter() - t0 < 1
+    assert sorted(calls) == sorted(
+        (prefix, i) for prefix, n in zip("SBC", PROCESS_BOUNDS.values())
+        for i in range(n))
+    assert len(calls) == 2 ** 8 + 2 ** 8 + 2 ** 16
 
 
 @pytest.mark.parametrize("line", [
@@ -281,6 +287,14 @@ def _good_case_with(old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+def _trace_with_a_second_message() -> str:
+    """A `good_case(2)` trace whose first delivery names two messages."""
+    lines = run_scenario(good_case(n_clients=2)).trace_jsonl().split("\n")
+    k = next(i for i, line in enumerate(lines) if "app_deliver" in line)
+    lines[k] = lines[k][:-1] + ',"message":"ffffffff"}'
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("flag,text,err", [
     ("--scenario", lambda: _good_case_with('"seed": 0,',
                                            '"seed": 0, "seed": 5,'),
@@ -289,7 +303,9 @@ def _good_case_with(old: str, new: str) -> str:
      "error: invalid scenario: duplicate key 'at'\n"),
     ("--sweep", lambda: '{"m_values": [4], "clients": 8, "clients": 16}',
      "error: invalid sweep spec: duplicate key 'clients'\n"),
-], ids=["seed", "broadcast_at", "sweep_clients"])
+    ("--check-only", _trace_with_a_second_message,
+     "error: malformed trace: line 113: duplicate key 'message'\n"),
+], ids=["seed", "broadcast_at", "sweep_clients", "trace_message"])
 def test_a_key_given_twice_exits_2_naming_it(tmp_path, capsys, flag, text,
                                               err):
     """A repeated key would otherwise keep its last value unnoticed."""

@@ -274,7 +274,6 @@ def test_export_import_transfers_knowledge(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(1))
     assert importer.import_assignment(ctx, exported)
     assert importer.lookup_id(a.ident) == a.keycard
-    assert importer.lookup_keycard(a.keycard) == a.ident
 
 
 def test_import_rejects_tampered_certificate(oracle, fake_ctx_factory):
@@ -314,7 +313,6 @@ def test_import_is_idempotent(oracle, fake_ctx_factory):
 def test_lookup_unknown_is_absent():
     view = DirectoryView()
     assert view.lookup_id((0, 7)) is None
-    assert view.lookup_keycard(b"\x00" * 48) is None
     assert view.export((0, 7)) is None
 
 

@@ -3,7 +3,8 @@ function and class is named beyond its definition, every scenario setting
 has one file key and one README row, every behavior and each of its spec
 keys have one README row, every writer of a checked record kind passes the
 keys its schema requires, every dotted name the docs quote still names
-something, and `scenarios.validate` types nothing by hand."""
+something, `scenarios.validate` types nothing by hand, and only `wire`
+spells a message type's name."""
 
 import ast
 import importlib
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import batchcast
-from batchcast import properties
+from batchcast import properties, wire
 from batchcast.behaviors import BEHAVIORS
 from batchcast.scenarios import SCENARIO_KEYS, KeyTable
 from batchcast.simnet import DelayPolicy, Scenario
@@ -303,3 +304,31 @@ def test_the_check_sees_a_hand_typed_value():
                      "def other(s):\n"
                      "    return type(s)\n")
     assert _type_calls(tree, "validate") == [2, 4]
+
+
+MESSAGE_NAMES = {cls.__name__ for cls in wire.MESSAGE_TYPES}
+
+
+def _message_names(tree: ast.Module) -> list:
+    """(line, name) of each string constant of `tree` that is the name of a
+    message type."""
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value in MESSAGE_NAMES)
+
+
+def test_only_wire_spells_a_message_type_name():
+    """A module that spelled the names would need editing by hand for each
+    new message type; it derives them from `wire`'s classes instead."""
+    spelled = {path.name: _message_names(ast.parse(path.read_text()))
+               for path in SOURCES if path.name != "wire.py"}
+    assert {name: found for name, found in spelled.items() if found} == {}
+
+
+def test_the_check_sees_a_spelled_message_type_name():
+    tree = ast.parse('TAGS = {"Witness", "Commit"}\n'
+                     'other = ["Commitment", b"Commit", Commit.__name__]\n'
+                     'def f():\n    return "Signup"\n')
+    assert _message_names(tree) == [(1, "Commit"), (1, "Witness"),
+                                    (4, "Signup")]

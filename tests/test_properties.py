@@ -1,6 +1,7 @@
 """Checker self-tests: forged traces must fail, genuine traces must pass."""
 
 import pytest
+from conftest import trace_of
 
 from batchcast.properties import ALL_PROPERTIES, check_trace, _keycard
 from batchcast.scenarios import CORPUS, good_case, run_scenario
@@ -57,14 +58,14 @@ def test_one_stalling_server_passes_everything():
 def test_conflicting_deliveries_fail_consistency():
     trace = [header()] + full_delivery("aa", "01")
     trace[-1] = deliver(10, "S3", 0, "aa", "02")  # S3 saw a different message
-    verdicts = check_trace(trace)
+    verdicts = check_trace(trace_of(trace))
     assert not verdicts["consistency"].ok
     assert verdicts["consistency"].counterexample == len(trace) - 1
 
 
 def test_truncated_trace_fails_totality():
     trace = [header()] + full_delivery("aa", "01")[:-1]  # S3 never delivers
-    verdicts = check_trace(trace)
+    verdicts = check_trace(trace_of(trace))
     assert not verdicts["totality"].ok
     assert verdicts["consistency"].ok
 
@@ -72,13 +73,13 @@ def test_truncated_trace_fails_totality():
 def test_double_delivery_fails_no_duplication():
     trace = [header()] + full_delivery("aa", "01")
     trace.append(deliver(11, "S0", 0, "aa", "01"))
-    assert not check_trace(trace)["no_duplication"].ok
+    assert not check_trace(trace_of(trace))["no_duplication"].ok
 
 
 def test_unsolicited_delivery_fails_integrity():
     trace = [header()] + [deliver(10, f"S{i}", 0, "aa", "01")
                           for i in range(4)]
-    assert not check_trace(trace)["integrity"].ok
+    assert not check_trace(trace_of(trace))["integrity"].ok
 
 
 def test_corrupted_client_excused_from_integrity():
@@ -86,7 +87,7 @@ def test_corrupted_client_excused_from_integrity():
              {"time": 0, "kind": "byzantine", "src": "C0", "dst": None,
               "bytes_len": 0, "tag": ""}]
     trace += [deliver(10, f"S{i}", 0, "aa", "01") for i in range(4)]
-    verdicts = check_trace(trace)
+    verdicts = check_trace(trace_of(trace))
     assert verdicts["integrity"].ok
     assert verdicts["validity"].ok
 
@@ -94,7 +95,7 @@ def test_corrupted_client_excused_from_integrity():
 def test_dropped_broadcast_fails_validity():
     trace = [header()] + full_delivery("aa", "01")
     trace.append(broadcast(12, "C1", "bb", "02"))  # never delivered
-    assert not check_trace(trace)["validity"].ok
+    assert not check_trace(trace_of(trace))["validity"].ok
 
 
 def test_density_violation_detected():
@@ -102,7 +103,7 @@ def test_density_violation_detected():
     trace.append({"time": 0, "kind": "dir_import", "src": "S0", "dst": None,
                   "bytes_len": 0, "tag": "", "id": [0, 99],
                   "keycard": _keycard("C", 0)})
-    assert not check_trace(trace)["density"].ok
+    assert not check_trace(trace_of(trace))["density"].ok
 
 
 def test_bijectivity_violation_detected():
@@ -111,7 +112,7 @@ def test_bijectivity_violation_detected():
         trace.append({"time": 0, "kind": "dir_import", "src": "S0",
                       "dst": None, "bytes_len": 0, "tag": "", "id": ident,
                       "keycard": card})
-    assert not check_trace(trace)["dir_bijectivity"].ok
+    assert not check_trace(trace_of(trace))["dir_bijectivity"].ok
 
 
 def test_signup_order_violation_detected():
@@ -120,7 +121,7 @@ def test_signup_order_violation_detected():
                   "dst": None, "bytes_len": 0, "tag": "", "id": [0, 0]})
     trace.append({"time": 2, "kind": "signup", "src": "C0", "dst": None,
                   "bytes_len": 0, "tag": ""})
-    verdicts = check_trace(trace)
+    verdicts = check_trace(trace_of(trace))
     assert not verdicts["signup_integrity"].ok
 
 
@@ -143,7 +144,7 @@ def signup_with_import(import_event, import_first):
 def test_own_import_after_completion_fails_self_knowledge():
     trace = signup_with_import(dir_import(2, "C0", [0, 4], _keycard("C", 0)),
                                import_first=False)
-    verdict = check_trace(trace)["self_knowledge"]
+    verdict = check_trace(trace_of(trace))["self_knowledge"]
     assert not verdict.ok
     assert verdict.counterexample == 2  # the completion
 
@@ -152,14 +153,14 @@ def test_import_by_another_label_fails_self_knowledge():
     for label, card in (("C1", _keycard("C", 0)), ("C0", _keycard("C", 1))):
         trace = signup_with_import(dir_import(2, label, [0, 4], card),
                                    import_first=True)
-        assert not check_trace(trace)["self_knowledge"].ok, label
+        assert not check_trace(trace_of(trace))["self_knowledge"].ok, label
 
 
 def test_import_before_completion_passes_self_knowledge():
     trace = signup_with_import(dir_import(2, "C0", [0, 4], _keycard("C", 0)),
                                import_first=True)
     trace.append(dir_import(3, "C0", [0, 4], _keycard("C", 0)))  # repeat
-    assert check_trace(trace)["self_knowledge"].ok
+    assert check_trace(trace_of(trace))["self_knowledge"].ok
 
 
 def fb(t, srv, origin, seq, payload):
@@ -171,28 +172,28 @@ def fb(t, srv, origin, seq, payload):
 def test_fifo_split_slot_fails_consistency():
     trace = [header()]
     trace += [fb(1, "S0", 2, 0, "aa"), fb(1, "S1", 2, 0, "bb")]
-    verdicts = check_trace(trace)
+    verdicts = check_trace(trace_of(trace))
     assert not verdicts["fifo_consistency"].ok
 
 
 def test_fifo_missing_server_fails_totality():
     trace = [header()] + [fb(1, f"S{i}", 2, 0, "aa") for i in range(3)]
-    assert not check_trace(trace)["fifo_totality"].ok
+    assert not check_trace(trace_of(trace))["fifo_totality"].ok
 
 
 def test_fifo_gap_fails_order():
     trace = [header(), fb(1, "S0", 2, 0, "aa"), fb(2, "S0", 2, 2, "bb")]
-    assert not check_trace(trace)["fifo_order"].ok
+    assert not check_trace(trace_of(trace))["fifo_order"].ok
 
 
 def test_fifo_replay_fails_no_duplication():
     trace = [header()] + [fb(1, f"S{i}", 2, 0, "aa") for i in range(4)]
     trace.append(fb(2, "S0", 2, 0, "aa"))
-    assert not check_trace(trace)["fifo_no_duplication"].ok
+    assert not check_trace(trace_of(trace))["fifo_no_duplication"].ok
 
 
 def test_all_properties_reported():
-    verdicts = check_trace([header()])
+    verdicts = check_trace(trace_of([header()]))
     assert set(verdicts) == set(ALL_PROPERTIES)
 
 
@@ -272,6 +273,6 @@ def test_violation_table_covers_every_property():
                          ids=[f"{v[0]}-{i}" for i, v in enumerate(VIOLATIONS)])
 def test_each_property_fails_at_its_violation_and_passes_without(
         name, bad, index, good):
-    verdict = check_trace([header()] + bad)[name]
+    verdict = check_trace(trace_of([header()] + bad))[name]
     assert (verdict.ok, verdict.counterexample) == (False, index)
-    assert check_trace([header()] + good)[name].ok
+    assert check_trace(trace_of([header()] + good))[name].ok

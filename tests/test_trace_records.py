@@ -10,6 +10,7 @@ field of the wrong JSON type before the checker reads it.
 import json
 
 import pytest
+from conftest import trace_of
 
 from batchcast import metrics
 from batchcast import trace as trace_module
@@ -26,14 +27,14 @@ def corpus_traces():
 
 def read_back(rec) -> TraceEvent:
     """The one row `add_record` writes for `rec`."""
-    [ev] = Trace.of([rec])
+    [ev] = trace_of([rec])
     return ev
 
 
 def test_from_record_inverts_to_json(corpus_traces):
     for key, trace in corpus_traces.items():
         rows = list(trace)
-        copy = Trace.of(json.loads(ev.to_json()) for ev in rows)
+        copy = trace_of(json.loads(ev.to_json()) for ev in rows)
         for i, (ev, back) in enumerate(zip(rows, copy, strict=True)):
             assert back == ev, (key, i)
 
@@ -54,7 +55,7 @@ def test_counterexample_indexes_survive_the_file(tmp_path):
     delivers = [i for i, ev in enumerate(trace) if ev.kind == "app_deliver"]
     trace.append(trace[delivers[0]])    # a second delivery
     del trace[delivers[-1]]              # one server misses a payload
-    in_memory = check_trace(trace)
+    in_memory = check_trace(trace_of(trace))
     assert not in_memory["no_duplication"].ok
     assert not in_memory["totality"].ok
     path = write_jsonl(tmp_path / "forged.jsonl", trace)
@@ -69,7 +70,7 @@ def test_post_processing_never_round_trips_json(monkeypatch):
         raise AssertionError("trace record went through JSON")
 
     monkeypatch.setattr(TraceEvent, "to_json", boom)
-    monkeypatch.setattr(json, "loads", boom)
+    monkeypatch.setattr(trace_module, "parse_json", boom)
     assert all(v.ok for v in check_trace(trace).values())
     assert metrics.amortized_report(trace, scenario)["servers"]["S0"][
         "delivered"] == 4
@@ -121,7 +122,7 @@ def test_every_checked_kind_has_a_record_case():
 @pytest.mark.parametrize("kind", sorted(CHECKED_RECORDS))
 def test_from_record_requires_the_keys_the_checker_reads(kind):
     full = {"time": 1, "kind": kind, "src": "S0", **CHECKED_RECORDS[kind]}
-    check_trace([HEADER, full])  # complete: the checker reads it
+    check_trace(trace_of([HEADER, full]))  # complete: the checker reads it
     for key in CHECKED_RECORDS[kind]:
         rec = {k: v for k, v in full.items() if k != key}
         with pytest.raises(ValueError, match=f"{kind} record without '{key}'"):

@@ -10,7 +10,7 @@ one kind under two key sets, and chunk boundaries.
 import gc
 
 import pytest
-from conftest import live_signup_f2
+from conftest import live_signup_f2, trace_of
 
 from batchcast import simnet
 from batchcast import trace as trace_module
@@ -87,7 +87,7 @@ def forged_records() -> list:
 
 def test_forged_records_round_trip_through_the_store():
     records = forged_records()
-    trace = Trace.of(records)
+    trace = trace_of(records)
     rows = [row_of(rec) for rec in records]
     assert list(trace) == rows
 
@@ -96,31 +96,29 @@ def test_forged_records_round_trip_through_the_store():
 def test_forged_jsonl_matches_the_row_encoder(monkeypatch, chunk):
     monkeypatch.setattr(trace_module, "_JSONL_CHUNK", chunk)
     records = forged_records() * 3
-    trace = Trace.of(records)
+    trace = trace_of(records)
     expected = reference_jsonl(map(row_of, records))
     assert "".join(trace.jsonl()) == expected
 
 
 def test_an_empty_trace_is_one_newline():
     assert "".join(Trace().jsonl()) == reference_jsonl([]) == "\n"
-    assert "".join(Trace.of([]).jsonl()) == "\n"
 
 
-def test_a_trace_is_taken_as_it_is_and_events_are_checked():
+def test_rows_written_back_check_the_same_and_are_checked():
     sim = run_scenario(CORPUS["good_case"]())
-    assert Trace.of(sim.trace) is sim.trace
     rows = list(sim.trace)
-    copy = Trace.of(rows)
+    copy = trace_of(rows)
     assert copy is not sim.trace and list(copy) == rows
     assert check_trace(copy) == check_trace(sim.trace)
     rows[1] = TraceEvent(1, "broadcast", "C0", extra={"context": 5,
                                                       "message": "aa"})
     with pytest.raises(ValueError, match="'context' is not a string"):
-        Trace.of(rows)
+        trace_of(rows)
 
 
 def test_select_merges_key_sets_in_row_order():
-    trace = Trace.of(forged_records())
+    trace = trace_of(forged_records())
     rows = trace.select("dir_import")
     assert rows == [(4, "S0", (0, 1), "aa", None),
                     (5, "S1", (0, 2), "bb", "ff"),
@@ -134,7 +132,7 @@ def test_select_merges_key_sets_in_row_order():
 def test_select_gives_the_declared_keys_in_declared_order():
     """Unchecked keys, such as the header's name, are written but never
     selected; a kind the schema does not declare selects (row, src)."""
-    trace = Trace.of(forged_records())
+    trace = trace_of(forged_records())
     assert trace.select("scenario") == [(0, None, 4, 1, 2)]
     assert trace.select("broadcast") == [(7, "C0", "".join(ODD), "%s%%")]
     assert trace.select("odd%s kind\né") == [(9, None), (10, None),
@@ -227,7 +225,7 @@ def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
             pending = len(trace.pending)
             ledger = CostLedger.from_trace(trace)
             rows = list(trace)
-            assert vars(ledger) == vars(CostLedger.from_trace(rows))
+            assert vars(ledger) == vars(CostLedger.from_trace(trace_of(rows)))
             seen_pending += pending > 0
             assert len(rows) == len(trace) and not trace.pending
             assert trace.select("fb_deliver") == [
