@@ -15,7 +15,7 @@ from __future__ import annotations
 from binascii import a2b_hex
 
 from .crypto import Certificate, MerkleProof
-from .procs import ProcessId, ProcessKind, brokers
+from .procs import ProcessId, ProcessKind
 from .protocol import BrokerMachine, ServerMachine
 from .simnet import Context, Machine, Scenario
 from .wire import (Commit, EquivocationProof, Inclusion, Reduction,
@@ -25,15 +25,12 @@ from .wire import (Commit, EquivocationProof, Inclusion, Reduction,
 class SilentBroker(Machine):
     """Accepts nothing, sends nothing: clients must resubmit elsewhere."""
 
-    def __init__(self, *_broker_args, **_broker_kwargs):
-        pass
-
 
 class CensoringBroker(BrokerMachine):
     """Runs the correct broker but drops submissions from target clients."""
 
-    def __init__(self, *args, censored, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, censored):
+        super().__init__()
         self.censored = {ProcessId(ProcessKind.CLIENT, o) for o in censored}
 
     def on_message(self, ctx, src, msg):
@@ -57,7 +54,7 @@ class EquivocatingClient(Machine):
         self.preloaded = preloaded
 
     def on_start(self, ctx: Context):
-        for dst, message in zip(brokers(len(self.messages)), self.messages):
+        for dst, message in zip(ctx.brokers, self.messages):
             signature = ctx.sign(stmt_message(self.context, message))
             ctx.send(dst, Submission(self.preloaded, self.context, message,
                                      signature))
@@ -105,7 +102,7 @@ class LoneCommitBroker(BrokerMachine):
     """
 
     def _commit(self, ctx, root, batch, patches):
-        ctx.send(self.servers[min(batch.commit_to)], Commit(root, patches))
+        ctx.send(ctx.servers[min(batch.commit_to)], Commit(root, patches))
         del self.batches[root]  # never completes: clients must resubmit
 
 

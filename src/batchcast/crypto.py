@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .procs import ProcessId, ProcessKind, server, servers
+from .procs import ProcessId, ProcessKind, server
 
 DIGEST_BITS = 256
 SIGNATURE_BITS = 512
@@ -151,17 +151,18 @@ class Oracle:
                 for stmt in statements]
 
     def verify_certificate(self, caller: ProcessId, cert: Certificate,
-                           statement: bytes, threshold: int,
-                           n_servers: int) -> bool:
+                           statement: bytes, threshold: int) -> bool:
+        """True iff `cert` holds at least `threshold` signers, each a server
+        the registry knows, and aggregates exactly their multi-signatures."""
         if not isinstance(cert, Certificate) or len(cert.signers) < threshold:
             return False
-        if any(o < 0 or o >= n_servers for o in cert.signers):
+        known = self._keycards[ProcessKind.SERVER]
+        if any(o not in known for o in cert.signers):
             return False
         key = (statement, tuple(cert.signers))
         if key != self._last_certificate[0]:
-            ids = servers(n_servers)
             self._last_certificate = (key, _xor(
-                self.multisign(ids[o], statement) for o in key[1]))
+                self.multisign(server(o), statement) for o in key[1]))
         return cert.msig == self._last_certificate[1]
 
 
@@ -222,11 +223,12 @@ class MerkleTree:
         return MerkleProof(index, tuple(path))
 
 
-def merkle_verify(root: bytes, proof: MerkleProof, index: int,
-                  leaf: bytes) -> bool:
-    if not isinstance(proof, MerkleProof) or proof.index != index:
+def merkle_verify(root: bytes, proof: MerkleProof, leaf: bytes) -> bool:
+    """True iff `proof` shows `leaf` at `proof.index` under `root`; an index
+    the leaf digest's 8 bytes cannot hold fails."""
+    if not isinstance(proof, MerkleProof) or not 0 <= proof.index < 1 << 64:
         return False
-    node = _leaf_digest(index, leaf)
+    node = _leaf_digest(proof.index, leaf)
     for side, sibling in proof.path:
         if not isinstance(sibling, bytes) or len(sibling) != DIGEST_BYTES:
             return False

@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .fifocast import FifoBroadcast
-from .procs import Id, ProcessKind, servers
+from .procs import Id, ProcessKind
 from .wire import (Assigner, Assignment, AssignShard, FifoEcho, FifoReady,
                    FifoSend, Ranked, Signup, stmt_assignment)
 
@@ -85,8 +85,6 @@ class ClientSignup:
     2f+1 servers sign, handing the certified assignment to
     `on_complete(ctx, assignment)`."""
 
-    f: int
-    n_servers: int
     on_complete: object
     done: bool = False
     rankings: dict = field(default_factory=dict)   # domain -> {ordinal}
@@ -95,7 +93,7 @@ class ClientSignup:
 
     def signup(self, ctx):
         ctx.emit("signup")
-        ctx.send_all(servers(self.n_servers), Signup())
+        ctx.send_all(ctx.servers, Signup())
 
     def handle(self, ctx, src, msg):
         if src.kind != ProcessKind.SERVER:
@@ -104,9 +102,9 @@ class ClientSignup:
             rankers = self.rankings.setdefault(msg.domain, set())
             rankers.add(src.ordinal)
             # no other domain has f+1 rankers, or it would be the assigner
-            if self.assigner is None and len(rankers) >= self.f + 1:
+            if self.assigner is None and len(rankers) >= ctx.plurality:
                 self.assigner = msg.domain
-                ctx.send_all(servers(self.n_servers), Assigner(msg.domain))
+                ctx.send_all(ctx.servers, Assigner(msg.domain))
             return
         if self.assigner is None:  # an AssignShard before the election
             return
@@ -116,7 +114,7 @@ class ClientSignup:
             return
         shards = self.shards.setdefault(msg.index, {})
         shards[src.ordinal] = msg.shard
-        if not self.done and len(shards) >= 2 * self.f + 1:
+        if not self.done and len(shards) >= ctx.quorum:
             self.done = True
             a = Assignment(ident, ctx.keycard(), ctx.certify(shards))
             certified(ctx, a)
@@ -129,8 +127,8 @@ class ServerDirectory:
     at the later of its assigner's record and its place in that assigner's
     FIFO log."""
 
-    def __init__(self, n_servers: int, f: int):
-        self.fifo = FifoBroadcast(n_servers, f, self._on_rank)
+    def __init__(self):
+        self.fifo = FifoBroadcast(self._on_rank)
         self.rankings: dict[int, dict] = {}    # origin -> {keycard: index}
         self.assigners: dict[bytes, int] = {}  # keycard -> domain (write-once)
 

@@ -9,7 +9,7 @@ state a later message can change is kept: nothing of a delivered slot.
 
 from __future__ import annotations
 
-from .procs import ProcessKind, servers
+from .procs import ProcessKind
 from .wire import FifoEcho, FifoReady, FifoSend
 
 
@@ -17,12 +17,10 @@ class FifoBroadcast:
     """One server's endpoint of the FIFO broadcast primitive.
 
     `deliver` is called as deliver(ctx, origin_ordinal, payload) in per-origin
-    sequence order.
+    sequence order.  The servers and thresholds are the context's.
     """
 
-    def __init__(self, n_servers: int, f: int, deliver):
-        self.servers = servers(n_servers)
-        self.f = f
+    def __init__(self, deliver):
         self.deliver = deliver
         self.next_seq = 0  # own broadcasts
         self.next_echo: dict = {}   # origin -> seq of the next Send to echo
@@ -36,7 +34,7 @@ class FifoBroadcast:
     def broadcast(self, ctx, payload: bytes):
         seq = self.next_seq
         self.next_seq += 1
-        ctx.send_all(self.servers, FifoSend(seq, payload))
+        ctx.send_all(ctx.servers, FifoSend(seq, payload))
 
     def handle(self, ctx, src, msg):
         """A FIFO message; one from a sender that is no server is ignored."""
@@ -46,7 +44,7 @@ class FifoBroadcast:
             # links are FIFO, so a correct origin's Sends arrive in order
             if msg.seq == self.next_echo.get(src.ordinal, 0):
                 self.next_echo[src.ordinal] = msg.seq + 1
-                ctx.send_all(self.servers,
+                ctx.send_all(ctx.servers,
                              FifoEcho(src.ordinal, msg.seq, msg.payload))
             return
         # A delivered slot has sent its Ready (delivery needs 2f+1 Readys,
@@ -58,14 +56,14 @@ class FifoBroadcast:
             echoes = self.echoes.setdefault(key, {}).setdefault(msg.payload,
                                                                 set())
             echoes.add(src.ordinal)
-            if len(echoes) >= 2 * self.f + 1:
+            if len(echoes) >= ctx.quorum:
                 self._send_ready(ctx, key, msg.payload)
             return
         readys = self.readys.setdefault(key, {}).setdefault(msg.payload, set())
         readys.add(src.ordinal)
-        if len(readys) >= self.f + 1:
+        if len(readys) >= ctx.plurality:
             self._send_ready(ctx, key, msg.payload)
-        if len(readys) >= 2 * self.f + 1:
+        if len(readys) >= ctx.quorum:
             self.echoes.pop(key, None)
             del self.readys[key]
             self.ready_sent.discard(key)
@@ -74,7 +72,7 @@ class FifoBroadcast:
     def _send_ready(self, ctx, key, payload):
         if key not in self.ready_sent:
             self.ready_sent.add(key)
-            ctx.send_all(self.servers, FifoReady(*key, payload))
+            ctx.send_all(ctx.servers, FifoReady(*key, payload))
 
     def _fifo_deliver(self, ctx, origin, seq, payload):
         held = self.held

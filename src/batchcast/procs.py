@@ -6,7 +6,6 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from functools import cache
 
 # the most servers, brokers and clients a scenario may have
 PROCESS_BOUNDS = {"servers": 1 << 8, "brokers": 1 << 8, "clients": 1 << 16}
@@ -38,10 +37,9 @@ def server(n: int) -> ProcessId:
     return ProcessId(ProcessKind.SERVER, n)
 
 
-@cache
 def servers(n: int) -> tuple[ProcessId, ...]:
-    """The ids of servers 0 to n - 1: one shared tuple per n, the
-    destinations of every fan-out to all servers."""
+    """The ids of servers 0 to n - 1: a simulation builds them once, and
+    every context carries that tuple (see `simnet.Context`)."""
     return tuple(server(i) for i in range(n))
 
 
@@ -49,9 +47,8 @@ def broker(n: int) -> ProcessId:
     return ProcessId(ProcessKind.BROKER, n)
 
 
-@cache
 def brokers(n: int) -> tuple[ProcessId, ...]:
-    """The ids of brokers 0 to n - 1, one shared tuple per n, as `servers`."""
+    """The ids of brokers 0 to n - 1, built and carried as `servers`."""
     return tuple(broker(i) for i in range(n))
 
 

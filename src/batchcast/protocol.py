@@ -30,7 +30,7 @@ from operator import itemgetter, lt
 from .crypto import MerkleTree, merkle_verify
 from .directory import (DIRECTORY_MESSAGES, ClientSignup, DirectoryView,
                         ServerDirectory)
-from .procs import Id, ProcessId, ProcessKind, brokers, servers
+from .procs import Id, ProcessId, ProcessKind
 from .simnet import Context, Machine
 from .wire import (AcceptTotality, Assignment, AssignShard, BatchAcquired,
                    BatchMsg, Commit, CommitShard, Completion, CompletionShard,
@@ -82,14 +82,13 @@ class _Submission:
 
 
 class ClientMachine(Machine):
-    def __init__(self, n_servers: int, n_brokers: int, f: int, plan=(),
-                 broker_order=None, preloaded: Assignment | None = None):
-        self.brokers = brokers(n_brokers)
+    def __init__(self, plan=(), broker_order=None,
+                 preloaded: Assignment | None = None):
         self.plan = list(plan)  # [(delay, context, message)]
         self.broker_order = list(broker_order) if broker_order else None
         self.assignment = preloaded  # this client's own, once it has one
         self.signup = (None if preloaded is not None
-                       else ClientSignup(f, n_servers, self._signed_up))
+                       else ClientSignup(self._signed_up))
         self.submissions: dict[bytes, _Submission] = {}
 
     # -- lifecycle ------------------------------------------------------------
@@ -124,11 +123,11 @@ class ClientMachine(Machine):
         sub = self.submissions.get(context)
         if sub is None:
             return
-        order = self.broker_order or range(len(self.brokers))
+        order = self.broker_order or range(len(ctx.brokers))
         target = next((b for b in order if b not in sub.submitted_to), None)
         if target is None:
             return
-        ctx.send(self.brokers[target],
+        ctx.send(ctx.brokers[target],
                  Submission(self.assignment, context, sub.message,
                             sub.signature))
         sub.submitted_to.add(target)
@@ -157,7 +156,7 @@ class ClientMachine(Machine):
         if sub is None or msg.root in sub.included_in:
             return
         leaf = leaf_bytes(self.assignment.ident, msg.context, sub.message)
-        if not merkle_verify(msg.root, msg.proof, msg.proof.index, leaf):
+        if not merkle_verify(msg.root, msg.proof, leaf):
             return  # a substituted payload fails the proof: stay silent
         sub.included_in.add(msg.root)
         ctx.send(src, Reduction(msg.root, ctx.multisign(stmt_reduction(msg.root))))
@@ -201,9 +200,7 @@ class _Batch:
 
 
 class BrokerMachine(Machine):
-    def __init__(self, n_servers: int, f: int):
-        self.servers = servers(n_servers)
-        self.f = f
+    def __init__(self):
         self.view = DirectoryView()
         # Id -> deque of Submission, oldest first; a flush timer is
         # outstanding exactly when some id has one
@@ -291,7 +288,7 @@ class BrokerMachine(Machine):
         batch = self.batches.get(root)
         if batch is None or batch.phase is not Phase.REDUCING:
             return
-        ctx.send_all(self.servers,
+        ctx.send_all(ctx.servers,
                      BatchMsg(compress_ids(batch.payloads),
                               tuple(batch.payloads.values())))
         batch.phase = Phase.WITNESSING
@@ -361,7 +358,7 @@ class BrokerMachine(Machine):
                                     stmt_witness(ep.conflict_root)):
             return False
         leaf = leaf_bytes(ident, context, ep.conflict_message)
-        if not merkle_verify(ep.conflict_root, ep.proof, ep.proof.index, leaf):
+        if not merkle_verify(ep.conflict_root, ep.proof, leaf):
             return False
         return message != ep.conflict_message
 
@@ -372,15 +369,15 @@ class BrokerMachine(Machine):
         only an accepted shard or the committable timer changes that."""
         batch = self.batches[root]
         if (batch.phase is Phase.WITNESSING
-                and len(batch.witnesses) >= self.f + 1):
-            ctx.send_all(self.servers,
+                and len(batch.witnesses) >= ctx.plurality):
+            ctx.send_all(ctx.servers,
                          Witness(root, ctx.certify(batch.witnesses)))
             batch.phase = Phase.COMMITTING
         if (batch.phase is Phase.COMMITTING and batch.committable
-                and len(batch.commits) >= 2 * self.f + 1):
+                and len(batch.commits) >= ctx.quorum):
             self._commit(ctx, root, batch, self._commit_patches(ctx, batch))
         if (batch.phase is Phase.COMPLETING
-                and len(batch.completions) >= self.f + 1):
+                and len(batch.completions) >= ctx.plurality):
             certificate = ctx.certify(batch.completions)
             ctx.send_all(list(batch.senders),
                          Completion(root, certificate, batch.exclusions))
@@ -388,7 +385,7 @@ class BrokerMachine(Machine):
 
     def _commit(self, ctx: Context, root: bytes, batch: _Batch, patches):
         """Send `patches` to each witness shard's sender; await completion."""
-        ctx.send_all([self.servers[o] for o in sorted(batch.commit_to)],
+        ctx.send_all([ctx.servers[o] for o in sorted(batch.commit_to)],
                      Commit(root, patches))
         batch.exclusions = exclusion_union(patches)
         batch.phase = Phase.COMPLETING
@@ -444,15 +441,12 @@ class _StoredBatch:
 
 
 class ServerMachine(Machine):
-    def __init__(self, n_servers: int, f: int,
-                 preloaded: tuple[Assignment, ...] = (),
+    def __init__(self, preloaded: tuple[Assignment, ...] = (),
                  check_batch=None):
-        self.servers = servers(n_servers)
-        self.f = f
         self.preloaded = preloaded
         self.check_batch = check_batch or lru_cache(maxsize=1)(checked_batch)
         self.view = DirectoryView()
-        self.dir = ServerDirectory(n_servers, f)
+        self.dir = ServerDirectory()
         self.batches: dict[bytes, _StoredBatch] = {}
         self.messages: dict[tuple, tuple] = {}   # (id, context) -> (msg, root)
         self.delivered: set = set()              # (keycard, context)
@@ -502,7 +496,7 @@ class ServerMachine(Machine):
     def on_timer(self, ctx: Context, tag: tuple):
         if tag[0] == "offer_totality":
             _, root, exclusions = tag
-            ctx.send_all(self.servers,
+            ctx.send_all(ctx.servers,
                          OfferTotality(root, frozenset(exclusions)))
 
     # -- batch acquisition --------------------------------------------------------
@@ -605,7 +599,7 @@ class ServerMachine(Machine):
                     certificate, stmt_commit(root, frozenset(exceptions)), 1):
                 return None
             signers |= certificate.signers
-        if len(signers) < 2 * self.f + 1:
+        if len(signers) < ctx.quorum:
             return None
         exclusions = exclusion_union(patches)
         batch.commits[exclusions] = tuple(patches)

@@ -338,29 +338,25 @@ def build_simulation(scenario: Scenario) -> Simulation:
               for pid in (processes if script else ()) if pid.label in script}
     oracle = Oracle(processes)
     preloads = preloaded_directory(oracle, s) if s.preload_directory else ()
-    common = {"n_servers": s.n_servers, "f": s.fault_bound}
     # one cached batch check for all servers: they are sent the same batches
-    server_kwargs = dict(common, preloaded=preloads,
-                         check_batch=lru_cache(maxsize=1)(checked_batch))
+    server_kwargs = {"preloaded": preloads,
+                     "check_batch": lru_cache(maxsize=1)(checked_batch)}
     machines = {}
     for pid in processes:
         behavior = faulty.get(pid) if faulty else None
         if pid.kind is ProcessKind.SERVER:
             correct, kwargs = ServerMachine, server_kwargs
         elif pid.kind is ProcessKind.BROKER:
-            correct, kwargs = BrokerMachine, common
+            correct, kwargs = BrokerMachine, {}
         else:
             j = pid.ordinal
             plan, order = plans.get(j, []), s.broker_order.get(j)
             preloaded = preloads[j] if preloads else None
             if behavior is None:  # a correct client, built with no kwargs dict
-                machines[pid] = ClientMachine(s.n_servers, s.n_brokers,
-                                              s.fault_bound, plan, order,
-                                              preloaded)
+                machines[pid] = ClientMachine(plan, order, preloaded)
                 continue
             correct, kwargs = ClientMachine, dict(
-                common, n_brokers=s.n_brokers, plan=plan, broker_order=order,
-                preloaded=preloaded)
+                plan=plan, broker_order=order, preloaded=preloaded)
         cls, spec_kwargs = behavior or (correct, {})
         machines[pid] = cls(**kwargs, **spec_kwargs)
     return Simulation(s, machines, oracle)

@@ -119,7 +119,9 @@ class Context:
     use the owner's key, so a Byzantine behavior cannot mint signatures for
     keys it does not hold.  `machine` is the process's machine (None for a
     context that only reaches the crypto facade), and `rank` its place in an
-    event's key (see the module docstring).
+    event's key (see the module docstring).  `servers` and `brokers` are the
+    simulation's tuples of ids, and `plurality` (f + 1) and `quorum` (2f + 1)
+    its thresholds: a machine reads them here and keeps no copy.
     """
 
     def __init__(self, sim: "Simulation", pid: ProcessId,
@@ -129,6 +131,8 @@ class Context:
         self.machine = machine
         self.code = sim.trace.code(pid.label)
         self.rank = sim._rank_offsets[pid.kind] + pid.ordinal
+        self.servers, self.brokers = sim.servers, sim.brokers
+        self.plurality, self.quorum = sim.plurality, sim.quorum
 
     @property
     def now(self) -> int:
@@ -193,16 +197,14 @@ class Context:
 
     def verify_certificate(self, cert, statement: bytes, threshold: int) -> bool:
         self._count("verify_certificate")
-        return self.sim.oracle.verify_certificate(
-            self.pid, cert, statement, threshold, self.sim.scenario.n_servers)
+        return self.sim.oracle.verify_certificate(self.pid, cert, statement,
+                                                  threshold)
 
     def verify_plurality(self, cert, statement: bytes) -> bool:
-        return self.verify_certificate(cert, statement,
-                                       self.sim.scenario.fault_bound + 1)
+        return self.verify_certificate(cert, statement, self.plurality)
 
     def verify_quorum(self, cert, statement: bytes) -> bool:
-        return self.verify_certificate(cert, statement,
-                                       2 * self.sim.scenario.fault_bound + 1)
+        return self.verify_certificate(cert, statement, self.quorum)
 
 
 class EventBudgetExhausted(RuntimeError):
@@ -257,6 +259,8 @@ class Simulation:
         self.rng = random.Random(s.seed)
         self.now = 0
         self.trace = trace.Trace()
+        self.servers, self.brokers = servers(s.n_servers), brokers(s.n_brokers)
+        self.plurality, self.quorum = s.fault_bound + 1, 2 * s.fault_bound + 1
         self._queue: list = []
         self._seq = 0
         counts = (s.n_servers, s.n_brokers, s.n_clients)
@@ -272,10 +276,9 @@ class Simulation:
                 raise ValueError(f"the scenario counts no process {pid!r}")
             ctx = Context(self, pid, machine)
             self._by_rank[ctx.rank] = ctx
-        # `servers(n)`, the fan-out to every server, checked once if it can be
+        # `servers`, the fan-out to every server, checked once if it can be
         self._server_contexts = self._by_rank[:s.n_servers]
-        self._servers = (None if None in self._server_contexts
-                         else servers(s.n_servers))
+        self._fan_out = None if None in self._server_contexts else self.servers
         self._draw_delay = self._resolve(s.delay_policy)
         self._draw_skew = (None if s.timer_policy == "timeout"
                            else _uniform(self.rng, 1, TIMER_SKEW_MAX))
@@ -303,7 +306,7 @@ class Simulation:
     def _schedule_send(self, src: Context, dsts, data: bytes, tag: int):
         """Queue `data`, of trace tag code `tag`, to each of `dsts` in turn;
         ValueError, and none queued, if one is not a process with a machine."""
-        if dsts is self._servers:
+        if dsts is self._fan_out:
             tos = self._server_contexts
         else:
             counts, offsets = self._counts, self._rank_offsets

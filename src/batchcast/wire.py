@@ -347,12 +347,12 @@ def _bits(width) -> str:
 
 
 class WireContext:
-    """Serialization context: the shared server enumeration and the last
-    message `serialize` encoded with its bytes (see `serialize`)."""
+    """Serialization context: the number of servers, whose ordinals are the
+    domain enumeration of a partition and the width of a signer bitmap, and
+    the last message `serialize` encoded with its bytes (see `serialize`)."""
 
     def __init__(self, n_servers: int):
         self.n_servers = n_servers
-        self.domains = list(range(n_servers))
         self.last = (object(), b"")  # (message, its bytes); matches none
 
 
@@ -744,7 +744,7 @@ class _Partition(_Layout):
         g.varint("dw")
         g.varint("iw")
         g("sizes = {d: len(ix) for d, ix in mu}")
-        g("counts = [sizes.get(d, 0) for d in ctx.domains]")
+        g("counts = [sizes.get(d, 0) for d in range(ctx.n_servers)]")
         # the first digit of the string is the most significant bit
         g('s = ("{:0%db}" % iw * len(zs) + "{:0%db}" % dw * len(counts))'
           ".format(*zs, *counts)")
@@ -756,7 +756,7 @@ class _Partition(_Layout):
         g(f"{dw} += 1")
         g.vnat(iw, zero="partition index width 0")
         g(f"{iw} += 1")
-        g(f"cb = len(ctx.domains) * {dw}")
+        g(f"cb = ctx.n_servers * {dw}")
         g("if pos + cb > end: raise DecodeError(EXHAUSTED)")
         g('s = format(v & (1 << cb) - 1, "0%db" % cb)')
         g(f"counts = [int(s[i:i + {dw}], 2) for i in range(0, cb, {dw})]")
@@ -773,7 +773,7 @@ class _Partition(_Layout):
         groups = g.local("groups")
         g(f"{groups} = []")
         g("i = 0")
-        with g.block("for d, y in zip(ctx.domains, counts):"):
+        with g.block("for d, y in enumerate(counts):"):
             with g.block("if y:"):
                 g("group = set(zs[i:i + y])")
                 g("if len(group) != y:"

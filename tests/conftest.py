@@ -53,9 +53,9 @@ class FakeCtx(Context):
     timers and emitted events; the crypto facade is `Context`'s own, on a
     simulation of no machines over `oracle`."""
 
-    def __init__(self, oracle, pid, f=1, n_servers=4):
+    def __init__(self, oracle, pid, f=1, n_servers=4, n_brokers=1):
         scenario = Scenario(name="fake", n_servers=n_servers, fault_bound=f,
-                            n_brokers=1, n_clients=0)
+                            n_brokers=n_brokers, n_clients=0)
         super().__init__(Simulation(scenario, {}, oracle), pid)
         self.sent = []      # (dst, msg)
         self.timers = []    # (tag, timeout)

@@ -24,13 +24,13 @@ def test_machines_survive_message_fuzz(oracle, fake_ctx_factory):
     scenario = good_case(n_clients=8)
     preload = preloaded_directory(oracle, scenario)
     machines = [
-        (ServerMachine(4, 1, preload), server(0)),
-        (BrokerMachine(4, 1), broker(0)),
-        (ClientMachine(4, 2, 1, preloaded=preload[0]), client(0)),
+        (ServerMachine(preload), server(0)),
+        (BrokerMachine(), broker(0)),
+        (ClientMachine(preloaded=preload[0]), client(0)),
     ]
     ctxs = []
     for machine, pid in machines:
-        ctx = fake_ctx_factory(pid)
+        ctx = fake_ctx_factory(pid, n_brokers=2)
         machine.on_start(ctx)
         ctxs.append(ctx)
     if hasattr(machines[2][0], "broadcast"):
@@ -47,13 +47,13 @@ def test_machines_survive_message_fuzz(oracle, fake_ctx_factory):
 
 def test_machines_survive_timer_fuzz(oracle, fake_ctx_factory):
     rng = random.Random(0xFEED)
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     ctx = fake_ctx_factory(broker(0))
     for _ in range(200):
         tag = rng.choice([("flush",), ("reduce", rng.randbytes(32)),
                           ("committable", rng.randbytes(32))])
         machine.on_timer(ctx, tag)
-    srv = ServerMachine(4, 1, ())
+    srv = ServerMachine()
     sctx = fake_ctx_factory(server(0))
     for _ in range(50):
         srv.on_timer(sctx, ("offer_totality", rng.randbytes(32), ()))

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from batchcast import crypto
-from batchcast.crypto import MerkleTree, merkle_verify
+from batchcast.crypto import MerkleProof, MerkleTree, merkle_verify
 from batchcast.procs import broker, client, server
 
 
@@ -73,20 +73,20 @@ def test_aggregate_of_nothing_is_identity(oracle):
 
 def test_certificate_thresholds(oracle):
     stmt = b"witness|r"
-    f, n = 1, 4
+    f = 1
     plurality, quorum = f + 1, 2 * f + 1
     verify = oracle.verify_certificate
     shards = {o: oracle.multisign(server(o), stmt) for o in range(3)}
     cert = oracle.certify(shards)
-    assert verify(broker(0), cert, stmt, plurality, n)
-    assert verify(broker(0), cert, stmt, quorum, n)
+    assert verify(broker(0), cert, stmt, plurality)
+    assert verify(broker(0), cert, stmt, quorum)
     two = oracle.certify({o: shards[o] for o in (0, 1)})
-    assert verify(broker(0), two, stmt, plurality, n)
-    assert not verify(broker(0), two, stmt, quorum, n)
+    assert verify(broker(0), two, stmt, plurality)
+    assert not verify(broker(0), two, stmt, quorum)
     # flipping the claimed signer set breaks verification
     tampered = crypto.Certificate(frozenset({0, 1, 3}), cert.msig)
-    assert not verify(broker(0), tampered, stmt, quorum, n)
-    assert not verify(broker(0), two, b"witness|r2", plurality, n)
+    assert not verify(broker(0), tampered, stmt, quorum)
+    assert not verify(broker(0), two, b"witness|r2", plurality)
 
 
 def test_repeated_certificate_check_still_compares_the_claimed_msig(oracle):
@@ -94,13 +94,16 @@ def test_repeated_certificate_check_still_compares_the_claimed_msig(oracle):
     shards = {o: oracle.multisign(server(o), stmt) for o in range(2)}
     cert = oracle.certify(shards)
     for caller in (client(0), client(1)):  # the second check hits the memo
-        assert oracle.verify_certificate(caller, cert, stmt, 2, 4)
+        assert oracle.verify_certificate(caller, cert, stmt, 2)
     forged = crypto.Certificate(cert.signers, shards[0])
-    assert not oracle.verify_certificate(client(2), forged, stmt, 2, 4)
-    assert oracle.verify_certificate(client(3), cert, stmt, 2, 4)
-    # the threshold and signer-range checks run before the memo
-    assert not oracle.verify_certificate(client(3), cert, stmt, 3, 4)
-    assert not oracle.verify_certificate(client(3), cert, stmt, 2, 1)
+    assert not oracle.verify_certificate(client(2), forged, stmt, 2)
+    assert oracle.verify_certificate(client(3), cert, stmt, 2)
+    # the threshold and signer-range checks run before the memo: S4's
+    # multi-signature can be computed, but the oracle's servers are S0-S3
+    assert not oracle.verify_certificate(client(3), cert, stmt, 3)
+    outside = {o: oracle.multisign(server(o), stmt) for o in (0, 4)}
+    assert not oracle.verify_certificate(client(3), oracle.certify(outside),
+                                         stmt, 2)
 
 
 def test_aggregate_check_follows_a_mutated_keycard_list(oracle):
@@ -123,7 +126,7 @@ def test_merkle_single_leaf():
     tree = MerkleTree([b"only"])
     proof = tree.prove(0)
     assert proof.path == ()
-    assert merkle_verify(tree.root(), proof, 0, b"only")
+    assert merkle_verify(tree.root(), proof, b"only")
 
 
 def test_merkle_four_leaves_proof_length():
@@ -132,16 +135,20 @@ def test_merkle_four_leaves_proof_length():
     for i, leaf in enumerate(leaves):
         proof = tree.prove(i)
         assert len(proof.path) == 2
-        assert merkle_verify(tree.root(), proof, i, leaf)
+        assert merkle_verify(tree.root(), proof, leaf)
 
 
 def test_merkle_rejects_wrong_leaf_and_index():
     leaves = [b"a", b"b", b"c", b"d"]
     tree = MerkleTree(leaves)
     proof = tree.prove(1)
-    assert not merkle_verify(tree.root(), proof, 1, b"x")
-    assert not merkle_verify(tree.root(), proof, 2, b"b")
-    assert not merkle_verify(tree.root(), tree.prove(2), 1, b"b")
+    assert not merkle_verify(tree.root(), proof, b"x")
+    assert not merkle_verify(tree.root(), tree.prove(2), b"b")
+    # the leaf digest hashes the proof's index, in 8 bytes
+    assert not merkle_verify(tree.root(), MerkleProof(2, proof.path), b"b")
+    for index in (-1, 1 << 64):  # decodable, but no leaf's: False, no raise
+        assert not merkle_verify(tree.root(), MerkleProof(index, proof.path),
+                                 b"b")
 
 
 def test_merkle_random_trees():
@@ -154,10 +161,10 @@ def test_merkle_random_trees():
         for i in sample:
             proof = tree.prove(i)
             assert len(proof.path) <= cap or size == 1
-            assert merkle_verify(tree.root(), proof, i, leaves[i])
+            assert merkle_verify(tree.root(), proof, leaves[i])
             mutated = bytearray(leaves[i])
             mutated[rng.randrange(len(mutated))] ^= 0x40
-            assert not merkle_verify(tree.root(), proof, i, bytes(mutated))
+            assert not merkle_verify(tree.root(), proof, bytes(mutated))
 
 
 def test_merkle_proof_length_exact_at_powers_of_two():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 from assignment_reference import build_assignment
-from conftest import FakeCtx
+from conftest import FakeCtx, population
 
 from batchcast.crypto import Certificate, MerkleProof, MerkleTree, Oracle
 from batchcast.directory import ClientSignup, DirectoryView, ServerDirectory
@@ -70,7 +70,7 @@ def assign_shard(oracle, o, ident, card) -> AssignShard:
 
 def test_server_never_signs_twice_for_one_process(oracle):
     ctx = FakeCtx(oracle, server(0))
-    d = ServerDirectory(4, 1)
+    d = ServerDirectory()
     card = oracle.keycard(client(0))
     d._on_rank(ctx, 2, card)
     for domain in (2, 2, 1):  # the first assigner holds
@@ -92,7 +92,7 @@ def test_server_signs_each_assigned_and_ranked_keycard_once(oracle):
     for trial in range(200):
         rng = random.Random(trial)
         ctx = FakeCtx(oracle, server(0))
-        d = ServerDirectory(4, 1)
+        d = ServerDirectory()
         rankings, assigners = {}, {}
         for _ in range(rng.randrange(1, 40)):
             if rng.random() < 0.6:
@@ -120,18 +120,25 @@ def client_signup(fake_ctx_factory):
     """A joining C0's signup at f = 1, its context, and the assignments it
     hands over."""
     done = []
-    signup = ClientSignup(1, 4, lambda _ctx, a: done.append(a))
+    signup = ClientSignup(lambda _ctx, a: done.append(a))
     return signup, fake_ctx_factory(client(0)), done
 
 
-def test_signup_elects_at_f_plus_1_distinct_servers(fake_ctx_factory):
-    signup, ctx, _ = client_signup(fake_ctx_factory)
-    for _ in range(3):
-        signup.handle(ctx, server(1), Ranked(2))
-    assert signup.assigner is None and ctx.sent == []
-    signup.handle(ctx, server(3), Ranked(2))
-    assert signup.assigner == 2
-    assert ctx.sent == [(server(o), Assigner(2)) for o in range(4)]
+def test_signup_elects_at_f_plus_1_distinct_servers():
+    """The threshold and the fan-out are the context's: at f = 1 and f = 2,
+    f servers, each ranking twice, do not elect; one more does, and all N
+    servers hear of it."""
+    for f, n in ((1, 4), (2, 7)):
+        ctx = FakeCtx(Oracle(population(n_servers=n)), client(0), f=f,
+                      n_servers=n)
+        signup = ClientSignup(lambda _ctx, a: None)
+        for o in range(f):
+            for _ in range(2):
+                signup.handle(ctx, server(o), Ranked(2))
+        assert signup.assigner is None and ctx.sent == [], f
+        signup.handle(ctx, server(n - 1), Ranked(2))
+        assert signup.assigner == 2
+        assert ctx.sent == [(server(o), Assigner(2)) for o in range(n)], f
 
 
 def test_signup_keeps_its_first_assigner(fake_ctx_factory):
@@ -190,9 +197,9 @@ def test_signup_consumes_non_server_messages_silently(oracle,
 
 def test_preloaded_client_keeps_no_signup(oracle, fake_ctx_factory):
     a = preloaded_directory(oracle, signup_scenario(n_clients=8))[0]
-    machine = ClientMachine(4, 1, 1, preloaded=a)
+    machine = ClientMachine(preloaded=a)
     assert machine.signup is None
-    assert ClientMachine(4, 1, 1).signup is not None
+    assert ClientMachine().signup is not None
     ctx = fake_ctx_factory(client(0))
     for o in range(4):
         machine.on_message(ctx, server(o), Ranked(1))
@@ -203,7 +210,7 @@ def test_preloaded_client_keeps_no_signup(oracle, fake_ctx_factory):
 
 def test_a_live_client_hands_its_signup_only_signup_messages(
         oracle, fake_ctx_factory):
-    machine = ClientMachine(4, 1, 1)
+    machine = ClientMachine()
     handed = []
     machine.signup.handle = lambda ctx, src, msg: handed.append(msg)
     ctx = fake_ctx_factory(client(0))
@@ -219,7 +226,7 @@ def test_a_server_hands_its_directory_only_directory_messages(
         oracle, fake_ctx_factory):
     preloads = preloaded_directory(oracle, signup_scenario(
         n_clients=8, preload_directory=True))
-    machine = ServerMachine(4, 1, preloads)
+    machine = ServerMachine(preloads)
     handed = []
     handle = machine.dir.handle
     machine.dir.handle = lambda *args: handed.append(args[2]) or handle(*args)
@@ -248,7 +255,7 @@ def test_fifo_messages_from_no_server_change_nothing(fake_ctx_factory):
     """Echoes and Readys from brokers and clients, past every threshold,
     reach a server's FIFO endpoint and change nothing; three from servers
     send a Ready."""
-    machine = ServerMachine(4, 1)
+    machine = ServerMachine()
     ctx = fake_ctx_factory(server(0))
     for src in (broker(0), broker(1), client(0), client(1), client(2)):
         for kind in (FifoEcho, FifoReady):

@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from functools import partial
 
-from conftest import FakeCtx, live_signup_f2
+from conftest import FakeCtx, live_signup_f2, population
 import fifo_reference as reference
 
 from batchcast import wire
+from batchcast.crypto import Oracle
 from batchcast.fifocast import FifoBroadcast
 from batchcast.procs import ProcessKind, broker, client, server
 from batchcast.scenarios import run_scenario
@@ -16,10 +18,10 @@ from batchcast.wire import FifoEcho, FifoReady, FifoSend
 
 
 class FifoNode(Machine):
-    def __init__(self, n=4, f=1, broadcasts=()):
+    def __init__(self, broadcasts=()):
         self.broadcasts = list(broadcasts)
         self.delivered = []
-        self.fifo = FifoBroadcast(n, f, self._deliver)
+        self.fifo = FifoBroadcast(self._deliver)
 
     def _deliver(self, ctx, origin, payload):
         self.delivered.append((origin, payload))
@@ -143,7 +145,7 @@ def test_a_send_out_of_seq_order_is_not_echoed(oracle):
     """Links are FIFO, so only a faulty origin skips a seq: its Send waits
     for a repeat after the skipped one is echoed."""
     ctx = FakeCtx(oracle, server(0))
-    fifo = FifoBroadcast(4, 1, None)
+    fifo = FifoBroadcast(None)
     for seq, payload in ((1, b"one"), (0, b"zero"), (1, b"one")):
         fifo.handle(ctx, server(3), FifoSend(seq, payload))
     assert ctx.sent == [(server(o), FifoEcho(3, seq, payload))
@@ -151,15 +153,14 @@ def test_a_send_out_of_seq_order_is_not_echoed(oracle):
                         for o in range(4)]
 
 
-def fifo_script(rng) -> list:
-    """Random (src, msg) input of one endpoint at n = 4: in-order Sends per
-    sender with repeats, Echoes and Readys of few slots in two payload
-    variants, from servers, a broker and a client."""
-    senders = [server(0), server(1), server(2), server(3), broker(0),
-               client(0)]
+def fifo_script(rng, n) -> list:
+    """Random (src, msg) input of one endpoint among n servers: in-order
+    Sends per sender with repeats, Echoes and Readys of few slots in two
+    payload variants, from the servers, a broker and a client."""
+    senders = [*map(server, range(n)), broker(0), client(0)]
     next_send = {}  # by ProcessId, as B0 and S0 share ordinal 0
     script = []
-    for _ in range(rng.randrange(20, 160)):
+    for _ in range(rng.randrange(20, 40 * n)):
         src, roll = rng.choice(senders), rng.random()
         if roll < 0.2:
             seq = next_send.get(src, 0)
@@ -176,13 +177,14 @@ def fifo_script(rng) -> list:
     return script
 
 
-def drive(cls, oracle, script):
+def drive(endpoint, oracle, f, n, script):
     """Steps (sends, events, deliveries so far), sends, events and
-    deliveries of a `cls` endpoint fed `script`, and whether it held a
-    delivered slot back (the reference keeps no `held`)."""
-    ctx = FakeCtx(oracle, server(0))
+    deliveries of the endpoint `endpoint(deliver)` of S0 among n servers,
+    f of them faulty, fed `script`, and whether it held a delivered slot
+    back (the reference keeps no `held`)."""
+    ctx = FakeCtx(oracle, server(0), f=f, n_servers=n)
     delivered = []
-    fifo = cls(4, 1, lambda _ctx, origin, p: delivered.append((origin, p)))
+    fifo = endpoint(lambda _ctx, origin, p: delivered.append((origin, p)))
     steps, held_back = [], False
     for src, msg in script:
         fifo.handle(ctx, src, msg)
@@ -191,14 +193,19 @@ def drive(cls, oracle, script):
     return (steps, ctx.sent, ctx.events, delivered), held_back
 
 
-def test_endpoint_matches_the_reference_on_random_scripts(oracle):
-    """The endpoint that keeps only live slots sends, emits and delivers as
-    the one that kept every slot, slots held back included."""
-    held_back = 0
-    for trial in range(1000):
-        script = fifo_script(random.Random(trial))
-        got, held = drive(FifoBroadcast, oracle, script)
-        want, _ = drive(reference.FifoBroadcast, oracle, script)
-        assert got == want, trial
-        held_back += held
-    assert held_back > 600
+def test_endpoint_matches_the_reference_on_random_scripts():
+    """The endpoint that keeps only live slots, reading its servers and
+    thresholds from its context, sends, emits and delivers as the one that
+    kept every slot and was built with f and n, slots held back included,
+    at f = 1 and f = 2."""
+    for f, n in ((1, 4), (2, 7)):
+        oracle = Oracle(population(n_servers=n))
+        held_back = 0
+        for trial in range(1000):
+            script = fifo_script(random.Random(trial), n)
+            got, held = drive(FifoBroadcast, oracle, f, n, script)
+            want, _ = drive(partial(reference.FifoBroadcast, n, f), oracle,
+                            f, n, script)
+            assert got == want, (f, trial)
+            held_back += held
+        assert held_back > 600, f

@@ -3,8 +3,8 @@ function and class is named beyond its definition, every scenario setting
 has one file key and one README row, every behavior and each of its spec
 keys have one README row, every writer of a checked record kind passes the
 keys its schema requires, every dotted name the docs quote still names
-something, `scenarios.validate` types nothing by hand, and only `wire`
-spells a message type's name."""
+something, `scenarios.validate` types nothing by hand, only `wire` spells
+a message type's name, and no machine holds the system's size."""
 
 import ast
 import importlib
@@ -332,3 +332,57 @@ def test_the_check_sees_a_spelled_message_type_name():
                      'def f():\n    return "Signup"\n')
     assert _message_names(tree) == [(1, "Commit"), (1, "Witness"),
                                     (4, "Signup")]
+
+
+SIZE_NAMES = {"n_servers", "n_brokers", "fault_bound"}
+
+
+def _own_names(node: ast.AST) -> list:
+    """The names `node` gives a parameter or an attribute: a parameter, a
+    keyword argument, an attribute, or a field of a class body."""
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return [node.arg]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ClassDef):
+        targets = [target for stmt in node.body for target in (
+            stmt.targets if isinstance(stmt, ast.Assign) else
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _size_holders(tree: ast.Module) -> set:
+    """Each top-level class or function of `tree` (a statement outside
+    them by its line) that names `n_servers`, `n_brokers` or `fault_bound`,
+    or has a parameter or attribute called `f`."""
+    return {getattr(top, "name", f"line {top.lineno}") for top in tree.body
+            for node in ast.walk(top)
+            if "f" in _own_names(node) or SIZE_NAMES & {
+                getattr(node, "id", None), *_own_names(node)}}
+
+
+def test_no_machine_holds_the_system_size():
+    """The machines and their components read the servers, the brokers and
+    the thresholds f + 1 and 2f + 1 from their context, so none can
+    disagree with it."""
+    held = {name: _size_holders(ast.parse((PACKAGE / name).read_text()))
+            for name in ("protocol.py", "directory.py", "fifocast.py")}
+    assert {name: found for name, found in held.items() if found} == {}
+
+
+def test_the_check_sees_a_copy_of_the_size():
+    tree = ast.parse("class Endpoint:\n"
+                     "    def __init__(self, deliver, f):\n"
+                     "        self.deliver = deliver\n"
+                     "class Signup:\n    f: int\n"
+                     "class Broker:\n    def go(self, ctx):\n"
+                     "        return ctx.sim.scenario.n_brokers\n"
+                     "def quorum(s):\n    return 2 * s.fault_bound + 1\n"
+                     "def build():\n    return Machine(n_servers=4)\n"
+                     "n_servers = 4\n"
+                     "class Reader:\n    def go(self, ctx, fn):\n"
+                     "        f = ctx.quorum\n"
+                     "        return fn(f, ctx.servers, ctx.plurality)\n")
+    assert _size_holders(tree) == {"Endpoint", "Signup", "Broker", "quorum",
+                                   "build", "line 13"}

@@ -43,7 +43,7 @@ def verify_rows(ctx, verb):
 def drive_broker_to_batch(oracle, ctx, submissions):
     """Feed submissions to a fresh broker, ring the one flush timer they
     set, and return the broker with the root and batch the flush stored."""
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     for sub in submissions:
         machine._on_submission(ctx, client(0), sub)
     assert ctx.timers == [(("flush",), 0)]
@@ -76,9 +76,8 @@ def test_client_one_broker_contacted_in_good_case():
 def test_client_rejects_second_broadcast_same_context(oracle,
                                                       fake_ctx_factory):
     sc = preloaded_scenario()
-    m = ClientMachine(4, 2, 1,
-                      preloaded=preloaded_directory(oracle, sc)[0])
-    ctx = fake_ctx_factory(client(0))
+    m = ClientMachine(preloaded=preloaded_directory(oracle, sc)[0])
+    ctx = fake_ctx_factory(client(0), n_brokers=2)
     m.on_start(ctx)
     m.broadcast(ctx, b"ctx1", b"m1")
     m.broadcast(ctx, b"ctx1", b"m2")
@@ -101,7 +100,7 @@ def test_client_resubmits_after_silent_broker():
 def test_client_duplicate_inclusion_is_idempotent(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     a = preloaded_directory(oracle, sc)[0]
-    m = ClientMachine(4, 1, 1, preloaded=a)
+    m = ClientMachine(preloaded=a)
     ctx = fake_ctx_factory(client(0))
     m.on_start(ctx)
     m.broadcast(ctx, b"ctx", b"msg")
@@ -116,7 +115,7 @@ def test_client_duplicate_inclusion_is_idempotent(oracle, fake_ctx_factory):
 def test_client_ignores_substituted_leaf(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     a = preloaded_directory(oracle, sc)[0]
-    m = ClientMachine(4, 1, 1, preloaded=a)
+    m = ClientMachine(preloaded=a)
     ctx = fake_ctx_factory(client(0))
     m.on_start(ctx)
     m.broadcast(ctx, b"ctx", b"msg")
@@ -129,8 +128,8 @@ def test_client_ignores_substituted_leaf(oracle, fake_ctx_factory):
 def test_client_keeps_resubmitting_when_excluded(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     a = preloaded_directory(oracle, sc)[0]
-    m = ClientMachine(4, 2, 1, preloaded=a)
-    ctx = fake_ctx_factory(client(0))
+    m = ClientMachine(preloaded=a)
+    ctx = fake_ctx_factory(client(0), n_brokers=2)
     m.on_start(ctx)
     m.broadcast(ctx, b"ctx", b"msg")
     tree = MerkleTree([leaf_bytes(a.ident, b"ctx", b"msg")])
@@ -152,7 +151,7 @@ def test_client_keeps_resubmitting_when_excluded(oracle, fake_ctx_factory):
 def test_client_rejects_forged_completion(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     a = preloaded_directory(oracle, sc)[0]
-    m = ClientMachine(4, 1, 1, preloaded=a)
+    m = ClientMachine(preloaded=a)
     ctx = fake_ctx_factory(client(0))
     m.on_start(ctx)
     m.broadcast(ctx, b"ctx", b"msg")
@@ -186,7 +185,7 @@ def test_broker_submission_for_pooled_id_waits_for_flush(oracle,
                                                          fake_ctx_factory):
     sc = preloaded_scenario()
     ctx = fake_ctx_factory(broker(0))
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     machine._on_submission(ctx, client(0),
                            make_submission(oracle, sc, 0, b"c1", b"m1"))
     assert ctx.timers == [(("flush",), 0)]
@@ -204,7 +203,7 @@ def test_broker_submission_for_pooled_id_waits_for_flush(oracle,
 def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     ctx = fake_ctx_factory(broker(0))
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     order = [5, 2, 7, 0, 2, 3, 5, 1, 6, 4]  # ordinals 2 and 5 submit twice
     for k, j in enumerate(order):
         machine._on_submission(ctx, client(j), make_submission(
@@ -224,7 +223,7 @@ def test_broker_pools_each_id_once_in_any_order(oracle, fake_ctx_factory):
 def test_censoring_broker_pools_uncensored_ids(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     ctx = fake_ctx_factory(broker(0))
-    machine = CensoringBroker(4, 1, censored=[1])
+    machine = CensoringBroker(censored=[1])
     for j in range(4):
         machine.on_message(ctx, client(j),
                            make_submission(oracle, sc, j, b"c", b"m"))
@@ -238,7 +237,7 @@ def test_broker_pools_512_ids_in_one_pump():
     sc = preloaded_scenario(n_clients=n)
     oracle = Oracle(sc.processes())
     ctx = FakeCtx(oracle, broker(0))
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     for j in reversed(range(n)):
         machine._on_submission(ctx, client(j),
                                make_submission(oracle, sc, j, b"c", b"m"))
@@ -258,7 +257,7 @@ def test_broker_flush_timer_tracks_pending_submissions(oracle,
     sc = preloaded_scenario()
     ctx = fake_ctx_factory(broker(0))
     rng = random.Random(16)
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     queued: dict = {}  # id -> contexts submitted and not yet batched
     outstanding = 0
     for k in range(300):
@@ -292,7 +291,7 @@ def test_broker_drops_invalid_client_signature(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(broker(0))
     a = preloaded_directory(oracle, sc)[0]
     bad = Submission(a, b"c", b"m", bytes(64))
-    machine = BrokerMachine(4, 1)
+    machine = BrokerMachine()
     machine._on_submission(ctx, client(0), bad)
     assert not machine.pending
 
@@ -426,7 +425,7 @@ def test_broker_partial_reduction_splits_signatures(oracle, fake_ctx_factory):
     # a server authenticates the split batch: 4 individual + 1 aggregate
     sctx = fake_ctx_factory(server(0))
     preload = preloaded_directory(oracle, sc)
-    smachine = ServerMachine(4, 1, preload)
+    smachine = ServerMachine(preload)
     smachine.on_start(sctx)
     ids = sorted(batch.payloads)
     resp = smachine.handle_batch(
@@ -445,7 +444,7 @@ def test_broker_partial_reduction_splits_signatures(oracle, fake_ctx_factory):
 
 def server_with_batch(oracle, ctx, scenario, ordinals=(1, 2)):
     preload = preloaded_directory(oracle, scenario)
-    machine = ServerMachine(4, 1, preload)
+    machine = ServerMachine(preload)
     machine.on_start(ctx)
     ids = [(j % 4, j // 4) for j in sorted(ordinals)]
     payloads = tuple((b"c%d" % j, b"m%d" % j) for j in sorted(ordinals))
@@ -463,7 +462,7 @@ def test_server_batch_acquired_empty_unknowns(oracle, fake_ctx_factory):
 def test_server_reports_unknown_ids(oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     ctx = fake_ctx_factory(server(0))
-    machine = ServerMachine(4, 1, ())  # empty directory
+    machine = ServerMachine()  # empty directory
     ids = [(1, 0)]
     resp = machine.handle_batch(ctx, compress_ids(ids),
                                 ((b"c", b"m"),))
@@ -472,7 +471,7 @@ def test_server_reports_unknown_ids(oracle, fake_ctx_factory):
 
 def test_server_rejects_length_mismatch(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(0))
-    machine = ServerMachine(4, 1, ())
+    machine = ServerMachine()
     resp = machine.handle_batch(ctx, compress_ids([(1, 0)]),
                                 ((b"c", b"m"), (b"c2", b"m2")))
     assert resp is None
@@ -483,7 +482,7 @@ def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
     sc = preloaded_scenario()
     preload = preloaded_directory(oracle, sc)
     check = lru_cache(maxsize=1)(checked_batch)  # shared, as in a simulation
-    machines = [ServerMachine(4, 1, preload, check) for _ in range(4)]
+    machines = [ServerMachine(preload, check) for _ in range(4)]
     ctxs = [fake_ctx_factory(server(k)) for k in range(4)]
     valid = BatchMsg(compress_ids([(1, 0), (2, 0)]),
                      ((b"c1", b"m1"), (b"c2", b"m2")))
@@ -553,7 +552,7 @@ def test_server_rejects_forged_straggler(oracle, fake_ctx_factory):
 
 def test_server_requires_all_assignments(oracle, fake_ctx_factory):
     ctx = fake_ctx_factory(server(0))
-    machine = ServerMachine(4, 1, ())
+    machine = ServerMachine()
     resp = machine.handle_batch(ctx, compress_ids([(1, 0)]),
                                 ((b"c", b"m"),))
     msig = oracle.aggregate([oracle.multisign(client(1),

@@ -6,8 +6,7 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
 from batchcast import scenarios, simnet
-from batchcast.procs import (PROCESS_BOUNDS, ProcessId, broker, client, server,
-                             servers)
+from batchcast.procs import PROCESS_BOUNDS, ProcessId, broker, client, server
 from batchcast.simnet import (ADVERSARIAL, GOOD_CASE, Context, DelayPolicy,
                               Machine, Scenario, Simulation)
 from batchcast.wire import Signup, Ranked
@@ -585,7 +584,7 @@ def _fan_out_run(fan_out: bool):
                     ctx.set_timer(("t", chooser.randrange(99)),
                                   chooser.randrange(4))
                     continue
-                dsts = (shared if chooser.random() < 0.3 else tuple(
+                dsts = (ctx.servers if chooser.random() < 0.3 else tuple(
                     chooser.choice(processes)
                     for _ in range(chooser.randrange(1, 6))))
                 msg = Ranked(chooser.randrange(1000))
@@ -602,7 +601,6 @@ def _fan_out_run(fan_out: bool):
                                                "S0->S1": 9, "B1->S2": 1,
                                                "C2->S0": 7}), seed=4)
     processes = sc.processes()
-    shared = servers(sc.n_servers)
     sim = Simulation(sc, {pid: Chatter() for pid in processes})
     draws = []  # the delay drawn for each send, in send order
     draw = sim._draw_delay

@@ -379,11 +379,11 @@ PROOF = (_write_proof, _read_proof)
 
 def _write_partition(ctx, w, compressed: tuple):
     mu = {domain: set(indices) for domain, indices in compressed}
-    write_partition(w, mu, ctx.domains)
+    write_partition(w, mu, range(ctx.n_servers))
 
 
 def _read_partition(ctx, r) -> tuple:
-    mu = read_partition(r, ctx.domains)
+    mu = read_partition(r, range(ctx.n_servers))
     return tuple((d, tuple(sorted(mu[d]))) for d in sorted(mu))
 
 
