@@ -1,6 +1,7 @@
 """The trace format: its record schema (`_BASE_TYPES`, `_EXTRA_KEYS`), its
-columnar store (`Trace`), its JSON lines writer (`Trace.jsonl`) and its
-reader (`load_trace_file`), which checks each record against the schema.
+columnar store (`Trace`), its JSON lines writer (`Trace.jsonl`, which runs
+one generated f-string writer per key set, `_line_writer`) and its reader
+(`load_trace_file`), which checks each record against the schema.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -20,6 +21,7 @@ from operator import itemgetter
 from .procs import PROCESS_BOUNDS
 
 _BASE_KEYS = ("time", "kind", "src", "dst", "bytes_len", "tag")
+_CODE_KEYS = ("kind", "src", "dst", "tag")  # base fields held as name codes
 _INT64 = 1 << 63
 _ABSENT = object()  # a key the record does not hold
 
@@ -221,6 +223,10 @@ class Trace:
             self.flush()
 
     def _new_side(self, kind: str, given) -> _Side:
+        for key in given:
+            if key in _BASE_KEYS:
+                raise ValueError(f"{kind} record names base field {key!r} "
+                                 f"as an event-specific key")
         code = self.code(kind)
         keys = tuple(sorted(given))
         for side in self._sides:
@@ -312,64 +318,71 @@ class Trace:
         """`TraceEvent.to_json` of every row, each line ending in a newline,
         yielded in chunks of `_JSONL_CHUNK` lines (one newline if no row).
 
-        Each line is formatted from the columns with one %-template per key
-        set; names, keys and string values go through
-        `encode_basestring_ascii`, other values through `_json_column`.  No
+        Each line is formatted from the columns by the generated writer of
+        its key set (`_line_writer`), compiled once per key set and cached
+        across traces: codes index the JSON texts of `names`, encoded once
+        per call, and side values are JSON texts from `_json_column`.  No
         line outlives its chunk, so a writer holds one chunk at a time.
         """
         self.flush()
-        text = ["null" if name is None else encode_basestring_ascii(name)
-                for name in self.names].__getitem__
-        ints = {"time": self.time, "bytes_len": self.bytes_len}
-        codes = {"kind": self.kind, "src": self.src, "dst": self.dst,
-                 "tag": self.tag}
-        base_keys = sorted(_BASE_KEYS)
-        base = _template(base_keys)
+        names = ["null" if name is None else encode_basestring_ascii(name)
+                 for name in self.names]
+        columns = {key: getattr(self, key) for key in _BASE_KEYS}
+        base_keys = tuple(sorted(_BASE_KEYS))
+        base = _line_writer(base_keys)
         plans = []
         for side in self._sides:
-            keys = sorted(_BASE_KEYS + side.keys)
-            plans.append((side, _template(keys),
-                          [(k, side.keys.index(k) if k in side.keys else None)
-                           for k in keys]))
+            fields = {**columns, **dict(zip(side.keys, side.cols))}
+            keys = tuple(sorted(fields))
+            plans.append((side, _line_writer(keys), [fields[k] for k in keys]))
         n = len(self.time)
         if not n:
             yield "\n"
         for a in range(0, n, _JSONL_CHUNK):
             b = min(a + _JSONL_CHUNK, n)
-            lines = list(map(base.__mod__, zip(*(
-                ints[k][a:b] if k in ints else map(text, codes[k][a:b])
-                for k in base_keys))))
-            for side, template, fields in plans:
+            lines = base(names, *(columns[k][a:b] for k in base_keys))
+            for side, write, cols in plans:
                 lo = bisect_left(side.rows, a)
                 hi = bisect_left(side.rows, b, lo)
                 if lo == hi:
                     continue
                 rows = side.rows[lo:hi]
-                args = []
-                for key, j in fields:
-                    if j is not None:
-                        args.append(_json_column(side.cols[j][lo:hi]))
-                    elif key in ints:
-                        args.append(map(ints[key].__getitem__, rows))
-                    else:
-                        args.append(map(text, map(codes[key].__getitem__,
-                                                  rows)))
-                for row, line in zip(rows, map(template.__mod__, zip(*args))):
+                for row, line in zip(rows, write(names, *(
+                        _json_column(col[lo:hi]) if type(col) is list
+                        else map(col.__getitem__, rows) for col in cols))):
                     lines[row - a] = line
             lines.append("")
             yield "\n".join(lines)
 
 
-def _template(keys) -> str:
-    """A %-template of one JSON object with `keys` in order, %s per value."""
-    return "{" + ",".join(encode_basestring_ascii(key).replace("%", "%%")
-                          + ":%s" for key in keys) + "}"
+def _line_source(keys: tuple) -> str:
+    """The source of `write(N, c0, ...)`: the JSON line of each row of the
+    columns c0, ... of `keys`, in order; a code column's value is written as
+    its text in N, any other as it is.  A key enters the source only as its
+    JSON text, braces doubled, inside the one string literal."""
+    params = ", ".join(f"c{i}" for i in range(len(keys)))
+    fields = ",".join(
+        encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}")
+        + (f":{{N[v{i}]}}" if key in _CODE_KEYS else f":{{v{i}}}")
+        for i, key in enumerate(keys))
+    return (f"def write(N, {params}):\n"
+            f"    return [f{'{{' + fields + '}}'!r} for "
+            + "".join(f"v{i}, " for i in range(len(keys)))
+            + f"in zip({params})]\n")
+
+
+@lru_cache(maxsize=128)
+def _line_writer(keys: tuple):
+    """`_line_source(keys)`'s function, compiled once per key set."""
+    names = {}
+    exec(compile(_line_source(keys), "<trace line writer>", "exec"), names)
+    return names["write"]
 
 
 def _json_column(values: list):
     """Each of `values` as `_ENCODER` writes it inside a record.
 
-    A column of strings, of integers or of tuples of integers is written by
+    A column of strings, of integers or of pairs of integers is written by
     C functions alone (what the encoder calls for a string or an integer);
     any other goes through `_ENCODER` value by value.
     """
@@ -378,10 +391,9 @@ def _json_column(values: list):
         return map(encode_basestring_ascii, values)
     if types == {int}:
         return map(int.__repr__, values)
-    if types == {tuple} and set(map(type, chain.from_iterable(values))) == {
-            int}:
-        return map("[%s]".__mod__,
-                   map(",".join, map(partial(map, int.__repr__), values)))
+    if types == {tuple} and set(map(len, values)) == {2} and set(
+            map(type, chain.from_iterable(values))) == {int}:
+        return map("[%d,%d]".__mod__, values)
     return map(_ENCODER.encode, values)
 
 

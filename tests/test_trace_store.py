@@ -1,13 +1,18 @@
 """The trace as columns: rows read back, JSON lines, and what the GC sees.
 
-`Trace.jsonl` formats lines from the columns with one template per key set;
-the reference is `TraceEvent.to_json`, one encoder call per row.  These tests
-hold the two byte-equal on every corpus run and on forged records built to
-break a template: `%` in keys, kinds and values, JSON escapes, non-ASCII,
-one kind under two key sets, and chunk boundaries.
+`Trace.jsonl` writes lines from the columns with one generated f-string
+writer per key set; the reference is `TraceEvent.to_json`, one encoder call
+per row.  These tests hold the two byte-equal on every corpus run and on
+forged records built to break a generated writer: `%`, braces, quotes and
+Python expressions in keys, kinds and values, JSON escapes, non-ASCII, one
+kind under two key sets, more key sets than the writer cache holds, and
+chunk boundaries.  They also pin that a key reaches a writer's source only
+as its JSON text.
 """
 
+import ast
 import gc
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from conftest import live_signup_f2, trace_of
@@ -47,8 +52,11 @@ def test_live_signup_and_a_multi_chunk_batch_match_the_row_encoder():
     assert sim.trace_jsonl() == reference_jsonl(sim.trace)
 
 
+# strings that would be code, or end a literal, in a writer's source
+HOSTILE = ['{v0}', '{N[0]}', '{{', '}}', "'", "'''", '"""', r'\N{BULLET}',
+           '\N{BULLET}', "{__import__('os').getpid()}"]
 ODD = ['%', '%s', '%%d', '%(x)s', '"', '\\', '\n', '\t', 'é', '日本',
-       ' ', '\x00', '\ud800', '}{"', '']
+       ' ', '\x00', '\ud800', '}{"', '', *HOSTILE]
 
 
 def forged_records() -> list:
@@ -81,6 +89,7 @@ def forged_records() -> list:
         {"time": 8, "kind": "timer_set", "src": "S0", "dst": "S0"},
         {"time": 9, "kind": "verify", "src": "S0", "tag": "verify",
          "bytes_len": 0, "note": name},
+        {"time": 10, "kind": "odd keys", **{key: key for key in ODD}},
     ]
     return records
 
@@ -99,6 +108,55 @@ def test_forged_jsonl_matches_the_row_encoder(monkeypatch, chunk):
     trace = trace_of(records)
     expected = reference_jsonl(map(row_of, records))
     assert "".join(trace.jsonl()) == expected
+
+
+def test_a_writer_source_holds_keys_only_as_json_text():
+    keys = tuple(sorted(trace_module._BASE_KEYS + tuple(HOSTILE)))
+    tree = ast.parse(trace_module._line_source(keys))
+    (write,) = tree.body
+    assert isinstance(write, ast.FunctionDef) and write.name == "write"
+    own = {f"{c}{i}" for c in "cv" for i in range(len(keys))}
+    assert {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name)} == {"N", "zip", *own}
+    assert not any(isinstance(node, ast.Attribute) for node in ast.walk(tree))
+    (line,) = [node for node in ast.walk(tree)
+               if isinstance(node, ast.JoinedStr)]
+    texts = [encode_basestring_ascii(key) for key in keys]
+    assert [part.value for part in line.values
+            if isinstance(part, ast.Constant)] == (
+        [f"{{{texts[0]}:"] + [f",{text}:" for text in texts[1:]] + ["}"])
+
+
+def test_each_key_set_compiles_once():
+    writer = trace_module._line_writer
+    writer.cache_clear()
+    sims = [run_scenario(CORPUS[name]()) for name in sorted(CORPUS)[:2]]
+    for sim in sims * 2:
+        assert sim.trace_jsonl() == reference_jsonl(sim.trace)
+    key_sets = {tuple(sorted(trace_module._BASE_KEYS + side.keys))
+                for sim in sims for side in sim.trace._sides}
+    key_sets.add(tuple(sorted(trace_module._BASE_KEYS)))
+    assert writer.cache_info().misses == len(key_sets)
+
+
+def test_more_key_sets_than_the_cache_holds_are_written_right():
+    bound = trace_module._line_writer.cache_parameters()["maxsize"]
+    records = [{"time": i, "kind": "many", f"k{i}": i}
+               for i in range(bound + 10)]
+    trace = trace_of(records)
+    assert "".join(trace.jsonl()) == reference_jsonl(map(row_of, records))
+    assert trace_module._line_writer.cache_info().currsize <= bound
+
+
+@pytest.mark.parametrize("key", ["src", "dst", "bytes_len", "tag", "time"])
+def test_an_event_key_naming_a_base_field_is_refused(key):
+    sim = run_scenario(CORPUS["good_case"]())
+    ctx = sim._by_rank[0]
+    rows = len(sim.trace)
+    with pytest.raises(ValueError, match=repr(key)):
+        ctx.emit("note", **{key: "x"})
+    assert len(sim.trace) == rows
+    assert sim.trace_jsonl() == reference_jsonl(sim.trace)
 
 
 def test_an_empty_trace_is_one_newline():
