@@ -107,17 +107,26 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="batchcast",
         description="Run broadcast scenarios, verify traces, sweep costs.")
-    parser.add_argument("--scenario", help="scenario JSON file to run")
+    action = parser.add_mutually_exclusive_group()  # one action a run
+    action.add_argument("--scenario", help="scenario JSON file to run")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
     parser.add_argument("--out", help="output directory for trace and report")
-    parser.add_argument("--check-only", metavar="TRACE",
+    action.add_argument("--check-only", metavar="TRACE",
                         help="verify an existing trace file and exit")
-    parser.add_argument("--sweep", metavar="SPEC",
+    action.add_argument("--sweep", metavar="SPEC",
                         help="convergence sweep spec (JSON file)")
-    parser.add_argument("--write-corpus", metavar="DIR",
+    action.add_argument("--write-corpus", metavar="DIR",
                         help="write the bundled scenario corpus and exit")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.scenario is None:
+        parser.error("argument --seed: not allowed without argument "
+                     "--scenario")
+    if args.out is not None and args.check_only is not None:
+        parser.error("argument --out: not allowed with argument --check-only")
+    if args.out is not None and args.write_corpus is not None:
+        parser.error("argument --out: not allowed with argument "
+                     "--write-corpus")
 
     if args.write_corpus:
         corpus = {f"{name}.json": scenarios.scenario_to_json(factory())

@@ -9,6 +9,7 @@ events and count nothing.
 
 Signature verifications (verify / verify_aggregate) are counted per process,
 exactly one count per oracle call; certificate checks are tracked separately.
+`amortized_report` reads all of it from the trace's base columns in one pass.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import defaultdict
 
 from . import crypto, wire
 from .trace import DELIVER, SEND, VERIFY, Trace
@@ -36,100 +38,60 @@ def oracle_bound(n_clients: int, payload_bits: int) -> int:
     return math.ceil(math.log2(n_clients)) + payload_bits
 
 
-class CostLedger:
-    """Per-process ingress/egress bit counters and verification counters."""
+def amortized_report(trace: Trace, scenario) -> dict:
+    """Per-server amortized costs against the oracle bound.
 
-    def __init__(self):
-        self.ingress: dict = {}   # (label, tag) -> bits
-        self.egress: dict = {}
-        self.verifications: dict = {}       # label -> verify+verify_aggregate
-        self.cert_checks: dict = {}         # label -> verify_certificate
-        self.delivered: dict = {}           # server label -> payload count
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "CostLedger":
-        """The ledger of a `Trace`, read from its base columns; a trace file
-        comes in through `load_trace_file`."""
-        trace.flush()
-        delivers = trace.find("app_deliver")
-        egress, ingress, verifies, delivered = {}, {}, {}, {}  # by codes
-        for kind, src, dst, tag, n in zip(trace.kind, trace.src, trace.dst,
-                                          trace.tag, trace.bytes_len):
-            if kind == SEND or kind == DELIVER:
-                if src == dst:
-                    continue  # self-sends are local events
-                if kind == SEND:
-                    key = (src, tag)
-                    egress[key] = egress.get(key, 0) + n
-                else:
-                    key = (dst, tag)
-                    ingress[key] = ingress.get(key, 0) + n
-            elif kind == VERIFY:
-                key = (src, tag)
-                verifies[key] = verifies.get(key, 0) + 1
-            elif kind == delivers:
-                delivered[src] = delivered.get(src, 0) + 1
-        ledger = cls()
-        names = trace.names
-        for codes, book in ((egress, ledger.egress),
-                            (ingress, ledger.ingress)):
-            for (who, tag), n in codes.items():
-                book[names[who], names[tag]] = 8 * n
-        for (who, verb), count in verifies.items():
-            book = (ledger.verifications
-                    if names[verb] in ("verify", "verify_aggregate")
-                    else ledger.cert_checks)
-            book[names[who]] = book.get(names[who], 0) + count
-        ledger.delivered = {names[who]: count
-                            for who, count in delivered.items()}
-        return ledger
-
-    def bits_for(self, label: str, tags: frozenset) -> int:
-        return (sum(v for (who, tag), v in self.ingress.items()
-                    if who == label and tag in tags)
-                + sum(v for (who, tag), v in self.egress.items()
-                      if who == label and tag in tags))
-
-
-def amortized_report(trace, scenario) -> dict:
-    """Per-server amortized costs against the oracle bound."""
-    ledger = CostLedger.from_trace(trace)
-    bound = oracle_bound(scenario.n_clients, scenario.payload_bits)
+    One pass over the base columns adds five totals per process code:
+    protocol bits, directory bits, verifications, certificate checks and
+    delivered payloads.  A tag in no column counts nothing."""
+    trace.flush()
+    code = trace.find  # -1 for a name no row holds, so no row matches it
+    bit_column = {code(tag): column for column, tags in enumerate(
+        (PAYLOAD_TAGS, DIRECTORY_TAGS)) for tag in tags}
+    verb_column = {code("verify"): 2, code("verify_aggregate"): 2,
+                   code("verify_certificate"): 3}
+    delivers = code("app_deliver")
+    totals = defaultdict(lambda: [0] * 5)
+    for kind, src, dst, tag, n in zip(trace.kind, trace.src, trace.dst,
+                                      trace.tag, trace.bytes_len):
+        if kind == SEND or kind == DELIVER:
+            column = bit_column.get(tag)
+            if column is not None and src != dst:  # self-sends are local
+                totals[src if kind == SEND else dst][column] += 8 * n
+        elif kind == VERIFY:
+            column = verb_column.get(tag)
+            if column is not None:
+                totals[src][column] += 1
+        elif kind == delivers:
+            totals[src][4] += 1
     servers = {}
-    degenerate = False
-    for i in range(scenario.n_servers):
-        label = f"S{i}"
-        delivered = ledger.delivered.get(label, 0)
-        row = {
+    for label in (f"S{i}" for i in range(scenario.n_servers)):
+        protocol, directory, verifications, certificates, delivered = \
+            totals[code(label)]
+        servers[label] = {
             "delivered": delivered,
-            "protocol_bits": ledger.bits_for(label, PAYLOAD_TAGS),
-            "directory_bits": ledger.bits_for(label, DIRECTORY_TAGS),
-            "verifications": ledger.verifications.get(label, 0),
-            "certificate_checks": ledger.cert_checks.get(label, 0),
+            "protocol_bits": protocol,
+            "directory_bits": directory,
+            "verifications": verifications,
+            "certificate_checks": certificates,
+            "bits_per_payload": protocol / delivered if delivered else None,
+            "verifications_per_payload":
+                verifications / delivered if delivered else None,
         }
-        if delivered:
-            row["bits_per_payload"] = row["protocol_bits"] / delivered
-            row["verifications_per_payload"] = row["verifications"] / delivered
-        else:
-            degenerate = True
-            row["bits_per_payload"] = None
-            row["verifications_per_payload"] = None
-        servers[label] = row
     # broker-side verification work is reported separately: the zero-cost
     # claim concerns servers only
     brokers = {}
-    for i in range(scenario.n_brokers):
-        label = f"B{i}"
-        brokers[label] = {
-            "verifications": ledger.verifications.get(label, 0),
-            "certificate_checks": ledger.cert_checks.get(label, 0),
-            "protocol_bits": ledger.bits_for(label, PAYLOAD_TAGS),
-        }
+    for label in (f"B{i}" for i in range(scenario.n_brokers)):
+        protocol, _, verifications, certificates, _ = totals[code(label)]
+        brokers[label] = {"verifications": verifications,
+                          "certificate_checks": certificates,
+                          "protocol_bits": protocol}
     return {
-        "oracle_bound": bound,
+        "oracle_bound": oracle_bound(scenario.n_clients,
+                                     scenario.payload_bits),
         "servers": servers,
         "brokers": brokers,
-        "degenerate": degenerate,
+        "degenerate": not all(row["delivered"] for row in servers.values()),
         "sizes": dict(SIZE_CONSTANTS),
     }
 

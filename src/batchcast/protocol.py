@@ -298,7 +298,7 @@ class BrokerMachine(Machine):
 
     def _on_batch_acquired(self, ctx, src: ProcessId, msg: BatchAcquired):
         batch = self.batches.get(msg.root)
-        if batch is None:
+        if batch is None or src.kind != ProcessKind.SERVER:
             return
         if any(self.view.lookup_id(u) is None for u in msg.unknowns):
             return
@@ -404,10 +404,11 @@ class BrokerMachine(Machine):
 # ---------------------------------------------------------------------------
 # server
 
+@lru_cache(maxsize=1)
 def checked_batch(compressed_ids, payloads) -> tuple | None:
     """A batch's sorted ids and Merkle root, or None unless its ids expand
     to one id per payload in strictly ascending order.  A pure function of
-    its hashable arguments, so a simulation's servers share one cache."""
+    its hashable arguments, so all servers share one cache."""
     try:
         ids = tuple(expand_ids(compressed_ids))
         ascending = all(map(lt, ids, ids[1:]))
@@ -441,10 +442,8 @@ class _StoredBatch:
 
 
 class ServerMachine(Machine):
-    def __init__(self, preloaded: tuple[Assignment, ...] = (),
-                 check_batch=None):
+    def __init__(self, preloaded: tuple[Assignment, ...] = ()):
         self.preloaded = preloaded
-        self.check_batch = check_batch or lru_cache(maxsize=1)(checked_batch)
         self.view = DirectoryView()
         self.dir = ServerDirectory()
         self.batches: dict[bytes, _StoredBatch] = {}
@@ -478,6 +477,8 @@ class ServerMachine(Machine):
             response = self.handle_commit(ctx, msg.root, msg.patches)
             if response is not None:
                 ctx.send(src, response)
+        elif src.kind != ProcessKind.SERVER:
+            return  # the totality exchange runs between servers only
         elif isinstance(msg, OfferTotality):
             batch = self.batches.get(msg.root)
             if batch is None or msg.exclusions not in batch.commits:
@@ -504,7 +505,7 @@ class ServerMachine(Machine):
     def handle_batch(self, ctx: Context, compressed_ids,
                      payloads) -> BatchAcquired | None:
         payloads = tuple(payloads)
-        checked = self.check_batch(tuple(compressed_ids), payloads)
+        checked = checked_batch(tuple(compressed_ids), payloads)
         if checked is None:
             return None
         ids, root = checked

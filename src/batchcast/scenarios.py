@@ -11,15 +11,14 @@ import json
 from binascii import a2b_hex
 from collections import defaultdict
 from dataclasses import MISSING, fields
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import behaviors
 from .crypto import Oracle
 from .procs import PROCESS_BOUNDS, PROCESS_LABEL, ProcessId, ProcessKind
-from .protocol import (BrokerMachine, ClientMachine, ServerMachine,
-                       checked_batch)
+from .protocol import BrokerMachine, ClientMachine, ServerMachine
 from .simnet import (ADVERSARIAL, GOOD_CASE, TICK_BOUND, DelayPolicy,
                      Scenario, Simulation)
 from .trace import parse_json
@@ -338,14 +337,11 @@ def build_simulation(scenario: Scenario) -> Simulation:
               for pid in (processes if script else ()) if pid.label in script}
     oracle = Oracle(processes)
     preloads = preloaded_directory(oracle, s) if s.preload_directory else ()
-    # one cached batch check for all servers: they are sent the same batches
-    server_kwargs = {"preloaded": preloads,
-                     "check_batch": lru_cache(maxsize=1)(checked_batch)}
     machines = {}
     for pid in processes:
         behavior = faulty.get(pid) if faulty else None
         if pid.kind is ProcessKind.SERVER:
-            correct, kwargs = ServerMachine, server_kwargs
+            correct, kwargs = ServerMachine, {"preloaded": preloads}
         elif pid.kind is ProcessKind.BROKER:
             correct, kwargs = BrokerMachine, {}
         else:

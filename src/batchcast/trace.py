@@ -163,8 +163,8 @@ class Trace:
     once: `add` interns it in `_strings`, a dict the GC never tracks.  A
     list read from a record is held as a tuple and read back as a list.
 
-    Rows read back as `TraceEvent`s by iteration; the checker and the cost
-    ledger read `select` (or `scan`, lazily) and the base columns, and
+    Rows read back as `TraceEvent`s by iteration; the checker reads
+    `select` (or `scan`, lazily), the cost report the base columns, and
     `jsonl` writes the JSON lines from the columns.
     """
 

@@ -693,6 +693,37 @@ def test_invalid_scenario_exit_code(tmp_path):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("given, named", [
+    (["--scenario", "s.json", "--write-corpus", "corpus"],
+     ("--scenario", "--write-corpus")),
+    (["--scenario", "s.json", "--sweep", "spec.json"],
+     ("--scenario", "--sweep")),
+    (["--check-only", "t.jsonl", "--scenario", "s.json"],
+     ("--check-only", "--scenario")),
+    (["--sweep", "spec.json", "--write-corpus", "corpus"],
+     ("--sweep", "--write-corpus")),
+    (["--seed", "3"], ("--seed", "--scenario")),
+    (["--sweep", "spec.json", "--seed", "3"], ("--seed", "--scenario")),
+    (["--check-only", "t.jsonl", "--out", "out"], ("--out", "--check-only")),
+    (["--write-corpus", "corpus", "--out", "out"],
+     ("--out", "--write-corpus")),
+], ids=["scenario_corpus", "scenario_sweep", "check_scenario",
+        "sweep_corpus", "seed_alone", "seed_sweep", "out_check",
+        "out_corpus"])
+def test_a_flag_no_action_uses_exits_2_naming_both(tmp_path, monkeypatch,
+                                                  capsys, given, named):
+    """Two actions, or an option the action does not read, is a
+    configuration error: nothing runs and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(scenario_to_json(good_case(2)))
+    with pytest.raises(SystemExit) as exc:
+        main(given)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert all(flag in err for flag in named), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
 def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

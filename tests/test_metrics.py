@@ -1,26 +1,29 @@
-"""Cost accounting: ledger completeness, verification counters, reports."""
+"""Cost accounting: the report against its reference, verification
+counters, reports."""
 
+import importlib.util
+import json
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from batchcast import wire
 from batchcast.crypto import Oracle
-from batchcast.metrics import (DIRECTORY_TAGS, PAYLOAD_TAGS, CostLedger,
-                               amortized_report, convergence_sweep,
-                               oracle_bound, sweep_csv)
-from batchcast.procs import server
+from batchcast.metrics import (DIRECTORY_TAGS, PAYLOAD_TAGS, amortized_report,
+                               convergence_sweep, oracle_bound, sweep_csv)
 from batchcast.scenarios import CORPUS, batching_limit, good_case, run_scenario
+
+from conftest import trace_of
+from report_reference import reference_report
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_oracle_bound_formula():
     assert oracle_bound(1024, 64) == 10 + 64
     assert oracle_bound(1000, 64) == 10 + 64
     assert oracle_bound(2, 8) == 9
-
-
-def ledger_balanced(trace) -> bool:
-    """Every bit sent between distinct processes is eventually received."""
-    ledger = CostLedger.from_trace(trace)
-    return sum(ledger.egress.values()) == sum(ledger.ingress.values())
 
 
 def test_every_message_type_is_counted_in_one_column():
@@ -30,10 +33,59 @@ def test_every_message_type_is_counted_in_one_column():
         cls.__name__ for cls, _ in wire._SPECS}
 
 
-def test_ledger_balanced_on_corpus():
+def same_report(trace, scenario) -> bool:
+    """The report equals the reference's, key order included."""
+    return (json.dumps(amortized_report(trace, scenario))
+            == json.dumps(reference_report(trace, scenario)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_report_matches_the_reference_on_the_corpus(seed):
     for name, factory in CORPUS.items():
-        sim = run_scenario(factory(), seed=2)
-        assert ledger_balanced(sim.trace), name
+        scenario = factory()
+        sim = run_scenario(scenario, seed=seed)
+        assert same_report(sim.trace, scenario), name
+
+
+def bench_workloads() -> dict:
+    """The benchmark's workloads, read from its file."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = bench_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_report_matches_the_reference_on_the_workloads(workload):
+    for make in WORKLOADS[workload](11, tiny=True):
+        scenario = make()
+        sim = run_scenario(scenario)
+        assert same_report(sim.trace, scenario), scenario.name
+
+
+def test_a_forged_tag_counts_nothing():
+    """Rows whose tag names no message or verb, and a kind the report does
+    not read, add nothing and raise nothing."""
+    scenario = good_case(n_clients=2)
+    sim = run_scenario(scenario)
+    rows = list(sim.trace)
+    forged = rows + [
+        {"time": 99, "kind": "send", "src": "S0", "dst": "S1",
+         "bytes_len": 5, "tag": "NoSuchMessage"},
+        {"time": 99, "kind": "deliver", "src": "S0", "dst": "S1",
+         "bytes_len": 5, "tag": "verify"},
+        {"time": 99, "kind": "verify", "src": "S0", "dst": None,
+         "bytes_len": 0, "tag": "BatchMsg"},
+        {"time": 99, "kind": "verify", "src": "B0", "dst": None,
+         "bytes_len": 0, "tag": "no_such_verb"},
+    ]
+    report = amortized_report(trace_of(forged), scenario)
+    assert report == amortized_report(trace_of(rows), scenario)
+    assert same_report(trace_of(forged), scenario)
 
 
 def test_verification_counter_matches_oracle_calls(monkeypatch):
@@ -50,21 +102,22 @@ def test_verification_counter_matches_oracle_calls(monkeypatch):
     for verb in ("verify", "verify_aggregate", "verify_certificate"):
         monkeypatch.setattr(Oracle, verb, counting(verb))
     sim = run_scenario(good_case(n_clients=4))
-    ledger = CostLedger.from_trace(sim.trace)
+    report = amortized_report(sim.trace, good_case(n_clients=4))
     assert calls
-    for i in range(4):
-        pid = server(i)
+    rows = {**report["servers"], **report["brokers"]}
+    for label, row in rows.items():
+        pid = next(p for p in sim.machines if p.label == label)
         expected = calls[(pid, "verify")] + calls[(pid, "verify_aggregate")]
-        assert ledger.verifications.get(f"S{i}", 0) == expected
+        assert row["verifications"] == expected, label
         certs = calls[(pid, "verify_certificate")]
-        assert ledger.cert_checks.get(f"S{i}", 0) == certs
+        assert row["certificate_checks"] == certs, label
 
 
 def test_good_case_server_verifications_one_per_batch():
-    sim = run_scenario(good_case(n_clients=8))
-    ledger = CostLedger.from_trace(sim.trace)
-    for i in range(4):
-        assert ledger.verifications.get(f"S{i}", 0) == 1
+    scenario = good_case(n_clients=8)
+    report = amortized_report(run_scenario(scenario).trace, scenario)
+    for row in report["servers"].values():
+        assert row["verifications"] == 1
 
 
 def test_report_shape_and_degenerate_flag():
@@ -78,17 +131,20 @@ def test_report_shape_and_degenerate_flag():
 
 
 def test_self_sends_cost_nothing():
-    sim = run_scenario(good_case(n_clients=2))
-    ledger = CostLedger.from_trace(sim.trace)
-    offers = [e for e in sim.trace if e.kind == "send"
-              and e.tag == "OfferTotality"]
-    self_offers = [e for e in offers if e.src == e.dst]
+    scenario = good_case(n_clients=2)
+    sim = run_scenario(scenario)
+    s0 = [e for e in sim.trace if e.kind in ("send", "deliver")
+          and e.tag in PAYLOAD_TAGS
+          and (e.src if e.kind == "send" else e.dst) == "S0"]
+    self_offers = [e for e in s0 if e.src == e.dst == "S0"
+                   and e.tag == "OfferTotality"]
     assert self_offers  # servers offer to themselves on the wire
-    # but the ledger never books them
-    total = sum(v for (who, tag), v in ledger.egress.items()
-                if tag == "OfferTotality")
-    non_self = sum(8 * e.bytes_len for e in offers if e.src != e.dst)
-    assert total == non_self
+    # but the report never counts them
+    bits = amortized_report(sim.trace, scenario)["servers"]["S0"][
+        "protocol_bits"]
+    assert bits == sum(8 * e.bytes_len for e in s0 if e.src != e.dst)
+    assert bits < sum(8 * e.bytes_len for e in s0)
+    assert same_report(sim.trace, scenario)
 
 
 def test_unbatched_run_is_expensive():

@@ -3,7 +3,8 @@
 import gc
 import random
 from collections import deque
-from functools import lru_cache
+
+import pytest
 
 from batchcast.behaviors import CensoringBroker
 from batchcast.crypto import MerkleTree, Oracle
@@ -15,9 +16,10 @@ from batchcast.scenarios import (CORPUS, batching_limit, good_case,
                                  preloaded_directory, run_scenario,
                                  silent_broker)
 from batchcast.simnet import ADVERSARIAL, DelayPolicy, Scenario
-from batchcast.wire import (BatchAcquired, BatchMsg, Commit, CommitShard,
-                            Completion, CompletionShard, Inclusion, Reduction,
-                            Signatures, Submission, Witness, WitnessShard,
+from batchcast.wire import (AcceptTotality, BatchAcquired, BatchMsg, Commit,
+                            CommitShard, Completion, CompletionShard,
+                            Inclusion, OfferTotality, Reduction, Signatures,
+                            Submission, Totality, Witness, WitnessShard,
                             leaf_bytes, stmt_commit, stmt_completion,
                             stmt_message, stmt_reduction, stmt_witness)
 
@@ -481,8 +483,7 @@ def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
         oracle, fake_ctx_factory):
     sc = preloaded_scenario()
     preload = preloaded_directory(oracle, sc)
-    check = lru_cache(maxsize=1)(checked_batch)  # shared, as in a simulation
-    machines = [ServerMachine(preload, check) for _ in range(4)]
+    machines = [ServerMachine(preload) for _ in range(4)]
     ctxs = [fake_ctx_factory(server(k)) for k in range(4)]
     valid = BatchMsg(compress_ids([(1, 0), (2, 0)]),
                      ((b"c1", b"m1"), (b"c2", b"m2")))
@@ -499,16 +500,15 @@ def test_every_server_rejects_duplicate_ids_after_a_valid_batch(
 def test_batch_check_recomputes_lists():
     """The cache reads its arguments by value: tuples of a caller's lists,
     mutated in between, are checked again."""
-    check_batch = lru_cache(maxsize=1)(checked_batch)
     compressed, payloads = [(1, (0,))], [(b"c", b"m")]
-    first = check_batch(tuple(compressed), tuple(payloads))
+    first = checked_batch(tuple(compressed), tuple(payloads))
     payloads[0] = (b"c", b"other")
-    second = check_batch(tuple(compressed), tuple(payloads))
+    second = checked_batch(tuple(compressed), tuple(payloads))
     assert first[0] == second[0] == ((1, 0),)
     assert first[1] != second[1]
     compressed.append((2, (0,)))
     # two ids, one payload
-    assert check_batch(tuple(compressed), tuple(payloads)) is None
+    assert checked_batch(tuple(compressed), tuple(payloads)) is None
 
 
 def test_server_batch_redelivery_idempotent(oracle, fake_ctx_factory):
@@ -625,6 +625,77 @@ def test_lone_commit_broker_totality_rescues_everyone():
     assert accepts  # the rescue actually went through the fallback
 
 
+def totality_requests(sender):
+    """The replies of S0, after a good-case run, to an `AcceptTotality` and
+    an `OfferTotality` of its batch from `sender`, and the `Totality` sent
+    to a server's `AcceptTotality`."""
+    sim = run_scenario(good_case(n_clients=4))
+    machine = sim.machines[server(0)]
+    (root, batch), = machine.batches.items()
+    (exclusions,) = batch.commits
+    replies = []
+    for msg in (AcceptTotality(root, exclusions),
+                OfferTotality(root, frozenset({(0, 0)}))):
+        ctx = FakeCtx(sim.oracle, server(0))
+        machine.on_message(ctx, sender, msg)
+        replies.append([type(m) for _, m in ctx.sent])
+    ctx = FakeCtx(sim.oracle, server(0))
+    machine.on_message(ctx, server(1), AcceptTotality(root, exclusions))
+    [(_, totality)] = ctx.sent
+    return sim, replies, totality
+
+
+def test_servers_answer_totality_requests_from_servers():
+    _, replies, totality = totality_requests(server(1))
+    assert replies == [[Totality], [AcceptTotality]]
+    assert len(totality.payloads) == 4
+
+
+@pytest.mark.parametrize("sender", [client(0), broker(0)],
+                         ids=["client", "broker"])
+def test_servers_ignore_totality_requests_from_others(sender):
+    """A client or broker could otherwise draw a whole batch, with its
+    assignments and patches, from each server for one small request."""
+    _, replies, _ = totality_requests(sender)
+    assert replies == [[], []]
+
+
+@pytest.mark.parametrize("sender", [client(0), broker(0), server(1)],
+                         ids=["client", "broker", "server"])
+def test_servers_import_totality_only_from_servers(sender):
+    sim, _, totality = totality_requests(server(1))
+    ctx = FakeCtx(sim.oracle, server(2))
+    machine = ServerMachine()  # knows nothing of the batch
+    machine.on_message(ctx, sender, totality)
+    delivered = [e for e in ctx.events if e[0] == "app_deliver"]
+    if sender == server(1):
+        assert len(delivered) == 4 and machine.batches
+    else:
+        assert not delivered and not machine.batches
+
+
+@pytest.mark.parametrize("sender", [client(0), broker(0), server(1)],
+                         ids=["client", "broker", "server"])
+def test_brokers_answer_batch_acquired_only_from_servers(
+        sender, oracle, fake_ctx_factory):
+    """A broker returns a batch's signatures and assignments to servers
+    alone."""
+    sc = preloaded_scenario()
+    ctx = fake_ctx_factory(broker(0))
+    subs = [make_submission(oracle, sc, j, b"c%d" % j, b"m") for j in (0, 1)]
+    machine, root, _ = drive_broker_to_batch(oracle, ctx, subs)
+    machine._reduce(ctx, root)
+    before = len(ctx.sent)
+    machine.on_message(ctx, sender, BatchAcquired(root, ((0, 0), (1, 0))))
+    replies = [m for _, m in ctx.sent[before:]]
+    if sender == server(1):
+        [signatures] = replies
+        assert isinstance(signatures, Signatures)
+        assert len(signatures.assignments) == 2
+    else:
+        assert replies == []
+
+
 def test_corpus_scenarios_quiesce_with_consistent_state():
     for name, factory in CORPUS.items():
         sim = run_scenario(factory(), seed=13)
@@ -641,6 +712,7 @@ def test_servers_share_one_merkle_build_per_batch(monkeypatch):
         builds.append(tree)
         init(tree, leaves)
     monkeypatch.setattr(MerkleTree, "__init__", counting_init)
+    checked_batch.cache_clear()  # a batch an earlier run left in the cache
     sim = run_scenario(batching_limit(m=256, n_clients=256))
     stored = [m.batches for m in sim.machines.values()
               if isinstance(m, ServerMachine)]
@@ -665,6 +737,7 @@ def test_preloaded_clients_keep_at_most_nine_objects_each():
         gc.collect()
         return len(gc.get_objects())
 
+    checked_batch.cache_clear()  # count from no cached batch, as in a run
     sims, counts = [], [tracked()]
     for m in (256, 1024):
         sims.append(run_scenario(batching_limit(m=m, n_clients=m)))

@@ -185,6 +185,18 @@ def test_reliability_every_send_delivered():
     assert len(sends) == len(delivers) == 20
 
 
+def test_every_byte_sent_between_processes_is_delivered():
+    """At quiescence the bytes of the sends between distinct processes
+    equal those of their deliveries, over the corpus."""
+    for name, factory in scenarios.CORPUS.items():
+        sim = scenarios.run_scenario(factory(), seed=2)
+        total = {"send": 0, "deliver": 0}
+        for ev in sim.trace:
+            if ev.kind in total and ev.src != ev.dst:
+                total[ev.kind] += ev.bytes_len
+        assert total["send"] == total["deliver"] > 0, name
+
+
 def test_replay_is_byte_identical():
     def run():
         sc = tiny_scenario(synchrony=ADVERSARIAL,

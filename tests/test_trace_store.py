@@ -19,7 +19,7 @@ from conftest import live_signup_f2, trace_of
 
 from batchcast import simnet
 from batchcast import trace as trace_module
-from batchcast.metrics import CostLedger
+from batchcast.metrics import amortized_report
 from batchcast.properties import check_trace
 from batchcast.scenarios import (CORPUS, batching_limit, build_simulation,
                                  run_scenario)
@@ -260,7 +260,7 @@ def test_each_string_side_value_is_held_once(m):
 
 
 def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
-    """Rows read while a run still appends (the cost ledger, `select`, rows,
+    """Rows read while a run still appends (the cost report, `select`, rows,
     JSON lines, columns) are a prefix of the finished trace, which still equals its
     records and an unread run's; pending rows stay within one flush size
     plus the rows of one dispatch."""
@@ -268,7 +268,8 @@ def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
     for module in (simnet, trace_module):  # the event loop reads it by name
         monkeypatch.setattr(module, "_PENDING_BYTES",
                             7 * trace_module._ROW.size)
-    sim = build_simulation(live_signup_f2())
+    scenario = live_signup_f2()
+    sim = build_simulation(scenario)
     trace = sim.trace
     sim.start()
     snapshots = []
@@ -281,9 +282,9 @@ def test_reads_in_the_middle_of_a_run_leave_the_trace_whole(monkeypatch):
         assert len(trace.pending) < trace_module._PENDING_BYTES + written
         if steps % 1009 == 0:
             pending = len(trace.pending)
-            ledger = CostLedger.from_trace(trace)
+            report = amortized_report(trace, scenario)
             rows = list(trace)
-            assert vars(ledger) == vars(CostLedger.from_trace(trace_of(rows)))
+            assert report == amortized_report(trace_of(rows), scenario)
             seen_pending += pending > 0
             assert len(rows) == len(trace) and not trace.pending
             assert trace.select("fb_deliver") == [
