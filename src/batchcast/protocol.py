@@ -454,7 +454,9 @@ class ServerMachine(Machine):
     def on_start(self, ctx: Context):
         for a in self.preloaded:
             self.view.preload(a)
-            ctx.emit("dir_import", id=tuple(a.ident), keycard=a.keycard.hex())
+        ctx.emit_rows("dir_import",
+                      id=[tuple(a.ident) for a in self.preloaded],
+                      keycard=[a.keycard.hex() for a in self.preloaded])
 
     # -- events -----------------------------------------------------------------
 
@@ -604,6 +606,7 @@ class ServerMachine(Machine):
             return None
         exclusions = exclusion_union(patches)
         batch.commits[exclusions] = tuple(patches)
+        clients, contexts, messages = [], [], []
         for ident, keycard, (context, message) in zip(batch.ids, cards,
                                                       batch.payloads):
             if ident in exclusions:
@@ -611,8 +614,12 @@ class ServerMachine(Machine):
             if (keycard, context) in self.delivered:
                 continue
             self.delivered.add((keycard, context))
-            ctx.emit("app_deliver", client=keycard.hex(),
-                     context=context.hex(), message=message.hex())
+            clients.append(keycard.hex())
+            contexts.append(context.hex())
+            messages.append(message.hex())
+        if clients:
+            ctx.emit_rows("app_deliver", client=clients, context=contexts,
+                          message=messages)
         ctx.set_timer(("offer_totality", root, tuple(sorted(exclusions))),
                       OFFER_TOTALITY_TIMEOUT)
         return CompletionShard(root,

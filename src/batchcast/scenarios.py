@@ -237,6 +237,8 @@ def validate(s: Scenario) -> dict[int, list]:
         raise ValueError("name must be a string without '/' or NUL")
     if not s.name:
         raise ValueError("name must not be empty")
+    if not 0 <= s.seed < 1 << 63:  # Random seeds with abs(seed); trace int64
+        raise ValueError(f"seed must be an integer in 0..{(1 << 63) - 1}")
     f = s.fault_bound
     if f < 0 or s.n_servers != 3 * f + 1:
         raise ValueError("fault_bound must be at least 0, servers 3f + 1")

@@ -65,22 +65,22 @@ class DelayPolicy:
     overrides: dict = field(default_factory=dict)
 
 
-def _uniform(rng: random.Random, lo: int, hi: int):
-    """A function of an ignored argument drawing from [lo, hi] with the
-    `getrandbits(k)` loop of `rng.randrange(lo, hi + 1)`: the same values,
-    and `rng` left in the same state."""
+def _span(lo: int, hi: int) -> tuple:
+    """[lo, hi] as `_uniform` reads it: (lo, count, the count's bit length)."""
     n = hi - lo + 1
     if n <= 0:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    k = n.bit_length()
-    getrandbits = rng.getrandbits
+    return lo, n, n.bit_length()
 
-    def draw(_=None):
+
+def _uniform(getrandbits, span: tuple) -> int:
+    """A draw from `span` by the `getrandbits(k)` loop of `rng.randrange`,
+    given `rng.getrandbits`: its value, and `rng` left in its state."""
+    lo, n, k = span
+    r = getrandbits(k)
+    while r >= n:
         r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return lo + r
-    return draw
+    return lo + r
 
 
 @dataclass
@@ -121,7 +121,9 @@ class Context:
     context that only reaches the crypto facade), and `rank` its place in an
     event's key (see the module docstring).  `servers` and `brokers` are the
     simulation's tuples of ids, and `plurality` (f + 1) and `quorum` (2f + 1)
-    its thresholds: a machine reads them here and keeps no copy.
+    its thresholds: a machine reads them here and keeps no copy.  `emit`
+    writes one trace row from the process through `Trace.add`, and
+    `emit_rows` several of one kind through `Trace.extend`.
     """
 
     def __init__(self, sim: "Simulation", pid: ProcessId,
@@ -160,6 +162,11 @@ class Context:
     def emit(self, kind: str, **extra):
         self.sim.trace.add(self.sim.now, kind, self.code, NULL, 0, NO_TAG,
                            extra)
+
+    def emit_rows(self, kind: str, **columns):
+        """`emit` once per row in one call: each keyword is a list holding
+        its value for every row, in order."""
+        self.sim.trace.extend(self.sim.now, kind, self.code, columns)
 
     # -- crypto facade -------------------------------------------------------
 
@@ -279,15 +286,18 @@ class Simulation:
         # `servers`, the fan-out to every server, checked once if it can be
         self._server_contexts = self._by_rank[:s.n_servers]
         self._fan_out = None if None in self._server_contexts else self.servers
-        self._draw_delay = self._resolve(s.delay_policy)
-        self._draw_skew = (None if s.timer_policy == "timeout"
-                           else _uniform(self.rng, 1, TIMER_SKEW_MAX))
+        # the policies as data, drawn from `rng` at each use, so a deep copy
+        # of the simulation draws from its own copy
+        self._delays = self._resolve(s.delay_policy)
+        self._skew = (None if s.timer_policy == "timeout"
+                      else _span(1, TIMER_SKEW_MAX))
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
 
     def _resolve(self, policy: DelayPolicy):
-        """`policy` as a function from a link, src rank * P + dst rank, to
-        its next delay, or None if all are 1; unmatched overrides drop."""
+        """`policy` as (the delay of each overridden link, src rank * P + dst
+        rank; the `_span` other links draw from, or None if theirs is 1), or
+        None if all are 1; unmatched overrides drop."""
         rank = {ctx.pid.label: ctx.rank for ctx in self._by_rank
                 if ctx is not None} if policy.overrides else {}
         fixed = {}
@@ -295,11 +305,9 @@ class Simulation:
             src, _, dst = link.partition("->")
             if src in rank and dst in rank:
                 fixed[rank[src] * self._n + rank[dst]] = delay
-        draw = (_uniform(self.rng, policy.min_delay, policy.max_delay)
+        span = (_span(policy.min_delay, policy.max_delay)
                 if policy.kind == "uniform" else None)
-        if fixed:  # every override is at least 1
-            return lambda link: fixed.get(link) or (draw() if draw else 1)
-        return draw
+        return (fixed, span) if fixed or span else None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -318,15 +326,19 @@ class Simulation:
                 if to is None:
                     raise ValueError(f"unknown destination {dst!r}")
                 tos.append(to)
-        now, n, draw = self.now, self._n, self._draw_delay
+        now, n, delays = self.now, self._n, self._delays
+        fixed, span = delays or (None, None)
+        getrandbits = self.rng.getrandbits
         code, rank, size = src.code, src.rank, len(data)
         rows, queue, seq = self.trace.pending, self._queue, self._seq
         for to in tos:
-            if draw is None:
+            if delays is None:
                 deliver = now + 1
             else:
                 link = rank * n + to.rank
-                delay = draw(link)
+                # an override, at least 1, else a draw, else 1
+                delay = (fixed and fixed.get(link)) or (
+                    _uniform(getrandbits, span) if span else 1)
                 deliver = now + delay if delay > 1 else now + 1
                 last = self._link_last.get(link, 0)
                 if deliver < last:
@@ -345,8 +357,8 @@ class Simulation:
 
     def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
         now, n = self.now, self._n
-        ring = now + (timeout if self._draw_skew is None
-                      else self._draw_skew())
+        ring = now + (timeout if self._skew is None
+                      else _uniform(self.rng.getrandbits, self._skew))
         self._seq = seq = self._seq + 1
         tag_code = self.trace.code(_tag_label(tag))
         self.trace.add(now, "timer_set", owner.code, owner.code, 0, tag_code,

@@ -156,12 +156,14 @@ class Trace:
     timer ring rows, base columns only, as one `_ROW` pack each into
     `pending`, which `flush` moves into the columns once it reaches
     `_PENDING_BYTES` and before every read.  Every other row is written,
-    packed the same way, by `add` and has a side entry, even with no keys,
-    so `select` finds every row of the kinds that `add` writes.  A run's
-    side values are integers, None, tuples of integers, which the GC stops
+    packed the same way, by `add`, or with others of one kind and source by
+    `extend`, and has a side entry, even with no keys, so `select` finds
+    every row of the kinds that `add` and `extend` write.  A run's side
+    values are integers, None, tuples of integers, which the GC stops
     tracking at its first collection, and strings, each distinct one held
-    once: `add` interns it in `_strings`, a dict the GC never tracks.  A
-    list read from a record is held as a tuple and read back as a list.
+    once: `add` and `extend` intern it in `_strings`, a dict the GC never
+    tracks.  A list read from a record is held as a tuple and read back as
+    a list.
 
     Rows read back as `TraceEvent`s by iteration; the checker reads
     `select` (or `scan`, lazily), the cost report the base columns, and
@@ -219,6 +221,29 @@ class Trace:
             col.append(strings.setdefault(value, value) if type(value) is str
                        else value)
         self.pending += _pack_row(time, bytes_len, side.kind, src, dst, tag)
+        if len(self.pending) >= _PENDING_BYTES:
+            self.flush()
+
+    def extend(self, time: int, kind: str, src: int, columns: dict):
+        """Append what one `add(time, kind, src, NULL, 0, NO_TAG, extra)`
+        call per row would: row i's `extra` holds each key of `columns`
+        with the i-th value of its list, and all the lists are as long."""
+        k = len(next(iter(columns.values())))
+        if not k:
+            return
+        side = (self._side_of.get((kind, *columns))
+                or self._new_side(kind, columns))
+        first = len(self.time) + len(self.pending) // _ROW.size
+        if k == 1:  # most small commits deliver one payload
+            side.rows.append(first)
+        else:
+            side.rows.extend(range(first, first + k))
+        strings = self._strings
+        for key, col in zip(side.keys, side.cols):
+            for value in columns[key]:
+                col.append(strings.setdefault(value, value)
+                           if type(value) is str else value)
+        self.pending += _pack_row(time, 0, side.kind, src, NULL, NO_TAG) * k
         if len(self.pending) >= _PENDING_BYTES:
             self.flush()
 

@@ -1,7 +1,10 @@
 """Shared fixtures: a standalone oracle population, a fake machine context,
-the f = 2 live-signup scenario and forged traces."""
+the f = 2 live-signup scenario, forged traces and the benchmark's
+workloads."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,18 @@ from batchcast.procs import broker, client, server
 from batchcast.simnet import (ADVERSARIAL, Context, DelayPolicy, Scenario,
                               Simulation)
 from batchcast.trace import Trace, TraceEvent
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_workloads() -> dict:
+    """The benchmark's workloads, read from its file."""
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def trace_of(records) -> Trace:
@@ -72,6 +87,10 @@ class FakeCtx(Context):
 
     def emit(self, kind, **extra):
         self.events.append((kind, extra))
+
+    def emit_rows(self, kind, **columns):
+        self.events.extend((kind, dict(zip(columns, row)))
+                           for row in zip(*columns.values()))
 
 
 @pytest.fixture

@@ -37,6 +37,27 @@ def test_run_good_case_exits_zero(tmp_path, capsys):
     assert (out / "good_case.trace.jsonl").exists()
 
 
+@pytest.mark.parametrize("seed,code", [(-1, 2), (0, 0), (2 ** 63 - 1, 0),
+                                       (2 ** 63, 2)])
+def test_seed_flag_takes_exactly_the_trace_range(tmp_path, capsys, seed,
+                                                 code):
+    """`random.Random` seeds with abs(seed), so seed -1 would silently rerun
+    seed 1's schedule; a seed the trace holds reads back from its file."""
+    path = write_scenario(tmp_path, good_case(n_clients=2))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(path), "--seed", str(seed),
+                 "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.err, captured.out) == (
+            "error: invalid scenario: seed must be an integer in "
+            f"0..{2 ** 63 - 1}\n", "")
+        assert not out.exists()
+    else:
+        assert main(["--check-only",
+                     str(out / "good_case.trace.jsonl")]) == 0
+
+
 def test_check_only_roundtrip(tmp_path):
     path = write_scenario(tmp_path, good_case(n_clients=2))
     out = tmp_path / "out"
@@ -337,6 +358,9 @@ SCENARIO_PROBES = {
     "fault_label_X9": (lambda d: d.update(
         fault_script={"X9": {"behavior": "silent_broker"}}), "'X9'"),
     "seed_string": (lambda d: d.update(seed="x"), "seed"),
+    # seeds outside 0..2^63 - 1: Random would rerun seed 1 for seed -1
+    "seed_minus_1": (lambda d: d.update(seed=-1), "seed must be"),
+    "seed_2_63": (lambda d: d.update(seed=2 ** 63), "seed must be"),
     # keys of settings no longer taken
     "payload_bits": (lambda d: d.update(payload_bits=-1),
                      "unknown key 'payload_bits'"),

@@ -7,10 +7,11 @@ changes any send, delivery, verification or application event shows up here.
 
 import hashlib
 
-from conftest import live_signup_f2
+import pytest
+from conftest import bench_workloads, live_signup_f2
 
-from batchcast.scenarios import (CORPUS, batching_limit, concurrent_signup,
-                                 run_scenario)
+from batchcast.scenarios import (CORPUS, batching_limit, build_simulation,
+                                 concurrent_signup, run_scenario)
 from batchcast.simnet import ADVERSARIAL, GOOD_CASE, DelayPolicy, Scenario
 
 GOLDEN_SHA256 = (
@@ -25,6 +26,17 @@ QUEUED_SUBMISSIONS_SHA256 = (
     "55af84bf13f9946f2ebe071ce0c5eb3a3d60d94265238112c73031b4f35c5195")
 SLOW_SERVER_SIGNUP_SHA256 = (
     "eb791f9a3fbb199135a4395a856b35e69e02e0321673d27068bd614858e4a71e")
+# the `trace_sha256` that `bench/run.py --seed 11` prints for each workload
+BENCH_SEED_11_SHA256 = {
+    "batch_large":
+        "317695aeb84e75d3fc8c839d75d54740ac5fa746ab8950bd60a52e6100477a51",
+    "corpus_seeds":
+        "9b49660ac9e7c7601b28f41b532e605c83a146ee780068e73787183839846058",
+    "rounds_steady":
+        "0e37d5b2a777ea3fb9db0f1baf6d821b54c2555b2deacd792f441d340e12b811",
+    "signup_live":
+        "031701d1b65b681e0b3162d0bd3e14d5b8aa535308330991c0dc497964d5f46e",
+}
 
 
 def test_golden_trace_hash():
@@ -134,3 +146,16 @@ def test_slow_server_signup():
         assert trace.count('"signup_complete"') == 6
         h.update(trace.encode())
     assert h.hexdigest() == SLOW_SERVER_SIGNUP_SHA256
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_SEED_11_SHA256))
+def test_bench_workload_traces(workload):
+    """The benchmark's own runs, hashed as it hashes them: the digest of
+    each simulation's trace digest.  `batch_large` is the one pinned run of
+    a batch of 2,048 payloads, and `rounds_steady` the one of 20 rounds."""
+    digest = hashlib.sha256()
+    for make in bench_workloads()[workload](11):
+        sim = build_simulation(make())
+        sim.run_to_quiescence()
+        digest.update(hashlib.sha256(sim.trace_jsonl().encode()).digest())
+    assert digest.hexdigest() == BENCH_SEED_11_SHA256[workload]

@@ -181,7 +181,8 @@ def test_every_behavior_and_spec_key_has_one_readme_row():
 
 
 def _writes(tree: ast.Module) -> list:
-    """(kind, keys, line) of each `emit("kind", key=...)` call and each
+    """(kind, keys, line) of each `emit("kind", key=...)` or
+    `emit_rows("kind", key=...)` call and each
     `add(time, "kind", src, dst, bytes_len, tag, {"key": ...})` call; keys
     passed in any other form (`**extra`) are not read, so count as absent."""
     writes = []
@@ -190,7 +191,7 @@ def _writes(tree: ast.Module) -> list:
                 and isinstance(node.func, ast.Attribute)):
             continue
         args = node.args
-        if node.func.attr == "emit" and args:
+        if node.func.attr in ("emit", "emit_rows") and args:
             kind, keys = args[0], [kw.arg for kw in node.keywords]
         elif node.func.attr == "add" and len(args) == 7:
             kind, extra = args[1], args[6]
@@ -226,11 +227,12 @@ def test_every_writer_of_a_checked_kind_passes_the_keys_it_requires():
         'ctx.emit("fb_deliver", **extra)\n'
         'trace.add(0, "scenario", 0, 0, 0, 0, {"servers": 4, "brokers": 1})\n'
         'ctx.emit("signup")\n'
-        'seen.add(key)\n'))
+        'seen.add(key)\n'
+        'ctx.emit_rows("app_deliver", client=cs, message=ms)\n'))
     assert _missing(sloppy) == [
         ("broadcast", 1, "message"), ("fb_deliver", 3, "origin"),
         ("fb_deliver", 3, "seq"), ("fb_deliver", 3, "payload"),
-        ("scenario", 4, "clients")]
+        ("scenario", 4, "clients"), ("app_deliver", 7, "context")]
 
 
 DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]

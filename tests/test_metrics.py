@@ -1,10 +1,8 @@
 """Cost accounting: the report against its reference, verification
 counters, reports."""
 
-import importlib.util
 import json
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -14,10 +12,8 @@ from batchcast.metrics import (DIRECTORY_TAGS, PAYLOAD_TAGS, amortized_report,
                                convergence_sweep, oracle_bound, sweep_csv)
 from batchcast.scenarios import CORPUS, batching_limit, good_case, run_scenario
 
-from conftest import trace_of
+from conftest import bench_workloads, trace_of
 from report_reference import reference_report
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_oracle_bound_formula():
@@ -45,15 +41,6 @@ def test_report_matches_the_reference_on_the_corpus(seed):
         scenario = factory()
         sim = run_scenario(scenario, seed=seed)
         assert same_report(sim.trace, scenario), name
-
-
-def bench_workloads() -> dict:
-    """The benchmark's workloads, read from its file."""
-    spec = importlib.util.spec_from_file_location("workloads",
-                                                  BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
 
 
 WORKLOADS = bench_workloads()

@@ -3,6 +3,7 @@
 import random
 import re
 from collections import Counter, defaultdict, deque
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 from batchcast import scenarios, simnet
@@ -59,15 +60,17 @@ def test_good_case_delay_is_exactly_one():
     assert recv[0][1] == 4  # sent at t=3, delivered at t=4
 
 
-def test_fifo_order_under_adversarial_delays():
-    sc = tiny_scenario(synchrony=ADVERSARIAL)
+def test_fifo_order_under_adversarial_delays(monkeypatch):
+    sc = tiny_scenario(synchrony=ADVERSARIAL, delay_policy=DelayPolicy(
+        kind="uniform", min_delay=1, max_delay=10))
     a = Script(sends=[(1, server(1), Ranked(0)), (2, server(1), Ranked(1))])
     machines = idle_machines(sc)
     machines[server(0)] = a
     sim = Simulation(sc, machines)
     # first envelope slow, second fast: FIFO clamps the second
     delays = [10, 1]
-    sim._draw_delay = lambda link: delays.pop(0) if delays else 1
+    monkeypatch.setattr(simnet, "_uniform",
+                        lambda *_: delays.pop(0) if delays else 1)
     sim.run_to_quiescence()
     recv = [(t, msg) for kind, t, src, msg in machines[server(1)].log]
     assert [m.domain for _, m in recv] == [0, 1]  # send order preserved
@@ -211,6 +214,37 @@ def test_replay_is_byte_identical():
         return sim.trace_jsonl()
 
     assert run() == run()
+
+
+def _copy_cases():
+    """(corpus name, seed, timer policy): the corpus at seeds 0-2, and its
+    adversarial scenarios again with the scheduler timing timers."""
+    for name in sorted(scenarios.CORPUS):
+        adversarial = scenarios.CORPUS[name]().synchrony == ADVERSARIAL
+        for seed in range(3):
+            yield name, seed, "timeout"
+            if adversarial:
+                yield name, seed, "scheduler"
+
+
+@pytest.mark.parametrize("name,seed,timers", list(_copy_cases()))
+def test_a_deep_copy_of_a_built_simulation_runs_on_its_own(name, seed,
+                                                           timers):
+    """The copy draws its delays and timer skews from its own generator, so
+    running it first leaves the original's schedule alone."""
+    def built():
+        scenario = scenarios.CORPUS[name]()
+        scenario.seed, scenario.timer_policy = seed, timers
+        return scenarios.build_simulation(scenario)
+
+    unforked = built()
+    unforked.run_to_quiescence()
+    original = built()
+    copy = deepcopy(original)
+    copy.run_to_quiescence()
+    original.run_to_quiescence()
+    assert copy.trace_jsonl() == unforked.trace_jsonl()
+    assert original.trace_jsonl() == unforked.trace_jsonl()
 
 
 def test_unknown_destination_rejected():
@@ -614,10 +648,17 @@ def _fan_out_run(fan_out: bool):
                                                "C2->S0": 7}), seed=4)
     processes = sc.processes()
     sim = Simulation(sc, {pid: Chatter() for pid in processes})
-    draws = []  # the delay drawn for each send, in send order
-    draw = sim._draw_delay
-    sim._draw_delay = lambda link: draws.append(draw(link)) or draws[-1]
-    sim.run_to_quiescence()
+    draws = []  # the delay drawn for each send on no overridden link
+    uniform, delay_span = simnet._uniform, simnet._span(1, 4)
+
+    def recorded(getrandbits, span):
+        value = uniform(getrandbits, span)
+        if span == delay_span:  # not a timer's skew
+            draws.append(value)
+        return value
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simnet, "_uniform", recorded)
+        sim.run_to_quiescence()
     return sim, log, draws
 
 
@@ -633,33 +674,39 @@ def test_send_all_matches_one_send_per_destination():
     assert list(sim.trace) == list(ref_sim.trace)
     assert sim.trace_jsonl() == ref_sim.trace_jsonl()
 
-    # the overrides were drawn and the FIFO clamp delayed some deliveries
+    # the overrides were taken and the FIFO clamp delayed some deliveries
+    overrides = sim.scenario.delay_policy.overrides
     unsent = iter(draws)
     sent = defaultdict(deque)
-    clamped = 0
+    clamped, overridden = 0, set()
     for ev in sim.trace:
         if ev.kind == "send":
-            sent[(ev.src, ev.dst)].append(ev.time + next(unsent))
+            link = f"{ev.src}->{ev.dst}"
+            if link in overrides:
+                overridden.add(link)
+            sent[(ev.src, ev.dst)].append(
+                ev.time + (overrides.get(link) or next(unsent)))
         elif ev.kind == "deliver":
             due = sent[(ev.src, ev.dst)].popleft()
             assert ev.time >= due
             clamped += ev.time > due
     assert next(unsent, None) is None
-    assert {9, 7} <= set(draws) and clamped
+    assert {"S0->S1", "C2->S0"} <= overridden and clamped
 
 
 @pytest.mark.parametrize("lo", [1, 2 ** 32 - 8])
 def test_uniform_draw_matches_randrange(lo):
-    """The resolved draw returns what `randrange(lo, hi + 1)` returns and
-    leaves the generator in the same state, for spans 1 to 9."""
-    for span in range(1, 10):
-        rng, ref = random.Random(span), random.Random(span)
-        draw = simnet._uniform(rng, lo, lo + span - 1)
-        assert ([draw() for _ in range(10_000)]
-                == [ref.randrange(lo, lo + span) for _ in range(10_000)])
+    """A draw returns what `randrange(lo, hi + 1)` returns and leaves the
+    generator in the same state, for spans 1 to 9."""
+    for width in range(1, 10):
+        rng, ref = random.Random(width), random.Random(width)
+        span = simnet._span(lo, lo + width - 1)
+        assert ([simnet._uniform(rng.getrandbits, span)
+                 for _ in range(10_000)]
+                == [ref.randrange(lo, lo + width) for _ in range(10_000)])
         assert rng.getstate() == ref.getstate()
     with pytest.raises(ValueError, match="empty range"):
-        simnet._uniform(random.Random(0), 3, 2)
+        simnet._span(3, 2)
 
 
 def test_serialize_calls_match_the_send_rows(monkeypatch):

@@ -159,6 +159,77 @@ def test_an_event_key_naming_a_base_field_is_refused(key):
     assert sim.trace_jsonl() == reference_jsonl(sim.trace)
 
 
+def _prefixed(before: int) -> Trace:
+    """A trace of `before` rows written by `add`, each with a side entry."""
+    trace = Trace()
+    for i in range(before):
+        trace.add(i, "signup", trace.code("C0"), 0, i, 0,
+                  {ODD[i % len(ODD)]: ODD[-i % len(ODD)]} if i % 3 else {})
+    return trace
+
+
+def _odd_columns(k: int) -> dict:
+    """A column per key of `ODD`, of k values: `ODD`'s strings, copied so
+    that only interning makes them one object, with integers, None and
+    pairs in some columns."""
+    pool = [*ODD, 7, None, (1, 2)]
+    return {key: [(v + "!")[:-1] if type(v) is str else v
+                  for v in (pool[(i + j) % (len(ODD) + 3 * (j % 2))]
+                            for i in range(k))]
+            for j, key in enumerate(ODD)}
+
+
+def _trace_state(trace: Trace) -> tuple:
+    """What a reader sees of `trace`, and its sides' keys."""
+    return (len(trace), "".join(trace.jsonl()), list(trace), trace.names,
+            trace.select("app_deliver"), trace.select("odd keys"),
+            [(side.kind, side.keys) for side in trace._sides])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 1023, 1024, 1025, 4097])
+@pytest.mark.parametrize("before", [0, 1000, 4090])
+def test_extend_writes_what_one_add_per_row_writes(k, before):
+    """One `extend` of k rows, starting before a pending flush or a JSON
+    lines chunk boundary, against k `add` calls given the same objects.
+    Each holds one object per distinct string, the one it was first given:
+    `ODD`'s own once the prefix wrote them (which of two equal strings first
+    given in one `extend` it keeps may differ from `add`'s)."""
+    columns = [("odd keys", _odd_columns(k)),
+               ("app_deliver", {key: [ODD[(i + n) % len(ODD)]
+                                      for i in range(k)]
+                                for n, key in enumerate(
+                                    ("message", "client", "context"))})]
+    rows, added = _prefixed(before), _prefixed(before)
+    code = rows.code("S0")
+    assert added.code("S0") == code
+    for kind, cols in columns:
+        rows.extend(9, kind, code, cols)
+        assert len(rows.pending) < trace_module._PENDING_BYTES
+        for values in zip(*cols.values()):
+            added.add(9, kind, code, trace_module.NULL, 0, trace_module.NO_TAG,
+                      dict(zip(cols, values)))
+    for trace in rows, added:
+        trace.add(10, "odd keys", code, 0, 0, 0, {ODD[0]: ODD[1]})
+    assert len(rows) == before + 2 * k + 1
+    assert _trace_state(rows) == _trace_state(added)
+    for trace in rows, added:
+        held = [v for side in trace._sides for col in side.cols for v in col
+                if type(v) is str]
+        assert len({*map(id, held)}) == len({*held})
+        assert all(trace._strings[v] is v for v in held)
+        if before:
+            assert all(v is ODD[ODD.index(v)] for v in held)
+
+
+@pytest.mark.parametrize("before", [0, 1000])
+def test_extend_refuses_a_base_field_key_before_writing(before):
+    trace = _prefixed(before)
+    state = _trace_state(trace)
+    with pytest.raises(ValueError, match="'tag'"):
+        trace.extend(9, "note", 0, {"zz": [1, 2], "tag": ["a", "b"]})
+    assert _trace_state(trace) == state
+
+
 def test_an_empty_trace_is_one_newline():
     assert "".join(Trace().jsonl()) == reference_jsonl([]) == "\n"
 
