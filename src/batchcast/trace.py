@@ -234,10 +234,7 @@ class Trace:
         side = (self._side_of.get((kind, *columns))
                 or self._new_side(kind, columns))
         first = len(self.time) + len(self.pending) // _ROW.size
-        if k == 1:  # most small commits deliver one payload
-            side.rows.append(first)
-        else:
-            side.rows.extend(range(first, first + k))
+        side.rows.extend(range(first, first + k))
         strings = self._strings
         for key, col in zip(side.keys, side.cols):
             for value in columns[key]:
