@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, properties, scenarios, simnet, trace
+from .procs import PROCESS_BOUNDS
 
 SWEEP_KEYS = scenarios.KeyTable(dict, {"m_values": ("m_values", [int]),
                                        "clients": ("clients", int)})
@@ -63,6 +64,10 @@ def _sweep(args) -> int:
     try:
         spec = scenarios.read_keys(Path(args.sweep).read_text(), SWEEP_KEYS,
                                    "sweep spec")
+        bound = PROCESS_BOUNDS["clients"]
+        if not 1 <= spec["clients"] <= bound:
+            raise ValueError(f"clients must be an integer of at least 1 and "
+                             f"at most {bound}")
         for i, m in enumerate(spec["m_values"]):  # batching_limit divides by m
             if m < 1:
                 raise ValueError(f"m_values[{i}] must be at least 1")

@@ -232,8 +232,9 @@ class Machine:
 
 
 _PHASE_RING = 1  # a delivery's phase is 0
-_UNDECODED = object()     # in-flight cell: no copy delivered yet
-_UNDECODABLE = object()   # in-flight cell: the bytes raised DecodeError
+# in-flight cell states besides a decoded message, values a deep copy keeps
+_UNDECODED = None     # no copy delivered yet
+_UNDECODABLE = False  # the bytes raised DecodeError
 
 
 class Simulation:

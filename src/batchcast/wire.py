@@ -1,12 +1,13 @@
 """Protocol messages and their bit-exact wire format.
 
 Every message serializes to a self-delimiting bit stream, padded with zeros
-to a whole number of bytes at the very end.  One table, `_SPECS`, gives each
-message type its tag and its fields' layouts; at import each entry is
+to a whole number of bytes at the very end.  Each message type is a frozen
+dataclass whose fields are annotated with their layouts; at import each is
 compiled into one straight-line encoder and decoder, which `serialize` and
-`deserialize` dispatch to.  The layouts are documented in
-docs/wire_format.md.  Deserializing arbitrary bytes never raises anything
-but DecodeError, which state machines treat as an ignorable invalid message.
+`deserialize` dispatch to by tag, its index in `MESSAGE_TYPES`.  The
+layouts are documented in docs/wire_format.md.  Deserializing arbitrary
+bytes never raises anything but DecodeError, which state machines treat as
+an ignorable invalid message.
 
 Field widths for cryptographic material are the configured constants from
 the crypto module, independent of the in-memory representation.
@@ -22,11 +23,10 @@ of n is floor(n / 2^i) mod 2).
   varints start at 1, so counts are shifted by one on the wire.
 """
 
-from __future__ import annotations
-
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
+from operator import lt
 
 from . import crypto
 from .bits import EXHAUSTED, DecodeError
@@ -68,180 +68,11 @@ def stmt_assignment(ident: Id, keycard: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# message types
-
-@dataclass(frozen=True)
-class Assignment:
-    ident: Id
-    keycard: bytes
-    certificate: Certificate
-
-
-# client <-> broker
-@dataclass(frozen=True)
-class Submission:
-    assignment: Assignment
-    context: bytes
-    message: bytes
-    signature: bytes
-
-
-@dataclass(frozen=True)
-class Inclusion:
-    context: bytes
-    root: bytes
-    proof: MerkleProof
-
-
-@dataclass(frozen=True)
-class Reduction:
-    root: bytes
-    msig: bytes
-
-
-@dataclass(frozen=True)
-class Completion:
-    root: bytes
-    certificate: Certificate
-    exclusions: frozenset  # of Id
-
-
-# broker <-> server
-@dataclass(frozen=True)
-class BatchMsg:
-    compressed_ids: tuple  # ((domain, (index, ...)), ...) sorted
-    payloads: tuple  # ((context, message), ...) in id order
-
-
-@dataclass(frozen=True)
-class BatchAcquired:
-    root: bytes
-    unknowns: tuple  # sorted ids
-
-
-@dataclass(frozen=True)
-class Signatures:
-    root: bytes
-    assignments: tuple  # of Assignment, for the unknowns
-    msig: bytes  # aggregate over [Reduction, root]
-    stragglers: tuple  # ((id, signature), ...) sorted by id
-
-
-@dataclass(frozen=True)
-class WitnessShard:
-    root: bytes
-    shard: bytes
-
-
-@dataclass(frozen=True)
-class Witness:
-    root: bytes
-    certificate: Certificate
-
-
-@dataclass(frozen=True)
-class EquivocationProof:
-    conflict_root: bytes
-    conflict_witness: Certificate
-    proof: MerkleProof
-    conflict_message: bytes
-
-
-@dataclass(frozen=True)
-class CommitShard:
-    root: bytes
-    conflicts: tuple  # ((id, EquivocationProof), ...) sorted by id
-    shard: bytes
-
-
-@dataclass(frozen=True)
-class Commit:
-    root: bytes
-    patches: tuple  # ((exception ids tuple, Certificate), ...)
-
-
-@dataclass(frozen=True)
-class CompletionShard:
-    root: bytes
-    shard: bytes
-
-
-# server <-> server totality fallback
-@dataclass(frozen=True)
-class OfferTotality:
-    root: bytes
-    exclusions: frozenset
-
-
-@dataclass(frozen=True)
-class AcceptTotality:
-    root: bytes
-    exclusions: frozenset
-
-
-@dataclass(frozen=True)
-class Totality:
-    root: bytes
-    assignments: tuple
-    compressed_ids: tuple
-    payloads: tuple
-    patches: tuple
-
-
-# directory signup
-@dataclass(frozen=True)
-class Signup:
-    pass
-
-
-@dataclass(frozen=True)
-class Ranked:
-    domain: int  # ordinal of the server whose log ranked the sender's key
-
-
-@dataclass(frozen=True)
-class Assigner:
-    domain: int
-
-
-@dataclass(frozen=True)
-class AssignShard:
-    index: int
-    shard: bytes
-
-
-# FIFO broadcast among servers (double-echo)
-@dataclass(frozen=True)
-class FifoSend:
-    seq: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class FifoEcho:
-    origin: int
-    seq: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class FifoReady:
-    origin: int
-    seq: int
-    payload: bytes
-
-
-# id assignment and its FIFO broadcast, which cost accounting counts apart
-DIRECTORY_TYPES = (Signup, Ranked, Assigner, AssignShard, FifoSend, FifoEcho,
-                   FifoReady)
-
-
-# ---------------------------------------------------------------------------
 # field layouts and the codec compiler
 #
-# A layout says how one field's value is laid out on the wire; the table
-# `_SPECS` below gives each message type its fields' layouts.  `_compile`
-# turns each entry, once at import, into the source of one encoder and one
+# A layout says how one field's value is laid out on the wire; each message
+# type below annotates its fields with their layouts.  `_compile` turns each
+# type, once at import, into the source of one encoder and one
 # decoder in which every field is a few inline operations on one int, the
 # way `dataclasses` generates `__init__`, and executes it.
 #
@@ -365,7 +196,7 @@ _NAMES = {
     "MAX_BLOB_BYTES": MAX_BLOB_BYTES, "ENCODED": ENCODED,
     "TABLE": len(ENCODED), "varint_bits": varint_bits, "VNATS": VNATS,
     "FLAGS": FLAGS, "MASK64": MASK64, "read_varint": read_varint,
-    "chain": chain,
+    "chain": chain, "lt": lt,
 }
 
 
@@ -442,12 +273,6 @@ class _Encoder(_Source):
             self(f"pos = {self.at()}")
             self.off, self.has_pos = _NONE, True
 
-    def state(self):
-        return self.off, self.has_pos
-
-    def restore(self, state):
-        self.off, self.has_pos = state
-
     def varint(self, n: str):
         self(f"t = {n}")
         self("x, k = ENCODED[t] if 0 < t < TABLE else varint_bits(t)")
@@ -497,12 +322,6 @@ class _Decoder(_Source):
     def at(self, extra=_NONE) -> str:
         off = _plus(self.off, extra)
         return f"pos + {self.width(off)}" if off != _NONE else "pos"
-
-    def state(self):
-        return self.off, self.checked, self.stale
-
-    def restore(self, state):
-        self.off, self.checked, self.stale = state
 
     def resync(self):
         """Read v afresh at pos (off must be 0)."""
@@ -725,11 +544,11 @@ class _Partition(_Layout):
     ++ z_|mu| .. z_1 as w-bit ints, where the z_i enumerate each mu(x) in
     ascending order, concatenated in domain order; d = ceil(log2(|mu|+1)),
     w = ceil(log2(max mu + 1)), clamped to 1 when max mu = 0 so the varint
-    stays in its domain.  The encoder reads mu as given, in the form
-    `protocol.compress_ids` returns and a decoder yields: domains of the
-    enumeration in its order, each with its indices ascending.  A decoder
-    refuses d = 0, w = 0 and indices that need more bits than remain before
-    it reads one."""
+    stays in its domain.  The encoder takes mu only in the form
+    `protocol.compress_ids` returns and a decoder yields: distinct domains
+    in enumeration order, each with a non-empty group of distinct ascending
+    indices.  A decoder refuses d = 0, w = 0 and indices that need more bits
+    than remain before it reads one."""
 
     top_level = True
 
@@ -739,6 +558,11 @@ class _Partition(_Layout):
         g("if not zs:"
           ' raise ValueError("partition must contain at least one integer")')
         g('if min(zs) < 0: raise ValueError("negative index")')
+        g("ds = [d for d, _ in mu]")
+        g("if ds[0] < 0 or ds[-1] >= ctx.n_servers or not all(map(lt, ds,"
+          ' ds[1:])): raise ValueError("partition domains must ascend")')
+        g("if not all([ix and all(map(lt, ix, ix[1:])) for _, ix in mu]):"
+          ' raise ValueError("partition groups must be non-empty, ascending")')
         g("dw = len(zs).bit_length()")
         g("iw = max(max(zs).bit_length(), 1)")
         g.varint("dw")
@@ -785,14 +609,16 @@ class _Partition(_Layout):
 
 class _Fields(_Layout):
     """Several layouts in order: a dataclass's fields in declaration order,
-    or the items of a tuple."""
+    each annotated with its layout, or the given items of a tuple."""
 
     def __init__(self, build, *layouts: _Layout):
         if build is not tuple:
             self.names = [f.name for f in fields(build)]
-            if len(self.names) != len(layouts):
-                raise TypeError(f"{build.__name__} has {len(self.names)} "
-                                f"fields, spec gives {len(layouts)}")
+            layouts = tuple(f.type for f in fields(build))
+            for name, layout in zip(self.names, layouts):
+                if not isinstance(layout, _Layout):
+                    raise TypeError(f"{build.__name__}.{name} is annotated "
+                                    f"{layout!r}, not a wire layout")
         self.build = build
         self.layouts = layouts
         self.head = _NONE
@@ -898,22 +724,22 @@ class _Payloads(_Layout):
           f" == 1 and len({{len(m) for _, m in {pl}}}) == 1)")
         g.put("uniform", (1, 0))
         g.settle()
-        branch = g.state()
+        branch = g.off, g.has_pos
         with g.block("if uniform:"):
             g.vnat(f"len({pl}[0][0])")
             g.vnat(f"len({pl}[0][1])")
             g(f'block = b"".join(chain.from_iterable({pl}))')
             g.put_var('int.from_bytes(block, "little")', "8 * len(block)")
             g.settle()
-        joined = g.state()
-        g.restore(branch)
+        joined = g.off, g.has_pos
+        g.off, g.has_pos = branch
         with g.block("else:"):
             with g.block(f"for c, m in {pl}:"):
                 BLOB.encode(g, "c")
                 BLOB.encode(g, "m")
                 g.settle()
                 g.spill()
-        assert g.state() == joined
+        assert (g.off, g.has_pos) == joined
 
     def decode(self, g):
         count, clen, mlen = g.local("n"), g.local("n"), g.local("n")
@@ -922,7 +748,7 @@ class _Payloads(_Layout):
         uniform, pl = g.local("uniform"), g.local("pl")
         g(f"{uniform} = {g.take((1, 0))}")
         g.settle()
-        branch = g.state()
+        branch = g.off, g.checked, g.stale
         with g.block(f"if {uniform}:"):
             for length in (clen, mlen):
                 g.vnat(length)
@@ -938,7 +764,7 @@ class _Payloads(_Layout):
                 g(f"{pl} = tuple([(block[i:i + {clen}], block[i + {clen}:"
                   "i + step]) for i in range(0, size, step)])")
                 g("pos += 8 * size")
-        g.restore(branch)
+        g.off, g.checked, g.stale = branch
         with g.block("else:"):
             g(f"{pl} = tuple({_BLOB_PAIRS.decode_items(g, count)})")
         g.jumped()
@@ -958,51 +784,198 @@ PAYLOADS = _Payloads()
 ID = _Fields(tuple, VNAT, VNAT)
 ID_SET = _Items(ID, "frozenset({})", ascending=True)
 ID_TUPLE = _Items(ID, "tuple(sorted(frozenset({})))", ascending=True)
-ASSIGNMENT = _Fields(Assignment, ID, KEYCARD, CERTIFICATE)
-ASSIGNMENTS = _Items(ASSIGNMENT)
 PATCHES = _Items(_Fields(tuple, ID_TUPLE, CERTIFICATE))
+STRAGGLERS = _Items(_Fields(tuple, ID, SIGNATURE))
 _BLOB_PAIRS = _Items(_Fields(tuple, BLOB, BLOB))
 
 
 # ---------------------------------------------------------------------------
+# message types: each field's annotation is its wire layout
+
+@dataclass(frozen=True)
+class Assignment:
+    ident: ID
+    keycard: KEYCARD
+    certificate: CERTIFICATE
+
+
+ASSIGNMENT = _Fields(Assignment)
+ASSIGNMENTS = _Items(ASSIGNMENT)
+
+
+# client <-> broker
+@dataclass(frozen=True)
+class Submission:
+    assignment: ASSIGNMENT
+    context: BLOB
+    message: BLOB
+    signature: SIGNATURE
+
+
+@dataclass(frozen=True)
+class Inclusion:
+    context: BLOB
+    root: DIGEST
+    proof: PROOF
+
+
+@dataclass(frozen=True)
+class Reduction:
+    root: DIGEST
+    msig: MULTISIG
+
+
+@dataclass(frozen=True)
+class Completion:
+    root: DIGEST
+    certificate: CERTIFICATE
+    exclusions: ID_SET
+
+
+# broker <-> server
+@dataclass(frozen=True)
+class BatchMsg:
+    compressed_ids: PARTITION  # ((domain, (index, ...)), ...) ascending
+    payloads: PAYLOADS  # ((context, message), ...) in id order
+
+
+@dataclass(frozen=True)
+class BatchAcquired:
+    root: DIGEST
+    unknowns: ID_TUPLE  # sorted ids
+
+
+@dataclass(frozen=True)
+class Signatures:
+    root: DIGEST
+    assignments: ASSIGNMENTS  # for the unknowns
+    msig: MULTISIG  # aggregate over [Reduction, root]
+    stragglers: STRAGGLERS  # ((id, signature), ...) sorted by id
+
+
+@dataclass(frozen=True)
+class WitnessShard:
+    root: DIGEST
+    shard: MULTISIG
+
+
+@dataclass(frozen=True)
+class Witness:
+    root: DIGEST
+    certificate: CERTIFICATE
+
+
+@dataclass(frozen=True)
+class EquivocationProof:
+    conflict_root: DIGEST
+    conflict_witness: CERTIFICATE
+    proof: PROOF
+    conflict_message: BLOB
+
+
+CONFLICTS = _Items(_Fields(tuple, ID, _Fields(EquivocationProof)))
+
+
+@dataclass(frozen=True)
+class CommitShard:
+    root: DIGEST
+    conflicts: CONFLICTS  # ((id, EquivocationProof), ...) sorted by id
+    shard: MULTISIG
+
+
+@dataclass(frozen=True)
+class Commit:
+    root: DIGEST
+    patches: PATCHES  # ((exception ids tuple, Certificate), ...)
+
+
+@dataclass(frozen=True)
+class CompletionShard:
+    root: DIGEST
+    shard: MULTISIG
+
+
+# server <-> server totality fallback
+@dataclass(frozen=True)
+class OfferTotality:
+    root: DIGEST
+    exclusions: ID_SET
+
+
+@dataclass(frozen=True)
+class AcceptTotality:
+    root: DIGEST
+    exclusions: ID_SET
+
+
+@dataclass(frozen=True)
+class Totality:
+    root: DIGEST
+    assignments: ASSIGNMENTS
+    compressed_ids: PARTITION
+    payloads: PAYLOADS
+    patches: PATCHES
+
+
+# directory signup
+@dataclass(frozen=True)
+class Signup:
+    pass
+
+
+@dataclass(frozen=True)
+class Ranked:
+    domain: VNAT  # ordinal of the server whose log ranked the sender's key
+
+
+@dataclass(frozen=True)
+class Assigner:
+    domain: VNAT
+
+
+@dataclass(frozen=True)
+class AssignShard:
+    index: VNAT
+    shard: MULTISIG
+
+
+# FIFO broadcast among servers (double-echo)
+@dataclass(frozen=True)
+class FifoSend:
+    seq: VNAT
+    payload: BLOB
+
+
+@dataclass(frozen=True)
+class FifoEcho:
+    origin: VNAT
+    seq: VNAT
+    payload: BLOB
+
+
+@dataclass(frozen=True)
+class FifoReady:
+    origin: VNAT
+    seq: VNAT
+    payload: BLOB
+
+
 # the message table: a message's tag is its index here
-
-_SPECS = [
-    (Submission, (ASSIGNMENT, BLOB, BLOB, SIGNATURE)),
-    (Inclusion, (BLOB, DIGEST, PROOF)),
-    (Reduction, (DIGEST, MULTISIG)),
-    (BatchMsg, (PARTITION, PAYLOADS)),
-    (BatchAcquired, (DIGEST, ID_TUPLE)),
-    (Signatures, (DIGEST, ASSIGNMENTS, MULTISIG,
-                  _Items(_Fields(tuple, ID, SIGNATURE)))),
-    (WitnessShard, (DIGEST, MULTISIG)),
-    (Witness, (DIGEST, CERTIFICATE)),
-    (CommitShard, (DIGEST,
-                   _Items(_Fields(tuple, ID, _Fields(
-                       EquivocationProof, DIGEST, CERTIFICATE, PROOF, BLOB))),
-                   MULTISIG)),
-    (Commit, (DIGEST, PATCHES)),
-    (CompletionShard, (DIGEST, MULTISIG)),
-    (Completion, (DIGEST, CERTIFICATE, ID_SET)),
-    (OfferTotality, (DIGEST, ID_SET)),
-    (AcceptTotality, (DIGEST, ID_SET)),
-    (Totality, (DIGEST, ASSIGNMENTS, PARTITION, PAYLOADS, PATCHES)),
-    (Signup, ()),
-    (Ranked, (VNAT,)),
-    (Assigner, (VNAT,)),
-    (AssignShard, (VNAT, MULTISIG)),
-    (FifoSend, (VNAT, BLOB)),
-    (FifoEcho, (VNAT, VNAT, BLOB)),
-    (FifoReady, (VNAT, VNAT, BLOB)),
-]
-MESSAGE_TYPES = tuple(cls for cls, _ in _SPECS)
+MESSAGE_TYPES = (
+    Submission, Inclusion, Reduction, BatchMsg, BatchAcquired, Signatures,
+    WitnessShard, Witness, CommitShard, Commit, CompletionShard, Completion,
+    OfferTotality, AcceptTotality, Totality, Signup, Ranked, Assigner,
+    AssignShard, FifoSend, FifoEcho, FifoReady)
+# id assignment and its FIFO broadcast, which cost accounting counts apart
+DIRECTORY_TYPES = (Signup, Ranked, Assigner, AssignShard, FifoSend, FifoEcho,
+                   FifoReady)
 
 
-def _sources(tag: int, cls, layouts) -> tuple[str, dict]:
+def _sources(tag: int, cls) -> tuple[str, dict]:
     """The source of the encoder and the decoder of one message type, and
     the names it refers to."""
     names = dict(_NAMES)
-    message = _Fields(cls, *layouts)
+    message = _Fields(cls)
     encoder, decoder = _Encoder(names, tag), _Decoder(names)
     message.encode(encoder, "msg")
     value = message.decode(decoder)
@@ -1010,17 +983,16 @@ def _sources(tag: int, cls, layouts) -> tuple[str, dict]:
             + decoder.source(f"decode_{cls.__name__}", value)), names
 
 
-def _compile(tag: int, cls, layouts):
+def _compile(tag: int, cls):
     """(encode(ctx, msg) -> bytes, decode(ctx, data, end) -> msg) of one
     message type; `decode` reads the stream bits [8, end) of data."""
-    source, names = _sources(tag, cls, layouts)
+    source, names = _sources(tag, cls)
     exec(compile(source, f"<wire codec of {cls.__name__}>", "exec"), names)
     return names[f"encode_{cls.__name__}"], names[f"decode_{cls.__name__}"]
 
 
-_CODECS = [_compile(tag, cls, layouts)
-           for tag, (cls, layouts) in enumerate(_SPECS)]
-_ENCODERS = {cls: encode for (cls, _), (encode, _) in zip(_SPECS, _CODECS)}
+_CODECS = [_compile(tag, cls) for tag, cls in enumerate(MESSAGE_TYPES)]
+_ENCODERS = {cls: encode for cls, (encode, _) in zip(MESSAGE_TYPES, _CODECS)}
 _DECODERS = [decode for _, decode in _CODECS]
 
 

@@ -291,8 +291,13 @@ def test_write_corpus_to_a_file_exits_2(tmp_path, capsys):
     ({"m_values": [4], "client": 8}, "'client'"),
     ({"m_values": [16], "clients": 8}, "m_values must not exceed clients"),
     ({"m_values": [4], "clients": 8, "payload_bits": 128}, "'payload_bits'"),
+    ({"m_values": [], "clients": 100000},
+     "clients must be an integer of at least 1 and at most 65536"),
+    ({"m_values": [1], "clients": 0},
+     "clients must be an integer of at least 1 and at most 65536"),
 ], ids=["m_zero", "m_string", "not_an_object", "misspelled_clients",
-        "m_above_clients", "payload_bits"])
+        "m_above_clients", "payload_bits", "clients_above_bound",
+        "clients_zero"])
 def test_invalid_sweep_spec_exits_2(tmp_path, capsys, spec, key):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(spec))

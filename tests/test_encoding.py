@@ -2,8 +2,9 @@
 examples and round-trips through the compiled codec, checked bit by bit
 against a reference that writes one bit at a time.
 
-Each layout is compiled into a probe message type exactly as `wire`
-compiles its own messages (`wire._compile`), so these tests run the same
+Each layout is compiled into a probe message type, a dataclass whose
+fields are annotated with the layouts, exactly as `wire` compiles its own
+messages (`wire._compile`), so these tests run the same
 generated code.  A probe's decoder takes the stream's length in bits, so a
 stream can be cut at any bit, not just at a byte boundary.
 """
@@ -29,9 +30,10 @@ def probe(*layouts):
     these layouts."""
     if layouts not in _PROBES:
         cls = make_dataclass(f"Probe{len(_PROBES)}",
-                             [f"f{i}" for i in range(len(layouts))],
+                             [(f"f{i}", layout)
+                              for i, layout in enumerate(layouts)],
                              frozen=True)
-        _PROBES[layouts] = (cls, *wire._compile(TAG, cls, layouts))
+        _PROBES[layouts] = (cls, *wire._compile(TAG, cls))
     return _PROBES[layouts]
 
 
@@ -233,6 +235,29 @@ def test_partition_rejects_empty():
         encode(wire.WireContext(2), cls(()))
     with pytest.raises(ValueError):
         encode(wire.WireContext(2), cls(((0, ()), (1, ()))))
+
+
+@pytest.mark.parametrize("mu", [
+    ((2, (0,)), (1, (3,))),
+    ((1, (3, 0)),),
+    ((7, (0,)),),
+    ((1, (0,)), (1, (3,))),
+    ((1, (3, 3)),),
+    ((0, ()), (1, (3,))),
+    ((-1, (0,)),),
+], ids=["domains_descend", "indices_descend", "domain_out_of_range",
+        "domain_repeated", "index_repeated", "empty_group", "negative_domain"])
+def test_partition_rejects_what_would_decode_to_other_ids(mu):
+    """Only the form a decoder yields may be encoded: any other is written
+    as bytes that decode to other ids, or to none.  These shapes reach both
+    encoders that write a partition."""
+    ctx = wire.WireContext(4)
+    payloads = ((b"", b""),) * sum(len(ix) for _, ix in mu)
+    with pytest.raises(ValueError):
+        wire.serialize(ctx, wire.BatchMsg(mu, payloads))
+    with pytest.raises(ValueError):
+        wire.serialize(ctx, wire.Totality(bytes(crypto.DIGEST_BYTES), (), mu,
+                                          payloads, ()))
 
 
 def test_partition_decode_rejects_malformed():

@@ -230,7 +230,9 @@ def _copy_cases():
 @pytest.mark.parametrize("name,seed,timers", list(_copy_cases()))
 def test_a_deep_copy_of_a_built_simulation_runs_on_its_own(name, seed,
                                                            timers):
-    """The copy draws its delays and timer skews from its own generator, so
+    """A copy, made before the run starts or at every 16th dispatched event,
+    draws its delays and timer skews from its own generator and keeps the
+    state of every message in flight, so it finishes the unforked run, and
     running it first leaves the original's schedule alone."""
     def built():
         scenario = scenarios.CORPUS[name]()
@@ -239,12 +241,23 @@ def test_a_deep_copy_of_a_built_simulation_runs_on_its_own(name, seed,
 
     unforked = built()
     unforked.run_to_quiescence()
+    expected = unforked.trace_jsonl()
     original = built()
     copy = deepcopy(original)
     copy.run_to_quiescence()
+    assert copy.trace_jsonl() == expected
+    original.start()
+    forks = 0
+    while original._queue:
+        if original._dispatched % 16 == 0:
+            copy = deepcopy(original)
+            copy.run_to_quiescence()
+            assert copy.trace_jsonl() == expected, original._dispatched
+            forks += 1
+        original.step()
+    assert forks > 0
     original.run_to_quiescence()
-    assert copy.trace_jsonl() == unforked.trace_jsonl()
-    assert original.trace_jsonl() == unforked.trace_jsonl()
+    assert original.trace_jsonl() == expected
 
 
 def test_unknown_destination_rejected():

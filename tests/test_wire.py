@@ -145,7 +145,7 @@ def test_roundtrip_fuzz():
         seen.add(type(msg))
         data = wire.serialize(CTX, msg)
         assert wire.deserialize(CTX, data) == msg
-    assert seen == {cls for cls, _ in wire._SPECS}  # a new type needs fuzzing
+    assert seen == set(wire.MESSAGE_TYPES)  # a new type needs fuzzing
 
 
 def _assert_deeply_immutable(value, where):
@@ -176,7 +176,7 @@ def test_decoded_messages_can_be_shared():
         seen.add(type(msg))
         _assert_deeply_immutable(msg, type(msg).__name__)
         assert wire.deserialize(CTX, data) == msg
-    assert seen == {cls for cls, _ in wire._SPECS}
+    assert seen == set(wire.MESSAGE_TYPES)
 
 
 def test_serializing_one_object_again_returns_its_bytes():
@@ -243,23 +243,24 @@ def test_spec_table_matches_the_doc():
     table = doc.split("## Messages", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| (\d+) \| `(\w+)` \|", table, re.MULTILINE)
     assert [(int(tag), name) for tag, name in rows] == [
-        (tag, cls.__name__) for tag, (cls, _) in enumerate(wire._SPECS)]
+        (tag, cls.__name__) for tag, cls in enumerate(wire.MESSAGE_TYPES)]
 
 
 def test_the_doc_shows_the_generated_source():
     doc = (Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
-    source, _ = wire._sources(2, *wire._SPECS[2])
-    assert wire._SPECS[2][0] is wire.Reduction
+    assert wire.MESSAGE_TYPES[2] is wire.Reduction
+    source, _ = wire._sources(2, wire.Reduction)
     assert "\n```\n" + source + "```\n" in doc
 
 
-def test_record_rejects_a_field_count_mismatch():
-    """A message's layouts must match its dataclass fields one to one."""
-    with pytest.raises(TypeError):
-        wire._compile(2, wire.Reduction, (wire.DIGEST,))
-    with pytest.raises(TypeError):
-        wire._compile(2, wire.Reduction,
-                      (wire.DIGEST, wire.MULTISIG, wire.VNAT))
+def test_a_field_not_annotated_with_a_layout_is_refused():
+    """Every field of a message is annotated with its wire layout."""
+    cls = dataclasses.make_dataclass(
+        "Unlaid", [("root", wire.DIGEST), ("msig", bytes)], frozen=True)
+    with pytest.raises(TypeError, match=r"Unlaid\.msig"):
+        wire._compile(2, cls)
+    with pytest.raises(TypeError, match=r"Unlaid\.msig"):
+        wire._Fields(cls)
 
 
 def test_random_bytes_never_crash():

@@ -58,11 +58,11 @@ def test_every_kind_encodes_and_decodes_as_the_table_codec_did():
             bit = rng.randrange(8 * len(data))
             flipped[bit >> 3] ^= 1 << (bit & 7)
             assert_same_outcome(bytes(flipped))
-        for tag in range(len(wire._SPECS) + 1):
+        for tag in range(len(wire.MESSAGE_TYPES) + 1):
             assert_same_outcome(bytes([tag]) + data[1:])
         assert_same_outcome(data + b"\x00")
         assert_same_outcome(data + rng.randbytes(rng.randint(1, 9)))
-    assert seen == {cls for cls, _ in wire._SPECS}
+    assert seen == set(wire.MESSAGE_TYPES)
     for _ in range(5_000):
         assert_same_outcome(rng.randbytes(rng.randint(0, 120)))
 

@@ -436,7 +436,7 @@ PATCHES = seq(pair(ID_TUPLE, CERTIFICATE), tuple)
 # ---------------------------------------------------------------------------
 # the message table: a message's tag is its index here
 
-_SPECS = [
+_TABLE = [
     (Submission, (ASSIGNMENT, BLOB, BLOB, SIGNATURE)),
     (Inclusion, (BLOB, DIGEST, PROOF)),
     (Reduction, (DIGEST, MULTISIG)),
@@ -464,8 +464,8 @@ _SPECS = [
     (FifoEcho, (VNAT, VNAT, BLOB)),
     (FifoReady, (VNAT, VNAT, BLOB)),
 ]
-_CODECS = [record(cls, *codecs) for cls, codecs in _SPECS]
-_TAGS = {cls: tag for tag, (cls, _) in enumerate(_SPECS)}
+_CODECS = [record(cls, *codecs) for cls, codecs in _TABLE]
+_TAGS = {cls: tag for tag, (cls, _) in enumerate(_TABLE)}
 
 
 def serialize(ctx: WireContext, msg) -> bytes:
