@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from binascii import a2b_hex
 from collections import defaultdict
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
@@ -361,8 +361,9 @@ def build_simulation(scenario: Scenario) -> Simulation:
 
 
 def run_scenario(scenario: Scenario, seed: int | None = None):
+    """Build and run `scenario`, or a copy of it with `seed`."""
     if seed is not None:
-        scenario.seed = seed
+        scenario = replace(scenario, seed=seed)
     sim = build_simulation(scenario)
     sim.run_to_quiescence()
     return sim

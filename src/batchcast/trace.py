@@ -41,8 +41,8 @@ _JSON_TYPES = {
     "a pair of integers": lambda v: (type(v) is list and len(v) == 2
                                      and all(map(_is_int, v))),
 }
-_JSON_TYPES.update((f"a count of at most {bound}",
-                    lambda v, bound=bound: _is_int(v) and 0 <= v <= bound)
+_JSON_TYPES.update((f"an integer of at least 1 and at most {bound}",
+                    lambda v, bound=bound: _is_int(v) and 1 <= v <= bound)
                    for bound in PROCESS_BOUNDS.values())
 # the base fields with their defaults and types
 _BASE_TYPES = (("src", None, "a string or null"),
@@ -55,7 +55,7 @@ _ASSIGNMENT_KEYS = (("id", "a pair of integers"), ("keycard", "a string"),
 # in the order `Trace.select` gives them, and their JSON types: the one
 # declaration of a checked kind's schema
 _EXTRA_KEYS = {
-    "scenario": tuple((key, f"a count of at most {bound}")
+    "scenario": tuple((key, f"an integer of at least 1 and at most {bound}")
                       for key, bound in PROCESS_BOUNDS.items()),
     "broadcast": (("context", "a string"), ("message", "a string")),
     "app_deliver": (("client", "a string"), ("context", "a string"),

@@ -76,20 +76,22 @@ def stmt_assignment(ident: Id, keycard: bytes) -> bytes:
 # decoder in which every field is a few inline operations on one int, the
 # way `dataclasses` generates `__init__`, and executes it.
 #
-# The encoder ORs each field into `acc` at bit `pos` and converts `acc` to
-# bytes once, at the end.  Inside a loop it moves the whole bytes of `acc`
-# out to a bytearray, `out`, once `acc` holds more than _SPILL bits, so no
-# operation grows with the message.
+# The encoder ORs each field into `acc` at bit `pos`, moves `pos` past it,
+# and converts `acc` to bytes once, at the end.  Inside a loop it moves the
+# whole bytes of `acc` out to a bytearray, `out`, once `acc` holds more than
+# _SPILL bits, so no operation grows with the message.
 #
 # The decoder reads the fields in order from an int `v` whose bit 0 is
-# stream bit `pos`.  At the top level `v` holds the rest of the message; each
-# item of a list reads from a window of `data` just large enough for it, so
-# again no operation grows with the message.  Every read is checked against
-# `end`, the stream's length in bits, before its value is used, and every
-# count is capped before anything is allocated for it.
+# stream bit `pos`; a run of fixed-width fields is read at offsets past
+# `pos` fixed when the code is generated.  At the top level `v` holds the
+# rest of the message; each item of a list reads from a window of `data`
+# just large enough for it, so again no operation grows with the message.
+# Every field's end is checked against `end`, the stream's length in bits,
+# before its value is used, and every count is capped before anything is
+# allocated for it.
 #
-# A width that depends on the server count n is a pair (c, k): c + k * n
-# bits.
+# A decoder's width that depends on the server count n is a pair (c, k):
+# c + k * n bits.
 
 _SPILL = 1 << 14  # bits an encoder's acc may hold before a loop spills it
 _PATH_ENTRY = 1 + 8 * crypto.DIGEST_BYTES  # side bit, then the sibling
@@ -234,55 +236,32 @@ class _Source:
         self.names[name] = (1 << bits) - 1
         return name
 
-    def width(self, width) -> str:
-        self.uses_n |= width[1] != 0
-        return _bits(width)
-
 
 class _Encoder(_Source):
     """Emits `encode(ctx, msg) -> bytes`.  At run time the bits written so
-    far are in `acc`; at compile time the next write goes `off` bits past
-    `pos`, or past bit 0 until `pos` is set."""
+    far are in `acc`, and the next write goes to bit `pos`."""
 
     def __init__(self, names: dict, tag: int):
         super().__init__(names)
         self.tag = tag
-        self.off = (8, 0)
-        self.has_pos = False
         self.spills = False
 
-    def at(self) -> str:
-        if not self.has_pos:
-            return self.width(self.off)
-        return f"pos + {self.width(self.off)}" if self.off != _NONE else "pos"
-
-    def put(self, value: str, width):
-        """OR in value, an int below 2^width."""
-        self(f"acc |= {value} << {self.at()}")
-        self.off = _plus(self.off, width)
-
-    def put_var(self, value: str, width: str):
-        """OR in value, then move pos past its run-time width."""
-        self(f"acc |= {value} << {self.at()}")
-        self(f"pos = {self.at()} + {width}")
-        self.off, self.has_pos = _NONE, True
-
-    def settle(self):
-        """Set pos to the next write's bit."""
-        if self.off != _NONE or not self.has_pos:
-            self(f"pos = {self.at()}")
-            self.off, self.has_pos = _NONE, True
+    def put(self, value: str, width: str):
+        """OR in value, an int below 2^width, and move pos past it (both
+        arguments are source)."""
+        self(f"acc |= {value} << pos")
+        self(f"pos += {width}")
 
     def varint(self, n: str):
         self(f"t = {n}")
         self("x, k = ENCODED[t] if 0 < t < TABLE else varint_bits(t)")
-        self.put_var("x", "k")
+        self.put("x", "k")
 
     def vnat(self, n: str):
         self.varint(f"{n} + 1")
 
     def spill(self):
-        """At the end of a loop body, once settled."""
+        """At the end of a loop body."""
         self.spills = True
         with self.block(f"if pos > {_SPILL}:"):
             self('out += acc.to_bytes((pos + 7) >> 3, "little")')
@@ -291,12 +270,12 @@ class _Encoder(_Source):
 
     def source(self, name: str) -> str:
         if self.spills:
-            self.settle()
             self('out += acc.to_bytes((pos + 7) >> 3, "little")')
             self("return bytes(out)")
         else:
-            self(f'return acc.to_bytes(({self.at()} + 7) >> 3, "little")')
-        head = [f"def {name}(ctx, msg):", f"    acc = {self.tag}"]
+            self('return acc.to_bytes((pos + 7) >> 3, "little")')
+        head = [f"def {name}(ctx, msg):", f"    acc = {self.tag}",
+                "    pos = 8"]
         if self.uses_n:
             head.append("    n = ctx.n_servers")
         if self.spills:
@@ -307,17 +286,20 @@ class _Encoder(_Source):
 class _Decoder(_Source):
     """Emits `decode(ctx, data, end) -> message` for the stream bits
     [8, end) of data, past the tag.  At compile time the next read is `off`
-    bits past `pos`, bits up to `checked` past `pos` are known to be in the
-    stream, `stale` says `v` must be read afresh from `data` before its
-    next use, and `window` is the source of the current list item's window
-    in bytes, or None at the top level, where v holds the rest of data."""
+    bits past `pos`, `stale` says `v` must be read afresh from `data` before
+    its next use, and `window` is the source of the current list item's
+    window in bytes, or None at the top level, where v holds the rest of
+    data."""
 
     def __init__(self, names: dict):
         super().__init__(names)
         self.off = (8, 0)
-        self.checked = _NONE
         self.stale = False
         self.window = None
+
+    def width(self, width) -> str:
+        self.uses_n |= width[1] != 0
+        return _bits(width)
 
     def at(self, extra=_NONE) -> str:
         off = _plus(self.off, extra)
@@ -333,21 +315,14 @@ class _Decoder(_Source):
                  " >> (pos & 7)")
         self.stale = False
 
-    def need(self, width):
-        """Check that the stream holds `width` bits past off."""
-        upto = _plus(self.off, width)
-        if upto[0] > self.checked[0] or upto[1] > self.checked[1]:
-            self(f"if {self.at(width)} > end: raise DecodeError(EXHAUSTED)")
-            self.checked = upto
-
     def take(self, width) -> str:
-        """The source of the int in the next `width` bits."""
+        """The source of the int in the next `width` bits, once the stream
+        is checked to hold them."""
         if self.stale:
             self.resync()
-        self.need(width)
+        self(f"if {self.at(width)} > end: raise DecodeError(EXHAUSTED)")
         if width[1]:
             assert width == (0, 1), width
-            self.uses_n = True
             mask = "nmask"
         else:
             mask = self.mask(width[0])
@@ -361,11 +336,11 @@ class _Decoder(_Source):
             self(f"pos += {self.width(self.off)}")
             if shift_v and not self.stale:
                 self(f"v >>= {self.width(self.off)}")
-            self.off = self.checked = _NONE
+            self.off = _NONE
 
     def jumped(self):
         """pos has moved by a run-time amount that v did not follow."""
-        self.off = self.checked = _NONE
+        self.off = _NONE
         self.stale = True
 
     def vnat(self, target: str, zero: str = "bad vnat"):
@@ -393,7 +368,7 @@ class _Decoder(_Source):
             self(f"if {self.at()} + e > end: raise DecodeError(EXHAUSTED)")
             self(f"pos += {plus}")
             self(f"v >>= {plus}")
-        self.off = self.checked = _NONE
+        self.off = _NONE
 
     def source(self, name: str, value: str) -> str:
         self(f"return {value}")
@@ -409,7 +384,6 @@ class _Layout:
     source that writes the value of the expression `value`, `decode` the
     source that reads one and returns an expression for it."""
 
-    width = None       # (c, k) if every value takes that many bits
     head = _NONE       # most bits a list item's decode reads from v
     top_level = False  # reads runs of any length from v: never a list item
 
@@ -429,7 +403,7 @@ class _Bytes(_Layout):
 
     def encode(self, g, value):
         g(f"if len({value}) != {self.nbytes}: raise ValueError(WRONG_LENGTH)")
-        g.put(f'int.from_bytes({value}, "little")', self.width)
+        g.put(f'int.from_bytes({value}, "little")', str(8 * self.nbytes))
 
     def decode(self, g):
         b = g.local("b")
@@ -456,7 +430,7 @@ class _Blob(_Layout):
 
     def encode(self, g, value):
         g.vnat(f"len({value})")
-        g.put_var(f'int.from_bytes({value}, "little")', f"8 * len({value})")
+        g.put(f'int.from_bytes({value}, "little")', f"8 * len({value})")
 
     def decode(self, g):
         k, b = g.local("k"), g.local("b")
@@ -483,7 +457,7 @@ class _Blob(_Layout):
 class _Certificate(_Layout):
     """The multi-signature, then an n-bit signer bitmap."""
 
-    width = head = (8 * crypto.MULTISIG_BYTES, 1)
+    head = (8 * crypto.MULTISIG_BYTES, 1)
 
     def encode(self, g, value):
         g.uses_n = True
@@ -491,7 +465,7 @@ class _Certificate(_Layout):
         g(f"{cert} = {value}")
         MULTISIG.encode(g, f"{cert}.msig")
         g(f"{bitmap} = sum([1 << o for o in range(n) if o in {cert}.signers])")
-        g.put(bitmap, (0, 1))
+        g.put(bitmap, "n")
 
     def decode(self, g):
         msig = MULTISIG.decode(g)
@@ -516,8 +490,8 @@ class _Proof(_Layout):
         with g.block(f"for side, sib in {path}:"):
             g(f"if len(sib) != {crypto.DIGEST_BYTES}:"
               " raise ValueError(WRONG_LENGTH)")
-            g.put_var('(int.from_bytes(sib, "little") << 1 | side & 1)',
-                      str(_PATH_ENTRY))
+            g.put('(int.from_bytes(sib, "little") << 1 | side & 1)',
+                  str(_PATH_ENTRY))
             g.spill()
 
     def decode(self, g):
@@ -572,7 +546,7 @@ class _Partition(_Layout):
         # the first digit of the string is the most significant bit
         g('s = ("{:0%db}" % iw * len(zs) + "{:0%db}" % dw * len(counts))'
           ".format(*zs, *counts)")
-        g.put_var("int(s, 2)", "len(s)")
+        g.put("int(s, 2)", "len(s)")
 
     def decode(self, g):
         dw, iw = g.local("n"), g.local("n")
@@ -640,16 +614,7 @@ class _Fields(_Layout):
             layout.encode(g, item)
 
     def decode(self, g):
-        values = []
-        for i, layout in enumerate(self.layouts):
-            if layout.width is not None:  # one check for a run of them
-                run = _NONE
-                for fixed in self.layouts[i:]:
-                    if fixed.width is None:
-                        break
-                    run = _plus(run, fixed.width)
-                g.need(run)
-            values.append(layout.decode(g))
+        values = [layout.decode(g) for layout in self.layouts]
         if self.build is tuple:
             return f"({', '.join(values)},)"
         return f"{g.ref(self.build)}({', '.join(values)})"
@@ -676,7 +641,6 @@ class _Items(_Layout):
         order = f"sorted({items})" if self.ascending else items
         with g.block(f"for {item} in {order}:"):
             self.item.encode(g, item)
-            g.settle()
             g.spill()
 
     def decode(self, g):
@@ -722,24 +686,17 @@ class _Payloads(_Layout):
         g.vnat(f"len({pl})")
         g(f"uniform = (len({pl}) > 0 and len({{len(c) for c, _ in {pl}}})"
           f" == 1 and len({{len(m) for _, m in {pl}}}) == 1)")
-        g.put("uniform", (1, 0))
-        g.settle()
-        branch = g.off, g.has_pos
+        g.put("uniform", "1")
         with g.block("if uniform:"):
             g.vnat(f"len({pl}[0][0])")
             g.vnat(f"len({pl}[0][1])")
             g(f'block = b"".join(chain.from_iterable({pl}))')
-            g.put_var('int.from_bytes(block, "little")', "8 * len(block)")
-            g.settle()
-        joined = g.off, g.has_pos
-        g.off, g.has_pos = branch
+            g.put('int.from_bytes(block, "little")', "8 * len(block)")
         with g.block("else:"):
             with g.block(f"for c, m in {pl}:"):
                 BLOB.encode(g, "c")
                 BLOB.encode(g, "m")
-                g.settle()
                 g.spill()
-        assert (g.off, g.has_pos) == joined
 
     def decode(self, g):
         count, clen, mlen = g.local("n"), g.local("n"), g.local("n")
@@ -748,7 +705,7 @@ class _Payloads(_Layout):
         uniform, pl = g.local("uniform"), g.local("pl")
         g(f"{uniform} = {g.take((1, 0))}")
         g.settle()
-        branch = g.off, g.checked, g.stale
+        branch = g.off, g.stale
         with g.block(f"if {uniform}:"):
             for length in (clen, mlen):
                 g.vnat(length)
@@ -764,7 +721,7 @@ class _Payloads(_Layout):
                 g(f"{pl} = tuple([(block[i:i + {clen}], block[i + {clen}:"
                   "i + step]) for i in range(0, size, step)])")
                 g("pos += 8 * size")
-        g.off, g.checked, g.stale = branch
+        g.off, g.stale = branch
         with g.block("else:"):
             g(f"{pl} = tuple({_BLOB_PAIRS.decode_items(g, count)})")
         g.jumped()

@@ -66,6 +66,16 @@ def test_check_only_roundtrip(tmp_path):
     assert main(["--check-only", str(trace)]) == 0
 
 
+def test_run_scenario_with_a_seed_leaves_the_scenario_as_it_was():
+    scenario = good_case(n_clients=2)
+    sim = run_scenario(scenario, seed=5)
+    assert scenario.seed == 0
+    assert sim.trace_jsonl() == run_scenario(
+        good_case(n_clients=2), seed=5).trace_jsonl()
+    assert run_scenario(scenario).trace_jsonl() == run_scenario(
+        good_case(n_clients=2)).trace_jsonl()
+
+
 def test_trace_file_is_written_chunk_by_chunk(tmp_path, monkeypatch):
     """The trace file holds `trace_jsonl()`'s text, written from the chunks
     of JSON lines as they are formatted, never joined into one string."""
@@ -146,8 +156,11 @@ def test_check_only_header_at_the_process_bound_hashes_each_keycard_once(
     '{"time":0,"kind":"scenario","servers":4,"clients":1}',
     '{"time":0,"kind":',
     '{"time":0,"kind":"scenario","servers":100000000,"brokers":1,"clients":1}',
+    '{"time":0,"kind":"scenario","servers":0,"brokers":1,"clients":1}',
+    '{"time":0,"kind":"scenario","servers":4,"brokers":0,"clients":1}',
+    '{"time":0,"kind":"scenario","servers":4,"brokers":1,"clients":0}',
 ], ids=["not_an_object", "no_kind", "header_without_brokers", "bad_json",
-        "header_over_process_bound"])
+        "header_over_process_bound", "servers_0", "brokers_0", "clients_0"])
 def test_check_only_malformed_trace_exits_2(tmp_path, capsys, line):
     path = tmp_path / "malformed.jsonl"
     path.write_text(line + "\n")
@@ -155,6 +168,38 @@ def test_check_only_malformed_trace_exits_2(tmp_path, capsys, line):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: malformed trace: line 1:")
     assert captured.out == ""
+
+
+def _delivery(server: str) -> dict:
+    return {"time": 1, "kind": "app_deliver", "src": server,
+            "client": _keycard("C", 0), "context": "aa", "message": "01"}
+
+
+@pytest.mark.parametrize("key, count, records, verdict", [
+    ("servers", 4, [{"time": 0, "kind": "broadcast", "src": "C0",
+                     "context": "aa", "message": "01"}, _delivery("S0")],
+     "FAIL totality"),
+    ("clients", 1, [_delivery(f"S{i}") for i in range(4)],
+     "FAIL integrity"),
+], ids=["servers", "clients"])
+def test_check_only_header_counting_no_processes_exits_2(
+        tmp_path, capsys, key, count, records, verdict):
+    """A header that counts no servers (or no clients) would let every
+    property hold vacuously: these traces fail with the count the run had,
+    and with a count of zero they are malformed, not passed."""
+    header = {"time": 0, "kind": "scenario", "servers": 4, "brokers": 1,
+              "clients": 1}
+    path = tmp_path / "trace.jsonl"
+    for n, code in ((0, 2), (count, 1)):
+        lines = [{**header, key: n}, *records]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        assert main(["--check-only", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: malformed trace: line 1: "
+                                           f"scenario record whose {key!r}")
+        else:
+            assert verdict in captured.out
 
 
 @pytest.mark.parametrize("text", [

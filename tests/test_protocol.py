@@ -234,7 +234,7 @@ def test_censoring_broker_pools_uncensored_ids(oracle, fake_ctx_factory):
         dense_id(j, 4) for j in (0, 2, 3))
 
 
-def test_broker_pools_512_ids_in_one_pump():
+def test_broker_batches_512_ids_in_one_flush():
     n = 512
     sc = preloaded_scenario(n_clients=n)
     oracle = Oracle(sc.processes())

@@ -67,6 +67,40 @@ def test_every_kind_encodes_and_decodes_as_the_table_codec_did():
         assert_same_outcome(rng.randbytes(rng.randint(0, 120)))
 
 
+def _bit_length(msg) -> int:
+    """The message's length in bits before its padding, by the table
+    codec's writer."""
+    tag = wire.MESSAGE_TYPES.index(type(msg))
+    w = reference.BitWriter()
+    w.write_uint(8, tag)
+    reference._CODECS[tag][0](CTX, w, msg)
+    return len(w)
+
+
+def test_every_decoder_stops_at_end_to_the_bit():
+    """Each type's decoder, called as `wire.deserialize` calls it but with
+    every stream length `end` from 8 bits up, refuses the stream below the
+    message's bit length and decodes the message from there on."""
+    rng = random.Random(0xB175)
+    largest = {}
+    for msg in sorted([rand_message(rng) for _ in range(600)],
+                      key=_bit_length):
+        largest[type(msg)] = msg
+    assert set(largest) == set(wire.MESSAGE_TYPES)
+    for msg in largest.values():
+        data = encode(msg)
+        length = _bit_length(msg)
+        assert 8 * len(data) - 8 < length <= 8 * len(data)
+        decode = wire._DECODERS[data[0]]
+        for end in range(8, 8 * len(data) + 1):
+            try:
+                decoded = decode(CTX, data, end)
+            except (DecodeError, ValueError, IndexError, OverflowError):
+                decoded = DecodeError
+            assert decoded == (msg if end >= length else DecodeError), (
+                type(msg).__name__, end, length)
+
+
 def test_list_items_that_fill_their_windows_read_back():
     """Each list item is read from a window sized for its largest reads
     from the varint table: TABLE_PAIRS-pair varints and 64-entry Merkle
