@@ -161,8 +161,11 @@ class Oracle:
             return False
         key = (statement, tuple(cert.signers))
         if key != self._last_certificate[0]:
+            # each signer's id from the registry, so none is built
+            prefixes = (b"msig|" + self._secret(self._owners[known[o]]) + b"|"
+                        for o in key[1])
             self._last_certificate = (key, _xor(
-                self.multisign(server(o), statement) for o in key[1]))
+                hashlib.sha384(p + statement).digest() for p in prefixes))
         return cert.msig == self._last_certificate[1]
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from .procs import ProcessKind
 from .wire import FifoEcho, FifoReady, FifoSend
 
+_SERVER = int(ProcessKind.SERVER)
+
 
 class FifoBroadcast:
     """One server's endpoint of the FIFO broadcast primitive.
@@ -25,7 +27,8 @@ class FifoBroadcast:
         self.next_seq = 0  # own broadcasts
         self.next_echo: dict = {}   # origin -> seq of the next Send to echo
         self.fifo_next: dict = {}   # origin -> next seq to deliver
-        # (origin, seq) -> {payload: {ordinal}}, until (origin, seq) is delivered
+        # (origin, seq) -> {payload: bitmask of the voters' ordinals}, until
+        # (origin, seq) is delivered
         self.echoes: dict = {}
         self.readys: dict = {}
         self.ready_sent: set = set()  # (origin, seq) whose Ready went out
@@ -38,9 +41,9 @@ class FifoBroadcast:
 
     def handle(self, ctx, src, msg):
         """A FIFO message; one from a sender that is no server is ignored."""
-        if src.kind != ProcessKind.SERVER:
+        if src.kind != _SERVER:
             return
-        if isinstance(msg, FifoSend):
+        if type(msg) is FifoSend:
             # links are FIFO, so a correct origin's Sends arrive in order
             if msg.seq == self.next_echo.get(src.ordinal, 0):
                 self.next_echo[src.ordinal] = msg.seq + 1
@@ -52,18 +55,14 @@ class FifoBroadcast:
         key = (msg.origin, msg.seq)
         if msg.seq < self.fifo_next.get(msg.origin, 0) or key in self.held:
             return
-        if isinstance(msg, FifoEcho):
-            echoes = self.echoes.setdefault(key, {}).setdefault(msg.payload,
-                                                                set())
-            echoes.add(src.ordinal)
-            if len(echoes) >= ctx.quorum:
-                self._send_ready(ctx, key, msg.payload)
-            return
-        readys = self.readys.setdefault(key, {}).setdefault(msg.payload, set())
-        readys.add(src.ordinal)
-        if len(readys) >= ctx.plurality:
+        slots = self.echoes if type(msg) is FifoEcho else self.readys
+        votes = slots.get(key) or slots.setdefault(key, {})  # never empty
+        voters = votes[msg.payload] = (votes.get(msg.payload, 0)
+                                       | 1 << src.ordinal)
+        count = voters.bit_count()
+        if count >= (ctx.plurality if slots is self.readys else ctx.quorum):
             self._send_ready(ctx, key, msg.payload)
-        if len(readys) >= ctx.quorum:
+        if count >= ctx.quorum and slots is self.readys:
             self.echoes.pop(key, None)
             del self.readys[key]
             self.ready_sent.discard(key)

@@ -23,7 +23,6 @@ import enum
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter, lt
 
@@ -404,11 +403,11 @@ class BrokerMachine(Machine):
 # ---------------------------------------------------------------------------
 # server
 
-@lru_cache(maxsize=1)
 def checked_batch(compressed_ids, payloads) -> tuple | None:
     """A batch's sorted ids and Merkle root, or None unless its ids expand
     to one id per payload in strictly ascending order.  A pure function of
-    its hashable arguments, so all servers share one cache."""
+    its arguments, so the servers of one simulation share its result
+    through `Context.shared`."""
     try:
         ids = tuple(expand_ids(compressed_ids))
         ascending = all(map(lt, ids, ids[1:]))
@@ -507,7 +506,7 @@ class ServerMachine(Machine):
     def handle_batch(self, ctx: Context, compressed_ids,
                      payloads) -> BatchAcquired | None:
         payloads = tuple(payloads)
-        checked = checked_batch(tuple(compressed_ids), payloads)
+        checked = ctx.shared(checked_batch, tuple(compressed_ids), payloads)
         if checked is None:
             return None
         ids, root = checked

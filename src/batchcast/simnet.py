@@ -4,22 +4,23 @@ It holds the event loop (`Simulation`), the handle a process has into it
 (`Context`), the handler interface (`Machine`) and a run's settings as plain
 dataclasses (`Scenario`, `DelayPolicy`), which `scenarios` types and bounds.
 
-Time is an integer tick count.  The event queue is a heap ordered by
-(time, phase, dst, src, timer tag, sequence); message deliveries at a tick
-dispatch before timer rings at the same tick, because a timer with timeout d
-set at t rings *after* time t + d.  Links never drop messages; per ordered
-pair, delivery order equals send order.
+Time is an integer tick count.  Events dispatch in (time, phase, dst, src,
+timer tag, queue order) order: message deliveries at a tick dispatch before
+timer rings at the same tick, because a timer with timeout d set at t rings
+*after* time t + d.  Links never drop messages; per ordered pair, delivery
+order equals send order.
 
-Each heap entry is flat: (key, timer tag bytes, sequence, event fields), with
-
-    key = ((time * 2 + phase) * P + dst rank) * P + src rank
-
+The queue is a calendar (Brown, CACM 1988): the bucket of each (tick,
+phase), numbered 2 * time + phase, collects its events unsorted and is
+sorted once when the loop reaches it; a heap of the pending bucket numbers
+picks the next.  A delivery's key in its bucket is dst rank * P + src rank,
 where P is the number of processes and a process's rank is its place in
-(kind, ordinal) order: servers, then brokers, then clients.  Phase is 0 or 1
-and ranks lie in [0, P), so comparing keys compares (time, phase, dst, src)
-lexicographically, and one integer compare stands for four.  Ties on the key
-fall to the timer tag's bytes (empty for a delivery) and then to the unique
-sequence number.  `time` is the key floor-divided by 2 * P * P.
+(kind, ordinal) order: servers, then brokers, then clients; a ring's key is
+its owner's rank.  Deliveries sort by key, rings by (key, timer tag bytes),
+and both sorts are stable, so ties keep their queue order and the copies on
+one link their send order.  Every delay is at least 1 tick, so no delivery
+lands in the bucket being dispatched; a timer set to ring in it (timeout 0,
+set by a ring) goes into its rest, in order.
 
 A constant delay policy delays each envelope 1 tick, but on overridden
 links; a uniform one has the seeded scheduler draw each delay, with
@@ -32,9 +33,11 @@ after.  A fan-out is one scheduling call.
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import insort_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from . import crypto, trace, wire
 from .bits import DecodeError
@@ -159,6 +162,14 @@ class Context:
     def set_timer(self, tag: tuple, timeout: int):
         self.sim._schedule_timer(self, tag, timeout)
 
+    def shared(self, fn, *args):
+        """`fn(*args)` for a pure `fn`; the simulation keeps each function's
+        last call, so processes handed equal arguments share one result."""
+        last = self.sim._memos.get(fn, (None,))
+        if last[0] != args:
+            last = self.sim._memos[fn] = (args, fn(*args))
+        return last[1]
+
     def emit(self, kind: str, **extra):
         self.sim.trace.add(self.sim.now, kind, self.code, NULL, 0, NO_TAG,
                            extra)
@@ -232,6 +243,7 @@ class Machine:
 
 
 _PHASE_RING = 1  # a delivery's phase is 0
+_DELIVERY_ORDER, _RING_ORDER = itemgetter(0), itemgetter(0, 1)
 # in-flight cell states besides a decoded message, values a deep copy keeps
 _UNDECODED = None     # no copy delivered yet
 _UNDECODABLE = False  # the bytes raised DecodeError
@@ -251,10 +263,12 @@ class Simulation:
     A cell is dropped with its last delivery, so the map is empty at
     quiescence.
 
-    A queued event is (key, timer tag bytes, sequence, src context, dst
-    context, bytes or timer tag, trace tag code); a timer's src and dst are
-    its owner.  Each context carries its machine, so a dispatch looks the
-    hook up on the machine itself.
+    A queued delivery is (key, src context, dst context, bytes, trace tag
+    code) and a ring (key, timer tag bytes, owner context, timer tag, trace
+    tag code).  Each context carries its machine, so a dispatch looks the
+    hook up on the machine itself.  `_buckets` maps each pending bucket's
+    number to its events, and `_ticks` is the heap of those numbers;
+    `_bucket`, numbered `_tick`, is being dispatched from place `_at` on.
     """
 
     def __init__(self, scenario: Scenario, machines: dict[ProcessId, Machine],
@@ -269,12 +283,12 @@ class Simulation:
         self.trace = trace.Trace()
         self.servers, self.brokers = servers(s.n_servers), brokers(s.n_brokers)
         self.plurality, self.quorum = s.fault_bound + 1, 2 * s.fault_bound + 1
-        self._queue: list = []
-        self._seq = 0
+        self._buckets: dict[int, list] = {}
+        self._ticks: list[int] = []
+        self._bucket, self._tick, self._at = [], -1, 0
         counts = (s.n_servers, s.n_brokers, s.n_clients)
         self._rank_offsets = (0, counts[0], counts[0] + counts[1])
         self._n = n = sum(counts)
-        self._per_phase = n * n  # key units per phase of a tick
         self._counts = counts
         self._link_last: dict[int, int] = {}  # src rank * P + dst rank -> tick
         # each process's context by rank; None where it has no machine
@@ -294,6 +308,7 @@ class Simulation:
                       else _span(1, TIMER_SKEW_MAX))
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
+        self._memos: dict = {}  # function -> (args, result) of `shared`
 
     def _resolve(self, policy: DelayPolicy):
         """`policy` as (the delay of each overridden link, src rank * P + dst
@@ -331,7 +346,8 @@ class Simulation:
         fixed, span = delays or (None, None)
         getrandbits = self.rng.getrandbits
         code, rank, size = src.code, src.rank, len(data)
-        rows, queue, seq = self.trace.pending, self._queue, self._seq
+        rows, buckets = self.trace.pending, self._buckets
+        at = bucket = None
         for to in tos:
             if delays is None:
                 deliver = now + 1
@@ -345,11 +361,11 @@ class Simulation:
                 if deliver < last:
                     deliver = last
                 self._link_last[link] = deliver
-            seq += 1
             rows += _pack_row(now, size, SEND, code, to.code, tag)
-            heapq.heappush(queue, ((2 * deliver * n + to.rank) * n + rank,
-                                   b"", seq, src, to, data, tag))
-        self._seq = seq
+            if 2 * deliver != at:
+                at = 2 * deliver
+                bucket = buckets.get(at) or self._new_bucket(at)
+            bucket.append((to.rank * n + rank, src, to, data, tag))
         cell = self._in_flight.get(data)
         if cell is None:
             self._in_flight[data] = [_UNDECODED, len(tos)]
@@ -357,16 +373,30 @@ class Simulation:
             cell[1] += len(tos)
 
     def _schedule_timer(self, owner: Context, tag: tuple, timeout: int):
-        now, n = self.now, self._n
+        now = self.now
         ring = now + (timeout if self._skew is None
                       else _uniform(self.rng.getrandbits, self._skew))
-        self._seq = seq = self._seq + 1
         tag_code = self.trace.code(_tag_label(tag))
         self.trace.add(now, "timer_set", owner.code, owner.code, 0, tag_code,
                        {"ring": ring})
-        heapq.heappush(self._queue, (
-            ((2 * ring + _PHASE_RING) * n + owner.rank) * n + owner.rank,
-            repr(tag).encode(), seq, owner, owner, tag, tag_code))
+        event = (owner.rank, repr(tag).encode(), owner, tag, tag_code)
+        at = 2 * ring + _PHASE_RING
+        if at == self._tick:  # into the rest of the bucket being dispatched
+            insort_right(self._bucket, event, self._at, key=_RING_ORDER)
+        else:
+            (self._buckets.get(at) or self._new_bucket(at)).append(event)
+
+    def _new_bucket(self, at: int) -> list:
+        """An empty bucket numbered `at`, queued."""
+        heappush(self._ticks, at)
+        return self._buckets.setdefault(at, [])
+
+    @property
+    def _queue(self) -> range:
+        """A range as long as the events still to dispatch, counted when
+        asked: it is falsy exactly at quiescence."""
+        return range(len(self._bucket) - self._at
+                     + sum(map(len, self._buckets.values())))
 
     # -- run loop ------------------------------------------------------------
 
@@ -389,14 +419,21 @@ class Simulation:
                 ctx.machine.on_start(ctx)
 
     def step(self):
-        key, _, _, src, dst, item, tag = heapq.heappop(self._queue)
-        tick = key // self._per_phase  # 2 * time + phase
-        self.now = now = tick >> 1
+        """Dispatch the next event, sorting its bucket on reaching it."""
+        bucket, at = self._bucket, self._at
+        if at == len(bucket):
+            tick = heappop(self._ticks)
+            self._bucket = bucket = self._buckets.pop(tick)
+            bucket.sort(key=_RING_ORDER if tick & 1 else _DELIVERY_ORDER)
+            self._tick, self.now, at = tick, tick >> 1, 0
+        self._at = at + 1
         self._dispatched += 1
+        now = self.now
         rows = self.trace.pending
         if len(rows) >= _PENDING_BYTES:
             self.trace.flush()
-        if tick & 1:
+        _, src, dst, item, tag = bucket[at]
+        if self._tick & 1:
             rows += _pack_row(now, 0, TIMER_RING, dst.code, dst.code, tag)
             dst.machine.on_timer(dst, item)
             return
@@ -418,11 +455,12 @@ class Simulation:
     def run_to_quiescence(self):
         if not self.trace:
             self.start()
-        while self._queue:
+        while self._ticks or self._at < len(self._bucket):
             if self._dispatched >= MAX_EVENTS:
                 raise EventBudgetExhausted(
                     f"no quiescence after {MAX_EVENTS} events")
             self.step()
+        self._bucket, self._at = [], 0  # hold no spent events
         self.trace.flush()
         return self.trace
 

@@ -699,7 +699,7 @@ def test_brokers_answer_batch_acquired_only_from_servers(
 def test_corpus_scenarios_quiesce_with_consistent_state():
     for name, factory in CORPUS.items():
         sim = run_scenario(factory(), seed=13)
-        assert sim._queue == []
+        assert not sim._queue
 
 
 def test_servers_share_one_merkle_build_per_batch(monkeypatch):
@@ -712,7 +712,6 @@ def test_servers_share_one_merkle_build_per_batch(monkeypatch):
         builds.append(tree)
         init(tree, leaves)
     monkeypatch.setattr(MerkleTree, "__init__", counting_init)
-    checked_batch.cache_clear()  # a batch an earlier run left in the cache
     sim = run_scenario(batching_limit(m=256, n_clients=256))
     stored = [m.batches for m in sim.machines.values()
               if isinstance(m, ServerMachine)]
@@ -721,6 +720,17 @@ def test_servers_share_one_merkle_build_per_batch(monkeypatch):
     assert len(roots) >= 1 and len(builds) == 2 * len(roots)
     for root in roots:  # one shared ids tuple, not one per server
         assert len({id(batches[root].ids) for batches in stored}) == 1
+
+
+def test_two_simulations_of_one_batch_share_no_ids():
+    """Each simulation keeps its own batch check: the servers of two runs of
+    one batch hold distinct `ids` tuples."""
+    sims = [run_scenario(batching_limit(m=64, n_clients=64))
+            for _ in range(2)]
+    held = [{id(batch.ids) for machine in sim.machines.values()
+             if isinstance(machine, ServerMachine)
+             for batch in machine.batches.values()} for sim in sims]
+    assert all(held) and not held[0] & held[1]
 
 
 def test_broker_keeps_no_drained_queue():
@@ -737,7 +747,6 @@ def test_preloaded_clients_keep_at_most_nine_objects_each():
         gc.collect()
         return len(gc.get_objects())
 
-    checked_batch.cache_clear()  # count from no cached batch, as in a run
     sims, counts = [], [tracked()]
     for m in (256, 1024):
         sims.append(run_scenario(batching_limit(m=m, n_clients=m)))

@@ -227,6 +227,37 @@ def _copy_cases():
                 yield name, seed, "scheduler"
 
 
+@pytest.mark.parametrize("name,seed,timers",
+                         [*_copy_cases(), ("batching_limit", 0, "timeout")])
+def test_the_queue_counts_the_events_still_to_dispatch(name, seed, timers):
+    """`len(sim._queue)`, which the bench's queue gauge reads after each
+    scheduling call, is the number of events queued and not yet
+    dispatched, and the queue is falsy exactly at quiescence: a
+    step-by-step run dispatches every event it queued."""
+    scenario = (scenarios.batching_limit(m=64, n_clients=64)
+                if name == "batching_limit" else scenarios.CORPUS[name]())
+    scenario.seed, scenario.timer_policy = seed, timers
+    sim = scenarios.build_simulation(scenario)
+    queued = [0]
+
+    def counting(schedule, events):
+        def wrapper(*args):
+            schedule(*args)
+            queued[0] += events(*args)
+            assert len(sim._queue) == queued[0] - sim._dispatched
+        return wrapper
+    sim._schedule_send = counting(sim._schedule_send,
+                                  lambda src, dsts, *_: len(dsts))
+    sim._schedule_timer = counting(sim._schedule_timer, lambda *_: 1)
+    sim.start()
+    while sim._queue:
+        assert len(sim._queue) == queued[0] - sim._dispatched > 0
+        sim.step()
+    assert sim._dispatched == queued[0] > 0
+    sim.run_to_quiescence()
+    assert sim._dispatched == queued[0] and not sim._queue
+
+
 @pytest.mark.parametrize("name,seed,timers", list(_copy_cases()))
 def test_a_deep_copy_of_a_built_simulation_runs_on_its_own(name, seed,
                                                            timers):
@@ -428,7 +459,7 @@ def test_good_case_run_quiesces_with_client_notified():
     from batchcast.scenarios import good_case, run_scenario
 
     sim = run_scenario(good_case(n_clients=1))
-    assert sim._queue == []
+    assert not sim._queue
     done = [e for e in sim.trace if e.kind == "submission_complete"
             and e.src == "C0"]
     assert len(done) == 1
@@ -508,38 +539,55 @@ def test_undecodable_bytes_are_dropped_after_one_decode(monkeypatch):
 
 
 def test_dispatch_order_matches_the_tuple_key_reference():
-    """A heap on one integer key dispatches exactly like one on the tuple
-    (time, phase, (dst kind, ordinal), (src kind, ordinal), timer tag
-    bytes, sequence), the key the event loop used to build per event.
+    """Seeds 5-7 under both timer policies, and one run over thousands of
+    ticks, each checked by `_check_dispatch_order`."""
+    for seed in (5, 6, 7):
+        for timers in ("timeout", "scheduler"):
+            _check_dispatch_order(seed, timers, starts=1)
+    _check_dispatch_order(5, "timeout", starts=250)
+
+
+def _check_dispatch_order(seed, timers, starts):
+    """A calendar of buckets, each sorted once on one integer key,
+    dispatches exactly like a heap on the tuple (time, phase, (dst kind,
+    ordinal), (src kind, ordinal), timer tag bytes, sequence), the key the
+    event loop used to build per event.
 
     Every process, of all three kinds, answers each event with random sends
-    and timers (timeout 0 among them, so rings share ticks with deliveries),
-    at ticks above 2**32.  The reference replays the run's schedule into a
-    heap keyed by that tuple and must pop each dispatch in turn.
+    and timers (timeout 0 among them, so rings share ticks with deliveries
+    and, under the timeout policy, set timers into the bucket being
+    dispatched), at ticks above 2**32 under that policy (the scheduler
+    rings each timer 1 to 8 ticks after it is set).  Each process starts
+    with `starts` timers; in the run with 250 each they spread over a
+    million ticks, so the heap of bucket numbers holds thousands.  The
+    reference replays the run's schedule into a heap keyed by that tuple
+    and must pop each dispatch in turn.
     """
     import heapq
     import random
 
     base = 2 ** 32 + 5
-    chooser = random.Random(5)
+    spread = 3 if starts == 1 else 10 ** 6
+    chooser = random.Random(seed)
     log = []          # ("set", id, old key but time) | ("run", id, now)
-    budget = [300]    # events the machines may still schedule
+    budget = [300 + 9 * starts]  # events the machines may still schedule
     ids = iter(range(1, 10 ** 6))
+    own_tick = []     # (timer, tick) of each timer a ring set with timeout 0
 
     class Chatter(Machine):
         def on_start(self, ctx):
-            self._schedule(ctx, first=True)
+            self._schedule(ctx, starts, first=True)
 
         def on_message(self, ctx, src, msg):
             log.append(("run", ("msg", msg.domain), ctx.now))
-            self._schedule(ctx)
+            self._schedule(ctx, 1 + chooser.randrange(2))
 
         def on_timer(self, ctx, tag):
             log.append(("run", ("ring", tag[1]), ctx.now))
-            self._schedule(ctx)
+            self._schedule(ctx, 1 + chooser.randrange(2), ring=True)
 
-        def _schedule(self, ctx, first=False):
-            for _ in range(1 + chooser.randrange(2)):
+        def _schedule(self, ctx, count, first=False, ring=False):
+            for _ in range(count):
                 if budget[0] <= 0:
                     return
                 budget[0] -= 1
@@ -547,10 +595,12 @@ def test_dispatch_order_matches_the_tuple_key_reference():
                 me = (ctx.pid.kind, ctx.pid.ordinal)
                 if first or chooser.random() < 0.4:
                     tag = (chooser.choice("zyx"), i)  # bytes order != seq
-                    timeout = (base + chooser.randrange(3) if first
+                    timeout = (base + chooser.randrange(spread) if first
                                else chooser.choice((0, 0, 1, 2)))
                     log.append(("set", ("ring", i),
                                 (1, me, me, repr(tag).encode())))
+                    if ring and timeout == 0:
+                        own_tick.append((("ring", i), ctx.now))
                     ctx.set_timer(tag, timeout)
                 else:
                     dst = chooser.choice(processes)
@@ -561,26 +611,33 @@ def test_dispatch_order_matches_the_tuple_key_reference():
     sc = Scenario(name="order", n_servers=4, fault_bound=1, n_brokers=2,
                   n_clients=3, synchrony=ADVERSARIAL,
                   delay_policy=DelayPolicy(kind="uniform", min_delay=1,
-                                           max_delay=3), seed=8)
+                                           max_delay=3),
+                  timer_policy=timers, seed=seed + 3)
     processes = sc.processes()
     sim = Simulation(sc, {pid: Chatter() for pid in processes})
     sim.run_to_quiescence()
-    assert budget[0] <= 0 and sim._queue == []
+    assert budget[0] <= 0 and not sim._queue
 
     ran_at = {event: now for kind, event, now in log if kind == "run"}
     assert len(ran_at) == sum(kind == "set" for kind, _, _ in log)
-    assert min(ran_at.values()) >= base
+    assert (min(ran_at.values()) >= base) == (timers == "timeout")
     pending, seq = [], 0
     for kind, event, rest in log:
         if kind == "set":
             seq += 1
             heapq.heappush(pending, ((ran_at[event], *rest, seq), event))
         else:
-            assert heapq.heappop(pending)[1] == event
+            assert heapq.heappop(pending)[1] == event, (seed, timers,
+                                                        starts)
     rings = [(now, event) for event, now in ran_at.items()
              if event[0] == "ring"]
     delivered = {now for event, now in ran_at.items() if event[0] == "msg"}
     assert any(now in delivered for now, _ in rings)  # rings share ticks
+    if timers == "timeout":  # rings set timers into their own bucket
+        assert own_tick and all(ran_at[timer] == now
+                                for timer, now in own_tick)
+    if starts > 1:
+        assert len(set(ran_at.values())) >= 2000
 
 
 def test_fake_context_simulation_builds(oracle):
