@@ -55,14 +55,15 @@ class FifoBroadcast:
         key = (msg.origin, msg.seq)
         if msg.seq < self.fifo_next.get(msg.origin, 0) or key in self.held:
             return
-        slots = self.echoes if type(msg) is FifoEcho else self.readys
+        ready = type(msg) is not FifoEcho
+        slots = self.readys if ready else self.echoes
         votes = slots.get(key) or slots.setdefault(key, {})  # never empty
         voters = votes[msg.payload] = (votes.get(msg.payload, 0)
                                        | 1 << src.ordinal)
         count = voters.bit_count()
-        if count >= (ctx.plurality if slots is self.readys else ctx.quorum):
+        if count >= (ctx.plurality if ready else ctx.quorum):
             self._send_ready(ctx, key, msg.payload)
-        if count >= ctx.quorum and slots is self.readys:
+        if ready and count >= ctx.quorum:
             self.echoes.pop(key, None)
             del self.readys[key]
             self.ready_sent.discard(key)
