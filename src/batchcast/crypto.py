@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .procs import ProcessId, ProcessKind, server
+from .procs import ProcessId, ProcessKind
 
 DIGEST_BITS = 256
 SIGNATURE_BITS = 512
@@ -59,9 +59,11 @@ class Oracle:
     does not read it; it lets a wrapper attribute each call.  The trace's
     `verify` rows are the ledger of verifications.
 
-    Each check method keeps its last expected handle with the statement and
-    keycards or signers it is a pure function of; every call compares these
-    and the claimed handle, so a repeated check is exact and computed once.
+    One oracle serves one simulation, and `shared` is that simulation's
+    memo.  The aggregate and certificate checks compute their expected
+    handle through it, as a pure function of the statement and the keycards
+    or signers, and compare it with the claimed handle on every call, so a
+    repeated check is exact and computed once.
     """
 
     def __init__(self, processes):
@@ -75,7 +77,15 @@ class Oracle:
                 b"keycard|%d|%d" % (pid.kind, pid.ordinal)).digest()
             self._keycards[pid.kind][pid.ordinal] = card
             self._owners[card] = pid
-        self._last_aggregate = self._last_certificate = (None, None)
+        self._memos: dict = {}  # function -> (args, result) of `shared`
+
+    def shared(self, fn, *args):
+        """`fn(*args)` for a pure `fn`; the oracle keeps each function's
+        last call, so callers handed equal arguments share one result."""
+        last = self._memos.get(fn, (None,))
+        if last[0] != args:
+            last = self._memos[fn] = (args, fn(*args))
+        return last[1]
 
     # -- identity -----------------------------------------------------------
 
@@ -89,19 +99,23 @@ class Oracle:
     def owner(self, keycard: bytes) -> ProcessId | None:
         return self._owners.get(keycard)
 
-    def _secret(self, pid: ProcessId) -> bytes:
-        of_kind = self._secrets[pid.kind]
-        secret = of_kind.get(pid.ordinal)
+    def _secret(self, kind: ProcessKind, ordinal: int) -> bytes:
+        of_kind = self._secrets[kind]
+        secret = of_kind.get(ordinal)
         if secret is None:
-            secret = of_kind[pid.ordinal] = hashlib.sha256(
-                b"secret|%d|%d" % (pid.kind, pid.ordinal)).digest()
+            secret = of_kind[ordinal] = hashlib.sha256(
+                b"secret|%d|%d" % (kind, ordinal)).digest()
         return secret
+
+    def _msig_prefix(self, kind: ProcessKind, ordinal: int) -> bytes:
+        """What a process's multi-signature hashes before the statement."""
+        return b"msig|" + self._secret(kind, ordinal) + b"|"
 
     # -- individual signatures ----------------------------------------------
 
     def sign(self, caller: ProcessId, statement: bytes) -> bytes:
-        return hashlib.sha512(
-            b"sig|" + self._secret(caller) + b"|" + statement).digest()
+        secret = self._secret(caller.kind, caller.ordinal)
+        return hashlib.sha512(b"sig|" + secret + b"|" + statement).digest()
 
     def verify(self, caller: ProcessId, keycard: bytes, statement: bytes,
                signature: bytes) -> bool:
@@ -113,8 +127,8 @@ class Oracle:
     # -- multi-signatures ----------------------------------------------------
 
     def multisign(self, caller: ProcessId, statement: bytes) -> bytes:
-        return hashlib.sha384(
-            b"msig|" + self._secret(caller) + b"|" + statement).digest()
+        prefix = self._msig_prefix(caller.kind, caller.ordinal)
+        return hashlib.sha384(prefix + statement).digest()
 
     def aggregate(self, msigs) -> bytes:
         return _xor(msigs)
@@ -122,14 +136,16 @@ class Oracle:
     def verify_aggregate(self, caller: ProcessId, keycards, statement: bytes,
                          msig: bytes) -> bool:
         """True iff msig aggregates one multi-signature per keycard, no others."""
-        key = (statement, tuple(keycards))
-        if key != self._last_aggregate[0]:
-            owners = [self.owner(card) for card in key[1]]
-            if any(o is None for o in owners):
-                return False
-            self._last_aggregate = (key, _xor(
-                self.multisign(o, statement) for o in owners))
-        return msig == self._last_aggregate[1]
+        expected = self.shared(self._aggregate_of, statement, tuple(keycards))
+        return expected is not None and msig == expected
+
+    def _aggregate_of(self, statement: bytes, keycards: tuple) -> bytes | None:
+        """The aggregate of each keycard's multi-signature on statement, or
+        None if a keycard has no owner."""
+        owners = [self.owner(card) for card in keycards]
+        if any(o is None for o in owners):
+            return None
+        return _xor(self.multisign(o, statement) for o in owners)
 
     # -- server certificates --------------------------------------------------
 
@@ -144,7 +160,7 @@ class Oracle:
         `signers` on each of `statements`; the certificates share one signer
         set, and each signer's hash prefix is built once."""
         signers, sha384 = frozenset(signers), hashlib.sha384
-        prefixes = [b"msig|" + self._secret(server(o)) + b"|"
+        prefixes = [self._msig_prefix(ProcessKind.SERVER, o)
                     for o in sorted(signers)]
         return [Certificate(signers, _xor(sha384(p + stmt).digest()
                                           for p in prefixes))
@@ -159,14 +175,9 @@ class Oracle:
         known = self._keycards[ProcessKind.SERVER]
         if any(o not in known for o in cert.signers):
             return False
-        key = (statement, tuple(cert.signers))
-        if key != self._last_certificate[0]:
-            # each signer's id from the registry, so none is built
-            prefixes = (b"msig|" + self._secret(self._owners[known[o]]) + b"|"
-                        for o in key[1])
-            self._last_certificate = (key, _xor(
-                hashlib.sha384(p + statement).digest() for p in prefixes))
-        return cert.msig == self._last_certificate[1]
+        (expected,) = self.shared(self.certify_each, (statement,),
+                                  cert.signers)
+        return cert.msig == expected.msig
 
 
 # ---------------------------------------------------------------------------

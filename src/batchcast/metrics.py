@@ -20,6 +20,7 @@ import math
 from collections import defaultdict
 
 from . import crypto, wire
+from .scenarios import batching_limit, run_scenario
 from .trace import DELIVER, SEND, VERIFY, Trace
 
 DIRECTORY_TAGS = frozenset(cls.__name__ for cls in wire.DIRECTORY_TYPES)
@@ -98,8 +99,6 @@ def amortized_report(trace: Trace, scenario) -> dict:
 
 def convergence_sweep(m_values, n_clients: int = 1024) -> list[dict]:
     """Run the good-case batching scenario across batch sizes."""
-    from .scenarios import batching_limit, run_scenario
-
     rows = []
     for m in m_values:
         scenario = batching_limit(m=m, n_clients=n_clients)

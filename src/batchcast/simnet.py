@@ -163,12 +163,9 @@ class Context:
         self.sim._schedule_timer(self, tag, timeout)
 
     def shared(self, fn, *args):
-        """`fn(*args)` for a pure `fn`; the simulation keeps each function's
-        last call, so processes handed equal arguments share one result."""
-        last = self.sim._memos.get(fn, (None,))
-        if last[0] != args:
-            last = self.sim._memos[fn] = (args, fn(*args))
-        return last[1]
+        """`fn(*args)` for a pure `fn`, through the simulation's memo (see
+        `crypto.Oracle.shared`)."""
+        return self.sim.oracle.shared(fn, *args)
 
     def emit(self, kind: str, **extra):
         self.sim.trace.add(self.sim.now, kind, self.code, NULL, 0, NO_TAG,
@@ -308,7 +305,6 @@ class Simulation:
                       else _span(1, TIMER_SKEW_MAX))
         self._in_flight: dict[bytes, list] = {}
         self._dispatched = 0
-        self._memos: dict = {}  # function -> (args, result) of `shared`
 
     def _resolve(self, policy: DelayPolicy):
         """`policy` as (the delay of each overridden link, src rank * P + dst

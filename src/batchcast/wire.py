@@ -81,11 +81,11 @@ def stmt_assignment(ident: Id, keycard: bytes) -> bytes:
 # whole bytes of `acc` out to a bytearray, `out`, once `acc` holds more than
 # _SPILL bits, so no operation grows with the message.
 #
-# The decoder reads the fields in order from an int `v` whose bit 0 is
-# stream bit `pos`; a run of fixed-width fields is read at offsets past
-# `pos` fixed when the code is generated.  At the top level `v` holds the
-# rest of the message; each item of a list reads from a window of `data`
-# just large enough for it, so again no operation grows with the message.
+# The decoder reads each field from the low bits of an int `v` whose bit 0
+# is stream bit `pos`, and moves `pos` and `v` past it.  At the top level
+# `v` holds the rest of the message; each item of a list reads from a
+# window of `data` just large enough for it, so again no operation grows
+# with the message.
 # Every field's end is checked against `end`, the stream's length in bits,
 # before its value is used, and every count is capped before anything is
 # allocated for it.
@@ -285,15 +285,14 @@ class _Encoder(_Source):
 
 class _Decoder(_Source):
     """Emits `decode(ctx, data, end) -> message` for the stream bits
-    [8, end) of data, past the tag.  At compile time the next read is `off`
-    bits past `pos`, `stale` says `v` must be read afresh from `data` before
-    its next use, and `window` is the source of the current list item's
-    window in bytes, or None at the top level, where v holds the rest of
-    data."""
+    [8, end) of data, past the tag.  At run time the next read is at stream
+    bit `pos`, which is bit 0 of `v`.  At compile time `stale` says `v` must
+    be read afresh from `data` before its next use, and `window` is the
+    source of the current list item's window in bytes, or None at the top
+    level, where v holds the rest of data."""
 
     def __init__(self, names: dict):
         super().__init__(names)
-        self.off = (8, 0)
         self.stale = False
         self.window = None
 
@@ -301,12 +300,8 @@ class _Decoder(_Source):
         self.uses_n |= width[1] != 0
         return _bits(width)
 
-    def at(self, extra=_NONE) -> str:
-        off = _plus(self.off, extra)
-        return f"pos + {self.width(off)}" if off != _NONE else "pos"
-
     def resync(self):
-        """Read v afresh at pos (off must be 0)."""
+        """Read v afresh at pos."""
         if self.window is None:
             self('v = int.from_bytes(data[pos >> 3:], "little") >> (pos & 7)')
         else:
@@ -315,65 +310,49 @@ class _Decoder(_Source):
                  " >> (pos & 7)")
         self.stale = False
 
-    def take(self, width) -> str:
-        """The source of the int in the next `width` bits, once the stream
-        is checked to hold them."""
+    def take(self, target: str, width):
+        """Read the int in the next `width` bits into target, once the
+        stream is checked to hold them, and move pos and v past them."""
         if self.stale:
             self.resync()
-        self(f"if {self.at(width)} > end: raise DecodeError(EXHAUSTED)")
         if width[1]:
             assert width == (0, 1), width
             mask = "nmask"
         else:
             mask = self.mask(width[0])
-        shift = f"v >> {self.width(self.off)}" if self.off != _NONE else "v"
-        self.off = _plus(self.off, width)
-        return f"({shift} & {mask})"
-
-    def settle(self, shift_v=True):
-        """Move pos to the next read's bit."""
-        if self.off != _NONE:
-            self(f"pos += {self.width(self.off)}")
-            if shift_v and not self.stale:
-                self(f"v >>= {self.width(self.off)}")
-            self.off = _NONE
-
-    def jumped(self):
-        """pos has moved by a run-time amount that v did not follow."""
-        self.off = _NONE
-        self.stale = True
+        bits = self.width(width)
+        self(f"if pos + {bits} > end: raise DecodeError(EXHAUSTED)")
+        self(f"{target} = v & {mask}")
+        self(f"v >>= {bits}")
+        self(f"pos += {bits}")
 
     def vnat(self, target: str, zero: str = "bad vnat"):
         """Decode a vnat into target; `zero` is the error for varint 0."""
         if self.stale:
             self.resync()
-        off = self.width(self.off) if self.off != _NONE else ""
-        shifted = f"v >> {off}" if off else "v"
-        plus = f"{off} + e" if off else "e"
-        self(f"x = {shifted} & MASK64")
+        self("x = v & MASK64")
         self("s = ~x & FLAGS")
         self("s &= -s")  # the flag of the last pair, if within 32 pairs
         self(f"{target} = VNATS.get(x & (s << 2) - 1)")
         with self.block(f"if {target} is None:"):
-            self(f"{target}, e = read_varint(data, {self.at()}, end)")
+            self(f"{target}, e = read_varint(data, pos, end)")
             self(f"if not {target}: raise DecodeError({zero!r})")
             self(f"{target} -= 1")
-            self(f"pos += {plus}")
+            self("pos += e")
             if self.window is None:  # v holds the rest of the message
-                self(f"v >>= {plus}")
+                self("v >>= e")
             else:  # the varint may have run past the item's window
                 self.resync()
         with self.block("else:"):
             self("e = s.bit_length() + 1")
-            self(f"if {self.at()} + e > end: raise DecodeError(EXHAUSTED)")
-            self(f"pos += {plus}")
-            self(f"v >>= {plus}")
-        self.off = _NONE
+            self("if pos + e > end: raise DecodeError(EXHAUSTED)")
+            self("pos += e")
+            self("v >>= e")
 
     def source(self, name: str, value: str) -> str:
         self(f"return {value}")
         head = [f"def {name}(ctx, data, end):",
-                '    v = int.from_bytes(data, "little")', "    pos = 0"]
+                '    v = int.from_bytes(data, "little") >> 8', "    pos = 8"]
         if self.uses_n:
             head += ["    n = ctx.n_servers", "    nmask = (1 << n) - 1"]
         return "\n".join(head + self.lines) + "\n"
@@ -407,8 +386,8 @@ class _Bytes(_Layout):
 
     def decode(self, g):
         b = g.local("b")
-        g(f'{b} = {g.take(self.width)}.to_bytes({self.nbytes}, "little")')
-        return b
+        g.take(b, self.width)
+        return f'{b}.to_bytes({self.nbytes}, "little")'
 
 
 class _Vnat(_Layout):
@@ -450,7 +429,7 @@ class _Blob(_Layout):
         with g.block("else:"):
             g(f"{b} = data[i:i + {k}]")
         g(f"pos += 8 * {k}")
-        g.jumped()
+        g.stale = True
         return b
 
 
@@ -470,7 +449,7 @@ class _Certificate(_Layout):
     def decode(self, g):
         msig = MULTISIG.decode(g)
         bitmap, signers = g.local("bitmap"), g.local("signers")
-        g(f"{bitmap} = {g.take((0, 1))}")
+        g.take(bitmap, (0, 1))
         g(f"{signers} = frozenset([o for o in range(n) if {bitmap} >> o & 1])")
         return f"{g.ref(Certificate)}({signers}, {msig})"
 
@@ -651,7 +630,6 @@ class _Items(_Layout):
 
     def decode_items(self, g, count: str) -> str:
         """Decode `count` items into a list; returns its name."""
-        g.settle()
         items = g.local("items")
         g(f"{items} = []")
         head = self.item.head
@@ -663,12 +641,11 @@ class _Items(_Layout):
         outer = g.window
         with g.block(f"for _ in range({count}):"):
             g.window = window
-            g.jumped()
+            g.stale = True
             value = self.item.decode(g)
-            g.settle(shift_v=False)
             g(f"{items}.append({value})")
         g.window = outer
-        g.jumped()
+        g.stale = True
         return items
 
 
@@ -703,9 +680,7 @@ class _Payloads(_Layout):
         g.vnat(count)
         g(f"if {count} > MAX_BLOB_BYTES: raise DecodeError(TOO_LARGE)")
         uniform, pl = g.local("uniform"), g.local("pl")
-        g(f"{uniform} = {g.take((1, 0))}")
-        g.settle()
-        branch = g.off, g.stale
+        g.take(uniform, (1, 0))
         with g.block(f"if {uniform}:"):
             for length in (clen, mlen):
                 g.vnat(length)
@@ -721,10 +696,9 @@ class _Payloads(_Layout):
                 g(f"{pl} = tuple([(block[i:i + {clen}], block[i + {clen}:"
                   "i + step]) for i in range(0, size, step)])")
                 g("pos += 8 * size")
-        g.off, g.stale = branch
         with g.block("else:"):
             g(f"{pl} = tuple({_BLOB_PAIRS.decode_items(g, count)})")
-        g.jumped()
+        g.stale = True
         return pl
 
 

@@ -89,6 +89,15 @@ def test_certificate_thresholds(oracle):
     assert not verify(broker(0), two, b"witness|r2", plurality)
 
 
+def test_certify_each_equals_certify_of_multisign_shards(oracle):
+    statements = [b"assignment|0:%d|" % j for j in range(3)] + [b""]
+    for signers in ((0,), (3, 1), range(4), ()):
+        certs = oracle.certify_each(statements, signers)
+        assert certs == [oracle.certify({o: oracle.multisign(server(o), s)
+                                         for o in signers})
+                         for s in statements]
+
+
 def test_repeated_certificate_check_still_compares_the_claimed_msig(oracle):
     stmt = b"completion|r"
     shards = {o: oracle.multisign(server(o), stmt) for o in range(2)}

@@ -247,10 +247,13 @@ def test_spec_table_matches_the_doc():
 
 
 def test_the_doc_shows_the_generated_source():
+    """Reduction shows fixed-width fields; OfferTotality a varint count and
+    list items read from windows."""
     doc = (Path(__file__).parent.parent / "docs" / "wire_format.md").read_text()
-    assert wire.MESSAGE_TYPES[2] is wire.Reduction
-    source, _ = wire._sources(2, wire.Reduction)
-    assert "\n```\n" + source + "```\n" in doc
+    for tag, cls in ((2, wire.Reduction), (12, wire.OfferTotality)):
+        assert wire.MESSAGE_TYPES[tag] is cls
+        source, _ = wire._sources(tag, cls)
+        assert "\n```\n" + source + "```\n" in doc
 
 
 def test_a_field_not_annotated_with_a_layout_is_refused():
